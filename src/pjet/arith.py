@@ -72,10 +72,6 @@ def valuation(x: Fraction | int, p: int) -> int:
     return v
 
 
-def vp_or_inf(x: Fraction | int, p: int) -> float:
-    return math.inf if x == 0 else valuation(x, p)
-
-
 # ---------------------------------------------------------------------------
 # LocalizedRational
 # ---------------------------------------------------------------------------

@@ -85,17 +85,22 @@ def cmd_fe_k(args):
     return multiprime.build_fe_k(P, args.k - 1, args.N).to_json(), True
 
 
+def _an_and_ap(args, P):
+    # a_p is read even when the inner sum stops below the largest prime
+    n_max = args.nmax or args.N
+    _, an = _curve_and_an(args, max([n_max, *P]))
+    return an[:n_max], [an[p - 1] for p in P]
+
+
 def cmd_f2e0(args):
     P = _primes(args.P)
-    curve, an = _curve_and_an(args, args.nmax or args.N)
-    ap = [an[p - 1] for p in P]
+    an, ap = _an_and_ap(args, P)
     return forms.build_f2e0(an, P, ap, args.N).to_json(), True
 
 
 def cmd_f2e_k(args):
     P = _primes(args.P)
-    curve, an = _curve_and_an(args, args.nmax or args.N)
-    ap = [an[p - 1] for p in P]
+    an, ap = _an_and_ap(args, P)
     return forms.build_f2e_k(an, P, args.k - 1, ap, args.N).to_json(), True
 
 

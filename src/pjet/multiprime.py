@@ -36,7 +36,12 @@ from .arith import (
     rational_reconstruct,
     reduce_rational_mod,
 )
-from .errors import DomainError, IntegralityViolation, OrderBudgetExceeded
+from .errors import (
+    DomainError,
+    IntegralityViolation,
+    OrderBudgetExceeded,
+    ReconstructionFailure,
+)
 
 Idx = tuple[int, ...]
 Mono = tuple[tuple[Idx, int], ...]  # sorted ((multi-index), exponent) pairs
@@ -437,13 +442,32 @@ def _check_budget(f: MultiJetSeries, k: int, max_order: Sequence[int] | None):
 
 
 def phi_pk(f: MultiJetSeries, k: int, max_order: Sequence[int] | None = None) -> MultiJetSeries:
-    """Frobenius lift at the k-th prime (0-based), a ring endomorphism."""
+    """Frobenius lift at the k-th prime (0-based), a ring endomorphism.
+
+    The result is known to weight ``f.N * p_k``.  The lift is weighted-
+    homogeneous of degree p_k: the generator of x_i in ghost coordinates is
+    homogeneous of weight wt(x_i), and the ghost shift u_i -> u_{i+e_k}
+    multiplies every weight by p_k.  So a monomial of weight w maps to a
+    polynomial of weight exactly p_k * w, and the terms of the result below a
+    bound depend only on the terms of ``f`` below that bound over p_k
+    (see ``_phi_pk_below``).
+    """
     _check_budget(f, k, max_order)
     N = f.N * f.P[k]
     keep = weight_keep(f.P, N)
     g = jet_to_ghost(f._poly(), f.P, keep)
     t = ghost_to_jet(ghost_shift(g, k), f.P, keep)
     return MultiJetSeries.make(f.P, t, N, f.ring)
+
+
+def _phi_pk_below(f: MultiJetSeries, k: int, N: int) -> MultiJetSeries:
+    """``phi_pk(f, k).truncate(N)``, lifting only the terms that survive.
+
+    By the weighted homogeneity of phi_k (see ``phi_pk``), a term of ``f`` of
+    weight w >= ceil(N / p_k) lands at weight p_k * w >= N, so it is dropped
+    before the lift instead of after it.  The result is the same series.
+    """
+    return phi_pk(f.truncate(-(-N // f.P[k])), k).truncate(N)
 
 
 def delta_pk(f: MultiJetSeries, k: int, max_order: Sequence[int] | None = None) -> MultiJetSeries:
@@ -532,7 +556,7 @@ def _corners(d: int):
 
 
 def one_minus_phi_over_p(f: MultiJetSeries, k: int) -> MultiJetSeries:
-    return f - phi_pk(f, k).truncate(f.N) * Fraction(1, f.P[k])
+    return f - _phi_pk_below(f, k, f.N) * Fraction(1, f.P[k])
 
 
 def build_fe_k(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
@@ -589,7 +613,9 @@ def continuation_check(
     Exact families must agree coefficientwise with P-integral denominators;
     p-adic families are recombined monomialwise through rational
     reconstruction.  The first inconsistent monomial (in weight order) is
-    reported as a witness.
+    reported as a witness; so is a coefficient that has no reconstruction
+    within the height bound.  Malformed input, such as a coefficient with no
+    guaranteed digits, raises ``DomainError`` instead.
     """
     if not family:
         raise DomainError("empty family")
@@ -635,7 +661,7 @@ def continuation_check(
             residues.append((P[k], c.digits, c.residue % P[k] ** c.digits))
         try:
             out[m] = rational_reconstruct(residues, height=height).value
-        except Exception:
+        except ReconstructionFailure:
             return ContinuationResult(
                 False,
                 None,
@@ -710,7 +736,7 @@ def basis_independence_check(P: Sequence[int], r: Sequence[int], N: int) -> Rank
         f = fe0
         for k in range(d):
             for _ in range(s[k] - 1):
-                f = phi_pk(f, k).truncate(N)
+                f = _phi_pk_below(f, k, N)
         series.append(f)
     monos = sorted({m for f in series for m, _ in f.terms})
     rows = [[Fraction(f.coeff(m)) for m in monos] for f in series]

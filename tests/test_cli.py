@@ -40,6 +40,12 @@ class TestBuilders:
         assert code1 == code2 == 0
         assert js1["terms"] == js2["terms"]
 
+    def test_f2e_below_largest_prime(self, capsys):
+        code1, js1 = run(capsys, "f2e0", "--P", "5,13", "--N", "10")
+        code2, js2 = run(capsys, "f2e-k", "--P", "5,13", "--k", "2", "--N", "10")
+        assert code1 == code2 == 0
+        assert js1["N"] == js2["N"] == 10 and js1["terms"] == js2["terms"]
+
     def test_eisenstein(self, capsys):
         code, js = run(capsys, "eisenstein", "--k", "4", "--trunc", "4")
         assert code == 0
@@ -128,6 +134,17 @@ class TestChecks:
         f2.write_text(json.dumps(obj))
         code, js = run(capsys, "check-continuation", "--inputs", str(f1), str(f2))
         assert code == 1 and js["pass"] is False and js["witness"]
+
+    def test_continuation_zero_digits_is_usage_error(self, capsys, tmp_path):
+        def member(p, digits, ring):
+            coeff = {"p": p, "M": 8, "residue": "3", "digits": digits}
+            return {"P": [5, 7], "N": 14, "ring": ring, "terms": [[[[[0, 0], 1]], coeff]]}
+
+        f1, f2 = tmp_path / "f1.json", tmp_path / "f2.json"
+        f1.write_text(json.dumps(member(5, 8, 1)))
+        f2.write_text(json.dumps(member(7, 0, 2)))
+        code, js = run(capsys, "check-continuation", "--inputs", str(f1), str(f2))
+        assert code == 2 and "error" in js
 
 
 GOLDEN_JOBS = [

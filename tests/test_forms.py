@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import delta_axiomatic
 from pjet.arith import PadicTrunc, valuation
@@ -29,7 +31,9 @@ from pjet.multiprime import (
     MultiJetSeries,
     build_fe0,
     continuation_check,
+    delta_pk,
     from_jet_series,
+    invert_unit,
     t_generator,
 )
 
@@ -208,7 +212,48 @@ class TestCovariance:
         assert js == {"gamma": 2, "nu": 1, "pass": True, "witness": None}
 
 
+def reference_transcription(f: JetSeries, N: int) -> MultiJetSeries:
+    """q -> 1 + t by repeated products, with negative powers through the
+    geometric inverse of the unit."""
+    P = (f.p,)
+    images = [t_generator(P, N) + 1]
+    for _ in range(f.r()):
+        images.append(delta_pk(images[-1], 0))
+    inv0 = invert_unit(images[0])
+    out = MultiJetSeries.make(P, {}, N)
+    for (b, jets), c in f.terms:
+        acc = inv0 ** -b if b < 0 else images[0] ** b
+        for i, e in enumerate(jets, start=1):
+            acc = acc * images[i] ** e
+        out = out + acc * Fraction(c)
+    return out
+
+
+@st.composite
+def q_series(draw):
+    p = draw(st.sampled_from([5, 7]))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(st.integers(-12, 4))
+        jets = tuple(draw(st.integers(0, 2)) for _ in range(draw(st.integers(0, 2))))
+        terms[(b, jets)] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+    return JetSeries.make(p, "q", terms), draw(st.integers(1, 14))
+
+
 class TestTranscription:
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_matches_reference_on_psi_fourier(self, p):
+        f = psi_fourier(p, M=8, window=20)
+        got, want = fourier_to_deformation(f, 20), reference_transcription(f, 20)
+        assert got.terms == want.terms and got.N == want.N
+
+    @given(case=q_series())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_on_random_series(self, case):
+        f, N = case
+        got, want = fourier_to_deformation(f, N), reference_transcription(f, N)
+        assert got.terms == want.terms and got.N == want.N
+
     def test_psi_fourier_maps_to_psi_serretate(self):
         got = fourier_to_deformation(psi_fourier(5, M=32, window=30), 30)
         assert got == from_jet_series(psi_serretate(5, 30))
@@ -217,8 +262,6 @@ class TestTranscription:
         f = JetSeries.make(5, "q", {(2, ()): 1, (-1, ()): 3})
         img = fourier_to_deformation(f, 8)
         t = t_generator((5,), 8)
-        from pjet.multiprime import invert_unit
-
         assert img == (t + 1) ** 2 + invert_unit(t + 1) * 3
 
 

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pjet.arith import cross_prime_commutator, fermat_delta
+from pjet.arith import PadicTrunc, cross_prime_commutator, fermat_delta
 from pjet.deltajet import psi_serretate
 from pjet.errors import DomainError, OrderBudgetExceeded
 from pjet.multiprime import (
     MultiJetSeries,
+    _phi_pk_below,
     basis_independence_check,
     build_fe0,
     build_fe_k,
@@ -29,6 +32,7 @@ from pjet.multiprime import (
 )
 
 P57 = (5, 7)
+P5711 = (5, 7, 11)
 
 
 def random_series(rng, P=P57, N=12, nterms=3, max_idx=1):
@@ -101,6 +105,33 @@ class TestPhiPk:
         t = t_generator(P57, 40)
         with pytest.raises(OrderBudgetExceeded):
             phi_pk(phi_pk(t, 0), 0, max_order=(1, 1))
+
+
+@st.composite
+def series_lift_and_bound(draw):
+    P = draw(st.sampled_from([(5,), P57, P5711]))
+    d = len(P)
+    top = 2 if d == 1 else 1
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = tuple(
+            (tuple(draw(st.integers(0, top)) for _ in range(d)), draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(1, 2)))
+        )
+        terms[mono] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+    N = draw(st.integers(1, 16))
+    k = draw(st.integers(0, d - 1))
+    return MultiJetSeries.make(P, terms, N), k, draw(st.integers(1, N))
+
+
+class TestTruncatedLift:
+    @given(case=series_lift_and_bound())
+    @settings(max_examples=40, deadline=None)
+    def test_truncate_then_lift_matches_lift_then_truncate(self, case):
+        f, k, bound = case
+        got = _phi_pk_below(f, k, bound)
+        want = phi_pk(f, k).truncate(bound)
+        assert got.terms == want.terms and got.N == want.N == bound
 
 
 class TestDeltaPk:
@@ -188,6 +219,11 @@ class TestBuildFeK:
         N = 50
         assert build_fe_k(P57, k, N) == build_fe0(P57, N)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_d3_agrees_with_fe0(self, k):
+        got, want = build_fe_k(P5711, k, 50), build_fe0(P5711, 50)
+        assert got.terms == want.terms and got.N == want.N
+
 
 class TestContinuation:
     def test_exact_roundtrip(self):
@@ -226,6 +262,23 @@ class TestContinuation:
         res = continuation_check([a, b])
         assert not res.ok and res.witness == m0
 
+    def test_height_miss_is_a_witness(self):
+        m0 = (((0, 0), 1),)
+        f0 = MultiJetSeries.make(P57, {m0: Fraction(12345, 2)}, 14)
+        fam = [reduce_to_padic(f0, 0, 8), reduce_to_padic(f0, 1, 8)]
+        res = continuation_check(fam, height=100)
+        assert not res.ok and res.witness == m0
+
+    def test_zero_digit_coefficient_raises(self):
+        m0 = (((0, 0), 1),)
+        f0 = MultiJetSeries.make(P57, {m0: 3}, 14)
+        fam = [
+            reduce_to_padic(f0, 0, 8),
+            MultiJetSeries.make(P57, {m0: PadicTrunc(7, 8, 3, 0)}, 14, ring=2),
+        ]
+        with pytest.raises(DomainError):
+            continuation_check(fam, height=10_000)
+
 
 class TestBasisIndependence:
     def test_d1_rank_one(self):
@@ -239,6 +292,11 @@ class TestBasisIndependence:
     def test_d2_rank_four(self):
         rep = basis_independence_check(P57, (2, 2), 50)
         assert rep.ok and rep.rank == 4
+
+    @pytest.mark.parametrize("r, N", [((2, 2, 1), 50), ((3, 1, 1), 80)])
+    def test_d3_full_rank(self, r, N):
+        rep = basis_independence_check(P5711, r, N)
+        assert rep.ok and rep.rank == rep.expected
 
     def test_exact_rank_helper(self):
         rows = [
