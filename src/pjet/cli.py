@@ -8,6 +8,7 @@ check, 1 mathematical check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -33,7 +34,14 @@ def _dump(payload) -> str:
 
 
 def _primes(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    """Parse ``--P``: distinct integers, comma separated, in the order typed."""
+    try:
+        P = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise DomainError(f"--P wants comma-separated integers, got {text!r}") from None
+    if len(set(P)) != len(P):
+        raise DomainError(f"--P repeats a prime: {text!r}")
+    return P
 
 
 def _load_json(path: str):
@@ -187,11 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--golden", help="compare the payload against this file")
     sub = top.add_subparsers(dest="command", required=True)
 
+    # Handlers are stored by name and looked up when ``main`` runs, so the
+    # cached parser follows any later rebinding of a ``cmd_*`` function.
     def add(name, handler, /, **flags):
         sp = sub.add_parser(name)
         for flag, spec in flags.items():
             sp.add_argument(f"--{flag}", **spec)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=handler.__name__)
         return sp
 
     add(
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-continuation")
     sp.add_argument("--inputs", nargs="+", required=True)
     sp.add_argument("--height", type=int, default=None)
-    sp.set_defaults(handler=cmd_check_continuation)
+    sp.set_defaults(handler=cmd_check_continuation.__name__)
     add(
         "check-commutator",
         cmd_check_commutator,
@@ -302,14 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        payload, passed = args.handler(args)
+        if getattr(args, "N", 0) < 0:
+            raise DomainError(f"--N must be nonnegative, got {args.N}")
+        payload, passed = globals()[args.handler](args)
     except USAGE_ERRORS as e:
         sys.stdout.write(_dump({"error": {"code": e.code, "message": str(e)}}))
         return 2

@@ -138,30 +138,30 @@ def _phi_var(family: int, i: int, a: int, p: int, jmax: int) -> Terms:
     return out
 
 
-def terms_phi(t: Terms, p: int, keep, jmax: int) -> tuple[Terms, bool]:
-    """Apply the Frobenius-lift substitution; flags whether a tail was cut."""
+def terms_phi(t: Terms, p: int, keep, jmax: int) -> Terms:
+    """Apply the Frobenius-lift substitution.
+
+    A negative base power expands through a tail cut at ``jmax`` terms.
+    """
     out: Terms = {}
-    truncated = False
     for (zexps, vexps), c in t.items():
         acc: Terms = {M_ONE: c}
         for fam, exps in ((0, zexps), (1, vexps)):
             for i, a in enumerate(exps):
                 if a == 0:
                     continue
-                if a < 0:
-                    if fam == 1 or i != 0:
-                        raise DomainError("negative exponents only on the base variable")
-                    truncated = True
+                if a < 0 and (fam == 1 or i != 0):
+                    raise DomainError("negative exponents only on the base variable")
                 acc = terms_mul(acc, _phi_var(fam, i, a, p, jmax), keep)
         out = terms_add(out, acc)
-    return {m: c for m, c in out.items() if keep(m, c)}, truncated
+    return {m: c for m, c in out.items() if keep(m, c)}
 
 
-def terms_delta(t: Terms, p: int, keep, jmax: int) -> tuple[Terms, bool]:
-    ph, truncated = terms_phi(t, p, keep, jmax)
+def terms_delta(t: Terms, p: int, keep, jmax: int) -> Terms:
+    ph = terms_phi(t, p, keep, jmax)
     fp = terms_pow(t, p, keep)
     num = terms_add(ph, terms_scale(fp, Fraction(-1)))
-    return {m: c / p for m, c in num.items() if keep(m, c)}, truncated
+    return {m: c / p for m, c in num.items() if keep(m, c)}
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +413,28 @@ def _none_min(a, b):
 # ---------------------------------------------------------------------------
 
 
+def _below(keep, cut: int | None):
+    """``keep`` that also drops every monomial of base exponent >= ``cut``."""
+    if cut is None:
+        return keep
+
+    def kept(m: Monomial, c: Fraction) -> bool:
+        return (m[0][0] if m[0] else 0) < cut and keep(m, c)
+
+    return kept
+
+
 def phi(f: JetSeries) -> JetSeries:
     """Frobenius lift: every variable v maps to v**p + p * (next jet)."""
     p = f.p
     if f.base == "t":
         N = None if f.N is None else p * f.N
         probe = JetSeries.make(p, "t", {}, f.M, None, None, N)
-        t, _ = terms_phi(f._to_terms(), p, probe._keep(), 0)
+        t = terms_phi(f._to_terms(), p, probe._keep(), 0)
         return JetSeries.make(p, "t", JetSeries._from_terms(t), f.M, None, None, N)
     geff = f.eff_digits()
-    probe = JetSeries.make(p, "q", {}, f.M, f.digits, None, None)
-    t, truncated = terms_phi(f._to_terms(), p, probe._keep(), geff)
-    digits = f.digits if not truncated else geff
+    # negative base powers expand through tails cut at p**geff
+    digits = f.digits if f.base_valuation() >= 0 else geff
     border = None
     if f.base_order is not None:
         # An unknown tail term q^a (a >= base_order) maps to terms of base
@@ -432,6 +442,10 @@ def phi(f: JetSeries) -> JetSeries:
         # p**digits pushes the surviving junk above this base exponent.
         digits = _none_min(digits, f.M) if digits is not None else f.M
         border = p * (f.base_order - digits + 1)
+    # phi(q^a * jets) has base exponents exactly p(a-j): the jet images add
+    # none, so a monomial at or above the output border never comes back.
+    probe = JetSeries.make(p, "q", {}, f.M, f.digits, None, None)
+    t = terms_phi(f._to_terms(), p, _below(probe._keep(), border), geff)
     return JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, digits, border, None)
 
 
@@ -444,26 +458,31 @@ def delta(f: JetSeries) -> JetSeries:
     p = f.p
     if f.base == "t":
         probe = JetSeries.make(p, "t", {}, f.M, None, None, f.N)
-        t, _ = terms_delta(f._to_terms(), p, probe._keep(), 0)
+        t = terms_delta(f._to_terms(), p, probe._keep(), 0)
         return JetSeries.make(p, "t", JetSeries._from_terms(t), f.M, None, None, f.N)
     geff = f.eff_digits()
     if f.digits is not None and f.digits <= 1:
         raise PrecisionExhausted("need at least two guaranteed digits for delta")
-    probe = JetSeries.make(p, "q", {}, f.M, f.digits, None, None)
-    t, truncated = terms_delta(f._to_terms(), p, probe._keep(), geff)
+    v = min(f.base_valuation(), 0)
     digits = f.digits
-    if truncated or f.base_order is not None:
+    if v < 0 or f.base_order is not None:
         digits = _none_min(digits, f.M) if digits is not None else f.M
     if digits is not None:
         digits -= 1
         if digits < 1:
             raise PrecisionExhausted("guaranteed digits exhausted")
-    border = None
+    border = cut = None
     if f.base_order is not None:
-        v = min(f.base_valuation(), 0)
         border = _none_min(
             p * (f.base_order - digits + 1), f.base_order + (p - 1) * v
         )
+        # A partial product of f**p takes at most p-1 further factors, each
+        # lowering the base exponent by at most |v|, and phi's base exponents
+        # are final; so a monomial at or above ``cut`` only feeds the terms
+        # at or above ``border`` that the output drops anyway.
+        cut = border - (p - 1) * v
+    probe = JetSeries.make(p, "q", {}, f.M, f.digits, None, None)
+    t = terms_delta(f._to_terms(), p, _below(probe._keep(), cut), geff)
     return JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, digits, border, None)
 
 
@@ -650,7 +669,7 @@ def _lemma_delta_n(t: Terms, p: int, n: int, M: int) -> Terms:
         def keep(m, c, g=probe_digits):
             return _vp(c, p) < g
 
-        t, _ = terms_delta(t, p, keep, probe_digits)
+        t = terms_delta(t, p, keep, probe_digits)
         probe_digits -= 1
     return t
 

@@ -27,14 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .arith import PadicTrunc, Weight, check_prime, valuation
+from .arith import PadicTrunc, check_prime, valuation
 from .deltajet import (
     JetSeries,
     Terms,
     M_ONE,
     delta_n,
-    psi_fourier,
-    psi_serretate,
     terms_add,
     terms_mul,
     terms_scale,
@@ -403,35 +401,3 @@ def _compare(F, sub, want, gamma, nu) -> CovarianceReport:
     if mismatches:
         return CovarianceReport(gamma, nu, False, mismatches[0])
     return CovarianceReport(gamma, nu, True, None)
-
-
-# ---------------------------------------------------------------------------
-# Expansion-side representatives of the basic order-<=1 forms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BasicExpansions:
-    """E-images of the tautological form (1), its partial companion (1), and
-    the order-1 form and its weight-0 companion (both Psi)."""
-
-    p: int
-    f0: Fraction
-    fpartial: Fraction
-    f1_fourier: JetSeries
-    fnatural_serretate: JetSeries
-
-
-def expansion_of_f1_fnatural(p: int, M: int = 8, window: int = 20, N: int = 30) -> BasicExpansions:
-    return BasicExpansions(
-        p=p,
-        f0=Fraction(1),
-        fpartial=Fraction(1),
-        f1_fourier=psi_fourier(p, M, window),
-        fnatural_serretate=psi_serretate(p, N),
-    )
-
-
-def f0_power_expansion(w: Weight) -> Fraction:
-    """E((f^0)^w) = 1 for every weight, since E(f^0) = 1."""
-    return Fraction(1)

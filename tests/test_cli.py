@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from pjet import cli
 from pjet.cli import main
 
 
@@ -153,6 +156,10 @@ GOLDEN_JOBS = [
     ("fe0_P5_7_N30.json", ["fe0", "--P", "5,7", "--N", "30"]),
     ("commutator_6_2_3.json", ["check-commutator", "--p1", "2", "--p2", "3", "--value", "6"]),
     ("basis_P5_7_r22_N50.json", ["check-basis", "--P", "5,7", "--r", "2,2", "--N", "50"]),
+    (
+        "delta_expand_E4_t12_n2_p7_M6.json",
+        ["delta-expand", "--form", "E4", "--trunc", "12", "--n", "2", "--p", "7", "--M", "6"],
+    ),
 ]
 
 
@@ -206,6 +213,56 @@ class TestProtocol:
         capsys.readouterr()
         code, js = run(capsys, "eisenstein", "--k", "3", "--trunc", "5")
         assert code == 2 and "error" in js
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fe0", "--P", "x"],
+            ["fe0", "--P", ","],
+            ["fe0", "--P", "5,5"],
+            ["fe-k", "--P", "5,7,5", "--k", "1"],
+            ["check-basis", "--P", "7,7", "--r", "1,1"],
+            ["fe0", "--P", "5,7", "--N", "-1"],
+            ["f2e0", "--P", "5,13", "--N", "-4"],
+            ["psi", "--p", "5", "--N", "-2"],
+        ],
+    )
+    def test_bad_prime_list_or_bound_exit_2(self, capsys, argv):
+        code, js = run(capsys, *argv)
+        assert code == 2 and js["error"]["code"] == "domain"
+
+    def test_cached_parser_matches_fresh_parser(self, capsys):
+        jobs = [
+            ["fe0", "--P", "5,7", "--N", "20"],
+            ["psi", "--p", "5", "--side", "fourier", "--window", "6"],
+            ["check-lemma", "--name", "logder", "--p", "5", "--n", "2", "--a", "3"],
+            ["fe-k", "--P", "5,7", "--k", "2", "--N", "20"],
+            ["eisenstein", "--k", "6", "--trunc", "8"],
+            ["fe0", "--P", "x"],
+            ["psi", "--p", "7", "--N", "12"],
+        ]
+
+        sequence = jobs + jobs[::-1]
+        interleaved = [(main(argv), capsys.readouterr().out) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append((main(argv), capsys.readouterr().out))
+        assert interleaved == fresh
+        assert interleaved[: len(jobs)] == interleaved[len(jobs) :][::-1]
+
+    def test_cached_parser_follows_rebound_handler(self, capsys, monkeypatch):
+        assert main(["ap", "--p", "5"]) == 0
+        capsys.readouterr()
+        seen = []
+
+        def wrapped(args):
+            seen.append(args.p)
+            return {"wrapped": True}, True
+
+        monkeypatch.setattr(cli, "cmd_ap", wrapped)
+        code, js = run(capsys, "ap", "--p", "7")
+        assert code == 0 and js == {"wrapped": True} and seen == [7]
 
     def test_math_error_exit_1(self, capsys, tmp_path):
         # Hecke-inconsistent input: integrality violation surfaces as exit 1

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pjet.arith import Weight, fermat_delta
 from pjet.deltajet import (
@@ -17,9 +19,11 @@ from pjet.deltajet import (
     phi,
     psi_fourier,
     psi_serretate,
+    terms_delta,
+    terms_phi,
     weight_action,
 )
-from pjet.errors import DomainError, NotInvertible, PrecisionExhausted
+from pjet.errors import DomainError, NotInvertible, PjetError, PrecisionExhausted
 from pjet.qseries import Series1, _exp_series
 
 
@@ -150,6 +154,83 @@ class TestDualPathDelta:
         for _ in range(5):
             f = random_poly_jet(rng, p, order=1, nterms=3, hi=2)
             assert delta_axiomatic(f) == delta(f)
+
+
+def _phi_unpruned(f: JetSeries) -> JetSeries:
+    """q-side phi that forms every monomial and lets ``make`` cut the border."""
+    p = f.p
+    probe = JetSeries.make(p, "q", {}, f.M, f.digits)
+    t = terms_phi(f._to_terms(), p, probe._keep(), f.eff_digits())
+    digits = f.digits if f.base_valuation() >= 0 else f.eff_digits()
+    border = None
+    if f.base_order is not None:
+        digits = min(digits, f.M) if digits is not None else f.M
+        border = p * (f.base_order - digits + 1)
+    return JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, digits, border)
+
+
+def _delta_unpruned(f: JetSeries) -> JetSeries:
+    """q-side delta that forms every monomial and lets ``make`` cut the border."""
+    p = f.p
+    if f.digits is not None and f.digits <= 1:
+        raise PrecisionExhausted("need at least two guaranteed digits for delta")
+    probe = JetSeries.make(p, "q", {}, f.M, f.digits)
+    t = terms_delta(f._to_terms(), p, probe._keep(), f.eff_digits())
+    digits = f.digits
+    if f.base_valuation() < 0 or f.base_order is not None:
+        digits = min(digits, f.M) if digits is not None else f.M
+    if digits is not None:
+        digits -= 1
+        if digits < 1:
+            raise PrecisionExhausted("guaranteed digits exhausted")
+    border = None
+    if f.base_order is not None:
+        v = min(f.base_valuation(), 0)
+        border = min(p * (f.base_order - digits + 1), f.base_order + (p - 1) * v)
+    return JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, digits, border)
+
+
+@st.composite
+def laurent_jets(draw):
+    p = draw(st.sampled_from([5, 7]))
+    keys = st.tuples(st.integers(-2 * p, 6), st.sampled_from([(), (1,)]))
+    coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3]))
+    terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=3))
+    f = JetSeries.make(
+        p,
+        "q",
+        terms,
+        M=draw(st.integers(2, 4)),
+        digits=draw(st.one_of(st.none(), st.integers(2, 4))),
+        base_order=draw(st.integers(-p, 12)),
+    )
+    return f, draw(st.sampled_from([1, 2]))
+
+
+def _iterate(step, f: JetSeries, n: int):
+    try:
+        for _ in range(n):
+            f = step(f)
+    except PjetError as e:
+        return type(e)
+    return f.terms, f.digits, f.base_order
+
+
+class TestBorderCut:
+    """The q-side phi and delta prune at the output base order while they
+    compute; the unpruned route forms everything and cuts only in ``make``."""
+
+    @given(case=laurent_jets())
+    @settings(max_examples=60, deadline=None)
+    def test_delta_matches_unpruned_route(self, case):
+        f, n = case
+        assert _iterate(delta, f, n) == _iterate(_delta_unpruned, f, n)
+
+    @given(case=laurent_jets())
+    @settings(max_examples=60, deadline=None)
+    def test_phi_matches_unpruned_route(self, case):
+        f, n = case
+        assert _iterate(phi, f, n) == _iterate(_phi_unpruned, f, n)
 
 
 class TestWeightAction:

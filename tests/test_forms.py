@@ -16,7 +16,6 @@ from pjet.forms import (
     covariance_check,
     delta_fourier_expand,
     denominator_witnesses,
-    expansion_of_f1_fnatural,
     fourier_to_deformation,
     fsharp_expansion,
 )
@@ -263,18 +262,3 @@ class TestTranscription:
         img = fourier_to_deformation(f, 8)
         t = t_generator((5,), 8)
         assert img == (t + 1) ** 2 + invert_unit(t + 1) * 3
-
-
-class TestBasicExpansions:
-    def test_triple(self):
-        exp = expansion_of_f1_fnatural(5, M=8, window=10, N=12)
-        assert exp.f0 == 1
-        assert exp.fpartial == 1
-        assert exp.f1_fourier == psi_fourier(5, 8, 10)
-        assert exp.fnatural_serretate == psi_serretate(5, 12)
-
-    def test_weight_powers_of_tautological_form(self):
-        from pjet.arith import Weight
-        from pjet.forms import f0_power_expansion
-
-        assert f0_power_expansion(Weight.single(3, -1)) == 1
