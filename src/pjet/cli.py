@@ -33,12 +33,17 @@ def _dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _ints(text: str, flag: str) -> list[int]:
+    """Parse a comma-separated list of integers given to ``flag``."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise DomainError(f"{flag} wants comma-separated integers, got {text!r}") from None
+
+
 def _primes(text: str) -> list[int]:
     """Parse ``--P``: distinct integers, comma separated, in the order typed."""
-    try:
-        P = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise DomainError(f"--P wants comma-separated integers, got {text!r}") from None
+    P = _ints(text, "--P")
     if len(set(P)) != len(P):
         raise DomainError(f"--P repeats a prime: {text!r}")
     return P
@@ -166,7 +171,14 @@ def cmd_check_commutator(args):
 
 def cmd_check_lemma(args):
     if args.name == "xlaphi":
-        varphi = "symbolic" if args.varphi == "symbolic" else Fraction(args.varphi)
+        varphi = args.varphi
+        if varphi != "symbolic":
+            try:
+                varphi = Fraction(varphi)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(
+                    f"--varphi wants a rational number or 'symbolic', got {varphi!r}"
+                ) from None
         rep = deltajet.lemma_xlaphi_check(args.p, args.n, varphi)
     else:
         rep = deltajet.lemma_logder_check(args.p, args.n, args.a)
@@ -175,7 +187,7 @@ def cmd_check_lemma(args):
 
 def cmd_check_basis(args):
     rep = multiprime.basis_independence_check(
-        _primes(args.P), [int(x) for x in args.r.split(",")], args.N
+        _primes(args.P), _ints(args.r, "--r"), args.N
     )
     return rep.to_json(), rep.ok
 

@@ -165,24 +165,27 @@ def _one_plus_u_pow_sum(
     """sum_n (a_n/n) * sum_j c_j (1 + u_j)^n in ghost coordinates.
 
     ``scalars`` maps the ghost variable monomial for u_j (as ((j),1)) to its
-    operator coefficient c_j.
+    operator coefficient c_j.  The coefficient of u_j^m, sum_n (a_n/n) C(n, m),
+    does not depend on j, so it is summed once per top degree (N - 1) // wt(u_j),
+    in integers over lcm(1..n_max).
     """
+    L = math.lcm(*range(1, n_max + 1))
+    hecke: dict[int, list[Fraction]] = {}
     out: Poly = {}
     for mono, cj in scalars.items():
         ((j, _),) = mono
         w = 1
         for k, p in enumerate(P):
             w *= p ** j[k]
-        # collect coefficient of u_j^m: sum_n (a_n/n) C(n, m)
         top = (N - 1) // w
-        acc: dict[int, Fraction] = {}
-        for n in range(1, n_max + 1):
-            s = Fraction(an[n - 1], n)
-            if not s:
-                continue
-            for m in range(0, min(n, top) + 1):
-                acc[m] = acc.get(m, Fraction(0)) + s * math.comb(n, m)
-        for m, c in acc.items():
+        if top not in hecke:
+            acc = [0] * (min(n_max, top) + 1)
+            for n in range(1, n_max + 1):
+                s = an[n - 1] * (L // n)
+                for m in range(min(n, top) + 1):
+                    acc[m] += s * math.comb(n, m)
+            hecke[top] = [Fraction(x, L) for x in acc]
+        for m, c in enumerate(hecke[top]):
             if c:
                 key = ((j, m),) if m else ()
                 out[key] = out.get(key, Fraction(0)) + c * cj

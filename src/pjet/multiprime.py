@@ -761,29 +761,63 @@ def substitute_gamma(f: MultiJetSeries, gamma: int) -> MultiJetSeries:
     """Apply the ring endomorphism induced by t -> (1+t)**gamma - 1.
 
     Because the substitution commutes with every Frobenius lift, each ghost
-    coordinate transforms independently: u_i -> (1 + u_i)**gamma - 1.
+    coordinate transforms independently: u_i -> (1 + u_i)**gamma - 1 (see
+    ``ghost_gamma``).
     """
     if gamma in (-1, 0, 1):
         raise DomainError("gamma must not be 0 or a root of unity")
     keep = weight_keep(f.P, f.N)
     g = jet_to_ghost(f._poly(), f.P, keep)
-
-    img_cache: dict[Idx, Poly] = {}
-
-    def image(i: Idx) -> Poly:
-        if i not in img_cache:
-            w = var_weight(i, f.P)
-            out: Poly = {}
-            for n in range(1, (f.N - 1) // w + 1):
-                b = _gen_binom_int(gamma, n)
-                if b:
-                    out[((i, n),)] = Fraction(b)
-            img_cache[i] = out
-        return img_cache[i]
-
-    sub = _subst(g, f.P, image, keep)
-    t = ghost_to_jet(sub, f.P, keep)
+    t = ghost_to_jet(ghost_gamma(g, f.P, gamma, f.N), f.P, keep)
     return MultiJetSeries.make(f.P, t, f.N, f.ring)
+
+
+def ghost_gamma(t: Poly, P: Sequence[int], gamma: int, N: int) -> Poly:
+    """u_i -> (1 + u_i)**gamma - 1 on ghost coordinates, below weight N.
+
+    The image of u_i**e is the univariate integer series
+    ((1 + u)**gamma - 1)**e in u_i, held as a dense list truncated at degree
+    (N - 1) // wt(u_i).  The factors of a monomial are in distinct variables,
+    so its image's monomials are the sorted pairs (i, n) side by side, and no
+    term of weight N or more is ever formed.  Coefficients add up as integers
+    over the common denominator of ``t``.
+    """
+    L = math.lcm(*(c.denominator for c in t.values()))
+    binom = [1]
+    for n in range(1, N):
+        binom.append(binom[-1] * (gamma - n + 1) // n)
+    powers: dict[int, list[list[int]]] = {}  # top degree -> table of e-th powers
+
+    def power(top: int, e: int) -> list[int]:
+        rows = powers.setdefault(top, [[1] + [0] * top])
+        while len(rows) <= e:
+            prev = rows[-1]
+            row = [0] * (top + 1)
+            for a, x in enumerate(prev):
+                if x:
+                    for b in range(1, top - a + 1):
+                        row[a + b] += x * binom[b]
+            rows.append(row)
+        return rows[e]
+
+    out: dict[Mono, int] = {}
+    for m, c in t.items():
+        images = [(M_ONE, c.numerator * (L // c.denominator), 0)]
+        for i, e in m:
+            w = var_weight(i, P)
+            row = power((N - 1) // w, e)
+            grown = []
+            for mono, x, wt in images:
+                for n in range(e, len(row)):
+                    wn = wt + n * w
+                    if wn >= N:
+                        break
+                    if row[n]:
+                        grown.append((mono + ((i, n),), x * row[n], wn))
+            images = grown
+        for mono, x, _ in images:
+            out[mono] = out.get(mono, 0) + x
+    return {m: Fraction(x, L) for m, x in out.items() if x}
 
 
 def _gen_binom_int(a: int, j: int) -> int:

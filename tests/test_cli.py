@@ -160,6 +160,13 @@ GOLDEN_JOBS = [
         "delta_expand_E4_t12_n2_p7_M6.json",
         ["delta-expand", "--form", "E4", "--trunc", "12", "--n", "2", "--p", "7", "--M", "6"],
     ),
+    (
+        "covariance_fe0_P5_7_N30_g24_nu2.json",
+        [
+            "check-covariance", "--input", "tests/golden/fe0_P5_7_N30.json",
+            "--gamma", "24", "--nu", "2",
+        ],
+    ),
 ]
 
 
@@ -168,13 +175,18 @@ class TestGoldenFiles:
 
     GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
-    def test_payloads_match_stored_bytes(self, capsys):
+    def test_payloads_match_stored_bytes(self, capsys, monkeypatch):
         import os
 
+        # the jobs name their input files relative to the repository root
+        monkeypatch.chdir(os.path.dirname(os.path.dirname(self.GOLDEN_DIR)))
         for fname, argv in GOLDEN_JOBS:
-            path = os.path.join(self.GOLDEN_DIR, fname)
-            assert main(["--golden", path, *argv]) == 0, fname
-            capsys.readouterr()
+            with open(os.path.join(self.GOLDEN_DIR, fname), encoding="utf-8") as fh:
+                golden = fh.read()
+            code = main(argv)
+            assert capsys.readouterr().out == golden, fname
+            # a pinned failing verdict exits 1, every other job 0
+            assert code == (1 if json.loads(golden).get("pass") is False else 0), fname
 
 
 class TestProtocol:
@@ -228,6 +240,19 @@ class TestProtocol:
         ],
     )
     def test_bad_prime_list_or_bound_exit_2(self, capsys, argv):
+        code, js = run(capsys, *argv)
+        assert code == 2 and js["error"]["code"] == "domain"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-basis", "--P", "5,7", "--r", "x"],
+            ["check-basis", "--P", "5,7", "--r", "2,"],
+            ["check-lemma", "--name", "xlaphi", "--p", "5", "--varphi", "x"],
+            ["check-lemma", "--name", "xlaphi", "--p", "5", "--varphi", "1/0"],
+        ],
+    )
+    def test_bad_order_vector_or_varphi_exit_2(self, capsys, argv):
         code, js = run(capsys, *argv)
         assert code == 2 and js["error"]["code"] == "domain"
 

@@ -1,18 +1,22 @@
 """Several-prime jet rings: structure maps, order-e builders, continuation."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pjet.arith import PadicTrunc, cross_prime_commutator, fermat_delta
+from pjet.cli import _dump as dump
 from pjet.deltajet import psi_serretate
 from pjet.errors import DomainError, OrderBudgetExceeded
 from pjet.multiprime import (
     MultiJetSeries,
+    _gen_binom_int,
     _phi_pk_below,
+    _subst,
     basis_independence_check,
     build_fe0,
     build_fe_k,
@@ -20,6 +24,7 @@ from pjet.multiprime import (
     delta_pk,
     exact_rank,
     from_jet_series,
+    ghost_gamma,
     ghost_to_jet,
     jet_generator,
     jet_to_ghost,
@@ -29,6 +34,8 @@ from pjet.multiprime import (
     substitute_gamma,
     t_generator,
     to_jet_series,
+    var_weight,
+    weight_keep,
 )
 
 P57 = (5, 7)
@@ -108,8 +115,7 @@ class TestPhiPk:
 
 
 @st.composite
-def series_lift_and_bound(draw):
-    P = draw(st.sampled_from([(5,), P57, P5711]))
+def series_terms(draw, P):
     d = len(P)
     top = 2 if d == 1 else 1
     terms = {}
@@ -119,8 +125,15 @@ def series_lift_and_bound(draw):
             for _ in range(draw(st.integers(1, 2)))
         )
         terms[mono] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+    return terms
+
+
+@st.composite
+def series_lift_and_bound(draw):
+    P = draw(st.sampled_from([(5,), P57, P5711]))
+    terms = draw(series_terms(P))
     N = draw(st.integers(1, 16))
-    k = draw(st.integers(0, d - 1))
+    k = draw(st.integers(0, len(P) - 1))
     return MultiJetSeries.make(P, terms, N), k, draw(st.integers(1, N))
 
 
@@ -307,7 +320,106 @@ class TestBasisIndependence:
         assert exact_rank(rows) == 2
 
 
+def _gamma_image(gamma, P, N):
+    """u_i -> sum_n C(gamma, n) u_i^n as Fraction polynomials, for ``_subst``."""
+
+    def image(i):
+        top = (N - 1) // var_weight(i, P)
+        return {((i, n),): Fraction(_gen_binom_int(gamma, n)) for n in range(1, top + 1)}
+
+    return image
+
+
+def _subst_gamma_reference(f, gamma):
+    """``substitute_gamma`` through the Fraction route ``_subst``."""
+    keep = weight_keep(f.P, f.N)
+    g = _subst(jet_to_ghost(f._poly(), f.P, keep), f.P, _gamma_image(gamma, f.P, f.N), keep)
+    return MultiJetSeries.make(f.P, ghost_to_jet(g, f.P, keep), f.N, f.ring)
+
+
+@st.composite
+def gammas(draw, p):
+    return draw(
+        st.one_of(
+            st.integers(-12, -2),
+            st.integers(2, 12),
+            st.integers(-3, 3).map(lambda s: p**6 + s),
+        )
+    )
+
+
+@st.composite
+def series_and_gamma(draw):
+    P = draw(st.sampled_from([(5,), P57, P5711]))
+    f = MultiJetSeries.make(P, draw(series_terms(P)), draw(st.integers(1, 40)))
+    return f, draw(st.integers(0, len(P) - 1)), draw(gammas(P[0]))
+
+
+def same(a, b):
+    return a.terms == b.terms and a.N == b.N
+
+
 class TestSubstituteGamma:
+    @given(case=series_and_gamma())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_route(self, case):
+        f, _, gamma = case
+        assert same(substitute_gamma(f, gamma), _subst_gamma_reference(f, gamma))
+
+    @given(case=series_and_gamma())
+    @example(case=(MultiJetSeries.make((5,), {(((0,), 1), ((1,), 1)): 1}, 8), 0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_ghost_step_matches_subst(self, case):
+        f, _, gamma = case
+        keep = weight_keep(f.P, f.N)
+        g = jet_to_ghost(f._poly(), f.P, keep)
+        want = _subst(g, f.P, _gamma_image(gamma, f.P, f.N), keep)
+        assert ghost_gamma(g, f.P, gamma, f.N) == want
+
+    @given(case=series_and_gamma(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_composition(self, case, data):
+        f, _, g1 = case
+        g2 = data.draw(gammas(f.P[-1]))
+        assert same(substitute_gamma(substitute_gamma(f, g2), g1), substitute_gamma(f, g1 * g2))
+
+    @given(case=series_and_gamma(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_multiplicative(self, case, data):
+        f, _, gamma = case
+        h = MultiJetSeries.make(f.P, data.draw(series_terms(f.P)), f.N)
+        assert same(substitute_gamma(f * h, gamma), substitute_gamma(f, gamma) * substitute_gamma(h, gamma))
+
+    @given(case=series_and_gamma(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_commutes_with_lifts(self, case, data):
+        f, k, gamma = case
+        bound = data.draw(st.integers(1, f.N))
+        assert same(
+            substitute_gamma(_phi_pk_below(f, k, bound), gamma),
+            _phi_pk_below(substitute_gamma(f, gamma), k, bound),
+        )
+
+    @given(P=st.sampled_from([(5,), P57, P5711]), N=st.integers(1, 30), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_image_of_t_is_binomial_series(self, P, N, data):
+        gamma = data.draw(gammas(P[0]))
+        zero = (0,) * len(P)
+        want = {((zero, n),): _gen_binom_int(gamma, n) for n in range(1, N)}
+        assert same(substitute_gamma(t_generator(P, N), gamma), MultiJetSeries.make(P, want, N))
+
+    @pytest.mark.parametrize(
+        "fname, build, gamma",
+        [
+            ("subst_gamma24_fe0_P5_7_N30.json", lambda: build_fe0(P57, 30), 24),
+            ("subst_gamma2585672_psi_P13_N20.json", lambda: psi_multi((13,), 0, 20), 2585672),
+        ],
+    )
+    def test_payload_bytes_pinned(self, fname, build, gamma):
+        path = os.path.join(os.path.dirname(__file__), "golden", fname)
+        with open(path, encoding="utf-8") as fh:
+            assert dump(substitute_gamma(build(), gamma).to_json()) == fh.read()
+
     def test_psi_is_eigenvector(self):
         psi = psi_multi((5,), 0, 25)
         assert substitute_gamma(psi, 2) == psi * 2
