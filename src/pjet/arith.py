@@ -20,10 +20,12 @@ rational reconstruction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+from . import sparse
 from .errors import (
     DomainError,
     IntegralityViolation,
@@ -32,6 +34,12 @@ from .errors import (
 )
 
 Rat = Union[int, Fraction]
+
+
+def min_order(*orders: int | None) -> int | None:
+    """Smallest of the bounds given, skipping None (no bound); None if all are."""
+    vals = [o for o in orders if o is not None]
+    return min(vals) if vals else None
 
 
 def is_prime(n: int) -> bool:
@@ -163,6 +171,8 @@ def parse_rational(s: str) -> Fraction:
     s = s.strip()
     if "/" in s:
         n, d = s.split("/")
+        if int(d) == 0:
+            raise DomainError(f"zero denominator in {s!r}")
         return Fraction(int(n), int(d))
     return Fraction(int(s))
 
@@ -235,14 +245,7 @@ class PadicTrunc:
     def __pow__(self, n: int):
         if n < 0:
             return self.unit_inverse() ** (-n)
-        out = PadicTrunc(self.p, self.M, 1, self.digits)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return sparse.power(self, n, PadicTrunc(self.p, self.M, 1, self.digits), operator.mul)
 
     def unit_inverse(self) -> "PadicTrunc":
         if self.residue % self.p == 0:
@@ -431,8 +434,16 @@ def cross_prime_commutator(x0, x1, x2, p1: int, p2: int):
 
 
 # ---------------------------------------------------------------------------
-# p-adic binomial coefficients
+# Binomial coefficients
 # ---------------------------------------------------------------------------
+
+
+def binomial(a: int, j: int) -> int:
+    """C(a, j) = a (a-1) ... (a-j+1) / j! for any integer a and j >= 0."""
+    num = 1
+    for i in range(j):
+        num *= a - i
+    return num // math.factorial(j)
 
 
 def padic_binomial(gamma: PadicTrunc, k: int) -> PadicTrunc:

@@ -50,15 +50,29 @@ def _primes(text: str) -> list[int]:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise DomainError(f"cannot read JSON from {path}: {e}") from None
+
+
+def _decode(path: str, from_json):
+    """Load ``path`` and decode it; a payload of the wrong shape is a usage error."""
+    obj = _load_json(path)
+    try:
+        return from_json(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise DomainError(f"{path} is not a valid payload: {e!r}") from None
 
 
 def _load_series(path: str):
-    obj = _load_json(path)
-    if "P" in obj:
-        return multiprime.MultiJetSeries.from_json(obj)
-    return deltajet.JetSeries.from_json(obj)
+    def from_json(obj):
+        if "P" in obj:
+            return multiprime.MultiJetSeries.from_json(obj)
+        return deltajet.JetSeries.from_json(obj)
+
+    return _decode(path, from_json)
 
 
 def _curve_and_an(args, n_max: int):
@@ -68,7 +82,7 @@ def _curve_and_an(args, n_max: int):
 
 def _q_expansion(args) -> modular.QExpansion:
     if getattr(args, "input", None):
-        return modular.QExpansion.from_json(_load_json(args.input))
+        return _decode(args.input, modular.QExpansion.from_json)
     name = (args.form or "").upper()
     trunc = args.trunc
     if name == "E4":
@@ -137,7 +151,7 @@ def cmd_delta_expand(args):
 def cmd_delta0(args):
     from .qseries import Series1, delta0
 
-    series = Series1.from_json(_load_json(args.input))
+    series = _decode(args.input, Series1.from_json)
     return delta0(series, args.p, args.M).to_json(), True
 
 
@@ -148,7 +162,7 @@ def cmd_check_covariance(args):
 
 
 def cmd_check_continuation(args):
-    family = [multiprime.MultiJetSeries.from_json(_load_json(p)) for p in args.inputs]
+    family = [_decode(p, multiprime.MultiJetSeries.from_json) for p in args.inputs]
     res = multiprime.continuation_check(family, height=args.height)
     return res.to_json(), res.ok
 

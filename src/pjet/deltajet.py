@@ -29,15 +29,20 @@ Truncation contracts:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .arith import Weight, format_rational, parse_rational, valuation
+from . import sparse
+from .arith import Weight, binomial, format_rational, min_order, parse_rational, valuation
 from .errors import DomainError, NotInvertible, PrecisionExhausted
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (z-family exps, aux exps)
 Terms = dict[Monomial, Fraction]
+# What a product keeps: a monomial rule, applied before the coefficients
+# multiply, and a coefficient rule (a digit bound), applied to the sums.
+Keep = tuple[Callable[[Monomial], bool], Callable[[Fraction], bool]]
 
 
 def _trim(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -64,57 +69,14 @@ def _vp(c: Fraction, p: int) -> float:
     return math.inf if c == 0 else valuation(c, p)
 
 
-def _gen_binom(a: int, j: int) -> int:
-    if j == 0:
-        return 1
-    num = 1
-    for i in range(j):
-        num *= a - i
-    return num // math.factorial(j)
+def _kept(t: Terms, keep: Keep) -> Terms:
+    mono_ok, coeff_ok = keep
+    return {m: c for m, c in t.items() if mono_ok(m) and coeff_ok(c)}
 
 
-def terms_add(*ts: Terms) -> Terms:
-    out: Terms = {}
-    for t in ts:
-        for m, c in t.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-    return out
-
-
-def terms_scale(t: Terms, c: Fraction) -> Terms:
-    if c == 0:
-        return {}
-    return {m: v * c for m, v in t.items()}
-
-
-def terms_mul(t1: Terms, t2: Terms, keep: Callable[[Monomial, Fraction], bool]) -> Terms:
-    out: Terms = {}
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            m = m_mul(m1, m2)
-            c = c1 * c2
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-    return {m: c for m, c in out.items() if keep(m, c)}
-
-
-def terms_pow(t: Terms, n: int, keep) -> Terms:
-    out: Terms = {M_ONE: Fraction(1)}
-    base = t
-    while n:
-        if n & 1:
-            out = terms_mul(out, base, keep)
-        n >>= 1
-        if n:
-            base = terms_mul(base, base, keep)
-    return out
+def terms_mul(t1: Terms, t2: Terms, keep: Keep) -> Terms:
+    mono_ok, coeff_ok = keep
+    return {m: c for m, c in sparse.mul(t1, t2, m_mul, mono_ok).items() if coeff_ok(c)}
 
 
 def _phi_var(family: int, i: int, a: int, p: int, jmax: int) -> Terms:
@@ -127,7 +89,7 @@ def _phi_var(family: int, i: int, a: int, p: int, jmax: int) -> Terms:
     out: Terms = {}
     top = a if a >= 0 else jmax
     for j in range(top + 1):
-        c = Fraction(_gen_binom(a, j) * p**j)
+        c = Fraction(binomial(a, j) * p**j)
         if c == 0:
             continue
         exps = [0] * (i + 2)
@@ -138,7 +100,7 @@ def _phi_var(family: int, i: int, a: int, p: int, jmax: int) -> Terms:
     return out
 
 
-def terms_phi(t: Terms, p: int, keep, jmax: int) -> Terms:
+def terms_phi(t: Terms, p: int, keep: Keep, jmax: int) -> Terms:
     """Apply the Frobenius-lift substitution.
 
     A negative base power expands through a tail cut at ``jmax`` terms.
@@ -153,15 +115,15 @@ def terms_phi(t: Terms, p: int, keep, jmax: int) -> Terms:
                 if a < 0 and (fam == 1 or i != 0):
                     raise DomainError("negative exponents only on the base variable")
                 acc = terms_mul(acc, _phi_var(fam, i, a, p, jmax), keep)
-        out = terms_add(out, acc)
-    return {m: c for m, c in out.items() if keep(m, c)}
+        out = sparse.add(out, acc)
+    return _kept(out, keep)
 
 
-def terms_delta(t: Terms, p: int, keep, jmax: int) -> Terms:
+def terms_delta(t: Terms, p: int, keep: Keep, jmax: int) -> Terms:
     ph = terms_phi(t, p, keep, jmax)
-    fp = terms_pow(t, p, keep)
-    num = terms_add(ph, terms_scale(fp, Fraction(-1)))
-    return {m: c / p for m, c in num.items() if keep(m, c)}
+    fp = sparse.power(t, p, {M_ONE: Fraction(1)}, lambda a, b: terms_mul(a, b, keep))
+    num = sparse.add(ph, sparse.scale(fp, Fraction(-1)))
+    return {m: c / p for m, c in _kept(num, keep).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +206,18 @@ class JetSeries:
     def eff_digits(self) -> int:
         return self.digits if self.digits is not None else self.M
 
-    def _keep(self):
+    def _keep(self) -> Keep:
         p, N, digits, border = self.p, self.N, self.digits, self.base_order
 
-        def keep(m: Monomial, c: Fraction) -> bool:
+        def mono_ok(m: Monomial) -> bool:
             if N is not None and _weight(m, p) >= N:
                 return False
-            if digits is not None and _vp(c, p) >= digits:
-                return False
-            if border is not None and m[0] and m[0][0] >= border:
-                return False
-            return True
+            return border is None or not m[0] or m[0][0] < border
 
-        return keep
+        def coeff_ok(c: Fraction) -> bool:
+            return digits is None or _vp(c, p) < digits
+
+        return mono_ok, coeff_ok
 
     def base_valuation(self) -> int:
         return min((b for (b, _), _ in self.terms), default=0)
@@ -266,21 +227,21 @@ class JetSeries:
     def _meta_binary(self, other: "JetSeries", mul: bool):
         if self.p != other.p or self.base != other.base:
             raise DomainError("mismatched jet rings")
-        digits = _none_min(self.digits, other.digits)
-        N = _none_min(self.N, other.N)
+        digits = min_order(self.digits, other.digits)
+        N = min_order(self.N, other.N)
         if mul:
             b1 = None if self.base_order is None else self.base_order + other.base_valuation()
             b2 = None if other.base_order is None else other.base_order + self.base_valuation()
-            border = _none_min(b1, b2)
+            border = min_order(b1, b2)
         else:
-            border = _none_min(self.base_order, other.base_order)
+            border = min_order(self.base_order, other.base_order)
         return digits, border, N
 
     def __add__(self, other):
         if not isinstance(other, JetSeries):
             other = JetSeries.make(self.p, self.base, {(0, ()): Fraction(other)})
         digits, border, N = self._meta_binary(other, mul=False)
-        t = terms_add(self._to_terms(), other._to_terms())
+        t = sparse.add(self._to_terms(), other._to_terms())
         return JetSeries.make(
             self.p, self.base, JetSeries._from_terms(t), self.M, digits, border, N
         )
@@ -330,26 +291,19 @@ class JetSeries:
     def __pow__(self, n: int):
         if n < 0:
             return invert(self) ** (-n)
-        out = JetSeries.make(
+        one = JetSeries.make(
             self.p, self.base, {(0, ()): 1}, self.M, self.digits, self.base_order, self.N
         )
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return sparse.power(self, n, one, operator.mul)
 
     def __eq__(self, other):
         if not isinstance(other, JetSeries):
             other = JetSeries.make(self.p, self.base, {(0, ()): Fraction(other)})
         if self.p != other.p or self.base != other.base:
             return False
-        digits = _none_min(self.digits, other.digits)
-        border = _none_min(self.base_order, other.base_order)
-        N = _none_min(self.N, other.N)
+        digits = min_order(self.digits, other.digits)
+        border = min_order(self.base_order, other.base_order)
+        N = min_order(self.N, other.N)
         keys = {m for m, _ in self.terms} | {m for m, _ in other.terms}
         d1, d2 = dict(self.terms), dict(other.terms)
         for m in keys:
@@ -400,28 +354,21 @@ class JetSeries:
         )
 
 
-def _none_min(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 # ---------------------------------------------------------------------------
 # phi, delta, weights
 # ---------------------------------------------------------------------------
 
 
-def _below(keep, cut: int | None):
+def _below(keep: Keep, cut: int | None) -> Keep:
     """``keep`` that also drops every monomial of base exponent >= ``cut``."""
     if cut is None:
         return keep
+    mono_ok, coeff_ok = keep
 
-    def kept(m: Monomial, c: Fraction) -> bool:
-        return (m[0][0] if m[0] else 0) < cut and keep(m, c)
+    def below(m: Monomial) -> bool:
+        return (m[0][0] if m[0] else 0) < cut and mono_ok(m)
 
-    return kept
+    return below, coeff_ok
 
 
 def phi(f: JetSeries) -> JetSeries:
@@ -440,7 +387,7 @@ def phi(f: JetSeries) -> JetSeries:
         # An unknown tail term q^a (a >= base_order) maps to terms of base
         # exponent p(a-j) carrying a factor p^j; declaring validity mod
         # p**digits pushes the surviving junk above this base exponent.
-        digits = _none_min(digits, f.M) if digits is not None else f.M
+        digits = min_order(digits, f.M)
         border = p * (f.base_order - digits + 1)
     # phi(q^a * jets) has base exponents exactly p(a-j): the jet images add
     # none, so a monomial at or above the output border never comes back.
@@ -466,14 +413,14 @@ def delta(f: JetSeries) -> JetSeries:
     v = min(f.base_valuation(), 0)
     digits = f.digits
     if v < 0 or f.base_order is not None:
-        digits = _none_min(digits, f.M) if digits is not None else f.M
+        digits = min_order(digits, f.M)
     if digits is not None:
         digits -= 1
         if digits < 1:
             raise PrecisionExhausted("guaranteed digits exhausted")
     border = cut = None
     if f.base_order is not None:
-        border = _none_min(
+        border = min_order(
             p * (f.base_order - digits + 1), f.base_order + (p - 1) * v
         )
         # A partial product of f**p takes at most p-1 further factors, each
@@ -511,7 +458,7 @@ def invert(u: JetSeries, order: int | None = None) -> JetSeries:
     v0, c0 = lead
     if _vp(c0, u.p) != 0:
         raise NotInvertible("leading coefficient is not a p-adic unit")
-    border = _none_min(u.base_order, None if order is None else order + v0)
+    border = min_order(u.base_order, None if order is None else order + v0)
     lead_mono = JetSeries.make(u.p, u.base, {(-v0, ()): 1 / c0}, u.M, u.digits, None, u.N)
     x = u * lead_mono - 1
     x = JetSeries.make(
@@ -519,7 +466,7 @@ def invert(u: JetSeries, order: int | None = None) -> JetSeries:
         u.base,
         dict(x.terms),
         u.M,
-        _none_min(x.digits, u.eff_digits() if u.base == "q" else None),
+        min_order(x.digits, u.eff_digits() if u.base == "q" else None),
         None if border is None else border - v0,
         x.N,
     )
@@ -586,14 +533,14 @@ def psi_fourier(p: int, M: int, window: int) -> JetSeries:
     return JetSeries.make(p, "q", terms, M, digits=min(tail_digits, M))
 
 
-def _log1p_terms(x: Terms, p: int, keep, max_n: int) -> Terms:
+def _log1p_terms(x: Terms, p: int, keep: Keep, max_n: int) -> Terms:
     out: Terms = {}
     power: Terms = {M_ONE: Fraction(1)}
     for n in range(1, max_n + 1):
         power = terms_mul(power, x, keep)
         if not power:
             break
-        out = terms_add(out, terms_scale(power, Fraction((-1) ** (n - 1), n)))
+        out = sparse.add(out, sparse.scale(power, Fraction((-1) ** (n - 1), n)))
     return out
 
 
@@ -609,11 +556,11 @@ def psi_serretate(p: int, N: int) -> JetSeries:
     keep = probe._keep()
     phit: Terms = {((p,), ()): Fraction(1), ((0, 1), ()): Fraction(p)}
     tt: Terms = {((1,), ()): Fraction(1)}
-    num = terms_add(
+    num = sparse.add(
         _log1p_terms(phit, p, keep, N),
-        terms_scale(_log1p_terms(tt, p, keep, N + 1), Fraction(-p)),
+        sparse.scale(_log1p_terms(tt, p, keep, N + 1), Fraction(-p)),
     )
-    out = {m: c / p for m, c in num.items() if keep(m, c)}
+    out = {m: c / p for m, c in _kept(num, keep).items()}
     series = JetSeries.make(p, "t", JetSeries._from_terms(out), N=N)
     assert_p_integral(series, p)
     return series
@@ -666,9 +613,7 @@ def _jet_index(m: Monomial) -> int:
 def _lemma_delta_n(t: Terms, p: int, n: int, M: int) -> Terms:
     probe_digits = M
     for _ in range(n):
-        def keep(m, c, g=probe_digits):
-            return _vp(c, p) < g
-
+        keep = (lambda m: True, lambda c, g=probe_digits: _vp(c, p) < g)
         t = terms_delta(t, p, keep, probe_digits)
         probe_digits -= 1
     return t
@@ -696,7 +641,7 @@ def lemma_xlaphi_check(p: int, n: int, varphi: Fraction | int | str = 0, M: int 
     res = _lemma_delta_n(f, p, n, M)
     lead1 = ((_trim((-(p**n),) + (0,) * (n - 1) + (p,)), ()), Fraction(1))
     lead2 = ((_trim((p ** (n + 1) - 2 * p**n,) + (0,) * (n - 1) + (1,)), ()), Fraction(-1))
-    res = terms_add(res, {lead1[0]: -lead1[1]}, {lead2[0]: -lead2[1]})
+    res = sparse.add(res, {lead1[0]: -lead1[1]}, {lead2[0]: -lead2[1]})
     return _classify_residual("xlaphi", p, n, res, low_jet=n - 1, max_jet=n + 1)
 
 
@@ -707,7 +652,7 @@ def lemma_logder_check(p: int, n: int, a: int, M: int | None = None) -> LemmaRep
     lam = Fraction(1 + p**n * a)
     f: Terms = {((1,), ()): lam}
     res = _lemma_delta_n(f, p, n, M)
-    res = terms_add(
+    res = sparse.add(
         res,
         {(_trim((0,) * n + (1,)), ()): Fraction(-1)},
         {((p**n,), ()): Fraction(-a)},

@@ -22,37 +22,29 @@ Isogeny covariance of degree nu means F(t -> (1+t)^gamma - 1) = gamma^nu F.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .arith import PadicTrunc, check_prime, valuation
-from .deltajet import (
-    JetSeries,
-    Terms,
-    M_ONE,
-    delta_n,
-    terms_add,
-    terms_mul,
-    terms_scale,
-)
+from . import sparse
+from .arith import PadicTrunc, binomial, check_prime, valuation
+from .deltajet import JetSeries, Terms, M_ONE, delta_n, terms_mul
 from .errors import DomainError, IntegralityViolation
 from .modular import QExpansion
 from .multiprime import (
     Mono,
     MultiJetSeries,
     Poly,
-    _gen_binom_int,
     delta_pk,
     from_jet_series,
     ghost_shift,
     ghost_to_jet,
     mono_weight,
-    poly_add,
-    poly_scale,
     substitute_gamma,
     t_generator,
+    var_weight,
     weight_keep,
 )
 
@@ -93,7 +85,7 @@ def _phi2_q_terms(p: int) -> Terms:
     for k in range(p + 1):
         c = Fraction(math.comb(p, k) * p**k)
         out[((p * (p - k), k), ())] = c
-    out = terms_add(out, {((0, p), ()): Fraction(p), ((0, 0, 1), ()): Fraction(p * p)})
+    out = sparse.add(out, {((0, p), ()): Fraction(p), ((0, 0, 1), ()): Fraction(p * p)})
     return out
 
 
@@ -120,10 +112,13 @@ def fsharp_expansion(
         raise DomainError(f"need a_n for n <= {window}")
     cut = M + 3
 
-    def keep(m, c):
-        if sum(e * p**i for i, e in enumerate(m[0])) > window:
-            return False
+    def in_window(m):
+        return sum(e * p**i for i, e in enumerate(m[0])) <= window
+
+    def digits_ok(c):
         return c == 0 or valuation(c, p) < cut
+
+    keep = (in_window, digits_ok)
 
     phi1 = _phi_q_terms(p)
     phi2 = _phi2_q_terms(p)
@@ -136,13 +131,13 @@ def fsharp_expansion(
         scal = Fraction(an[n - 1], n * p)
         if scal == 0:
             continue
-        summand = terms_add(
+        summand = sparse.add(
             pow2,
-            terms_scale(pow1, Fraction(-a_p)),
+            sparse.scale(pow1, Fraction(-a_p)),
             {((n,), ()): Fraction(p)},
         )
-        total = terms_add(total, terms_scale(summand, scal))
-    total = {m: c for m, c in total.items() if keep(m, c)}
+        total = sparse.add(total, sparse.scale(summand, scal))
+    total = {m: c for m, c in total.items() if in_window(m) and digits_ok(c)}
     out = JetSeries.make(p, "q", JetSeries._from_terms(total), M=M, digits=M)
     if check:
         bad = [(m, c) for m, c in out.terms if valuation(c, p) < 0]
@@ -174,10 +169,7 @@ def _one_plus_u_pow_sum(
     out: Poly = {}
     for mono, cj in scalars.items():
         ((j, _),) = mono
-        w = 1
-        for k, p in enumerate(P):
-            w *= p ** j[k]
-        top = (N - 1) // w
+        top = (N - 1) // var_weight(j, P)
         if top not in hecke:
             acc = [0] * (min(n_max, top) + 1)
             for n in range(1, n_max + 1):
@@ -185,17 +177,8 @@ def _one_plus_u_pow_sum(
                 for m in range(min(n, top) + 1):
                     acc[m] += s * math.comb(n, m)
             hecke[top] = [Fraction(x, L) for x in acc]
-        for m, c in enumerate(hecke[top]):
-            if c:
-                key = ((j, m),) if m else ()
-                out[key] = out.get(key, Fraction(0)) + c * cj
-    return {m: c for m, c in out.items() if c}
-
-
-def _grid(vals, d):
-    out = [()]
-    for _ in range(d):
-        out = [s + (v,) for s in out for v in vals]
+        row = {((j, m),) if m else (): c for m, c in enumerate(hecke[top]) if c}
+        out = sparse.add(out, sparse.scale(row, cj))
     return out
 
 
@@ -213,14 +196,14 @@ def build_f2e0(
     if len(ap) != d:
         raise DomainError("one a_p per prime required")
     scalars: dict[Mono, Fraction] = {}
-    for j in _grid((0, 1, 2), d):
+    for j in itertools.product((0, 1, 2), repeat=d):
         c = Fraction(1)
         for k in range(d):
             c *= (Fraction(Pt[k]), Fraction(-ap[k]), Fraction(1))[j[k]]
         if c:
-            scalars[((tuple(j), 1),)] = c
+            scalars[((j, 1),)] = c
     g = _one_plus_u_pow_sum(an, scalars, Pt, N, len(an))
-    g = poly_scale(g, Fraction(1, math.prod(Pt)))
+    g = sparse.scale(g, Fraction(1, math.prod(Pt)))
     t = ghost_to_jet(g, Pt, weight_keep(Pt, N))
     return MultiJetSeries.make(Pt, t, N, 0)
 
@@ -251,10 +234,10 @@ def build_f2e_k(
         if l == k:
             continue
         # 1 - a_l phi_l / p_l + phi_l^2 / p_l
-        g = poly_add(
+        g = sparse.add(
             g,
-            poly_scale(ghost_shift(g, l), Fraction(-ap[l], Pt[l])),
-            poly_scale(ghost_shift(ghost_shift(g, l), l), Fraction(1, Pt[l])),
+            sparse.scale(ghost_shift(g, l), Fraction(-ap[l], Pt[l])),
+            sparse.scale(ghost_shift(ghost_shift(g, l), l), Fraction(1, Pt[l])),
         )
         g = {m: c for m, c in g.items() if keep(m)}
     t = ghost_to_jet(g, Pt, keep)
@@ -302,7 +285,7 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
     def power(i: int, e: int) -> MultiJetSeries:
         if i == 0:
             if e not in unit_pows:
-                terms = {(((0,), n),): _gen_binom_int(e, n) for n in range(N)}
+                terms = {(((0,), n),): binomial(e, n) for n in range(N)}
                 unit_pows[e] = MultiJetSeries.make(P, terms, N)
             return unit_pows[e]
         if e < 0:

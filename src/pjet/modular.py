@@ -162,23 +162,29 @@ CURVE_11A1 = EllipticCurveQ(0, -1, 1, -10, -20, label="11a1")
 
 
 def load_curve_fixture(path: str | None = None) -> tuple[EllipticCurveQ, dict[int, int]]:
-    """Curve plus externally supplied bad-prime coefficients from JSON."""
-    if path is None:
-        text = resources.files("pjet.data").joinpath("curve11a1.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    obj = json.loads(text)
-    c = obj["curve"]
-    curve = EllipticCurveQ(
-        int(c.get("a1", 0)),
-        int(c.get("a2", 0)),
-        int(c.get("a3", 0)),
-        int(c.get("a4", 0)),
-        int(c.get("a6", 0)),
-        label=obj.get("label", ""),
-    )
-    bad = {int(l): int(v) for l, v in obj.get("bad_primes", {}).items()}
+    """Curve plus externally supplied bad-prime coefficients from JSON.
+
+    An unreadable file or a payload of the wrong shape is a ``DomainError``.
+    """
+    try:
+        if path is None:
+            text = resources.files("pjet.data").joinpath("curve11a1.json").read_text()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        obj = json.loads(text)
+        c = obj["curve"]
+        curve = EllipticCurveQ(
+            int(c.get("a1", 0)),
+            int(c.get("a2", 0)),
+            int(c.get("a3", 0)),
+            int(c.get("a4", 0)),
+            int(c.get("a6", 0)),
+            label=obj.get("label", ""),
+        )
+        bad = {int(l): int(v) for l, v in obj.get("bad_primes", {}).items()}
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as e:
+        raise DomainError(f"cannot load curve fixture {path}: {e!r}") from None
     return curve, bad
 
 

@@ -23,11 +23,13 @@ coprime to every prime of P.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+from . import sparse
 from .arith import (
     PadicTrunc,
     check_prime,
@@ -75,48 +77,8 @@ def mono_weight(m: Mono, P: Sequence[int]) -> int:
     return sum(e * var_weight(i, P) for i, e in m)
 
 
-def poly_add(*ts: Poly) -> Poly:
-    out: Poly = {}
-    for t in ts:
-        for m, c in t.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-    return out
-
-
-def poly_scale(t: Poly, c: Fraction) -> Poly:
-    return {m: v * c for m, v in t.items()} if c else {}
-
-
 def poly_mul(t1: Poly, t2: Poly, keep: Callable[[Mono], bool]) -> Poly:
-    out: Poly = {}
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            m = mono_mul(m1, m2)
-            if not keep(m):
-                continue
-            c = c1 * c2
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-    return out
-
-
-def poly_pow(t: Poly, n: int, keep) -> Poly:
-    out: Poly = {M_ONE: Fraction(1)}
-    base = t
-    while n:
-        if n & 1:
-            out = poly_mul(out, base, keep)
-        n >>= 1
-        if n:
-            base = poly_mul(base, base, keep)
-    return out
+    return sparse.mul(t1, t2, mono_mul, keep)
 
 
 def weight_keep(P: Sequence[int], N: int | None) -> Callable[[Mono], bool]:
@@ -142,7 +104,8 @@ def ghost_shift(t: Poly, k: int) -> Poly:
 
 
 def ghost_delta(t: Poly, k: int, p_k: int, keep) -> Poly:
-    num = poly_add(ghost_shift(t, k), poly_scale(poly_pow(t, p_k, keep), Fraction(-1)))
+    fp = sparse.power(t, p_k, {M_ONE: Fraction(1)}, lambda a, b: poly_mul(a, b, keep))
+    num = sparse.add(ghost_shift(t, k), sparse.scale(fp, Fraction(-1)))
     return {m: c / p_k for m, c in num.items() if keep(m)}
 
 
@@ -189,10 +152,7 @@ def _gen_jet(P: tuple[int, ...], i: Idx) -> Poly:
             raise IntegralityViolation("generator polynomial lost its leading term")
         rest = {m: c for m, c in g.items() if m != lead_mono}
         rewritten = ghost_to_jet(rest, P, lambda m: True)
-        out = poly_add(
-            {((i, 1),): Fraction(scale)},
-            poly_scale(rewritten, Fraction(-scale)),
-        )
+        out = sparse.add({((i, 1),): Fraction(scale)}, sparse.scale(rewritten, Fraction(-scale)))
     _GEN_CACHE[key] = out
     return out
 
@@ -205,9 +165,11 @@ def _subst(t: Poly, P: tuple[int, ...], images: Callable[[Idx], Poly], keep) -> 
         for i, e in m:
             pk = (i, e)
             if pk not in pow_cache:
-                pow_cache[pk] = poly_pow(images(i), e, keep)
+                pow_cache[pk] = sparse.power(
+                    images(i), e, {M_ONE: Fraction(1)}, lambda a, b: poly_mul(a, b, keep)
+                )
             acc = poly_mul(acc, pow_cache[pk], keep)
-        out = poly_add(out, acc)
+        out = sparse.add(out, acc)
     return {m: c for m, c in out.items() if keep(m)}
 
 
@@ -313,7 +275,7 @@ class MultiJetSeries:
         if not isinstance(other, MultiJetSeries):
             other = MultiJetSeries.make(self.P, {M_ONE: Fraction(other)}, self.N, self.ring)
         N, ring = self._meta(other)
-        return MultiJetSeries.make(self.P, poly_add(self._poly(), other._poly()), N, ring)
+        return MultiJetSeries.make(self.P, sparse.add(self._poly(), other._poly()), N, ring)
 
     __radd__ = __add__
 
@@ -346,8 +308,9 @@ class MultiJetSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative powers are not defined here")
-        t = poly_pow(self._poly(), n, weight_keep(self.P, self.N))
-        return self._rebuild(t)
+        keep = weight_keep(self.P, self.N)
+        one = {M_ONE: Fraction(1)}
+        return self._rebuild(sparse.power(self._poly(), n, one, lambda a, b: poly_mul(a, b, keep)))
 
     def __eq__(self, other):
         if not isinstance(other, MultiJetSeries):
@@ -360,12 +323,7 @@ class MultiJetSeries:
         for m in keys:
             if mono_weight(m, self.P) >= N:
                 continue
-            c1 = d1.get(m, Fraction(0))
-            c2 = d2.get(m, Fraction(0))
-            if isinstance(c1, PadicTrunc) or isinstance(c2, PadicTrunc):
-                if c1 != c2:
-                    return False
-            elif c1 != c2:
+            if d1.get(m, Fraction(0)) != d2.get(m, Fraction(0)):
                 return False
         return True
 
@@ -514,9 +472,9 @@ def psi_multi(P: Sequence[int], k: int, N: int, ring: int | None = None) -> Mult
     d = len(Pt)
     e_k = tuple(1 if j == k else 0 for j in range(d))
     zero = (0,) * d
-    g = poly_add(
-        poly_scale(_ghost_log1p_var(e_k, Pt, N), Fraction(1, Pt[k])),
-        poly_scale(_ghost_log1p_var(zero, Pt, N), Fraction(-1)),
+    g = sparse.add(
+        sparse.scale(_ghost_log1p_var(e_k, Pt, N), Fraction(1, Pt[k])),
+        sparse.scale(_ghost_log1p_var(zero, Pt, N), Fraction(-1)),
     )
     t = ghost_to_jet(g, Pt, weight_keep(Pt, N))
     return MultiJetSeries.make(Pt, t, N, (k + 1) if ring is None else ring)
@@ -537,22 +495,16 @@ def build_fe0(P: Sequence[int], N: int) -> MultiJetSeries:
     d = len(Pt)
     scale = Fraction(1, math.prod(Pt))
     g: Poly = {}
-    for corner in _corners(d):
-        i = tuple(corner)
+    for i in itertools.product((0, 1), repeat=d):
         c = Fraction(1)
         for k in range(d):
-            if corner[k] == 0:
+            if i[k] == 0:
                 c *= -Pt[k]
-        g = poly_add(g, poly_scale(_ghost_log1p_var(i, Pt, N), c * scale))
+        g = sparse.add(g, sparse.scale(_ghost_log1p_var(i, Pt, N), c * scale))
     t = ghost_to_jet(g, Pt, weight_keep(Pt, N))
     out = MultiJetSeries.make(Pt, t, N, 0)
     assert_ring_integral(out)
     return out
-
-
-def _corners(d: int):
-    for mask in range(1 << d):
-        yield [(mask >> k) & 1 for k in range(d)]
 
 
 def one_minus_phi_over_p(f: MultiJetSeries, k: int) -> MultiJetSeries:
@@ -732,7 +684,7 @@ def basis_independence_check(P: Sequence[int], r: Sequence[int], N: int) -> Rank
         raise DomainError("order vector must have a positive entry per prime")
     fe0 = build_fe0(Pt, N)
     series = []
-    for s in _box(rv):
+    for s in itertools.product(*(range(1, top + 1) for top in rv)):
         f = fe0
         for k in range(d):
             for _ in range(s[k] - 1):
@@ -743,13 +695,6 @@ def basis_independence_check(P: Sequence[int], r: Sequence[int], N: int) -> Rank
     rank = exact_rank(rows)
     expected = math.prod(rv)
     return RankReport(Pt, rv, N, expected, rank, rank == expected)
-
-
-def _box(rv: tuple[int, ...]):
-    out = [()]
-    for top in rv:
-        out = [s + (x,) for s in out for x in range(1, top + 1)]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -818,13 +763,6 @@ def ghost_gamma(t: Poly, P: Sequence[int], gamma: int, N: int) -> Poly:
         for mono, x, _ in images:
             out[mono] = out.get(mono, 0) + x
     return {m: Fraction(x, L) for m, x in out.items() if x}
-
-
-def _gen_binom_int(a: int, j: int) -> int:
-    num = 1
-    for i in range(j):
-        num *= a - i
-    return num // math.factorial(j)
 
 
 def invert_unit(f: MultiJetSeries) -> MultiJetSeries:

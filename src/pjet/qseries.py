@@ -17,11 +17,13 @@ logarithm identities.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .arith import PadicTrunc, format_rational, parse_rational
+from . import sparse
+from .arith import PadicTrunc, format_rational, min_order, parse_rational
 from .errors import DomainError, NotInvertible
 
 Coeff = Union[Fraction, PadicTrunc]
@@ -31,17 +33,6 @@ def _is_zero(c: Coeff) -> bool:
     if isinstance(c, PadicTrunc):
         return c.residue == 0
     return c == 0
-
-
-def _zero_like(c: Coeff) -> Coeff:
-    if isinstance(c, PadicTrunc):
-        return PadicTrunc(c.p, c.M, 0, c.digits)
-    return Fraction(0)
-
-
-def _min_order(*orders):
-    vals = [o for o in orders if o is not None]
-    return min(vals) if vals else None
 
 
 @dataclass(frozen=True)
@@ -113,10 +104,8 @@ class Series1:
         if not isinstance(other, Series1):
             other = Series1.monomial(self.var, 0, other)
         self._check_var(other)
-        out = dict(self.terms)
-        for e, c in other.terms:
-            out[e] = out[e] + c if e in out else c
-        return Series1.make(self.var, out, _min_order(self.N, other.N))
+        out = sparse.add(dict(self.terms), dict(other.terms))
+        return Series1.make(self.var, out, min_order(self.N, other.N))
 
     __radd__ = __add__
 
@@ -136,14 +125,8 @@ class Series1:
             return self.map_coeffs(lambda c: c * other)
         self._check_var(other)
         bound = self._mul_order(other)
-        out: dict[int, Coeff] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if bound is not None and e >= bound:
-                    continue
-                c = c1 * c2
-                out[e] = out[e] + c if e in out else c
+        keep = (lambda e: True) if bound is None else (lambda e: e < bound)
+        out = sparse.mul(dict(self.terms), dict(other.terms), operator.add, keep)
         return Series1.make(self.var, out, bound)
 
     __rmul__ = __mul__
@@ -153,22 +136,15 @@ class Series1:
         v2 = other.valuation()
         n1 = None if self.N is None else self.N + (v2 if v2 is not None else 0)
         n2 = None if other.N is None else other.N + (v1 if v1 is not None else 0)
-        return _min_order(n1, n2)
+        return min_order(n1, n2)
 
     def __pow__(self, n: int) -> "Series1":
         if n < 0:
             return self.invert() ** (-n)
-        out = Series1.monomial(self.var, 0, 1, self.N)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return sparse.power(self, n, Series1.monomial(self.var, 0, 1, self.N), operator.mul)
 
     def truncate(self, N: int) -> "Series1":
-        return Series1.make(self.var, dict(self.terms), _min_order(self.N, N))
+        return Series1.make(self.var, dict(self.terms), min_order(self.N, N))
 
     def invert(self, order: int | None = None) -> "Series1":
         """Multiplicative inverse via the geometric series.
@@ -184,7 +160,7 @@ class Series1:
         lead = self.terms[0][1]
         lead_inv = lead.unit_inverse() if isinstance(lead, PadicTrunc) else 1 / lead
         rel = None if self.N is None else self.N - v  # honest bound for the unit part
-        rel = _min_order(rel, None if order is None else order + v)
+        rel = min_order(rel, None if order is None else order + v)
         # self = lead * q^v * (1 + x) with val(x) >= 1
         x = {e - v: c * lead_inv for e, c in self.terms[1:]}
         if rel is None:
@@ -208,7 +184,7 @@ class Series1:
             other = Series1.monomial(self.var, 0, other)
         if self.var != other.var:
             return False
-        bound = _min_order(self.N, other.N)
+        bound = min_order(self.N, other.N)
         exps = {e for e, _ in self.terms} | {e for e, _ in other.terms}
         for e in exps:
             if bound is not None and e >= bound:
@@ -259,7 +235,7 @@ def log1p(x: Series1, order: int | None = None) -> Series1:
     v = x.valuation()
     if v is not None and v < 1:
         raise DomainError("log1p needs positive valuation")
-    N = _min_order(x.N, order)
+    N = min_order(x.N, order)
     if v is None:
         return Series1.zero(x.var, N)
     if N is None:
@@ -279,7 +255,7 @@ def _exp_series(x: Series1, order: int | None = None) -> Series1:
     v = x.valuation()
     if v is not None and v < 1:
         raise DomainError("exp helper needs positive valuation")
-    N = _min_order(x.N, order)
+    N = min_order(x.N, order)
     if N is None:
         raise DomainError("exp helper needs an order bound")
     out = Series1.monomial(x.var, 0, 1, N)
@@ -313,7 +289,7 @@ def pow_weight(u: Series1, gamma: int | PadicTrunc, order: int | None = None) ->
     if not one_ok or (u.valuation() is not None and u.valuation() < 0):
         raise DomainError("p-adic exponent needs a series of the form 1 + x")
     x = u - 1
-    N = _min_order(u.N, order)
+    N = min_order(u.N, order)
     if N is None:
         raise DomainError("p-adic power of an exact series needs an order bound")
     x = x.truncate(N).to_padic(gamma.p, gamma.M)

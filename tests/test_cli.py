@@ -167,6 +167,16 @@ GOLDEN_JOBS = [
             "--gamma", "24", "--nu", "2",
         ],
     ),
+    ("fsharp_p13_w30_M6.json", ["fsharp", "--p", "13", "--window", "30", "--M", "6"]),
+    (
+        "lemma_xlaphi_p5_n2_symbolic.json",
+        ["check-lemma", "--name", "xlaphi", "--p", "5", "--n", "2", "--varphi", "symbolic"],
+    ),
+    ("eisenstein_k4_t12.json", ["eisenstein", "--k", "4", "--trunc", "12"]),
+    (
+        "delta0_E4_t12_p5_M4.json",
+        ["delta0", "--input", "tests/golden/eisenstein_k4_t12.json", "--p", "5", "--M", "4"],
+    ),
 ]
 
 
@@ -254,6 +264,31 @@ class TestProtocol:
     )
     def test_bad_order_vector_or_varphi_exit_2(self, capsys, argv):
         code, js = run(capsys, *argv)
+        assert code == 2 and js["error"]["code"] == "domain"
+
+    @pytest.mark.parametrize(
+        "payload,argv",
+        [
+            (
+                {"N": 4, "level": 1, "terms": [[0, "1"], [1, "240"]], "var": "q", "weight": 4},
+                ["check-covariance", "--input", "FILE", "--gamma", "2", "--nu", "1"],
+            ),
+            (None, ["check-covariance", "--input", "FILE", "--gamma", "2", "--nu", "1"]),
+            (None, ["ap", "--curve", "FILE", "--p", "5"]),
+            ({"N": None, "terms": [[0, "1/0"]], "var": "q"}, ["delta0", "--input", "FILE", "--p", "5"]),
+            ({"N": 4, "terms": [[0, "1"]]}, ["delta-expand", "--input", "FILE", "--p", "5"]),
+            ("{not json", ["delta0", "--input", "FILE", "--p", "5"]),
+        ],
+        ids=[
+            "q-expansion-as-jet-series", "missing-input", "missing-curve",
+            "zero-denominator", "series-without-var", "not-json",
+        ],
+    )
+    def test_bad_input_file_exit_2(self, capsys, tmp_path, payload, argv):
+        path = tmp_path / "input.json"
+        if payload is not None:
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        code, js = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
         assert code == 2 and js["error"]["code"] == "domain"
 
     def test_cached_parser_matches_fresh_parser(self, capsys):

@@ -233,6 +233,36 @@ class TestBorderCut:
         assert _iterate(phi, f, n) == _iterate(_phi_unpruned, f, n)
 
 
+@st.composite
+def t_side_jets(draw):
+    p = draw(st.sampled_from([5, 7]))
+    keys = st.tuples(st.integers(0, 12), st.sampled_from([(), (1,), (2,), (0, 1), (1, 1)]))
+    coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, p]))
+    terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=4))
+    return JetSeries.make(p, "t", terms, N=draw(st.integers(1, 60)))
+
+
+class TestTSideAgainstMultiprime:
+    """The t-side phi and delta against the d=1 several-prime ring's phi_pk
+    and delta_pk, which run through ghost coordinates instead."""
+
+    @given(f=t_side_jets())
+    @settings(max_examples=100, deadline=None)
+    def test_phi_matches_phi_pk(self, f):
+        from pjet.multiprime import from_jet_series, phi_pk, to_jet_series
+
+        want = to_jet_series(phi_pk(from_jet_series(f), 0))
+        assert phi(f).to_json() == want.to_json()
+
+    @given(f=t_side_jets())
+    @settings(max_examples=100, deadline=None)
+    def test_delta_matches_delta_pk(self, f):
+        from pjet.multiprime import delta_pk, from_jet_series, to_jet_series
+
+        want = to_jet_series(delta_pk(from_jet_series(f), 0))
+        assert delta(f).to_json() == want.to_json()
+
+
 class TestWeightAction:
     def test_identity_weight(self):
         u = jq(5, {(1, ()): 1, (2, ()): 3})
@@ -350,11 +380,12 @@ class TestLemmaChecks:
         # flipping the sign of the second displayed term must break n=1, varphi=0
         rep = lemma_xlaphi_check(5, 1, 0)
         assert rep.passed
-        from pjet.deltajet import _classify_residual, _lemma_delta_n, terms_add
+        from pjet.deltajet import _classify_residual, _lemma_delta_n
+        from pjet.sparse import add
 
         f = {((4,), ()): Fraction(1), ((-1, 1), ()): Fraction(5)}
         res = _lemma_delta_n(f, 5, 1, 4)
-        res = terms_add(
+        res = add(
             res,
             {((-5, 5), ()): Fraction(-1)},
             {((15, 1), ()): Fraction(-1)},  # wrong sign on z^(p^2-2p) z'

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pjet.arith import PadicTrunc, cross_prime_commutator, fermat_delta
+from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, fermat_delta
 from pjet.cli import _dump as dump
 from pjet.deltajet import psi_serretate
 from pjet.errors import DomainError, OrderBudgetExceeded
 from pjet.multiprime import (
     MultiJetSeries,
-    _gen_binom_int,
     _phi_pk_below,
     _subst,
     basis_independence_check,
@@ -325,7 +324,7 @@ def _gamma_image(gamma, P, N):
 
     def image(i):
         top = (N - 1) // var_weight(i, P)
-        return {((i, n),): Fraction(_gen_binom_int(gamma, n)) for n in range(1, top + 1)}
+        return {((i, n),): Fraction(binomial(gamma, n)) for n in range(1, top + 1)}
 
     return image
 
@@ -405,7 +404,7 @@ class TestSubstituteGamma:
     def test_image_of_t_is_binomial_series(self, P, N, data):
         gamma = data.draw(gammas(P[0]))
         zero = (0,) * len(P)
-        want = {((zero, n),): _gen_binom_int(gamma, n) for n in range(1, N)}
+        want = {((zero, n),): binomial(gamma, n) for n in range(1, N)}
         assert same(substitute_gamma(t_generator(P, N), gamma), MultiJetSeries.make(P, want, N))
 
     @pytest.mark.parametrize(
