@@ -1,16 +1,12 @@
 """Exact coefficient domains and Fermat-quotient p-derivations.
 
-Two carriers are provided:
+Coefficients are exact rationals (``Fraction``) or :class:`PadicTrunc`,
+truncated p-adic integers: a residue modulo ``p**M`` together with a count
+``digits`` of guaranteed base-p digits.  Each exact division by ``p``
+consumes one guaranteed digit.
 
-* :class:`LocalizedRational` -- rationals whose denominator is coprime to
-  every prime of a fixed active set ``P`` (the intersection of the local
-  rings at those primes).
-* :class:`PadicTrunc` -- truncated p-adic integers: a residue modulo ``p**M``
-  together with a count ``digits`` of guaranteed base-p digits.  Each exact
-  division by ``p`` consumes one guaranteed digit.
-
-On both carriers the Frobenius lift is the identity, so the p-derivation is
-the plain Fermat quotient ``delta(a) = (a - a**p) / p``.
+On both domains the Frobenius lift is the identity, so the p-derivation
+is the plain Fermat quotient ``delta(a) = (a - a**p) / p``.
 
 The module also hosts the twisted-addition polynomial ``C_p``, the two-prime
 commutator polynomial, p-adic binomial coefficients, and multi-modular
@@ -23,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from . import sparse
 from .errors import (
@@ -78,86 +74,6 @@ def valuation(x: Fraction | int, p: int) -> int:
         d //= p
         v -= 1
     return v
-
-
-# ---------------------------------------------------------------------------
-# LocalizedRational
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalizedRational:
-    """Exact rational with denominator coprime to every prime in ``primes``."""
-
-    value: Fraction
-    primes: tuple[int, ...]
-
-    @staticmethod
-    def make(value: Rat | str, primes: Iterable[int]) -> "LocalizedRational":
-        ps = tuple(sorted({check_prime(p) for p in primes}))
-        if isinstance(value, str):
-            value = parse_rational(value)
-        v = Fraction(value)
-        for p in ps:
-            if v.denominator % p == 0:
-                raise DomainError(f"denominator {v.denominator} not coprime to {p}")
-        return LocalizedRational(v, ps)
-
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    def _coerce(self, other) -> "LocalizedRational":
-        if isinstance(other, LocalizedRational):
-            if other.primes != self.primes:
-                raise DomainError("mismatched active prime sets")
-            return other
-        return LocalizedRational.make(other, self.primes)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return LocalizedRational(self.value + o.value, self.primes)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LocalizedRational(-self.value, self.primes)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return LocalizedRational(self.value * o.value, self.primes)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.value == 0:
-            raise ZeroDivisionError("division by zero")
-        return LocalizedRational.make(self.value / o.value, self.primes)
-
-    def __pow__(self, n: int):
-        return LocalizedRational(self.value**n, self.primes)
-
-    def __eq__(self, other):
-        if isinstance(other, LocalizedRational):
-            return self.value == other.value
-        return self.value == other
-
-    def __hash__(self):
-        return hash((self.value, self.primes))
-
-    def __str__(self) -> str:
-        return format_rational(self.value)
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -347,18 +263,14 @@ class Weight:
 def fermat_delta(a, p: int):
     """Fermat quotient ``(a - a**p) / p`` with the identity Frobenius.
 
-    Accepts ints, Fractions, LocalizedRational and PadicTrunc; the result
-    stays in the same domain.  For PadicTrunc one guaranteed digit is spent.
+    Accepts ints, Fractions and PadicTrunc; the result stays in the same
+    domain.  For PadicTrunc one guaranteed digit is spent.
     """
     check_prime(p)
     if isinstance(a, PadicTrunc):
         if a.p != p:
             raise DomainError(f"carrier prime {a.p} != {p}")
         return (a - a**p).divide_by_p()
-    if isinstance(a, LocalizedRational):
-        if p not in a.primes:
-            raise DomainError(f"{p} not in active prime set {a.primes}")
-        return LocalizedRational((a.value - a.value**p) / p, a.primes)
     x = Fraction(a)
     if x.denominator % p == 0:
         raise DomainError(f"{x} is not p-integral at p={p}")
@@ -366,11 +278,6 @@ def fermat_delta(a, p: int):
     if isinstance(a, int):
         return int(out) if out.denominator == 1 else out
     return out
-
-
-def frobenius_value(a, p: int):
-    """phi(a) = a**p + p*delta(a); the identity map on these domains."""
-    return a**p + p * fermat_delta(a, p)
 
 
 def cp_coefficients(p: int) -> dict[tuple[int, int], int]:
@@ -488,7 +395,7 @@ def crt_combine(residues: Sequence[tuple[int, int]]) -> tuple[int, int]:
 def rational_reconstruct(
     residues: Sequence[tuple[int, int, int]],
     height: int | None = None,
-) -> LocalizedRational:
+) -> Fraction:
     """Recover the unique small rational matching all prime-power residues.
 
     ``residues`` is a list of (prime, modulus exponent, residue).  The result
@@ -531,7 +438,7 @@ def rational_reconstruct(
             raise ReconstructionFailure(f"denominator {d} not coprime to {p}")
     if (n - d * x) % m != 0:
         raise ReconstructionFailure("candidate does not match the residues")
-    return LocalizedRational.make(Fraction(n, d), primes)
+    return Fraction(n, d)
 
 
 def reduce_rational_mod(x: Fraction | int, p: int, M: int) -> int:

@@ -18,14 +18,11 @@ from .arith import cross_prime_commutator, fermat_delta, format_rational
 from .errors import (
     DomainError,
     IntegralityViolation,
-    MissingPrimeValue,
-    OrderBudgetExceeded,
     PjetError,
     PrecisionExhausted,
     ReconstructionFailure,
 )
 
-USAGE_ERRORS = (DomainError, OrderBudgetExceeded, MissingPrimeValue)
 MATH_ERRORS = (IntegralityViolation, ReconstructionFailure, PrecisionExhausted)
 
 
@@ -350,15 +347,9 @@ def main(argv=None) -> int:
         if getattr(args, "N", 0) < 0:
             raise DomainError(f"--N must be nonnegative, got {args.N}")
         payload, passed = globals()[args.handler](args)
-    except USAGE_ERRORS as e:
-        sys.stdout.write(_dump({"error": {"code": e.code, "message": str(e)}}))
-        return 2
-    except MATH_ERRORS as e:
-        sys.stdout.write(_dump({"error": {"code": e.code, "message": str(e)}}))
-        return 1
     except PjetError as e:
         sys.stdout.write(_dump({"error": {"code": e.code, "message": str(e)}}))
-        return 2
+        return 1 if isinstance(e, MATH_ERRORS) else 2
     text = _dump(payload)
     sys.stdout.write(text)
     if args.out:

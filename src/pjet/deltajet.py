@@ -23,14 +23,15 @@ Truncation contracts:
 * q side: coefficients valid modulo p**digits (``digits=None`` means exact),
   base exponents known below ``base_order`` (None means no unknown tail).
 * t side: weighted degree with wt(t)=1, wt(delta^i t)=p**i, all monomials of
-  weight >= N dropped; everything is exact rational.
+  weight >= N dropped; everything is exact rational.  ``phi`` and ``delta``
+  of a t-side series run as the d=1 ``multiprime.phi_pk``/``delta_pk``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -373,12 +374,11 @@ def _below(keep: Keep, cut: int | None) -> Keep:
 
 def phi(f: JetSeries) -> JetSeries:
     """Frobenius lift: every variable v maps to v**p + p * (next jet)."""
+    if f.base == "t":  # the d=1 several-prime ring; keep the input's M
+        from .multiprime import from_jet_series, phi_pk, to_jet_series
+
+        return replace(to_jet_series(phi_pk(from_jet_series(f), 0)), M=f.M)
     p = f.p
-    if f.base == "t":
-        N = None if f.N is None else p * f.N
-        probe = JetSeries.make(p, "t", {}, f.M, None, None, N)
-        t = terms_phi(f._to_terms(), p, probe._keep(), 0)
-        return JetSeries.make(p, "t", JetSeries._from_terms(t), f.M, None, None, N)
     geff = f.eff_digits()
     # negative base powers expand through tails cut at p**geff
     digits = f.digits if f.base_valuation() >= 0 else geff
@@ -402,11 +402,11 @@ def delta(f: JetSeries) -> JetSeries:
     Exact in the rational regime with nonnegative base exponents; in the
     p-adic regime one guaranteed digit is consumed.
     """
+    if f.base == "t":  # the d=1 several-prime ring; keep the input's M
+        from .multiprime import from_jet_series, delta_pk, to_jet_series
+
+        return replace(to_jet_series(delta_pk(from_jet_series(f), 0)), M=f.M)
     p = f.p
-    if f.base == "t":
-        probe = JetSeries.make(p, "t", {}, f.M, None, None, f.N)
-        t = terms_delta(f._to_terms(), p, probe._keep(), 0)
-        return JetSeries.make(p, "t", JetSeries._from_terms(t), f.M, None, None, f.N)
     geff = f.eff_digits()
     if f.digits is not None and f.digits <= 1:
         raise PrecisionExhausted("need at least two guaranteed digits for delta")

@@ -46,12 +46,6 @@ class ReconstructionFailure(PjetError, ArithmeticError):
     code = "reconstruction"
 
 
-class OrderBudgetExceeded(PjetError, ValueError):
-    """An operation would create a jet variable beyond the declared order."""
-
-    code = "order-budget"
-
-
 class MissingPrimeValue(PjetError, KeyError):
     """A Hecke coefficient at a prime was required but not supplied."""
 

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence, Union
 
 from . import sparse
 from .arith import PadicTrunc, binomial, check_prime, valuation
-from .deltajet import JetSeries, Terms, M_ONE, delta_n, terms_mul
+from .deltajet import JetSeries, Terms, M_ONE, delta_n, terms_mul, terms_phi
 from .errors import DomainError, IntegralityViolation
 from .modular import QExpansion
 from .multiprime import (
@@ -74,21 +74,6 @@ def delta_fourier_expand(f: QExpansion, n: int, p: int, M: int) -> JetSeries:
 # ---------------------------------------------------------------------------
 
 
-def _phi_q_terms(p: int) -> Terms:
-    return {((p,), ()): Fraction(1), ((0, 1), ()): Fraction(p)}
-
-
-def _phi2_q_terms(p: int) -> Terms:
-    # phi(q^p + p q') = (q^p + p q')^p + p (q'^p + p q'')
-    base = _phi_q_terms(p)
-    out: Terms = {}
-    for k in range(p + 1):
-        c = Fraction(math.comb(p, k) * p**k)
-        out[((p * (p - k), k), ())] = c
-    out = sparse.add(out, {((0, p), ()): Fraction(p), ((0, 0, 1), ()): Fraction(p * p)})
-    return out
-
-
 def fsharp_expansion(
     an: Sequence[int],
     a_p: int,
@@ -120,8 +105,10 @@ def fsharp_expansion(
 
     keep = (in_window, digits_ok)
 
-    phi1 = _phi_q_terms(p)
-    phi2 = _phi2_q_terms(p)
+    # phi(q) and phi^2(q) exactly: weights only add, so the window cut is safe
+    exact = (in_window, lambda c: True)
+    phi1 = terms_phi({((1,), ()): Fraction(1)}, p, exact, 0)
+    phi2 = terms_phi(phi1, p, exact, 0)
     pow1: Terms = {M_ONE: Fraction(1)}
     pow2: Terms = {M_ONE: Fraction(1)}
     total: Terms = {}

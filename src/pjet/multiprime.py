@@ -41,7 +41,6 @@ from .arith import (
 from .errors import (
     DomainError,
     IntegralityViolation,
-    OrderBudgetExceeded,
     ReconstructionFailure,
 )
 
@@ -389,17 +388,7 @@ def assert_ring_integral(f: MultiJetSeries) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(f: MultiJetSeries, k: int, max_order: Sequence[int] | None):
-    if max_order is None:
-        return
-    r = f.order_vector()
-    if r[k] + 1 > max_order[k]:
-        raise OrderBudgetExceeded(
-            f"jet order {r[k] + 1} at prime {f.P[k]} exceeds budget {max_order[k]}"
-        )
-
-
-def phi_pk(f: MultiJetSeries, k: int, max_order: Sequence[int] | None = None) -> MultiJetSeries:
+def phi_pk(f: MultiJetSeries, k: int) -> MultiJetSeries:
     """Frobenius lift at the k-th prime (0-based), a ring endomorphism.
 
     The result is known to weight ``f.N * p_k``.  The lift is weighted-
@@ -410,7 +399,6 @@ def phi_pk(f: MultiJetSeries, k: int, max_order: Sequence[int] | None = None) ->
     bound depend only on the terms of ``f`` below that bound over p_k
     (see ``_phi_pk_below``).
     """
-    _check_budget(f, k, max_order)
     N = f.N * f.P[k]
     keep = weight_keep(f.P, N)
     g = jet_to_ghost(f._poly(), f.P, keep)
@@ -428,14 +416,13 @@ def _phi_pk_below(f: MultiJetSeries, k: int, N: int) -> MultiJetSeries:
     return phi_pk(f.truncate(-(-N // f.P[k])), k).truncate(N)
 
 
-def delta_pk(f: MultiJetSeries, k: int, max_order: Sequence[int] | None = None) -> MultiJetSeries:
+def delta_pk(f: MultiJetSeries, k: int) -> MultiJetSeries:
     """p_k-derivation (phi_k(f) - f**p_k) / p_k.
 
     In the common ring the division is structurally exact on P-integral
     coefficients; in a per-prime ring away from p_k the prime is a unit and
     the formula always applies.
     """
-    _check_budget(f, k, max_order)
     keep = weight_keep(f.P, f.N)
     g = jet_to_ghost(f._poly(), f.P, keep)
     t = ghost_to_jet(ghost_delta(g, k, f.P[k], keep), f.P, keep)
@@ -445,10 +432,6 @@ def delta_pk(f: MultiJetSeries, k: int, max_order: Sequence[int] | None = None) 
 def t_generator(P: Sequence[int], N: int, ring: int = 0) -> MultiJetSeries:
     d = len(P)
     return MultiJetSeries.make(P, {(((0,) * d, 1),): 1}, N, ring)
-
-
-def jet_generator(P: Sequence[int], i: Idx, N: int, ring: int = 0) -> MultiJetSeries:
-    return MultiJetSeries.make(P, {((tuple(i), 1),): 1}, N, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +595,7 @@ def continuation_check(
                 c = PadicTrunc.from_rational(c, P[k], 8)
             residues.append((P[k], c.digits, c.residue % P[k] ** c.digits))
         try:
-            out[m] = rational_reconstruct(residues, height=height).value
+            out[m] = rational_reconstruct(residues, height=height)
         except ReconstructionFailure:
             return ContinuationResult(
                 False,
@@ -675,13 +658,21 @@ def exact_rank(rows: list[list[Fraction]]) -> int:
 def basis_independence_check(P: Sequence[int], r: Sequence[int], N: int) -> RankReport:
     """Rank of the shifted order-e expansions {phi_P^(s-e)(f^e_0), e <= s <= r}.
 
-    The expected rank is r_1 * ... * r_d.
+    The expected rank is r_1 * ... * r_d.  The deepest shift starts at weight
+    p_1^(r_1 - 1) * ... * p_d^(r_d - 1) and truncates to zero below it, so a
+    smaller ``N`` decides nothing and raises ``DomainError``.
     """
     Pt = tuple(sorted(set(int(p) for p in P)))
     d = len(Pt)
     rv = tuple(int(x) for x in r)
     if len(rv) != d or any(x < 1 for x in rv):
         raise DomainError("order vector must have a positive entry per prime")
+    deepest = math.prod(p ** (x - 1) for p, x in zip(Pt, rv))
+    if N <= deepest:
+        raise DomainError(
+            f"N={N} truncates the deepest shift, which starts at weight {deepest}; "
+            f"use N >= {deepest + 1}"
+        )
     fe0 = build_fe0(Pt, N)
     series = []
     for s in itertools.product(*(range(1, top + 1) for top in rv)):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pjet.arith import (
-    LocalizedRational,
     PadicTrunc,
     Weight,
     cp_polynomial,
@@ -16,7 +15,6 @@ from pjet.arith import (
     cross_prime_commutator,
     fermat_delta,
     format_rational,
-    frobenius_value,
     padic_binomial,
     parse_rational,
     rational_reconstruct,
@@ -44,16 +42,6 @@ class TestFermatDelta:
         # (2 - 2**5)/5 and (6 - 6**3)/3, straight from the definition
         assert fermat_delta(2, 5) == -6
         assert fermat_delta(6, 3) == -70
-
-    def test_localized_carrier(self):
-        a = LocalizedRational.make(Fraction(2, 3), [5])
-        d = fermat_delta(a, 5)
-        assert d.value == (Fraction(2, 3) - Fraction(2, 3) ** 5) / 5
-
-    def test_wrong_prime_rejected(self):
-        a = LocalizedRational.make(Fraction(1, 2), [5])
-        with pytest.raises(DomainError):
-            fermat_delta(a, 7)
 
     def test_padic_digit_loss(self):
         x = PadicTrunc.from_rational(2, 5, 6)
@@ -90,7 +78,7 @@ class TestFermatDelta:
     @settings(max_examples=60, deadline=None)
     def test_frobenius_is_identity(self, p, data):
         a = data.draw(rationals_coprime_to(p))
-        assert frobenius_value(a, p) == a
+        assert a**p + p * fermat_delta(a, p) == a
 
 
 class TestCpPolynomial:
@@ -209,12 +197,12 @@ class TestRationalReconstruct:
         target = Fraction(-2, 3)
         r = reduce_rational_mod(target, 5, 8)
         got = rational_reconstruct([(5, 8, r)])
-        assert got.value == target
+        assert type(got) is Fraction and got == target
         # independent brute-force search agrees
         assert brute_force_reconstruct(r, 5**8, isqrt(5**8 // 2), [5]) == target
 
     def test_zero(self):
-        assert rational_reconstruct([(5, 4, 0)]).value == 0
+        assert rational_reconstruct([(5, 4, 0)]) == 0
 
     def test_height_bound_violation(self):
         with pytest.raises(ReconstructionFailure):
@@ -223,7 +211,7 @@ class TestRationalReconstruct:
     def test_two_prime_crt(self):
         target = Fraction(355, 113)
         rs = [(5, 8, reduce_rational_mod(target, 5, 8)), (7, 8, reduce_rational_mod(target, 7, 8))]
-        assert rational_reconstruct(rs).value == target
+        assert rational_reconstruct(rs) == target
 
     @given(
         n=st.integers(-9999, 9999),
@@ -235,7 +223,7 @@ class TestRationalReconstruct:
         if target.denominator % 5 == 0 or target.denominator % 7 == 0:
             return
         rs = [(5, 8, reduce_rational_mod(target, 5, 8)), (7, 8, reduce_rational_mod(target, 7, 8))]
-        assert rational_reconstruct(rs).value == target
+        assert rational_reconstruct(rs) == target
 
     def test_crt_combine(self):
         x, m = crt_combine([(3, 25), (4, 49)])

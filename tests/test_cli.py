@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pjet import cli
+from pjet import cli, errors
 from pjet.cli import main
 
 
@@ -230,6 +230,25 @@ class TestProtocol:
         )
         assert code == 0 and js["pass"] is True
 
+    @pytest.mark.parametrize(
+        "exc, want",
+        [
+            (errors.IntegralityViolation, 1),
+            (errors.ReconstructionFailure, 1),
+            (errors.PrecisionExhausted, 1),
+            (errors.DomainError, 2),
+            (errors.MissingPrimeValue, 2),
+            (errors.NotInvertible, 2),
+        ],
+    )
+    def test_error_exit_codes(self, capsys, monkeypatch, exc, want):
+        def fail(args):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "cmd_ap", fail)
+        code, js = run(capsys, "ap", "--p", "5")
+        assert code == want and js["error"]["code"] == exc.code
+
     def test_usage_error_exit_2(self, capsys):
         assert main(["psi"]) == 2  # missing --p
         capsys.readouterr()
@@ -265,6 +284,17 @@ class TestProtocol:
     def test_bad_order_vector_or_varphi_exit_2(self, capsys, argv):
         code, js = run(capsys, *argv)
         assert code == 2 and js["error"]["code"] == "domain"
+
+    @pytest.mark.parametrize(
+        "P, r, usable",
+        [("5,7", "2,2", 36), ("5", "3", 26), ("5,7", "1,3", 50), ("5,7", "2,1", 6)],
+    )
+    def test_check_basis_needs_the_deepest_shift(self, capsys, P, r, usable):
+        code, js = run(capsys, "check-basis", "--P", P, "--r", r, "--N", str(usable - 1))
+        assert code == 2 and js["error"]["code"] == "domain"
+        assert f"N >= {usable}" in js["error"]["message"]
+        code, js = run(capsys, "check-basis", "--P", P, "--r", r, "--N", str(usable))
+        assert code == 0 and js["pass"] is True
 
     @pytest.mark.parametrize(
         "payload,argv",

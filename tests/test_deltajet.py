@@ -239,28 +239,41 @@ def t_side_jets(draw):
     keys = st.tuples(st.integers(0, 12), st.sampled_from([(), (1,), (2,), (0, 1), (1, 1)]))
     coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, p]))
     terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=4))
-    return JetSeries.make(p, "t", terms, N=draw(st.integers(1, 60)))
+    M = draw(st.sampled_from([4, 6, 8, 10]))
+    return JetSeries.make(p, "t", terms, M=M, N=draw(st.integers(1, 60)))
+
+
+def _t_substitution(f: JetSeries, step, N: int) -> JetSeries:
+    """t-side ``step`` (terms_phi or terms_delta) by direct substitution
+    x_i -> x_i**p + p*x_{i+1}, keeping the monomials of weight below N."""
+    p = f.p
+
+    def below(m):
+        return sum(e * p**i for i, e in enumerate(m[0])) < N
+
+    t = step(f._to_terms(), p, (below, lambda c: True), 0)
+    return JetSeries.make(p, "t", JetSeries._from_terms(t), f.M, N=N)
 
 
 class TestTSideAgainstMultiprime:
-    """The t-side phi and delta against the d=1 several-prime ring's phi_pk
-    and delta_pk, which run through ghost coordinates instead."""
+    """The t-side phi and delta run through the d=1 several-prime phi_pk and
+    delta_pk, in ghost coordinates; the reference substitutes in the jet
+    coordinates instead."""
 
     @given(f=t_side_jets())
     @settings(max_examples=100, deadline=None)
     def test_phi_matches_phi_pk(self, f):
-        from pjet.multiprime import from_jet_series, phi_pk, to_jet_series
-
-        want = to_jet_series(phi_pk(from_jet_series(f), 0))
-        assert phi(f).to_json() == want.to_json()
+        assert phi(f).to_json() == _t_substitution(f, terms_phi, f.p * f.N).to_json()
 
     @given(f=t_side_jets())
     @settings(max_examples=100, deadline=None)
     def test_delta_matches_delta_pk(self, f):
-        from pjet.multiprime import delta_pk, from_jet_series, to_jet_series
+        assert delta(f).to_json() == _t_substitution(f, terms_delta, f.N).to_json()
 
-        want = to_jet_series(delta_pk(from_jet_series(f), 0))
-        assert delta(f).to_json() == want.to_json()
+    @pytest.mark.parametrize("op", [phi, delta])
+    def test_unbounded_series_rejected(self, op):
+        with pytest.raises(DomainError):
+            op(jt(5, {(1, ()): 1}))
 
 
 class TestWeightAction:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, fermat_delta
 from pjet.cli import _dump as dump
 from pjet.deltajet import psi_serretate
-from pjet.errors import DomainError, OrderBudgetExceeded
+from pjet.errors import DomainError
 from pjet.multiprime import (
     MultiJetSeries,
     _phi_pk_below,
@@ -25,7 +25,6 @@ from pjet.multiprime import (
     from_jet_series,
     ghost_gamma,
     ghost_to_jet,
-    jet_generator,
     jet_to_ghost,
     phi_pk,
     psi_multi,
@@ -107,11 +106,6 @@ class TestPhiPk:
         a, b = random_series(rng), random_series(rng)
         assert phi_pk(a * b, 0) == phi_pk(a, 0) * phi_pk(b, 0)
 
-    def test_order_budget(self):
-        t = t_generator(P57, 40)
-        with pytest.raises(OrderBudgetExceeded):
-            phi_pk(phi_pk(t, 0), 0, max_order=(1, 1))
-
 
 @st.composite
 def series_terms(draw, P):
@@ -149,8 +143,8 @@ class TestTruncatedLift:
 class TestDeltaPk:
     def test_generator(self):
         t = t_generator(P57, 30)
-        assert delta_pk(t, 0) == jet_generator(P57, (1, 0), 30)
-        assert delta_pk(t, 1) == jet_generator(P57, (0, 1), 30)
+        assert delta_pk(t, 0) == MultiJetSeries.make(P57, {(((1, 0), 1),): 1}, 30)
+        assert delta_pk(t, 1) == MultiJetSeries.make(P57, {(((0, 1), 1),): 1}, 30)
 
     def test_integer_constant(self):
         c = MultiJetSeries.make(P57, {(): 2}, 20)
@@ -170,6 +164,24 @@ class TestDeltaPk:
             lhs = delta_pk(d1, 0) - delta_pk(d0, 1)
             rhs = cross_prime_commutator(f, d0, d1, 5, 7)
             assert lhs == rhs
+
+    def test_commutator_identity_on_mixed_three_prime_monomials(self):
+        # With a constant term, C_p(c, m) carries each monomial m's share of
+        # the commutator at m's own weight, so the mixed terms show below N.
+        rng = random.Random(17)
+        E = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        mixed = tuple((e, 1) for e in E)
+        for _ in range(4):
+            terms = {(): rng.choice([2, 3, -2]), mixed: Fraction(rng.choice([-2, 1, 3]), 2)}
+            for _ in range(3):
+                mono = tuple((e, rng.randint(1, 2)) for e in rng.sample(E, rng.randint(2, 3)))
+                terms[mono] = Fraction(rng.choice([-3, -1, 1, 2, 4]), rng.choice([1, 2, 3]))
+            f = MultiJetSeries.make(P5711, terms, 26)
+            d = [delta_pk(f, k) for k in range(3)]
+            for j, k in ((0, 1), (0, 2), (1, 2)):
+                lhs = delta_pk(d[k], j) - delta_pk(d[j], k)
+                assert lhs == cross_prime_commutator(f, d[j], d[k], P5711[j], P5711[k])
+                assert lhs.coeff(mixed) != 0
 
     def test_phi_delta_commute(self):
         rng = random.Random(13)
