@@ -121,12 +121,7 @@ class PadicTrunc:
 
     @staticmethod
     def from_rational(x: Rat, p: int, M: int, digits: int | None = None) -> "PadicTrunc":
-        x = Fraction(x)
-        if x.denominator % p == 0:
-            raise DomainError(f"{x} is not p-integral at p={p}")
-        mod = p**M
-        res = x.numerator * pow(x.denominator, -1, mod) % mod
-        return PadicTrunc(p, M, res, M if digits is None else digits)
+        return PadicTrunc(p, M, reduce_rational_mod(x, p, M), M if digits is None else digits)
 
     def _coerce(self, other) -> "PadicTrunc":
         if isinstance(other, PadicTrunc):
@@ -204,6 +199,15 @@ class PadicTrunc:
 
     def __str__(self) -> str:
         return f"{self.residue} + O({self.p}^{self.digits})"
+
+
+def encode_coeff(c: Fraction | PadicTrunc):
+    """JSON form of a series coefficient: a rational string or a p-adic object."""
+    return c.to_json() if isinstance(c, PadicTrunc) else format_rational(c)
+
+
+def decode_coeff(c) -> Fraction | PadicTrunc:
+    return PadicTrunc.from_json(c) if isinstance(c, dict) else parse_rational(c)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from .errors import (
 )
 
 MATH_ERRORS = (IntegralityViolation, ReconstructionFailure, PrecisionExhausted)
+# The smallest value of each numeric flag, in every subcommand that has it.
+FLAG_MINIMUMS = {"N": 0, "trunc": 0, "n": 0, "M": 1, "window": 1, "nmax": 1, "height": 1}
 
 
 def _dump(payload) -> str:
@@ -111,7 +113,7 @@ def cmd_fe_k(args):
 
 def _an_and_ap(args, P):
     # a_p is read even when the inner sum stops below the largest prime
-    n_max = args.nmax or args.N
+    n_max = args.N if args.nmax is None else args.nmax
     _, an = _curve_and_an(args, max([n_max, *P]))
     return an[:n_max], [an[p - 1] for p in P]
 
@@ -344,8 +346,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        if getattr(args, "N", 0) < 0:
-            raise DomainError(f"--N must be nonnegative, got {args.N}")
+        for flag, low in FLAG_MINIMUMS.items():
+            value = getattr(args, flag, None)
+            if value is not None and value < low:
+                raise DomainError(f"--{flag} must be at least {low}, got {value}")
         payload, passed = globals()[args.handler](args)
     except PjetError as e:
         sys.stdout.write(_dump({"error": {"code": e.code, "message": str(e)}}))

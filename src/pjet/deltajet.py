@@ -23,8 +23,10 @@ Truncation contracts:
 * q side: coefficients valid modulo p**digits (``digits=None`` means exact),
   base exponents known below ``base_order`` (None means no unknown tail).
 * t side: weighted degree with wt(t)=1, wt(delta^i t)=p**i, all monomials of
-  weight >= N dropped; everything is exact rational.  ``phi`` and ``delta``
-  of a t-side series run as the d=1 ``multiprime.phi_pk``/``delta_pk``.
+  weight >= N dropped; everything is exact rational.  A t-side series is the
+  one-prime view of a d=1 ``multiprime`` series: ``psi_serretate``, ``phi``
+  and ``delta`` compute there (``psi_multi``, ``phi_pk``, ``delta_pk``) and
+  flatten the result back, so this module builds no t-side series itself.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import sparse
-from .arith import Weight, binomial, format_rational, min_order, parse_rational, valuation
+from .arith import Weight, binomial, check_prime, format_rational, min_order, parse_rational, valuation
 from .errors import DomainError, NotInvertible, PrecisionExhausted
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (z-family exps, aux exps)
@@ -522,7 +524,7 @@ def psi_fourier(p: int, M: int, window: int) -> JetSeries:
     Every coefficient is p-integral: v_p(p^(n-1)/n) = n - 1 - v_p(n) >= 0.
     The omitted tail is p-adically small, which the digit bound records.
     """
-    if p < 5:
+    if check_prime(p) < 5:
         raise DomainError("the modular layer requires p >= 5")
     terms = {}
     for n in range(1, window + 1):
@@ -533,47 +535,15 @@ def psi_fourier(p: int, M: int, window: int) -> JetSeries:
     return JetSeries.make(p, "q", terms, M, digits=min(tail_digits, M))
 
 
-def _log1p_terms(x: Terms, p: int, keep: Keep, max_n: int) -> Terms:
-    out: Terms = {}
-    power: Terms = {M_ONE: Fraction(1)}
-    for n in range(1, max_n + 1):
-        power = terms_mul(power, x, keep)
-        if not power:
-            break
-        out = sparse.add(out, sparse.scale(power, Fraction((-1) ** (n - 1), n)))
-    return out
-
-
 def psi_serretate(p: int, N: int) -> JetSeries:
-    """(1/p) (phi - p) log(1 + t) as an exact t-side jet series.
-
-    Computed as (1/p)(log(1 + t^p + p t') - p log(1 + t)) to weighted degree
-    N; all coefficient denominators stay coprime to p, which is asserted.
-    """
+    """(1/p) (phi - p) log(1 + t) as an exact t-side jet series of weighted
+    degree below N: the d=1 ``multiprime.psi_multi``, whose coefficients are
+    asserted p-integral."""
     if p < 5:
         raise DomainError("the modular layer requires p >= 5")
-    probe = JetSeries.make(p, "t", {}, N=N)
-    keep = probe._keep()
-    phit: Terms = {((p,), ()): Fraction(1), ((0, 1), ()): Fraction(p)}
-    tt: Terms = {((1,), ()): Fraction(1)}
-    num = sparse.add(
-        _log1p_terms(phit, p, keep, N),
-        sparse.scale(_log1p_terms(tt, p, keep, N + 1), Fraction(-p)),
-    )
-    out = {m: c / p for m, c in _kept(num, keep).items()}
-    series = JetSeries.make(p, "t", JetSeries._from_terms(out), N=N)
-    assert_p_integral(series, p)
-    return series
+    from .multiprime import psi_multi, to_jet_series
 
-
-def assert_p_integral(f: JetSeries, p: int) -> None:
-    from .errors import IntegralityViolation
-
-    for (b, jets), c in f.terms:
-        if c.denominator % p == 0:
-            raise IntegralityViolation(
-                f"coefficient {c} of base^{b} jets {jets} has denominator divisible by {p}"
-            )
+    return to_jet_series(psi_multi((p,), 0, N))
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +598,9 @@ def lemma_xlaphi_check(p: int, n: int, varphi: Fraction | int | str = 0, M: int 
     "symbolic", which adjoins an auxiliary coefficient with its own
     delta-chain, giving the universal case.
     """
+    check_prime(p)
+    if n < 1:
+        raise DomainError("the xlaphi lemma needs n >= 1")
     if M is None:
         M = n + 3
     symbolic = varphi == "symbolic"
@@ -647,6 +620,7 @@ def lemma_xlaphi_check(p: int, n: int, varphi: Fraction | int | str = 0, M: int 
 
 def lemma_logder_check(p: int, n: int, a: int, M: int | None = None) -> LemmaReport:
     """Check delta^n((1 + p^n a) z) = z^(n) + a z^(p^n) + p * O(n)."""
+    check_prime(p)
     if M is None:
         M = n + 3
     lam = Fraction(1 + p**n * a)

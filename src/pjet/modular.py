@@ -19,7 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .arith import check_prime
+from .arith import check_prime, is_prime, reduce_rational_mod
 from .errors import DomainError, MissingPrimeValue
 from .qseries import Series1
 
@@ -97,13 +97,7 @@ def eisenstein_mod_p(p: int, trunc: int) -> list[int]:
     """
     check_prime(p)
     e = eisenstein(p - 1, trunc)
-    out = []
-    for n in range(trunc):
-        c = e.coeff(n)
-        if c.denominator % p == 0:
-            raise DomainError("coefficient not p-integral")
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    return out
+    return [reduce_rational_mod(e.coeff(n), p, 1) for n in range(trunc)]
 
 
 def discriminant_delta(trunc: int) -> QExpansion:
@@ -289,7 +283,6 @@ def newform_coefficients(
 
 def _next_prime(p: int) -> int:
     q = p + 1
-    while True:
-        if all(q % f for f in range(2, int(math.isqrt(q)) + 1)):
-            return q
+    while not is_prime(q):
         q += 1
+    return q

@@ -23,6 +23,7 @@ coprime to every prime of P.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,8 +34,9 @@ from . import sparse
 from .arith import (
     PadicTrunc,
     check_prime,
+    decode_coeff,
+    encode_coeff,
     format_rational,
-    parse_rational,
     rational_reconstruct,
     reduce_rational_mod,
 )
@@ -241,12 +243,13 @@ class MultiJetSeries:
                     r[k] = max(r[k], c)
         return tuple(r)
 
+    @functools.cached_property
+    def coeffs(self) -> dict[Mono, Coeff]:
+        """The terms as a dict, built on first use and kept with the series."""
+        return dict(self.terms)
+
     def coeff(self, m: Mono) -> Coeff:
-        mm = _norm_mono(m)
-        for k, c in self.terms:
-            if k == mm:
-                return c
-        return Fraction(0)
+        return self.coeffs.get(_norm_mono(m), Fraction(0))
 
     def is_padic(self) -> bool:
         return any(isinstance(c, PadicTrunc) for _, c in self.terms)
@@ -332,28 +335,22 @@ class MultiJetSeries:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        def enc(c):
-            return c.to_json() if isinstance(c, PadicTrunc) else format_rational(c)
-
         return {
             "P": list(self.P),
             "r": list(self.order_vector()),
             "N": self.N,
             "ring": self.ring,
             "terms": [
-                [[[list(i), e] for i, e in m], enc(c)] for m, c in self.terms
+                [[[list(i), e] for i, e in m], encode_coeff(c)] for m, c in self.terms
             ],
         }
 
     @staticmethod
     def from_json(obj: Mapping) -> "MultiJetSeries":
-        def dec(c):
-            return PadicTrunc.from_json(c) if isinstance(c, dict) else parse_rational(c)
-
         terms = {}
         for mono, c in obj["terms"]:
             m = _norm_mono([(tuple(int(x) for x in i), int(e)) for i, e in mono])
-            terms[m] = dec(c)
+            terms[m] = decode_coeff(c)
         return MultiJetSeries.make(
             [int(p) for p in obj["P"]], terms, int(obj["N"]), int(obj.get("ring", 0))
         )
@@ -448,19 +445,28 @@ def _ghost_log1p_var(i: Idx, P: tuple[int, ...], N: int) -> Poly:
     return out
 
 
-def psi_multi(P: Sequence[int], k: int, N: int, ring: int | None = None) -> MultiJetSeries:
+def psi_multi(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
     """The one-prime order-1 expansion at p_k inside the several-prime ring:
-    (1/p_k) (phi_k - p_k) log(1 + t)."""
+    (1/p_k) (phi_k - p_k) log(1 + t), in closed form.
+
+    With p = p_k and x = x_{e_k}, phi_k(t) = t^p + p x in the jet basis, so
+    the series is (1/p) log(1 + t^p + p x) - log(1 + t).  The binomial
+    expansion of (t^p + p x)^n puts (-1)^(n-1) C(n, j) p^(j-1) / n at
+    t^(p(n-j)) x^j, a monomial of weight p n.  The coefficients are integral
+    at p_k, which is asserted.
+    """
     Pt = tuple(P)
-    d = len(Pt)
-    e_k = tuple(1 if j == k else 0 for j in range(d))
-    zero = (0,) * d
-    g = sparse.add(
-        sparse.scale(_ghost_log1p_var(e_k, Pt, N), Fraction(1, Pt[k])),
-        sparse.scale(_ghost_log1p_var(zero, Pt, N), Fraction(-1)),
-    )
-    t = ghost_to_jet(g, Pt, weight_keep(Pt, N))
-    return MultiJetSeries.make(Pt, t, N, (k + 1) if ring is None else ring)
+    p = Pt[k]
+    zero = (0,) * len(Pt)
+    e_k = tuple(int(j == k) for j in range(len(Pt)))
+    t: Poly = {((zero, n),): Fraction((-1) ** n, n) for n in range(1, N)}
+    for n in range(1, (N - 1) // p + 1):
+        for j in range(n + 1):
+            m = _norm_mono(((zero, p * (n - j)), (e_k, j)))
+            t[m] = t.get(m, 0) + Fraction((-1) ** (n - 1) * math.comb(n, j) * p**j, n * p)
+    out = MultiJetSeries.make(Pt, t, N, k + 1)
+    assert_ring_integral(out)
+    return out
 
 
 def build_fe0(P: Sequence[int], N: int) -> MultiJetSeries:
@@ -570,7 +576,7 @@ def continuation_check(
     out: dict[Mono, Fraction] = {}
     if not any(padic):
         for m in monos:
-            vals = [f.coeff(m) for f in family]
+            vals = [f.coeffs.get(m, Fraction(0)) for f in family]
             ref = vals[0]
             if any(v != ref for v in vals[1:]) or any(
                 ref.denominator % p == 0 for p in P
@@ -590,7 +596,7 @@ def continuation_check(
     for m in monos:
         residues = []
         for k, f in enumerate(family):
-            c = f.coeff(m)
+            c = f.coeffs.get(m, Fraction(0))
             if not isinstance(c, PadicTrunc):
                 c = PadicTrunc.from_rational(c, P[k], 8)
             residues.append((P[k], c.digits, c.residue % P[k] ** c.digits))
@@ -682,7 +688,7 @@ def basis_independence_check(P: Sequence[int], r: Sequence[int], N: int) -> Rank
                 f = _phi_pk_below(f, k, N)
         series.append(f)
     monos = sorted({m for f in series for m, _ in f.terms})
-    rows = [[Fraction(f.coeff(m)) for m in monos] for f in series]
+    rows = [[f.coeffs.get(m, Fraction(0)) for m in monos] for f in series]
     rank = exact_rank(rows)
     expected = math.prod(rv)
     return RankReport(Pt, rv, N, expected, rank, rank == expected)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 from . import sparse
-from .arith import PadicTrunc, format_rational, min_order, parse_rational
+from .arith import PadicTrunc, decode_coeff, encode_coeff, min_order
 from .errors import DomainError, NotInvertible
 
 Coeff = Union[Fraction, PadicTrunc]
@@ -204,24 +204,16 @@ class Series1:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        def enc(c):
-            return c.to_json() if isinstance(c, PadicTrunc) else format_rational(c)
-
         return {
             "var": self.var,
             "N": self.N,
-            "terms": [[e, enc(c)] for e, c in self.terms],
+            "terms": [[e, encode_coeff(c)] for e, c in self.terms],
         }
 
     @staticmethod
     def from_json(obj: Mapping) -> "Series1":
-        def dec(c):
-            if isinstance(c, dict):
-                return PadicTrunc.from_json(c)
-            return parse_rational(c)
-
         return Series1.make(
-            obj["var"], {int(e): dec(c) for e, c in obj["terms"]}, obj.get("N")
+            obj["var"], {int(e): decode_coeff(c) for e, c in obj["terms"]}, obj.get("N")
         )
 
 

@@ -1,6 +1,7 @@
 """CLI surface: every subcommand, exit codes, determinism, golden files."""
 
 import json
+import os
 
 import pytest
 
@@ -154,6 +155,8 @@ GOLDEN_JOBS = [
     ("psi_serretate_p5_N20.json", ["psi", "--p", "5", "--side", "serretate", "--N", "20"]),
     ("psi_fourier_p7_w12.json", ["psi", "--p", "7", "--side", "fourier", "--M", "8", "--window", "12"]),
     ("fe0_P5_7_N30.json", ["fe0", "--P", "5,7", "--N", "30"]),
+    ("fe_k_P5_7_k1_N50.json", ["fe-k", "--P", "5,7", "--k", "1", "--N", "50"]),
+    ("fe_k_P5_7_11_k3_N30.json", ["fe-k", "--P", "5,7,11", "--k", "3", "--N", "30"]),
     ("commutator_6_2_3.json", ["check-commutator", "--p1", "2", "--p2", "3", "--value", "6"]),
     ("basis_P5_7_r22_N50.json", ["check-basis", "--P", "5,7", "--r", "2,2", "--N", "50"]),
     (
@@ -271,6 +274,51 @@ class TestProtocol:
     def test_bad_prime_list_or_bound_exit_2(self, capsys, argv):
         code, js = run(capsys, *argv)
         assert code == 2 and js["error"]["code"] == "domain"
+
+    @pytest.mark.parametrize(
+        "argv, flag, low",
+        [
+            (["fe0", "--P", "5,7"], "--N", 0),
+            (["psi", "--p", "5", "--side", "fourier"], "--window", 1),
+            (["psi", "--p", "5", "--side", "fourier"], "--M", 1),
+            (["fsharp", "--p", "13", "--M", "2"], "--window", 1),
+            (["delta0", "--input", "tests/golden/eisenstein_k4_t12.json", "--p", "5"], "--M", 1),
+            (["eisenstein", "--k", "4"], "--trunc", 0),
+            (["delta-expand", "--form", "E4", "--p", "5"], "--trunc", 0),
+            (["f2e0", "--P", "5,13", "--N", "20"], "--nmax", 1),
+            (["f2e-k", "--P", "5,13", "--k", "2", "--N", "20"], "--nmax", 1),
+            (["check-lemma", "--name", "logder", "--p", "5"], "--n", 0),
+            (["check-lemma", "--name", "xlaphi", "--p", "5"], "--n", 1),
+            (
+                ["check-continuation", "--inputs", "tests/golden/fe0_P5_7_N30.json"],
+                "--height",
+                1,
+            ),
+        ],
+    )
+    def test_flag_minimum(self, capsys, monkeypatch, argv, flag, low):
+        monkeypatch.chdir(os.path.dirname(os.path.dirname(__file__)))
+        for below in (low - 1, low - 3):
+            code, js = run(capsys, *argv, flag, str(below))
+            assert code == 2 and js["error"]["code"] == "domain", below
+        code, js = run(capsys, *argv, flag, str(low))
+        assert code == 0 and "error" not in js
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psi", "--side", "fourier"],
+            ["psi", "--side", "serretate", "--N", "5"],
+            ["check-lemma", "--name", "xlaphi"],
+            ["check-lemma", "--name", "logder"],
+        ],
+    )
+    def test_prime_required(self, capsys, argv):
+        for p in ("4", "9"):
+            code, js = run(capsys, *argv, "--p", p)
+            assert code == 2 and js["error"]["code"] == "domain"
+        code, js = run(capsys, *argv, "--p", "11")
+        assert code == 0 and "error" not in js
 
     @pytest.mark.parametrize(
         "argv",

@@ -14,6 +14,7 @@ from pjet.deltajet import psi_serretate
 from pjet.errors import DomainError
 from pjet.multiprime import (
     MultiJetSeries,
+    _ghost_log1p_var,
     _phi_pk_below,
     _subst,
     basis_independence_check,
@@ -225,6 +226,30 @@ class TestBuildFe0:
     def test_small_primes_rejected(self):
         with pytest.raises(DomainError):
             build_fe0([3, 5], 20)
+
+
+def _psi_ghost_route(P, k, N):
+    """Psi at p_k through ghost coordinates: log(1 + u_{e_k})/p_k - log(1 + u_0)."""
+    d = len(P)
+    e_k = tuple(int(j == k) for j in range(d))
+    g = {m: c / P[k] for m, c in _ghost_log1p_var(e_k, P, N).items()}
+    for m, c in _ghost_log1p_var((0,) * d, P, N).items():
+        g[m] = g.get(m, 0) - c
+    return MultiJetSeries.make(P, ghost_to_jet(g, P, weight_keep(P, N)), N, k + 1)
+
+
+class TestPsiMulti:
+    @pytest.mark.parametrize(
+        "P, k, N",
+        [
+            (P, k, N)
+            for P in [(2,), (3,), (5,), (2, 3), P57, P5711]
+            for k in range(len(P))
+            for N in sorted({0, 1, P[k], P[k] + 1, 30})
+        ],
+    )
+    def test_matches_ghost_route(self, P, k, N):
+        assert psi_multi(P, k, N).to_json() == _psi_ghost_route(P, k, N).to_json()
 
 
 class TestBuildFeK:
