@@ -220,35 +220,32 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--golden", help="compare the payload against this file")
     sub = top.add_subparsers(dest="command", required=True)
 
-    # Handlers are stored by name and looked up when ``main`` runs, so the
-    # cached parser follows any later rebinding of a ``cmd_*`` function.
-    def add(name, handler, /, **flags):
+    # Handlers are stored by the subcommand's ``cmd_*`` name and looked up
+    # when ``main`` runs, so the cached parser follows any later rebinding of
+    # a handler, a wrapper with a name of its own included.
+    def add(name, /, **flags):
         sp = sub.add_parser(name)
         for flag, spec in flags.items():
             sp.add_argument(f"--{flag}", **spec)
-        sp.set_defaults(handler=handler.__name__)
-        return sp
+        sp.set_defaults(handler="cmd_" + name.replace("-", "_"))
 
     add(
         "psi",
-        cmd_psi,
         p={"type": int, "required": True},
         side={"choices": ["fourier", "serretate"], "default": "serretate"},
         N={"type": int, "default": 30},
         M={"type": int, "default": 8},
         window={"type": int, "default": 30},
     )
-    add("fe0", cmd_fe0, P={"required": True}, N={"type": int, "default": 30})
+    add("fe0", P={"required": True}, N={"type": int, "default": 30})
     add(
         "fe-k",
-        cmd_fe_k,
         P={"required": True},
         k={"type": int, "required": True, "help": "prime index, 1-based"},
         N={"type": int, "default": 30},
     )
     add(
         "f2e0",
-        cmd_f2e0,
         P={"required": True},
         N={"type": int, "default": 40},
         nmax={"type": int},
@@ -256,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add(
         "f2e-k",
-        cmd_f2e_k,
         P={"required": True},
         k={"type": int, "required": True},
         N={"type": int, "default": 40},
@@ -265,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add(
         "fsharp",
-        cmd_fsharp,
         curve={"default": None},
         p={"type": int, "required": True},
         window={"type": int, "default": 30},
@@ -273,13 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add(
         "eisenstein",
-        cmd_eisenstein,
         k={"type": int, "required": True},
         trunc={"type": int, "default": 20},
     )
     add(
         "delta-expand",
-        cmd_delta_expand,
         input={"default": None},
         form={"default": None},
         trunc={"type": int, "default": 20},
@@ -289,32 +282,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add(
         "delta0",
-        cmd_delta0,
         input={"required": True},
         p={"type": int, "required": True},
         M={"type": int, "default": 8},
     )
     add(
         "check-covariance",
-        cmd_check_covariance,
         input={"required": True},
         gamma={"type": int, "required": True},
         nu={"type": int, "required": True},
     )
-    sp = sub.add_parser("check-continuation")
-    sp.add_argument("--inputs", nargs="+", required=True)
-    sp.add_argument("--height", type=int, default=None)
-    sp.set_defaults(handler=cmd_check_continuation.__name__)
+    add(
+        "check-continuation",
+        inputs={"nargs": "+", "required": True},
+        height={"type": int, "default": None},
+    )
     add(
         "check-commutator",
-        cmd_check_commutator,
         p1={"type": int, "required": True},
         p2={"type": int, "required": True},
         value={"type": int, "required": True},
     )
     add(
         "check-lemma",
-        cmd_check_lemma,
         name={"choices": ["xlaphi", "logder"], "required": True},
         p={"type": int, "required": True},
         n={"type": int, "default": 1},
@@ -323,14 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add(
         "check-basis",
-        cmd_check_basis,
         P={"required": True},
         r={"required": True},
         N={"type": int, "default": 50},
     )
     add(
         "ap",
-        cmd_ap,
         curve={"default": None},
         p={"type": int, "required": True},
     )

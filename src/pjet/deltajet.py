@@ -526,6 +526,9 @@ def psi_fourier(p: int, M: int, window: int) -> JetSeries:
     """
     if check_prime(p) < 5:
         raise DomainError("the modular layer requires p >= 5")
+    for name, value in (("M", M), ("window", window)):
+        if value < 1:
+            raise DomainError(f"{name} must be at least 1, got {value}")
     terms = {}
     for n in range(1, window + 1):
         terms[(-p * n, (n,))] = Fraction((-1) ** (n - 1) * p ** (n - 1), n)

@@ -64,7 +64,19 @@ def _norm_mono(pairs: Iterable[tuple[Idx, int]]) -> Mono:
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    return _norm_mono(list(m1) + list(m2))
+    """Product of two normalised monomials.
+
+    Both carry distinct indices and positive exponents, so their merge needs
+    none of ``_norm_mono``'s checks: exponents add and stay positive.
+    """
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    d = dict(m1)
+    for i, e in m2:
+        d[i] = d[i] + e if i in d else e
+    return tuple(sorted(d.items()))
 
 
 def var_weight(i: Idx, P: Sequence[int]) -> int:
@@ -159,19 +171,40 @@ def _gen_jet(P: tuple[int, ...], i: Idx) -> Poly:
 
 
 def _subst(t: Poly, P: tuple[int, ...], images: Callable[[Idx], Poly], keep) -> Poly:
-    out: Poly = {}
-    pow_cache: dict[tuple[Idx, int], Poly] = {}
+    """Substitute ``images(i)`` for each variable x_i of ``t``, below ``keep``.
+
+    Each image is taken once, as integer coefficients over the lcm D_i of
+    its denominators, so powers and products run in integers.  A monomial
+    c * prod x_i^e contributes over the denominator c.denominator * prod D_i^e;
+    the contributions add up over the lcm L of those, with one ``Fraction``
+    per output term.
+    """
+    scaled: dict[Idx, tuple[dict[Mono, int], int]] = {}
+    pow_cache: dict[tuple[Idx, int], dict[Mono, int]] = {}
+    parts: list[tuple[dict[Mono, int], int]] = []
     for m, c in t.items():
-        acc: Poly = {M_ONE: c}
+        acc: dict[Mono, int] = {M_ONE: c.numerator}
+        den = c.denominator
         for i, e in m:
+            if i not in scaled:
+                img = images(i)
+                D = math.lcm(*(v.denominator for v in img.values()))
+                scaled[i] = ({mm: v.numerator * (D // v.denominator) for mm, v in img.items()}, D)
+            img, D = scaled[i]
             pk = (i, e)
             if pk not in pow_cache:
-                pow_cache[pk] = sparse.power(
-                    images(i), e, {M_ONE: Fraction(1)}, lambda a, b: poly_mul(a, b, keep)
-                )
+                pow_cache[pk] = sparse.power(img, e, {M_ONE: 1}, lambda a, b: poly_mul(a, b, keep))
             acc = poly_mul(acc, pow_cache[pk], keep)
-        out = sparse.add(out, acc)
-    return {m: c for m, c in out.items() if keep(m)}
+            den *= D**e
+        parts.append((acc, den))
+    L = math.lcm(*(den for _, den in parts))
+    out: dict[Mono, int] = {}
+    for acc, den in parts:
+        f = L // den
+        for m, x in acc.items():
+            out[m] = out.get(m, 0) + x * f
+    # every monomial but 1 came out of poly_mul, which has applied keep already
+    return {m: Fraction(x, L) for m, x in out.items() if x and (m or keep(m))}
 
 
 def jet_to_ghost(t: Poly, P: tuple[int, ...], keep) -> Poly:

@@ -176,6 +176,8 @@ GOLDEN_JOBS = [
         ["check-lemma", "--name", "xlaphi", "--p", "5", "--n", "2", "--varphi", "symbolic"],
     ),
     ("eisenstein_k4_t12.json", ["eisenstein", "--k", "4", "--trunc", "12"]),
+    ("f2e0_P5_7_11_N40.json", ["f2e0", "--P", "5,7,11", "--N", "40"]),
+    ("f2e_k_P17_19_k2_N40.json", ["f2e-k", "--P", "17,19", "--k", "2", "--N", "40"]),
     (
         "delta0_E4_t12_p5_M4.json",
         ["delta0", "--input", "tests/golden/eisenstein_k4_t12.json", "--p", "5", "--M", "4"],
@@ -401,6 +403,24 @@ class TestProtocol:
         monkeypatch.setattr(cli, "cmd_ap", wrapped)
         code, js = run(capsys, "ap", "--p", "7")
         assert code == 0 and js == {"wrapped": True} and seen == [7]
+
+    def test_parser_built_under_a_wrapper_finds_the_handler(self, capsys, monkeypatch):
+        # a tracer may wrap cmd_* before the parser is first built; the wrapper's
+        # own __name__ must not end up as the stored handler name
+        real = cli.cmd_check_commutator
+        seen = []
+
+        def traced(args):
+            seen.append(args.value)
+            return real(args)
+
+        monkeypatch.setattr(cli, "cmd_check_commutator", traced)
+        cli._parser.cache_clear()
+        code, js = run(capsys, "check-commutator", "--p1", "2", "--p2", "3", "--value", "6")
+        assert code == 0 and js["pass"] is True and seen == [6]
+        monkeypatch.undo()
+        code, js = run(capsys, "check-commutator", "--p1", "2", "--p2", "3", "--value", "6")
+        assert code == 0 and js["pass"] is True and seen == [6]
 
     def test_math_error_exit_1(self, capsys, tmp_path):
         # Hecke-inconsistent input: integrality violation surfaces as exit 1

@@ -329,6 +329,16 @@ class TestPsiFourier:
         with pytest.raises(DomainError):
             psi_fourier(3, M=4, window=5)
 
+    @pytest.mark.parametrize("M, window", [(0, 3), (-2, 3), (8, 0), (8, -3)])
+    def test_rejects_ranges_below_one(self, M, window):
+        # the same minimums as the CLI's --M and --window
+        with pytest.raises(DomainError):
+            psi_fourier(5, M=M, window=window)
+
+    def test_accepts_ranges_of_one(self):
+        assert psi_fourier(5, M=1, window=3).M == 1
+        assert dict(psi_fourier(5, M=8, window=1).terms) == {(-5, (1,)): Fraction(1)}
+
     @pytest.mark.parametrize("p", [5, 7])
     def test_coefficient_valuations(self, p):
         from pjet.arith import valuation

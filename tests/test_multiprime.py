@@ -8,15 +8,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pjet import sparse
 from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, fermat_delta
 from pjet.cli import _dump as dump
 from pjet.deltajet import psi_serretate
 from pjet.errors import DomainError
 from pjet.multiprime import (
+    M_ONE,
+    Idx,
     MultiJetSeries,
+    Poly,
+    _gen_ghost,
+    _gen_jet,
     _ghost_log1p_var,
+    _norm_mono,
     _phi_pk_below,
-    _subst,
     basis_independence_check,
     build_fe0,
     build_fe_k,
@@ -27,7 +33,10 @@ from pjet.multiprime import (
     ghost_gamma,
     ghost_to_jet,
     jet_to_ghost,
+    mono_mul,
+    mono_weight,
     phi_pk,
+    poly_mul,
     psi_multi,
     reduce_to_padic,
     substitute_gamma,
@@ -75,6 +84,103 @@ class TestBasisExchange:
         g = _gen_ghost(P57, (1, 0))
         assert g[(((1, 0), 1),)] == Fraction(1, 5)
         assert g[(((0, 0), 5),)] == Fraction(-1, 5)
+
+
+def _subst_fraction(t: Poly, P: tuple[int, ...], images, keep) -> Poly:
+    """The basis exchange in Fraction arithmetic, one factor at a time.
+
+    This was ``multiprime._subst`` before the exchange moved to integers over
+    one common denominator; it stays here as the reference for that route.
+    """
+    out: Poly = {}
+    pow_cache: dict[tuple[Idx, int], Poly] = {}
+    for m, c in t.items():
+        acc: Poly = {M_ONE: c}
+        for i, e in m:
+            pk = (i, e)
+            if pk not in pow_cache:
+                pow_cache[pk] = sparse.power(
+                    images(i), e, {M_ONE: Fraction(1)}, lambda a, b: poly_mul(a, b, keep)
+                )
+            acc = poly_mul(acc, pow_cache[pk], keep)
+        out = sparse.add(out, acc)
+    return {m: c for m, c in out.items() if keep(m)}
+
+
+def _jet_to_ghost_fraction(t, P, keep):
+    return _subst_fraction(t, P, lambda i: _gen_ghost(P, i), keep)
+
+
+def _ghost_to_jet_fraction(t, P, keep):
+    return _subst_fraction(t, P, lambda i: _gen_jet(P, i), keep)
+
+
+def keep_all(m):
+    return True
+
+
+@st.composite
+def exchange_case(draw):
+    """A polynomial, its primes and a keep: the weight keep below N <= 40, or
+    keep_all on a polynomial of weight below N.  Denominators are drawn both
+    coprime to P and divisible by its primes; the monomial 1 may occur."""
+    P = draw(st.sampled_from([(5,), (7,), P57, (5, 13), P5711]))
+    N = draw(st.integers(0, 40))
+    top = 2 if len(P) == 1 else 1
+    p, q = P[0], P[-1]
+    dens = st.sampled_from([1, 2, 3, 4, 9, p, p * p, 2 * p, p * q, 3 * q])
+    t = {}
+    for _ in range(draw(st.integers(0, 5))):
+        m = _norm_mono(
+            (tuple(draw(st.integers(0, top)) for _ in P), draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(0, 3)))
+        )
+        # the jet image of u_(1,1,1) has 2,090 terms, and sparse.power squares
+        # a base whole before keep drops the products (4.4M pairs for e = 2)
+        m = tuple((i, 1 if i == (1, 1, 1) else e) for i, e in m)
+        t[m] = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(dens))
+    if draw(st.booleans()):
+        return P, t, weight_keep(P, N)
+    return P, {m: c for m, c in t.items() if mono_weight(m, P) < N}, keep_all
+
+
+@st.composite
+def monomials(draw, d):
+    return _norm_mono(
+        (tuple(draw(st.integers(0, 2)) for _ in range(d)), draw(st.integers(1, 4)))
+        for _ in range(draw(st.integers(0, 4)))
+    )
+
+
+class TestIntegerExchange:
+    """The integer basis exchange against the Fraction reference."""
+
+    @given(case=exchange_case())
+    @example(case=((5,), {(): Fraction(2, 5), (((0,), 1),): Fraction(1, 3)}, weight_keep((5,), 0)))
+    @example(case=(P57, {(((1, 0), 2), ((0, 1), 1)): Fraction(-3, 35)}, keep_all))
+    @settings(max_examples=60, deadline=None)
+    def test_jet_to_ghost_matches_fraction_route(self, case):
+        P, t, keep = case
+        assert jet_to_ghost(t, P, keep) == _jet_to_ghost_fraction(t, P, keep)
+
+    @given(case=exchange_case())
+    @example(case=((7,), {(): Fraction(1, 7), (((1,), 1),): Fraction(4, 49)}, keep_all))
+    @settings(max_examples=60, deadline=None)
+    def test_ghost_to_jet_matches_fraction_route(self, case):
+        P, t, keep = case
+        assert ghost_to_jet(t, P, keep) == _ghost_to_jet_fraction(t, P, keep)
+
+    @pytest.mark.parametrize("P, i", [((5,), (2,)), (P57, (1, 1)), (P57, (2, 0)), (P5711, (0, 1, 1))])
+    def test_jet_table_maps_back_to_its_ghost_variable(self, P, i):
+        # _gen_jet is filled through the integer route; the Fraction route
+        # must take it back to the single ghost variable u_i
+        assert _jet_to_ghost_fraction(_gen_jet(P, i), P, keep_all) == {((i, 1),): Fraction(1)}
+
+    @given(d=st.integers(1, 3), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mono_mul_matches_normalising_concatenation(self, d, data):
+        m1, m2 = data.draw(monomials(d)), data.draw(monomials(d))
+        assert mono_mul(m1, m2) == _norm_mono(list(m1) + list(m2))
 
 
 class TestPhiPk:
@@ -357,7 +463,7 @@ class TestBasisIndependence:
 
 
 def _gamma_image(gamma, P, N):
-    """u_i -> sum_n C(gamma, n) u_i^n as Fraction polynomials, for ``_subst``."""
+    """u_i -> sum_n C(gamma, n) u_i^n as Fraction polynomials, for ``_subst_fraction``."""
 
     def image(i):
         top = (N - 1) // var_weight(i, P)
@@ -367,10 +473,11 @@ def _gamma_image(gamma, P, N):
 
 
 def _subst_gamma_reference(f, gamma):
-    """``substitute_gamma`` through the Fraction route ``_subst``."""
+    """``substitute_gamma`` through the Fraction route ``_subst_fraction``."""
     keep = weight_keep(f.P, f.N)
-    g = _subst(jet_to_ghost(f._poly(), f.P, keep), f.P, _gamma_image(gamma, f.P, f.N), keep)
-    return MultiJetSeries.make(f.P, ghost_to_jet(g, f.P, keep), f.N, f.ring)
+    g = _jet_to_ghost_fraction(f._poly(), f.P, keep)
+    g = _subst_fraction(g, f.P, _gamma_image(gamma, f.P, f.N), keep)
+    return MultiJetSeries.make(f.P, _ghost_to_jet_fraction(g, f.P, keep), f.N, f.ring)
 
 
 @st.composite
@@ -409,7 +516,7 @@ class TestSubstituteGamma:
         f, _, gamma = case
         keep = weight_keep(f.P, f.N)
         g = jet_to_ghost(f._poly(), f.P, keep)
-        want = _subst(g, f.P, _gamma_image(gamma, f.P, f.N), keep)
+        want = _subst_fraction(g, f.P, _gamma_image(gamma, f.P, f.N), keep)
         assert ghost_gamma(g, f.P, gamma, f.N) == want
 
     @given(case=series_and_gamma(), data=st.data())
