@@ -211,55 +211,6 @@ def decode_coeff(c) -> Fraction | PadicTrunc:
 
 
 # ---------------------------------------------------------------------------
-# Weights w = sum a_i * phi^i
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Formal integer combination of Frobenius powers.
-
-    Keys are plain integers for the one-prime ring and integer tuples for the
-    several-prime ring; values are the integer coefficients a_i.
-    """
-
-    coeffs: tuple[tuple[object, int], ...]
-
-    @staticmethod
-    def make(coeffs: Mapping) -> "Weight":
-        items = tuple(sorted((k, int(v)) for k, v in coeffs.items() if v != 0))
-        return Weight(items)
-
-    @staticmethod
-    def single(*a: int) -> "Weight":
-        """Weight a_0 + a_1*phi + ... from positional coefficients."""
-        return Weight.make({i: c for i, c in enumerate(a)})
-
-    def deg(self) -> int:
-        return sum(c for _, c in self.coeffs)
-
-    def ord(self) -> int:
-        if not self.coeffs:
-            return 0
-        keys = [k for k, _ in self.coeffs]
-        if isinstance(keys[0], tuple):
-            return max(sum(k) for k in keys)
-        return max(keys)
-
-    def items(self):
-        return self.coeffs
-
-    def __add__(self, other: "Weight") -> "Weight":
-        d = dict(self.coeffs)
-        for k, c in other.coeffs:
-            d[k] = d.get(k, 0) + c
-        return Weight.make(d)
-
-    def __neg__(self) -> "Weight":
-        return Weight.make({k: -c for k, c in self.coeffs})
-
-
-# ---------------------------------------------------------------------------
 # Fermat quotients and the twisted-addition polynomials
 # ---------------------------------------------------------------------------
 

@@ -38,8 +38,8 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import sparse
-from .arith import Weight, binomial, check_prime, format_rational, min_order, parse_rational, valuation
-from .errors import DomainError, NotInvertible, PrecisionExhausted
+from .arith import binomial, check_prime, format_rational, min_order, parse_rational, valuation
+from .errors import DomainError, PrecisionExhausted
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (z-family exps, aux exps)
 Terms = dict[Monomial, Fraction]
@@ -134,8 +134,9 @@ def terms_delta(t: Terms, p: int, keep: Keep, jmax: int) -> Terms:
 # ---------------------------------------------------------------------------
 
 
-def _weight(m: Monomial, p: int) -> int:
-    return sum(e * p**i for i, e in enumerate(m[0]))
+def _weight(z: tuple[int, ...], p: int) -> int:
+    """Weight of the z-family exponents ``z``: wt(q) = 1, wt(q^(i)) = p**i."""
+    return sum(e * p**i for i, e in enumerate(z))
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ class JetSeries:
             c = Fraction(c)
             if c == 0:
                 continue
-            if N is not None and b + sum(e * p**i for i, e in enumerate(jets, start=1)) >= N:
+            if N is not None and _weight((b, *jets), p) >= N:
                 continue
             if base_order is not None and b >= base_order:
                 continue
@@ -213,7 +214,7 @@ class JetSeries:
         p, N, digits, border = self.p, self.N, self.digits, self.base_order
 
         def mono_ok(m: Monomial) -> bool:
-            if N is not None and _weight(m, p) >= N:
+            if N is not None and _weight(m[0], p) >= N:
                 return False
             return border is None or not m[0] or m[0][0] < border
 
@@ -293,7 +294,7 @@ class JetSeries:
 
     def __pow__(self, n: int):
         if n < 0:
-            return invert(self) ** (-n)
+            raise DomainError("negative powers are not defined here")
         one = JetSeries.make(
             self.p, self.base, {(0, ()): 1}, self.M, self.digits, self.base_order, self.N
         )
@@ -313,7 +314,7 @@ class JetSeries:
             b, jets = m
             if border is not None and b >= border:
                 continue
-            if N is not None and b + sum(e * self.p**i for i, e in enumerate(jets, 1)) >= N:
+            if N is not None and _weight((b, *jets), self.p) >= N:
                 continue
             diff = d1.get(m, Fraction(0)) - d2.get(m, Fraction(0))
             if diff == 0:
@@ -358,7 +359,7 @@ class JetSeries:
 
 
 # ---------------------------------------------------------------------------
-# phi, delta, weights
+# phi and delta
 # ---------------------------------------------------------------------------
 
 
@@ -441,76 +442,6 @@ def delta_n(f: JetSeries, n: int) -> JetSeries:
     for _ in range(n):
         f = delta(f)
     return f
-
-
-def invert(u: JetSeries, order: int | None = None) -> JetSeries:
-    """Inverse of a unit jet series by geometric expansion.
-
-    The unit part 1 + x is inverted as sum (-x)^k; the loop must terminate
-    under the series' truncation contract (p-adic digits, weighted degree,
-    or an explicit base-exponent ``order``).
-    """
-    lead = None
-    for (b, jets), c in u.terms:
-        if jets == ():
-            if lead is None or b < lead[0]:
-                lead = (b, c)
-    if lead is None:
-        raise NotInvertible("no pure base term to lead with")
-    v0, c0 = lead
-    if _vp(c0, u.p) != 0:
-        raise NotInvertible("leading coefficient is not a p-adic unit")
-    border = min_order(u.base_order, None if order is None else order + v0)
-    lead_mono = JetSeries.make(u.p, u.base, {(-v0, ()): 1 / c0}, u.M, u.digits, None, u.N)
-    x = u * lead_mono - 1
-    x = JetSeries.make(
-        u.p,
-        u.base,
-        dict(x.terms),
-        u.M,
-        min_order(x.digits, u.eff_digits() if u.base == "q" else None),
-        None if border is None else border - v0,
-        x.N,
-    )
-    if not x.terms:
-        return lead_mono
-
-    def clamp(s: JetSeries) -> JetSeries:
-        return JetSeries.make(u.p, u.base, dict(s.terms), u.M, x.digits, x.base_order, x.N)
-
-    acc = JetSeries.make(u.p, u.base, {(0, ()): 1}, u.M, x.digits, x.base_order, x.N)
-    power = acc
-    for _ in range(_invert_steps(x)):
-        power = clamp(power * (-x))
-        if not power.terms:
-            break
-        acc = acc + power
-    if power.terms:
-        raise DomainError("inverse does not terminate under the truncation contract")
-    return clamp(acc) * lead_mono
-
-
-def _invert_steps(x: JetSeries) -> int:
-    if not x.terms:
-        return 0
-    bound = 4 * (x.eff_digits() + (x.N or 0) + abs(x.base_order or 0) + 8)
-    return bound
-
-
-def weight_action(u: JetSeries, w: Weight, order: int | None = None) -> JetSeries:
-    """u**w = prod_i phi^i(u)**a_i for w = sum a_i phi^i."""
-    out = JetSeries.make(u.p, u.base, {(0, ()): 1}, u.M, u.digits, u.base_order, u.N)
-    for i, a in w.items():
-        if not isinstance(i, int):
-            raise DomainError("single-prime weights use integer Frobenius powers")
-        g = u
-        for _ in range(i):
-            g = phi(g)
-        if a >= 0:
-            out = out * g**a
-        else:
-            out = out * invert(g, order) ** (-a)
-    return out
 
 
 # ---------------------------------------------------------------------------

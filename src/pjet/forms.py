@@ -30,7 +30,7 @@ from typing import Mapping, Sequence, Union
 
 from . import sparse
 from .arith import PadicTrunc, binomial, check_prime, valuation
-from .deltajet import JetSeries, Terms, M_ONE, delta_n, terms_mul, terms_phi
+from .deltajet import JetSeries, Terms, M_ONE, _weight, delta_n, terms_mul, terms_phi
 from .errors import DomainError, IntegralityViolation
 from .modular import QExpansion
 from .multiprime import (
@@ -98,7 +98,7 @@ def fsharp_expansion(
     cut = M + 3
 
     def in_window(m):
-        return sum(e * p**i for i, e in enumerate(m[0])) <= window
+        return _weight(m[0], p) <= window
 
     def digits_ok(c):
         return c == 0 or valuation(c, p) < cut
@@ -331,46 +331,29 @@ def covariance_check(
     if isinstance(F, JetSeries):
         F = from_jet_series(F)
     if isinstance(gamma, PadicTrunc):
-        return _covariance_padic(F, gamma, nu)
+        if F.d() != 1 or gamma.p != F.P[0]:
+            raise DomainError("p-adic gamma checks run in the matching d=1 ring")
+        r = gamma.residue % gamma.p**gamma.digits
+        if r % gamma.p in (0, 1):
+            raise DomainError("gamma must avoid 0 and 1 modulo p")
+        # binomial-coefficient congruence loses v_p(k!) digits at jet power k
+        loss = max(
+            (valuation(Fraction(math.factorial(e)), gamma.p) for m, _ in F.terms for _, e in m),
+            default=0,
+        )
+        return _compare(F, gamma, r, nu, gamma.digits - loss)
     for p in F.P:
         if gamma % p in (0, 1):
             raise DomainError(f"gamma must avoid 0 and 1 modulo {p}")
-    sub = substitute_gamma(F, gamma)
-    want = F * Fraction(gamma) ** nu
-    return _compare(F, sub, want, gamma, nu)
+    return _compare(F, gamma, gamma, nu, None)
 
 
-def _covariance_padic(F: MultiJetSeries, gamma: PadicTrunc, nu: int) -> CovarianceReport:
-    if F.d() != 1 or gamma.p != F.P[0]:
-        raise DomainError("p-adic gamma checks run in the matching d=1 ring")
-    r = gamma.residue % gamma.p**gamma.digits
-    if r % gamma.p in (0, 1):
-        raise DomainError("gamma must avoid 0 and 1 modulo p")
-    sub = substitute_gamma(F, r)
-    want = F * Fraction(r) ** nu
-    # binomial-coefficient congruence loses v_p(k!) digits at jet power k
-    loss = max(
-        (valuation(Fraction(math.factorial(e)), gamma.p) for m, _ in F.terms for _, e in m),
-        default=0,
-    )
-    good = gamma.digits - loss
-    diff = sub - want
+def _compare(F: MultiJetSeries, gamma, g: int, nu: int, digits: int | None) -> CovarianceReport:
+    """Compare F(t -> (1+t)^g - 1) with g^nu * F for the integer ``g``,
+    exactly (``digits=None``) or modulo p**digits in the d=1 ring.  The
+    witness is the first bad monomial in (weight, monomial) order."""
+    diff = substitute_gamma(F, g) - F * Fraction(g) ** nu
     for m, c in sorted(diff.terms, key=lambda mc: (mono_weight(mc[0], F.P), mc[0])):
-        if c != 0 and valuation(Fraction(c), gamma.p) < good:
+        if c != 0 and (digits is None or valuation(Fraction(c), F.P[0]) < digits):
             return CovarianceReport(gamma, nu, False, m)
-    if not F.terms:
-        return CovarianceReport(gamma, nu, None, None)
-    return CovarianceReport(gamma, nu, True, None)
-
-
-def _compare(F, sub, want, gamma, nu) -> CovarianceReport:
-    if not F.terms:
-        return CovarianceReport(gamma, nu, None, None)
-    diff = sub - want
-    mismatches = sorted(
-        (m for m, c in diff.terms if c != 0),
-        key=lambda m: (mono_weight(m, F.P), m),
-    )
-    if mismatches:
-        return CovarianceReport(gamma, nu, False, mismatches[0])
-    return CovarianceReport(gamma, nu, True, None)
+    return CovarianceReport(gamma, nu, True if F.terms else None, None)

@@ -78,8 +78,14 @@ class QExpansion:
         return QExpansion(int(obj.get("weight", 0)), int(obj.get("level", 1)), Series1.from_json(obj))
 
 
+def _check_trunc(trunc: int) -> None:
+    if trunc < 0:
+        raise DomainError(f"trunc must be at least 0, got {trunc}")
+
+
 def eisenstein(k: int, trunc: int) -> QExpansion:
     """Normalized E_k = 1 - (2k / B_k) sum sigma_{k-1}(n) q^n, constant term 1."""
+    _check_trunc(trunc)
     if k < 4 or k % 2:
         raise DomainError("weight must be an even integer >= 4")
     bk = bernoulli_numbers(k)[k]
@@ -102,6 +108,7 @@ def eisenstein_mod_p(p: int, trunc: int) -> list[int]:
 
 def discriminant_delta(trunc: int) -> QExpansion:
     """The weight-12 cusp form as the eta product q * prod (1 - q^n)^24."""
+    _check_trunc(trunc)
     prod = Series1.make("q", {0: Fraction(1)}, N=trunc)
     for n in range(1, trunc):
         factor = Series1.make("q", {0: Fraction(1), n: Fraction(-1)}, N=trunc)

@@ -178,11 +178,17 @@ def _subst(t: Poly, P: tuple[int, ...], images: Callable[[Idx], Poly], keep) -> 
     c * prod x_i^e contributes over the denominator c.denominator * prod D_i^e;
     the contributions add up over the lcm L of those, with one ``Fraction``
     per output term.
+
+    ``keep`` must be a weight cut (``weight_keep``) or keep everything.  Both
+    basis exchanges are weight-homogeneous, so a monomial that fails ``keep``
+    has its whole image past the cut and is skipped before it is substituted.
     """
     scaled: dict[Idx, tuple[dict[Mono, int], int]] = {}
     pow_cache: dict[tuple[Idx, int], dict[Mono, int]] = {}
     parts: list[tuple[dict[Mono, int], int]] = []
     for m, c in t.items():
+        if not keep(m):
+            continue
         acc: dict[Mono, int] = {M_ONE: c.numerator}
         den = c.denominator
         for i, e in m:
@@ -203,8 +209,8 @@ def _subst(t: Poly, P: tuple[int, ...], images: Callable[[Idx], Poly], keep) -> 
         f = L // den
         for m, x in acc.items():
             out[m] = out.get(m, 0) + x * f
-    # every monomial but 1 came out of poly_mul, which has applied keep already
-    return {m: Fraction(x, L) for m, x in out.items() if x and (m or keep(m))}
+    # every input monomial passed keep, and poly_mul applied it to the rest
+    return {m: Fraction(x, L) for m, x in out.items() if x}
 
 
 def jet_to_ghost(t: Poly, P: tuple[int, ...], keep) -> Poly:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pjet.arith import (
     PadicTrunc,
-    Weight,
     cp_polynomial,
     crt_combine,
     cross_prime_commutator,
@@ -228,22 +227,6 @@ class TestRationalReconstruct:
     def test_crt_combine(self):
         x, m = crt_combine([(3, 25), (4, 49)])
         assert x % 25 == 3 and x % 49 == 4 and m == 25 * 49
-
-
-class TestWeight:
-    def test_deg_and_ord(self):
-        w = Weight.single(-1, -1)  # -1 - phi
-        assert w.deg() == -2
-        assert w.ord() == 1
-
-    def test_addition(self):
-        w = Weight.single(0, 1) + Weight.single(-1)
-        assert w == Weight.single(-1, 1)
-
-    def test_multi_index_keys(self):
-        w = Weight.make({(1, 0): 2, (0, 1): -2})
-        assert w.deg() == 0
-        assert w.ord() == 1
 
 
 class TestSerialization:

@@ -1,4 +1,4 @@
-"""Single-prime jet rings: phi, delta, weights, Psi builders, lemma checks."""
+"""Single-prime jet rings: phi, delta, Psi builders, lemma checks."""
 
 import random
 from fractions import Fraction
@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pjet.arith import Weight, fermat_delta
+from pjet.arith import fermat_delta
 from pjet.deltajet import (
     JetSeries,
     delta,
     delta_n,
-    invert,
     lemma_logder_check,
     lemma_xlaphi_check,
     phi,
@@ -21,9 +20,9 @@ from pjet.deltajet import (
     psi_serretate,
     terms_delta,
     terms_phi,
-    weight_action,
 )
-from pjet.errors import DomainError, NotInvertible, PjetError, PrecisionExhausted
+from pjet.errors import DomainError, PjetError, PrecisionExhausted
+from pjet.multiprime import MultiJetSeries
 from pjet.qseries import Series1, _exp_series
 
 
@@ -276,47 +275,21 @@ class TestTSideAgainstMultiprime:
             op(jt(5, {(1, ()): 1}))
 
 
-class TestWeightAction:
-    def test_identity_weight(self):
-        u = jq(5, {(1, ()): 1, (2, ()): 3})
-        assert weight_action(u, Weight.single(1)) == u
+class TestNegativePower:
+    """Neither jet-series type inverts a unit: both refuse n < 0 alike."""
 
-    def test_phi_minus_one_on_q(self):
-        got = weight_action(Q(5), Weight.make({1: 1, 0: -1}))
-        assert got == jq(5, {(4, ()): 1, (-1, (1,)): 5})
-
-    def test_minus_one_minus_phi(self):
-        u = Q(5)
-        got = weight_action(u, Weight.make({0: -1, 1: -1}))
-        assert got == invert(u * phi(u))
-
-    def test_group_like(self):
-        u = Q(7)
-        w1 = Weight.make({0: 2, 1: -1})
-        w2 = Weight.make({0: -1, 2: 1})
-        lhs = weight_action(u, w1 + w2)
-        rhs = weight_action(u, w1) * weight_action(u, w2)
-        assert lhs == rhs
-
-    def test_windowed_unit(self):
-        u = jq(5, {(0, ()): 1, (1, ()): 1})
-        got = weight_action(u, Weight.single(-1), order=5)
-        want = jq(5, {(e, ()): (-1) ** e for e in range(5)}, base_order=5)
-        assert got == want
-
-
-class TestInvert:
-    def test_monomial(self):
-        assert invert(jq(5, {(2, ()): 3})) == jq(5, {(-2, ()): Fraction(1, 3)})
-
-    def test_requires_unit(self):
-        with pytest.raises(NotInvertible):
-            invert(jq(5, {(0, ()): 5}))
-
-    def test_padic_tail_unit(self):
-        u = jq(5, {(0, ()): 1, (0, (1,)): 5}, M=4)
-        got = invert(u)
-        assert got * u == jq(5, {(0, ()): 1}, M=4, digits=4)
+    @pytest.mark.parametrize(
+        "f",
+        [
+            jq(5, {(0, ()): 1, (1, ()): 1}),
+            jq(5, {(2, ()): 3}),
+            jt(7, {(0, ()): 1, (1, (1,)): 2}, N=10),
+            MultiJetSeries.make((5, 7), {(): 1, (((0, 0), 1),): 1}, 10),
+        ],
+    )
+    def test_refused(self, f):
+        with pytest.raises(DomainError, match="negative powers are not defined here"):
+            f**-1
 
 
 class TestPsiFourier:

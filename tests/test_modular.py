@@ -83,6 +83,23 @@ class TestDiscriminant:
         assert e4.series**3 - e6.series**2 == d.series * 1728
 
 
+class TestTruncBoundary:
+    """The library builders take trunc >= 0, like the CLI's --trunc."""
+
+    @pytest.mark.parametrize(
+        "build", [lambda t: eisenstein(4, t), lambda t: eisenstein_mod_p(5, t), discriminant_delta]
+    )
+    def test_negative_trunc_refused(self, build):
+        with pytest.raises(DomainError, match="trunc must be at least 0"):
+            build(-1)
+
+    def test_zero_trunc_is_empty(self):
+        assert eisenstein(4, 0).series.terms == ()
+        assert eisenstein(4, 0).trunc() == 0
+        assert eisenstein_mod_p(5, 0) == []
+        assert discriminant_delta(0).series.terms == ()
+
+
 class TestJInvariant:
     def test_valuation_and_constant(self):
         j = j_invariant(6, 5, 8)

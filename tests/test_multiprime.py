@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pjet import sparse
+from pjet import multiprime, sparse
 from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, fermat_delta
 from pjet.cli import _dump as dump
 from pjet.deltajet import psi_serretate
@@ -135,8 +135,8 @@ def exchange_case(draw):
             (tuple(draw(st.integers(0, top)) for _ in P), draw(st.integers(1, 3)))
             for _ in range(draw(st.integers(0, 3)))
         )
-        # the jet image of u_(1,1,1) has 2,090 terms, and sparse.power squares
-        # a base whole before keep drops the products (4.4M pairs for e = 2)
+        # the jet image of u_(1,1,1) has 2,090 terms, and the Fraction route
+        # squares it whole before keep drops the products (4.4M pairs for e = 2)
         m = tuple((i, 1 if i == (1, 1, 1) else e) for i, e in m)
         t[m] = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(dens))
     if draw(st.booleans()):
@@ -175,6 +175,21 @@ class TestIntegerExchange:
         # _gen_jet is filled through the integer route; the Fraction route
         # must take it back to the single ghost variable u_i
         assert _jet_to_ghost_fraction(_gen_jet(P, i), P, keep_all) == {((i, 1),): Fraction(1)}
+
+    def test_monomial_past_the_cut_forms_no_pair(self, monkeypatch):
+        # u_(1,1,1)^2 has weight 2*385 >= 30, so its whole jet image lies past
+        # the cut; squaring that 2,090-term image first would form 4.4M pairs
+        pairs = []
+
+        def counting_mul(t1, t2, keep):
+            pairs.append(len(t1) * len(t2))
+            return poly_mul(t1, t2, keep)
+
+        monkeypatch.setattr(multiprime, "poly_mul", counting_mul)
+        t = {(((1, 1, 1), 2),): Fraction(1)}
+        assert ghost_to_jet(t, P5711, weight_keep(P5711, 30)) == {}
+        assert jet_to_ghost(t, P5711, weight_keep(P5711, 30)) == {}
+        assert sum(pairs) == 0
 
     @given(d=st.integers(1, 3), data=st.data())
     @settings(max_examples=100, deadline=None)
