@@ -48,17 +48,26 @@ def _primes(text: str) -> list[int]:
     return P
 
 
-def _load_json(path: str):
+def _read(path: str, parse=str, what: str = ""):
+    """The file at ``path``, passed through ``parse``; any failure is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(fh.read())
     except (OSError, ValueError) as e:
-        raise DomainError(f"cannot read JSON from {path}: {e}") from None
+        raise DomainError(f"cannot read {what}{path}: {e}") from None
+
+
+def _first_difference(want: str, got: str) -> str:
+    """Line, column and excerpts at the first character where ``got`` leaves ``want``."""
+    k = next((j for j, (a, b) in enumerate(zip(want, got)) if a != b), min(len(want), len(got)))
+    line, col = got.count("\n", 0, k) + 1, k - got.rfind("\n", 0, k)
+    cut = slice(max(k - 20, 0), k + 40)
+    return f"line {line}, column {col}: golden {want[cut]!r}, payload {got[cut]!r}"
 
 
 def _decode(path: str, from_json):
     """Load ``path`` and decode it; a payload of the wrong shape is a usage error."""
-    obj = _load_json(path)
+    obj = _read(path, json.loads, "JSON from ")
     try:
         return from_json(obj)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
@@ -131,10 +140,8 @@ def cmd_f2e_k(args):
 
 
 def cmd_fsharp(args):
-    curve, an = _curve_and_an(args, max(args.window, args.p))
-    a_p = an[args.p - 1]
-    an = an[: args.window]
-    out = forms.fsharp_expansion(an, a_p, args.p, args.M, args.window)
+    _, an = _curve_and_an(args, max(args.window, args.p))
+    out = forms.fsharp_expansion(an[: args.window], an[args.p - 1], args.p, args.M, args.window)
     return out.to_json(), True
 
 
@@ -338,6 +345,7 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < low:
                 raise DomainError(f"--{flag} must be at least {low}, got {value}")
+        golden = _read(args.golden, what="--golden ") if args.golden else None
         payload, passed = globals()[args.handler](args)
     except PjetError as e:
         sys.stdout.write(_dump({"error": {"code": e.code, "message": str(e)}}))
@@ -345,13 +353,15 @@ def main(argv=None) -> int:
     text = _dump(payload)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if args.golden:
-        with open(args.golden, "r", encoding="utf-8") as fh:
-            golden = fh.read()
-        if golden != text:
-            return 1
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"pjet: cannot write --out {args.out}: {e}", file=sys.stderr)
+            return 2
+    if golden is not None and golden != text:
+        print(f"pjet: golden mismatch at {_first_difference(golden, text)}", file=sys.stderr)
+        return 1
     return 0 if passed else 1
 
 

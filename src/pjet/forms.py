@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from . import sparse
-from .arith import PadicTrunc, binomial, check_prime, valuation
+from .arith import PadicTrunc, check_prime, valuation
 from .deltajet import JetSeries, Terms, M_ONE, _weight, delta_n, terms_mul, terms_phi
 from .errors import DomainError, IntegralityViolation
 from .modular import QExpansion
@@ -42,6 +42,7 @@ from .multiprime import (
     ghost_shift,
     ghost_to_jet,
     mono_weight,
+    poly_mul,
     substitute_gamma,
     t_generator,
     var_weight,
@@ -253,44 +254,46 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
     The jet images are recomputed in the deformation ring by iterating its
     own p-derivation, so this is an independent code path from the t-side
     builders and can serve as a cross-check between the two expansions.
-    Every integer power of the unit 1 + t, negative ones included, is the
-    binomial series sum_{n < N} C(e, n) t^n; jet powers are built up one
-    factor at a time.
+
+    It runs in integers: each image is integral, since delta maps
+    Z[t, x_1, ...] into itself, and f is scaled over the lcm L of its
+    denominators.  Horner's rule in the jets, outermost first, combines the
+    groups of terms with equal jet exponents; a group's q-part sum_b c_b q^b
+    is sum_{n < N} (sum_b c_b C(b, n)) t^n.  Every weight is >= 1, so the
+    series below N form a quotient ring and each Horner step may truncate.
     """
     if f.base != "q":
         raise DomainError("expected a Fourier-side jet series")
     P = (f.p,)
-    t = t_generator(P, N)
-    images = [t + 1]
+    keep = weight_keep(P, N)
+    image, images = t_generator(P, N) + 1, []
     for _ in range(f.r()):
-        images.append(delta_pk(images[-1], 0))
-    one = MultiJetSeries.make(P, {(): 1}, N)
-    out = MultiJetSeries.make(P, {}, N)
-    unit_pows: dict[int, MultiJetSeries] = {}
-    jet_pows: list[list[MultiJetSeries]] = [[one] for _ in images]
+        image = delta_pk(image, 0)
+        if any(c.denominator != 1 for _, c in image.terms):
+            raise IntegralityViolation("a jet image of 1 + t is not integral")
+        images.append({m: c.numerator for m, c in image.terms})
+    L = math.lcm(*(c.denominator for _, c in f.terms))
 
-    def power(i: int, e: int) -> MultiJetSeries:
+    def horner(terms: list, i: int) -> dict[Mono, int]:
+        """The terms with jets x_1..x_i still to substitute, in integers."""
         if i == 0:
-            if e not in unit_pows:
-                terms = {(((0,), n),): binomial(e, n) for n in range(N)}
-                unit_pows[e] = MultiJetSeries.make(P, terms, N)
-            return unit_pows[e]
-        if e < 0:
-            raise DomainError("negative exponents only on the base variable")
-        pows = jet_pows[i]
-        while len(pows) <= e:
-            pows.append(pows[-1] * images[i])
-        return pows[e]
+            row = [0] * N
+            for (b, _), c in terms:
+                x = c.numerator * (L // c.denominator)
+                for n in range(N):
+                    row[n] += x
+                    x = x * (b - n) // (n + 1)
+            return {(((0,), n),) if n else (): x for n, x in enumerate(row) if x}
+        groups: dict[int, list] = {}
+        for (b, jets), c in terms:
+            groups.setdefault(jets[i - 1] if len(jets) >= i else 0, []).append(((b, jets), c))
+        acc: dict[Mono, int] = {}
+        for e in range(max(groups, default=0), -1, -1):
+            acc = sparse.add(poly_mul(acc, images[i - 1], keep), horner(groups.get(e, []), i - 1))
+        return acc
 
-    for (b, jets), c in f.terms:
-        acc = one
-        if b:
-            acc = acc * power(0, b)
-        for i, e in enumerate(jets, start=1):
-            if e:
-                acc = acc * power(i, e)
-        out = out + acc * Fraction(c)
-    return out
+    out = horner(list(f.terms), len(images))
+    return MultiJetSeries.make(P, {m: Fraction(x, L) for m, x in out.items()}, N)
 
 
 # ---------------------------------------------------------------------------

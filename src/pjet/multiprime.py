@@ -97,7 +97,15 @@ def poly_mul(t1: Poly, t2: Poly, keep: Callable[[Mono], bool]) -> Poly:
 def weight_keep(P: Sequence[int], N: int | None) -> Callable[[Mono], bool]:
     if N is None:
         return lambda m: True
-    return lambda m: mono_weight(m, P) < N
+    weights: dict[Idx, int] = {}  # var_weight of each variable, on first sight
+
+    def keep(m: Mono) -> bool:
+        w = 0
+        for i, e in m:
+            w += e * (weights.get(i) or weights.setdefault(i, var_weight(i, P)))
+        return w < N
+
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +306,6 @@ class MultiJetSeries:
             raise DomainError("ring operations need exact rational coefficients")
         return dict(self.terms)
 
-    def _rebuild(self, t: Poly, N: int | None = None, ring: int | None = None):
-        return MultiJetSeries.make(
-            self.P, t, self.N if N is None else N, self.ring if ring is None else ring
-        )
-
     def truncate(self, N: int) -> "MultiJetSeries":
         return MultiJetSeries.make(self.P, dict(self.terms), min(self.N, N), self.ring)
 
@@ -351,7 +354,8 @@ class MultiJetSeries:
             raise DomainError("negative powers are not defined here")
         keep = weight_keep(self.P, self.N)
         one = {M_ONE: Fraction(1)}
-        return self._rebuild(sparse.power(self._poly(), n, one, lambda a, b: poly_mul(a, b, keep)))
+        t = sparse.power(self._poly(), n, one, lambda a, b: poly_mul(a, b, keep))
+        return MultiJetSeries.make(self.P, t, self.N, self.ring)
 
     def __eq__(self, other):
         if not isinstance(other, MultiJetSeries):

@@ -226,6 +226,51 @@ class TestProtocol:
         capsys.readouterr()
         assert code == 1
 
+    def test_golden_mismatch_names_the_first_difference(self, capsys, tmp_path):
+        golden = tmp_path / "golden.json"
+        main(["--out", str(golden), "psi", "--p", "5", "--N", "12"])
+        capsys.readouterr()
+        main(["psi", "--p", "5", "--N", "13"])
+        plain = capsys.readouterr().out
+        code = main(["--golden", str(golden), "psi", "--p", "5", "--N", "13"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == plain  # stdout is the payload, unchanged
+        column = next(k for k, (a, b) in enumerate(zip(golden.read_text(), plain)) if a != b) + 1
+        assert err.startswith(f"pjet: golden mismatch at line 1, column {column}: ")
+        assert '"N":12' in err and '"N":13' in err
+
+    @pytest.mark.parametrize(
+        "want, got, where",
+        [
+            ("a\nbcd\n", "a\nbXd\n", "line 2, column 2"),
+            ("a\nb\n", "a\nb\nc\n", "line 3, column 1"),
+            ("ab\n", "ab", "line 1, column 3"),
+            ("", "x", "line 1, column 1"),
+        ],
+    )
+    def test_first_difference(self, want, got, where):
+        assert cli._first_difference(want, got).startswith(where + ": ")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+    def test_unreadable_golden_exit_2_before_the_handler(self, capsys, monkeypatch, tmp_path, kind):
+        path = {"missing": tmp_path / "no" / "x.json", "directory": tmp_path}.get(kind)
+        if path is None:
+            path = tmp_path / "latin1.json"
+            path.write_bytes(b"\xff\xfe\n")
+        ran = []
+        monkeypatch.setattr(cli, "cmd_ap", lambda args: ran.append(args) or ({}, True))
+        code, js = run(capsys, "--golden", str(path), "ap", "--p", "5")
+        assert code == 2 and js["error"]["code"] == "domain" and ran == []
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        main(["psi", "--p", "5", "--N", "12"])
+        plain = capsys.readouterr().out
+        path = tmp_path / "no" / "x.json"
+        code = main(["--out", str(path), "psi", "--p", "5", "--N", "12"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == plain and not path.exists()
+        assert err.startswith(f"pjet: cannot write --out {path}: ")
+
     def test_roundtrip_own_output(self, capsys, tmp_path):
         path = tmp_path / "psi.json"
         main(["--out", str(path), "psi", "--p", "5", "--N", "20"])

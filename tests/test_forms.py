@@ -1,5 +1,6 @@
 """Newform-attached series, the order-2e builders, isogeny covariance."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import delta_axiomatic
+from pjet import forms
 from pjet.arith import PadicTrunc, valuation
+from pjet.cli import _dump as dump
 from pjet.deltajet import JetSeries, phi, psi_fourier, psi_serretate
 from pjet.errors import DomainError, IntegralityViolation
 from pjet.forms import (
@@ -262,3 +265,80 @@ class TestTranscription:
         img = fourier_to_deformation(f, 8)
         t = t_generator((5,), 8)
         assert img == (t + 1) ** 2 + invert_unit(t + 1) * 3
+
+
+@st.composite
+def deep_q_series(draw):
+    """Up to three jets with exponents up to 4, base exponents -30..10."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        b = draw(st.integers(-30, 10))
+        jets = tuple(draw(st.integers(0, 4)) for _ in range(draw(st.integers(0, 3))))
+        terms[(b, jets)] = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 30)))
+    # the reference inverts 1 + t, which needs N >= 1; N = 0 is tested below
+    return JetSeries.make(p, "q", terms), draw(st.integers(1, 30))
+
+
+class TestHornerTranscription:
+    """The Horner route of ``fourier_to_deformation`` against the term-by-term
+    reference, and the integrality it relies on."""
+
+    GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_payload_bytes_pinned(self, p):
+        path = os.path.join(self.GOLDEN_DIR, f"f2d_psi_p{p}_M20_w20_N20.json")
+        with open(path, encoding="utf-8") as fh:
+            assert dump(fourier_to_deformation(psi_fourier(p, 20, 20), 20).to_json()) == fh.read()
+
+    @given(case=deep_q_series())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_with_three_jets(self, case):
+        f, N = case
+        got, want = fourier_to_deformation(f, N), reference_transcription(f, N)
+        assert got.terms == want.terms and (got.P, got.N, got.ring) == (want.P, want.N, want.ring)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("N", [0, 1, 2, 13, 40])
+    def test_jet_images_of_one_plus_t_are_integral(self, p, N):
+        image = t_generator((p,), N) + 1
+        for _ in range(3):
+            image = delta_pk(image, 0)
+            assert all(c.denominator == 1 for _, c in image.terms)
+
+    def test_non_integral_image_rejected(self, monkeypatch):
+        def halved(f, k):
+            return delta_pk(f, k) * Fraction(1, 2)
+
+        monkeypatch.setattr(forms, "delta_pk", halved)
+        f = JetSeries.make(5, "q", {(1, (1,)): 1})
+        with pytest.raises(IntegralityViolation):
+            fourier_to_deformation(f, 10)
+
+    @pytest.mark.parametrize("N", [0, 1, 12])
+    def test_empty_series(self, N):
+        got = fourier_to_deformation(JetSeries.make(7, "q", {}), N)
+        assert got == MultiJetSeries.make((7,), {}, N) and got.terms == ()
+        assert (got.P, got.N, got.ring) == ((7,), N, 0)
+
+    def test_zero_truncation_is_empty(self):
+        f = JetSeries.make(7, "q", {(0, ()): 2, (-3, (1, 2)): Fraction(1, 3)})
+        got = fourier_to_deformation(f, 0)
+        assert got.terms == () and (got.P, got.N, got.ring) == ((7,), 0, 0)
+
+    @pytest.mark.parametrize("N", [1, 2, 9])
+    def test_no_jets(self, N):
+        # r = 0: the leaf alone, sum_b c_b (1 + t)^b
+        f = JetSeries.make(5, "q", {(0, ()): 2, (3, ()): Fraction(-1, 6), (-2, ()): 7})
+        assert f.r() == 0
+        t = t_generator((5,), N)
+        want = (t + 1) ** 3 * Fraction(-1, 6) + invert_unit(t + 1) ** 2 * 7 + 2
+        got = fourier_to_deformation(f, N)
+        assert got.terms == want.terms and got.N == N
+
+    def test_gap_in_jet_exponents(self):
+        # Horner steps through the missing exponents 1 and 2 of q'
+        f = JetSeries.make(5, "q", {(2, (3,)): Fraction(1, 3), (0, ()): 1})
+        got, want = fourier_to_deformation(f, 20), reference_transcription(f, 20)
+        assert got.terms == want.terms

@@ -197,6 +197,14 @@ class TestIntegerExchange:
         m1, m2 = data.draw(monomials(d)), data.draw(monomials(d))
         assert mono_mul(m1, m2) == _norm_mono(list(m1) + list(m2))
 
+    @given(P=st.sampled_from([(5,), P57, P5711]), N=st.integers(0, 200), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_weight_keep_is_the_weight_cut(self, P, N, data):
+        # one keep asked many times, so weights seen before come from its table
+        keep = weight_keep(P, N)
+        for m in data.draw(st.lists(monomials(len(P)), max_size=12)) * 2:
+            assert keep(m) == (mono_weight(m, P) < N)
+
 
 class TestPhiPk:
     def test_generator_rule(self):
