@@ -34,19 +34,22 @@ from .deltajet import JetSeries, Terms, M_ONE, _weight, delta_n, terms_mul, term
 from .errors import DomainError, IntegralityViolation
 from .modular import QExpansion
 from .multiprime import (
+    Idx,
+    Layout,
     Mono,
     MultiJetSeries,
     Poly,
+    _check_primes,
     delta_pk,
     from_jet_series,
     ghost_shift,
     ghost_to_jet,
+    layout,
     mono_weight,
     poly_mul,
     substitute_gamma,
     t_generator,
     var_weight,
-    weight_keep,
 )
 
 
@@ -143,29 +146,29 @@ def fsharp_expansion(
 
 
 def _one_plus_u_pow_sum(
-    an: Sequence[int], scalars: Mapping[Mono, Fraction], P, N: int, n_max: int
+    an: Sequence[int], scalars: Mapping[Idx, Fraction], L: Layout, n_max: int
 ) -> Poly:
-    """sum_n (a_n/n) * sum_j c_j (1 + u_j)^n in ghost coordinates.
+    """sum_n (a_n/n) * sum_j c_j (1 + u_j)^n in ghost coordinates, packed in L.
 
-    ``scalars`` maps the ghost variable monomial for u_j (as ((j),1)) to its
-    operator coefficient c_j.  The coefficient of u_j^m, sum_n (a_n/n) C(n, m),
-    does not depend on j, so it is summed once per top degree (N - 1) // wt(u_j),
+    ``scalars`` maps the index j of the ghost variable u_j to its operator
+    coefficient c_j.  The coefficient of u_j^m, sum_n (a_n/n) C(n, m), does
+    not depend on j, so it is summed once per top degree (N - 1) // wt(u_j),
     in integers over lcm(1..n_max).
     """
-    L = math.lcm(*range(1, n_max + 1))
+    den = math.lcm(*range(1, n_max + 1))
     hecke: dict[int, list[Fraction]] = {}
     out: Poly = {}
-    for mono, cj in scalars.items():
-        ((j, _),) = mono
-        top = (N - 1) // var_weight(j, P)
+    for j, cj in scalars.items():
+        top = (L.N - 1) // var_weight(j, L.P)
         if top not in hecke:
             acc = [0] * (min(n_max, top) + 1)
             for n in range(1, n_max + 1):
-                s = an[n - 1] * (L // n)
+                s = an[n - 1] * (den // n)
                 for m in range(min(n, top) + 1):
                     acc[m] += s * math.comb(n, m)
-            hecke[top] = [Fraction(x, L) for x in acc]
-        row = {((j, m),) if m else (): c for m, c in enumerate(hecke[top]) if c}
+            hecke[top] = [Fraction(x, den) for x in acc]
+        # u_j has no field only when top <= 0, where no power of it is kept
+        row = {m * L.var[j] if m else 0: c for m, c in enumerate(hecke[top]) if c}
         out = sparse.add(out, sparse.scale(row, cj))
     return out
 
@@ -179,21 +182,21 @@ def build_f2e0(
     The two Frobenius exponents at prime k turn into ghost-variable shifts by
     0, 1 or 2 in the k-th slot.
     """
-    Pt = tuple(sorted(set(int(p) for p in P)))
+    Pt = _check_primes(sorted(set(int(p) for p in P)))
     d = len(Pt)
     if len(ap) != d:
         raise DomainError("one a_p per prime required")
-    scalars: dict[Mono, Fraction] = {}
+    L = layout(Pt, N)
+    scalars: dict[Idx, Fraction] = {}
     for j in itertools.product((0, 1, 2), repeat=d):
         c = Fraction(1)
         for k in range(d):
             c *= (Fraction(Pt[k]), Fraction(-ap[k]), Fraction(1))[j[k]]
         if c:
-            scalars[((j, 1),)] = c
-    g = _one_plus_u_pow_sum(an, scalars, Pt, N, len(an))
+            scalars[j] = c
+    g = _one_plus_u_pow_sum(an, scalars, L, len(an))
     g = sparse.scale(g, Fraction(1, math.prod(Pt)))
-    t = ghost_to_jet(g, Pt, weight_keep(Pt, N))
-    return MultiJetSeries.make(Pt, t, N, 0)
+    return L.series(ghost_to_jet(g, L), 0)
 
 
 def build_f2e_k(
@@ -202,7 +205,7 @@ def build_f2e_k(
     """Per-prime route: the Hecke factors away from p_k, divided by their
     primes, applied to the order-2 expansion at p_k written on the
     deformation-parameter side."""
-    Pt = tuple(sorted(set(int(p) for p in P)))
+    Pt = _check_primes(sorted(set(int(p) for p in P)))
     d = len(Pt)
     if not (0 <= k < d):
         raise DomainError("prime index out of range")
@@ -211,25 +214,19 @@ def build_f2e_k(
     e_k = tuple(1 if j == k else 0 for j in range(d))
     two_e_k = tuple(2 if j == k else 0 for j in range(d))
     zero = (0,) * d
-    scalars = {
-        ((two_e_k, 1),): Fraction(1, Pt[k]),
-        ((e_k, 1),): Fraction(-ap[k], Pt[k]),
-        ((zero, 1),): Fraction(1),
-    }
-    g = _one_plus_u_pow_sum(an, scalars, Pt, N, len(an))
-    keep = weight_keep(Pt, N)
+    scalars = {two_e_k: Fraction(1, Pt[k]), e_k: Fraction(-ap[k], Pt[k]), zero: Fraction(1)}
+    L = layout(Pt, N)
+    g = _one_plus_u_pow_sum(an, scalars, L, len(an))
     for l in range(d):
         if l == k:
             continue
         # 1 - a_l phi_l / p_l + phi_l^2 / p_l
         g = sparse.add(
             g,
-            sparse.scale(ghost_shift(g, l), Fraction(-ap[l], Pt[l])),
-            sparse.scale(ghost_shift(ghost_shift(g, l), l), Fraction(1, Pt[l])),
+            sparse.scale(ghost_shift(g, l, L), Fraction(-ap[l], Pt[l])),
+            sparse.scale(ghost_shift(ghost_shift(g, l, L), l, L), Fraction(1, Pt[l])),
         )
-        g = {m: c for m, c in g.items() if keep(m)}
-    t = ghost_to_jet(g, Pt, keep)
-    return MultiJetSeries.make(Pt, t, N, ring=k + 1)
+    return L.series(ghost_to_jet(g, L), k + 1)
 
 
 def denominator_witnesses(f: MultiJetSeries, primes: Sequence[int]):
@@ -265,35 +262,35 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
     if f.base != "q":
         raise DomainError("expected a Fourier-side jet series")
     P = (f.p,)
-    keep = weight_keep(P, N)
+    L = layout(P, N)
     image, images = t_generator(P, N) + 1, []
     for _ in range(f.r()):
         image = delta_pk(image, 0)
         if any(c.denominator != 1 for _, c in image.terms):
             raise IntegralityViolation("a jet image of 1 + t is not integral")
-        images.append({m: c.numerator for m, c in image.terms})
-    L = math.lcm(*(c.denominator for _, c in f.terms))
+        images.append({m: c.numerator for m, c in L.pack_terms(image.terms).items()})
+    den = math.lcm(*(c.denominator for _, c in f.terms))
 
-    def horner(terms: list, i: int) -> dict[Mono, int]:
+    def horner(terms: list, i: int) -> dict[int, int]:
         """The terms with jets x_1..x_i still to substitute, in integers."""
         if i == 0:
             row = [0] * N
             for (b, _), c in terms:
-                x = c.numerator * (L // c.denominator)
+                x = c.numerator * (den // c.denominator)
                 for n in range(N):
                     row[n] += x
                     x = x * (b - n) // (n + 1)
-            return {(((0,), n),) if n else (): x for n, x in enumerate(row) if x}
+            return {n * L.var[(0,)] if n else 0: x for n, x in enumerate(row) if x}
         groups: dict[int, list] = {}
         for (b, jets), c in terms:
             groups.setdefault(jets[i - 1] if len(jets) >= i else 0, []).append(((b, jets), c))
-        acc: dict[Mono, int] = {}
+        acc: dict[int, int] = {}
         for e in range(max(groups, default=0), -1, -1):
-            acc = sparse.add(poly_mul(acc, images[i - 1], keep), horner(groups.get(e, []), i - 1))
+            acc = sparse.add(poly_mul(acc, images[i - 1], L.keep), horner(groups.get(e, []), i - 1))
         return acc
 
     out = horner(list(f.terms), len(images))
-    return MultiJetSeries.make(P, {m: Fraction(x, L) for m, x in out.items()}, N)
+    return L.series({m: Fraction(x, den) for m, x in out.items()}, 0)
 
 
 # ---------------------------------------------------------------------------

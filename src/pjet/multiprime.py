@@ -16,6 +16,16 @@ holds automatically on every element, mixed monomials included.  The public
 representation stays in the jet basis; the two bases are exchanged through
 cached triangular generator polynomials.
 
+Inside the kernel a monomial is one int, packed by a ``Layout`` of (P, N):
+each variable of weight below N owns a bit field, in index order, and the
+weight sits in the top field.  A field holds twice the largest exponent that
+stays below N, so adding two kept monomials never carries out of a field:
+the monomial product is integer ``+`` and the truncation is the single
+comparison ``key < N << shift``.  A packed polynomial holds kept keys only.
+A series is packed once when it enters the kernel (``MultiJetSeries._packed``)
+and unpacked once into sorted ``Mono`` tuples when it leaves
+(``Layout.series``).
+
 Per-prime rings (ring tag k >= 1) share the representation but only promise
 denominators coprime to p_k; the common ring (tag 0) promises denominators
 coprime to every prime of P.
@@ -26,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -48,7 +59,7 @@ from .errors import (
 
 Idx = tuple[int, ...]
 Mono = tuple[tuple[Idx, int], ...]  # sorted ((multi-index), exponent) pairs
-Poly = dict[Mono, Fraction]
+Poly = dict[int, Fraction]  # packed monomial -> coefficient, in one Layout
 
 M_ONE: Mono = ()
 
@@ -63,20 +74,13 @@ def _norm_mono(pairs: Iterable[tuple[Idx, int]]) -> Mono:
     return tuple(sorted(d.items()))
 
 
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    """Product of two normalised monomials.
-
-    Both carry distinct indices and positive exponents, so their merge needs
-    none of ``_norm_mono``'s checks: exponents add and stay positive.
-    """
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for i, e in m2:
-        d[i] = d[i] + e if i in d else e
-    return tuple(sorted(d.items()))
+def _check_primes(P: Sequence[int]) -> tuple[int, ...]:
+    Pt = tuple(P)
+    if Pt != tuple(sorted(set(Pt))):
+        raise DomainError("primes must be distinct and sorted")
+    for p in Pt:
+        check_prime(p)
+    return Pt
 
 
 def var_weight(i: Idx, P: Sequence[int]) -> int:
@@ -90,22 +94,61 @@ def mono_weight(m: Mono, P: Sequence[int]) -> int:
     return sum(e * var_weight(i, P) for i, e in m)
 
 
-def poly_mul(t1: Poly, t2: Poly, keep: Callable[[Mono], bool]) -> Poly:
-    return sparse.mul(t1, t2, mono_mul, keep)
+class Layout:
+    """The packed monomials of weight below ``N`` over the primes ``P``.
+
+    The key of prod x_i^e_i is sum_i e_i * var[i], with var[i] =
+    (1 << offset_i) + (wt(x_i) << shift).  The field of x_i holds
+    2 * ((N - 1) // wt(x_i)).  ``P`` must be valid; callers check it.
+    """
+
+    __slots__ = ("P", "N", "shift", "keep", "var", "fields")
+
+    def __init__(self, P: tuple[int, ...], N: int):
+        self.P, self.N = P, N
+        tops = [next(a for a in itertools.count() if p**a >= N) for p in P]
+        self.fields: list[tuple[Idx, int, int]] = []  # (i, offset, mask), in index order
+        off = 0
+        for i in itertools.product(*map(range, tops)):
+            w = var_weight(i, P)
+            if w < N:
+                width = (2 * ((N - 1) // w)).bit_length()
+                self.fields.append((i, off, (1 << width) - 1))
+                off += width
+        self.shift = off
+        self.var = {i: (1 << o) + (var_weight(i, P) << off) for i, o, _ in self.fields}
+        self.keep: Callable[[int], bool] = (N << off).__gt__
+
+    def unpack(self, key: int) -> Mono:
+        return tuple((i, e) for i, off, mask in self.fields if (e := key >> off & mask))
+
+    def pack_terms(self, terms: Iterable[tuple[Mono, Fraction]]) -> Poly:
+        """The terms of weight below N, packed.  A variable without a field
+        weighs N or more; a heavier monomial's carries only raise its key."""
+        var, out = self.var, {}
+        for m, c in terms:
+            if all(i in var for i, _ in m):
+                key = sum(e * var[i] for i, e in m)
+                if self.keep(key):
+                    out[key] = c
+        return out
+
+    def series(self, t: Poly, ring: int) -> "MultiJetSeries":
+        """The public series of a packed polynomial, in the public monomial order."""
+        terms = sorted([(self.unpack(m), c) for m, c in t.items() if c])
+        return MultiJetSeries(self.P, tuple(terms), self.N, ring)
 
 
-def weight_keep(P: Sequence[int], N: int | None) -> Callable[[Mono], bool]:
-    if N is None:
-        return lambda m: True
-    weights: dict[Idx, int] = {}  # var_weight of each variable, on first sight
+def layout(P: tuple[int, ...], N: int) -> Layout:
+    """The layout of (P, N), built on first use and kept in ``_GEN_CACHE``."""
+    L = _GEN_CACHE.get((P, N))
+    if L is None:
+        L = _GEN_CACHE[P, N] = Layout(P, N)
+    return L
 
-    def keep(m: Mono) -> bool:
-        w = 0
-        for i, e in m:
-            w += e * (weights.get(i) or weights.setdefault(i, var_weight(i, P)))
-        return w < N
 
-    return keep
+def poly_mul(t1: Poly, t2: Poly, keep: Callable[[int], bool]) -> Poly:
+    return sparse.mul(t1, t2, operator.add, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -113,120 +156,131 @@ def weight_keep(P: Sequence[int], N: int | None) -> Callable[[Mono], bool]:
 # ---------------------------------------------------------------------------
 
 
-def ghost_shift(t: Poly, k: int) -> Poly:
-    """Frobenius lift on ghost coordinates: u_i -> u_{i+e_k}."""
+def ghost_shift(t: Poly, k: int, L: Layout) -> Poly:
+    """Frobenius lift on ghost coordinates: u_i -> u_{i+e_k}, below L.N.
+
+    A monomial whose image stays below N has every variable's image in the
+    layout, since no variable outweighs its monomial.
+    """
+    p = L.P[k]
+    offset = {i: off for i, off, _ in L.fields}
+    shifted = [(off, mask, i[:k] + (i[k] + 1,) + i[k + 1 :]) for i, off, mask in L.fields]
+    moves = [(off, mask, offset[j]) for off, mask, j in shifted if j in offset]
     out: Poly = {}
     for m, c in t.items():
-        mm = tuple(
-            (tuple(x + (1 if j == k else 0) for j, x in enumerate(i)), e) for i, e in m
-        )
-        out[_norm_mono(mm)] = c
+        w = (m >> L.shift) * p
+        if w < L.N:
+            key = w << L.shift
+            for off, mask, dst in moves:
+                e = m >> off & mask
+                if e:
+                    key += e << dst
+            out[key] = c
     return out
 
 
-def ghost_delta(t: Poly, k: int, p_k: int, keep) -> Poly:
-    fp = sparse.power(t, p_k, {M_ONE: Fraction(1)}, lambda a, b: poly_mul(a, b, keep))
-    num = sparse.add(ghost_shift(t, k), sparse.scale(fp, Fraction(-1)))
-    return {m: c / p_k for m, c in num.items() if keep(m)}
+def ghost_delta(t: Poly, k: int, L: Layout) -> Poly:
+    """(ghost_shift(t, k) - t**p_k) / p_k, below L.N.
+
+    With t = T / D over the lcm D of its denominators, T**p_k runs in
+    integers, and the result is (D**(p_k - 1) * shift(T) - T**p_k) over
+    D**p_k * p_k, with one ``Fraction`` per output term.
+    """
+    p = L.P[k]
+    D = math.lcm(*(c.denominator for c in t.values()))
+    T = {m: c.numerator * (D // c.denominator) for m, c in t.items()}
+    Tp = sparse.power(T, p, {0: 1}, lambda a, b: poly_mul(a, b, L.keep))
+    num = sparse.add(sparse.scale(ghost_shift(T, k, L), D ** (p - 1)), sparse.scale(Tp, -1))
+    den = D**p * p
+    return {m: Fraction(x, den) for m, x in num.items()}
 
 
-_GEN_CACHE: dict[tuple[tuple[int, ...], Idx, str], Poly] = {}
+# generator tables by (P, i, "g" or "j"), layouts by (P, N), and generator
+# tables packed in a layout by (P, N, i, "g" or "j")
+_GEN_CACHE: dict[tuple, object] = {}
 
 
-def _gen_ghost(P: tuple[int, ...], i: Idx) -> Poly:
-    """The jet-basis generator x_i written in ghost coordinates.
+def _generator(P: tuple[int, ...], i: Idx, kind: str) -> dict[Mono, Fraction]:
+    """x_i in ghost coordinates (kind "g") or u_i in the jet basis ("j").
 
     x_0 = u_0 and x_i = delta_{p_k}(x_{i - e_k}) for the first k with
-    i_k > 0, matching the canonical ordering of mixed jet applications.
+    i_k > 0, matching the canonical ordering of mixed jet applications.  That
+    is (1/P^i) u_i plus products of strictly lighter ghost variables, so
+    u_i = P^i * (x_i - rest) with the rest rewritten recursively (a
+    triangular solve).  Both tables are homogeneous of weight wt(x_i), so
+    they are computed in the layout of (P, wt(x_i) + 1) and kept unpacked.
     """
-    key = (P, i, "g")
+    key = (P, i, kind)
     if key in _GEN_CACHE:
         return _GEN_CACHE[key]
-    if all(c == 0 for c in i):
-        out: Poly = {(((0,) * len(P), 1),): Fraction(1)}
+    lead: Mono = ((i, 1),)
+    w = var_weight(i, P)
+    L = layout(P, w + 1)
+    if w == 1:
+        out = {lead: Fraction(1)}
+    elif kind == "g":
+        k = next(j for j, c in enumerate(i) if c)
+        prev = _generator(P, i[:k] + (i[k] - 1,) + i[k + 1 :], "g")
+        out = {L.unpack(m): c for m, c in ghost_delta(L.pack_terms(prev.items()), k, L).items()}
     else:
-        k = next(j for j, c in enumerate(i) if c > 0)
-        prev = _gen_ghost(P, tuple(c - (1 if j == k else 0) for j, c in enumerate(i)))
-        out = ghost_delta(prev, k, P[k], lambda m: True)
-    _GEN_CACHE[key] = out
-    return out
-
-
-def _gen_jet(P: tuple[int, ...], i: Idx) -> Poly:
-    """The ghost coordinate u_i written in the jet basis (triangular solve).
-
-    The generator polynomial for x_i is (1/P^i) u_i plus products of strictly
-    lighter ghost variables, so u_i = P^i * (x_i - rest) with the rest
-    rewritten recursively.
-    """
-    key = (P, i, "j")
-    if key in _GEN_CACHE:
-        return _GEN_CACHE[key]
-    if all(c == 0 for c in i):
-        out: Poly = {(((0,) * len(P), 1),): Fraction(1)}
-    else:
-        g = _gen_ghost(P, i)
-        lead_mono: Mono = ((i, 1),)
-        scale = var_weight(i, P)
-        lead_coeff = g.get(lead_mono)
-        if lead_coeff is None or lead_coeff * scale != 1:
+        g = _generator(P, i, "g")
+        if g.get(lead, 0) * w != 1:
             raise IntegralityViolation("generator polynomial lost its leading term")
-        rest = {m: c for m, c in g.items() if m != lead_mono}
-        rewritten = ghost_to_jet(rest, P, lambda m: True)
-        out = sparse.add({((i, 1),): Fraction(scale)}, sparse.scale(rewritten, Fraction(-scale)))
+        rest = ghost_to_jet(L.pack_terms((m, c) for m, c in g.items() if m != lead), L)
+        # the rest is in jet variables lighter than x_i
+        out = {lead: Fraction(w), **{L.unpack(m): -w * c for m, c in rest.items()}}
     _GEN_CACHE[key] = out
     return out
 
 
-def _subst(t: Poly, P: tuple[int, ...], images: Callable[[Idx], Poly], keep) -> Poly:
-    """Substitute ``images(i)`` for each variable x_i of ``t``, below ``keep``.
+def _gen_table(L: Layout, i: Idx, kind: str) -> tuple[dict[int, int], int]:
+    """``_generator(L.P, i, kind)`` packed in L, as integer coefficients over
+    the lcm D of its denominators."""
+    if (key := (L.P, L.N, i, kind)) not in _GEN_CACHE:
+        img = L.pack_terms(_generator(L.P, i, kind).items())
+        D = math.lcm(*(c.denominator for c in img.values()))
+        _GEN_CACHE[key] = ({m: c.numerator * (D // c.denominator) for m, c in img.items()}, D)
+    return _GEN_CACHE[key]
 
-    Each image is taken once, as integer coefficients over the lcm D_i of
-    its denominators, so powers and products run in integers.  A monomial
-    c * prod x_i^e contributes over the denominator c.denominator * prod D_i^e;
-    the contributions add up over the lcm L of those, with one ``Fraction``
-    per output term.
 
-    ``keep`` must be a weight cut (``weight_keep``) or keep everything.  Both
-    basis exchanges are weight-homogeneous, so a monomial that fails ``keep``
-    has its whole image past the cut and is skipped before it is substituted.
+def _subst(t: Poly, L: Layout, kind: str) -> Poly:
+    """Substitute the generator image of kind ``kind`` for each variable of ``t``.
+
+    Images, powers and products run in integers.  A monomial c * prod x_i^e
+    contributes over the denominator c.denominator * prod D_i^e; the
+    contributions add up over the lcm of those, with one ``Fraction`` per
+    output term.  Both exchanges are weight-homogeneous, so every product
+    below L.N is exact.
     """
-    scaled: dict[Idx, tuple[dict[Mono, int], int]] = {}
-    pow_cache: dict[tuple[Idx, int], dict[Mono, int]] = {}
-    parts: list[tuple[dict[Mono, int], int]] = []
+    keep = L.keep
+    pow_cache: dict[tuple[Idx, int], tuple[dict[int, int], int]] = {}
+    parts: list[tuple[dict[int, int], int]] = []
     for m, c in t.items():
-        if not keep(m):
-            continue
-        acc: dict[Mono, int] = {M_ONE: c.numerator}
+        acc = {0: c.numerator}
         den = c.denominator
-        for i, e in m:
-            if i not in scaled:
-                img = images(i)
-                D = math.lcm(*(v.denominator for v in img.values()))
-                scaled[i] = ({mm: v.numerator * (D // v.denominator) for mm, v in img.items()}, D)
-            img, D = scaled[i]
-            pk = (i, e)
-            if pk not in pow_cache:
-                pow_cache[pk] = sparse.power(img, e, {M_ONE: 1}, lambda a, b: poly_mul(a, b, keep))
-            acc = poly_mul(acc, pow_cache[pk], keep)
-            den *= D**e
+        for i, e in L.unpack(m):
+            if (i, e) not in pow_cache:
+                img, D = _gen_table(L, i, kind)
+                pow_cache[i, e] = sparse.power(img, e, {0: 1}, lambda a, b: poly_mul(a, b, keep)), D**e
+            img_e, D_e = pow_cache[i, e]
+            acc = poly_mul(acc, img_e, keep)
+            den *= D_e
         parts.append((acc, den))
-    L = math.lcm(*(den for _, den in parts))
-    out: dict[Mono, int] = {}
-    for acc, den in parts:
-        f = L // den
+    den = math.lcm(*(d for _, d in parts))
+    out: dict[int, int] = {}
+    for acc, d in parts:
+        f = den // d
         for m, x in acc.items():
             out[m] = out.get(m, 0) + x * f
-    # every input monomial passed keep, and poly_mul applied it to the rest
-    return {m: Fraction(x, L) for m, x in out.items() if x}
+    return {m: Fraction(x, den) for m, x in out.items() if x}
 
 
-def jet_to_ghost(t: Poly, P: tuple[int, ...], keep) -> Poly:
-    return _subst(t, P, lambda i: _gen_ghost(P, i), keep)
+def jet_to_ghost(t: Poly, L: Layout) -> Poly:
+    return _subst(t, L, "g")
 
 
-def ghost_to_jet(t: Poly, P: tuple[int, ...], keep) -> Poly:
-    return _subst(t, P, lambda i: _gen_jet(P, i), keep)
+def ghost_to_jet(t: Poly, L: Layout) -> Poly:
+    return _subst(t, L, "j")
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +312,7 @@ class MultiJetSeries:
         N: int,
         ring: int = 0,
     ) -> "MultiJetSeries":
-        Pt = tuple(P)
-        if Pt != tuple(sorted(set(Pt))):
-            raise DomainError("primes must be distinct and sorted")
-        for p in Pt:
-            check_prime(p)
+        Pt = _check_primes(P)
         if not (0 <= ring <= len(Pt)):
             raise DomainError("ring tag out of range")
         clean = {}
@@ -301,10 +351,10 @@ class MultiJetSeries:
     def is_padic(self) -> bool:
         return any(isinstance(c, PadicTrunc) for _, c in self.terms)
 
-    def _poly(self) -> Poly:
+    def _packed(self, L: Layout) -> Poly:
         if self.is_padic():
             raise DomainError("ring operations need exact rational coefficients")
-        return dict(self.terms)
+        return L.pack_terms(self.terms)
 
     def truncate(self, N: int) -> "MultiJetSeries":
         return MultiJetSeries.make(self.P, dict(self.terms), min(self.N, N), self.ring)
@@ -319,7 +369,8 @@ class MultiJetSeries:
         if not isinstance(other, MultiJetSeries):
             other = MultiJetSeries.make(self.P, {M_ONE: Fraction(other)}, self.N, self.ring)
         N, ring = self._meta(other)
-        return MultiJetSeries.make(self.P, sparse.add(self._poly(), other._poly()), N, ring)
+        L = layout(self.P, N)
+        return L.series(sparse.add(self._packed(L), other._packed(L)), ring)
 
     __radd__ = __add__
 
@@ -344,18 +395,18 @@ class MultiJetSeries:
                 self.ring,
             )
         N, ring = self._meta(other)
-        t = poly_mul(self._poly(), other._poly(), weight_keep(self.P, N))
-        return MultiJetSeries.make(self.P, t, N, ring)
+        L = layout(self.P, N)
+        return L.series(poly_mul(self._packed(L), other._packed(L), L.keep), ring)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative powers are not defined here")
-        keep = weight_keep(self.P, self.N)
-        one = {M_ONE: Fraction(1)}
-        t = sparse.power(self._poly(), n, one, lambda a, b: poly_mul(a, b, keep))
-        return MultiJetSeries.make(self.P, t, self.N, self.ring)
+        L = layout(self.P, self.N)
+        one = L.pack_terms([(M_ONE, Fraction(1))])
+        t = sparse.power(self._packed(L), n, one, lambda a, b: poly_mul(a, b, L.keep))
+        return L.series(t, self.ring)
 
     def __eq__(self, other):
         if not isinstance(other, MultiJetSeries):
@@ -439,11 +490,9 @@ def phi_pk(f: MultiJetSeries, k: int) -> MultiJetSeries:
     bound depend only on the terms of ``f`` below that bound over p_k
     (see ``_phi_pk_below``).
     """
-    N = f.N * f.P[k]
-    keep = weight_keep(f.P, N)
-    g = jet_to_ghost(f._poly(), f.P, keep)
-    t = ghost_to_jet(ghost_shift(g, k), f.P, keep)
-    return MultiJetSeries.make(f.P, t, N, f.ring)
+    L = layout(f.P, f.N * f.P[k])
+    g = jet_to_ghost(f._packed(L), L)
+    return L.series(ghost_to_jet(ghost_shift(g, k, L), L), f.ring)
 
 
 def _phi_pk_below(f: MultiJetSeries, k: int, N: int) -> MultiJetSeries:
@@ -463,10 +512,9 @@ def delta_pk(f: MultiJetSeries, k: int) -> MultiJetSeries:
     coefficients; in a per-prime ring away from p_k the prime is a unit and
     the formula always applies.
     """
-    keep = weight_keep(f.P, f.N)
-    g = jet_to_ghost(f._poly(), f.P, keep)
-    t = ghost_to_jet(ghost_delta(g, k, f.P[k], keep), f.P, keep)
-    return MultiJetSeries.make(f.P, t, f.N, f.ring)
+    L = layout(f.P, f.N)
+    g = jet_to_ghost(f._packed(L), L)
+    return L.series(ghost_to_jet(ghost_delta(g, k, L), L), f.ring)
 
 
 def t_generator(P: Sequence[int], N: int, ring: int = 0) -> MultiJetSeries:
@@ -479,13 +527,10 @@ def t_generator(P: Sequence[int], N: int, ring: int = 0) -> MultiJetSeries:
 # ---------------------------------------------------------------------------
 
 
-def _ghost_log1p_var(i: Idx, P: tuple[int, ...], N: int) -> Poly:
-    """log(1 + u_i) in ghost coordinates, truncated at weighted degree N."""
-    w = var_weight(i, P)
-    out: Poly = {}
-    for n in range(1, (N - 1) // w + 1):
-        out[((i, n),)] = Fraction((-1) ** (n - 1), n)
-    return out
+def _ghost_log1p_var(i: Idx, L: Layout) -> Poly:
+    """log(1 + u_i) in ghost coordinates, truncated at weighted degree L.N."""
+    top = (L.N - 1) // var_weight(i, L.P)
+    return {n * L.var[i]: Fraction((-1) ** (n - 1), n) for n in range(1, top + 1)}
 
 
 def psi_multi(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
@@ -498,16 +543,19 @@ def psi_multi(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
     t^(p(n-j)) x^j, a monomial of weight p n.  The coefficients are integral
     at p_k, which is asserted.
     """
-    Pt = tuple(P)
-    p = Pt[k]
-    zero = (0,) * len(Pt)
-    e_k = tuple(int(j == k) for j in range(len(Pt)))
-    t: Poly = {((zero, n),): Fraction((-1) ** n, n) for n in range(1, N)}
+    Pt = _check_primes(P)
+    if not 0 <= k + 1 <= len(Pt):
+        raise DomainError("ring tag out of range")
+    L = layout(Pt, N)
+    p = L.P[k]
+    zero = (0,) * len(L.P)
+    e_k = tuple(int(j == k) for j in range(len(L.P)))
+    t: Poly = {n * L.var[zero]: Fraction((-1) ** n, n) for n in range(1, N)}
     for n in range(1, (N - 1) // p + 1):
         for j in range(n + 1):
-            m = _norm_mono(((zero, p * (n - j)), (e_k, j)))
+            m = p * (n - j) * L.var[zero] + j * L.var[e_k]
             t[m] = t.get(m, 0) + Fraction((-1) ** (n - 1) * math.comb(n, j) * p**j, n * p)
-    out = MultiJetSeries.make(Pt, t, N, k + 1)
+    out = L.series(t, k + 1)
     assert_ring_integral(out)
     return out
 
@@ -520,11 +568,12 @@ def build_fe0(P: Sequence[int], N: int) -> MultiJetSeries:
     unit cube, so the series is a combination of univariate logarithms; the
     result has coefficients integral at every prime of P, which is asserted.
     """
-    Pt = tuple(sorted(set(int(p) for p in P)))
+    Pt = _check_primes(sorted(set(int(p) for p in P)))
     for p in Pt:
         if p < 5:
             raise DomainError("the modular layer requires primes >= 5")
     d = len(Pt)
+    L = layout(Pt, N)
     scale = Fraction(1, math.prod(Pt))
     g: Poly = {}
     for i in itertools.product((0, 1), repeat=d):
@@ -532,9 +581,8 @@ def build_fe0(P: Sequence[int], N: int) -> MultiJetSeries:
         for k in range(d):
             if i[k] == 0:
                 c *= -Pt[k]
-        g = sparse.add(g, sparse.scale(_ghost_log1p_var(i, Pt, N), c * scale))
-    t = ghost_to_jet(g, Pt, weight_keep(Pt, N))
-    out = MultiJetSeries.make(Pt, t, N, 0)
+        g = sparse.add(g, sparse.scale(_ghost_log1p_var(i, L), c * scale))
+    out = L.series(ghost_to_jet(g, L), 0)
     assert_ring_integral(out)
     return out
 
@@ -751,23 +799,23 @@ def substitute_gamma(f: MultiJetSeries, gamma: int) -> MultiJetSeries:
     """
     if gamma in (-1, 0, 1):
         raise DomainError("gamma must not be 0 or a root of unity")
-    keep = weight_keep(f.P, f.N)
-    g = jet_to_ghost(f._poly(), f.P, keep)
-    t = ghost_to_jet(ghost_gamma(g, f.P, gamma, f.N), f.P, keep)
-    return MultiJetSeries.make(f.P, t, f.N, f.ring)
+    L = layout(f.P, f.N)
+    g = jet_to_ghost(f._packed(L), L)
+    return L.series(ghost_to_jet(ghost_gamma(g, L, gamma), L), f.ring)
 
 
-def ghost_gamma(t: Poly, P: Sequence[int], gamma: int, N: int) -> Poly:
-    """u_i -> (1 + u_i)**gamma - 1 on ghost coordinates, below weight N.
+def ghost_gamma(t: Poly, L: Layout, gamma: int) -> Poly:
+    """u_i -> (1 + u_i)**gamma - 1 on ghost coordinates, below weight L.N.
 
     The image of u_i**e is the univariate integer series
     ((1 + u)**gamma - 1)**e in u_i, held as a dense list truncated at degree
     (N - 1) // wt(u_i).  The factors of a monomial are in distinct variables,
-    so its image's monomials are the sorted pairs (i, n) side by side, and no
-    term of weight N or more is ever formed.  Coefficients add up as integers
-    over the common denominator of ``t``.
+    so its image's monomials are the keys n * var[i] added up, and no term of
+    weight N or more is ever formed.  Coefficients add up as integers over
+    the common denominator of ``t``.
     """
-    L = math.lcm(*(c.denominator for c in t.values()))
+    N = L.N
+    den = math.lcm(*(c.denominator for c in t.values()))
     binom = [1]
     for n in range(1, N):
         binom.append(binom[-1] * (gamma - n + 1) // n)
@@ -785,46 +833,25 @@ def ghost_gamma(t: Poly, P: Sequence[int], gamma: int, N: int) -> Poly:
             rows.append(row)
         return rows[e]
 
-    out: dict[Mono, int] = {}
+    out: dict[int, int] = {}
     for m, c in t.items():
-        images = [(M_ONE, c.numerator * (L // c.denominator), 0)]
-        for i, e in m:
-            w = var_weight(i, P)
+        images = [(0, c.numerator * (den // c.denominator), 0)]
+        for i, e in L.unpack(m):
+            v = L.var[i]
+            w = v >> L.shift
             row = power((N - 1) // w, e)
             grown = []
-            for mono, x, wt in images:
+            for key, x, wt in images:
                 for n in range(e, len(row)):
                     wn = wt + n * w
                     if wn >= N:
                         break
                     if row[n]:
-                        grown.append((mono + ((i, n),), x * row[n], wn))
+                        grown.append((key + n * v, x * row[n], wn))
             images = grown
-        for mono, x, _ in images:
-            out[mono] = out.get(mono, 0) + x
-    return {m: Fraction(x, L) for m, x in out.items() if x}
-
-
-def invert_unit(f: MultiJetSeries) -> MultiJetSeries:
-    """Inverse of a series with unit constant term, by geometric expansion.
-
-    Terminates because the tail has positive weight and the ring is
-    weight-truncated.
-    """
-    c0 = f.coeff(M_ONE)
-    if isinstance(c0, PadicTrunc) or c0 == 0:
-        raise DomainError("invert_unit needs an exact nonzero constant term")
-    x = f * (1 / c0) - 1
-    acc = MultiJetSeries.make(f.P, {M_ONE: 1}, f.N, f.ring)
-    power = acc
-    for _ in range(f.N + 1):
-        power = power * (-x)
-        if not power.terms:
-            break
-        acc = acc + power
-    if power.terms:
-        raise DomainError("unit tail does not vanish under weight truncation")
-    return acc * (1 / c0)
+        for key, x, _ in images:
+            out[key] = out.get(key, 0) + x
+    return {m: Fraction(x, den) for m, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +870,7 @@ def from_jet_series(f) -> MultiJetSeries:
     terms: dict[Mono, Fraction] = {}
     for (b, jets), c in f.terms:
         pairs = [((0,), b)] + [((i,), e) for i, e in enumerate(jets, start=1)]
-        terms[_norm_mono(pairs)] = c
+        terms[tuple(pairs)] = c
     return MultiJetSeries.make((f.p,), terms, f.N, ring=1)
 
 

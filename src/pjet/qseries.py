@@ -9,10 +9,6 @@ Only series with finitely many stored terms are representable; elements of
 a p-adically completed Laurent ring need not have such representatives in
 general, but every series built here does, and the truncation metadata
 records exactly what is known.
-
-The exponential series ``_exp_series`` is deliberately module-private: it
-does not preserve p-integrality and exists only so tests can cross-check
-logarithm identities.
 """
 
 from __future__ import annotations
@@ -239,26 +235,6 @@ def log1p(x: Series1, order: int | None = None) -> Series1:
         if not power.terms:
             break
         out = out + power * Fraction((-1) ** (n - 1), n)
-    return out
-
-
-def _exp_series(x: Series1, order: int | None = None) -> Series1:
-    """Test-only: exp(x) = sum x^n / n!.  Not p-integral; keep out of the API."""
-    v = x.valuation()
-    if v is not None and v < 1:
-        raise DomainError("exp helper needs positive valuation")
-    N = min_order(x.N, order)
-    if N is None:
-        raise DomainError("exp helper needs an order bound")
-    out = Series1.monomial(x.var, 0, 1, N)
-    power = Series1.monomial(x.var, 0, 1, N)
-    fact = 1
-    for n in range(1, (N // v + 1) if v else 1):
-        power = (power * x).truncate(N)
-        fact *= n
-        if not power.terms:
-            break
-        out = out + power * Fraction(1, fact)
     return out
 
 

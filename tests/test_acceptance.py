@@ -8,6 +8,7 @@ p-adic statements are congruences at the stated modulus.
 import random
 from fractions import Fraction
 
+from _helpers import exp_series
 from pjet.arith import (
     PadicTrunc,
     cp_polynomial,
@@ -41,7 +42,7 @@ from pjet.multiprime import (
     reduce_to_padic,
     t_generator,
 )
-from pjet.qseries import Series1, _exp_series
+from pjet.qseries import Series1
 
 
 def report(n, text):
@@ -88,7 +89,7 @@ def test_criterion_03_psi_identities():
     p, W, M = 5, 30, 8
     psi = psi_fourier(p, M=W + 2, window=W)
     univ = Series1.make("t", {jets[0]: c * p for (b, jets), c in psi.terms}, N=W + 1)
-    expu = _exp_series(univ, order=W + 1)
+    expu = exp_series(univ, order=W + 1)
     jet = JetSeries.make(
         p, "q", {(-p * n, (n,)): c for n, c in expu.terms if n}, M=M
     ) + Fraction(expu.coeff(0))

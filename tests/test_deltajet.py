@@ -23,7 +23,7 @@ from pjet.deltajet import (
 )
 from pjet.errors import DomainError, PjetError, PrecisionExhausted
 from pjet.multiprime import MultiJetSeries
-from pjet.qseries import Series1, _exp_series
+from pjet.qseries import Series1
 
 
 def jq(p, terms, **kw):
@@ -143,7 +143,7 @@ class TestDelta:
             assert delta(phi(f)) == phi(delta(f))
 
 
-from _helpers import delta_axiomatic  # noqa: E402
+from _helpers import delta_axiomatic, exp_series  # noqa: E402
 
 
 class TestDualPathDelta:
@@ -334,7 +334,7 @@ class TestPsiFourier:
             assert b == -p * n
             x_coeffs[n] = c * p
         univ = Series1.make("t", x_coeffs, N=W + 1)
-        got = _exp_series(univ, order=W + 1)
+        got = exp_series(univ, order=W + 1)
         assert got == Series1.make("t", {0: Fraction(1), 1: Fraction(p)}, N=W + 1)
 
 

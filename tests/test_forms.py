@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import delta_axiomatic
+from _helpers import delta_axiomatic, invert_unit
 from pjet import forms
 from pjet.arith import PadicTrunc, valuation
 from pjet.cli import _dump as dump
@@ -35,7 +35,6 @@ from pjet.multiprime import (
     continuation_check,
     delta_pk,
     from_jet_series,
-    invert_unit,
     t_generator,
 )
 
@@ -155,6 +154,14 @@ class TestF2e:
         bad = build_f2e_k(AN40, [5, 13], 1, [A5 + 1, A13], 30)
         res = continuation_check([good, bad])
         assert not res.ok and res.witness is not None
+
+    @pytest.mark.parametrize("P", [(9,), (13, 9)])
+    def test_non_prime_refused(self, P):
+        ap = [0] * len(P)
+        with pytest.raises(DomainError, match="9 is not a prime"):
+            build_f2e0(AN40, P, ap, 10)
+        with pytest.raises(DomainError, match="9 is not a prime"):
+            build_f2e_k(AN40, P, 0, ap, 10)
 
 
 class TestCovariance:
@@ -276,8 +283,7 @@ def deep_q_series(draw):
         b = draw(st.integers(-30, 10))
         jets = tuple(draw(st.integers(0, 4)) for _ in range(draw(st.integers(0, 3))))
         terms[(b, jets)] = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 30)))
-    # the reference inverts 1 + t, which needs N >= 1; N = 0 is tested below
-    return JetSeries.make(p, "q", terms), draw(st.integers(1, 30))
+    return JetSeries.make(p, "q", terms), draw(st.integers(0, 30))
 
 
 class TestHornerTranscription:

@@ -17,9 +17,8 @@ from pjet.multiprime import (
     M_ONE,
     Idx,
     MultiJetSeries,
-    Poly,
-    _gen_ghost,
-    _gen_jet,
+    Mono,
+    _generator,
     _ghost_log1p_var,
     _norm_mono,
     _phi_pk_below,
@@ -32,8 +31,9 @@ from pjet.multiprime import (
     from_jet_series,
     ghost_gamma,
     ghost_to_jet,
+    ghost_shift,
     jet_to_ghost,
-    mono_mul,
+    layout,
     mono_weight,
     phi_pk,
     poly_mul,
@@ -43,11 +43,12 @@ from pjet.multiprime import (
     t_generator,
     to_jet_series,
     var_weight,
-    weight_keep,
 )
 
 P57 = (5, 7)
 P5711 = (5, 7, 11)
+
+TuplePoly = dict[Mono, Fraction]
 
 
 def random_series(rng, P=P57, N=12, nterms=3, max_idx=1):
@@ -68,62 +69,98 @@ def random_series(rng, P=P57, N=12, nterms=3, max_idx=1):
 class TestBasisExchange:
     def test_roundtrip_on_random_series(self):
         rng = random.Random(3)
-        from pjet.multiprime import weight_keep
-
         for _ in range(10):
             f = random_series(rng)
-            keep = weight_keep(f.P, f.N)
-            g = jet_to_ghost(dict(f.terms), f.P, keep)
-            back = ghost_to_jet(g, f.P, keep)
-            assert MultiJetSeries.make(f.P, back, f.N) == f
+            L = layout(f.P, f.N)
+            back = ghost_to_jet(jet_to_ghost(f._packed(L), L), L)
+            assert L.series(back, 0) == f
 
     def test_first_generator(self):
         # delta_5 t in ghost coordinates is (u_(1,0) - u_(0,0)^5) / 5
-        from pjet.multiprime import _gen_ghost
-
-        g = _gen_ghost(P57, (1, 0))
+        g = _generator(P57, (1, 0), "g")
         assert g[(((1, 0), 1),)] == Fraction(1, 5)
         assert g[(((0, 0), 5),)] == Fraction(-1, 5)
 
 
-def _subst_fraction(t: Poly, P: tuple[int, ...], images, keep) -> Poly:
-    """The basis exchange in Fraction arithmetic, one factor at a time.
+def mono_mul(m1: Mono, m2: Mono) -> Mono:
+    """Product of two normalised monomials.
 
-    This was ``multiprime._subst`` before the exchange moved to integers over
-    one common denominator; it stays here as the reference for that route.
+    Both carry distinct indices and positive exponents, so their merge needs
+    none of ``_norm_mono``'s checks: exponents add and stay positive.  This
+    was the kernel's monomial product before monomials were packed into ints;
+    it stays here as the reference for the packed product.
     """
-    out: Poly = {}
-    pow_cache: dict[tuple[Idx, int], Poly] = {}
-    for m, c in t.items():
-        acc: Poly = {M_ONE: c}
-        for i, e in m:
-            pk = (i, e)
-            if pk not in pow_cache:
-                pow_cache[pk] = sparse.power(
-                    images(i), e, {M_ONE: Fraction(1)}, lambda a, b: poly_mul(a, b, keep)
-                )
-            acc = poly_mul(acc, pow_cache[pk], keep)
-        out = sparse.add(out, acc)
-    return {m: c for m, c in out.items() if keep(m)}
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    d = dict(m1)
+    for i, e in m2:
+        d[i] = d[i] + e if i in d else e
+    return tuple(sorted(d.items()))
 
 
-def _jet_to_ghost_fraction(t, P, keep):
-    return _subst_fraction(t, P, lambda i: _gen_ghost(P, i), keep)
+def tuple_mul(t1: TuplePoly, t2: TuplePoly, keep) -> TuplePoly:
+    return sparse.mul(t1, t2, mono_mul, keep)
 
 
-def _ghost_to_jet_fraction(t, P, keep):
-    return _subst_fraction(t, P, lambda i: _gen_jet(P, i), keep)
+def weight_cut(P, N):
+    """The truncation below weight N on tuple monomials."""
+    return lambda m: mono_weight(m, P) < N
 
 
 def keep_all(m):
     return True
 
 
+def ghost_shift_reference(t: TuplePoly, k: int) -> TuplePoly:
+    """u_i -> u_{i+e_k} on tuple monomials, with no truncation."""
+    return {
+        _norm_mono((i[:k] + (i[k] + 1,) + i[k + 1 :], e) for i, e in m): c for m, c in t.items()
+    }
+
+
+def packed(fn, t: TuplePoly, P, N, *args) -> TuplePoly:
+    """``fn`` on ``t`` through the packed kernel of (P, N), unpacked again."""
+    L = layout(P, N)
+    return {L.unpack(m): c for m, c in fn(L.pack_terms(t.items()), *args, L).items()}
+
+
+def _subst_fraction(t: TuplePoly, P: tuple[int, ...], images, keep) -> TuplePoly:
+    """The basis exchange in Fraction arithmetic, one factor at a time.
+
+    This was ``multiprime._subst`` before the exchange moved to integers over
+    one common denominator; it stays here as the reference for that route.
+    """
+    out: TuplePoly = {}
+    pow_cache: dict[tuple[Idx, int], TuplePoly] = {}
+    for m, c in t.items():
+        acc: TuplePoly = {M_ONE: c}
+        for i, e in m:
+            pk = (i, e)
+            if pk not in pow_cache:
+                pow_cache[pk] = sparse.power(
+                    images(i), e, {M_ONE: Fraction(1)}, lambda a, b: tuple_mul(a, b, keep)
+                )
+            acc = tuple_mul(acc, pow_cache[pk], keep)
+        out = sparse.add(out, acc)
+    return {m: c for m, c in out.items() if keep(m)}
+
+
+def _jet_to_ghost_fraction(t, P, keep):
+    return _subst_fraction(t, P, lambda i: _generator(P, i, "g"), keep)
+
+
+def _ghost_to_jet_fraction(t, P, keep):
+    return _subst_fraction(t, P, lambda i: _generator(P, i, "j"), keep)
+
+
 @st.composite
 def exchange_case(draw):
-    """A polynomial, its primes and a keep: the weight keep below N <= 40, or
-    keep_all on a polynomial of weight below N.  Denominators are drawn both
-    coprime to P and divisible by its primes; the monomial 1 may occur."""
+    """A polynomial, its primes, N <= 40 and a reference keep: the weight cut
+    below N, or keep_all on a polynomial of weight below N.  Denominators are
+    drawn both coprime to P and divisible by its primes; the monomial 1 may
+    occur."""
     P = draw(st.sampled_from([(5,), (7,), P57, (5, 13), P5711]))
     N = draw(st.integers(0, 40))
     top = 2 if len(P) == 1 else 1
@@ -140,8 +177,8 @@ def exchange_case(draw):
         m = tuple((i, 1 if i == (1, 1, 1) else e) for i, e in m)
         t[m] = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(dens))
     if draw(st.booleans()):
-        return P, t, weight_keep(P, N)
-    return P, {m: c for m, c in t.items() if mono_weight(m, P) < N}, keep_all
+        return P, t, N, weight_cut(P, N)
+    return P, {m: c for m, c in t.items() if mono_weight(m, P) < N}, N, keep_all
 
 
 @st.composite
@@ -156,25 +193,25 @@ class TestIntegerExchange:
     """The integer basis exchange against the Fraction reference."""
 
     @given(case=exchange_case())
-    @example(case=((5,), {(): Fraction(2, 5), (((0,), 1),): Fraction(1, 3)}, weight_keep((5,), 0)))
-    @example(case=(P57, {(((1, 0), 2), ((0, 1), 1)): Fraction(-3, 35)}, keep_all))
+    @example(case=((5,), {(): Fraction(2, 5), (((0,), 1),): Fraction(1, 3)}, 0, weight_cut((5,), 0)))
+    @example(case=(P57, {(((1, 0), 2), ((0, 1), 1)): Fraction(-3, 35)}, 18, keep_all))
     @settings(max_examples=60, deadline=None)
     def test_jet_to_ghost_matches_fraction_route(self, case):
-        P, t, keep = case
-        assert jet_to_ghost(t, P, keep) == _jet_to_ghost_fraction(t, P, keep)
+        P, t, N, keep = case
+        assert packed(jet_to_ghost, t, P, N) == _jet_to_ghost_fraction(t, P, keep)
 
     @given(case=exchange_case())
-    @example(case=((7,), {(): Fraction(1, 7), (((1,), 1),): Fraction(4, 49)}, keep_all))
+    @example(case=((7,), {(): Fraction(1, 7), (((1,), 1),): Fraction(4, 49)}, 8, keep_all))
     @settings(max_examples=60, deadline=None)
     def test_ghost_to_jet_matches_fraction_route(self, case):
-        P, t, keep = case
-        assert ghost_to_jet(t, P, keep) == _ghost_to_jet_fraction(t, P, keep)
+        P, t, N, keep = case
+        assert packed(ghost_to_jet, t, P, N) == _ghost_to_jet_fraction(t, P, keep)
 
     @pytest.mark.parametrize("P, i", [((5,), (2,)), (P57, (1, 1)), (P57, (2, 0)), (P5711, (0, 1, 1))])
     def test_jet_table_maps_back_to_its_ghost_variable(self, P, i):
-        # _gen_jet is filled through the integer route; the Fraction route
+        # the jet table is filled through the integer route; the Fraction route
         # must take it back to the single ghost variable u_i
-        assert _jet_to_ghost_fraction(_gen_jet(P, i), P, keep_all) == {((i, 1),): Fraction(1)}
+        assert _jet_to_ghost_fraction(_generator(P, i, "j"), P, keep_all) == {((i, 1),): Fraction(1)}
 
     def test_monomial_past_the_cut_forms_no_pair(self, monkeypatch):
         # u_(1,1,1)^2 has weight 2*385 >= 30, so its whole jet image lies past
@@ -187,8 +224,8 @@ class TestIntegerExchange:
 
         monkeypatch.setattr(multiprime, "poly_mul", counting_mul)
         t = {(((1, 1, 1), 2),): Fraction(1)}
-        assert ghost_to_jet(t, P5711, weight_keep(P5711, 30)) == {}
-        assert jet_to_ghost(t, P5711, weight_keep(P5711, 30)) == {}
+        assert packed(ghost_to_jet, t, P5711, 30) == {}
+        assert packed(jet_to_ghost, t, P5711, 30) == {}
         assert sum(pairs) == 0
 
     @given(d=st.integers(1, 3), data=st.data())
@@ -200,10 +237,75 @@ class TestIntegerExchange:
     @given(P=st.sampled_from([(5,), P57, P5711]), N=st.integers(0, 200), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_weight_keep_is_the_weight_cut(self, P, N, data):
-        # one keep asked many times, so weights seen before come from its table
-        keep = weight_keep(P, N)
+        # the layout's keep is one comparison on the packed key; a monomial
+        # survives packing exactly when its weight is below N
+        L = layout(P, N)
         for m in data.draw(st.lists(monomials(len(P)), max_size=12)) * 2:
-            assert keep(m) == (mono_weight(m, P) < N)
+            kept = L.pack_terms([(m, 1)])
+            assert bool(kept) == (mono_weight(m, P) < N)
+            if all(i in L.var for i, _ in m):
+                key = sum(e * L.var[i] for i, e in m)
+                assert L.keep(key) == (mono_weight(m, P) < N)
+            if kept:
+                ((key, _),) = kept.items()
+                assert L.keep(key) and L.unpack(key) == m
+
+
+@st.composite
+def tuple_polys(draw, d):
+    coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    return draw(st.dictionaries(monomials(d), coeffs, max_size=5))
+
+
+class TestPackedMonomials:
+    """Packed monomials against the tuple monomials and their ``mono_mul``."""
+
+    @given(d=st.integers(1, 3), N=st.integers(0, 200), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_poly_mul_matches_tuple_reference(self, d, N, data):
+        P = (P57[:1], P57, P5711)[d - 1]
+        a, b = data.draw(tuple_polys(d)), data.draw(tuple_polys(d))
+        L = layout(P, N)
+        for m in {**a, **b}:
+            if mono_weight(m, P) < N:
+                ((key, _),) = L.pack_terms([(m, 1)]).items()
+                assert L.unpack(key) == m
+        want = tuple_mul(a, b, weight_cut(P, N))
+        got = poly_mul(L.pack_terms(a.items()), L.pack_terms(b.items()), L.keep)
+        assert {L.unpack(m): c for m, c in got.items()} == want
+
+    @pytest.mark.parametrize("P", [(5,), P5711])
+    @pytest.mark.parametrize("N", [16, 17])
+    def test_field_width_boundary(self, P, N):
+        # The t field must hold 2 * (N - 1): at N = 16 that is 30, the most a
+        # 5-bit field holds; at N = 17 it is 32, one more, and the field is 6
+        # bits.  A carry out of it would land in the next field, x_n's.
+        zero = (0,) * len(P)
+        n = (0,) * (len(P) - 1) + (1,)
+        L = layout(P, N)
+        (i0, off0, _), (i1, off1, _) = L.fields[:2]
+        assert (i0, i1, off1 - off0) == (zero, n, 5 if N == 16 else 6)
+        a = {_norm_mono([(zero, e)]): Fraction(e + 1) for e in range(N)}
+        b = {**a, **{_norm_mono([(zero, e), (n, 1)]): Fraction(1, e + 2) for e in range(N)}}
+        want = tuple_mul(a, b, weight_cut(P, N))
+        got = poly_mul(L.pack_terms(a.items()), L.pack_terms(b.items()), L.keep)
+        assert {L.unpack(m): c for m, c in got.items()} == want
+        f = MultiJetSeries.make(P, b, N)
+        for k, p in enumerate(P):
+            ghost = _jet_to_ghost_fraction(dict(f.terms), P, keep_all)
+            lifted = _ghost_to_jet_fraction(ghost_shift_reference(ghost, k), P, weight_cut(P, N * p))
+            assert phi_pk(f, k) == MultiJetSeries.make(P, lifted, N * p)
+
+    @pytest.mark.parametrize("P, N", [(P57, 21), (P5711, 33)])
+    def test_ghost_shift_into_a_variable_the_input_lacks(self, P, N):
+        # u_0^3 lands on u_{e_k}^3, a variable the input lacks, at weight
+        # 3 p_k: below N, and exactly N for the last prime; the second term
+        # lands past N
+        zero = (0,) * len(P)
+        t = {((zero, 3),): Fraction(2, 3), ((zero, 1), (zero[:-1] + (1,), 1)): Fraction(5)}
+        for k in range(len(P)):
+            want = {m: c for m, c in ghost_shift_reference(t, k).items() if mono_weight(m, P) < N}
+            assert packed(ghost_shift, t, P, N, k) == want
 
 
 class TestPhiPk:
@@ -301,12 +403,25 @@ class TestDeltaPk:
         rng = random.Random(17)
         E = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
         mixed = tuple((e, 1) for e in E)
+        series = []
         for _ in range(4):
             terms = {(): rng.choice([2, 3, -2]), mixed: Fraction(rng.choice([-2, 1, 3]), 2)}
             for _ in range(3):
                 mono = tuple((e, rng.randint(1, 2)) for e in rng.sample(E, rng.randint(2, 3)))
                 terms[mono] = Fraction(rng.choice([-3, -1, 1, 2, 4]), rng.choice([1, 2, 3]))
-            f = MultiJetSeries.make(P5711, terms, 26)
+            series.append(MultiJetSeries.make(P5711, terms, 26))
+        # and one with exponents up to 3 and a constant 1/3, at N = 40
+        x = dict(zip("tabc", E))
+        terms = {
+            (): Fraction(1, 3),
+            mixed: Fraction(3, 2),
+            ((x["t"], 3), (x["c"], 1)): Fraction(-1, 2),
+            ((x["a"], 2), (x["b"], 1)): Fraction(2),
+            ((x["t"], 1), (x["b"], 3)): Fraction(4, 3),
+            ((x["c"], 3),): Fraction(-3),
+        }
+        series.append(MultiJetSeries.make(P5711, terms, 40))
+        for f in series:
             d = [delta_pk(f, k) for k in range(3)]
             for j, k in ((0, 1), (0, 2), (1, 2)):
                 lhs = delta_pk(d[k], j) - delta_pk(d[j], k)
@@ -361,10 +476,11 @@ def _psi_ghost_route(P, k, N):
     """Psi at p_k through ghost coordinates: log(1 + u_{e_k})/p_k - log(1 + u_0)."""
     d = len(P)
     e_k = tuple(int(j == k) for j in range(d))
-    g = {m: c / P[k] for m, c in _ghost_log1p_var(e_k, P, N).items()}
-    for m, c in _ghost_log1p_var((0,) * d, P, N).items():
+    L = layout(P, N)
+    g = {m: c / P[k] for m, c in _ghost_log1p_var(e_k, L).items()}
+    for m, c in _ghost_log1p_var((0,) * d, L).items():
         g[m] = g.get(m, 0) - c
-    return MultiJetSeries.make(P, ghost_to_jet(g, P, weight_keep(P, N)), N, k + 1)
+    return L.series(ghost_to_jet(g, L), k + 1)
 
 
 class TestPsiMulti:
@@ -379,6 +495,24 @@ class TestPsiMulti:
     )
     def test_matches_ghost_route(self, P, k, N):
         assert psi_multi(P, k, N).to_json() == _psi_ghost_route(P, k, N).to_json()
+
+    @pytest.mark.parametrize(
+        "P, k, message",
+        [
+            ((7, 5), 0, "distinct and sorted"),
+            ((5, 9), 0, "9 is not a prime"),
+            (P57, 2, "ring tag out of range"),
+            (P57, -2, "ring tag out of range"),
+        ],
+    )
+    def test_outside_input_refused(self, P, k, message):
+        # the layout does not validate, so psi_multi checks what it is given
+        with pytest.raises(DomainError, match=message):
+            psi_multi(P, k, 10)
+
+    def test_fe0_refuses_a_non_prime(self):
+        with pytest.raises(DomainError, match="9 is not a prime"):
+            build_fe0((9, 5), 10)
 
 
 class TestBuildFeK:
@@ -497,8 +631,8 @@ def _gamma_image(gamma, P, N):
 
 def _subst_gamma_reference(f, gamma):
     """``substitute_gamma`` through the Fraction route ``_subst_fraction``."""
-    keep = weight_keep(f.P, f.N)
-    g = _jet_to_ghost_fraction(f._poly(), f.P, keep)
+    keep = weight_cut(f.P, f.N)
+    g = _jet_to_ghost_fraction(dict(f.terms), f.P, keep)
     g = _subst_fraction(g, f.P, _gamma_image(gamma, f.P, f.N), keep)
     return MultiJetSeries.make(f.P, _ghost_to_jet_fraction(g, f.P, keep), f.N, f.ring)
 
@@ -537,10 +671,12 @@ class TestSubstituteGamma:
     @settings(max_examples=40, deadline=None)
     def test_ghost_step_matches_subst(self, case):
         f, _, gamma = case
-        keep = weight_keep(f.P, f.N)
-        g = jet_to_ghost(f._poly(), f.P, keep)
-        want = _subst_fraction(g, f.P, _gamma_image(gamma, f.P, f.N), keep)
-        assert ghost_gamma(g, f.P, gamma, f.N) == want
+        L = layout(f.P, f.N)
+        g = jet_to_ghost(f._packed(L), L)
+        want = _subst_fraction(
+            {L.unpack(m): c for m, c in g.items()}, f.P, _gamma_image(gamma, f.P, f.N), weight_cut(f.P, f.N)
+        )
+        assert {L.unpack(m): c for m, c in ghost_gamma(g, L, gamma).items()} == want
 
     @given(case=series_and_gamma(), data=st.data())
     @settings(max_examples=25, deadline=None)
