@@ -13,10 +13,19 @@ p-integral coefficients and nonnegative base exponents everything stays
 exact, while negative base powers expand through p-adically convergent
 tails and are tracked by a guaranteed-digit counter.
 
-Monomials are stored as two exponent tuples: the ``z`` family (index 0 is
-the base variable, index i >= 1 the i-th jet) and an optional auxiliary
-family used for computations with an adjoined symbolic coefficient and its
-own delta-chain.
+A monomial is a pair of exponent tuples: the ``z`` family (index 0 the
+base variable, index i >= 1 the i-th jet) and an auxiliary family a_0, a_1,
+... for an adjoined symbolic coefficient and its delta-chain.  The kernel
+packs it into one int and scales the coefficients to integers over their lcm
+D (packed exponent vectors, after Monagan and Pearce).  Each ``phi`` and
+``delta`` step and each product builds its own ``Layout`` from its input: one
+field per jet z_1..z_(r+1) and per a_0..a_(s+1), all of one width, and the
+signed base exponent above them, so the monomial product is integer ``+``
+and a base cut is one comparison.  The width holds (p+1) * max(E, jmax), E
+the largest input exponent: the phi image of field i is at most
+p*a_i + max(a_(i-1), jmax), a partial product of f**p at most p*E and a
+product of two series at most 2E, so no field carries into the next.  A step
+packs its terms on entry and unpacks them into exponent tuples on exit.
 
 Truncation contracts:
 
@@ -35,7 +44,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import sparse
 from .arith import binomial, check_prime, format_rational, min_order, parse_rational, valuation
@@ -43,9 +52,7 @@ from .errors import DomainError, PrecisionExhausted
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (z-family exps, aux exps)
 Terms = dict[Monomial, Fraction]
-# What a product keeps: a monomial rule, applied before the coefficients
-# multiply, and a coefficient rule (a digit bound), applied to the sums.
-Keep = tuple[Callable[[Monomial], bool], Callable[[Fraction], bool]]
+Packed = dict[int, int]  # packed monomial -> integer numerator, in one Layout
 
 
 def _trim(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -55,78 +62,137 @@ def _trim(t: tuple[int, ...]) -> tuple[int, ...]:
     return t[:i]
 
 
-def _padd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    return _trim(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
-
-
-def m_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return (_padd(m1[0], m2[0]), _padd(m1[1], m2[1]))
-
-
-M_ONE: Monomial = ((), ())
-
-
 def _vp(c: Fraction, p: int) -> float:
     return math.inf if c == 0 else valuation(c, p)
 
 
-def _kept(t: Terms, keep: Keep) -> Terms:
-    mono_ok, coeff_ok = keep
-    return {m: c for m, c in t.items() if mono_ok(m) and coeff_ok(c)}
+def _den(t: Terms) -> int:
+    return math.lcm(*(c.denominator for c in t.values()))
 
 
-def terms_mul(t1: Terms, t2: Terms, keep: Keep) -> Terms:
-    mono_ok, coeff_ok = keep
-    return {m: c for m, c in sparse.mul(t1, t2, m_mul, mono_ok).items() if coeff_ok(c)}
+def _mod(p: int, digits: int | None, den: int) -> int | None:
+    """The digit rule for numerators over ``den``: x / den has valuation
+    below ``digits`` exactly when x % p**(digits + v_p(den)) is nonzero."""
+    return None if digits is None else p ** (digits + valuation(den, p))
 
 
-def _phi_var(family: int, i: int, a: int, p: int, jmax: int) -> Terms:
-    """Image of (v_i)**a under phi: sum_j C(a, j) p^j v_i^(p(a-j)) v_{i+1}^j.
+class Layout:
+    """The packed monomials of one step (see the module docstring): field f
+    holds z_(f+1) for f < nz and a_(f-nz) after, the base b sits at ``shift``."""
 
-    For a >= 0 the sum is finite; for a < 0 (base variable only) it is the
-    p-adically convergent tail, cut at j = jmax since the j-th term carries
-    a factor p**j.
+    __slots__ = ("p", "nz", "na", "width", "mask", "shift")
+
+    def __init__(self, p: int, monos: Iterable[Monomial], jmax: int = 0):
+        monos = list(monos)
+        E = max((e for z, a in monos for e in (*z, *a)), default=0)
+        self.p = p
+        self.width = ((p + 1) * max(E, jmax, 1)).bit_length()
+        self.mask = (1 << self.width) - 1
+        self.nz = max((len(z) for z, _ in monos), default=0) or 1
+        na = max((len(a) for _, a in monos), default=0)
+        self.na = na + 1 if na else 0
+        self.shift = (self.nz + self.na) * self.width
+
+    def key(self, m: Monomial) -> int:
+        z, a = m
+        w = self.width
+        k = z[0] << self.shift if z else 0
+        k += sum(e << (f * w) for f, e in enumerate(z[1:]))
+        return k + sum(e << ((self.nz + i) * w) for i, e in enumerate(a))
+
+    def exps(self, k: int) -> list[int]:
+        """The field exponents of key ``k``: z_1..z_nz, then a_0, a_1, ..."""
+        w, mask = self.width, self.mask
+        return [k >> (f * w) & mask for f in range(self.nz + self.na)]
+
+    def pack(self, t: Terms, D: int) -> Packed:
+        return {self.key(m): c.numerator * (D // c.denominator) for m, c in t.items()}
+
+    def unpack(self, t: Packed, den: int) -> Terms:
+        out = {}
+        for k, x in t.items():
+            e = self.exps(k)
+            z = _trim((k >> self.shift, *e[: self.nz]))
+            out[(z, _trim(tuple(e[self.nz :])))] = Fraction(x, den)
+        return out
+
+    def below(self, cut: int | None) -> Callable[[int], bool]:
+        """The monomials of base exponent below ``cut`` (all for None)."""
+        return (lambda m: True) if cut is None else (cut << self.shift).__gt__
+
+    def weight(self, k: int) -> int:
+        """wt(q) = 1, wt(q^(i)) = p**i, of a key with no auxiliary exponent."""
+        return (k >> self.shift) + sum(e * self.p ** f for f, e in enumerate(self.exps(k), 1))
+
+
+def terms_mul(t1: Packed, t2: Packed, keep: Callable[[int], bool], mod: int | None) -> Packed:
+    """The product of packed terms, forming only the pairs ``keep`` admits,
+    then the digit rule ``mod`` (see ``_mod``) on the sums."""
+    out = sparse.mul(t1, t2, operator.add, keep)
+    return out if mod is None else {m: x for m, x in out.items() if x % mod}
+
+
+def _cut(t: Packed, keep: Callable[[int], bool], mod: int | None) -> Packed:
+    return {m: x for m, x in t.items() if keep(m) and (mod is None or x % mod)}
+
+
+def terms_phi(t: Packed, L: Layout, keep, mod: int | None, jmax: int) -> Packed:
+    """Apply the Frobenius-lift substitution v -> v**p + p * (next jet).
+
+    Each variable power v**a maps to sum_j C(a, j) p^j v^(p(a-j)) w^j, w the
+    next jet; for a < 0 (base variable only) that is the p-adically
+    convergent tail, cut at j = jmax since the j-th term carries p**j.
     """
-    out: Terms = {}
-    top = a if a >= 0 else jmax
-    for j in range(top + 1):
-        c = Fraction(binomial(a, j) * p**j)
-        if c == 0:
-            continue
-        exps = [0] * (i + 2)
-        exps[i] = p * (a - j)
-        exps[i + 1] = j
-        m = (_trim(tuple(exps)), ()) if family == 0 else ((), _trim(tuple(exps)))
-        out[m] = c
-    return out
+    p, w = L.p, L.width
+    images: dict[tuple[int, int], Packed] = {}
+
+    def image(u: int, nxt: int, a: int) -> Packed:
+        """phi(v**a), for v of key ``u`` and its next jet of key ``nxt``."""
+        if (u, a) not in images:
+            top = a if a >= 0 else jmax
+            images[u, a] = {
+                p * (a - j) * u + j * nxt: binomial(a, j) * p**j for j in range(top + 1)
+            }
+        return images[u, a]
+
+    def lift(k: int, x: int) -> Packed:
+        acc, b = {0: x}, k >> L.shift
+        if b:
+            acc = terms_mul(acc, image(1 << L.shift, 1, b), keep, mod)
+        for f, e in enumerate(L.exps(k)):
+            if e:
+                acc = terms_mul(acc, image(1 << (f * w), 1 << ((f + 1) * w), e), keep, mod)
+        return acc
+
+    return _cut(sparse.add(*(lift(k, x) for k, x in t.items())), keep, mod)
 
 
-def terms_phi(t: Terms, p: int, keep: Keep, jmax: int) -> Terms:
-    """Apply the Frobenius-lift substitution.
+def terms_delta(t: Packed, D: int, L: Layout, keep, digits, jmax: int) -> tuple[Packed, int]:
+    """(phi(f) - f**p) / p for f = t / D, as numerators over the returned
+    denominator: D**(p-1) phi(t) - t**p over D**p * p."""
+    p = L.p
 
-    A negative base power expands through a tail cut at ``jmax`` terms.
-    """
-    out: Terms = {}
-    for (zexps, vexps), c in t.items():
-        acc: Terms = {M_ONE: c}
-        for fam, exps in ((0, zexps), (1, vexps)):
-            for i, a in enumerate(exps):
-                if a == 0:
-                    continue
-                if a < 0 and (fam == 1 or i != 0):
-                    raise DomainError("negative exponents only on the base variable")
-                acc = terms_mul(acc, _phi_var(fam, i, a, p, jmax), keep)
-        out = sparse.add(out, acc)
-    return _kept(out, keep)
+    def mul(a: tuple[Packed, int], b: tuple[Packed, int]) -> tuple[Packed, int]:
+        den = a[1] * b[1]
+        return terms_mul(a[0], b[0], keep, _mod(p, digits, den)), den
+
+    ph = terms_phi(t, L, keep, _mod(p, digits, D), jmax)
+    fp, den = sparse.power((t, D), p, ({0: 1}, 1), mul)
+    num = sparse.add(sparse.scale(ph, D ** (p - 1)), sparse.scale(fp, -1))
+    return _cut(num, keep, _mod(p, digits, den)), den * p
 
 
-def terms_delta(t: Terms, p: int, keep: Keep, jmax: int) -> Terms:
-    ph = terms_phi(t, p, keep, jmax)
-    fp = sparse.power(t, p, {M_ONE: Fraction(1)}, lambda a, b: terms_mul(a, b, keep))
-    num = sparse.add(ph, sparse.scale(fp, Fraction(-1)))
-    return {m: c / p for m, c in _kept(num, keep).items()}
+def phi_terms(t: Terms, p: int, cut: int | None, digits: int | None, jmax: int) -> Terms:
+    """One phi step: drops every monomial of base exponent >= ``cut`` and
+    every coefficient of valuation >= ``digits``, before it multiplies on."""
+    L, D = Layout(p, t, jmax), _den(t)
+    return L.unpack(terms_phi(L.pack(t, D), L, L.below(cut), _mod(p, digits, D), jmax), D)
+
+
+def delta_terms(t: Terms, p: int, cut: int | None, digits: int | None, jmax: int) -> Terms:
+    """One delta step, with the cuts of ``phi_terms``."""
+    L, D = Layout(p, t, jmax), _den(t)
+    return L.unpack(*terms_delta(L.pack(t, D), D, L, L.below(cut), digits, jmax))
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +276,6 @@ class JetSeries:
     def eff_digits(self) -> int:
         return self.digits if self.digits is not None else self.M
 
-    def _keep(self) -> Keep:
-        p, N, digits, border = self.p, self.N, self.digits, self.base_order
-
-        def mono_ok(m: Monomial) -> bool:
-            if N is not None and _weight(m[0], p) >= N:
-                return False
-            return border is None or not m[0] or m[0][0] < border
-
-        def coeff_ok(c: Fraction) -> bool:
-            return digits is None or _vp(c, p) < digits
-
-        return mono_ok, coeff_ok
-
     def base_valuation(self) -> int:
         return min((b for (b, _), _ in self.terms), default=0)
 
@@ -284,11 +337,16 @@ class JetSeries:
                 self.N,
             )
         digits, border, N = self._meta_binary(other, mul=True)
-        probe = JetSeries.make(self.p, self.base, {}, self.M, digits, border, N)
-        t = terms_mul(self._to_terms(), other._to_terms(), probe._keep())
-        return JetSeries.make(
-            self.p, self.base, JetSeries._from_terms(t), self.M, digits, border, N
-        )
+        t = {}
+        if self.terms and other.terms:
+            t1, t2 = self._to_terms(), other._to_terms()
+            L, D1, D2 = Layout(self.p, [*t1, *t2]), _den(t1), _den(t2)
+            below = L.below(border)
+            keep = below if N is None else lambda m: L.weight(m) < N and below(m)
+            prod = terms_mul(L.pack(t1, D1), L.pack(t2, D2), keep, _mod(self.p, digits, D1 * D2))
+            t = JetSeries._from_terms(L.unpack(prod, D1 * D2))
+        # keep and the digit rule are make's cuts: the terms need only sorting
+        return JetSeries(self.p, self.base, tuple(sorted(t.items())), self.M, digits, border, N)
 
     __rmul__ = __mul__
 
@@ -363,18 +421,6 @@ class JetSeries:
 # ---------------------------------------------------------------------------
 
 
-def _below(keep: Keep, cut: int | None) -> Keep:
-    """``keep`` that also drops every monomial of base exponent >= ``cut``."""
-    if cut is None:
-        return keep
-    mono_ok, coeff_ok = keep
-
-    def below(m: Monomial) -> bool:
-        return (m[0][0] if m[0] else 0) < cut and mono_ok(m)
-
-    return below, coeff_ok
-
-
 def phi(f: JetSeries) -> JetSeries:
     """Frobenius lift: every variable v maps to v**p + p * (next jet)."""
     if f.base == "t":  # the d=1 several-prime ring; keep the input's M
@@ -394,8 +440,7 @@ def phi(f: JetSeries) -> JetSeries:
         border = p * (f.base_order - digits + 1)
     # phi(q^a * jets) has base exponents exactly p(a-j): the jet images add
     # none, so a monomial at or above the output border never comes back.
-    probe = JetSeries.make(p, "q", {}, f.M, f.digits, None, None)
-    t = terms_phi(f._to_terms(), p, _below(probe._keep(), border), geff)
+    t = phi_terms(f._to_terms(), p, border, f.digits, geff)
     return JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, digits, border, None)
 
 
@@ -431,8 +476,7 @@ def delta(f: JetSeries) -> JetSeries:
         # are final; so a monomial at or above ``cut`` only feeds the terms
         # at or above ``border`` that the output drops anyway.
         cut = border - (p - 1) * v
-    probe = JetSeries.make(p, "q", {}, f.M, f.digits, None, None)
-    t = terms_delta(f._to_terms(), p, _below(probe._keep(), cut), geff)
+    t = delta_terms(f._to_terms(), p, cut, f.digits, geff)
     return JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, digits, border, None)
 
 
@@ -515,11 +559,8 @@ def _jet_index(m: Monomial) -> int:
 
 
 def _lemma_delta_n(t: Terms, p: int, n: int, M: int) -> Terms:
-    probe_digits = M
-    for _ in range(n):
-        keep = (lambda m: True, lambda c, g=probe_digits: _vp(c, p) < g)
-        t = terms_delta(t, p, keep, probe_digits)
-        probe_digits -= 1
+    for digits in range(M, M - n, -1):
+        t = delta_terms(t, p, None, digits, digits)
     return t
 
 
@@ -544,7 +585,7 @@ def lemma_xlaphi_check(p: int, n: int, varphi: Fraction | int | str = 0, M: int 
     else:
         c = Fraction(varphi)
         if c:
-            f[M_ONE] = -c
+            f[((), ())] = -c
     res = _lemma_delta_n(f, p, n, M)
     lead1 = ((_trim((-(p**n),) + (0,) * (n - 1) + (p,)), ()), Fraction(1))
     lead2 = ((_trim((p ** (n + 1) - 2 * p**n,) + (0,) * (n - 1) + (1,)), ()), Fraction(-1))

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence, Union
 
 from . import sparse
 from .arith import PadicTrunc, check_prime, valuation
-from .deltajet import JetSeries, Terms, M_ONE, _weight, delta_n, terms_mul, terms_phi
+from .deltajet import JetSeries, delta_n, phi
 from .errors import DomainError, IntegralityViolation
 from .modular import QExpansion
 from .multiprime import (
@@ -99,37 +99,24 @@ def fsharp_expansion(
         raise DomainError("the modular layer requires p >= 5")
     if len(an) < window:
         raise DomainError(f"need a_n for n <= {window}")
-    cut = M + 3
-
-    def in_window(m):
-        return _weight(m[0], p) <= window
-
-    def digits_ok(c):
-        return c == 0 or valuation(c, p) < cut
-
-    keep = (in_window, digits_ok)
-
-    # phi(q) and phi^2(q) exactly: weights only add, so the window cut is safe
-    exact = (in_window, lambda c: True)
-    phi1 = terms_phi({((1,), ()): Fraction(1)}, p, exact, 0)
-    phi2 = terms_phi(phi1, p, exact, 0)
-    pow1: Terms = {M_ONE: Fraction(1)}
-    pow2: Terms = {M_ONE: Fraction(1)}
-    total: Terms = {}
+    # phi(q) and phi^2(q) exactly; the powers keep weight <= window, which
+    # is safe since weights only add, and valuation below M + 3
+    phi1 = phi(JetSeries.make(p, "q", {(1, ()): 1}))
+    phi2 = phi(phi1)
+    pow1 = pow2 = JetSeries.make(p, "q", {(0, ()): 1}, M, digits=M + 3, N=window + 1)
+    total: dict = {}
     for n in range(1, window + 1):
-        pow1 = terms_mul(pow1, phi1, keep)
-        pow2 = terms_mul(pow2, phi2, keep)
+        pow1, pow2 = pow1 * phi1, pow2 * phi2
         scal = Fraction(an[n - 1], n * p)
         if scal == 0:
             continue
-        summand = sparse.add(
-            pow2,
-            sparse.scale(pow1, Fraction(-a_p)),
-            {((n,), ()): Fraction(p)},
+        total = sparse.add(
+            total,
+            {m: c * scal for m, c in pow2.terms},
+            {m: c * scal * -a_p for m, c in pow1.terms},
+            {(n, ()): scal * p},
         )
-        total = sparse.add(total, sparse.scale(summand, scal))
-    total = {m: c for m, c in total.items() if in_window(m) and digits_ok(c)}
-    out = JetSeries.make(p, "q", JetSeries._from_terms(total), M=M, digits=M)
+    out = JetSeries.make(p, "q", total, M=M, digits=M)
     if check:
         bad = [(m, c) for m, c in out.terms if valuation(c, p) < 0]
         if bad:

@@ -357,7 +357,9 @@ class MultiJetSeries:
         return L.pack_terms(self.terms)
 
     def truncate(self, N: int) -> "MultiJetSeries":
-        return MultiJetSeries.make(self.P, dict(self.terms), min(self.N, N), self.ring)
+        N = min(self.N, N)
+        terms = tuple((m, c) for m, c in self.terms if mono_weight(m, self.P) < N)
+        return MultiJetSeries(self.P, terms, N, self.ring)
 
     def _meta(self, other: "MultiJetSeries") -> tuple[int, int]:
         if self.P != other.P:

@@ -2,11 +2,11 @@
 
 An element is a dict from monomials to nonzero coefficients.  The kernel
 does not look inside either: each ring supplies its own monomial product
-(``deltajet.m_mul``, or integer ``+`` for one variable and for the packed
-monomials of ``multiprime``) and its own truncation as a monomial predicate
-``keep``, which ``mul`` applies before it forms the coefficient product.  Conditions that
-depend on a summed coefficient, such as a p-adic digit bound, belong to the
-caller, after the product.
+(integer ``+`` for one variable and for the packed monomials of
+``multiprime`` and ``deltajet``) and its own truncation as a monomial
+predicate ``keep``, which ``mul`` applies before it forms the coefficient
+product.  Conditions that depend on a summed coefficient, such as a p-adic
+digit bound, belong to the caller, after the product.
 """
 
 from __future__ import annotations

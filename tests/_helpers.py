@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from pjet.arith import PadicTrunc, cp_coefficients, fermat_delta, min_order
+from pjet import sparse
+from pjet.arith import PadicTrunc, binomial, cp_coefficients, fermat_delta, min_order, valuation
 from pjet.deltajet import JetSeries
 from pjet.errors import DomainError
 from pjet.multiprime import M_ONE, MultiJetSeries
@@ -119,3 +120,91 @@ def invert_unit(f: MultiJetSeries) -> MultiJetSeries:
     if power.terms:
         raise DomainError("unit tail does not vanish under weight truncation")
     return acc * (1 / c0)
+
+
+# ---------------------------------------------------------------------------
+# The tuple-monomial jet kernel: the reference for deltajet's packed kernel
+# ---------------------------------------------------------------------------
+#
+# A monomial is a pair of trimmed exponent tuples (z family with the base at
+# index 0, auxiliary family), a coefficient a Fraction, and what a product
+# keeps is a pair of callables: a monomial rule, applied before the
+# coefficients multiply, and a coefficient rule, applied to the sums.  This
+# was the library's single-prime kernel before monomials were packed.
+
+
+def _trim(t):
+    i = len(t)
+    while i > 0 and t[i - 1] == 0:
+        i -= 1
+    return t[:i]
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
+
+
+def m_mul(m1, m2):
+    return (_padd(m1[0], m2[0]), _padd(m1[1], m2[1]))
+
+
+def digits_keep(p, cut=None, digits=None, weight_below=None):
+    """The keep pair of a phi/delta step: base exponent below ``cut``,
+    weight below ``weight_below``, valuation below ``digits``."""
+
+    def mono_ok(m):
+        z = m[0]
+        if weight_below is not None and sum(e * p**i for i, e in enumerate(z)) >= weight_below:
+            return False
+        return cut is None or (z[0] if z else 0) < cut
+
+    def coeff_ok(c):
+        return digits is None or valuation(c, p) < digits
+
+    return mono_ok, coeff_ok
+
+
+def _kept(t, keep):
+    mono_ok, coeff_ok = keep
+    return {m: c for m, c in t.items() if mono_ok(m) and coeff_ok(c)}
+
+
+def tuple_terms_mul(t1, t2, keep):
+    mono_ok, coeff_ok = keep
+    return {m: c for m, c in sparse.mul(t1, t2, m_mul, mono_ok).items() if coeff_ok(c)}
+
+
+def _phi_var(family, i, a, p, jmax):
+    """Image of (v_i)**a under phi: sum_j C(a, j) p^j v_i^(p(a-j)) v_{i+1}^j,
+    cut at j = jmax for a < 0."""
+    out = {}
+    top = a if a >= 0 else jmax
+    for j in range(top + 1):
+        exps = [0] * (i + 2)
+        exps[i] = p * (a - j)
+        exps[i + 1] = j
+        m = (_trim(tuple(exps)), ()) if family == 0 else ((), _trim(tuple(exps)))
+        out[m] = Fraction(binomial(a, j) * p**j)
+    return out
+
+
+def tuple_terms_phi(t, p, keep, jmax):
+    """The Frobenius-lift substitution, one variable factor at a time."""
+    out = {}
+    for (zexps, vexps), c in t.items():
+        acc = {((), ()): c}
+        for fam, exps in ((0, zexps), (1, vexps)):
+            for i, a in enumerate(exps):
+                if a:
+                    acc = tuple_terms_mul(acc, _phi_var(fam, i, a, p, jmax), keep)
+        out = sparse.add(out, acc)
+    return _kept(out, keep)
+
+
+def tuple_terms_delta(t, p, keep, jmax):
+    ph = tuple_terms_phi(t, p, keep, jmax)
+    fp = sparse.power(t, p, {((), ()): Fraction(1)}, lambda a, b: tuple_terms_mul(a, b, keep))
+    num = sparse.add(ph, sparse.scale(fp, Fraction(-1)))
+    return {m: c / p for m, c in _kept(num, keep).items()}

@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 from pjet.arith import fermat_delta
 from pjet.deltajet import (
     JetSeries,
+    Layout,
     delta,
     delta_n,
+    delta_terms,
     lemma_logder_check,
     lemma_xlaphi_check,
     phi,
+    phi_terms,
     psi_fourier,
     psi_serretate,
-    terms_delta,
-    terms_phi,
 )
 from pjet.errors import DomainError, PjetError, PrecisionExhausted
 from pjet.multiprime import MultiJetSeries
@@ -143,7 +144,14 @@ class TestDelta:
             assert delta(phi(f)) == phi(delta(f))
 
 
-from _helpers import delta_axiomatic, exp_series  # noqa: E402
+from _helpers import (  # noqa: E402
+    _trim,
+    delta_axiomatic,
+    digits_keep,
+    exp_series,
+    tuple_terms_delta,
+    tuple_terms_phi,
+)
 
 
 class TestDualPathDelta:
@@ -156,10 +164,10 @@ class TestDualPathDelta:
 
 
 def _phi_unpruned(f: JetSeries) -> JetSeries:
-    """q-side phi that forms every monomial and lets ``make`` cut the border."""
+    """q-side phi on the tuple reference kernel, which forms every monomial
+    and lets ``make`` cut the border."""
     p = f.p
-    probe = JetSeries.make(p, "q", {}, f.M, f.digits)
-    t = terms_phi(f._to_terms(), p, probe._keep(), f.eff_digits())
+    t = tuple_terms_phi(f._to_terms(), p, digits_keep(p, digits=f.digits), f.eff_digits())
     digits = f.digits if f.base_valuation() >= 0 else f.eff_digits()
     border = None
     if f.base_order is not None:
@@ -169,12 +177,12 @@ def _phi_unpruned(f: JetSeries) -> JetSeries:
 
 
 def _delta_unpruned(f: JetSeries) -> JetSeries:
-    """q-side delta that forms every monomial and lets ``make`` cut the border."""
+    """q-side delta on the tuple reference kernel, which forms every monomial
+    and lets ``make`` cut the border."""
     p = f.p
     if f.digits is not None and f.digits <= 1:
         raise PrecisionExhausted("need at least two guaranteed digits for delta")
-    probe = JetSeries.make(p, "q", {}, f.M, f.digits)
-    t = terms_delta(f._to_terms(), p, probe._keep(), f.eff_digits())
+    t = tuple_terms_delta(f._to_terms(), p, digits_keep(p, digits=f.digits), f.eff_digits())
     digits = f.digits
     if f.base_valuation() < 0 or f.base_order is not None:
         digits = min(digits, f.M) if digits is not None else f.M
@@ -243,14 +251,11 @@ def t_side_jets(draw):
 
 
 def _t_substitution(f: JetSeries, step, N: int) -> JetSeries:
-    """t-side ``step`` (terms_phi or terms_delta) by direct substitution
-    x_i -> x_i**p + p*x_{i+1}, keeping the monomials of weight below N."""
+    """t-side ``step`` (the reference tuple_terms_phi or tuple_terms_delta) by
+    direct substitution x_i -> x_i**p + p*x_{i+1}, keeping the monomials of
+    weight below N."""
     p = f.p
-
-    def below(m):
-        return sum(e * p**i for i, e in enumerate(m[0])) < N
-
-    t = step(f._to_terms(), p, (below, lambda c: True), 0)
+    t = step(f._to_terms(), p, digits_keep(p, weight_below=N), 0)
     return JetSeries.make(p, "t", JetSeries._from_terms(t), f.M, N=N)
 
 
@@ -262,17 +267,68 @@ class TestTSideAgainstMultiprime:
     @given(f=t_side_jets())
     @settings(max_examples=100, deadline=None)
     def test_phi_matches_phi_pk(self, f):
-        assert phi(f).to_json() == _t_substitution(f, terms_phi, f.p * f.N).to_json()
+        assert phi(f).to_json() == _t_substitution(f, tuple_terms_phi, f.p * f.N).to_json()
 
     @given(f=t_side_jets())
     @settings(max_examples=100, deadline=None)
     def test_delta_matches_delta_pk(self, f):
-        assert delta(f).to_json() == _t_substitution(f, terms_delta, f.N).to_json()
+        assert delta(f).to_json() == _t_substitution(f, tuple_terms_delta, f.N).to_json()
 
     @pytest.mark.parametrize("op", [phi, delta])
     def test_unbounded_series_rejected(self, op):
         with pytest.raises(DomainError):
             op(jt(5, {(1, ()): 1}))
+
+
+@st.composite
+def kernel_steps(draw):
+    """Tuple-monomial terms with a base, jets and an auxiliary family, and
+    the cuts of one phi or delta step."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    exps = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+    z = st.builds(lambda b, jets: _trim((b, *jets)), st.integers(-2 * p, 6), exps)
+    keys = st.tuples(z, exps.map(_trim))
+    coeffs = st.builds(
+        Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, p, p * p])
+    )
+    t = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=3))
+    cut = draw(st.one_of(st.none(), st.integers(-3 * p, 6 * p)))
+    digits = draw(st.one_of(st.none(), st.integers(2, 4)))
+    return t, p, cut, digits, draw(st.integers(0, 4))
+
+
+class TestPackedKernel:
+    """The packed phi and delta steps against the tuple-monomial reference."""
+
+    @given(case=kernel_steps())
+    @settings(max_examples=150, deadline=None)
+    def test_phi_step_matches_tuple_reference(self, case):
+        t, p, cut, digits, jmax = case
+        want = tuple_terms_phi(t, p, digits_keep(p, cut, digits), jmax)
+        assert phi_terms(t, p, cut, digits, jmax) == want
+
+    @given(case=kernel_steps())
+    @settings(max_examples=150, deadline=None)
+    def test_delta_step_matches_tuple_reference(self, case):
+        t, p, cut, digits, jmax = case
+        want = tuple_terms_delta(t, p, digits_keep(p, cut, digits), jmax)
+        assert delta_terms(t, p, cut, digits, jmax) == want
+
+    @pytest.mark.parametrize("step", ["phi", "delta"])
+    @pytest.mark.parametrize("p, E, width", [(5, 5, 5), (5, 6, 6), (7, 3, 5), (7, 4, 6)])
+    def test_field_width_boundary(self, step, p, E, width):
+        # Every exponent is at most (p + 1) * E: 30 and 24 fit in 5 bits,
+        # 36 and 32 = 2**5 need 6.  Both monomials reach the bound under
+        # phi: z_2 and a_1 in the first (p E from themselves, E from z_1 and
+        # a_0), z_1 in the second (p E, and jmax = E from the negative base).
+        t = {
+            ((0, E, E), (E, E)): Fraction(1, p),
+            ((-1, E), (0, E)): Fraction(2, 3),
+        }
+        assert Layout(p, t, E).width == width
+        routes = {"phi": (phi_terms, tuple_terms_phi), "delta": (delta_terms, tuple_terms_delta)}
+        ours, ref = routes[step]
+        assert ours(t, p, None, None, E) == ref(t, p, digits_keep(p), E)
 
 
 class TestNegativePower:

@@ -70,8 +70,7 @@ class TestSympyOracles:
         p, M = 5, 3
         f = {((p - 1,), ()): Fraction(1), ((-1, 1), ()): Fraction(p)}
 
-        keep = (lambda m: True, lambda c: dj._vp(c, p) < M)
-        got = dj.terms_delta(f, p, keep, M)
+        got = dj.delta_terms(f, p, None, M, M)
 
         z, z1, z2 = sympy.symbols("z z1 z2")
         fr = (z**p + p * z1) / z

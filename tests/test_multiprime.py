@@ -370,6 +370,11 @@ class TestTruncatedLift:
         got = _phi_pk_below(f, k, bound)
         want = phi_pk(f, k).truncate(bound)
         assert got.terms == want.terms and got.N == want.N == bound
+        # truncate filters the sorted terms; make re-normalises and re-sorts
+        for g in (f, phi_pk(f, k)):
+            cut = g.truncate(bound)
+            made = MultiJetSeries.make(g.P, dict(g.terms), min(g.N, bound), g.ring)
+            assert (cut.P, cut.terms, cut.N, cut.ring) == (made.P, made.terms, made.N, made.ring)
 
 
 class TestDeltaPk:
