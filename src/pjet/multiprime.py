@@ -24,7 +24,8 @@ the monomial product is integer ``+`` and the truncation is the single
 comparison ``key < N << shift``.  A packed polynomial holds kept keys only.
 A series is packed once when it enters the kernel (``MultiJetSeries._packed``)
 and unpacked once into sorted ``Mono`` tuples when it leaves
-(``Layout.series``).
+(``Layout.series``); the order-e builder ``build_fe_k`` and the rank check
+keep every lift between the two packed, in the layout of (P, N).
 
 Per-prime rings (ring tag k >= 1) share the representation but only promise
 denominators coprime to p_k; the common ring (tag 0) promises denominators
@@ -246,30 +247,33 @@ def _gen_table(L: Layout, i: Idx, kind: str) -> tuple[dict[int, int], int]:
 def _subst(t: Poly, L: Layout, kind: str) -> Poly:
     """Substitute the generator image of kind ``kind`` for each variable of ``t``.
 
-    Images, powers and products run in integers.  A monomial c * prod x_i^e
-    contributes over the denominator c.denominator * prod D_i^e; the
-    contributions add up over the lcm of those, with one ``Fraction`` per
-    output term.  Both exchanges are weight-homogeneous, so every product
-    below L.N is exact.
+    Images, powers and products run in integers.  Each variable's image
+    powers are built once per call as a ladder, img^e = img^(e-1) * img, up
+    to the largest exponent asked for.  A monomial c * prod x_i^e
+    contributes c.numerator * prod img_i^e over the denominator
+    c.denominator * prod D_i^e; the contributions add up over the lcm of
+    those, with one ``Fraction`` per output term.  Both exchanges are
+    weight-homogeneous, so every product below L.N is exact.
     """
-    keep = L.keep
-    pow_cache: dict[tuple[Idx, int], tuple[dict[int, int], int]] = {}
-    parts: list[tuple[dict[int, int], int]] = []
+    keep, one = L.keep, {0: 1}
+    ladders: dict[Idx, tuple[list[dict[int, int]], int]] = {}
+    parts: list[tuple[dict[int, int], int, int]] = []
     for m, c in t.items():
-        acc = {0: c.numerator}
-        den = c.denominator
+        acc, den = one, c.denominator
         for i, e in L.unpack(m):
-            if (i, e) not in pow_cache:
+            if i not in ladders:
                 img, D = _gen_table(L, i, kind)
-                pow_cache[i, e] = sparse.power(img, e, {0: 1}, lambda a, b: poly_mul(a, b, keep)), D**e
-            img_e, D_e = pow_cache[i, e]
-            acc = poly_mul(acc, img_e, keep)
-            den *= D_e
-        parts.append((acc, den))
-    den = math.lcm(*(d for _, d in parts))
+                ladders[i] = [one, img], D
+            ladder, D = ladders[i]
+            while len(ladder) <= e:
+                ladder.append(poly_mul(ladder[-1], ladder[1], keep))
+            acc = ladder[e] if acc is one else poly_mul(acc, ladder[e], keep)
+            den *= D**e
+        parts.append((acc, den, c.numerator))
+    den = math.lcm(*(d for _, d, _ in parts))
     out: dict[int, int] = {}
-    for acc, d in parts:
-        f = den // d
+    for acc, d, num in parts:
+        f = den // d * num
         for m, x in acc.items():
             out[m] = out.get(m, 0) + x * f
     return {m: Fraction(x, den) for m, x in out.items() if x}
@@ -490,21 +494,28 @@ def phi_pk(f: MultiJetSeries, k: int) -> MultiJetSeries:
     multiplies every weight by p_k.  So a monomial of weight w maps to a
     polynomial of weight exactly p_k * w, and the terms of the result below a
     bound depend only on the terms of ``f`` below that bound over p_k
-    (see ``_phi_pk_below``).
+    (see ``_phi_below``).
     """
-    L = layout(f.P, f.N * f.P[k])
-    g = jet_to_ghost(f._packed(L), L)
-    return L.series(ghost_to_jet(ghost_shift(g, k, L), L), f.ring)
+    return _phi_pk_below(f, k, f.N * f.P[k])
 
 
 def _phi_pk_below(f: MultiJetSeries, k: int, N: int) -> MultiJetSeries:
-    """``phi_pk(f, k).truncate(N)``, lifting only the terms that survive.
+    """``phi_pk(f, k).truncate(N)``, lifted in the layout of the result."""
+    L = layout(f.P, min(N, f.N * f.P[k]))
+    return L.series(_phi_below(f._packed(L), k, L), f.ring)
 
-    By the weighted homogeneity of phi_k (see ``phi_pk``), a term of ``f`` of
-    weight w >= ceil(N / p_k) lands at weight p_k * w >= N, so it is dropped
-    before the lift instead of after it.  The result is the same series.
+
+def _phi_below(t: Poly, k: int, L: Layout) -> Poly:
+    """phi_k(t) below L.N, computed in L itself.
+
+    By the weighted homogeneity of phi_k (see ``phi_pk``), a term of weight
+    w >= ceil(N / p_k) lands at weight p_k * w >= N, so it is dropped before
+    the lift; every other term, its ghost image and the shifted image stay
+    below N, so each step in L is exact.
     """
-    return phi_pk(f.truncate(-(-N // f.P[k])), k).truncate(N)
+    cut = -(-L.N // L.P[k]) << L.shift
+    g = jet_to_ghost({m: c for m, c in t.items() if m < cut}, L)
+    return ghost_to_jet(ghost_shift(g, k, L), L)
 
 
 def delta_pk(f: MultiJetSeries, k: int) -> MultiJetSeries:
@@ -589,10 +600,6 @@ def build_fe0(P: Sequence[int], N: int) -> MultiJetSeries:
     return out
 
 
-def one_minus_phi_over_p(f: MultiJetSeries, k: int) -> MultiJetSeries:
-    return f - _phi_pk_below(f, k, f.N) * Fraction(1, f.P[k])
-
-
 def build_fe_k(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
     """Per-prime route to the order-e form:
     (-1)^(d-1) * prod_{l != k} (1 - phi_l / p_l) applied to the order-1
@@ -602,11 +609,13 @@ def build_fe_k(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
     d = len(Pt)
     if not (0 <= k < d):
         raise DomainError("prime index out of range")
-    out = psi_multi(Pt, k, N)
+    psi = psi_multi(Pt, k, N)  # checks the primes before a layout is built
+    L = layout(Pt, N)
+    out = psi._packed(L)
     for l in range(d):
         if l != k:
-            out = one_minus_phi_over_p(out, l)
-    return out * Fraction((-1) ** (d - 1))
+            out = sparse.add(out, sparse.scale(_phi_below(out, l, L), Fraction(-1, Pt[l])))
+    return L.series(sparse.scale(out, (-1) ** (d - 1)), k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -732,25 +741,30 @@ class RankReport:
 
 
 def exact_rank(rows: list[list[Fraction]]) -> int:
-    """Gaussian elimination over the rationals, no pivots lost to rounding."""
-    rows = [row[:] for row in rows]
+    """Rank over the rationals, by fraction-free elimination in integers.
+
+    Scaling a row by the lcm of its denominators keeps the rank.  Each step
+    takes a nonzero row as pivot, at a nonzero column c, and replaces every
+    other row r by piv[c] * r - r[c] * piv, divided by the gcd of its
+    entries: the other rows then vanish at c, so the pivot is independent
+    of them and adds one to their rank.
+    """
+    mat = []
+    for row in rows:
+        D = math.lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (D // x.denominator) for x in row])
     rank = 0
-    cols = len(rows[0]) if rows else 0
-    col = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
+    while mat:
+        piv = mat.pop()
+        col = next((j for j, x in enumerate(piv) if x), None)
+        if col is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
-        if rank == len(rows):
-            break
+        for n, row in enumerate(mat):
+            if b := row[col]:
+                row = [piv[col] * x - b * y for x, y in zip(row, piv)]
+                g = math.gcd(*row) or 1
+                mat[n] = [x // g for x in row]
     return rank
 
 
@@ -759,7 +773,9 @@ def basis_independence_check(P: Sequence[int], r: Sequence[int], N: int) -> Rank
 
     The expected rank is r_1 * ... * r_d.  The deepest shift starts at weight
     p_1^(r_1 - 1) * ... * p_d^(r_d - 1) and truncates to zero below it, so a
-    smaller ``N`` decides nothing and raises ``DomainError``.
+    smaller ``N`` decides nothing and raises ``DomainError``.  The shifts are
+    lifted packed in the layout of (P, N), each from the shift one lift
+    before it, since the lifts commute and each is exact below N.
     """
     Pt = tuple(sorted(set(int(p) for p in P)))
     d = len(Pt)
@@ -773,15 +789,14 @@ def basis_independence_check(P: Sequence[int], r: Sequence[int], N: int) -> Rank
             f"use N >= {deepest + 1}"
         )
     fe0 = build_fe0(Pt, N)
-    series = []
+    L = layout(Pt, N)
+    shifts = {(1,) * d: fe0._packed(L)}
     for s in itertools.product(*(range(1, top + 1) for top in rv)):
-        f = fe0
-        for k in range(d):
-            for _ in range(s[k] - 1):
-                f = _phi_pk_below(f, k, N)
-        series.append(f)
-    monos = sorted({m for f in series for m, _ in f.terms})
-    rows = [[f.coeffs.get(m, Fraction(0)) for m in monos] for f in series]
+        if ks := [k for k in range(d) if s[k] > 1]:
+            k = ks[-1]
+            shifts[s] = _phi_below(shifts[s[:k] + (s[k] - 1,) + s[k + 1 :]], k, L)
+    cols = sorted({m for t in shifts.values() for m in t})
+    rows = [[t.get(m, 0) for m in cols] for t in shifts.values()]
     rank = exact_rank(rows)
     expected = math.prod(rv)
     return RankReport(Pt, rv, N, expected, rank, rank == expected)

@@ -122,6 +122,32 @@ def invert_unit(f: MultiJetSeries) -> MultiJetSeries:
     return acc * (1 / c0)
 
 
+def exact_rank_fraction(rows: list[list[Fraction]]) -> int:
+    """Gaussian elimination over the rationals in ``Fraction`` arithmetic.
+
+    This was ``multiprime.exact_rank`` before the elimination moved to
+    integers; it stays here as the reference for that route.
+    """
+    rows = [row[:] for row in rows]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for col in range(cols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # The tuple-monomial jet kernel: the reference for deltajet's packed kernel
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Several-prime jet rings: structure maps, order-e builders, continuation."""
 
+import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _helpers import exact_rank_fraction
 from pjet import multiprime, sparse
 from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, fermat_delta
 from pjet.cli import _dump as dump
@@ -251,6 +254,61 @@ class TestIntegerExchange:
                 assert L.keep(key) and L.unpack(key) == m
 
 
+def ladder_case(P, N, k):
+    """Monomials whose exponents reach the top of the layout of (P, N), at
+    the prime p_k: x_0^(N-1) and x_(e_k)^top with top = (N - 1) // p_k, then
+    x_(e_k)^2 and x_(e_k) in other monomials, so each ladder is grown to its
+    top before a lower power is asked for.  x_(e_k) has a ghost image with
+    denominator p_k, so the "g" exchange meets D_i > 1; so does x_(1,1) for
+    d >= 2, of weight 35 < N."""
+    d = len(P)
+    zero = (0,) * d
+    e_k = tuple(int(j == k) for j in range(d))
+    top = (N - 1) // P[k]
+    t = {
+        ((e_k, top),): Fraction(3, 7),
+        ((zero, N - 1),): Fraction(-2, P[k]),
+        ((zero, 1), (e_k, top)): Fraction(5),
+        ((zero, 3), (e_k, 2)): Fraction(1, 2 * P[-1]),
+        ((zero, 2), (e_k, 1)): Fraction(-4, 3),
+        ((e_k, 1),): Fraction(1, P[k] ** 2),
+    }
+    if d >= 2:
+        t[(((1, 1) + zero[2:], 1),)] = Fraction(2, 9)
+    return {_norm_mono(m): c for m, c in t.items()}
+
+
+class TestPowerLadder:
+    """Both exchanges at exponents up to the layout's top, against the
+    Fraction reference, which raises each power by square-and-multiply."""
+
+    @pytest.mark.parametrize("P", [(5,), (7,), P57, P5711])
+    @pytest.mark.parametrize("exchange", ["g", "j"])
+    def test_exchange_at_the_top_exponent(self, P, exchange):
+        N = 40
+        for k in range(len(P)):
+            t = ladder_case(P, N, k)
+            assert all(mono_weight(m, P) < N for m in t)
+            route = jet_to_ghost if exchange == "g" else ghost_to_jet
+            fraction_route = _jet_to_ghost_fraction if exchange == "g" else _ghost_to_jet_fraction
+            assert packed(route, t, P, N) == fraction_route(t, P, weight_cut(P, N))
+
+    def test_ladder_is_grown_out_of_order(self, monkeypatch):
+        # x_(1)^7 comes first, so the ladder of x_(1) holds img^2 before the
+        # monomial x_(1)^2 asks for it: six products build it, none repeats
+        calls = []
+
+        def counting_mul(t1, t2, keep):
+            calls.append(1)
+            return poly_mul(t1, t2, keep)
+
+        monkeypatch.setattr(multiprime, "poly_mul", counting_mul)
+        t = {(((1,), 7),): Fraction(1), (((1,), 2),): Fraction(1, 3)}
+        got = packed(jet_to_ghost, t, (5,), 40)
+        assert len(calls) == 6
+        assert got == _jet_to_ghost_fraction(t, (5,), weight_cut((5,), 40))
+
+
 @st.composite
 def tuple_polys(draw, d):
     coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
@@ -375,6 +433,22 @@ class TestTruncatedLift:
             cut = g.truncate(bound)
             made = MultiJetSeries.make(g.P, dict(g.terms), min(g.N, bound), g.ring)
             assert (cut.P, cut.terms, cut.N, cut.ring) == (made.P, made.terms, made.N, made.ring)
+
+    @given(case=series_lift_and_bound(), past=st.integers(1, 30))
+    @example(case=(MultiJetSeries.make((5,), {(((0,), 3), ((1,), 1)): Fraction(1, 2), (((0,), 1),): 1}, 9), 0, 1), past=1)
+    @example(case=(MultiJetSeries.make(P57, {(((0, 0), 2), ((0, 1), 1)): Fraction(-3, 4)}, 10), 1, 1), past=7)
+    @settings(max_examples=25, deadline=None)
+    def test_bound_past_the_lift_range(self, case, past):
+        # ceil(bound / p_k) > f.N: phi_k(f) is known only below f.N * p_k,
+        # so the result stops there; checked against the Fraction route.  The
+        # examples carry a term at the top weight f.N - 1, the last one lifted
+        f, k, _ = case
+        bound = f.N * f.P[k] + past
+        ghost = _jet_to_ghost_fraction(dict(f.terms), f.P, keep_all)
+        lifted = _ghost_to_jet_fraction(ghost_shift_reference(ghost, k), f.P, weight_cut(f.P, f.N * f.P[k]))
+        want = MultiJetSeries.make(f.P, lifted, f.N * f.P[k], f.ring)
+        got = _phi_pk_below(f, k, bound)
+        assert (got.terms, got.N, got.ring) == (want.terms, want.N, want.ring)
 
 
 class TestDeltaPk:
@@ -541,6 +615,18 @@ class TestBuildFeK:
         got, want = build_fe_k(P5711, k, 50), build_fe0(P5711, 50)
         assert got.terms == want.terms and got.N == want.N
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_d3_matches_public_route(self, k):
+        # (1 - phi_l / p_l) for each l != k through the public phi_pk, its
+        # truncation and series arithmetic, one series per step
+        N = 40
+        out = psi_multi(P5711, k, N)
+        for l in range(3):
+            if l != k:
+                out = out - phi_pk(out, l).truncate(N) * Fraction(1, P5711[l])
+        got = build_fe_k(P5711, k, N)
+        assert (got.P, got.terms, got.N, got.ring) == (out.P, out.terms, out.N, out.ring)
+
 
 class TestContinuation:
     def test_exact_roundtrip(self):
@@ -597,6 +683,28 @@ class TestContinuation:
             continuation_check(fam, height=10_000)
 
 
+@st.composite
+def rational_matrices(draw):
+    """0-6 rows of 0-8 columns over the denominators 1, 2, p and p*q.  A row
+    is drawn free, zero, or as a rational combination of the rows before
+    it; the rows are then shuffled."""
+    p, q = draw(st.sampled_from([P57, (5, 11), (7, 13)]))
+    ncols = draw(st.integers(0, 8))
+    num = st.one_of(st.just(0), st.integers(-9, 9))
+    entry = st.builds(Fraction, num, st.sampled_from([1, 2, p, p * q]))
+    rows: list[list[Fraction]] = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "combination" and rows:
+            coeffs = [draw(entry) for _ in rows]
+            rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(ncols)])
+        else:
+            rows.append([draw(entry) for _ in range(ncols)])
+    return draw(st.permutations(rows))
+
+
 class TestBasisIndependence:
     def test_d1_rank_one(self):
         rep = basis_independence_check([5], [1], 30)
@@ -622,6 +730,40 @@ class TestBasisIndependence:
             [Fraction(0), Fraction(1), Fraction(1)],
         ]
         assert exact_rank(rows) == 2
+
+    @given(rows=rational_matrices())
+    @example(rows=[])
+    @example(rows=[[]])
+    @example(rows=[[], [], []])
+    @example(rows=[[Fraction(0)] * 8] * 6)
+    @example(rows=[[Fraction(1, 2), Fraction(1, 3)], [Fraction(1), Fraction(1)]])
+    @example(rows=[[Fraction(1, 5), Fraction(2, 35)], [Fraction(7), Fraction(2)]])
+    @settings(max_examples=200, deadline=None)
+    def test_exact_rank_matches_fraction_elimination(self, rows):
+        before = [row[:] for row in rows]
+        assert exact_rank(rows) == exact_rank_fraction(rows)
+        assert rows == before
+
+    @pytest.mark.parametrize(
+        "P, r",
+        [((5,), (3,)), ((7,), (2,)), (P57, (2, 2)), (P57, (3, 1)), (P5711, (1, 1, 2)), (P5711, (2, 2, 1))],
+    )
+    def test_rank_matches_public_route(self, P, r):
+        # N just above the deepest shift's starting weight; the public route
+        # lifts each shift from f^e_0 by phi_pk, truncates, and keys by Mono
+        N = math.prod(p ** (x - 1) for p, x in zip(P, r)) + 1
+        fe0 = build_fe0(P, N)
+        series = []
+        for s in itertools.product(*(range(1, top + 1) for top in r)):
+            f = fe0
+            for k in range(len(P)):
+                for _ in range(s[k] - 1):
+                    f = phi_pk(f, k).truncate(N)
+            series.append(f)
+        monos = sorted({m for f in series for m, _ in f.terms})
+        want = exact_rank_fraction([[f.coeffs.get(m, Fraction(0)) for m in monos] for f in series])
+        rep = basis_independence_check(P, r, N)
+        assert (rep.N, rep.rank, rep.expected) == (N, want, math.prod(r))
 
 
 def _gamma_image(gamma, P, N):
