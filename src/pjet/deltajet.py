@@ -72,8 +72,9 @@ def _den(t: Terms) -> int:
 
 def _mod(p: int, digits: int | None, den: int) -> int | None:
     """The digit rule for numerators over ``den``: x / den has valuation
-    below ``digits`` exactly when x % p**(digits + v_p(den)) is nonzero."""
-    return None if digits is None else p ** (digits + valuation(den, p))
+    below ``digits`` exactly when x % p**(digits + v_p(den)) is nonzero; a
+    negative exponent keeps nothing, as p**0 does."""
+    return None if digits is None else p ** max(digits + valuation(den, p), 0)
 
 
 class Layout:
@@ -133,7 +134,7 @@ def terms_mul(t1: Packed, t2: Packed, keep: Callable[[int], bool], mod: int | No
 
 
 def _cut(t: Packed, keep: Callable[[int], bool], mod: int | None) -> Packed:
-    return {m: x for m, x in t.items() if keep(m) and (mod is None or x % mod)}
+    return {m: x for m, x in t.items() if keep(m) and (x if mod is None else x % mod)}
 
 
 def terms_phi(t: Packed, L: Layout, keep, mod: int | None, jmax: int) -> Packed:
@@ -440,8 +441,10 @@ def phi(f: JetSeries) -> JetSeries:
         border = p * (f.base_order - digits + 1)
     # phi(q^a * jets) has base exponents exactly p(a-j): the jet images add
     # none, so a monomial at or above the output border never comes back.
-    t = phi_terms(f._to_terms(), p, border, f.digits, geff)
-    return JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, digits, border, None)
+    t = f._to_terms()
+    L, D = Layout(p, t, geff), _den(t)
+    out = terms_phi(L.pack(t, D), L, L.below(border), _mod(p, f.digits, D), geff)
+    return _q_result(f, L, out, D, digits, border)
 
 
 def delta(f: JetSeries) -> JetSeries:
@@ -476,8 +479,18 @@ def delta(f: JetSeries) -> JetSeries:
         # are final; so a monomial at or above ``cut`` only feeds the terms
         # at or above ``border`` that the output drops anyway.
         cut = border - (p - 1) * v
-    t = delta_terms(f._to_terms(), p, cut, f.digits, geff)
-    return JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, digits, border, None)
+    t = f._to_terms()
+    L, D = Layout(p, t, geff), _den(t)
+    out, den = terms_delta(L.pack(t, D), D, L, L.below(cut), f.digits, geff)
+    return _q_result(f, L, out, den, digits, border)
+
+
+def _q_result(f: JetSeries, L: Layout, t: Packed, den: int, digits, border) -> JetSeries:
+    """The q-side series of numerators ``t`` over ``den``, with ``make``'s
+    cuts taken on the numerators: the digit rule (see ``_mod``) and the
+    base_order border.  ``unpack`` trims, so the terms need only sorting."""
+    t = JetSeries._from_terms(L.unpack(_cut(t, L.below(border), _mod(f.p, digits, den)), den))
+    return JetSeries(f.p, "q", tuple(sorted(t.items())), f.M, digits, border, None)
 
 
 def delta_n(f: JetSeries, n: int) -> JetSeries:

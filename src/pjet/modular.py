@@ -2,8 +2,9 @@
 
 Everything is exact: Bernoulli numbers through the binomial recursion,
 Eisenstein series from divisor sums, the discriminant form from its eta
-product, the j-line from E4^3 / Delta, and newform coefficients a_n from
-counting points over prime fields plus the standard Hecke recursions.
+product (multiplied out in integers on a dense coefficient list), the
+j-line from E4^3 / Delta, and newform coefficients a_n from counting points
+over prime fields plus the standard Hecke recursions.
 
 Forms are carried purely by their expansions; the level field is an
 informational tag and the built-in Eisenstein data is the level-one kind,
@@ -107,14 +108,18 @@ def eisenstein_mod_p(p: int, trunc: int) -> list[int]:
 
 
 def discriminant_delta(trunc: int) -> QExpansion:
-    """The weight-12 cusp form as the eta product q * prod (1 - q^n)^24."""
+    """The weight-12 cusp form as the eta product q * prod (1 - q^n)^24.
+
+    The product runs in integers on one dense list of the coefficients of
+    q^0 .. q^(trunc - 2), multiplied by (1 - q^n) in place 24 times per n.
+    """
     _check_trunc(trunc)
-    prod = Series1.make("q", {0: Fraction(1)}, N=trunc)
-    for n in range(1, trunc):
-        factor = Series1.make("q", {0: Fraction(1), n: Fraction(-1)}, N=trunc)
-        prod = (prod * factor**24).truncate(trunc)
-    series = (Series1.monomial("q", 1, 1, N=trunc) * prod).truncate(trunc)
-    return QExpansion(12, 1, series)
+    c = [1] + [0] * (trunc - 2)
+    for n in range(1, len(c)):
+        for _ in range(24):
+            for e in range(len(c) - 1, n - 1, -1):
+                c[e] -= c[e - n]
+    return QExpansion.make(12, {e + 1: Fraction(x) for e, x in enumerate(c) if x}, trunc)
 
 
 def j_invariant(trunc: int, p: int, M: int) -> Series1:

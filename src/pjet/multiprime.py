@@ -143,9 +143,7 @@ class Layout:
 def layout(P: tuple[int, ...], N: int) -> Layout:
     """The layout of (P, N), built on first use and kept in ``_GEN_CACHE``."""
     L = _GEN_CACHE.get((P, N))
-    if L is None:
-        L = _GEN_CACHE[P, N] = Layout(P, N)
-    return L
+    return _cached((P, N), Layout(P, N)) if L is None else L
 
 
 def poly_mul(t1: Poly, t2: Poly, keep: Callable[[int], bool]) -> Poly:
@@ -197,8 +195,19 @@ def ghost_delta(t: Poly, k: int, L: Layout) -> Poly:
 
 
 # generator tables by (P, i, "g" or "j"), layouts by (P, N), and generator
-# tables packed in a layout by (P, N, i, "g" or "j")
+# tables packed in a layout by (P, N, i, "g" or "j"); at most _GEN_CACHE_MAX
 _GEN_CACHE: dict[tuple, object] = {}
+_GEN_CACHE_MAX = 1024
+
+
+def _cached(key: tuple, value):
+    """Store ``value`` under ``key`` in ``_GEN_CACHE`` and return it.  A full
+    cache is emptied first, to the state of a fresh process: every entry is a
+    pure function of its key, and callers hold on to what they took out."""
+    if len(_GEN_CACHE) >= _GEN_CACHE_MAX:
+        _GEN_CACHE.clear()
+    _GEN_CACHE[key] = value
+    return value
 
 
 def _generator(P: tuple[int, ...], i: Idx, kind: str) -> dict[Mono, Fraction]:
@@ -230,18 +239,17 @@ def _generator(P: tuple[int, ...], i: Idx, kind: str) -> dict[Mono, Fraction]:
         rest = ghost_to_jet(L.pack_terms((m, c) for m, c in g.items() if m != lead), L)
         # the rest is in jet variables lighter than x_i
         out = {lead: Fraction(w), **{L.unpack(m): -w * c for m, c in rest.items()}}
-    _GEN_CACHE[key] = out
-    return out
+    return _cached(key, out)
 
 
 def _gen_table(L: Layout, i: Idx, kind: str) -> tuple[dict[int, int], int]:
     """``_generator(L.P, i, kind)`` packed in L, as integer coefficients over
     the lcm D of its denominators."""
-    if (key := (L.P, L.N, i, kind)) not in _GEN_CACHE:
-        img = L.pack_terms(_generator(L.P, i, kind).items())
-        D = math.lcm(*(c.denominator for c in img.values()))
-        _GEN_CACHE[key] = ({m: c.numerator * (D // c.denominator) for m, c in img.items()}, D)
-    return _GEN_CACHE[key]
+    if (key := (L.P, L.N, i, kind)) in _GEN_CACHE:
+        return _GEN_CACHE[key]
+    img = L.pack_terms(_generator(L.P, i, kind).items())
+    D = math.lcm(*(c.denominator for c in img.values()))
+    return _cached(key, ({m: c.numerator * (D // c.denominator) for m, c in img.items()}, D))
 
 
 def _subst(t: Poly, L: Layout, kind: str) -> Poly:

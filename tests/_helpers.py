@@ -6,6 +6,7 @@ from pjet import sparse
 from pjet.arith import PadicTrunc, binomial, cp_coefficients, fermat_delta, min_order, valuation
 from pjet.deltajet import JetSeries
 from pjet.errors import DomainError
+from pjet.modular import QExpansion
 from pjet.multiprime import M_ONE, MultiJetSeries
 from pjet.qseries import Series1
 
@@ -146,6 +147,20 @@ def exact_rank_fraction(rows: list[list[Fraction]]) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def discriminant_delta_series1(trunc: int) -> QExpansion:
+    """Delta = q * prod (1 - q^n)^24 by ``Series1`` products and powers.
+
+    This was ``modular.discriminant_delta`` before the eta product moved to
+    integers; it stays here as the reference for that route.
+    """
+    prod = Series1.make("q", {0: Fraction(1)}, N=trunc)
+    for n in range(1, trunc):
+        factor = Series1.make("q", {0: Fraction(1), n: Fraction(-1)}, N=trunc)
+        prod = (prod * factor**24).truncate(trunc)
+    series = (Series1.monomial("q", 1, 1, N=trunc) * prod).truncate(trunc)
+    return QExpansion(12, 1, series)
 
 
 # ---------------------------------------------------------------------------

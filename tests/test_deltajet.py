@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pjet.arith import fermat_delta
@@ -238,6 +238,66 @@ class TestBorderCut:
     def test_phi_matches_unpruned_route(self, case):
         f, n = case
         assert _iterate(phi, f, n) == _iterate(_phi_unpruned, f, n)
+
+
+@st.composite
+def q_side_series(draw):
+    """A q-side series for one phi or delta step: p in {5, 7}, base exponents
+    down to -p - 1, digits None or at least 2, base_order set or unset."""
+    p = draw(st.sampled_from([5, 7]))
+    keys = st.tuples(st.integers(-p - 1, 6), st.sampled_from([(), (1,), (2,), (0, 1)]))
+    coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, p]))
+    return JetSeries.make(
+        p,
+        "q",
+        draw(st.dictionaries(keys, coeffs, min_size=1, max_size=3)),
+        M=draw(st.integers(2, 4)),
+        digits=draw(st.one_of(st.none(), st.integers(2, 4))),
+        base_order=draw(st.one_of(st.none(), st.integers(-p, 3 * p))),
+    )
+
+
+class TestQSideOutputCut:
+    """q-side phi and delta cut their output on the packed numerators and
+    build the series directly; ``make`` over the same kernel terms, unpacked,
+    must give the same series."""
+
+    @given(f=q_side_series(), step=st.sampled_from([phi, delta]))
+    # exact regime: the constant of delta(1 + q) cancels
+    @example(f=jq(5, {(0, ()): 1, (1, ()): 1}), step=delta)
+    # digits None with a negative base exponent: the output is valid mod p**M,
+    # and the last tail term of q^-1 has valuation M
+    @example(f=jq(5, {(-1, ()): 1}, M=3), step=phi)
+    @example(f=jq(7, {(-1, ()): 1, (2, (1,)): 3}, M=3), step=delta)
+    # base_order with a negative base exponent: delta's kernel cut lies above
+    # the output border
+    @example(f=jq(5, {(-2, ()): 1, (3, ()): 2}, M=4, digits=3, base_order=6), step=delta)
+    # a negative M makes the output digits negative: make keeps no p-integral term
+    @example(f=jq(5, {(1, ()): 1, (2, (1,)): 3}, M=-1, base_order=4), step=phi)
+    @settings(max_examples=150, deadline=None)
+    def test_direct_construction_matches_make(self, f, step):
+        got = step(f)
+        p, border = f.p, got.base_order
+        if step is phi:
+            t = phi_terms(f._to_terms(), p, border, f.digits, f.eff_digits())
+        else:
+            cut = None if border is None else border - (p - 1) * min(f.base_valuation(), 0)
+            t = delta_terms(f._to_terms(), p, cut, f.digits, f.eff_digits())
+        want = JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, got.digits, border)
+        assert (got.terms, got.digits, got.base_order, got.M, got.N) == (
+            want.terms,
+            want.digits,
+            want.base_order,
+            want.M,
+            want.N,
+        )
+        assert all(c for _, c in got.terms)
+
+    def test_cancelled_constant_dropped(self):
+        got = delta(jq(5, {(0, ()): 1, (1, ()): 1}))
+        assert got.digits is None and got.base_order is None
+        assert (0, ()) not in dict(got.terms)
+        assert delta(jq(5, {(0, ()): 1})).terms == ()
 
 
 @st.composite

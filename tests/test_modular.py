@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from _helpers import discriminant_delta_series1
 from pjet.errors import DomainError, MissingPrimeValue
 from pjet.modular import (
     CURVE_11A1,
@@ -20,6 +21,14 @@ from pjet.modular import (
     load_curve_fixture,
     newform_coefficients,
 )
+from pjet.qseries import Series1
+
+# Ramanujan's tau(1..12) and the q-expansion coefficients c(-1..11) of j
+TAU = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944]
+J_COEFFS = [
+    1, 744, 196884, 21493760, 864299970, 20245856256, 333202640600, 4252023300096,
+    44656994071935, 401490886656000, 3176440229784420, 22567393309593600, 146211911499519294,
+]
 
 
 class TestBernoulli:
@@ -76,6 +85,15 @@ class TestDiscriminant:
         assert d.coeff(3) == 252
         assert d.coeff(4) == -1472
 
+    @pytest.mark.parametrize("T", range(61))
+    def test_integer_eta_product_matches_series1_route(self, T):
+        assert discriminant_delta(T).to_json() == discriminant_delta_series1(T).to_json()
+
+    def test_tau_table(self):
+        d = discriminant_delta(13)
+        assert [d.coeff(n) for n in range(1, 13)] == TAU
+        assert d.trunc() == 13 and d.weight == 12 and d.coeff(0) == 0
+
     def test_weight_identity(self):
         # E4^3 - E6^2 = 1728 * Delta, the classical cross-check
         T = 40
@@ -108,6 +126,10 @@ class TestJInvariant:
 
         assert j.coeff(0) == PadicTrunc.from_rational(744, 5, 8)
         assert j.coeff(1) == PadicTrunc.from_rational(196884, 5, 8)
+
+    def test_classical_coefficients(self):
+        want = Series1.make("q", dict(enumerate(map(Fraction, J_COEFFS), -1)), N=12)
+        assert j_invariant(12, 5, 8).to_json() == want.to_padic(5, 8).to_json()
 
     def test_definitional_identity(self):
         T = 12

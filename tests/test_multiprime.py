@@ -158,6 +158,14 @@ def _ghost_to_jet_fraction(t, P, keep):
     return _subst_fraction(t, P, lambda i: _generator(P, i, "j"), keep)
 
 
+def _phi_fraction(f, k, bound):
+    """phi_k(f) below ``bound`` <= f.N * p_k by the Fraction route: jet to
+    ghost, the ghost shift u_i -> u_{i+e_k}, ghost to jet."""
+    ghost = _jet_to_ghost_fraction(dict(f.terms), f.P, keep_all)
+    lifted = _ghost_to_jet_fraction(ghost_shift_reference(ghost, k), f.P, weight_cut(f.P, bound))
+    return MultiJetSeries.make(f.P, lifted, bound, f.ring)
+
+
 @st.composite
 def exchange_case(draw):
     """A polynomial, its primes, N <= 40 and a reference keep: the weight cut
@@ -350,9 +358,7 @@ class TestPackedMonomials:
         assert {L.unpack(m): c for m, c in got.items()} == want
         f = MultiJetSeries.make(P, b, N)
         for k, p in enumerate(P):
-            ghost = _jet_to_ghost_fraction(dict(f.terms), P, keep_all)
-            lifted = _ghost_to_jet_fraction(ghost_shift_reference(ghost, k), P, weight_cut(P, N * p))
-            assert phi_pk(f, k) == MultiJetSeries.make(P, lifted, N * p)
+            assert phi_pk(f, k) == _phi_fraction(f, k, N * p)
 
     @pytest.mark.parametrize("P, N", [(P57, 21), (P5711, 33)])
     def test_ghost_shift_into_a_variable_the_input_lacks(self, P, N):
@@ -422,11 +428,14 @@ def series_lift_and_bound(draw):
 
 class TestTruncatedLift:
     @given(case=series_lift_and_bound())
+    # a term of weight ceil(bound / p_k) - 1, the heaviest one that lifts below the bound
+    @example(case=(MultiJetSeries.make((5,), {(((0,), 1),): 1, (((0,), 2),): Fraction(1, 2)}, 9), 0, 10))
+    @example(case=(MultiJetSeries.make(P57, {(((0, 0), 2), ((0, 1), 1)): Fraction(-3, 4)}, 70), 1, 64))
     @settings(max_examples=40, deadline=None)
     def test_truncate_then_lift_matches_lift_then_truncate(self, case):
         f, k, bound = case
         got = _phi_pk_below(f, k, bound)
-        want = phi_pk(f, k).truncate(bound)
+        want = _phi_fraction(f, k, bound)
         assert got.terms == want.terms and got.N == want.N == bound
         # truncate filters the sorted terms; make re-normalises and re-sorts
         for g in (f, phi_pk(f, k)):
@@ -443,11 +452,8 @@ class TestTruncatedLift:
         # so the result stops there; checked against the Fraction route.  The
         # examples carry a term at the top weight f.N - 1, the last one lifted
         f, k, _ = case
-        bound = f.N * f.P[k] + past
-        ghost = _jet_to_ghost_fraction(dict(f.terms), f.P, keep_all)
-        lifted = _ghost_to_jet_fraction(ghost_shift_reference(ghost, k), f.P, weight_cut(f.P, f.N * f.P[k]))
-        want = MultiJetSeries.make(f.P, lifted, f.N * f.P[k], f.ring)
-        got = _phi_pk_below(f, k, bound)
+        want = _phi_fraction(f, k, f.N * f.P[k])
+        got = _phi_pk_below(f, k, f.N * f.P[k] + past)
         assert (got.terms, got.N, got.ring) == (want.terms, want.N, want.ring)
 
 
@@ -549,6 +555,30 @@ class TestBuildFe0:
     def test_small_primes_rejected(self):
         with pytest.raises(DomainError):
             build_fe0([3, 5], 20)
+
+
+class TestGenCacheBound:
+    """``_GEN_CACHE`` empties itself before it would pass ``_GEN_CACHE_MAX``
+    entries; every entry is a pure function of its key, so the bytes stay."""
+
+    def test_bounded_loop_matches_unbounded(self, monkeypatch):
+        Ns = range(20, 211, 10)  # each N keeps its own layout and packed tables
+        monkeypatch.setattr(multiprime, "_GEN_CACHE", {})
+        monkeypatch.setattr(multiprime, "_GEN_CACHE_MAX", math.inf)
+        want = [dump(build_fe0(P57, N).to_json()) for N in Ns]
+        unbounded = len(multiprime._GEN_CACHE)
+        sizes = []
+
+        class Recording(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                sizes.append(len(self))
+
+        monkeypatch.setattr(multiprime, "_GEN_CACHE", Recording())
+        monkeypatch.setattr(multiprime, "_GEN_CACHE_MAX", 16)
+        got = [dump(build_fe0(P57, N).to_json()) for N in Ns]
+        assert got == want
+        assert unbounded > 16 and len(sizes) >= unbounded and max(sizes) <= 16
 
 
 def _psi_ghost_route(P, k, N):
@@ -749,8 +779,9 @@ class TestBasisIndependence:
         [((5,), (3,)), ((7,), (2,)), (P57, (2, 2)), (P57, (3, 1)), (P5711, (1, 1, 2)), (P5711, (2, 2, 1))],
     )
     def test_rank_matches_public_route(self, P, r):
-        # N just above the deepest shift's starting weight; the public route
-        # lifts each shift from f^e_0 by phi_pk, truncates, and keys by Mono
+        # N just above the deepest shift's starting weight; the reference
+        # lifts each shift from f^e_0 by the Fraction route, truncated at N,
+        # and keys by Mono
         N = math.prod(p ** (x - 1) for p, x in zip(P, r)) + 1
         fe0 = build_fe0(P, N)
         series = []
@@ -758,7 +789,7 @@ class TestBasisIndependence:
             f = fe0
             for k in range(len(P)):
                 for _ in range(s[k] - 1):
-                    f = phi_pk(f, k).truncate(N)
+                    f = _phi_fraction(f, k, N)
             series.append(f)
         monos = sorted({m for f in series for m, _ in f.terms})
         want = exact_rank_fraction([[f.coeffs.get(m, Fraction(0)) for m in monos] for f in series])
