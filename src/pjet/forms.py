@@ -38,16 +38,14 @@ from .multiprime import (
     Layout,
     Mono,
     MultiJetSeries,
-    Poly,
     _check_primes,
+    _gamma_in_ghost,
     delta_pk,
     from_jet_series,
     ghost_shift,
     ghost_to_jet,
     layout,
-    mono_weight,
     poly_mul,
-    substitute_gamma,
     t_generator,
     var_weight,
 )
@@ -133,31 +131,27 @@ def fsharp_expansion(
 
 
 def _one_plus_u_pow_sum(
-    an: Sequence[int], scalars: Mapping[Idx, Fraction], L: Layout, n_max: int
-) -> Poly:
-    """sum_n (a_n/n) * sum_j c_j (1 + u_j)^n in ghost coordinates, packed in L.
+    an: Sequence[int], scalars: Mapping[Idx, int], L: Layout, n_max: int
+) -> tuple[dict[int, int], int]:
+    """sum_n (a_n/n) * sum_j c_j (1 + u_j)^n in ghost coordinates, packed in L,
+    as integer numerators over lcm(1..n_max), for integer scalars c_j.
 
-    ``scalars`` maps the index j of the ghost variable u_j to its operator
-    coefficient c_j.  The coefficient of u_j^m, sum_n (a_n/n) C(n, m), does
-    not depend on j, so it is summed once per top degree (N - 1) // wt(u_j),
-    in integers over lcm(1..n_max).
+    The coefficient of u^m, sum_n (a_n/n) C(n, m), depends on neither j nor
+    the top degree (N - 1) // wt(u_j), so the sum is formed once, up to the
+    largest top, by Horner's rule in (1 + u), and each u_j takes a prefix.
     """
     den = math.lcm(*range(1, n_max + 1))
-    hecke: dict[int, list[Fraction]] = {}
-    out: Poly = {}
-    for j, cj in scalars.items():
+    acc = [0] * (min(n_max, max(L.N - 1, 0)) + 1)  # no top exceeds N - 1
+    for n in range(n_max, 0, -1):
+        acc[0] += an[n - 1] * (den // n)
+        for m in range(len(acc) - 1, 0, -1):
+            acc[m] += acc[m - 1]
+    rows = []
+    for j, c in scalars.items():
         top = (L.N - 1) // var_weight(j, L.P)
-        if top not in hecke:
-            acc = [0] * (min(n_max, top) + 1)
-            for n in range(1, n_max + 1):
-                s = an[n - 1] * (den // n)
-                for m in range(min(n, top) + 1):
-                    acc[m] += s * math.comb(n, m)
-            hecke[top] = [Fraction(x, den) for x in acc]
-        # u_j has no field only when top <= 0, where no power of it is kept
-        row = {m * L.var[j] if m else 0: c for m, c in enumerate(hecke[top]) if c}
-        out = sparse.add(out, sparse.scale(row, cj))
-    return out
+        # u_j has no field only when top < 1, where no power of it is kept
+        rows.append({m * L.var[j] if m else 0: c * x for m, x in enumerate(acc[: max(top + 1, 0)])})
+    return sparse.add(*rows), den
 
 
 def build_f2e0(
@@ -167,23 +161,19 @@ def build_f2e0(
     applied to sum_{n <= n_max} (a_n/n) (1+t)^n, with n_max = len(an).
 
     The two Frobenius exponents at prime k turn into ghost-variable shifts by
-    0, 1 or 2 in the k-th slot.
+    0, 1 or 2 in the k-th slot, in integers over lcm(1..n_max) * prod p_k.
     """
     Pt = _check_primes(sorted(set(int(p) for p in P)))
     d = len(Pt)
     if len(ap) != d:
         raise DomainError("one a_p per prime required")
     L = layout(Pt, N)
-    scalars: dict[Idx, Fraction] = {}
-    for j in itertools.product((0, 1, 2), repeat=d):
-        c = Fraction(1)
-        for k in range(d):
-            c *= (Fraction(Pt[k]), Fraction(-ap[k]), Fraction(1))[j[k]]
-        if c:
-            scalars[j] = c
-    g = _one_plus_u_pow_sum(an, scalars, L, len(an))
-    g = sparse.scale(g, Fraction(1, math.prod(Pt)))
-    return L.series(ghost_to_jet(g, L), 0)
+    scalars = {
+        j: math.prod((Pt[k], -ap[k], 1)[j[k]] for k in range(d))
+        for j in itertools.product((0, 1, 2), repeat=d)
+    }
+    g, den = _one_plus_u_pow_sum(an, scalars, L, len(an))
+    return L.series(ghost_to_jet(g, L, den * math.prod(Pt)), 0)
 
 
 def build_f2e_k(
@@ -191,29 +181,24 @@ def build_f2e_k(
 ) -> MultiJetSeries:
     """Per-prime route: the Hecke factors away from p_k, divided by their
     primes, applied to the order-2 expansion at p_k written on the
-    deformation-parameter side."""
+    deformation-parameter side.  In integers, each factor away from p_k maps
+    the numerators g to p_l g - a_l shift(g) + shift^2(g) over the prime p_l.
+    """
     Pt = _check_primes(sorted(set(int(p) for p in P)))
     d = len(Pt)
     if not (0 <= k < d):
         raise DomainError("prime index out of range")
     if len(ap) != d:
         raise DomainError("one a_p per prime required")
-    e_k = tuple(1 if j == k else 0 for j in range(d))
-    two_e_k = tuple(2 if j == k else 0 for j in range(d))
-    zero = (0,) * d
-    scalars = {two_e_k: Fraction(1, Pt[k]), e_k: Fraction(-ap[k], Pt[k]), zero: Fraction(1)}
+    e_k = tuple(int(j == k) for j in range(d))
+    scalars = {tuple(2 * e for e in e_k): 1, e_k: -ap[k], (0,) * d: Pt[k]}
     L = layout(Pt, N)
-    g = _one_plus_u_pow_sum(an, scalars, L, len(an))
+    g, den = _one_plus_u_pow_sum(an, scalars, L, len(an))
     for l in range(d):
-        if l == k:
-            continue
-        # 1 - a_l phi_l / p_l + phi_l^2 / p_l
-        g = sparse.add(
-            g,
-            sparse.scale(ghost_shift(g, l, L), Fraction(-ap[l], Pt[l])),
-            sparse.scale(ghost_shift(ghost_shift(g, l, L), l, L), Fraction(1, Pt[l])),
-        )
-    return L.series(ghost_to_jet(g, L), k + 1)
+        if l != k:
+            s = ghost_shift(g, l, L)
+            g = sparse.add(sparse.scale(g, Pt[l]), sparse.scale(s, -ap[l]), ghost_shift(s, l, L))
+    return L.series(ghost_to_jet(g, L, den * math.prod(Pt)), k + 1)
 
 
 def denominator_witnesses(f: MultiJetSeries, primes: Sequence[int]):
@@ -338,9 +323,18 @@ def covariance_check(
 def _compare(F: MultiJetSeries, gamma, g: int, nu: int, digits: int | None) -> CovarianceReport:
     """Compare F(t -> (1+t)^g - 1) with g^nu * F for the integer ``g``,
     exactly (``digits=None``) or modulo p**digits in the d=1 ring.  The
-    witness is the first bad monomial in (weight, monomial) order."""
-    diff = substitute_gamma(F, g) - F * Fraction(g) ** nu
-    for m, c in sorted(diff.terms, key=lambda mc: (mono_weight(mc[0], F.P), mc[0])):
-        if c != 0 and (digits is None or valuation(Fraction(c), F.P[0]) < digits):
-            return CovarianceReport(gamma, nu, False, m)
+    witness is the first bad monomial in (weight, monomial) order.  The
+    difference is ghost_to_jet(ghost_gamma(G) - g^nu * G), G = jet_to_ghost(F).
+    """
+    L, G, num, den = _gamma_in_ghost(F, g)
+    A, B = (Fraction(g) ** nu).as_integer_ratio()
+    minus = {m: -A * c.numerator * (den // c.denominator) for m, c in G.items()}
+    diff = sparse.add(sparse.scale(num, B), minus)
+    bad = [
+        (m >> L.shift, L.unpack(m))
+        for m, c in ghost_to_jet(diff, L, den * B).items()
+        if digits is None or valuation(c, F.P[0]) < digits
+    ]
+    if bad:
+        return CovarianceReport(gamma, nu, False, min(bad)[1])
     return CovarianceReport(gamma, nu, True if F.terms else None, None)

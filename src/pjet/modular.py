@@ -1,10 +1,10 @@
 """Classical q-expansion generators and elliptic-curve point counts.
 
-Everything is exact: Bernoulli numbers through the binomial recursion,
-Eisenstein series from divisor sums, the discriminant form from its eta
-product (multiplied out in integers on a dense coefficient list), the
-j-line from E4^3 / Delta, and newform coefficients a_n from counting points
-over prime fields plus the standard Hecke recursions.
+Everything is exact: Bernoulli numbers by forward differences, Eisenstein
+series from divisor sums, the discriminant form from its eta product
+(multiplied out in integers on a dense coefficient list), the j-line from
+E4^3 / Delta, and newform coefficients a_n from counting points over prime
+fields plus the standard Hecke recursions.
 
 Forms are carried purely by their expansions; the level field is an
 informational tag and the built-in Eisenstein data is the level-one kind,
@@ -26,14 +26,20 @@ from .qseries import Series1
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
-    """B_0 .. B_n with B_1 = -1/2, via sum_{j<=m} C(m+1, j) B_j = 0."""
-    out = [Fraction(1)]
-    for m in range(1, n + 1):
-        s = Fraction(0)
-        for j in range(m):
-            s += math.comb(m + 1, j) * out[j]
-        out.append(-s / (m + 1))
-    return out
+    """B_0 .. B_n with B_1 = -1/2."""
+    return [bernoulli(k) for k in range(n + 1)]
+
+
+def bernoulli(k: int) -> Fraction:
+    """B_k alone (B_1 = -1/2), as sum_{j<=k} (-1)^j Delta^j[x^k](0) / (j+1) in
+    integers over lcm(1..k+1); the forward differences of 0^k .. k^k are taken
+    in turn."""
+    den, num = math.lcm(*range(1, k + 2)), 0
+    row = [i**k for i in range(k + 1)]
+    for j in range(k + 1):
+        num += (-1) ** j * row[0] * (den // (j + 1))
+        row = [b - a for a, b in zip(row, row[1:])]
+    return Fraction(num, den)
 
 
 def divisor_sigma(n: int, k: int) -> int:
@@ -89,8 +95,7 @@ def eisenstein(k: int, trunc: int) -> QExpansion:
     _check_trunc(trunc)
     if k < 4 or k % 2:
         raise DomainError("weight must be an even integer >= 4")
-    bk = bernoulli_numbers(k)[k]
-    factor = Fraction(-2 * k) / bk
+    factor = Fraction(-2 * k) / bernoulli(k)
     coeffs = {0: Fraction(1)}
     for n in range(1, trunc):
         coeffs[n] = factor * divisor_sigma(n, k - 1)

@@ -14,7 +14,9 @@ zero divisor the two-prime commutator identity for the derived operators
 
 holds automatically on every element, mixed monomials included.  The public
 representation stays in the jet basis; the two bases are exchanged through
-cached triangular generator polynomials.
+cached triangular generator polynomials.  The ghost side runs in integers:
+``build_fe0``, ``ghost_delta`` and ``ghost_gamma`` hand integer numerators
+over one denominator to ``ghost_to_jet``, which builds one ``Fraction`` per term.
 
 Inside the kernel a monomial is one int, packed by a ``Layout`` of (P, N):
 each variable of weight below N owns a bit field, in index order, and the
@@ -178,20 +180,16 @@ def ghost_shift(t: Poly, k: int, L: Layout) -> Poly:
     return out
 
 
-def ghost_delta(t: Poly, k: int, L: Layout) -> Poly:
-    """(ghost_shift(t, k) - t**p_k) / p_k, below L.N.
-
-    With t = T / D over the lcm D of its denominators, T**p_k runs in
-    integers, and the result is (D**(p_k - 1) * shift(T) - T**p_k) over
-    D**p_k * p_k, with one ``Fraction`` per output term.
-    """
+def ghost_delta(t: Poly, k: int, L: Layout) -> tuple[dict[int, int], int]:
+    """(ghost_shift(t, k) - t**p_k) / p_k below L.N, in integers: with t = T / D
+    over the lcm D of its denominators, D**(p_k - 1) * shift(T) - T**p_k over
+    D**p_k * p_k."""
     p = L.P[k]
     D = math.lcm(*(c.denominator for c in t.values()))
     T = {m: c.numerator * (D // c.denominator) for m, c in t.items()}
     Tp = sparse.power(T, p, {0: 1}, lambda a, b: poly_mul(a, b, L.keep))
     num = sparse.add(sparse.scale(ghost_shift(T, k, L), D ** (p - 1)), sparse.scale(Tp, -1))
-    den = D**p * p
-    return {m: Fraction(x, den) for m, x in num.items()}
+    return num, D**p * p
 
 
 # generator tables by (P, i, "g" or "j"), layouts by (P, N), and generator
@@ -231,7 +229,8 @@ def _generator(P: tuple[int, ...], i: Idx, kind: str) -> dict[Mono, Fraction]:
     elif kind == "g":
         k = next(j for j, c in enumerate(i) if c)
         prev = _generator(P, i[:k] + (i[k] - 1,) + i[k + 1 :], "g")
-        out = {L.unpack(m): c for m, c in ghost_delta(L.pack_terms(prev.items()), k, L).items()}
+        num, den = ghost_delta(L.pack_terms(prev.items()), k, L)
+        out = {L.unpack(m): Fraction(x, den) for m, x in num.items()}
     else:
         g = _generator(P, i, "g")
         if g.get(lead, 0) * w != 1:
@@ -252,22 +251,23 @@ def _gen_table(L: Layout, i: Idx, kind: str) -> tuple[dict[int, int], int]:
     return _cached(key, ({m: c.numerator * (D // c.denominator) for m, c in img.items()}, D))
 
 
-def _subst(t: Poly, L: Layout, kind: str) -> Poly:
-    """Substitute the generator image of kind ``kind`` for each variable of ``t``.
+def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int = 1) -> Poly:
+    """Substitute the generator image of kind ``kind`` for each variable of
+    ``t``, whose coefficients are rationals or integer numerators over ``den``.
 
     Images, powers and products run in integers.  Each variable's image
     powers are built once per call as a ladder, img^e = img^(e-1) * img, up
     to the largest exponent asked for.  A monomial c * prod x_i^e
     contributes c.numerator * prod img_i^e over the denominator
-    c.denominator * prod D_i^e; the contributions add up over the lcm of
-    those, with one ``Fraction`` per output term.  Both exchanges are
+    den * c.denominator * prod D_i^e; the contributions add up over the lcm
+    of those, with one ``Fraction`` per output term.  Both exchanges are
     weight-homogeneous, so every product below L.N is exact.
     """
     keep, one = L.keep, {0: 1}
     ladders: dict[Idx, tuple[list[dict[int, int]], int]] = {}
     parts: list[tuple[dict[int, int], int, int]] = []
     for m, c in t.items():
-        acc, den = one, c.denominator
+        acc, d = one, c.denominator
         for i, e in L.unpack(m):
             if i not in ladders:
                 img, D = _gen_table(L, i, kind)
@@ -276,14 +276,15 @@ def _subst(t: Poly, L: Layout, kind: str) -> Poly:
             while len(ladder) <= e:
                 ladder.append(poly_mul(ladder[-1], ladder[1], keep))
             acc = ladder[e] if acc is one else poly_mul(acc, ladder[e], keep)
-            den *= D**e
-        parts.append((acc, den, c.numerator))
-    den = math.lcm(*(d for _, d, _ in parts))
+            d *= D**e
+        parts.append((acc, d, c.numerator))
+    lcm = math.lcm(*(d for _, d, _ in parts))
     out: dict[int, int] = {}
     for acc, d, num in parts:
-        f = den // d * num
+        f = lcm // d * num
         for m, x in acc.items():
             out[m] = out.get(m, 0) + x * f
+    den *= lcm
     return {m: Fraction(x, den) for m, x in out.items() if x}
 
 
@@ -291,8 +292,8 @@ def jet_to_ghost(t: Poly, L: Layout) -> Poly:
     return _subst(t, L, "g")
 
 
-def ghost_to_jet(t: Poly, L: Layout) -> Poly:
-    return _subst(t, L, "j")
+def ghost_to_jet(t: Mapping[int, Union[Fraction, int]], L: Layout, den: int = 1) -> Poly:
+    return _subst(t, L, "j", den)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +393,6 @@ class MultiJetSeries:
         return MultiJetSeries(self.P, tuple((m, -c) for m, c in self.terms), self.N, self.ring)
 
     def __sub__(self, other):
-        if not isinstance(other, MultiJetSeries):
-            other = MultiJetSeries.make(self.P, {M_ONE: Fraction(other)}, self.N, self.ring)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -534,8 +533,8 @@ def delta_pk(f: MultiJetSeries, k: int) -> MultiJetSeries:
     the formula always applies.
     """
     L = layout(f.P, f.N)
-    g = jet_to_ghost(f._packed(L), L)
-    return L.series(ghost_to_jet(ghost_delta(g, k, L), L), f.ring)
+    num, den = ghost_delta(jet_to_ghost(f._packed(L), L), k, L)
+    return L.series(ghost_to_jet(num, L, den), f.ring)
 
 
 def t_generator(P: Sequence[int], N: int, ring: int = 0) -> MultiJetSeries:
@@ -546,12 +545,6 @@ def t_generator(P: Sequence[int], N: int, ring: int = 0) -> MultiJetSeries:
 # ---------------------------------------------------------------------------
 # Builders: the order-e expansions
 # ---------------------------------------------------------------------------
-
-
-def _ghost_log1p_var(i: Idx, L: Layout) -> Poly:
-    """log(1 + u_i) in ghost coordinates, truncated at weighted degree L.N."""
-    top = (L.N - 1) // var_weight(i, L.P)
-    return {n * L.var[i]: Fraction((-1) ** (n - 1), n) for n in range(1, top + 1)}
 
 
 def psi_multi(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
@@ -586,24 +579,22 @@ def build_fe0(P: Sequence[int], N: int) -> MultiJetSeries:
     (1 / p_1...p_d) (phi_1 - p_1) ... (phi_d - p_d) log(1 + t).
 
     In ghost coordinates the operator product expands over the corners of the
-    unit cube, so the series is a combination of univariate logarithms; the
+    unit cube, so the series is a combination of univariate logarithms
+    c_i log(1 + u_i), assembled in integers over lcm(1..N-1) * prod P; the
     result has coefficients integral at every prime of P, which is asserted.
     """
     Pt = _check_primes(sorted(set(int(p) for p in P)))
     for p in Pt:
         if p < 5:
             raise DomainError("the modular layer requires primes >= 5")
-    d = len(Pt)
     L = layout(Pt, N)
-    scale = Fraction(1, math.prod(Pt))
-    g: Poly = {}
-    for i in itertools.product((0, 1), repeat=d):
-        c = Fraction(1)
-        for k in range(d):
-            if i[k] == 0:
-                c *= -Pt[k]
-        g = sparse.add(g, sparse.scale(_ghost_log1p_var(i, L), c * scale))
-    out = L.series(ghost_to_jet(g, L), 0)
+    den = math.lcm(*range(1, N))
+    g: dict[int, int] = {}
+    for i in itertools.product((0, 1), repeat=len(Pt)):
+        c = math.prod(-p for p, e in zip(Pt, i) if e == 0)
+        for n in range(1, (N - 1) // var_weight(i, Pt) + 1):
+            g[n * L.var[i]] = (-1) ** (n - 1) * c * (den // n)
+    out = L.series(ghost_to_jet(g, L, den * math.prod(Pt)), 0)
     assert_ring_integral(out)
     return out
 
@@ -822,22 +813,30 @@ def substitute_gamma(f: MultiJetSeries, gamma: int) -> MultiJetSeries:
     coordinate transforms independently: u_i -> (1 + u_i)**gamma - 1 (see
     ``ghost_gamma``).
     """
+    L, _, num, den = _gamma_in_ghost(f, gamma)
+    return L.series(ghost_to_jet(num, L, den), f.ring)
+
+
+def _gamma_in_ghost(f: MultiJetSeries, gamma: int) -> tuple[Layout, Poly, dict[int, int], int]:
+    """The layout of f, G = jet_to_ghost(f) in it, and ghost_gamma(G) as
+    numerators over a denominator: the step ``substitute_gamma`` and
+    ``forms.covariance_check`` share."""
     if gamma in (-1, 0, 1):
         raise DomainError("gamma must not be 0 or a root of unity")
     L = layout(f.P, f.N)
-    g = jet_to_ghost(f._packed(L), L)
-    return L.series(ghost_to_jet(ghost_gamma(g, L, gamma), L), f.ring)
+    G = jet_to_ghost(f._packed(L), L)
+    return (L, G, *ghost_gamma(G, L, gamma))
 
 
-def ghost_gamma(t: Poly, L: Layout, gamma: int) -> Poly:
-    """u_i -> (1 + u_i)**gamma - 1 on ghost coordinates, below weight L.N.
+def ghost_gamma(t: Poly, L: Layout, gamma: int) -> tuple[dict[int, int], int]:
+    """u_i -> (1 + u_i)**gamma - 1 on ghost coordinates, below weight L.N, as
+    integer numerators over the common denominator of ``t``.
 
     The image of u_i**e is the univariate integer series
     ((1 + u)**gamma - 1)**e in u_i, held as a dense list truncated at degree
     (N - 1) // wt(u_i).  The factors of a monomial are in distinct variables,
     so its image's monomials are the keys n * var[i] added up, and no term of
-    weight N or more is ever formed.  Coefficients add up as integers over
-    the common denominator of ``t``.
+    weight N or more is ever formed.
     """
     N = L.N
     den = math.lcm(*(c.denominator for c in t.values()))
@@ -876,7 +875,7 @@ def ghost_gamma(t: Poly, L: Layout, gamma: int) -> Poly:
             images = grown
         for key, x, _ in images:
             out[key] = out.get(key, 0) + x
-    return {m: Fraction(x, den) for m, x in out.items() if x}
+    return {m: x for m, x in out.items() if x}, den
 
 
 # ---------------------------------------------------------------------------

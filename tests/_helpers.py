@@ -1,13 +1,27 @@
 """Shared independent oracles for the test suite."""
 
+import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
-from pjet import sparse
+from pjet import forms, sparse
 from pjet.arith import PadicTrunc, binomial, cp_coefficients, fermat_delta, min_order, valuation
 from pjet.deltajet import JetSeries
 from pjet.errors import DomainError
+from pjet.forms import CovarianceReport
 from pjet.modular import QExpansion
-from pjet.multiprime import M_ONE, MultiJetSeries
+from pjet.multiprime import (
+    M_ONE,
+    MultiJetSeries,
+    assert_ring_integral,
+    ghost_shift,
+    ghost_to_jet,
+    layout,
+    mono_weight,
+    substitute_gamma,
+    var_weight,
+)
 from pjet.qseries import Series1
 
 
@@ -149,6 +163,21 @@ def exact_rank_fraction(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def bernoulli_numbers_recursion(n: int) -> list[Fraction]:
+    """B_0 .. B_n with B_1 = -1/2, via sum_{j<=m} C(m+1, j) B_j = 0.
+
+    This was ``modular.bernoulli_numbers`` before B_k was computed alone by
+    forward differences; it stays here as the reference for that route.
+    """
+    out = [Fraction(1)]
+    for m in range(1, n + 1):
+        s = Fraction(0)
+        for j in range(m):
+            s += math.comb(m + 1, j) * out[j]
+        out.append(-s / (m + 1))
+    return out
+
+
 def discriminant_delta_series1(trunc: int) -> QExpansion:
     """Delta = q * prod (1 - q^n)^24 by ``Series1`` products and powers.
 
@@ -249,3 +278,109 @@ def tuple_terms_delta(t, p, keep, jmax):
     fp = sparse.power(t, p, {((), ()): Fraction(1)}, lambda a, b: tuple_terms_mul(a, b, keep))
     num = sparse.add(ph, sparse.scale(fp, Fraction(-1)))
     return {m: c / p for m, c in _kept(num, keep).items()}
+
+
+# ---------------------------------------------------------------------------
+# The ghost-side builders in Fraction arithmetic: the references for the
+# integer builders of ``multiprime`` and ``forms``
+# ---------------------------------------------------------------------------
+#
+# Each of these was the library's route before the ghost side moved to
+# integer numerators over one denominator; they stay here as references.
+
+
+def ghost_log1p_var(i, L):
+    """log(1 + u_i) in ghost coordinates, truncated at weighted degree L.N."""
+    top = (L.N - 1) // var_weight(i, L.P)
+    return {n * L.var[i]: Fraction((-1) ** (n - 1), n) for n in range(1, top + 1)}
+
+
+def build_fe0_fraction(P, N):
+    """``multiprime.build_fe0``, one scaled Fraction logarithm per corner."""
+    Pt = tuple(sorted(set(P)))
+    L = layout(Pt, N)
+    scale = Fraction(1, math.prod(Pt))
+    g = {}
+    for i in itertools.product((0, 1), repeat=len(Pt)):
+        c = Fraction(1)
+        for k, p in enumerate(Pt):
+            if i[k] == 0:
+                c *= -p
+        g = sparse.add(g, sparse.scale(ghost_log1p_var(i, L), c * scale))
+    out = L.series(ghost_to_jet(g, L), 0)
+    assert_ring_integral(out)
+    return out
+
+
+def one_plus_u_pow_sum_comb(an, scalars, L, n_max):
+    """``forms._one_plus_u_pow_sum`` with Fraction scalars, the coefficient of
+    u^m summed with ``math.comb`` once per top degree."""
+    den = math.lcm(*range(1, n_max + 1))
+    hecke = {}
+    out = {}
+    for j, cj in scalars.items():
+        top = (L.N - 1) // var_weight(j, L.P)
+        if top not in hecke:
+            acc = [0] * (min(n_max, top) + 1)
+            for n in range(1, n_max + 1):
+                s = an[n - 1] * (den // n)
+                for m in range(min(n, top) + 1):
+                    acc[m] += s * math.comb(n, m)
+            hecke[top] = [Fraction(x, den) for x in acc]
+        row = {m * L.var[j] if m else 0: c for m, c in enumerate(hecke[top]) if c}
+        out = sparse.add(out, sparse.scale(row, cj))
+    return out
+
+
+def build_f2e0_fraction(an, P, ap, N):
+    """``forms.build_f2e0`` with Fraction operator coefficients."""
+    Pt = tuple(sorted(set(P)))
+    d = len(Pt)
+    L = layout(Pt, N)
+    scalars = {}
+    for j in itertools.product((0, 1, 2), repeat=d):
+        c = Fraction(1)
+        for k in range(d):
+            c *= (Fraction(Pt[k]), Fraction(-ap[k]), Fraction(1))[j[k]]
+        if c:
+            scalars[j] = c
+    g = one_plus_u_pow_sum_comb(an, scalars, L, len(an))
+    g = sparse.scale(g, Fraction(1, math.prod(Pt)))
+    return L.series(ghost_to_jet(g, L), 0)
+
+
+def build_f2e_k_fraction(an, P, k, ap, N):
+    """``forms.build_f2e_k`` with each away-factor 1 - a_l phi_l / p_l +
+    phi_l^2 / p_l applied in Fractions."""
+    Pt = tuple(sorted(set(P)))
+    d = len(Pt)
+    e_k = tuple(1 if j == k else 0 for j in range(d))
+    two_e_k = tuple(2 if j == k else 0 for j in range(d))
+    scalars = {two_e_k: Fraction(1, Pt[k]), e_k: Fraction(-ap[k], Pt[k]), (0,) * d: Fraction(1)}
+    L = layout(Pt, N)
+    g = one_plus_u_pow_sum_comb(an, scalars, L, len(an))
+    for l in range(d):
+        if l == k:
+            continue
+        g = sparse.add(
+            g,
+            sparse.scale(ghost_shift(g, l, L), Fraction(-ap[l], Pt[l])),
+            sparse.scale(ghost_shift(ghost_shift(g, l, L), l, L), Fraction(1, Pt[l])),
+        )
+    return L.series(ghost_to_jet(g, L), k + 1)
+
+
+def compare_series_difference(F, gamma, g, nu, digits):
+    """``forms._compare`` by the series difference substitute_gamma(F, g) -
+    F * g^nu, sorted in (weight, monomial) order."""
+    diff = substitute_gamma(F, g) - F * Fraction(g) ** nu
+    for m, c in sorted(diff.terms, key=lambda mc: (mono_weight(mc[0], F.P), mc[0])):
+        if c != 0 and (digits is None or valuation(Fraction(c), F.P[0]) < digits):
+            return CovarianceReport(gamma, nu, False, m)
+    return CovarianceReport(gamma, nu, True if F.terms else None, None)
+
+
+def covariance_check_fraction(F, gamma, nu):
+    """``forms.covariance_check`` with its comparison by series difference."""
+    with mock.patch.object(forms, "_compare", compare_series_difference):
+        return forms.covariance_check(F, gamma, nu)

@@ -4,10 +4,17 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _helpers import delta_axiomatic, invert_unit
+from _helpers import (
+    build_f2e0_fraction,
+    build_f2e_k_fraction,
+    covariance_check_fraction,
+    delta_axiomatic,
+    invert_unit,
+    one_plus_u_pow_sum_comb,
+)
 from pjet import forms
 from pjet.arith import PadicTrunc, valuation
 from pjet.cli import _dump as dump
@@ -35,6 +42,7 @@ from pjet.multiprime import (
     continuation_check,
     delta_pk,
     from_jet_series,
+    layout,
     t_generator,
 )
 
@@ -219,6 +227,133 @@ class TestCovariance:
         rep = covariance_check(psi_serretate(5, 15), 2, 1)
         js = rep.to_json()
         assert js == {"gamma": 2, "nu": 1, "pass": True, "witness": None}
+
+
+GHOST_PRIMES = [(5,), (13,), (5, 13), (7, 11), (5, 7, 11)]
+
+
+@st.composite
+def f2e_case(draw):
+    """A prime set of d = 1, 2 or 3, a_n for n <= n_max and a_p drawn apart
+    (a_p = 0 included), N from below 1 to past n_max."""
+    P = draw(st.sampled_from(GHOST_PRIMES))
+    an = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=45))
+    ap = [draw(st.integers(-4, 4)) for _ in P]
+    return an, P, ap, draw(st.integers(-1, 45))
+
+
+def same_bytes(a: MultiJetSeries, b: MultiJetSeries) -> bool:
+    return dump(a.to_json()) == dump(b.to_json())
+
+
+class TestIntegerGhostRoutes:
+    """The integer ghost-side builders and comparison against the Fraction
+    routes they replaced (``tests/_helpers.py``)."""
+
+    CASES = [
+        pytest.param(AN40, (5, 13), [A5, A13], 40, id="d2"),
+        pytest.param(AN40, (5, 13), [0, A13], 40, id="a_p-zero"),
+        pytest.param(AN40, (5, 7, 11), [0, 0, 0], 40, id="d3-all-a_p-zero"),
+        pytest.param(AN40[:10], (5, 13), [A5, A13], 40, id="n_max-below-top"),
+        pytest.param(AN40, (5, 13), [A5, A13], 12, id="n_max-above-top"),
+        pytest.param(AN40[:30], (5, 7), [1, -2], 20, id="no-field-past-u_1"),
+        pytest.param(AN40[:30], (13,), [A13], 30, id="d1"),
+        pytest.param(AN40[:30], (5, 7, 11), [1, -2, 3], 30, id="d3"),
+        pytest.param(AN40[:30], (5, 13), [A5, A13], 1, id="N1"),
+        pytest.param(AN40[:30], (5, 13), [A5, A13], 0, id="N0"),
+    ]
+
+    @pytest.mark.parametrize("an, P, ap, N", CASES)
+    def test_f2e0_matches_fraction_route(self, an, P, ap, N):
+        assert same_bytes(build_f2e0(an, P, ap, N), build_f2e0_fraction(an, P, ap, N))
+
+    @pytest.mark.parametrize("an, P, ap, N", CASES)
+    def test_f2e_k_matches_fraction_route(self, an, P, ap, N):
+        for k in range(len(P)):
+            assert same_bytes(build_f2e_k(an, P, k, ap, N), build_f2e_k_fraction(an, P, k, ap, N))
+
+    @given(case=f2e_case())
+    @settings(max_examples=40, deadline=None)
+    def test_random_builders_match_fraction_routes(self, case):
+        an, P, ap, N = case
+        assert same_bytes(build_f2e0(an, P, ap, N), build_f2e0_fraction(an, P, ap, N))
+        k = len(an) % len(P)
+        assert same_bytes(build_f2e_k(an, P, k, ap, N), build_f2e_k_fraction(an, P, k, ap, N))
+
+    @given(case=f2e_case())
+    @settings(max_examples=40, deadline=None)
+    def test_horner_sum_matches_comb_sum(self, case):
+        an, P, _, N = case
+        L = layout(P, N)
+        # indices up to 2 in every slot: u_(2, ..) outweighs N for every N here
+        scalars = {j: (-1) ** sum(j) * (1 + sum(j)) for j in [(0,) * len(P), (1,) * len(P), (2,) * len(P)]}
+        num, den = forms._one_plus_u_pow_sum(an, scalars, L, len(an))
+        want = one_plus_u_pow_sum_comb(an, {j: Fraction(c) for j, c in scalars.items()}, L, len(an))
+        assert all(type(x) is int for x in num.values())
+        assert {m: Fraction(x, den) for m, x in num.items()} == want
+
+    COVARIANCE_INPUTS = [
+        pytest.param(lambda: build_fe0([5], 30), id="fe0-d1"),
+        pytest.param(lambda: build_fe0([5, 7], 30), id="fe0-d2"),
+        pytest.param(lambda: build_fe0([5, 7, 11], 30), id="fe0-d3"),
+        pytest.param(lambda: build_f2e0(AN40[:20], [13], [A13], 20), id="f2e0-d1"),
+        pytest.param(lambda: build_f2e0(AN40[:20], [5, 13], [A5, A13], 20), id="f2e0-d2"),
+        pytest.param(lambda: build_f2e0(AN40[:20], [7, 11, 13], [1, 0, A13], 20), id="f2e0-d3"),
+        pytest.param(lambda: from_jet_series(psi_serretate(7, 25)), id="psi"),
+        pytest.param(lambda: t_generator((5, 7), 12), id="t"),
+        pytest.param(lambda: MultiJetSeries.make((5,), {}, 10), id="empty"),
+    ]
+
+    @pytest.mark.parametrize("build", COVARIANCE_INPUTS)
+    @pytest.mark.parametrize("nu", [-2, 0, 1, 2])
+    def test_covariance_matches_series_difference(self, build, nu):
+        F = build()
+        for gamma in (2, -3):
+            if any(gamma % p in (0, 1) for p in F.P):
+                continue
+            got, want = covariance_check(F, gamma, nu), covariance_check_fraction(F, gamma, nu)
+            assert got == want and dump(got.to_json()) == dump(want.to_json())
+
+    @pytest.mark.parametrize("nu", [-2, 0, 1, 2])
+    def test_padic_gamma_with_digit_loss(self, nu):
+        # jets to the 5th power lose v_5(5!) = 1 digit: the comparison runs mod 5^5
+        F = from_jet_series(psi_serretate(5, 30))
+        assert max(e for m, _ in F.terms for _, e in m) >= 5
+        for gamma in (PadicTrunc.from_rational(2, 5, 6), PadicTrunc.from_rational(Fraction(-1, 3), 5, 4)):
+            got, want = covariance_check(F, gamma, nu), covariance_check_fraction(F, gamma, nu)
+            assert got == want and dump(got.to_json()) == dump(want.to_json())
+
+    def test_failing_reports_name_the_same_witness(self):
+        f2e0 = build_f2e0(AN40[:30], [5, 13], [A5, A13], 30)
+        for F, nu in ((f2e0, 1), (f2e0, 2), (t_generator((5,), 10, ring=1), 1)):
+            got = covariance_check(F, 2, nu)
+            assert got.passed is False and got.witness is not None
+            assert got == covariance_check_fraction(F, 2, nu)
+
+    def test_empty_series_passes_null(self):
+        rep = covariance_check(MultiJetSeries.make((5, 7), {}, 20), 2, 1)
+        assert rep.to_json()["pass"] is None and rep.witness is None
+
+    def test_gamma_minus_one_rejected(self):
+        with pytest.raises(DomainError, match="root of unity"):
+            covariance_check(psi_serretate(5, 20), -1, 1)
+
+    @given(P=st.sampled_from(GHOST_PRIMES[2:]), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_covariance_matches_series_difference(self, P, data):
+        n = data.draw(st.integers(0, 4))
+        terms = {
+            tuple(
+                (tuple(data.draw(st.integers(0, 1)) for _ in P), data.draw(st.integers(1, 3)))
+                for _ in range(data.draw(st.integers(1, 2)))
+            ): Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 6)))
+            for _ in range(n)
+        }
+        F = MultiJetSeries.make(P, terms, data.draw(st.integers(1, 30)))
+        gamma = data.draw(st.integers(-40, 40))
+        assume(gamma != -1 and all(gamma % p not in (0, 1) for p in P))
+        nu = data.draw(st.sampled_from([-2, 0, 1, 2]))
+        assert covariance_check(F, gamma, nu) == covariance_check_fraction(F, gamma, nu)
 
 
 def reference_transcription(f: JetSeries, N: int) -> MultiJetSeries:

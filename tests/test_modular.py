@@ -5,13 +5,14 @@ from math import isqrt
 
 import pytest
 
-from _helpers import discriminant_delta_series1
+from _helpers import bernoulli_numbers_recursion, discriminant_delta_series1
 from pjet.errors import DomainError, MissingPrimeValue
 from pjet.modular import (
     CURVE_11A1,
     EllipticCurveQ,
     an_multiplicative,
     ap_point_count,
+    bernoulli,
     bernoulli_numbers,
     discriminant_delta,
     divisor_sigma,
@@ -43,6 +44,14 @@ class TestBernoulli:
     def test_odd_vanish(self):
         b = bernoulli_numbers(11)
         assert all(b[n] == 0 for n in range(3, 12, 2))
+
+    def test_single_value_matches_recursion(self):
+        # B_k by forward differences against the binomial recursion: every even
+        # k <= 120, and every k <= 30, odd ones and B_1 = -1/2 included
+        b = bernoulli_numbers_recursion(120)
+        for k in [*range(31), *range(32, 121, 2)]:
+            assert bernoulli(k) == b[k], k
+        assert bernoulli_numbers(120) == b
 
 
 class TestEisenstein:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import exact_rank_fraction
+from _helpers import build_fe0_fraction, exact_rank_fraction, ghost_log1p_var
 from pjet import multiprime, sparse
 from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, fermat_delta
 from pjet.cli import _dump as dump
@@ -22,7 +22,6 @@ from pjet.multiprime import (
     MultiJetSeries,
     Mono,
     _generator,
-    _ghost_log1p_var,
     _norm_mono,
     _phi_pk_below,
     basis_independence_check,
@@ -32,6 +31,7 @@ from pjet.multiprime import (
     delta_pk,
     exact_rank,
     from_jet_series,
+    ghost_delta,
     ghost_gamma,
     ghost_to_jet,
     ghost_shift,
@@ -238,6 +238,18 @@ class TestIntegerExchange:
         assert packed(ghost_to_jet, t, P5711, 30) == {}
         assert packed(jet_to_ghost, t, P5711, 30) == {}
         assert sum(pairs) == 0
+
+    @given(case=exchange_case(), g=st.sampled_from([2, 5, 42]), h=st.sampled_from([1, 3, 5, 35]))
+    @settings(max_examples=60, deadline=None)
+    def test_ghost_to_jet_numerators_over_den(self, case, g, h):
+        # integer numerators T over D = g * h give the exchange of the Fractions
+        # T / D; every numerator is a multiple of g, so no T / D is in lowest terms
+        P, t, N, _ = case
+        L = layout(P, N)
+        T = {m: g * c.numerator for m, c in L.pack_terms(t.items()).items()}
+        want = ghost_to_jet({m: Fraction(x, g * h) for m, x in T.items()}, L)
+        assert ghost_to_jet(T, L, g * h) == want
+        assert all(type(c) is Fraction and c for c in want.values())
 
     @given(d=st.integers(1, 3), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -521,7 +533,29 @@ class TestDeltaPk:
         )
 
 
+class TestGhostDelta:
+    @given(case=exchange_case(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_integer_output_matches_fraction_reference(self, case, data):
+        # (shift(t) - t**p) / p in Fraction arithmetic on the packed kernel
+        P, t, N, _ = case
+        L = layout(P, N)
+        k = data.draw(st.integers(0, len(P) - 1))
+        g = L.pack_terms(t.items())
+        tp = sparse.power(g, P[k], {0: Fraction(1)}, lambda a, b: poly_mul(a, b, L.keep))
+        want = sparse.scale(sparse.add(ghost_shift(g, k, L), sparse.scale(tp, -1)), Fraction(1, P[k]))
+        num, den = ghost_delta(g, k, L)
+        assert all(type(x) is int and x for x in num.values())
+        assert {m: Fraction(x, den) for m, x in num.items()} == want
+
+
 class TestBuildFe0:
+    @pytest.mark.parametrize("P", [(5,), (7,), P57, (5, 13), P5711])
+    @pytest.mark.parametrize("N", [-1, 0, 1, 2, 6, 30, 50])
+    def test_matches_fraction_route(self, P, N):
+        got, want = build_fe0(P, N), build_fe0_fraction(P, N)
+        assert dump(got.to_json()) == dump(want.to_json())
+
     def test_d1_equals_one_prime_route(self):
         fe0 = build_fe0([5], 30)
         psi = from_jet_series(psi_serretate(5, 30))
@@ -586,8 +620,8 @@ def _psi_ghost_route(P, k, N):
     d = len(P)
     e_k = tuple(int(j == k) for j in range(d))
     L = layout(P, N)
-    g = {m: c / P[k] for m, c in _ghost_log1p_var(e_k, L).items()}
-    for m, c in _ghost_log1p_var((0,) * d, L).items():
+    g = {m: c / P[k] for m, c in ghost_log1p_var(e_k, L).items()}
+    for m, c in ghost_log1p_var((0,) * d, L).items():
         g[m] = g.get(m, 0) - c
     return L.series(ghost_to_jet(g, L), k + 1)
 
@@ -854,7 +888,9 @@ class TestSubstituteGamma:
         want = _subst_fraction(
             {L.unpack(m): c for m, c in g.items()}, f.P, _gamma_image(gamma, f.P, f.N), weight_cut(f.P, f.N)
         )
-        assert {L.unpack(m): c for m, c in ghost_gamma(g, L, gamma).items()} == want
+        num, den = ghost_gamma(g, L, gamma)
+        assert all(type(x) is int for x in num.values())
+        assert {L.unpack(m): Fraction(x, den) for m, x in num.items()} == want
 
     @given(case=series_and_gamma(), data=st.data())
     @settings(max_examples=25, deadline=None)
