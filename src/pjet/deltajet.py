@@ -20,12 +20,12 @@ packs it into one int and scales the coefficients to integers over their lcm
 D (packed exponent vectors, after Monagan and Pearce).  Each ``phi`` and
 ``delta`` step and each product builds its own ``Layout`` from its input: one
 field per jet z_1..z_(r+1) and per a_0..a_(s+1), all of one width, and the
-signed base exponent above them, so the monomial product is integer ``+``
-and a base cut is one comparison.  The width holds (p+1) * max(E, jmax), E
-the largest input exponent: the phi image of field i is at most
+signed base exponent above them: the product is integer ``+``, and a base cut
+is the key limit ``cut << shift`` for ``sparse.mul``, which walks its second
+operand in key order and squares once.  The width holds (p+1) * max(E, jmax),
+E the largest input exponent: the phi image of field i is at most
 p*a_i + max(a_(i-1), jmax), a partial product of f**p at most p*E and a
-product of two series at most 2E, so no field carries into the next.  A step
-packs its terms on entry and unpacks them into exponent tuples on exit.
+product of two series at most 2E, so no field carries into the next.
 
 Truncation contracts:
 
@@ -44,7 +44,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import sparse
 from .arith import binomial, check_prime, format_rational, min_order, parse_rational, valuation
@@ -117,27 +117,27 @@ class Layout:
             out[(z, _trim(tuple(e[self.nz :])))] = Fraction(x, den)
         return out
 
-    def below(self, cut: int | None) -> Callable[[int], bool]:
-        """The monomials of base exponent below ``cut`` (all for None)."""
-        return (lambda m: True) if cut is None else (cut << self.shift).__gt__
+    def below(self, cut: int | None) -> int | None:
+        """The key limit of base exponents below ``cut`` (None for no cut)."""
+        return None if cut is None else cut << self.shift
 
     def weight(self, k: int) -> int:
         """wt(q) = 1, wt(q^(i)) = p**i, of a key with no auxiliary exponent."""
         return (k >> self.shift) + sum(e * self.p ** f for f, e in enumerate(self.exps(k), 1))
 
 
-def terms_mul(t1: Packed, t2: Packed, keep: Callable[[int], bool], mod: int | None) -> Packed:
-    """The product of packed terms, forming only the pairs ``keep`` admits,
-    then the digit rule ``mod`` (see ``_mod``) on the sums."""
-    out = sparse.mul(t1, t2, operator.add, keep)
+def terms_mul(t1: Packed, t2: Packed, limit: int | None, mod: int | None) -> Packed:
+    """The product of packed terms, forming only the pairs below the key
+    ``limit``, then the digit rule ``mod`` (see ``_mod``) on the sums."""
+    out = sparse.mul(t1, t2, limit)
     return out if mod is None else {m: x for m, x in out.items() if x % mod}
 
 
-def _cut(t: Packed, keep: Callable[[int], bool], mod: int | None) -> Packed:
-    return {m: x for m, x in t.items() if keep(m) and (x if mod is None else x % mod)}
+def _cut(t: Packed, limit: int | None, mod: int | None) -> Packed:
+    return {m: x for m, x in t.items() if (limit is None or m < limit) and (x % mod if mod else x)}
 
 
-def terms_phi(t: Packed, L: Layout, keep, mod: int | None, jmax: int) -> Packed:
+def terms_phi(t: Packed, L: Layout, limit, mod: int | None, jmax: int) -> Packed:
     """Apply the Frobenius-lift substitution v -> v**p + p * (next jet).
 
     Each variable power v**a maps to sum_j C(a, j) p^j v^(p(a-j)) w^j, w the
@@ -159,28 +159,28 @@ def terms_phi(t: Packed, L: Layout, keep, mod: int | None, jmax: int) -> Packed:
     def lift(k: int, x: int) -> Packed:
         acc, b = {0: x}, k >> L.shift
         if b:
-            acc = terms_mul(acc, image(1 << L.shift, 1, b), keep, mod)
+            acc = terms_mul(acc, image(1 << L.shift, 1, b), limit, mod)
         for f, e in enumerate(L.exps(k)):
             if e:
-                acc = terms_mul(acc, image(1 << (f * w), 1 << ((f + 1) * w), e), keep, mod)
+                acc = terms_mul(acc, image(1 << (f * w), 1 << ((f + 1) * w), e), limit, mod)
         return acc
 
-    return _cut(sparse.add(*(lift(k, x) for k, x in t.items())), keep, mod)
+    return _cut(sparse.add(*(lift(k, x) for k, x in t.items())), limit, mod)
 
 
-def terms_delta(t: Packed, D: int, L: Layout, keep, digits, jmax: int) -> tuple[Packed, int]:
+def terms_delta(t: Packed, D: int, L: Layout, limit, digits, jmax: int) -> tuple[Packed, int]:
     """(phi(f) - f**p) / p for f = t / D, as numerators over the returned
     denominator: D**(p-1) phi(t) - t**p over D**p * p."""
     p = L.p
 
     def mul(a: tuple[Packed, int], b: tuple[Packed, int]) -> tuple[Packed, int]:
         den = a[1] * b[1]
-        return terms_mul(a[0], b[0], keep, _mod(p, digits, den)), den
+        return terms_mul(a[0], b[0], limit, _mod(p, digits, den)), den
 
-    ph = terms_phi(t, L, keep, _mod(p, digits, D), jmax)
+    ph = terms_phi(t, L, limit, _mod(p, digits, D), jmax)
     fp, den = sparse.power((t, D), p, ({0: 1}, 1), mul)
     num = sparse.add(sparse.scale(ph, D ** (p - 1)), sparse.scale(fp, -1))
-    return _cut(num, keep, _mod(p, digits, den)), den * p
+    return _cut(num, limit, _mod(p, digits, den)), den * p
 
 
 def phi_terms(t: Terms, p: int, cut: int | None, digits: int | None, jmax: int) -> Terms:
@@ -342,11 +342,11 @@ class JetSeries:
         if self.terms and other.terms:
             t1, t2 = self._to_terms(), other._to_terms()
             L, D1, D2 = Layout(self.p, [*t1, *t2]), _den(t1), _den(t2)
-            below = L.below(border)
-            keep = below if N is None else lambda m: L.weight(m) < N and below(m)
-            prod = terms_mul(L.pack(t1, D1), L.pack(t2, D2), keep, _mod(self.p, digits, D1 * D2))
+            limit = L.below(min_order(border, N))  # a weight below N has its base below N
+            prod = terms_mul(L.pack(t1, D1), L.pack(t2, D2), limit, _mod(self.p, digits, D1 * D2))
+            prod = prod if N is None else {m: x for m, x in prod.items() if L.weight(m) < N}
             t = JetSeries._from_terms(L.unpack(prod, D1 * D2))
-        # keep and the digit rule are make's cuts: the terms need only sorting
+        # the cuts and the digit rule are make's: the terms need only sorting
         return JetSeries(self.p, self.base, tuple(sorted(t.items())), self.M, digits, border, N)
 
     __rmul__ = __mul__

@@ -258,7 +258,7 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
             groups.setdefault(jets[i - 1] if len(jets) >= i else 0, []).append(((b, jets), c))
         acc: dict[int, int] = {}
         for e in range(max(groups, default=0), -1, -1):
-            acc = sparse.add(poly_mul(acc, images[i - 1], L.keep), horner(groups.get(e, []), i - 1))
+            acc = sparse.add(poly_mul(acc, images[i - 1], L.limit), horner(groups.get(e, []), i - 1))
         return acc
 
     out = horner(list(f.terms), len(images))

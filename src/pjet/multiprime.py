@@ -22,12 +22,12 @@ Inside the kernel a monomial is one int, packed by a ``Layout`` of (P, N):
 each variable of weight below N owns a bit field, in index order, and the
 weight sits in the top field.  A field holds twice the largest exponent that
 stays below N, so adding two kept monomials never carries out of a field:
-the monomial product is integer ``+`` and the truncation is the single
-comparison ``key < N << shift``.  A packed polynomial holds kept keys only.
-A series is packed once when it enters the kernel (``MultiJetSeries._packed``)
-and unpacked once into sorted ``Mono`` tuples when it leaves
-(``Layout.series``); the order-e builder ``build_fe_k`` and the rank check
-keep every lift between the two packed, in the layout of (P, N).
+the monomial product is integer ``+`` and the truncation is the key limit
+``N << shift``: ``sparse.mul`` walks its second operand in key order, stops
+each row at the limit and squares once.  A packed polynomial holds kept keys
+only; a series is packed on entering the kernel (``MultiJetSeries._packed``)
+and unpacked into sorted ``Mono`` tuples on leaving (``Layout.series``);
+``build_fe_k`` and the rank check keep every lift between the two packed.
 
 Per-prime rings (ring tag k >= 1) share the representation but only promise
 denominators coprime to p_k; the common ring (tag 0) promises denominators
@@ -39,10 +39,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from . import sparse
 from .arith import (
@@ -105,7 +104,7 @@ class Layout:
     2 * ((N - 1) // wt(x_i)).  ``P`` must be valid; callers check it.
     """
 
-    __slots__ = ("P", "N", "shift", "keep", "var", "fields")
+    __slots__ = ("P", "N", "shift", "limit", "var", "fields")
 
     def __init__(self, P: tuple[int, ...], N: int):
         self.P, self.N = P, N
@@ -120,7 +119,7 @@ class Layout:
                 off += width
         self.shift = off
         self.var = {i: (1 << o) + (var_weight(i, P) << off) for i, o, _ in self.fields}
-        self.keep: Callable[[int], bool] = (N << off).__gt__
+        self.limit = N << off  # the keys of weight below N are the keys below this
 
     def unpack(self, key: int) -> Mono:
         return tuple((i, e) for i, off, mask in self.fields if (e := key >> off & mask))
@@ -132,7 +131,7 @@ class Layout:
         for m, c in terms:
             if all(i in var for i, _ in m):
                 key = sum(e * var[i] for i, e in m)
-                if self.keep(key):
+                if key < self.limit:
                     out[key] = c
         return out
 
@@ -148,8 +147,8 @@ def layout(P: tuple[int, ...], N: int) -> Layout:
     return _cached((P, N), Layout(P, N)) if L is None else L
 
 
-def poly_mul(t1: Poly, t2: Poly, keep: Callable[[int], bool]) -> Poly:
-    return sparse.mul(t1, t2, operator.add, keep)
+def poly_mul(t1: Poly, t2: Poly, limit: int) -> Poly:
+    return sparse.mul(t1, t2, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ def ghost_delta(t: Poly, k: int, L: Layout) -> tuple[dict[int, int], int]:
     p = L.P[k]
     D = math.lcm(*(c.denominator for c in t.values()))
     T = {m: c.numerator * (D // c.denominator) for m, c in t.items()}
-    Tp = sparse.power(T, p, {0: 1}, lambda a, b: poly_mul(a, b, L.keep))
+    Tp = sparse.power(T, p, {0: 1}, lambda a, b: poly_mul(a, b, L.limit))
     num = sparse.add(sparse.scale(ghost_shift(T, k, L), D ** (p - 1)), sparse.scale(Tp, -1))
     return num, D**p * p
 
@@ -263,7 +262,7 @@ def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int
     of those, with one ``Fraction`` per output term.  Both exchanges are
     weight-homogeneous, so every product below L.N is exact.
     """
-    keep, one = L.keep, {0: 1}
+    limit, one = L.limit, {0: 1}
     ladders: dict[Idx, tuple[list[dict[int, int]], int]] = {}
     parts: list[tuple[dict[int, int], int, int]] = []
     for m, c in t.items():
@@ -274,8 +273,8 @@ def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int
                 ladders[i] = [one, img], D
             ladder, D = ladders[i]
             while len(ladder) <= e:
-                ladder.append(poly_mul(ladder[-1], ladder[1], keep))
-            acc = ladder[e] if acc is one else poly_mul(acc, ladder[e], keep)
+                ladder.append(poly_mul(ladder[-1], ladder[1], limit))
+            acc = ladder[e] if acc is one else poly_mul(acc, ladder[e], limit)
             d *= D**e
         parts.append((acc, d, c.numerator))
     lcm = math.lcm(*(d for _, d, _ in parts))
@@ -325,6 +324,8 @@ class MultiJetSeries:
         N: int,
         ring: int = 0,
     ) -> "MultiJetSeries":
+        """The series of ``terms`` below weight N, each monomial normalised; of two
+        keys that normalise to one monomial the later wins, a zero coefficient too."""
         Pt = _check_primes(P)
         if not (0 <= ring <= len(Pt)):
             raise DomainError("ring tag out of range")
@@ -333,13 +334,11 @@ class MultiJetSeries:
             m = _norm_mono(m)
             if any(len(i) != len(Pt) for i, _ in m):
                 raise DomainError("multi-index arity does not match P")
-            if mono_weight(m, Pt) >= N:
-                continue
-            if not isinstance(c, PadicTrunc):
-                c = Fraction(c)
-                if c == 0:
-                    continue
-            clean[m] = c
+            if mono_weight(m, Pt) < N:
+                if isinstance(c, PadicTrunc) or (c := Fraction(c)) != 0:
+                    clean[m] = c
+                else:
+                    clean.pop(m, None)
         return MultiJetSeries(Pt, tuple(sorted(clean.items())), N, ring)
 
     def d(self) -> int:
@@ -409,7 +408,7 @@ class MultiJetSeries:
             )
         N, ring = self._meta(other)
         L = layout(self.P, N)
-        return L.series(poly_mul(self._packed(L), other._packed(L), L.keep), ring)
+        return L.series(poly_mul(self._packed(L), other._packed(L), L.limit), ring)
 
     __rmul__ = __mul__
 
@@ -418,7 +417,7 @@ class MultiJetSeries:
             raise DomainError("negative powers are not defined here")
         L = layout(self.P, self.N)
         one = L.pack_terms([(M_ONE, Fraction(1))])
-        t = sparse.power(self._packed(L), n, one, lambda a, b: poly_mul(a, b, L.keep))
+        t = sparse.power(self._packed(L), n, one, lambda a, b: poly_mul(a, b, L.limit))
         return L.series(t, self.ring)
 
     def __eq__(self, other):
@@ -454,9 +453,10 @@ class MultiJetSeries:
 
     @staticmethod
     def from_json(obj: Mapping) -> "MultiJetSeries":
-        terms = {}
+        terms = {}  # raw pairs, normalised once by make; a repeat moves to the end
         for mono, c in obj["terms"]:
-            m = _norm_mono([(tuple(int(x) for x in i), int(e)) for i, e in mono])
+            m = tuple((tuple(int(x) for x in i), int(e)) for i, e in mono)
+            terms.pop(m, None)
             terms[m] = decode_coeff(c)
         return MultiJetSeries.make(
             [int(p) for p in obj["P"]], terms, int(obj["N"]), int(obj.get("ring", 0))

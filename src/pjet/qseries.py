@@ -121,8 +121,8 @@ class Series1:
             return self.map_coeffs(lambda c: c * other)
         self._check_var(other)
         bound = self._mul_order(other)
-        keep = (lambda e: True) if bound is None else (lambda e: e < bound)
-        out = sparse.mul(dict(self.terms), dict(other.terms), operator.add, keep)
+        t1 = dict(self.terms)  # a square multiplies one dict by itself
+        out = sparse.mul(t1, t1 if other is self else dict(other.terms), bound)
         return Series1.make(self.var, out, bound)
 
     __rmul__ = __mul__

@@ -1,12 +1,14 @@
 """The one sparse kernel behind every series ring.
 
-An element is a dict from monomials to nonzero coefficients.  The kernel
-does not look inside either: each ring supplies its own monomial product
-(integer ``+`` for one variable and for the packed monomials of
-``multiprime`` and ``deltajet``) and its own truncation as a monomial
-predicate ``keep``, which ``mul`` applies before it forms the coefficient
-product.  Conditions that depend on a summed coefficient, such as a p-adic
-digit bound, belong to the caller, after the product.
+An element is a dict from monomials to nonzero coefficients.  Every ring
+writes its monomials as ints whose product is integer ``+``: one exponent
+for ``Series1``, packed exponent vectors for ``multiprime`` and
+``deltajet``.  Each truncation is then a threshold on the key, so ``mul``
+takes it as ``limit`` and forms only the products below it: it walks the
+second operand in key order, each row stops at its first product at or past
+the limit, and a square (``t1 is t2``) forms each unordered pair once.
+Conditions that depend on a summed coefficient, such as a p-adic digit
+bound, belong to the caller, after the product.
 """
 
 from __future__ import annotations
@@ -33,20 +35,52 @@ def scale(t: Mapping, c) -> dict:
     return {m: v * c for m, v in t.items()} if c else {}
 
 
-def mul(t1: Mapping, t2: Mapping, mono_mul: Callable, keep: Callable) -> dict:
-    """Product of two sparse elements, forming only the pairs ``keep`` admits."""
+def mul(t1: Mapping, t2: Mapping, limit: int | None = None) -> dict:
+    """Product of two sparse elements with int monomials, keeping only the
+    monomials below ``limit`` (all for None).
+
+    No pair at or past the limit forms its coefficient product; with no
+    limit, nothing is sorted.  A square forms c_i * c_j once for i <= j and
+    doubles it off the diagonal.  Both loops spell out the accumulation,
+    since a call per pair costs more.
+    """
     out: dict = {}
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            m = mono_mul(m1, m2)
-            if not keep(m):
-                continue
-            c = c1 * c2
+    if t1 is t2:
+        terms = list(t1.items()) if limit is None else sorted(t1.items())
+        for i, (m1, c1) in enumerate(terms):
+            m = m1 + m1
+            if limit is not None and m >= limit:
+                break
+            c = c1 * c1
             s = out[m] + c if m in out else c
             if s:
                 out[m] = s
             elif m in out:
                 del out[m]
+            d1 = c1 + c1
+            for m2, c2 in terms[i + 1 :]:
+                m = m1 + m2
+                if limit is not None and m >= limit:
+                    break
+                c = d1 * c2
+                s = out[m] + c if m in out else c
+                if s:
+                    out[m] = s
+                elif m in out:
+                    del out[m]
+    else:
+        terms = t2.items() if limit is None or len(t2) < 2 else sorted(t2.items())
+        for m1, c1 in t1.items():
+            for m2, c2 in terms:
+                m = m1 + m2
+                if limit is not None and m >= limit:
+                    break
+                c = c1 * c2
+                s = out[m] + c if m in out else c
+                if s:
+                    out[m] = s
+                elif m in out:
+                    del out[m]
     return out
 
 
@@ -55,6 +89,7 @@ def power(x: X, n: int, one: X, mul: Callable[[X, X], X]) -> X:
 
     The product starts from the ring's ``one`` and multiplies ``x`` in, so
     the ring's truncation applies to the terms of ``x`` itself as well.
+    Each square is ``mul(base, base)``, one object twice.
     """
     out, base = one, x
     while n:

@@ -25,6 +25,28 @@ from pjet.multiprime import (
 from pjet.qseries import Series1
 
 
+def mul(t1, t2, mono_mul, keep):
+    """Product of two sparse elements, forming only the pairs ``keep`` admits.
+
+    The reference kernel: any monomial product, any truncation predicate,
+    every pair in insertion order.  It was ``sparse.mul`` before the library
+    kernel took int monomials under ``+`` and a key limit.
+    """
+    out: dict = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = mono_mul(m1, m2)
+            if not keep(m):
+                continue
+            c = c1 * c2
+            s = out[m] + c if m in out else c
+            if s:
+                out[m] = s
+            elif m in out:
+                del out[m]
+    return out
+
+
 def delta_axiomatic(f: JetSeries) -> JetSeries:
     """Second route to the p-derivation, by recursion on the axioms.
 
@@ -243,7 +265,7 @@ def _kept(t, keep):
 
 def tuple_terms_mul(t1, t2, keep):
     mono_ok, coeff_ok = keep
-    return {m: c for m, c in sparse.mul(t1, t2, m_mul, mono_ok).items() if coeff_ok(c)}
+    return {m: c for m, c in mul(t1, t2, m_mul, mono_ok).items() if coeff_ok(c)}
 
 
 def _phi_var(family, i, a, p, jmax):
@@ -384,3 +406,27 @@ def covariance_check_fraction(F, gamma, nu):
     """``forms.covariance_check`` with its comparison by series difference."""
     with mock.patch.object(forms, "_compare", compare_series_difference):
         return forms.covariance_check(F, gamma, nu)
+
+
+# ---------------------------------------------------------------------------
+# Point counting by the Legendre symbol: the reference for the root table
+# of ``modular.ap_point_count``
+# ---------------------------------------------------------------------------
+
+
+def _legendre(a, p):
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def ap_point_count_legendre(E, p):
+    """a_p for a good odd prime p >= 5, each column 1 + chi(disc) by Euler's
+    criterion, one ``pow`` per x: the library's route before the root table."""
+    count = 1
+    for x in range(p):
+        rhs = (x * x * x + E.a2 * x * x + E.a4 * x + E.a6) % p
+        lin = (E.a1 * x + E.a3) % p
+        count += 1 + _legendre(lin * lin + 4 * rhs, p)
+    return p + 1 - count

@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from _helpers import bernoulli_numbers_recursion, discriminant_delta_series1
+from _helpers import ap_point_count_legendre, bernoulli_numbers_recursion, discriminant_delta_series1
 from pjet.errors import DomainError, MissingPrimeValue
 from pjet.modular import (
     CURVE_11A1,
@@ -174,6 +174,18 @@ class TestPointCounting:
     def test_singular_model_rejected(self):
         with pytest.raises(DomainError):
             EllipticCurveQ(0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "E", [CURVE_11A1, EllipticCurveQ(1, 0, 1, 4, -6, label="14a1")], ids=["11a1", "14a1"]
+    )
+    def test_root_table_matches_legendre_route(self, E):
+        # every good prime 5 <= p < 500; the second curve has a1 = a3 = 1, so
+        # the linear term of each column's discriminant is exercised
+        primes = [p for p in range(5, 500) if all(p % f for f in range(2, isqrt(p) + 1))]
+        good = [p for p in primes if E.discriminant() % p]
+        assert len(good) >= len(primes) - 3
+        for p in good:
+            assert ap_point_count(E, p) == ap_point_count_legendre(E, p)
 
 
 class TestHeckeCoefficients:

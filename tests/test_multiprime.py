@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import build_fe0_fraction, exact_rank_fraction, ghost_log1p_var
+from _helpers import build_fe0_fraction, exact_rank_fraction, ghost_log1p_var, mul
 from pjet import multiprime, sparse
-from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, fermat_delta
+from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, decode_coeff, fermat_delta
 from pjet.cli import _dump as dump
 from pjet.deltajet import psi_serretate
 from pjet.errors import DomainError
@@ -104,7 +104,7 @@ def mono_mul(m1: Mono, m2: Mono) -> Mono:
 
 
 def tuple_mul(t1: TuplePoly, t2: TuplePoly, keep) -> TuplePoly:
-    return sparse.mul(t1, t2, mono_mul, keep)
+    return mul(t1, t2, mono_mul, keep)
 
 
 def weight_cut(P, N):
@@ -229,9 +229,9 @@ class TestIntegerExchange:
         # the cut; squaring that 2,090-term image first would form 4.4M pairs
         pairs = []
 
-        def counting_mul(t1, t2, keep):
+        def counting_mul(t1, t2, limit):
             pairs.append(len(t1) * len(t2))
-            return poly_mul(t1, t2, keep)
+            return poly_mul(t1, t2, limit)
 
         monkeypatch.setattr(multiprime, "poly_mul", counting_mul)
         t = {(((1, 1, 1), 2),): Fraction(1)}
@@ -260,18 +260,18 @@ class TestIntegerExchange:
     @given(P=st.sampled_from([(5,), P57, P5711]), N=st.integers(0, 200), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_weight_keep_is_the_weight_cut(self, P, N, data):
-        # the layout's keep is one comparison on the packed key; a monomial
-        # survives packing exactly when its weight is below N
+        # the layout's cut is the key limit; a monomial survives packing
+        # exactly when its weight is below N
         L = layout(P, N)
         for m in data.draw(st.lists(monomials(len(P)), max_size=12)) * 2:
             kept = L.pack_terms([(m, 1)])
             assert bool(kept) == (mono_weight(m, P) < N)
             if all(i in L.var for i, _ in m):
                 key = sum(e * L.var[i] for i, e in m)
-                assert L.keep(key) == (mono_weight(m, P) < N)
+                assert (key < L.limit) == (mono_weight(m, P) < N)
             if kept:
                 ((key, _),) = kept.items()
-                assert L.keep(key) and L.unpack(key) == m
+                assert key < L.limit and L.unpack(key) == m
 
 
 def ladder_case(P, N, k):
@@ -318,9 +318,9 @@ class TestPowerLadder:
         # monomial x_(1)^2 asks for it: six products build it, none repeats
         calls = []
 
-        def counting_mul(t1, t2, keep):
+        def counting_mul(t1, t2, limit):
             calls.append(1)
-            return poly_mul(t1, t2, keep)
+            return poly_mul(t1, t2, limit)
 
         monkeypatch.setattr(multiprime, "poly_mul", counting_mul)
         t = {(((1,), 7),): Fraction(1), (((1,), 2),): Fraction(1, 3)}
@@ -349,7 +349,7 @@ class TestPackedMonomials:
                 ((key, _),) = L.pack_terms([(m, 1)]).items()
                 assert L.unpack(key) == m
         want = tuple_mul(a, b, weight_cut(P, N))
-        got = poly_mul(L.pack_terms(a.items()), L.pack_terms(b.items()), L.keep)
+        got = poly_mul(L.pack_terms(a.items()), L.pack_terms(b.items()), L.limit)
         assert {L.unpack(m): c for m, c in got.items()} == want
 
     @pytest.mark.parametrize("P", [(5,), P5711])
@@ -366,7 +366,7 @@ class TestPackedMonomials:
         a = {_norm_mono([(zero, e)]): Fraction(e + 1) for e in range(N)}
         b = {**a, **{_norm_mono([(zero, e), (n, 1)]): Fraction(1, e + 2) for e in range(N)}}
         want = tuple_mul(a, b, weight_cut(P, N))
-        got = poly_mul(L.pack_terms(a.items()), L.pack_terms(b.items()), L.keep)
+        got = poly_mul(L.pack_terms(a.items()), L.pack_terms(b.items()), L.limit)
         assert {L.unpack(m): c for m, c in got.items()} == want
         f = MultiJetSeries.make(P, b, N)
         for k, p in enumerate(P):
@@ -542,7 +542,7 @@ class TestGhostDelta:
         L = layout(P, N)
         k = data.draw(st.integers(0, len(P) - 1))
         g = L.pack_terms(t.items())
-        tp = sparse.power(g, P[k], {0: Fraction(1)}, lambda a, b: poly_mul(a, b, L.keep))
+        tp = sparse.power(g, P[k], {0: Fraction(1)}, lambda a, b: poly_mul(a, b, L.limit))
         want = sparse.scale(sparse.add(ghost_shift(g, k, L), sparse.scale(tp, -1)), Fraction(1, P[k]))
         num, den = ghost_delta(g, k, L)
         assert all(type(x) is int and x for x in num.values())
@@ -967,3 +967,59 @@ class TestBridges:
     def test_padic_json_roundtrip(self):
         f = reduce_to_padic(build_fe0(P57, 20), 0, 6)
         assert MultiJetSeries.from_json(f.to_json()) == f
+
+
+def from_json_normalising_twice(obj):
+    """``MultiJetSeries.from_json`` as it was: each monomial normalised on
+    decoding, the last coefficient of a normalised monomial kept, then
+    normalised again by ``make``."""
+    terms = {}
+    for mono, c in obj["terms"]:
+        terms[_norm_mono([(tuple(int(x) for x in i), int(e)) for i, e in mono])] = decode_coeff(c)
+    return MultiJetSeries.make([int(p) for p in obj["P"]], terms, int(obj["N"]), int(obj.get("ring", 0)))
+
+
+def test_make_keeps_the_last_of_two_spellings_of_one_monomial():
+    a, b = ((1, 0), 1), ((0, 0), 2)
+    m, spellings = (b, a), [(a, b), (b, a), (a, b, ((0, 1), 0)), (a, ((0, 0), 1), ((0, 0), 1))]
+    for first, later in itertools.permutations(spellings, 2):
+        for c1, c2 in ((3, 0), (3, 5), (0, 5), (0, 0)):
+            f = MultiJetSeries.make(P57, {first: c1, later: c2, (((0, 1), 1),): 1}, 20)
+            want = {m: Fraction(c2)} if c2 else {}
+            assert dict(f.terms) == {**want, (((0, 1), 1),): Fraction(1)}
+
+
+class TestFromJson:
+    X0, X1, X2 = [0, 0], [1, 0], [0, 1]
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            # duplicates: the last one wins, whether its pairs are spelled alike or not
+            [[[[X1, 1]], "2"], [[[X1, 1]], "3"]],
+            [[[[X1, 1], [X0, 2]], "2"], [[[X0, 2], [X1, 1]], "5/7"], [[[X1, 1], [X0, 2]], "-1"]],
+            [[[[X0, 2], [X1, 1]], "5/7"], [[[X1, 1], [X0, 2], [X2, 0]], "1/3"]],
+            [[[[X2, 1]], "4"], [[[X2, 1], [X1, 0]], "0"]],
+            [[[[X2, 1]], "0"], [[[X2, 1], [X1, 0]], "4"]],
+            # unsorted pairs, zero exponents, a repeated index and a weight past N
+            [[[[X2, 1], [X0, 3]], "1/2"], [[[X1, 0]], "7"], [[[X0, 0], [X2, 0]], "-3"]],
+            [[[[X1, 1], [X0, 1], [X1, 2]], "9"], [[[X0, 2], [X0, -1]], "11/13"], [[[X2, 3]], "1"]],
+            [[[[["1", "0"], "2"]], "3"], [[[X0, 1]], {"p": 5, "M": 4, "residue": "7", "digits": 3}]],
+        ],
+    )
+    def test_matches_the_twice_normalising_route(self, terms):
+        for ring in (0, 1):
+            obj = {"P": [5, 7], "r": [0, 0], "N": 20, "ring": ring, "terms": terms}
+            want = from_json_normalising_twice(obj)
+            got = MultiJetSeries.from_json(obj)
+            assert dump(got.to_json()) == dump(want.to_json())
+            assert got.terms == want.terms
+
+    def test_errors_are_kept(self):
+        base = {"P": [5, 7], "N": 20, "ring": 0}
+        negative = {**base, "terms": [[[[self.X1, 1], [self.X1, -2]], "1"]]}
+        arity = {**base, "terms": [[[[[0, 0, 1], 1]], "1"]]}
+        for obj, message in ((negative, "nonnegative"), (arity, "arity")):
+            for route in (MultiJetSeries.from_json, from_json_normalising_twice):
+                with pytest.raises(DomainError, match=message):
+                    route(obj)

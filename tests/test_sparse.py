@@ -3,6 +3,10 @@
 import operator
 from fractions import Fraction as F
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import _helpers
 from pjet.arith import PadicTrunc
 from pjet.deltajet import JetSeries
 from pjet.multiprime import MultiJetSeries
@@ -19,6 +23,29 @@ class Counted(int):
         Counted.products += 1
         return Counted(int(self) * int(other))
 
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return Counted(int(self) + int(other))
+
+
+def reference(t1, t2, limit):
+    """The reference kernel's product under the same cut."""
+    return _helpers.mul(t1, t2, operator.add, lambda m: limit is None or m < limit)
+
+
+def exact(t):
+    """A product's terms with every field of a PadicTrunc coefficient, since
+    PadicTrunc's ``==`` compares guaranteed digits only."""
+    return {m: (c.residue, c.digits, c.M) if isinstance(c, PadicTrunc) else c for m, c in t.items()}
+
+
+COEFFS = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+)
+PADIC = st.builds(PadicTrunc, st.just(5), st.just(3), st.integers(-200, 200), st.integers(0, 3))
+
 
 class TestKernel:
     def test_add_drops_cancelled_terms(self):
@@ -30,19 +57,70 @@ class TestKernel:
         assert scale({1: F(2)}, 0) == {}
 
     def test_mul_prunes_before_the_coefficient_product(self):
-        a = {0: Counted(1), 1: Counted(2), 2: Counted(3)}
-        b = {0: Counted(1), 3: Counted(5)}
+        a = {2: Counted(3), 0: Counted(1), 1: Counted(2)}
+        b = {3: Counted(5), 0: Counted(1)}
         Counted.products = 0
-        out = mul(a, b, operator.add, lambda e: e < 3)
+        out = mul(a, b, 3)
         assert out == {0: 1, 1: 2, 2: 3}
         assert Counted.products == 3  # the three pairs landing at 3, 4, 5 are never formed
+        # at every limit, a product forms exactly the pairs below it, and a
+        # square each unordered pair below it once: n(n+1)/2 at most
+        c = {5: Counted(2), -2: Counted(-1), 0: Counted(3), 1: Counted(1)}
+        for limit in [None, *range(-6, 13)]:
+            for t1, t2 in ((a, b), (b, a), (c, a), (c, c), (a, a)):
+                want = reference(t1, t2, limit)
+                Counted.products = 0
+                assert mul(t1, t2, limit) == want
+                below = [m1 + m2 for m1 in t1 for m2 in t2 if limit is None or m1 + m2 < limit]
+                if t1 is t2:
+                    n = len(t1)
+                    diagonal = sum(1 for m in t1 if limit is None or 2 * m < limit)
+                    assert Counted.products == (len(below) + diagonal) // 2 <= n * (n + 1) // 2
+                else:
+                    assert Counted.products == len(below)
+        Counted.products = 0
+        mul(c, c)
+        assert Counted.products == 10  # 4 * 5 / 2
 
     def test_mul_cancels(self):
-        # (1 + x)(1 - x) = 1 - x^2
-        assert mul({0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}, operator.add, lambda e: True) == {
-            0: F(1),
-            2: F(-1),
-        }
+        # (1 + x)(1 - x) = 1 - x^2, and (1 + 2x - 2x^2)^2 has no x^2 term
+        assert mul({0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}) == {0: F(1), 2: F(-1)}
+        t = {0: F(1), 1: F(2), 2: F(-2)}
+        assert mul(t, t) == {0: F(1), 1: F(4), 3: F(-8), 4: F(4)}
+        assert mul(t, t, 3) == {0: F(1), 1: F(4)}
+
+    @given(
+        t1=st.dictionaries(st.integers(-12, 12), COEFFS, max_size=7),
+        t2=st.dictionaries(st.integers(-12, 12), COEFFS, max_size=7),
+        limit=st.integers(-26, 26),
+    )
+    @example(t1={}, t2={3: 1}, limit=0)
+    @example(t1={-4: 2}, t2={}, limit=0)
+    @example(t1={-4: 2}, t2={7: F(1, 3)}, limit=3)
+    @example(t1={0: 1, 1: 1}, t2={0: 1, 1: -1}, limit=2)
+    @example(t1={0: 1, 1: 2, 2: -2}, t2={0: 1, 1: 2, 2: -2}, limit=5)
+    @settings(max_examples=300, deadline=None)
+    def test_mul_matches_reference_kernel(self, t1, t2, limit):
+        # int keys of either sign; the limit drawn, None, below every key and
+        # above every key; each operand squared, as itself and against a copy
+        keys = [*t1, *t2] or [0]
+        for lim in (limit, None, 2 * min(keys), 2 * min(keys) - 1, 2 * max(keys) + 1):
+            assert mul(t1, t2, lim) == reference(t1, t2, lim)
+            for t in (t1, t2):
+                want = reference(t, dict(t), lim)
+                assert mul(t, t, lim) == want == mul(t, dict(t), lim)
+            assert all(mul(t1, t2, lim).values())
+
+    @given(
+        t1=st.dictionaries(st.integers(-6, 6), PADIC, max_size=5),
+        t2=st.dictionaries(st.integers(-6, 6), PADIC, max_size=5),
+        limit=st.one_of(st.none(), st.integers(-13, 13)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mul_matches_reference_kernel_on_padic_coefficients(self, t1, t2, limit):
+        assert exact(mul(t1, t2, limit)) == exact(reference(t1, t2, limit))
+        for t in (t1, t2):
+            assert exact(mul(t, t, limit)) == exact(reference(t, dict(t), limit))
 
     def test_power_starts_from_one(self):
         seen = []

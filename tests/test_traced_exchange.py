@@ -1,4 +1,4 @@
-"""The benchmark's tracer still sees every basis exchange.
+"""The benchmark's tracer still sees every basis exchange and every product.
 
 perfbench's ``spans.Tracer`` times ``multiprime.jet_to_ghost`` and
 ``multiprime.ghost_to_jet`` and counts the terms they return as ``len`` of
@@ -7,6 +7,11 @@ the result.  One job each of ``f2e0``, ``f2e-k``, ``check-covariance`` and
 recorder around ``multiprime._subst``, the one routine behind both exchanges.
 Every exchange must go through a traced name, and each traced ``terms_out``
 must be the term count of the dicts those calls returned.
+
+The tracer counts the pairs of a product as |t1| * |t2| of each
+``deltajet.terms_mul`` and ``multiprime.poly_mul`` call, and times
+``Series1.__mul__``.  A recorder around ``sparse.mul`` checks that each call
+of the kernel, squares included, is made directly inside one of those spans.
 """
 
 import contextlib
@@ -17,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from pjet import cli, multiprime
+from pjet import cli, multiprime, sparse
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 from spans import Tracer  # noqa: E402
@@ -68,3 +73,29 @@ def test_every_exchange_is_traced_with_its_term_count(job, fe0_payload, monkeypa
         assert all(type(out) is dict and all(type(c) is Fraction and c for c in out.values()) for out in outs)
         assert tracer.counts.get(name + ".terms_out", 0) == sum(len(out) for out in outs)
     assert calls["multiprime.ghost_to_jet"] > 0
+
+
+KERNEL_JOBS = {
+    "delta-expand": ["delta-expand", "--form", "E4", "--trunc", "12", "--n", "2", "--p", "7", "--M", "6"],
+    "check-lemma": ["check-lemma", "--name", "xlaphi", "--p", "5", "--n", "2", "--varphi", "symbolic"],
+    "fe-k": JOBS["fe-k"],
+    "f2e0": JOBS["f2e0"],
+}
+KERNEL_SPANS = {"deltajet.terms_mul", "multiprime.poly_mul", "qseries.Series1.mul"}
+
+
+@pytest.mark.parametrize("job", sorted(KERNEL_JOBS))
+def test_every_kernel_call_is_inside_a_pair_counted_span(job, monkeypatch):
+    tracer, kernel, innermost = Tracer(), sparse.mul, []
+
+    def recording(t1, t2, limit=None):
+        innermost.append(tracer._stack[-1] if tracer._stack else None)
+        return kernel(t1, t2, limit)
+
+    monkeypatch.setattr(sparse, "mul", recording)
+    monkeypatch.setattr(multiprime, "_GEN_CACHE", {})
+    with tracer:
+        run(KERNEL_JOBS[job])
+    assert innermost
+    outside = [i for i in innermost if i is None or tracer.spans[i][0] not in KERNEL_SPANS]
+    assert outside == []
