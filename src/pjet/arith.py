@@ -83,14 +83,19 @@ def format_rational(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
+def parse_ratio(s: str) -> tuple[int, int]:
+    """``s`` as integers (n, d) with d > 0, not reduced."""
     s = s.strip()
-    if "/" in s:
-        n, d = s.split("/")
-        if int(d) == 0:
-            raise DomainError(f"zero denominator in {s!r}")
-        return Fraction(int(n), int(d))
-    return Fraction(int(s))
+    if "/" not in s:
+        return int(s), 1
+    n, d = s.split("/")
+    if (d := int(d)) == 0:
+        raise DomainError(f"zero denominator in {s!r}")
+    return (int(n), d) if d > 0 else (-int(n), -d)
+
+
+def parse_rational(s: str) -> Fraction:
+    return Fraction(*parse_ratio(s))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .multiprime import (
     Layout,
     Mono,
     MultiJetSeries,
+    _canon,
     _check_primes,
     _gamma_in_ghost,
     delta_pk,
@@ -238,9 +239,9 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
     image, images = t_generator(P, N) + 1, []
     for _ in range(f.r()):
         image = delta_pk(image, 0)
-        if any(c.denominator != 1 for _, c in image.terms):
+        images.append(image._packed(L))
+        if images[-1].den != 1:
             raise IntegralityViolation("a jet image of 1 + t is not integral")
-        images.append({m: c.numerator for m, c in L.pack_terms(image.terms).items()})
     den = math.lcm(*(c.denominator for _, c in f.terms))
 
     def horner(terms: list, i: int) -> dict[int, int]:
@@ -262,7 +263,7 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
         return acc
 
     out = horner(list(f.terms), len(images))
-    return L.series({m: Fraction(x, den) for m, x in out.items()}, 0)
+    return L.series(_canon(out, den), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +327,15 @@ def _compare(F: MultiJetSeries, gamma, g: int, nu: int, digits: int | None) -> C
     witness is the first bad monomial in (weight, monomial) order.  The
     difference is ghost_to_jet(ghost_gamma(G) - g^nu * G), G = jet_to_ghost(F).
     """
-    L, G, num, den = _gamma_in_ghost(F, g)
+    L, G, num, den = _gamma_in_ghost(F, g)  # G and num are both over den
     A, B = (Fraction(g) ** nu).as_integer_ratio()
-    minus = {m: -A * c.numerator * (den // c.denominator) for m, c in G.items()}
-    diff = sparse.add(sparse.scale(num, B), minus)
+    diff = sparse.add(sparse.scale(num, B), sparse.scale(G, -A))
+    out = ghost_to_jet(diff, L, den * B)
     bad = [
         (m >> L.shift, L.unpack(m))
-        for m, c in ghost_to_jet(diff, L, den * B).items()
-        if digits is None or valuation(c, F.P[0]) < digits
+        for m, x in out.items()
+        if digits is None or valuation(Fraction(x, out.den), F.P[0]) < digits
     ]
     if bad:
         return CovarianceReport(gamma, nu, False, min(bad)[1])
-    return CovarianceReport(gamma, nu, True if F.terms else None, None)
+    return CovarianceReport(gamma, nu, True if G else None, None)

@@ -14,9 +14,7 @@ zero divisor the two-prime commutator identity for the derived operators
 
 holds automatically on every element, mixed monomials included.  The public
 representation stays in the jet basis; the two bases are exchanged through
-cached triangular generator polynomials.  The ghost side runs in integers:
-``build_fe0``, ``ghost_delta`` and ``ghost_gamma`` hand integer numerators
-over one denominator to ``ghost_to_jet``, which builds one ``Fraction`` per term.
+cached triangular generator polynomials, in integers over one denominator.
 
 Inside the kernel a monomial is one int, packed by a ``Layout`` of (P, N):
 each variable of weight below N owns a bit field, in index order, and the
@@ -24,10 +22,11 @@ weight sits in the top field.  A field holds twice the largest exponent that
 stays below N, so adding two kept monomials never carries out of a field:
 the monomial product is integer ``+`` and the truncation is the key limit
 ``N << shift``: ``sparse.mul`` walks its second operand in key order, stops
-each row at the limit and squares once.  A packed polynomial holds kept keys
-only; a series is packed on entering the kernel (``MultiJetSeries._packed``)
-and unpacked into sorted ``Mono`` tuples on leaving (``Layout.series``);
-``build_fe_k`` and the rank check keep every lift between the two packed.
+each row at the limit and squares once.  The packed form is the stored
+value: an exact ``MultiJetSeries`` holds integer numerators by key, in key
+order, over one positive denominator with no factor common to all of them
+(a canonical ``Packed``); ``terms`` and ``coeffs`` are views built on first
+use, and the JSON codec unpacks and sorts only in ``to_json``.
 
 Per-prime rings (ring tag k >= 1) share the representation but only promise
 denominators coprime to p_k; the common ring (tag 0) promises denominators
@@ -47,9 +46,9 @@ from . import sparse
 from .arith import (
     PadicTrunc,
     check_prime,
-    decode_coeff,
     encode_coeff,
     format_rational,
+    parse_ratio,
     rational_reconstruct,
     reduce_rational_mod,
 )
@@ -61,9 +60,24 @@ from .errors import (
 
 Idx = tuple[int, ...]
 Mono = tuple[tuple[Idx, int], ...]  # sorted ((multi-index), exponent) pairs
-Poly = dict[int, Fraction]  # packed monomial -> coefficient, in one Layout
+Poly = dict[int, int]  # packed monomial -> coefficient, in one Layout
 
 M_ONE: Mono = ()
+
+
+class Packed(dict):
+    """Integer numerators by packed key, over the positive denominator ``den``."""
+
+    __slots__ = ("den",)
+
+
+def _canon(t: Mapping[int, int], den: int) -> Packed:
+    """t / den in canonical form: no zero term, keys in order, and a positive
+    denominator that shares no factor with all of the numerators."""
+    g = math.gcd(den, *t.values()) * (1 if den > 0 else -1)
+    out = Packed([(m, x // g) for m, x in sorted(t.items()) if x])
+    out.den = den // g
+    return out
 
 
 def _norm_mono(pairs: Iterable[tuple[Idx, int]]) -> Mono:
@@ -73,7 +87,7 @@ def _norm_mono(pairs: Iterable[tuple[Idx, int]]) -> Mono:
             d[i] = d.get(i, 0) + e
     if any(e < 0 for e in d.values()):
         raise DomainError("jet exponents must be nonnegative")
-    return tuple(sorted(d.items()))
+    return tuple(sorted((i, e) for i, e in d.items() if e))
 
 
 def _check_primes(P: Sequence[int]) -> tuple[int, ...]:
@@ -90,10 +104,6 @@ def var_weight(i: Idx, P: Sequence[int]) -> int:
     for k, p in enumerate(P):
         w *= p ** i[k]
     return w
-
-
-def mono_weight(m: Mono, P: Sequence[int]) -> int:
-    return sum(e * var_weight(i, P) for i, e in m)
 
 
 class Layout:
@@ -124,21 +134,20 @@ class Layout:
     def unpack(self, key: int) -> Mono:
         return tuple((i, e) for i, off, mask in self.fields if (e := key >> off & mask))
 
-    def pack_terms(self, terms: Iterable[tuple[Mono, Fraction]]) -> Poly:
-        """The terms of weight below N, packed.  A variable without a field
-        weighs N or more; a heavier monomial's carries only raise its key."""
-        var, out = self.var, {}
-        for m, c in terms:
-            if all(i in var for i, _ in m):
-                key = sum(e * var[i] for i, e in m)
-                if key < self.limit:
-                    out[key] = c
-        return out
+    def pack(self, m: Mono) -> int | None:
+        """The key of a normalised monomial below weight N, else None: a
+        variable with no field weighs N or more, and carries raise a key."""
+        if any(len(i) != len(self.P) for i, _ in m):
+            raise DomainError("multi-index arity does not match P")
+        if all(i in self.var for i, _ in m):
+            key = sum(e * self.var[i] for i, e in m)
+            if key < self.limit:
+                return key
+        return None
 
-    def series(self, t: Poly, ring: int) -> "MultiJetSeries":
-        """The public series of a packed polynomial, in the public monomial order."""
-        terms = sorted([(self.unpack(m), c) for m, c in t.items() if c])
-        return MultiJetSeries(self.P, tuple(terms), self.N, ring)
+    def series(self, t: Packed, ring: int) -> "MultiJetSeries":
+        """The series stored as the canonical ``t`` of this layout."""
+        return MultiJetSeries(self.P, t, self.N, ring)
 
 
 def layout(P: tuple[int, ...], N: int) -> Layout:
@@ -151,48 +160,54 @@ def poly_mul(t1: Poly, t2: Poly, limit: int) -> Poly:
     return sparse.mul(t1, t2, limit)
 
 
+def _relabel(t: Mapping[int, object], src: Layout, dst: Layout, k: int | None = None) -> dict:
+    """The terms of t, keyed in src, moved into dst field by field, with
+    every index shifted by e_k if k is given (weights then grow p_k-fold).
+    An image below dst.N has each variable in dst, none outweighing it."""
+    p = 1 if k is None else src.P[k]
+    at = {i: off for i, off, _ in dst.fields}
+    step = [(i if k is None else i[:k] + (i[k] + 1,) + i[k + 1 :], off, mask) for i, off, mask in src.fields]
+    moves = [(off, mask, at[j]) for j, off, mask in step if j in at]
+    out = {}
+    for m, c in t.items():
+        w = (m >> src.shift) * p
+        if w < dst.N:
+            key = w << dst.shift
+            for off, mask, to in moves:
+                e = m >> off & mask
+                if e:
+                    key += e << to
+            out[key] = c
+    return out
+
+
+def _move(t: Packed, src: Layout, dst: Layout) -> Packed:
+    """The canonical t of layout src in the layout dst of the same primes."""
+    return t if src.N == dst.N else _canon(_relabel(t, src, dst), t.den)
+
+
 # ---------------------------------------------------------------------------
 # Ghost-coordinate operators and the basis exchange
 # ---------------------------------------------------------------------------
 
 
-def ghost_shift(t: Poly, k: int, L: Layout) -> Poly:
-    """Frobenius lift on ghost coordinates: u_i -> u_{i+e_k}, below L.N.
-
-    A monomial whose image stays below N has every variable's image in the
-    layout, since no variable outweighs its monomial.
-    """
-    p = L.P[k]
-    offset = {i: off for i, off, _ in L.fields}
-    shifted = [(off, mask, i[:k] + (i[k] + 1,) + i[k + 1 :]) for i, off, mask in L.fields]
-    moves = [(off, mask, offset[j]) for off, mask, j in shifted if j in offset]
-    out: Poly = {}
-    for m, c in t.items():
-        w = (m >> L.shift) * p
-        if w < L.N:
-            key = w << L.shift
-            for off, mask, dst in moves:
-                e = m >> off & mask
-                if e:
-                    key += e << dst
-            out[key] = c
-    return out
+def ghost_shift(t: Mapping[int, object], k: int, L: Layout) -> dict:
+    """Frobenius lift on ghost coordinates: u_i -> u_{i+e_k}, below L.N."""
+    return _relabel(t, L, L, k)
 
 
-def ghost_delta(t: Poly, k: int, L: Layout) -> tuple[dict[int, int], int]:
-    """(ghost_shift(t, k) - t**p_k) / p_k below L.N, in integers: with t = T / D
-    over the lcm D of its denominators, D**(p_k - 1) * shift(T) - T**p_k over
+def ghost_delta(T: Mapping[int, int], k: int, L: Layout, D: int = 1) -> tuple[dict[int, int], int]:
+    """(ghost_shift(t, k) - t**p_k) / p_k below L.N for t = T / D with integer
+    numerators T, in integers: D**(p_k - 1) * shift(T) - T**p_k over
     D**p_k * p_k."""
     p = L.P[k]
-    D = math.lcm(*(c.denominator for c in t.values()))
-    T = {m: c.numerator * (D // c.denominator) for m, c in t.items()}
     Tp = sparse.power(T, p, {0: 1}, lambda a, b: poly_mul(a, b, L.limit))
     num = sparse.add(sparse.scale(ghost_shift(T, k, L), D ** (p - 1)), sparse.scale(Tp, -1))
     return num, D**p * p
 
 
 # generator tables by (P, i, "g" or "j"), layouts by (P, N), and generator
-# tables packed in a layout by (P, N, i, "g" or "j"); at most _GEN_CACHE_MAX
+# tables moved into a layout by (P, N, i, "g" or "j"); at most _GEN_CACHE_MAX
 _GEN_CACHE: dict[tuple, object] = {}
 _GEN_CACHE_MAX = 1024
 
@@ -207,7 +222,7 @@ def _cached(key: tuple, value):
     return value
 
 
-def _generator(P: tuple[int, ...], i: Idx, kind: str) -> dict[Mono, Fraction]:
+def _generator(P: tuple[int, ...], i: Idx, kind: str) -> Packed:
     """x_i in ghost coordinates (kind "g") or u_i in the jet basis ("j").
 
     x_0 = u_0 and x_i = delta_{p_k}(x_{i - e_k}) for the first k with
@@ -215,42 +230,38 @@ def _generator(P: tuple[int, ...], i: Idx, kind: str) -> dict[Mono, Fraction]:
     is (1/P^i) u_i plus products of strictly lighter ghost variables, so
     u_i = P^i * (x_i - rest) with the rest rewritten recursively (a
     triangular solve).  Both tables are homogeneous of weight wt(x_i), so
-    they are computed in the layout of (P, wt(x_i) + 1) and kept unpacked.
+    they are computed and kept in the layout of (P, wt(x_i) + 1).
     """
     key = (P, i, kind)
     if key in _GEN_CACHE:
         return _GEN_CACHE[key]
-    lead: Mono = ((i, 1),)
     w = var_weight(i, P)
     L = layout(P, w + 1)
+    lead = L.var[i]
     if w == 1:
-        out = {lead: Fraction(1)}
+        out = _canon({lead: 1}, 1)
     elif kind == "g":
         k = next(j for j, c in enumerate(i) if c)
-        prev = _generator(P, i[:k] + (i[k] - 1,) + i[k + 1 :], "g")
-        num, den = ghost_delta(L.pack_terms(prev.items()), k, L)
-        out = {L.unpack(m): Fraction(x, den) for m, x in num.items()}
+        prev = _move(_generator(P, i[:k] + (i[k] - 1,) + i[k + 1 :], "g"), layout(P, w // P[k] + 1), L)
+        out = _canon(*ghost_delta(prev, k, L, prev.den))
     else:
         g = _generator(P, i, "g")
-        if g.get(lead, 0) * w != 1:
+        if g.get(lead, 0) * w != g.den:
             raise IntegralityViolation("generator polynomial lost its leading term")
-        rest = ghost_to_jet(L.pack_terms((m, c) for m, c in g.items() if m != lead), L)
+        rest = ghost_to_jet({m: x for m, x in g.items() if m != lead}, L, g.den)
         # the rest is in jet variables lighter than x_i
-        out = {lead: Fraction(w), **{L.unpack(m): -w * c for m, c in rest.items()}}
+        out = _canon({lead: w * rest.den, **{m: -w * x for m, x in rest.items()}}, rest.den)
     return _cached(key, out)
 
 
-def _gen_table(L: Layout, i: Idx, kind: str) -> tuple[dict[int, int], int]:
-    """``_generator(L.P, i, kind)`` packed in L, as integer coefficients over
-    the lcm D of its denominators."""
+def _gen_table(L: Layout, i: Idx, kind: str) -> Packed:
+    """``_generator(L.P, i, kind)`` moved into L."""
     if (key := (L.P, L.N, i, kind)) in _GEN_CACHE:
         return _GEN_CACHE[key]
-    img = L.pack_terms(_generator(L.P, i, kind).items())
-    D = math.lcm(*(c.denominator for c in img.values()))
-    return _cached(key, ({m: c.numerator * (D // c.denominator) for m, c in img.items()}, D))
+    return _cached(key, _move(_generator(L.P, i, kind), layout(L.P, var_weight(i, L.P) + 1), L))
 
 
-def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int = 1) -> Poly:
+def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int = 1) -> Packed:
     """Substitute the generator image of kind ``kind`` for each variable of
     ``t``, whose coefficients are rationals or integer numerators over ``den``.
 
@@ -259,18 +270,20 @@ def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int
     to the largest exponent asked for.  A monomial c * prod x_i^e
     contributes c.numerator * prod img_i^e over the denominator
     den * c.denominator * prod D_i^e; the contributions add up over the lcm
-    of those, with one ``Fraction`` per output term.  Both exchanges are
-    weight-homogeneous, so every product below L.N is exact.
+    of those, in canonical form.  Both exchanges are weight-homogeneous, so
+    every product below L.N is exact.
     """
     limit, one = L.limit, {0: 1}
     ladders: dict[Idx, tuple[list[dict[int, int]], int]] = {}
     parts: list[tuple[dict[int, int], int, int]] = []
     for m, c in t.items():
         acc, d = one, c.denominator
-        for i, e in L.unpack(m):
+        for i, off, mask in L.fields:
+            if not (e := m >> off & mask):
+                continue
             if i not in ladders:
-                img, D = _gen_table(L, i, kind)
-                ladders[i] = [one, img], D
+                img = _gen_table(L, i, kind)
+                ladders[i] = [one, img], img.den
             ladder, D = ladders[i]
             while len(ladder) <= e:
                 ladder.append(poly_mul(ladder[-1], ladder[1], limit))
@@ -283,15 +296,14 @@ def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int
         f = lcm // d * num
         for m, x in acc.items():
             out[m] = out.get(m, 0) + x * f
-    den *= lcm
-    return {m: Fraction(x, den) for m, x in out.items() if x}
+    return _canon(out, den * lcm)
 
 
-def jet_to_ghost(t: Poly, L: Layout) -> Poly:
-    return _subst(t, L, "g")
+def jet_to_ghost(t: Mapping[int, Union[Fraction, int]], L: Layout, den: int = 1) -> Packed:
+    return _subst(t, L, "g", den)
 
 
-def ghost_to_jet(t: Mapping[int, Union[Fraction, int]], L: Layout, den: int = 1) -> Poly:
+def ghost_to_jet(t: Mapping[int, Union[Fraction, int]], L: Layout, den: int = 1) -> Packed:
     return _subst(t, L, "j", den)
 
 
@@ -310,12 +322,19 @@ class MultiJetSeries:
     k in 1..d for the ring localized away from p_k only.  Coefficients are
     exact rationals except for reduced per-prime families, which carry
     truncated p-adics.
+
+    ``_store`` holds the coefficients by key of the layout of (P, N), in key
+    order: a canonical ``Packed``, or as they are for a p-adic family.
     """
 
     P: tuple[int, ...]
-    terms: tuple[tuple[Mono, Coeff], ...]
+    _store: dict
     N: int
     ring: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.ring <= len(self.P):
+            raise DomainError("ring tag out of range")
 
     @staticmethod
     def make(
@@ -327,30 +346,30 @@ class MultiJetSeries:
         """The series of ``terms`` below weight N, each monomial normalised; of two
         keys that normalise to one monomial the later wins, a zero coefficient too."""
         Pt = _check_primes(P)
-        if not (0 <= ring <= len(Pt)):
-            raise DomainError("ring tag out of range")
-        clean = {}
-        for m, c in terms.items():
-            m = _norm_mono(m)
-            if any(len(i) != len(Pt) for i, _ in m):
-                raise DomainError("multi-index arity does not match P")
-            if mono_weight(m, Pt) < N:
-                if isinstance(c, PadicTrunc) or (c := Fraction(c)) != 0:
-                    clean[m] = c
-                else:
-                    clean.pop(m, None)
-        return MultiJetSeries(Pt, tuple(sorted(clean.items())), N, ring)
+        L = layout(Pt, N)
+        pairs = [
+            (L.pack(_norm_mono(m)), c if isinstance(c, PadicTrunc) else Fraction(c).as_integer_ratio())
+            for m, c in terms.items()
+        ]
+        return MultiJetSeries(Pt, _stored(pairs), N, ring)
 
     def d(self) -> int:
         return len(self.P)
 
     def order_vector(self) -> tuple[int, ...]:
-        r = [0] * len(self.P)
-        for m, _ in self.terms:
-            for i, _e in m:
-                for k, c in enumerate(i):
-                    r[k] = max(r[k], c)
-        return tuple(r)
+        seen = functools.reduce(int.__or__, self._store, 0)  # each field used by some key
+        used = [i for i, off, mask in layout(self.P, self.N).fields if seen >> off & mask]
+        return tuple(max((i[k] for i in used), default=0) for k in range(len(self.P)))
+
+    def _sorted(self) -> list[tuple[Mono, object]]:  # in the public monomial order
+        L = layout(self.P, self.N)
+        return sorted([(L.unpack(m), c) for m, c in self._store.items()])
+
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[Mono, Coeff], ...]:
+        """The terms in the public monomial order, built on first use."""
+        den = getattr(self._store, "den", None)
+        return tuple((m, c if den is None else Fraction(c, den)) for m, c in self._sorted())
 
     @functools.cached_property
     def coeffs(self) -> dict[Mono, Coeff]:
@@ -361,17 +380,19 @@ class MultiJetSeries:
         return self.coeffs.get(_norm_mono(m), Fraction(0))
 
     def is_padic(self) -> bool:
-        return any(isinstance(c, PadicTrunc) for _, c in self.terms)
+        return not isinstance(self._store, Packed)
 
-    def _packed(self, L: Layout) -> Poly:
+    def _packed(self, L: Layout) -> Packed:
+        """The stored value, moved into L if that is another layout."""
         if self.is_padic():
             raise DomainError("ring operations need exact rational coefficients")
-        return L.pack_terms(self.terms)
+        return _move(self._store, layout(self.P, self.N), L)
 
     def truncate(self, N: int) -> "MultiJetSeries":
         N = min(self.N, N)
-        terms = tuple((m, c) for m, c in self.terms if mono_weight(m, self.P) < N)
-        return MultiJetSeries(self.P, terms, N, self.ring)
+        if self.is_padic():
+            return MultiJetSeries.make(self.P, dict(self.terms), N, self.ring)
+        return MultiJetSeries(self.P, self._packed(layout(self.P, N)), N, self.ring)
 
     def _meta(self, other: "MultiJetSeries") -> tuple[int, int]:
         if self.P != other.P:
@@ -384,12 +405,12 @@ class MultiJetSeries:
             other = MultiJetSeries.make(self.P, {M_ONE: Fraction(other)}, self.N, self.ring)
         N, ring = self._meta(other)
         L = layout(self.P, N)
-        return L.series(sparse.add(self._packed(L), other._packed(L)), ring)
+        return L.series(_axpy(self._packed(L), other._packed(L), 1), ring)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiJetSeries(self.P, tuple((m, -c) for m, c in self.terms), self.N, self.ring)
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
@@ -398,17 +419,14 @@ class MultiJetSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        L = layout(self.P, self.N)
         if not isinstance(other, MultiJetSeries):
-            c = Fraction(other)
-            return MultiJetSeries(
-                self.P,
-                tuple((m, v * c) for m, v in self.terms) if c else (),
-                self.N,
-                self.ring,
-            )
+            t, (n, d) = self._packed(L), Fraction(other).as_integer_ratio()
+            return L.series(_canon(sparse.scale(t, n), t.den * d), self.ring)
         N, ring = self._meta(other)
         L = layout(self.P, N)
-        return L.series(poly_mul(self._packed(L), other._packed(L), L.limit), ring)
+        a, b = self._packed(L), other._packed(L)
+        return L.series(_canon(poly_mul(a, b, L.limit), a.den * b.den), ring)
 
     __rmul__ = __mul__
 
@@ -416,9 +434,9 @@ class MultiJetSeries:
         if n < 0:
             raise DomainError("negative powers are not defined here")
         L = layout(self.P, self.N)
-        one = L.pack_terms([(M_ONE, Fraction(1))])
-        t = sparse.power(self._packed(L), n, one, lambda a, b: poly_mul(a, b, L.limit))
-        return L.series(t, self.ring)
+        t = self._packed(L)
+        out = sparse.power(t, n, {0: 1} if self.N > 0 else {}, lambda a, b: poly_mul(a, b, L.limit))
+        return L.series(_canon(out, t.den**n), self.ring)
 
     def __eq__(self, other):
         if not isinstance(other, MultiJetSeries):
@@ -426,41 +444,69 @@ class MultiJetSeries:
         if self.P != other.P:
             return False
         N = min(self.N, other.N)
-        keys = {m for m, _ in self.terms} | {m for m, _ in other.terms}
-        d1, d2 = dict(self.terms), dict(other.terms)
-        for m in keys:
-            if mono_weight(m, self.P) >= N:
-                continue
-            if d1.get(m, Fraction(0)) != d2.get(m, Fraction(0)):
-                return False
-        return True
+        a, b = self.truncate(N), other.truncate(N)
+        if a.is_padic() or b.is_padic():
+            return all(a.coeff(m) == b.coeff(m) for m in a.coeffs.keys() | b.coeffs.keys())
+        return (a._store, a._store.den) == (b._store, b._store.den)
 
     def __hash__(self):
-        return hash((self.P, self.terms, self.N, self.ring))
+        t = self._store
+        return hash((self.P, self.N, self.ring, getattr(t, "den", None), tuple(t.items())))
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "P": list(self.P),
-            "r": list(self.order_vector()),
-            "N": self.N,
-            "ring": self.ring,
-            "terms": [
-                [[[list(i), e] for i, e in m], encode_coeff(c)] for m, c in self.terms
-            ],
-        }
+        den, terms = getattr(self._store, "den", None), []
+        for m, c in self._sorted():
+            if den is None:
+                c = encode_coeff(c)
+            else:
+                g = math.gcd(c, den)
+                c = str(c // g) if g == den else f"{c // g}/{den // g}"
+            terms.append([[[list(i), e] for i, e in m], c])
+        return {"P": list(self.P), "r": list(self.order_vector()), "N": self.N, "ring": self.ring, "terms": terms}
 
     @staticmethod
     def from_json(obj: Mapping) -> "MultiJetSeries":
-        terms = {}  # raw pairs, normalised once by make; a repeat moves to the end
+        """The payload's series, parsed into keys with the checks and rules of ``make``."""
+        P, N, ring = _check_primes([int(p) for p in obj["P"]]), int(obj["N"]), int(obj.get("ring", 0))
+        L = layout(P, N)
+        var, pairs = L.var, []
         for mono, c in obj["terms"]:
-            m = tuple((tuple(int(x) for x in i), int(e)) for i, e in mono)
-            terms.pop(m, None)
-            terms[m] = decode_coeff(c)
-        return MultiJetSeries.make(
-            [int(p) for p in obj["P"]], terms, int(obj["N"]), int(obj.get("ring", 0))
-        )
+            key = 0
+            for i, e in mono:
+                if (i := tuple(i)) in var and (e := int(e)) >= 0:
+                    key += e * var[i]
+                else:  # a negative exponent, an index with no field, or a malformed one
+                    key = L.pack(_norm_mono((tuple(int(x) for x in i), int(e)) for i, e in mono))
+                    break
+            c = PadicTrunc.from_json(c) if isinstance(c, dict) else parse_ratio(c)
+            pairs.append((None if key is None or key >= L.limit else key, c))
+        return MultiJetSeries(P, _stored(pairs), N, ring)
+
+
+def _stored(pairs: Iterable[tuple[int | None, Union[tuple[int, int], PadicTrunc]]]) -> dict:
+    """The store of (key, coefficient) pairs, each coefficient p-adic or a
+    (numerator, denominator) pair.  A pair with no key lies past the cut; of
+    two pairs with one key the later wins, a zero coefficient too."""
+    t = {}
+    for key, c in pairs:
+        if key is not None:
+            if isinstance(c, PadicTrunc) or c[0]:
+                t[key] = c
+            else:
+                t.pop(key, None)
+    if any(isinstance(c, PadicTrunc) for c in t.values()):
+        return {m: c if isinstance(c, PadicTrunc) else Fraction(*c) for m, c in sorted(t.items())}
+    D = math.lcm(*(d for _, d in t.values()))
+    return _canon({m: n * (D // d) for m, (n, d) in t.items()}, D)
+
+
+def _axpy(a: Packed, b: Packed, c: Union[Fraction, int]) -> Packed:
+    """a + c * b in canonical form."""
+    n, d = Fraction(c).as_integer_ratio()
+    D = math.lcm(a.den, b.den * d)
+    return _canon(sparse.add(sparse.scale(a, D // a.den), sparse.scale(b, D // (b.den * d) * n)), D)
 
 
 def _join_ring(r1: int, r2: int) -> int:
@@ -475,8 +521,11 @@ def _join_ring(r1: int, r2: int) -> int:
 
 
 def assert_ring_integral(f: MultiJetSeries) -> None:
-    """Denominator check for the series' declared coefficient ring."""
+    """Denominator check for the series' declared coefficient ring.  A prime
+    divides a canonical den exactly when it divides some coefficient's."""
     primes = f.P if f.ring == 0 else (f.P[f.ring - 1],)
+    if not f.is_padic() and all(f._store.den % p for p in primes):
+        return
     for m, c in f.terms:
         if isinstance(c, PadicTrunc):
             continue
@@ -512,7 +561,7 @@ def _phi_pk_below(f: MultiJetSeries, k: int, N: int) -> MultiJetSeries:
     return L.series(_phi_below(f._packed(L), k, L), f.ring)
 
 
-def _phi_below(t: Poly, k: int, L: Layout) -> Poly:
+def _phi_below(t: Packed, k: int, L: Layout) -> Packed:
     """phi_k(t) below L.N, computed in L itself.
 
     By the weighted homogeneity of phi_k (see ``phi_pk``), a term of weight
@@ -521,8 +570,8 @@ def _phi_below(t: Poly, k: int, L: Layout) -> Poly:
     below N, so each step in L is exact.
     """
     cut = -(-L.N // L.P[k]) << L.shift
-    g = jet_to_ghost({m: c for m, c in t.items() if m < cut}, L)
-    return ghost_to_jet(ghost_shift(g, k, L), L)
+    g = jet_to_ghost({m: c for m, c in t.items() if m < cut}, L, t.den)
+    return ghost_to_jet(ghost_shift(g, k, L), L, g.den)
 
 
 def delta_pk(f: MultiJetSeries, k: int) -> MultiJetSeries:
@@ -533,7 +582,9 @@ def delta_pk(f: MultiJetSeries, k: int) -> MultiJetSeries:
     the formula always applies.
     """
     L = layout(f.P, f.N)
-    num, den = ghost_delta(jet_to_ghost(f._packed(L), L), k, L)
+    t = f._packed(L)
+    g = jet_to_ghost(t, L, t.den)
+    num, den = ghost_delta(g, k, L, g.den)
     return L.series(ghost_to_jet(num, L, den), f.ring)
 
 
@@ -564,12 +615,13 @@ def psi_multi(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
     p = L.P[k]
     zero = (0,) * len(L.P)
     e_k = tuple(int(j == k) for j in range(len(L.P)))
-    t: Poly = {n * L.var[zero]: Fraction((-1) ** n, n) for n in range(1, N)}
+    den = math.lcm(*range(1, N))  # the series in integers over den * p
+    t: Poly = {n * L.var[zero]: (-1) ** n * p * (den // n) for n in range(1, N)}
     for n in range(1, (N - 1) // p + 1):
         for j in range(n + 1):
             m = p * (n - j) * L.var[zero] + j * L.var[e_k]
-            t[m] = t.get(m, 0) + Fraction((-1) ** (n - 1) * math.comb(n, j) * p**j, n * p)
-    out = L.series(t, k + 1)
+            t[m] = t.get(m, 0) + (-1) ** (n - 1) * math.comb(n, j) * p**j * (den // n)
+    out = L.series(_canon(t, den * p), k + 1)
     assert_ring_integral(out)
     return out
 
@@ -613,8 +665,8 @@ def build_fe_k(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
     out = psi._packed(L)
     for l in range(d):
         if l != k:
-            out = sparse.add(out, sparse.scale(_phi_below(out, l, L), Fraction(-1, Pt[l])))
-    return L.series(sparse.scale(out, (-1) ** (d - 1)), k + 1)
+            out = _axpy(out, _phi_below(out, l, L), Fraction(-1, Pt[l]))
+    return L.series(_canon(sparse.scale(out, (-1) ** (d - 1)), out.den), k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +685,7 @@ class ContinuationResult:
         return {
             "pass": self.ok,
             "f0": self.f0.to_json() if self.f0 is not None else None,
-            "witness": [[list(i), e] for i, e in self.witness] if self.witness else None,
+            "witness": [[list(i), e] for i, e in self.witness] if self.witness is not None else None,
             "details": list(self.details),
         }
 
@@ -670,48 +722,38 @@ def continuation_check(
     if any(padic) and not all(padic):
         raise DomainError("cannot mix exact and p-adic family members")
 
-    monos = sorted(
-        {m for f in family for m, _ in f.terms},
-        key=lambda m: (mono_weight(m, P), m),
-    )
-    out: dict[Mono, Fraction] = {}
+    L = layout(P, N)
+    keys = sorted({m for f in family for m in f._store}, key=lambda m: (m >> L.shift, L.unpack(m)))
     if not any(padic):
-        for m in monos:
-            vals = [f.coeffs.get(m, Fraction(0)) for f in family]
-            ref = vals[0]
-            if any(v != ref for v in vals[1:]) or any(
-                ref.denominator % p == 0 for p in P
-            ):
-                return ContinuationResult(
-                    False, None, m, tuple(format_rational(v) for v in vals)
-                )
-            out[m] = ref
-        f0 = MultiJetSeries.make(P, out, N, 0)
-        return ContinuationResult(True, f0, None)
+        for m in keys:
+            vals = [Fraction(f._store.get(m, 0), f._store.den) for f in family]
+            if any(v != vals[0] for v in vals[1:]) or any(vals[0].denominator % p == 0 for p in P):
+                return ContinuationResult(False, None, L.unpack(m), tuple(map(format_rational, vals)))
+        return ContinuationResult(True, MultiJetSeries(P, family[0]._store, N, 0), None)
 
     if len(family) != len(P):
         raise DomainError("p-adic continuation needs one member per prime")
     for k, f in enumerate(family):
         if f.ring != k + 1:
             raise DomainError("p-adic family members must be ordered by prime")
-    for m in monos:
+    out = []
+    for m in keys:
         residues = []
         for k, f in enumerate(family):
-            c = f.coeffs.get(m, Fraction(0))
+            c = f._store.get(m, Fraction(0))
             if not isinstance(c, PadicTrunc):
                 c = PadicTrunc.from_rational(c, P[k], 8)
             residues.append((P[k], c.digits, c.residue % P[k] ** c.digits))
         try:
-            out[m] = rational_reconstruct(residues, height=height)
+            out.append((m, rational_reconstruct(residues, height=height).as_integer_ratio()))
         except ReconstructionFailure:
             return ContinuationResult(
                 False,
                 None,
-                m,
+                L.unpack(m),
                 tuple(f"{r} mod {p}^{Mk}" for p, Mk, r in residues),
             )
-    f0 = MultiJetSeries.make(P, out, N, 0)
-    return ContinuationResult(True, f0, None)
+    return ContinuationResult(True, MultiJetSeries(P, _stored(out), N, 0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -739,20 +781,15 @@ class RankReport:
         }
 
 
-def exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals, by fraction-free elimination in integers.
+def exact_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals of integer rows, by fraction-free elimination.
 
-    Scaling a row by the lcm of its denominators keeps the rank.  Each step
-    takes a nonzero row as pivot, at a nonzero column c, and replaces every
-    other row r by piv[c] * r - r[c] * piv, divided by the gcd of its
-    entries: the other rows then vanish at c, so the pivot is independent
-    of them and adds one to their rank.
+    Each step takes a nonzero row as pivot, at a nonzero column c, and
+    replaces every other row r by piv[c] * r - r[c] * piv, divided by the gcd
+    of its entries: the other rows then vanish at c, so the pivot is
+    independent of them and adds one to their rank.
     """
-    mat = []
-    for row in rows:
-        D = math.lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (D // x.denominator) for x in row])
-    rank = 0
+    mat, rank = list(rows), 0
     while mat:
         piv = mat.pop()
         col = next((j for j, x in enumerate(piv) if x), None)
@@ -774,7 +811,9 @@ def basis_independence_check(P: Sequence[int], r: Sequence[int], N: int) -> Rank
     p_1^(r_1 - 1) * ... * p_d^(r_d - 1) and truncates to zero below it, so a
     smaller ``N`` decides nothing and raises ``DomainError``.  The shifts are
     lifted packed in the layout of (P, N), each from the shift one lift
-    before it, since the lifts commute and each is exact below N.
+    before it, since the lifts commute and each is exact below N.  A row
+    holds a shift's integer numerators, the shift times its nonzero
+    denominator, which keeps the rank.
     """
     Pt = tuple(sorted(set(int(p) for p in P)))
     d = len(Pt)
@@ -817,20 +856,21 @@ def substitute_gamma(f: MultiJetSeries, gamma: int) -> MultiJetSeries:
     return L.series(ghost_to_jet(num, L, den), f.ring)
 
 
-def _gamma_in_ghost(f: MultiJetSeries, gamma: int) -> tuple[Layout, Poly, dict[int, int], int]:
+def _gamma_in_ghost(f: MultiJetSeries, gamma: int) -> tuple[Layout, Packed, dict[int, int], int]:
     """The layout of f, G = jet_to_ghost(f) in it, and ghost_gamma(G) as
     numerators over a denominator: the step ``substitute_gamma`` and
     ``forms.covariance_check`` share."""
     if gamma in (-1, 0, 1):
         raise DomainError("gamma must not be 0 or a root of unity")
     L = layout(f.P, f.N)
-    G = jet_to_ghost(f._packed(L), L)
-    return (L, G, *ghost_gamma(G, L, gamma))
+    t = f._packed(L)
+    G = jet_to_ghost(t, L, t.den)
+    return (L, G, *ghost_gamma(G, L, gamma, G.den))
 
 
-def ghost_gamma(t: Poly, L: Layout, gamma: int) -> tuple[dict[int, int], int]:
-    """u_i -> (1 + u_i)**gamma - 1 on ghost coordinates, below weight L.N, as
-    integer numerators over the common denominator of ``t``.
+def ghost_gamma(t: Mapping[int, int], L: Layout, gamma: int, den: int = 1) -> tuple[dict[int, int], int]:
+    """u_i -> (1 + u_i)**gamma - 1 on ghost coordinates, below weight L.N, for
+    t = T / den with integer numerators T: the image's numerators over den.
 
     The image of u_i**e is the univariate integer series
     ((1 + u)**gamma - 1)**e in u_i, held as a dense list truncated at degree
@@ -839,7 +879,6 @@ def ghost_gamma(t: Poly, L: Layout, gamma: int) -> tuple[dict[int, int], int]:
     weight N or more is ever formed.
     """
     N = L.N
-    den = math.lcm(*(c.denominator for c in t.values()))
     binom = [1]
     for n in range(1, N):
         binom.append(binom[-1] * (gamma - n + 1) // n)
@@ -859,7 +898,7 @@ def ghost_gamma(t: Poly, L: Layout, gamma: int) -> tuple[dict[int, int], int]:
 
     out: dict[int, int] = {}
     for m, c in t.items():
-        images = [(0, c.numerator * (den // c.denominator), 0)]
+        images = [(0, c, 0)]
         for i, e in L.unpack(m):
             v = L.var[i]
             w = v >> L.shift
@@ -891,11 +930,10 @@ def from_jet_series(f) -> MultiJetSeries:
         raise DomainError("expected a t-side jet series")
     if f.N is None:
         raise DomainError("a weighted truncation bound is required")
-    terms: dict[Mono, Fraction] = {}
-    for (b, jets), c in f.terms:
-        pairs = [((0,), b)] + [((i,), e) for i, e in enumerate(jets, start=1)]
-        terms[tuple(pairs)] = c
-    return MultiJetSeries.make((f.p,), terms, f.N, ring=1)
+    L = layout(_check_primes((f.p,)), f.N)
+    monos = [tuple(((i,), e) for i, e in enumerate((b, *jets)) if e) for (b, jets), _ in f.terms]
+    pairs = [(L.pack(m), c.as_integer_ratio()) for m, (_, c) in zip(monos, f.terms)]
+    return MultiJetSeries(L.P, _stored(pairs), f.N, 1)
 
 
 def to_jet_series(f: MultiJetSeries):

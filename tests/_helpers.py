@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 from pjet import forms, sparse
-from pjet.arith import PadicTrunc, binomial, cp_coefficients, fermat_delta, min_order, valuation
+from pjet.arith import PadicTrunc, binomial, cp_coefficients, decode_coeff, encode_coeff, fermat_delta, min_order, valuation
 from pjet.deltajet import JetSeries
 from pjet.errors import DomainError
 from pjet.forms import CovarianceReport
@@ -14,11 +14,13 @@ from pjet.modular import QExpansion
 from pjet.multiprime import (
     M_ONE,
     MultiJetSeries,
+    _check_primes,
+    _generator,
+    _norm_mono,
     assert_ring_integral,
     ghost_shift,
     ghost_to_jet,
     layout,
-    mono_weight,
     substitute_gamma,
     var_weight,
 )
@@ -406,6 +408,77 @@ def covariance_check_fraction(F, gamma, nu):
     """``forms.covariance_check`` with its comparison by series difference."""
     with mock.patch.object(forms, "_compare", compare_series_difference):
         return forms.covariance_check(F, gamma, nu)
+
+
+# ---------------------------------------------------------------------------
+# The tuple route of ``MultiJetSeries``: the reference for its packed storage
+# ---------------------------------------------------------------------------
+#
+# Before the packed form was the stored value, a series held its terms as
+# sorted ``Mono`` tuples with ``Fraction`` coefficients, and its codec read and
+# wrote those.  These functions are that route, on (P, terms, N, ring).
+
+
+def mono_weight(m, P):
+    """The weight of a tuple monomial over the primes P."""
+    return sum(e * var_weight(i, P) for i, e in m)
+
+
+def pack_terms(L, terms):
+    """The (monomial, coefficient) terms of weight below L.N, packed in L."""
+    return {key: c for m, c in terms if (key := L.pack(m)) is not None}
+
+
+def generator_terms(P, i, kind):
+    """``multiprime._generator(P, i, kind)`` as {Mono: Fraction}."""
+    t = _generator(P, i, kind)
+    L = layout(P, var_weight(i, P) + 1)
+    return {L.unpack(m): Fraction(x, t.den) for m, x in t.items()}
+
+
+def make_tuples(P, terms, N, ring=0):
+    """``MultiJetSeries.make`` on tuples: the terms below weight N, each
+    monomial normalised, the later of two spellings winning, sorted."""
+    Pt = _check_primes(P)
+    if not (0 <= ring <= len(Pt)):
+        raise DomainError("ring tag out of range")
+    clean = {}
+    for m, c in terms.items():
+        m = _norm_mono(m)
+        if any(len(i) != len(Pt) for i, _ in m):
+            raise DomainError("multi-index arity does not match P")
+        if mono_weight(m, Pt) < N:
+            if isinstance(c, PadicTrunc) or (c := Fraction(c)) != 0:
+                clean[m] = c
+            else:
+                clean.pop(m, None)
+    return Pt, tuple(sorted(clean.items())), N, ring
+
+
+def from_json_tuples(obj):
+    """``MultiJetSeries.from_json`` on tuples: raw monomials, a repeat moved to
+    the end, then ``make_tuples``."""
+    terms = {}
+    for mono, c in obj["terms"]:
+        m = tuple((tuple(int(x) for x in i), int(e)) for i, e in mono)
+        terms.pop(m, None)
+        terms[m] = decode_coeff(c)
+    return make_tuples([int(p) for p in obj["P"]], terms, int(obj["N"]), int(obj.get("ring", 0)))
+
+
+def to_json_tuples(P, terms, N, ring):
+    """``MultiJetSeries.to_json`` on tuples."""
+    r = [0] * len(P)
+    for m, _ in terms:
+        for i, _ in m:
+            r = [max(a, b) for a, b in zip(r, i)]
+    return {
+        "P": list(P),
+        "r": r,
+        "N": N,
+        "ring": ring,
+        "terms": [[[[list(i), e] for i, e in m], encode_coeff(c)] for m, c in terms],
+    }
 
 
 # ---------------------------------------------------------------------------

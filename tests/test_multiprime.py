@@ -10,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import build_fe0_fraction, exact_rank_fraction, ghost_log1p_var, mul
+from _helpers import (
+    build_fe0_fraction,
+    exact_rank_fraction,
+    generator_terms,
+    ghost_log1p_var,
+    mono_weight,
+    mul,
+    pack_terms,
+)
 from pjet import multiprime, sparse
 from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, decode_coeff, fermat_delta
 from pjet.cli import _dump as dump
@@ -21,7 +29,6 @@ from pjet.multiprime import (
     Idx,
     MultiJetSeries,
     Mono,
-    _generator,
     _norm_mono,
     _phi_pk_below,
     basis_independence_check,
@@ -37,7 +44,6 @@ from pjet.multiprime import (
     ghost_shift,
     jet_to_ghost,
     layout,
-    mono_weight,
     phi_pk,
     poly_mul,
     psi_multi,
@@ -75,12 +81,13 @@ class TestBasisExchange:
         for _ in range(10):
             f = random_series(rng)
             L = layout(f.P, f.N)
-            back = ghost_to_jet(jet_to_ghost(f._packed(L), L), L)
-            assert L.series(back, 0) == f
+            t = f._packed(L)
+            g = jet_to_ghost(t, L, t.den)
+            assert L.series(ghost_to_jet(g, L, g.den), 0) == f
 
     def test_first_generator(self):
         # delta_5 t in ghost coordinates is (u_(1,0) - u_(0,0)^5) / 5
-        g = _generator(P57, (1, 0), "g")
+        g = generator_terms(P57, (1, 0), "g")
         assert g[(((1, 0), 1),)] == Fraction(1, 5)
         assert g[(((0, 0), 5),)] == Fraction(-1, 5)
 
@@ -124,9 +131,11 @@ def ghost_shift_reference(t: TuplePoly, k: int) -> TuplePoly:
 
 
 def packed(fn, t: TuplePoly, P, N, *args) -> TuplePoly:
-    """``fn`` on ``t`` through the packed kernel of (P, N), unpacked again."""
+    """``fn`` on ``t`` through the packed kernel of (P, N), unpacked again;
+    a ``Packed`` result is divided by its denominator."""
     L = layout(P, N)
-    return {L.unpack(m): c for m, c in fn(L.pack_terms(t.items()), *args, L).items()}
+    out = fn(pack_terms(L, t.items()), *args, L)
+    return {L.unpack(m): Fraction(c) / getattr(out, "den", 1) for m, c in out.items()}
 
 
 def _subst_fraction(t: TuplePoly, P: tuple[int, ...], images, keep) -> TuplePoly:
@@ -151,11 +160,11 @@ def _subst_fraction(t: TuplePoly, P: tuple[int, ...], images, keep) -> TuplePoly
 
 
 def _jet_to_ghost_fraction(t, P, keep):
-    return _subst_fraction(t, P, lambda i: _generator(P, i, "g"), keep)
+    return _subst_fraction(t, P, lambda i: generator_terms(P, i, "g"), keep)
 
 
 def _ghost_to_jet_fraction(t, P, keep):
-    return _subst_fraction(t, P, lambda i: _generator(P, i, "j"), keep)
+    return _subst_fraction(t, P, lambda i: generator_terms(P, i, "j"), keep)
 
 
 def _phi_fraction(f, k, bound):
@@ -222,7 +231,7 @@ class TestIntegerExchange:
     def test_jet_table_maps_back_to_its_ghost_variable(self, P, i):
         # the jet table is filled through the integer route; the Fraction route
         # must take it back to the single ghost variable u_i
-        assert _jet_to_ghost_fraction(_generator(P, i, "j"), P, keep_all) == {((i, 1),): Fraction(1)}
+        assert _jet_to_ghost_fraction(generator_terms(P, i, "j"), P, keep_all) == {((i, 1),): Fraction(1)}
 
     def test_monomial_past_the_cut_forms_no_pair(self, monkeypatch):
         # u_(1,1,1)^2 has weight 2*385 >= 30, so its whole jet image lies past
@@ -243,13 +252,16 @@ class TestIntegerExchange:
     @settings(max_examples=60, deadline=None)
     def test_ghost_to_jet_numerators_over_den(self, case, g, h):
         # integer numerators T over D = g * h give the exchange of the Fractions
-        # T / D; every numerator is a multiple of g, so no T / D is in lowest terms
+        # T / D; every numerator is a multiple of g, so no T / D is in lowest
+        # terms, and both results are in canonical form
         P, t, N, _ = case
         L = layout(P, N)
-        T = {m: g * c.numerator for m, c in L.pack_terms(t.items()).items()}
+        T = {m: g * c.numerator for m, c in pack_terms(L, t.items()).items()}
         want = ghost_to_jet({m: Fraction(x, g * h) for m, x in T.items()}, L)
-        assert ghost_to_jet(T, L, g * h) == want
-        assert all(type(c) is Fraction and c for c in want.values())
+        got = ghost_to_jet(T, L, g * h)
+        assert (got, got.den) == (want, want.den)
+        assert all(type(c) is int and c for c in want.values()) and list(want) == sorted(want)
+        assert want.den > 0 and math.gcd(want.den, *want.values()) == 1
 
     @given(d=st.integers(1, 3), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -264,7 +276,7 @@ class TestIntegerExchange:
         # exactly when its weight is below N
         L = layout(P, N)
         for m in data.draw(st.lists(monomials(len(P)), max_size=12)) * 2:
-            kept = L.pack_terms([(m, 1)])
+            kept = pack_terms(L, [(m, 1)])
             assert bool(kept) == (mono_weight(m, P) < N)
             if all(i in L.var for i, _ in m):
                 key = sum(e * L.var[i] for i, e in m)
@@ -346,10 +358,10 @@ class TestPackedMonomials:
         L = layout(P, N)
         for m in {**a, **b}:
             if mono_weight(m, P) < N:
-                ((key, _),) = L.pack_terms([(m, 1)]).items()
+                ((key, _),) = pack_terms(L, [(m, 1)]).items()
                 assert L.unpack(key) == m
         want = tuple_mul(a, b, weight_cut(P, N))
-        got = poly_mul(L.pack_terms(a.items()), L.pack_terms(b.items()), L.limit)
+        got = poly_mul(pack_terms(L, a.items()), pack_terms(L, b.items()), L.limit)
         assert {L.unpack(m): c for m, c in got.items()} == want
 
     @pytest.mark.parametrize("P", [(5,), P5711])
@@ -366,7 +378,7 @@ class TestPackedMonomials:
         a = {_norm_mono([(zero, e)]): Fraction(e + 1) for e in range(N)}
         b = {**a, **{_norm_mono([(zero, e), (n, 1)]): Fraction(1, e + 2) for e in range(N)}}
         want = tuple_mul(a, b, weight_cut(P, N))
-        got = poly_mul(L.pack_terms(a.items()), L.pack_terms(b.items()), L.limit)
+        got = poly_mul(pack_terms(L, a.items()), pack_terms(L, b.items()), L.limit)
         assert {L.unpack(m): c for m, c in got.items()} == want
         f = MultiJetSeries.make(P, b, N)
         for k, p in enumerate(P):
@@ -541,10 +553,11 @@ class TestGhostDelta:
         P, t, N, _ = case
         L = layout(P, N)
         k = data.draw(st.integers(0, len(P) - 1))
-        g = L.pack_terms(t.items())
+        g = pack_terms(L, t.items())
         tp = sparse.power(g, P[k], {0: Fraction(1)}, lambda a, b: poly_mul(a, b, L.limit))
         want = sparse.scale(sparse.add(ghost_shift(g, k, L), sparse.scale(tp, -1)), Fraction(1, P[k]))
-        num, den = ghost_delta(g, k, L)
+        D = math.lcm(*(c.denominator for c in g.values()))
+        num, den = ghost_delta({m: c.numerator * (D // c.denominator) for m, c in g.items()}, k, L, D)
         assert all(type(x) is int and x for x in num.values())
         assert {m: Fraction(x, den) for m, x in num.items()} == want
 
@@ -736,6 +749,21 @@ class TestContinuation:
         res = continuation_check(fam, height=100)
         assert not res.ok and res.witness == m0
 
+    def test_witness_at_the_monomial_one_exact(self):
+        # two members that differ only in the constant term: the witness is
+        # the monomial 1, written as [], not as null
+        t = (((0, 0), 1),)
+        a, b = (MultiJetSeries.make(P57, {(): c, t: 1}, 10) for c in (1, 3))
+        res = continuation_check([a, b])
+        assert res.witness == ()
+        assert dump(res.to_json()) == '{"details":["1","3"],"f0":null,"pass":false,"witness":[]}\n'
+
+    def test_witness_at_the_monomial_one_padic(self):
+        f0 = MultiJetSeries.make(P57, {(): Fraction(12345, 2), (((0, 0), 1),): 1}, 14)
+        res = continuation_check([reduce_to_padic(f0, 0, 8), reduce_to_padic(f0, 1, 8)], height=100)
+        assert not res.ok and res.witness == ()
+        assert res.to_json()["witness"] == []
+
     def test_zero_digit_coefficient_raises(self):
         m0 = (((0, 0), 1),)
         f0 = MultiJetSeries.make(P57, {m0: 3}, 14)
@@ -788,11 +816,7 @@ class TestBasisIndependence:
         assert rep.ok and rep.rank == rep.expected
 
     def test_exact_rank_helper(self):
-        rows = [
-            [Fraction(1), Fraction(2), Fraction(0)],
-            [Fraction(2), Fraction(4), Fraction(0)],
-            [Fraction(0), Fraction(1), Fraction(1)],
-        ]
+        rows = [[1, 2, 0], [2, 4, 0], [0, 1, 1]]
         assert exact_rank(rows) == 2
 
     @given(rows=rational_matrices())
@@ -804,9 +828,14 @@ class TestBasisIndependence:
     @example(rows=[[Fraction(1, 5), Fraction(2, 35)], [Fraction(7), Fraction(2)]])
     @settings(max_examples=200, deadline=None)
     def test_exact_rank_matches_fraction_elimination(self, rows):
-        before = [row[:] for row in rows]
-        assert exact_rank(rows) == exact_rank_fraction(rows)
-        assert rows == before
+        # each row scaled by the lcm of its denominators, which keeps the rank
+        scaled = []
+        for row in rows:
+            D = math.lcm(*(x.denominator for x in row))
+            scaled.append([x.numerator * (D // x.denominator) for x in row])
+        before = [row[:] for row in scaled]
+        assert exact_rank(scaled) == exact_rank_fraction(rows)
+        assert scaled == before
 
     @pytest.mark.parametrize(
         "P, r",
@@ -884,11 +913,12 @@ class TestSubstituteGamma:
     def test_ghost_step_matches_subst(self, case):
         f, _, gamma = case
         L = layout(f.P, f.N)
-        g = jet_to_ghost(f._packed(L), L)
+        t = f._packed(L)
+        g = jet_to_ghost(t, L, t.den)
         want = _subst_fraction(
-            {L.unpack(m): c for m, c in g.items()}, f.P, _gamma_image(gamma, f.P, f.N), weight_cut(f.P, f.N)
+            {L.unpack(m): Fraction(c, g.den) for m, c in g.items()}, f.P, _gamma_image(gamma, f.P, f.N), weight_cut(f.P, f.N)
         )
-        num, den = ghost_gamma(g, L, gamma)
+        num, den = ghost_gamma(g, L, gamma, g.den)
         assert all(type(x) is int for x in num.values())
         assert {L.unpack(m): Fraction(x, den) for m, x in num.items()} == want
 

@@ -1,0 +1,183 @@
+"""The packed form as the stored value of ``MultiJetSeries``.
+
+An exact series stores integer numerators by packed key, in key order, over
+one positive denominator with no factor common to all of them.  These tests
+pit its JSON codec against the tuple route of ``_helpers`` (sorted ``Mono``
+tuples with ``Fraction`` coefficients), its layout moves against unpacking
+and packing again, and its value semantics against two spellings of one
+series.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from _helpers import from_json_tuples, pack_terms, to_json_tuples
+from pjet import multiprime
+from pjet.cli import _dump as dump
+from pjet.errors import DomainError, IntegralityViolation
+from pjet.multiprime import (
+    MultiJetSeries,
+    assert_ring_integral,
+    build_fe0,
+    layout,
+    psi_multi,
+    reduce_to_padic,
+    t_generator,
+)
+
+P57 = (5, 7)
+PRIMES = {1: [(5,), (7,), (13,)], 2: [P57, (7, 11)], 3: [(5, 7, 11)]}
+
+
+@st.composite
+def payloads(draw):
+    """A series payload over d = 1, 2 or 3 primes and N <= 60: unsorted pairs,
+    repeated indices, zero and negative exponents, string-typed numbers,
+    monomials spelled twice (a later zero among them) and p-adic
+    coefficients."""
+    d = draw(st.integers(1, 3))
+    P = draw(st.sampled_from(PRIMES[d]))
+    text = st.booleans()
+
+    def number(x, as_text):
+        return str(x) if as_text else x
+
+    def pair(i, e, as_text):
+        return [[number(x, as_text) for x in i], number(e, as_text)]
+
+    index = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+    mono = st.lists(st.builds(pair, index, st.integers(-1, 4), text), max_size=4)
+    num, den = st.integers(-30, 30), st.integers(-12, 12).filter(bool)
+    rational = st.one_of(
+        st.builds(str, num),
+        st.builds(lambda n, q: f"{n}/{q}", num, den),
+        st.builds(lambda n, q: f" {n}/{q} ", num, den),
+    )
+    padic = st.builds(
+        lambda k, r, g: {"p": P[k], "M": 6, "residue": str(r), "digits": g},
+        st.integers(0, d - 1),
+        st.integers(0, 10**6),
+        st.integers(1, 6),
+    )
+    coeff = st.one_of(rational, padic) if draw(st.booleans()) else rational
+    terms = draw(st.lists(st.tuples(mono, coeff), max_size=8))
+    for _ in range(draw(st.integers(0, 2)) if terms else 0):
+        m, _ = draw(st.sampled_from(terms))
+        terms.append((m[::-1], draw(st.one_of(st.just("0"), st.just("0/7"), rational))))
+    ring = draw(st.integers(0, d))
+    return {"P": list(P), "r": [0] * d, "N": draw(st.integers(0, 60)), "ring": ring, "terms": terms}
+
+
+def outcome(route, obj):
+    """The payload ``route`` makes of ``obj``, or the message it refuses it with."""
+    try:
+        return dump(route(obj))
+    except DomainError as e:
+        return f"DomainError: {e}"
+
+
+def packed_route(obj):
+    return MultiJetSeries.from_json(obj).to_json()
+
+
+def tuple_route(obj):
+    return to_json_tuples(*from_json_tuples(obj))
+
+
+X0, X1, X2 = [0, 0], [1, 0], [0, 1]
+
+
+@given(obj=payloads())
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 20, "ring": 0, "terms": [[[[X1, 1]], "2/6"], [[[X0, 3]], "3/6"]]})
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 20, "ring": 0, "terms": [[[[X2, 1]], "4"], [[[X2, 1], [X1, 0]], "0"]]})
+@example(obj={"P": [5], "r": [0], "N": 0, "ring": 1, "terms": [[[], "3"]]})
+@example(obj={"P": [5], "r": [0], "N": 1, "ring": 1, "terms": [[[], "-4/-6"], [[[["0"], "1"]], "1"]]})
+@settings(max_examples=300, deadline=None)
+def test_codec_matches_tuple_route(obj):
+    # to_json of the packed store is byte-equal to the tuple route, and a
+    # payload read back gives the same bytes, value and hash
+    want = outcome(tuple_route, obj)
+    assert outcome(packed_route, obj) == want
+    if not want.startswith("DomainError"):
+        x = MultiJetSeries.from_json(obj)
+        y = MultiJetSeries.from_json(x.to_json())
+        assert dump(y.to_json()) == want
+        assert x == y and hash(x) == hash(y)
+        assert x.terms == from_json_tuples(obj)[1]
+        assert list(x._store) == sorted(x._store)  # the store is in key order
+        if not x.is_padic():
+            assert x._store.den > 0 and math.gcd(x._store.den, *x._store.values()) == 1
+
+
+@pytest.mark.parametrize("P", [(5,), (5, 7, 11)])
+@pytest.mark.parametrize("N", [16, 17])
+def test_move_matches_unpack_then_pack(P, N):
+    # the series of TestPackedMonomials::test_field_width_boundary: the t
+    # field is 5 bits at N = 16 and 6 at N = 17; moved into smaller and
+    # larger layouts field by field, against unpacking and packing again
+    zero = (0,) * len(P)
+    n = (0,) * (len(P) - 1) + (1,)
+    terms = {((zero, e),) if e else (): Fraction(e + 1) for e in range(N)}
+    terms.update({((zero, e), (n, 1)) if e else ((n, 1),): Fraction(1, e + 2) for e in range(N)})
+    f = MultiJetSeries.make(P, terms, N)
+    src = layout(P, N)
+    for N2 in sorted({0, 1, 15, 16, 17, 18, 2 * N, N * P[-1]}):
+        dst = layout(P, N2)
+        t = f._store
+        want = multiprime._canon(pack_terms(dst, ((src.unpack(m), x) for m, x in t.items())), t.den)
+        got = multiprime._move(t, src, dst)
+        assert (list(got.items()), got.den) == (list(want.items()), want.den)
+        cut = f.truncate(N2)
+        assert cut == MultiJetSeries.make(P, dict(f.terms), min(N, N2)) and cut.N == min(N, N2)
+
+
+def spellings():
+    """Pairs (a, b) whose a + b carries primes in its denominator that b takes away."""
+    t = t_generator(P57, 20)
+    x = MultiJetSeries.make(P57, {(((1, 0), 1),): Fraction(1, 5), (((0, 0), 2),): Fraction(3, 7)}, 20)
+    a = t * Fraction(2, 3) + Fraction(5, 4)
+    fe0 = build_fe0(P57, 20)
+    return [(t, x), (a, x), (a, t * Fraction(1, 35)), (fe0, fe0 * Fraction(2, 11) + x)]
+
+
+@pytest.mark.parametrize("a, b", spellings())
+def test_two_spellings_share_one_store(a, b):
+    # (a + b) - b and (a * 35) / 35 spell a over other denominators first;
+    # reduced, each is the store of a, so they are equal and hash alike
+    for c in ((a + b) - b, (a * 35) * Fraction(1, 35)):
+        assert (list(c._store.items()), c._store.den) == (list(a._store.items()), a._store.den)
+        assert c == a and hash(c) == hash(a)
+        assert math.gcd(c._store.den, *c._store.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda: build_fe0(P57, 30),
+        lambda: psi_multi((5, 7, 11), 2, 30),
+        lambda: t_generator((5,), 0),
+        lambda: reduce_to_padic(build_fe0(P57, 12), 1, 4),
+    ],
+)
+def test_hash_survives_the_codec(f):
+    x = f()
+    y = MultiJetSeries.from_json(x.to_json())
+    assert y == x and hash(y) == hash(x)
+
+
+def test_ring_integral_reads_the_reduced_denominator():
+    # t + x has 5 in its denominator; (t + x) - x is first spelled over 5 and
+    # reduces to t, which is integral
+    t = t_generator(P57, 20)
+    x = MultiJetSeries.make(P57, {(((1, 0), 1),): Fraction(1, 5)}, 20)
+    assert_ring_integral((t + x) - x)
+    with pytest.raises(IntegralityViolation, match=r"1/5 at \(\(\(1, 0\), 1\),\) has denominator divisible by 5"):
+        assert_ring_integral(t + x)
+    # the per-prime ring away from 7 admits a 5, the one away from 5 does not
+    assert_ring_integral(MultiJetSeries.make(P57, {(): Fraction(1, 5)}, 20, ring=2))
+    with pytest.raises(IntegralityViolation):
+        assert_ring_integral(MultiJetSeries.make(P57, {(): Fraction(2, 35)}, 20, ring=1))
