@@ -177,10 +177,6 @@ class PadicTrunc:
         # The top digit of the quotient is unconstrained by the stored residue.
         return PadicTrunc(self.p, self.M, self.residue // self.p, self.digits - 1)
 
-    def is_zero(self) -> bool:
-        """Zero to the guaranteed precision."""
-        return self.residue % self.p**self.digits == 0
-
     def __eq__(self, other):
         if isinstance(other, PadicTrunc):
             if other.p != self.p:

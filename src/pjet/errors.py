@@ -23,12 +23,6 @@ class PrecisionExhausted(PjetError, ArithmeticError):
     code = "precision-exhausted"
 
 
-class NotInvertible(PjetError, ZeroDivisionError):
-    """Leading coefficient is not a unit of the coefficient domain."""
-
-    code = "not-invertible"
-
-
 class IntegralityViolation(PjetError, ArithmeticError):
     """A coefficient left the ring it was asserted to live in.
 

@@ -202,17 +202,6 @@ def build_f2e_k(
     return L.series(ghost_to_jet(g, L, den * math.prod(Pt)), k + 1)
 
 
-def denominator_witnesses(f: MultiJetSeries, primes: Sequence[int]):
-    """Monomials whose coefficient denominator meets one of ``primes``."""
-    out = []
-    for m, c in f.terms:
-        if isinstance(c, PadicTrunc):
-            continue
-        if any(c.denominator % p == 0 for p in primes):
-            out.append((m, c))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fourier-to-deformation transcription q -> 1 + t
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Everything is exact: Bernoulli numbers by forward differences, Eisenstein
 series from divisor sums, the discriminant form from its eta product
-(multiplied out in integers on a dense coefficient list), the j-line from
-E4^3 / Delta, and newform coefficients a_n from counting points over prime
-fields plus the standard Hecke recursions.
+(multiplied out in integers on a dense coefficient list), and newform
+coefficients a_n from counting points over prime fields plus the standard
+Hecke recursions.
 
 Forms are carried purely by their expansions; the level field is an
 informational tag and the built-in Eisenstein data is the level-one kind,
@@ -23,11 +23,6 @@ from typing import Mapping, Sequence
 from .arith import check_prime, is_prime, reduce_rational_mod
 from .errors import DomainError, MissingPrimeValue
 from .qseries import Series1
-
-
-def bernoulli_numbers(n: int) -> list[Fraction]:
-    """B_0 .. B_n with B_1 = -1/2."""
-    return [bernoulli(k) for k in range(n + 1)]
 
 
 def bernoulli(k: int) -> Fraction:
@@ -125,14 +120,6 @@ def discriminant_delta(trunc: int) -> QExpansion:
             for e in range(len(c) - 1, n - 1, -1):
                 c[e] -= c[e - n]
     return QExpansion.make(12, {e + 1: Fraction(x) for e, x in enumerate(c) if x}, trunc)
-
-
-def j_invariant(trunc: int, p: int, M: int) -> Series1:
-    """j = E4^3 / Delta = q^-1 + 744 + ... as a q-Laurent series mod p**M."""
-    e4 = eisenstein(4, trunc + 2)
-    delta = discriminant_delta(trunc + 2)
-    j = (e4.series**3) * delta.series.invert(order=trunc + 1)
-    return j.truncate(trunc).to_padic(p, M)
 
 
 # ---------------------------------------------------------------------------

@@ -609,8 +609,8 @@ def psi_multi(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
     at p_k, which is asserted.
     """
     Pt = _check_primes(P)
-    if not 0 <= k + 1 <= len(Pt):
-        raise DomainError("ring tag out of range")
+    if not 0 <= k < len(Pt):
+        raise DomainError("prime index out of range")
     L = layout(Pt, N)
     p = L.P[k]
     zero = (0,) * len(L.P)
@@ -658,9 +658,7 @@ def build_fe_k(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
     """
     Pt = tuple(sorted(set(int(p) for p in P)))
     d = len(Pt)
-    if not (0 <= k < d):
-        raise DomainError("prime index out of range")
-    psi = psi_multi(Pt, k, N)  # checks the primes before a layout is built
+    psi = psi_multi(Pt, k, N)  # checks the primes and k before a layout is built
     L = layout(Pt, N)
     out = psi._packed(L)
     for l in range(d):

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Union
 
 from . import sparse
 from .arith import PadicTrunc, decode_coeff, encode_coeff, min_order
-from .errors import DomainError, NotInvertible
+from .errors import DomainError
 
 Coeff = Union[Fraction, PadicTrunc]
 
@@ -71,15 +71,6 @@ class Series1:
     def valuation(self) -> int | None:
         """Exponent of the lowest stored term; None for the zero series."""
         return self.terms[0][0] if self.terms else None
-
-    def is_unit(self) -> bool:
-        v = self.valuation()
-        if v is None:
-            return False
-        c = self.terms[0][1]
-        if isinstance(c, PadicTrunc):
-            return c.residue % c.p != 0
-        return c != 0
 
     def map_coeffs(self, f: Callable[[Coeff], Coeff]) -> "Series1":
         return Series1.make(self.var, {e: f(c) for e, c in self.terms}, self.N)
@@ -136,44 +127,11 @@ class Series1:
 
     def __pow__(self, n: int) -> "Series1":
         if n < 0:
-            return self.invert() ** (-n)
+            raise DomainError("negative powers are not defined here")
         return sparse.power(self, n, Series1.monomial(self.var, 0, 1, self.N), operator.mul)
 
     def truncate(self, N: int) -> "Series1":
         return Series1.make(self.var, dict(self.terms), min_order(self.N, N))
-
-    def invert(self, order: int | None = None) -> "Series1":
-        """Multiplicative inverse via the geometric series.
-
-        A unit leading coefficient is required.  Exact inputs need an
-        explicit ``order`` (the output truncation) unless they are single
-        monomials; a series of valuation v known mod q**N has its inverse
-        known mod q**(N - 2v).
-        """
-        if not self.is_unit():
-            raise NotInvertible("leading coefficient is not a unit")
-        v = self.valuation()
-        lead = self.terms[0][1]
-        lead_inv = lead.unit_inverse() if isinstance(lead, PadicTrunc) else 1 / lead
-        rel = None if self.N is None else self.N - v  # honest bound for the unit part
-        rel = min_order(rel, None if order is None else order + v)
-        # self = lead * q^v * (1 + x) with val(x) >= 1
-        x = {e - v: c * lead_inv for e, c in self.terms[1:]}
-        if rel is None:
-            if not x:
-                return Series1.monomial(self.var, -v, lead_inv)
-            raise DomainError("inverting a non-monomial exact series needs an order bound")
-        unit_tail = Series1.make("q", x, rel)
-        acc = Series1.monomial("q", 0, 1, rel)
-        power = Series1.monomial("q", 0, 1, rel)
-        xv = unit_tail.valuation()
-        if xv is not None:
-            for _ in range(rel // xv + 1):
-                power = (power * (-unit_tail)).truncate(rel)
-                if not power.terms:
-                    break
-                acc = acc + power
-        return Series1.make(self.var, {e - v: c * lead_inv for e, c in acc.terms}, rel - v)
 
     def __eq__(self, other):
         if not isinstance(other, Series1):
@@ -239,13 +197,13 @@ def log1p(x: Series1, order: int | None = None) -> Series1:
 
 
 def pow_weight(u: Series1, gamma: int | PadicTrunc, order: int | None = None) -> Series1:
-    """(1 + x)**gamma; exact for integer gamma, binomial series for p-adic.
+    """(1 + x)**gamma; exact for integer gamma >= 0, binomial series for p-adic.
 
     A p-adic exponent requires leading coefficient 1, i.e. u = 1 + x with
     val(x) >= 1; the binomial coefficients C(gamma, k) then drive the series.
     """
     if isinstance(gamma, int):
-        return _int_pow(u, gamma, order)
+        return (u.truncate(order) if order is not None else u) ** gamma
     from .arith import padic_binomial
 
     c0 = u.coeff(0)
@@ -272,12 +230,6 @@ def pow_weight(u: Series1, gamma: int | PadicTrunc, order: int | None = None) ->
             break
         out = out + power * padic_binomial(gamma, k)
     return out
-
-
-def _int_pow(u: Series1, gamma: int, order: int | None) -> Series1:
-    if gamma >= 0:
-        return (u.truncate(order) if order is not None else u) ** gamma
-    return u.invert(order) ** (-gamma)
 
 
 def frobenius_sub(a: Series1, p: int) -> Series1:

@@ -288,7 +288,6 @@ class TestProtocol:
             (errors.PrecisionExhausted, 1),
             (errors.DomainError, 2),
             (errors.MissingPrimeValue, 2),
-            (errors.NotInvertible, 2),
         ],
     )
     def test_error_exit_codes(self, capsys, monkeypatch, exc, want):
@@ -316,6 +315,7 @@ class TestProtocol:
             ["fe0", "--P", "5,7", "--N", "-1"],
             ["f2e0", "--P", "5,13", "--N", "-4"],
             ["psi", "--p", "5", "--N", "-2"],
+            ["fe-k", "--P", "5,7", "--k", "3"],
         ],
     )
     def test_bad_prime_list_or_bound_exit_2(self, capsys, argv):

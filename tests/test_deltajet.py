@@ -392,7 +392,7 @@ class TestPackedKernel:
 
 
 class TestNegativePower:
-    """Neither jet-series type inverts a unit: both refuse n < 0 alike."""
+    """No series type inverts a unit: all three refuse n < 0 alike."""
 
     @pytest.mark.parametrize(
         "f",
@@ -401,6 +401,8 @@ class TestNegativePower:
             jq(5, {(2, ()): 3}),
             jt(7, {(0, ()): 1, (1, (1,)): 2}, N=10),
             MultiJetSeries.make((5, 7), {(): 1, (((0, 0), 1),): 1}, 10),
+            Series1.make("q", {0: Fraction(1), 1: Fraction(1)}, 6),
+            Series1.make("q", {-1: Fraction(2, 3), 0: Fraction(1)}).to_padic(5, 6),
         ],
     )
     def test_refused(self, f):

@@ -657,12 +657,16 @@ class TestPsiMulti:
         [
             ((7, 5), 0, "distinct and sorted"),
             ((5, 9), 0, "9 is not a prime"),
-            (P57, 2, "ring tag out of range"),
-            (P57, -2, "ring tag out of range"),
+            (P57, 2, "prime index out of range"),
+            (P57, -2, "prime index out of range"),
+            (P57, -1, "prime index out of range"),
+            ((5,), 1, "prime index out of range"),
+            ((5,), -1, "prime index out of range"),
         ],
     )
     def test_outside_input_refused(self, P, k, message):
-        # the layout does not validate, so psi_multi checks what it is given
+        # the layout does not validate, so psi_multi checks what it is given;
+        # k = -1 would index the last prime
         with pytest.raises(DomainError, match=message):
             psi_multi(P, k, 10)
 
