@@ -18,14 +18,16 @@ base variable, index i >= 1 the i-th jet) and an auxiliary family a_0, a_1,
 ... for an adjoined symbolic coefficient and its delta-chain.  The kernel
 packs it into one int and scales the coefficients to integers over their lcm
 D (packed exponent vectors, after Monagan and Pearce).  Each ``phi`` and
-``delta`` step and each product builds its own ``Layout`` from its input: one
-field per jet z_1..z_(r+1) and per a_0..a_(s+1), all of one width, and the
-signed base exponent above them: the product is integer ``+``, and a base cut
-is the key limit ``cut << shift`` for ``sparse.mul``, which walks its second
-operand in key order and squares once.  The width holds (p+1) * max(E, jmax),
-E the largest input exponent: the phi image of field i is at most
-p*a_i + max(a_(i-1), jmax), a partial product of f**p at most p*E and a
-product of two series at most 2E, so no field carries into the next.
+``delta`` step and each product builds its own ``Layout`` from its input, and
+a lemma's delta chain one for all its steps: one field per jet z_1..z_(r+1)
+and per a_0..a_(s+1) (one more of each per further step), all of one width,
+and the signed base exponent above them: the product is integer ``+``, and a
+base cut is the key limit ``cut << shift`` for ``sparse.mul``, which walks its
+second operand in key order and squares once.  The width holds
+(p+1)**steps * max(E, jmax), E the largest input exponent: the phi image of
+field i is at most p*a_i + max(a_(i-1), jmax), a partial product of f**p at
+most p*E and a product of two series at most 2E, so no field carries into
+the next.
 
 Truncation contracts:
 
@@ -78,20 +80,22 @@ def _mod(p: int, digits: int | None, den: int) -> int | None:
 
 
 class Layout:
-    """The packed monomials of one step (see the module docstring): field f
-    holds z_(f+1) for f < nz and a_(f-nz) after, the base b sits at ``shift``."""
+    """The packed monomials of one step or chain (see the module docstring):
+    field f holds z_(f+1) for f < nz and a_(f-nz) after, the base b at ``shift``."""
 
     __slots__ = ("p", "nz", "na", "width", "mask", "shift")
 
-    def __init__(self, p: int, monos: Iterable[Monomial], jmax: int = 0):
+    def __init__(self, p: int, monos: Iterable[Monomial], jmax: int = 0, steps: int = 1):
+        """A layout for ``steps`` phi or delta steps in a row: that many spare
+        jet and auxiliary fields, each wide enough for the last step."""
         monos = list(monos)
         E = max((e for z, a in monos for e in (*z, *a)), default=0)
         self.p = p
-        self.width = ((p + 1) * max(E, jmax, 1)).bit_length()
+        self.width = ((p + 1) ** steps * max(E, jmax, 1)).bit_length()
         self.mask = (1 << self.width) - 1
-        self.nz = max((len(z) for z, _ in monos), default=0) or 1
+        self.nz = max((len(z) for z, _ in monos), default=0) + steps - 1 or 1
         na = max((len(a) for _, a in monos), default=0)
-        self.na = na + 1 if na else 0
+        self.na = na + steps if na else 0
         self.shift = (self.nz + self.na) * self.width
 
     def key(self, m: Monomial) -> int:
@@ -181,19 +185,6 @@ def terms_delta(t: Packed, D: int, L: Layout, limit, digits, jmax: int) -> tuple
     fp, den = sparse.power((t, D), p, ({0: 1}, 1), mul)
     num = sparse.add(sparse.scale(ph, D ** (p - 1)), sparse.scale(fp, -1))
     return _cut(num, limit, _mod(p, digits, den)), den * p
-
-
-def phi_terms(t: Terms, p: int, cut: int | None, digits: int | None, jmax: int) -> Terms:
-    """One phi step: drops every monomial of base exponent >= ``cut`` and
-    every coefficient of valuation >= ``digits``, before it multiplies on."""
-    L, D = Layout(p, t, jmax), _den(t)
-    return L.unpack(terms_phi(L.pack(t, D), L, L.below(cut), _mod(p, digits, D), jmax), D)
-
-
-def delta_terms(t: Terms, p: int, cut: int | None, digits: int | None, jmax: int) -> Terms:
-    """One delta step, with the cuts of ``phi_terms``."""
-    L, D = Layout(p, t, jmax), _den(t)
-    return L.unpack(*terms_delta(L.pack(t, D), D, L, L.below(cut), digits, jmax))
 
 
 # ---------------------------------------------------------------------------
@@ -562,19 +553,18 @@ class LemmaReport:
         }
 
 
-def _jet_index(m: Monomial) -> int:
-    z = m[0]
-    idx = 0
-    for i in range(1, len(z)):
-        if z[i]:
-            idx = i
-    return idx
-
-
-def _lemma_delta_n(t: Terms, p: int, n: int, M: int) -> Terms:
+def _lemma_delta_n(t: Terms, p: int, n: int, M: int) -> tuple[Layout, Packed, int]:
+    """delta^n of ``t``, the steps valid mod p**M, p**(M-1), ..., in one layout
+    for all n steps: (layout, numerators, denominator).  Each step's numerators
+    and denominator are divided by their gcd, so the next step multiplies the
+    numerators that packing its Fraction input would give."""
+    L, D = Layout(p, t, M, n), _den(t)
+    t = L.pack(t, D)
     for digits in range(M, M - n, -1):
-        t = delta_terms(t, p, None, digits, digits)
-    return t
+        t, den = terms_delta(t, D, L, None, digits, digits)
+        g = math.gcd(den, *t.values())
+        t, D = {k: x // g for k, x in t.items()}, den // g
+    return L, t, D
 
 
 def lemma_xlaphi_check(p: int, n: int, varphi: Fraction | int | str = 0, M: int | None = None) -> LemmaReport:
@@ -599,36 +589,38 @@ def lemma_xlaphi_check(p: int, n: int, varphi: Fraction | int | str = 0, M: int 
         c = Fraction(varphi)
         if c:
             f[((), ())] = -c
-    res = _lemma_delta_n(f, p, n, M)
-    lead1 = ((_trim((-(p**n),) + (0,) * (n - 1) + (p,)), ()), Fraction(1))
-    lead2 = ((_trim((p ** (n + 1) - 2 * p**n,) + (0,) * (n - 1) + (1,)), ()), Fraction(-1))
-    res = sparse.add(res, {lead1[0]: -lead1[1]}, {lead2[0]: -lead2[1]})
-    return _classify_residual("xlaphi", p, n, res, low_jet=n - 1, max_jet=n + 1)
+    L, res, D = _lemma_delta_n(f, p, n, M)
+    lead1 = L.key(((-(p**n),) + (0,) * (n - 1) + (p,), ()))  # coefficient 1
+    lead2 = L.key(((p ** (n + 1) - 2 * p**n,) + (0,) * (n - 1) + (1,), ()))  # coefficient -1
+    res = sparse.add(res, {lead1: -D}, {lead2: D})
+    return _classify_residual("xlaphi", p, n, L, res, D, low_jet=n - 1, max_jet=n + 1)
 
 
 def lemma_logder_check(p: int, n: int, a: int, M: int | None = None) -> LemmaReport:
     """Check delta^n((1 + p^n a) z) = z^(n) + a z^(p^n) + p * O(n)."""
     check_prime(p)
+    if n < 0:
+        raise DomainError("n must be nonnegative")
     if M is None:
         M = n + 3
     lam = Fraction(1 + p**n * a)
     f: Terms = {((1,), ()): lam}
-    res = _lemma_delta_n(f, p, n, M)
-    res = sparse.add(
-        res,
-        {(_trim((0,) * n + (1,)), ()): Fraction(-1)},
-        {((p**n,), ()): Fraction(-a)},
-    )
-    return _classify_residual("logder", p, n, res, low_jet=-1, max_jet=n)
+    L, res, D = _lemma_delta_n(f, p, n, M)
+    res = sparse.add(res, {L.key(((0,) * n + (1,), ())): -D}, {L.key(((p**n,), ())): -a * D})
+    return _classify_residual("logder", p, n, L, res, D, low_jet=-1, max_jet=n)
 
 
-def _classify_residual(name, p, n, res: Terms, low_jet: int, max_jet: int) -> LemmaReport:
-    offending = None
-    for m, c in sorted(res.items()):
-        idx = _jet_index(m)
-        if idx <= low_jet:
-            continue
-        if idx > max_jet or _vp(c, p) < 1:
-            offending = (m[0], m[1], format_rational(c))
-            break
+def _classify_residual(name, p, n, L: Layout, res: Packed, D: int, low_jet: int, max_jet: int) -> LemmaReport:
+    """The report on the residual numerators ``res`` over ``D``.  A term of jet
+    index above ``low_jet`` offends when the index exceeds ``max_jet`` or p does
+    not divide its coefficient (x % p**(1 + v_p(D))); only the offenders are
+    unpacked, and the first of them in ``Monomial`` order is reported."""
+    zmask, mod = (1 << L.nz * L.width) - 1, p ** (1 + valuation(D, p))
+
+    def jet(k: int) -> int:  # the highest jet index whose z field is nonzero
+        return ((k & zmask).bit_length() + L.width - 1) // L.width
+
+    bad = L.unpack({k: x for k, x in res.items() if (i := jet(k)) > low_jet and (i > max_jet or x % mod)}, D)
+    m = min(bad, default=None)
+    offending = None if m is None else (m[0], m[1], format_rational(bad[m]))
     return LemmaReport(name, p, n, offending is None, len(res), offending)

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence, Union
 
 from . import sparse
 from .arith import PadicTrunc, check_prime, valuation
-from .deltajet import JetSeries, delta_n, phi
+from .deltajet import JetSeries, Layout as JetLayout, _cut, _mod, delta_n, phi, terms_mul
 from .errors import DomainError, IntegralityViolation
 from .modular import QExpansion
 from .multiprime import (
@@ -98,32 +98,33 @@ def fsharp_expansion(
         raise DomainError("the modular layer requires p >= 5")
     if len(an) < window:
         raise DomainError(f"need a_n for n <= {window}")
-    # phi(q) and phi^2(q) exactly; the powers keep weight <= window, which
-    # is safe since weights only add, and valuation below M + 3
+    # phi(q) and phi^2(q) are integral, so their powers stay integers in one
+    # layout: pairs below base window + 1 (weights only add), then the digits
+    # below M + 3 and the weights <= window; the sum is over p * lcm(1..window)
     phi1 = phi(JetSeries.make(p, "q", {(1, ()): 1}))
     phi2 = phi(phi1)
-    pow1 = pow2 = JetSeries.make(p, "q", {(0, ()): 1}, M, digits=M + 3, N=window + 1)
+    L = JetLayout(p, phi2._to_terms(), window)
+    f1, f2 = (L.pack(f._to_terms(), 1) for f in (phi1, phi2))
+    limit, mod, D = L.below(window + 1), _mod(p, M + 3, 1), p * math.lcm(*range(1, window + 1))
+
+    def times(t: dict[int, int], f: dict[int, int]) -> dict[int, int]:
+        out = terms_mul(t, f, limit, mod) if t else {}
+        return {m: x for m, x in out.items() if L.weight(m) <= window}
+
+    pow1 = pow2 = _cut({0: 1}, None, mod)
     total: dict = {}
     for n in range(1, window + 1):
-        pow1, pow2 = pow1 * phi1, pow2 * phi2
-        scal = Fraction(an[n - 1], n * p)
-        if scal == 0:
-            continue
-        total = sparse.add(
-            total,
-            {m: c * scal for m, c in pow2.terms},
-            {m: c * scal * -a_p for m, c in pow1.terms},
-            {(n, ()): scal * p},
-        )
-    out = JetSeries.make(p, "q", total, M=M, digits=M)
-    if check:
-        bad = [(m, c) for m, c in out.terms if valuation(c, p) < 0]
-        if bad:
-            (bm, bc) = bad[0]
-            raise IntegralityViolation(
-                f"coefficient {bc} at {bm} is not {p}-integral"
-            )
-    return out
+        pow1, pow2 = times(pow1, f1), times(pow2, f2)
+        s = an[n - 1] * (D // (n * p))
+        if s:
+            total = sparse.add(total, sparse.scale(pow2, s), sparse.scale(pow1, -a_p * s), {n << L.shift: s * p})
+    total = _cut(total, None, _mod(p, M, D))
+    bad = L.unpack({m: x for m, x in total.items() if x % p ** valuation(D, p)}, D) if check else {}
+    if bad:
+        m, c = min(JetSeries._from_terms(bad).items())
+        raise IntegralityViolation(f"coefficient {c} at {m} is not {p}-integral")
+    out = JetSeries._from_terms(L.unpack(total, D))
+    return JetSeries(p, "q", tuple(sorted(out.items())), M, M)
 
 
 # ---------------------------------------------------------------------------

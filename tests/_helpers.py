@@ -6,9 +6,20 @@ from fractions import Fraction
 from unittest import mock
 
 from pjet import forms, sparse
-from pjet.arith import PadicTrunc, binomial, cp_coefficients, decode_coeff, encode_coeff, fermat_delta, min_order, valuation
-from pjet.deltajet import JetSeries
-from pjet.errors import DomainError
+from pjet.arith import (
+    PadicTrunc,
+    binomial,
+    check_prime,
+    cp_coefficients,
+    decode_coeff,
+    encode_coeff,
+    fermat_delta,
+    format_rational,
+    min_order,
+    valuation,
+)
+from pjet.deltajet import JetSeries, Layout, LemmaReport, _den, _mod, phi, terms_delta, terms_phi
+from pjet.errors import DomainError, IntegralityViolation
 from pjet.forms import CovarianceReport
 from pjet.modular import QExpansion
 from pjet.multiprime import (
@@ -302,6 +313,120 @@ def tuple_terms_delta(t, p, keep, jmax):
     fp = sparse.power(t, p, {((), ()): Fraction(1)}, lambda a, b: tuple_terms_mul(a, b, keep))
     num = sparse.add(ph, sparse.scale(fp, Fraction(-1)))
     return {m: c / p for m, c in _kept(num, keep).items()}
+
+
+# ---------------------------------------------------------------------------
+# The single-prime steps on Fraction terms: the lemma chain and fsharp's
+# power loop before they stayed packed from the first step to the output
+# ---------------------------------------------------------------------------
+
+
+def phi_terms(t, p, cut, digits, jmax):
+    """One packed phi step on Fraction terms: drops every monomial of base
+    exponent >= ``cut`` and every coefficient of valuation >= ``digits``,
+    before it multiplies on."""
+    L, D = Layout(p, t, jmax), _den(t)
+    return L.unpack(terms_phi(L.pack(t, D), L, L.below(cut), _mod(p, digits, D), jmax), D)
+
+
+def delta_terms(t, p, cut, digits, jmax):
+    """One packed delta step on Fraction terms, with the cuts of ``phi_terms``."""
+    L, D = Layout(p, t, jmax), _den(t)
+    return L.unpack(*terms_delta(L.pack(t, D), D, L, L.below(cut), digits, jmax))
+
+
+def _jet_index(m):
+    """The highest jet index with a nonzero exponent in the monomial ``m``."""
+    z = m[0]
+    idx = 0
+    for i in range(1, len(z)):
+        if z[i]:
+            idx = i
+    return idx
+
+
+def lemma_delta_n_fraction(t, p, n, M):
+    """delta^n of ``t`` one ``delta_terms`` step at a time, through Fractions."""
+    for digits in range(M, M - n, -1):
+        t = delta_terms(t, p, None, digits, digits)
+    return t
+
+
+def classify_residual_fraction(name, p, n, res, low_jet, max_jet):
+    """The lemma report on Fraction residual terms, walked in sorted order."""
+    offending = None
+    for m, c in sorted(res.items()):
+        idx = _jet_index(m)
+        if idx <= low_jet:
+            continue
+        if idx > max_jet or (c != 0 and valuation(c, p) < 1):
+            offending = (m[0], m[1], format_rational(c))
+            break
+    return LemmaReport(name, p, n, offending is None, len(res), offending)
+
+
+def lemma_xlaphi_check_fraction(p, n, varphi=0, M=None):
+    """``deltajet.lemma_xlaphi_check`` with its chain and residual on Fractions."""
+    check_prime(p)
+    if n < 1:
+        raise DomainError("the xlaphi lemma needs n >= 1")
+    if M is None:
+        M = n + 3
+    f = {((p - 1,), ()): Fraction(1), ((-1, 1), ()): Fraction(p)}
+    if varphi == "symbolic":
+        f[((), (1,))] = Fraction(-1)
+    elif Fraction(varphi):
+        f[((), ())] = -Fraction(varphi)
+    res = lemma_delta_n_fraction(f, p, n, M)
+    lead1 = _trim((-(p**n),) + (0,) * (n - 1) + (p,))
+    lead2 = _trim((p ** (n + 1) - 2 * p**n,) + (0,) * (n - 1) + (1,))
+    res = sparse.add(res, {(lead1, ()): Fraction(-1)}, {(lead2, ()): Fraction(1)})
+    return classify_residual_fraction("xlaphi", p, n, res, low_jet=n - 1, max_jet=n + 1)
+
+
+def lemma_logder_check_fraction(p, n, a, M=None):
+    """``deltajet.lemma_logder_check`` with its chain and residual on Fractions."""
+    check_prime(p)
+    if M is None:
+        M = n + 3
+    res = lemma_delta_n_fraction({((1,), ()): Fraction(1 + p**n * a)}, p, n, M)
+    res = sparse.add(
+        res,
+        {(_trim((0,) * n + (1,)), ()): Fraction(-1)},
+        {((p**n,), ()): Fraction(-a)},
+    )
+    return classify_residual_fraction("logder", p, n, res, low_jet=-1, max_jet=n)
+
+
+def fsharp_expansion_fraction(an, a_p, p, M, window, check=True):
+    """``forms.fsharp_expansion`` by ``JetSeries`` products and Fraction sums."""
+    check_prime(p)
+    if p < 5:
+        raise DomainError("the modular layer requires p >= 5")
+    if len(an) < window:
+        raise DomainError(f"need a_n for n <= {window}")
+    phi1 = phi(JetSeries.make(p, "q", {(1, ()): 1}))
+    phi2 = phi(phi1)
+    pow1 = pow2 = JetSeries.make(p, "q", {(0, ()): 1}, M, digits=M + 3, N=window + 1)
+    total = {}
+    for n in range(1, window + 1):
+        pow1, pow2 = pow1 * phi1, pow2 * phi2
+        scal = Fraction(an[n - 1], n * p)
+        if scal == 0:
+            continue
+        total = sparse.add(
+            total,
+            {m: c * scal for m, c in pow2.terms},
+            {m: c * scal * -a_p for m, c in pow1.terms},
+            {(n, ()): scal * p},
+        )
+    out = JetSeries.make(p, "q", total, M=M, digits=M)
+    if check:
+        bad = [(m, c) for m, c in out.terms if valuation(c, p) < 0]
+        if bad:
+            (bm, bc) = bad[0]
+            raise IntegralityViolation(f"coefficient {bc} at {bm} is not {p}-integral")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pjet.arith import fermat_delta
+from pjet.cli import _dump as dump
 from pjet.deltajet import (
     JetSeries,
     Layout,
     delta,
     delta_n,
-    delta_terms,
     lemma_logder_check,
     lemma_xlaphi_check,
     phi,
-    phi_terms,
     psi_fourier,
     psi_serretate,
 )
@@ -147,8 +146,13 @@ class TestDelta:
 from _helpers import (  # noqa: E402
     _trim,
     delta_axiomatic,
+    delta_terms,
     digits_keep,
     exp_series,
+    lemma_delta_n_fraction,
+    lemma_logder_check_fraction,
+    lemma_xlaphi_check_fraction,
+    phi_terms,
     tuple_terms_delta,
     tuple_terms_phi,
 )
@@ -498,13 +502,13 @@ class TestLemmaChecks:
         from pjet.sparse import add
 
         f = {((4,), ()): Fraction(1), ((-1, 1), ()): Fraction(5)}
-        res = _lemma_delta_n(f, 5, 1, 4)
+        L, res, D = _lemma_delta_n(f, 5, 1, 4)
         res = add(
             res,
-            {((-5, 5), ()): Fraction(-1)},
-            {((15, 1), ()): Fraction(-1)},  # wrong sign on z^(p^2-2p) z'
+            {L.key(((-5, 5), ())): -D},
+            {L.key(((15, 1), ())): -D},  # wrong sign on z^(p^2-2p) z'
         )
-        bad = _classify_residual("xlaphi", 5, 1, res, low_jet=0, max_jet=2)
+        bad = _classify_residual("xlaphi", 5, 1, L, res, D, low_jet=0, max_jet=2)
         assert not bad.passed
 
     @pytest.mark.parametrize("p,n,a", [(5, 1, 1), (5, 2, 3), (7, 1, 2)])
@@ -521,6 +525,54 @@ class TestLemmaChecks:
         rep = lemma_xlaphi_check(5, 1, 0)
         js = rep.to_json()
         assert js["pass"] is True and js["lemma"] == "xlaphi"
+
+
+class TestLemmaCrossRoute:
+    """The lemma chain, packed from its first step to the report, against the
+    route that unpacked to Fractions after every step (``tests/_helpers.py``):
+    the report bytes must be the same."""
+
+    @pytest.mark.parametrize("aux", [{((), (1,)): -1}, {((), ()): Fraction(-1, 3)}, {}])
+    @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)])
+    def test_chain_terms(self, p, n, aux):
+        # the residual before the report: every term of delta^n, an adjoined
+        # coefficient's delta-chain included, in the one layout of n steps
+        from pjet.deltajet import _lemma_delta_n
+
+        f = {((p - 1,), ()): Fraction(1), ((-1, 1), ()): Fraction(p), **aux}
+        L, t, D = _lemma_delta_n(f, p, n, n + 3)
+        assert L.unpack(t, D) == lemma_delta_n_fraction(f, p, n, n + 3)
+
+    @pytest.mark.parametrize("varphi", ["symbolic", 0, 1, 2, -3, Fraction(1, 3)])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_xlaphi(self, p, n, varphi):
+        got = lemma_xlaphi_check(p, n, varphi)
+        assert dump(got.to_json()) == dump(lemma_xlaphi_check_fraction(p, n, varphi).to_json())
+
+    @pytest.mark.parametrize("a", range(1, 10))
+    @pytest.mark.parametrize("p, n", [(5, 1), (5, 2), (7, 1), (7, 2)])
+    def test_logder(self, p, n, a):
+        got = lemma_logder_check(p, n, a)
+        assert dump(got.to_json()) == dump(lemma_logder_check_fraction(p, n, a).to_json())
+
+    @pytest.mark.parametrize("p, n, a, M", [(5, 2, 3, 2), (5, 1, 1, 1)])
+    def test_failing_report(self, p, n, a, M):
+        got, want = lemma_logder_check(p, n, a, M=M), lemma_logder_check_fraction(p, n, a, M=M)
+        assert not got.passed and got.offending == want.offending
+        assert dump(got.to_json()) == dump(want.to_json())
+
+    def test_offender_divisible_by_p_over_a_denominator_divisible_by_more(self):
+        # 5/25 = 1/5 is not 5-integral although 5 divides its numerator
+        from pjet.deltajet import _classify_residual, _lemma_delta_n
+
+        L, _, _ = _lemma_delta_n({((1,), ()): Fraction(1)}, 5, 1, 4)
+        rep = _classify_residual("logder", 5, 1, L, {L.key(((1,), ())): 5}, 25, low_jet=-1, max_jet=1)
+        assert not rep.passed and rep.offending == ((1,), (), "1/5")
+
+    def test_negative_n_refused(self):
+        with pytest.raises(DomainError):
+            lemma_logder_check(5, -1, 1)
 
 
 class TestJson:

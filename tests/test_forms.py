@@ -12,6 +12,7 @@ from _helpers import (
     build_f2e_k_fraction,
     covariance_check_fraction,
     delta_axiomatic,
+    fsharp_expansion_fraction,
     invert_unit,
     one_plus_u_pow_sum_comb,
 )
@@ -119,6 +120,26 @@ class TestFsharp:
     def test_short_coefficient_list_rejected(self):
         with pytest.raises(DomainError):
             fsharp_expansion([1, 2], A13, 13, M=6, window=10)
+
+
+class TestFsharpCrossRoute:
+    """fsharp's power loop and sum in packed integers against the route of
+    ``JetSeries`` products and Fraction sums (``tests/_helpers.py``)."""
+
+    @pytest.mark.parametrize("window, M", [(30, 6), (20, 4), (12, 8)])
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+    def test_same_bytes(self, p, window, M):
+        an, a_p = AN40[:window], AN40[p - 1]
+        got = fsharp_expansion(an, a_p, p, M=M, window=window)
+        assert dump(got.to_json()) == dump(fsharp_expansion_fraction(an, a_p, p, M=M, window=window).to_json())
+
+    def test_same_integrality_violation(self):
+        an = [1] + [0] * 19
+        with pytest.raises(IntegralityViolation) as want:
+            fsharp_expansion_fraction(an, 1, 5, M=6, window=20)
+        with pytest.raises(IntegralityViolation) as got:
+            fsharp_expansion(an, 1, 5, M=6, window=20)
+        assert str(got.value) == str(want.value) == "coefficient -1/5 at (5, ()) is not 5-integral"
 
 
 class TestF2e:

@@ -76,6 +76,8 @@ def test_every_exchange_is_traced_with_its_term_count(job, fe0_payload, monkeypa
 KERNEL_JOBS = {
     "delta-expand": ["delta-expand", "--form", "E4", "--trunc", "12", "--n", "2", "--p", "7", "--M", "6"],
     "check-lemma": ["check-lemma", "--name", "xlaphi", "--p", "5", "--n", "2", "--varphi", "symbolic"],
+    "check-lemma-logder": ["check-lemma", "--name", "logder", "--p", "7", "--n", "2", "--a", "3"],
+    "fsharp": ["fsharp", "--p", "13", "--window", "30", "--M", "6"],
     "fe-k": JOBS["fe-k"],
     "f2e0": JOBS["f2e0"],
 }
