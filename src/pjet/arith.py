@@ -94,6 +94,14 @@ def parse_ratio(s: str) -> tuple[int, int]:
     return (int(n), d) if d > 0 else (-int(n), -d)
 
 
+def parse_int(x) -> int:
+    """An integer read from a payload: an int, or a string ``int`` accepts.
+    A float or a bool is refused, even with an integral value."""
+    if isinstance(x, (bool, float)):
+        raise DomainError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def parse_rational(s: str) -> Fraction:
     return Fraction(*parse_ratio(s))
 

@@ -29,7 +29,7 @@ FLAG_MINIMUMS = {"N": 0, "trunc": 0, "n": 0, "M": 1, "window": 1, "nmax": 1, "he
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _ints(text: str, flag: str) -> list[int]:

@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import sparse
-from .arith import binomial, check_prime, format_rational, min_order, parse_rational, valuation
+from .arith import binomial, check_prime, format_rational, min_order, parse_int, parse_rational, valuation
 from .errors import DomainError, PrecisionExhausted
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (z-family exps, aux exps)
@@ -394,7 +394,7 @@ class JetSeries:
     @staticmethod
     def from_json(obj: Mapping) -> "JetSeries":
         terms = {
-            (int(b), tuple(int(e) for e in jets)): parse_rational(c)
+            (parse_int(b), tuple(map(parse_int, jets))): parse_rational(c)
             for b, c, jets in obj["terms"]
         }
         return JetSeries.make(

@@ -17,16 +17,18 @@ representation stays in the jet basis; the two bases are exchanged through
 cached triangular generator polynomials, in integers over one denominator.
 
 Inside the kernel a monomial is one int, packed by a ``Layout`` of (P, N):
-each variable of weight below N owns a bit field, in index order, and the
-weight sits in the top field.  A field holds twice the largest exponent that
-stays below N, so adding two kept monomials never carries out of a field:
-the monomial product is integer ``+`` and the truncation is the key limit
-``N << shift``: ``sparse.mul`` walks its second operand in key order, stops
-each row at the limit and squares once.  The packed form is the stored
+each variable of weight below N owns a bit field, in reverse index order
+with t highest, and the weight sits in the top field.  A field holds twice
+the largest exponent that stays below N, so adding two kept monomials never
+carries out of a field: the monomial product is integer ``+`` and the
+truncation is the key limit ``N << shift``: ``sparse.mul`` walks its second
+operand in key order, stops each row at the limit and squares once.  The packed form is the stored
 value: an exact ``MultiJetSeries`` holds integer numerators by key, in key
 order, over one positive denominator with no factor common to all of them
 (a canonical ``Packed``); ``terms`` and ``coeffs`` are views built on first
-use, and the JSON codec unpacks and sorts only in ``to_json``.
+use.  ``to_json`` orders the keys by an integer computed from each and
+writes every pair straight from a key's nonzero fields, with no ``Mono``
+tuple; ``from_json`` parses straight into keys.
 
 Per-prime rings (ring tag k >= 1) share the representation but only promise
 denominators coprime to p_k; the common ring (tag 0) promises denominators
@@ -38,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -48,6 +51,7 @@ from .arith import (
     check_prime,
     encode_coeff,
     format_rational,
+    parse_int,
     parse_ratio,
     rational_reconstruct,
     reduce_rational_mod,
@@ -75,7 +79,8 @@ def _canon(t: Mapping[int, int], den: int) -> Packed:
     """t / den in canonical form: no zero term, keys in order, and a positive
     denominator that shares no factor with all of the numerators."""
     g = math.gcd(den, *t.values()) * (1 if den > 0 else -1)
-    out = Packed([(m, x // g) for m, x in sorted(t.items()) if x])
+    items = sorted(filter(operator.itemgetter(1), t.items()))  # the nonzero terms
+    out = Packed(items if g == 1 else [(m, x // g) for m, x in items])
     out.den = den // g
     return out
 
@@ -111,7 +116,10 @@ class Layout:
 
     The key of prod x_i^e_i is sum_i e_i * var[i], with var[i] =
     (1 << offset_i) + (wt(x_i) << shift).  The field of x_i holds
-    2 * ((N - 1) // wt(x_i)).  ``P`` must be valid; callers check it.
+    2 * ((N - 1) // wt(x_i)), so a kept exponent leaves its top bit clear.
+    Fields sit in reverse index order, x_0 = t highest, right under the
+    weight, so the fields read from the top down in index order.  ``P``
+    must be valid; callers check it.
     """
 
     __slots__ = ("P", "N", "shift", "limit", "var", "fields")
@@ -119,14 +127,13 @@ class Layout:
     def __init__(self, P: tuple[int, ...], N: int):
         self.P, self.N = P, N
         tops = [next(a for a in itertools.count() if p**a >= N) for p in P]
-        self.fields: list[tuple[Idx, int, int]] = []  # (i, offset, mask), in index order
-        off = 0
-        for i in itertools.product(*map(range, tops)):
-            w = var_weight(i, P)
-            if w < N:
-                width = (2 * ((N - 1) // w)).bit_length()
-                self.fields.append((i, off, (1 << width) - 1))
-                off += width
+        index = [i for i in itertools.product(*map(range, tops)) if var_weight(i, P) < N]
+        fields, off = [], 0
+        for i in reversed(index):
+            width = (2 * ((N - 1) // var_weight(i, P))).bit_length()
+            fields.append((i, off, (1 << width) - 1))
+            off += width
+        self.fields: list[tuple[Idx, int, int]] = fields[::-1]  # (i, offset, mask), in index order
         self.shift = off
         self.var = {i: (1 << o) + (var_weight(i, P) << off) for i, o, _ in self.fields}
         self.limit = N << off  # the keys of weight below N are the keys below this
@@ -265,20 +272,24 @@ def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int
     """Substitute the generator image of kind ``kind`` for each variable of
     ``t``, whose coefficients are rationals or integer numerators over ``den``.
 
-    Images, powers and products run in integers.  Each variable's image
-    powers are built once per call as a ladder, img^e = img^(e-1) * img, up
-    to the largest exponent asked for.  A monomial c * prod x_i^e
-    contributes c.numerator * prod img_i^e over the denominator
+    Images, powers and products run in integers.  t = x_0 = u_0 is its own
+    image in both bases, so its power t^a is the key shift a * var[0], added
+    after the other variables' product.  Each other variable's image powers
+    are built once per call as a ladder, img^e = img^(e-1) * img, up to the
+    largest exponent asked for.  A monomial c * t^a * prod x_i^e contributes
+    c.numerator * t^a * prod img_i^e over the denominator
     den * c.denominator * prod D_i^e; the contributions add up over the lcm
     of those, in canonical form.  Both exchanges are weight-homogeneous, so
-    every product below L.N is exact.
+    every product below L.N is exact, and no shift reaches the limit.
     """
     limit, one = L.limit, {0: 1}
+    (zero, t_off, t_mask), *rest = L.fields or [((), 0, 0)]
+    t_var = L.var.get(zero, 0)
     ladders: dict[Idx, tuple[list[dict[int, int]], int]] = {}
-    parts: list[tuple[dict[int, int], int, int]] = []
+    parts: list[tuple[dict[int, int], int, int, int]] = []
     for m, c in t.items():
         acc, d = one, c.denominator
-        for i, off, mask in L.fields:
+        for i, off, mask in rest:
             if not (e := m >> off & mask):
                 continue
             if i not in ladders:
@@ -289,12 +300,13 @@ def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int
                 ladder.append(poly_mul(ladder[-1], ladder[1], limit))
             acc = ladder[e] if acc is one else poly_mul(acc, ladder[e], limit)
             d *= D**e
-        parts.append((acc, d, c.numerator))
-    lcm = math.lcm(*(d for _, d, _ in parts))
+        parts.append((acc, d, c.numerator, (m >> t_off & t_mask) * t_var))
+    lcm = math.lcm(*(d for _, d, _, _ in parts))
     out: dict[int, int] = {}
-    for acc, d, num in parts:
+    for acc, d, num, shift in parts:
         f = lcm // d * num
         for m, x in acc.items():
+            m += shift
             out[m] = out.get(m, 0) + x * f
     return _canon(out, den * lcm)
 
@@ -361,15 +373,12 @@ class MultiJetSeries:
         used = [i for i, off, mask in layout(self.P, self.N).fields if seen >> off & mask]
         return tuple(max((i[k] for i in used), default=0) for k in range(len(self.P)))
 
-    def _sorted(self) -> list[tuple[Mono, object]]:  # in the public monomial order
-        L = layout(self.P, self.N)
-        return sorted([(L.unpack(m), c) for m, c in self._store.items()])
-
     @functools.cached_property
     def terms(self) -> tuple[tuple[Mono, Coeff], ...]:
         """The terms in the public monomial order, built on first use."""
-        den = getattr(self._store, "den", None)
-        return tuple((m, c if den is None else Fraction(c, den)) for m, c in self._sorted())
+        L, t = layout(self.P, self.N), self._store
+        den = getattr(t, "den", None)
+        return tuple((L.unpack(m), t[m] if den is None else Fraction(t[m], den)) for m in _in_order(t, L))
 
     @functools.cached_property
     def coeffs(self) -> dict[Mono, Coeff]:
@@ -456,47 +465,89 @@ class MultiJetSeries:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        den, terms = getattr(self._store, "den", None), []
-        for m, c in self._sorted():
+        """The payload, its terms in the public monomial order.  Each pair
+        ``[[i...], e]`` is built straight from the key, visiting only its
+        nonzero fields, by highest set bit."""
+        L, store = layout(self.P, self.N), self._store
+        den, low = getattr(store, "den", None), (1 << L.shift) - 1
+        fields = [(i, off) for i, off, mask in reversed(L.fields) for _ in range(mask.bit_length())]  # by bit
+        terms = []  # built in order, so that dumping it walks memory in order
+        for m in _in_order(store, L):
+            bits, mono, c = m & low, [], store[m]
+            while bits:
+                i, off = fields[bits.bit_length() - 1]
+                e = bits >> off
+                bits ^= e << off
+                mono.append([list(i), e])
             if den is None:
                 c = encode_coeff(c)
             else:
                 g = math.gcd(c, den)
                 c = str(c // g) if g == den else f"{c // g}/{den // g}"
-            terms.append([[[list(i), e] for i, e in m], c])
+            terms.append([mono, c])
         return {"P": list(self.P), "r": list(self.order_vector()), "N": self.N, "ring": self.ring, "terms": terms}
 
     @staticmethod
     def from_json(obj: Mapping) -> "MultiJetSeries":
-        """The payload's series, parsed into keys with the checks and rules of ``make``."""
-        P, N, ring = _check_primes([int(p) for p in obj["P"]]), int(obj["N"]), int(obj.get("ring", 0))
+        """The payload's series, parsed into keys with the checks and rules of
+        ``make``.  Every integer is an int or an integer string, never a
+        float or a bool, and N is not negative."""
+        P, N = _check_primes([parse_int(p) for p in obj["P"]]), parse_int(obj["N"])
+        ring = parse_int(obj.get("ring", 0))
+        if N < 0:
+            raise DomainError(f"N must be at least 0, got {N}")
         L = layout(P, N)
         var, pairs = L.var, []
+        # a float or a bool index entry equals, and hashes as, an int, so the
+        # lookup below would take it: with one present, every pair is parsed
+        fast = {type(x) for mono, _ in obj["terms"] for i, _ in mono for x in i} <= {int, str}
         for mono, c in obj["terms"]:
             key = 0
             for i, e in mono:
-                if (i := tuple(i)) in var and (e := int(e)) >= 0:
-                    key += e * var[i]
+                if fast and type(e) is int and e >= 0 and (v := var.get(tuple(i))):
+                    key += e * v
                 else:  # a negative exponent, an index with no field, or a malformed one
-                    key = L.pack(_norm_mono((tuple(int(x) for x in i), int(e)) for i, e in mono))
+                    key = L.pack(_norm_mono((tuple(map(parse_int, i)), parse_int(e)) for i, e in mono))
                     break
             c = PadicTrunc.from_json(c) if isinstance(c, dict) else parse_ratio(c)
             pairs.append((None if key is None or key >= L.limit else key, c))
         return MultiJetSeries(P, _stored(pairs), N, ring)
 
 
+def _in_order(keys: Iterable[int], L: Layout) -> list[int]:
+    """``keys`` of L in the public monomial order, sorted by an integer
+    computed from each: read field by field from the top, it holds the
+    exponent where that is nonzero, the field's top bit (above every kept
+    exponent) for a zero before the last nonzero field, and 0 after it.
+    Integer order on these is ``Mono`` order.  Adding each field's top bit
+    less one carries into the top bit of exactly the nonzero fields, so a
+    key takes a few integer operations and no loop over its fields."""
+    tops = below = 0
+    for _, off, mask in L.fields:
+        top = (mask + 1) >> 1 << off
+        tops, below = tops | top, below + top - (1 << off)
+    low, order = (1 << L.shift) - 1, {}
+    for m in keys:
+        r = m & low
+        nz = (r + below) & tops  # the top bit of each nonzero field
+        order[r | ((tops & -(nz & -nz)) ^ nz)] = m
+    return [order[k] for k in sorted(order)]
+
+
 def _stored(pairs: Iterable[tuple[int | None, Union[tuple[int, int], PadicTrunc]]]) -> dict:
     """The store of (key, coefficient) pairs, each coefficient p-adic or a
     (numerator, denominator) pair.  A pair with no key lies past the cut; of
     two pairs with one key the later wins, a zero coefficient too."""
-    t = {}
+    t, padic = {}, False
     for key, c in pairs:
         if key is not None:
-            if isinstance(c, PadicTrunc) or c[0]:
+            if isinstance(c, PadicTrunc):
+                t[key], padic = c, True
+            elif c[0]:
                 t[key] = c
             else:
                 t.pop(key, None)
-    if any(isinstance(c, PadicTrunc) for c in t.values()):
+    if padic and any(isinstance(c, PadicTrunc) for c in t.values()):  # a later rational may win
         return {m: c if isinstance(c, PadicTrunc) else Fraction(*c) for m, c in sorted(t.items())}
     D = math.lcm(*(d for _, d in t.values()))
     return _canon({m: n * (D // d) for m, (n, d) in t.items()}, D)

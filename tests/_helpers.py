@@ -580,15 +580,29 @@ def make_tuples(P, terms, N, ring=0):
     return Pt, tuple(sorted(clean.items())), N, ring
 
 
+def payload_int(x):
+    """An integer of a payload: an int or a string ``int`` reads; a float or a
+    bool is refused, integral or not."""
+    if type(x) in (bool, float):
+        raise DomainError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def from_json_tuples(obj):
-    """``MultiJetSeries.from_json`` on tuples: raw monomials, a repeat moved to
+    """``MultiJetSeries.from_json`` on tuples: the header's integers, then per
+    term the raw monomial's integers and its normal form, a repeat moved to
     the end, then ``make_tuples``."""
+    P = _check_primes([payload_int(p) for p in obj["P"]])
+    N, ring = payload_int(obj["N"]), payload_int(obj.get("ring", 0))
+    if N < 0:
+        raise DomainError(f"N must be at least 0, got {N}")
     terms = {}
     for mono, c in obj["terms"]:
-        m = tuple((tuple(int(x) for x in i), int(e)) for i, e in mono)
+        m = tuple((tuple(payload_int(x) for x in i), payload_int(e)) for i, e in mono)
+        _norm_mono(m)  # a negative exponent is refused at its term
         terms.pop(m, None)
         terms[m] = decode_coeff(c)
-    return make_tuples([int(p) for p in obj["P"]], terms, int(obj["N"]), int(obj.get("ring", 0)))
+    return make_tuples(P, terms, N, ring)
 
 
 def to_json_tuples(P, terms, N, ring):

@@ -1,6 +1,8 @@
 """CLI surface: every subcommand, exit codes, determinism, golden files."""
 
+import functools
 import json
+import operator
 import os
 
 import pytest
@@ -149,6 +151,49 @@ class TestChecks:
         f2.write_text(json.dumps(member(7, 0, 2)))
         code, js = run(capsys, "check-continuation", "--inputs", str(f1), str(f2))
         assert code == 2 and "error" in js
+
+
+    @pytest.mark.parametrize(
+        "place, value",
+        [
+            (("terms", 4, 0, 0, 1), 4.5),  # the exponent of t in t^5 x_(1,0)
+            (("terms", 4, 0, 0, 1), 5.0),
+            (("terms", 4, 0, 1, 1), 1e0),
+            (("terms", 4, 0, 1, 1), True),
+            (("terms", 4, 0, 1, 0, 0), 1.0),  # an index entry
+            (("terms", 4, 0, 1, 0, 1), False),
+            (("P", 1), 7.0),
+            (("N",), 3e1),
+            (("N",), -1),
+            (("ring",), False),
+        ],
+    )
+    def test_continuation_refuses_a_non_integer_number(self, capsys, tmp_path, place, value):
+        # int() would read 4.5 as 4 and 1e0 as 1, and a bool or an integral
+        # float hashes as the int it equals; each is a usage error
+        golden = os.path.join(os.path.dirname(__file__), "golden", "fe0_P5_7_N30.json")
+        obj = json.loads(open(golden, encoding="utf-8").read())
+        *path, last = place
+        functools.reduce(operator.getitem, path, obj)[last] = value
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(obj))
+        code, js = run(capsys, "check-continuation", "--inputs", str(f))
+        assert code == 2 and js["error"]["code"] == "domain"
+
+    @pytest.mark.parametrize(
+        "place, value",
+        [((0, 0), 4.5), ((3, 0), 1.0), ((3, 0), True), ((0, 2, 0), 1.0), ((1, 2, 0), 2.5), ((2, 2, 0), True)],
+    )
+    def test_t_side_refuses_a_non_integer_number(self, capsys, tmp_path, place, value):
+        # the t power b of a t-side term [b, c, jets], and a jet exponent
+        golden = os.path.join(os.path.dirname(__file__), "golden", "psi_serretate_p5_N20.json")
+        obj = json.loads(open(golden, encoding="utf-8").read())
+        *path, last = ("terms", *place)
+        functools.reduce(operator.getitem, path, obj)[last] = value
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(obj))
+        code, js = run(capsys, "check-covariance", "--input", str(f), "--gamma", "2", "--nu", "1")
+        assert code == 2 and js["error"]["code"] == "domain"
 
 
 GOLDEN_JOBS = [

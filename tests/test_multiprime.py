@@ -227,6 +227,28 @@ class TestIntegerExchange:
         P, t, N, keep = case
         assert packed(ghost_to_jet, t, P, N) == _ghost_to_jet_fraction(t, P, keep)
 
+    @given(
+        P=st.sampled_from([(5,), P57, P5711, (5, 7, 11, 13)]),
+        N=st.sampled_from([0, 1, 2, 30]),
+        kind=st.sampled_from("gj"),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_t_power_shift_matches_fraction_route(self, P, N, kind, data):
+        # t is its own image in both exchanges, so _subst adds t^a as a key
+        # shift where the Fraction route multiplies by it.  The layouts of
+        # N 0 and 1 have no field, and that of N 2 only t's
+        zero = (0,) * len(P)
+        light = [zero, *(tuple(int(j == k) for j in range(len(P))) for k in range(len(P))), (2,) + zero[1:]]
+        t = {}
+        factor = st.tuples(st.sampled_from(light), st.integers(1, 2))
+        for _ in range(data.draw(st.integers(0, 5))):
+            m = _norm_mono([(zero, data.draw(st.integers(0, 31))), *data.draw(st.lists(factor, max_size=2))])
+            t[m] = Fraction(data.draw(st.integers(-9, 9).filter(bool)), data.draw(st.sampled_from([1, 2, 5, 77])))
+        fn, images = (jet_to_ghost, "g") if kind == "g" else (ghost_to_jet, "j")
+        want = _subst_fraction(t, P, lambda i: generator_terms(P, i, images), weight_cut(P, N))
+        assert packed(fn, t, P, N) == want
+
     @pytest.mark.parametrize("P, i", [((5,), (2,)), (P57, (1, 1)), (P57, (2, 0)), (P5711, (0, 1, 1))])
     def test_jet_table_maps_back_to_its_ghost_variable(self, P, i):
         # the jet table is filled through the integer route; the Fraction route
@@ -369,12 +391,13 @@ class TestPackedMonomials:
     def test_field_width_boundary(self, P, N):
         # The t field must hold 2 * (N - 1): at N = 16 that is 30, the most a
         # 5-bit field holds; at N = 17 it is 32, one more, and the field is 6
-        # bits.  A carry out of it would land in the next field, x_n's.
+        # bits.  It is the top field, so a carry out of it would land in the
+        # weight; x_n's field lies right under it.
         zero = (0,) * len(P)
         n = (0,) * (len(P) - 1) + (1,)
         L = layout(P, N)
-        (i0, off0, _), (i1, off1, _) = L.fields[:2]
-        assert (i0, i1, off1 - off0) == (zero, n, 5 if N == 16 else 6)
+        (i0, off0, _), (i1, off1, mask1) = L.fields[:2]
+        assert (i0, i1, L.shift - off0, off0 - off1) == (zero, n, 5 if N == 16 else 6, mask1.bit_length())
         a = {_norm_mono([(zero, e)]): Fraction(e + 1) for e in range(N)}
         b = {**a, **{_norm_mono([(zero, e), (n, 1)]): Fraction(1, e + 2) for e in range(N)}}
         want = tuple_mul(a, b, weight_cut(P, N))

@@ -8,6 +8,7 @@ and packing again, and its value semantics against two spellings of one
 series.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -30,16 +31,17 @@ from pjet.multiprime import (
 )
 
 P57 = (5, 7)
-PRIMES = {1: [(5,), (7,), (13,)], 2: [P57, (7, 11)], 3: [(5, 7, 11)]}
+PRIMES = {1: [(5,), (7,), (13,)], 2: [P57, (7, 11)], 3: [(5, 7, 11)], 4: [(5, 7, 11, 13)]}
 
 
 @st.composite
 def payloads(draw):
-    """A series payload over d = 1, 2 or 3 primes and N <= 60: unsorted pairs,
-    repeated indices, zero and negative exponents, string-typed numbers,
-    monomials spelled twice (a later zero among them) and p-adic
-    coefficients."""
-    d = draw(st.integers(1, 3))
+    """A series payload over d = 1 to 4 primes and N <= 60, N 0 and 1 often:
+    unsorted pairs, repeated indices, zero and negative exponents,
+    string-typed numbers, monomials spelled twice (a later zero among them),
+    and rational, mixed or wholly p-adic coefficients.  Some payloads carry
+    a fault: a float or a bool for one of their integers, or a negative N."""
+    d = draw(st.integers(1, 4))
     P = draw(st.sampled_from(PRIMES[d]))
     text = st.booleans()
 
@@ -63,13 +65,26 @@ def payloads(draw):
         st.integers(0, 10**6),
         st.integers(1, 6),
     )
-    coeff = st.one_of(rational, padic) if draw(st.booleans()) else rational
+    coeff = draw(st.sampled_from([rational, st.one_of(rational, padic), padic]))
     terms = draw(st.lists(st.tuples(mono, coeff), max_size=8))
     for _ in range(draw(st.integers(0, 2)) if terms else 0):
         m, _ = draw(st.sampled_from(terms))
         terms.append((m[::-1], draw(st.one_of(st.just("0"), st.just("0/7"), rational))))
-    ring = draw(st.integers(0, d))
-    return {"P": list(P), "r": [0] * d, "N": draw(st.integers(0, 60)), "ring": ring, "terms": terms}
+    obj = {"P": list(P), "r": [0] * d, "N": draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 60)))}
+    obj.update(ring=draw(st.integers(0, d)), terms=terms)
+    pairs = [p for m, _ in terms for p in m]
+    fault = draw(st.sampled_from(["P", "N", "ring", "negative N"] + ["exponent", "index"] * bool(pairs) + [None] * 14))
+    if fault == "negative N":
+        obj["N"] = -draw(st.integers(1, 3))
+    elif fault in ("P", "N", "ring"):
+        where, k = (obj["P"], draw(st.integers(0, d - 1))) if fault == "P" else (obj, fault)
+        where[k] = draw(st.sampled_from([float(where[k]), where[k] + 0.5, True, False]))
+    elif fault:
+        where = draw(st.sampled_from(pairs))
+        where, k = (where[0], draw(st.integers(0, d - 1))) if fault == "index" else (where, 1)
+        x = int(where[k])
+        where[k] = draw(st.sampled_from([float(x), x + 0.5, float(f"{x}e1"), True, False]))
+    return obj
 
 
 def outcome(route, obj):
@@ -96,16 +111,23 @@ X0, X1, X2 = [0, 0], [1, 0], [0, 1]
 @example(obj={"P": [5, 7], "r": [0, 0], "N": 20, "ring": 0, "terms": [[[[X2, 1]], "4"], [[[X2, 1], [X1, 0]], "0"]]})
 @example(obj={"P": [5], "r": [0], "N": 0, "ring": 1, "terms": [[[], "3"]]})
 @example(obj={"P": [5], "r": [0], "N": 1, "ring": 1, "terms": [[[], "-4/-6"], [[[["0"], "1"]], "1"]]})
-@settings(max_examples=300, deadline=None)
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 20, "ring": 0, "terms": [[[[X1, 4.5]], "1"]]})
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 20, "ring": 0, "terms": [[[[[0.0, 1], 1]], "1"]]})
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 20, "ring": 0, "terms": [[[[[True, 0], 1]], "1"]]})
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 1e1, "ring": 0, "terms": []})
+@example(obj={"P": [5, 7.0], "r": [0, 0], "N": 10, "ring": 0, "terms": []})
+@example(obj={"P": [5, 7], "r": [0, 0], "N": -1, "ring": False, "terms": []})
+@settings(max_examples=400, deadline=None)
 def test_codec_matches_tuple_route(obj):
     # to_json of the packed store is byte-equal to the tuple route, and a
-    # payload read back gives the same bytes, value and hash
+    # payload read back gives the same bytes, value and hash; a float or a
+    # bool for an integer, or a negative N, is refused alike on both routes
     want = outcome(tuple_route, obj)
     assert outcome(packed_route, obj) == want
     if not want.startswith("DomainError"):
         x = MultiJetSeries.from_json(obj)
         y = MultiJetSeries.from_json(x.to_json())
-        assert dump(y.to_json()) == want
+        assert dump(y.to_json()) == want == json.dumps(y.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
         assert x == y and hash(x) == hash(y)
         assert x.terms == from_json_tuples(obj)[1]
         assert list(x._store) == sorted(x._store)  # the store is in key order
