@@ -102,6 +102,13 @@ def parse_int(x) -> int:
     return int(x)
 
 
+def at_least(low: int, **values: int) -> None:
+    """Refuse, with a ``DomainError``, each named value below ``low``."""
+    for name, value in values.items():
+        if value < low:
+            raise DomainError(f"{name} must be at least {low}, got {value}")
+
+
 def parse_rational(s: str) -> Fraction:
     return Fraction(*parse_ratio(s))
 

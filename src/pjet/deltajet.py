@@ -35,21 +35,23 @@ Truncation contracts:
   base exponents known below ``base_order`` (None means no unknown tail).
 * t side: weighted degree with wt(t)=1, wt(delta^i t)=p**i, all monomials of
   weight >= N dropped; everything is exact rational.  A t-side series is the
-  one-prime view of a d=1 ``multiprime`` series: ``psi_serretate``, ``phi``
-  and ``delta`` compute there (``psi_multi``, ``phi_pk``, ``delta_pk``) and
-  flatten the result back, so this module builds no t-side series itself.
+  one-prime view of a d=1 ``multiprime`` series, which is where it is lifted
+  and multiplied: ``from_jet_series`` and then ``phi_pk``, ``delta_pk`` or
+  the ``MultiJetSeries`` ring operations.  ``psi_serretate`` computes there
+  (``psi_multi``) and flattens the result back, so this module builds no
+  t-side series itself.  ``JetSeries`` has no ring arithmetic on either
+  side; ``phi`` and ``delta`` below are the q-side maps.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import sparse
-from .arith import binomial, check_prime, format_rational, min_order, parse_int, parse_rational, valuation
+from .arith import at_least, binomial, check_prime, format_rational, min_order, parse_int, parse_rational, valuation
 from .errors import DomainError, PrecisionExhausted
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (z-family exps, aux exps)
@@ -271,84 +273,7 @@ class JetSeries:
     def base_valuation(self) -> int:
         return min((b for (b, _), _ in self.terms), default=0)
 
-    # -- ring operations ------------------------------------------------------
-
-    def _meta_binary(self, other: "JetSeries", mul: bool):
-        if self.p != other.p or self.base != other.base:
-            raise DomainError("mismatched jet rings")
-        digits = min_order(self.digits, other.digits)
-        N = min_order(self.N, other.N)
-        if mul:
-            b1 = None if self.base_order is None else self.base_order + other.base_valuation()
-            b2 = None if other.base_order is None else other.base_order + self.base_valuation()
-            border = min_order(b1, b2)
-        else:
-            border = min_order(self.base_order, other.base_order)
-        return digits, border, N
-
-    def __add__(self, other):
-        if not isinstance(other, JetSeries):
-            other = JetSeries.make(self.p, self.base, {(0, ()): Fraction(other)})
-        digits, border, N = self._meta_binary(other, mul=False)
-        t = sparse.add(self._to_terms(), other._to_terms())
-        return JetSeries.make(
-            self.p, self.base, JetSeries._from_terms(t), self.M, digits, border, N
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return JetSeries(
-            self.p,
-            self.base,
-            tuple((m, -c) for m, c in self.terms),
-            self.M,
-            self.digits,
-            self.base_order,
-            self.N,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, JetSeries):
-            other = JetSeries.make(self.p, self.base, {(0, ()): Fraction(other)})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, JetSeries):
-            c = Fraction(other)
-            return JetSeries(
-                self.p,
-                self.base,
-                tuple((m, v * c) for m, v in self.terms) if c else (),
-                self.M,
-                self.digits,
-                self.base_order,
-                self.N,
-            )
-        digits, border, N = self._meta_binary(other, mul=True)
-        t = {}
-        if self.terms and other.terms:
-            t1, t2 = self._to_terms(), other._to_terms()
-            L, D1, D2 = Layout(self.p, [*t1, *t2]), _den(t1), _den(t2)
-            limit = L.below(min_order(border, N))  # a weight below N has its base below N
-            prod = terms_mul(L.pack(t1, D1), L.pack(t2, D2), limit, _mod(self.p, digits, D1 * D2))
-            prod = prod if N is None else {m: x for m, x in prod.items() if L.weight(m) < N}
-            t = JetSeries._from_terms(L.unpack(prod, D1 * D2))
-        # the cuts and the digit rule are make's: the terms need only sorting
-        return JetSeries(self.p, self.base, tuple(sorted(t.items())), self.M, digits, border, N)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative powers are not defined here")
-        one = JetSeries.make(
-            self.p, self.base, {(0, ()): 1}, self.M, self.digits, self.base_order, self.N
-        )
-        return sparse.power(self, n, one, operator.mul)
+    # -- equality -------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, JetSeries):
@@ -393,19 +318,21 @@ class JetSeries:
 
     @staticmethod
     def from_json(obj: Mapping) -> "JetSeries":
+        """The payload's series.  Every integer is an int or an integer
+        string, never a float or a bool; ``digits``, ``base_order`` and ``N``
+        may be null, and N is not negative."""
+
+        def opt(key):
+            return None if obj.get(key) is None else parse_int(obj[key])
+
+        if (N := opt("N")) is not None:
+            at_least(0, N=N)
         terms = {
             (parse_int(b), tuple(map(parse_int, jets))): parse_rational(c)
             for b, c, jets in obj["terms"]
         }
-        return JetSeries.make(
-            int(obj["p"]),
-            obj["var"],
-            terms,
-            int(obj.get("M", 8)),
-            obj.get("digits"),
-            obj.get("base_order"),
-            obj.get("N"),
-        )
+        p, M = parse_int(obj["p"]), parse_int(obj.get("M", 8))
+        return JetSeries.make(p, obj["var"], terms, M, opt("digits"), opt("base_order"), N)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +342,8 @@ class JetSeries:
 
 def phi(f: JetSeries) -> JetSeries:
     """Frobenius lift: every variable v maps to v**p + p * (next jet)."""
-    if f.base == "t":  # the d=1 several-prime ring; keep the input's M
-        from .multiprime import from_jet_series, phi_pk, to_jet_series
-
-        return replace(to_jet_series(phi_pk(from_jet_series(f), 0)), M=f.M)
+    if f.base != "q":
+        raise DomainError("phi is the q-side map; a t-side series lifts as the d=1 phi_pk")
     p = f.p
     geff = f.eff_digits()
     # negative base powers expand through tails cut at p**geff
@@ -444,10 +369,8 @@ def delta(f: JetSeries) -> JetSeries:
     Exact in the rational regime with nonnegative base exponents; in the
     p-adic regime one guaranteed digit is consumed.
     """
-    if f.base == "t":  # the d=1 several-prime ring; keep the input's M
-        from .multiprime import from_jet_series, delta_pk, to_jet_series
-
-        return replace(to_jet_series(delta_pk(from_jet_series(f), 0)), M=f.M)
+    if f.base != "q":
+        raise DomainError("delta is the q-side map; a t-side series lifts as the d=1 delta_pk")
     p = f.p
     geff = f.eff_digits()
     if f.digits is not None and f.digits <= 1:
@@ -505,9 +428,7 @@ def psi_fourier(p: int, M: int, window: int) -> JetSeries:
     """
     if check_prime(p) < 5:
         raise DomainError("the modular layer requires p >= 5")
-    for name, value in (("M", M), ("window", window)):
-        if value < 1:
-            raise DomainError(f"{name} must be at least 1, got {value}")
+    at_least(1, M=M, window=window)
     terms = {}
     for n in range(1, window + 1):
         terms[(-p * n, (n,))] = Fraction((-1) ** (n - 1) * p ** (n - 1), n)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from . import sparse
-from .arith import PadicTrunc, check_prime, valuation
+from .arith import PadicTrunc, at_least, check_prime, valuation
 from .deltajet import JetSeries, Layout as JetLayout, _cut, _mod, delta_n, phi, terms_mul
 from .errors import DomainError, IntegralityViolation
 from .modular import QExpansion
@@ -96,6 +96,7 @@ def fsharp_expansion(
     check_prime(p)
     if p < 5:
         raise DomainError("the modular layer requires p >= 5")
+    at_least(1, M=M, window=window)
     if len(an) < window:
         raise DomainError(f"need a_n for n <= {window}")
     # phi(q) and phi^2(q) are integral, so their powers stay integers in one

@@ -20,7 +20,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .arith import check_prime, is_prime, reduce_rational_mod
+from .arith import at_least, check_prime, is_prime, reduce_rational_mod
 from .errors import DomainError, MissingPrimeValue
 from .qseries import Series1
 
@@ -80,14 +80,9 @@ class QExpansion:
         return QExpansion(int(obj.get("weight", 0)), int(obj.get("level", 1)), Series1.from_json(obj))
 
 
-def _check_trunc(trunc: int) -> None:
-    if trunc < 0:
-        raise DomainError(f"trunc must be at least 0, got {trunc}")
-
-
 def eisenstein(k: int, trunc: int) -> QExpansion:
     """Normalized E_k = 1 - (2k / B_k) sum sigma_{k-1}(n) q^n, constant term 1."""
-    _check_trunc(trunc)
+    at_least(0, trunc=trunc)
     if k < 4 or k % 2:
         raise DomainError("weight must be an even integer >= 4")
     factor = Fraction(-2 * k) / bernoulli(k)
@@ -113,7 +108,7 @@ def discriminant_delta(trunc: int) -> QExpansion:
     The product runs in integers on one dense list of the coefficients of
     q^0 .. q^(trunc - 2), multiplied by (1 - q^n) in place 24 times per n.
     """
-    _check_trunc(trunc)
+    at_least(0, trunc=trunc)
     c = [1] + [0] * (trunc - 2)
     for n in range(1, len(c)):
         for _ in range(24):

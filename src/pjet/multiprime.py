@@ -48,6 +48,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from . import sparse
 from .arith import (
     PadicTrunc,
+    at_least,
     check_prime,
     encode_coeff,
     format_rational,
@@ -125,6 +126,7 @@ class Layout:
     __slots__ = ("P", "N", "shift", "limit", "var", "fields")
 
     def __init__(self, P: tuple[int, ...], N: int):
+        at_least(0, N=N)
         self.P, self.N = P, N
         tops = [next(a for a in itertools.count() if p**a >= N) for p in P]
         index = [i for i in itertools.product(*map(range, tops)) if var_weight(i, P) < N]
@@ -491,11 +493,9 @@ class MultiJetSeries:
     def from_json(obj: Mapping) -> "MultiJetSeries":
         """The payload's series, parsed into keys with the checks and rules of
         ``make``.  Every integer is an int or an integer string, never a
-        float or a bool, and N is not negative."""
+        float or a bool, and N is not negative (``Layout`` refuses it)."""
         P, N = _check_primes([parse_int(p) for p in obj["P"]]), parse_int(obj["N"])
         ring = parse_int(obj.get("ring", 0))
-        if N < 0:
-            raise DomainError(f"N must be at least 0, got {N}")
         L = layout(P, N)
         var, pairs = L.var, []
         # a float or a bool index entry equals, and hashes as, an int, so the

@@ -18,7 +18,7 @@ from pjet.arith import (
     min_order,
     valuation,
 )
-from pjet.deltajet import JetSeries, Layout, LemmaReport, _den, _mod, phi, terms_delta, terms_phi
+from pjet.deltajet import JetSeries, Layout, LemmaReport, _den, _mod, terms_delta, terms_phi
 from pjet.errors import DomainError, IntegralityViolation
 from pjet.forms import CovarianceReport
 from pjet.modular import QExpansion
@@ -65,63 +65,51 @@ def delta_axiomatic(f: JetSeries) -> JetSeries:
 
     Splits f into monomials, applies the twisted sum rule across them and
     the twisted product rule inside each monomial, with delta on the
-    generators given by the jet shift.  Only nonnegative base powers are
-    supported; this is deliberately independent of the substitution formula.
+    generators given by the jet shift, in exact tuple-route products.  Only
+    nonnegative base powers are supported; this is deliberately independent
+    of the substitution formula.
     """
     p = f.p
 
-    def monomial(b, jets, c=1):
-        return JetSeries.make(p, "q", {(b, tuple(jets)): Fraction(c)})
+    def var(i):  # z_i: the base q for i = 0, its i-th jet after
+        return {((0,) * i + (1,), ()): Fraction(1)}
 
-    def delta_jet_var(i):
-        if i == 0:
-            return JetSeries.make(p, "q", {(0, (1,)): 1})
-        jets = [0] * (i + 1)
-        jets[i] = 1
-        return JetSeries.make(p, "q", {(0, tuple(jets)): 1})
+    def constant(c):
+        return {((), ()): Fraction(c)} if c else {}
 
     def delta_product(factors):
-        x, dx = factors[0]
-        if len(factors) == 1:
+        (x, dx), rest = factors[0], factors[1:]
+        if not rest:
             return dx
-        y = factors[1][0]
-        for g, _ in factors[2:]:
-            y = y * g
-        dy = delta_product(factors[1:])
-        return x**p * dy + y**p * dx + dx * dy * p
+        y, dy = tuple_product(*(g for g, _ in rest)), delta_product(rest)
+        return sparse.add(
+            tuple_product(tuple_power(x, p), dy),
+            tuple_product(tuple_power(y, p), dx),
+            sparse.scale(tuple_product(dx, dy), p),
+        )
 
-    def delta_monomial(b, jets, c):
-        if b < 0:
+    def delta_monomial(z, c):
+        if z and z[0] < 0:
             raise DomainError("axiom recursion oracle needs nonnegative powers")
-        factors = [
-            (
-                JetSeries.make(p, "q", {(0, ()): c}),
-                JetSeries.make(p, "q", {(0, ()): fermat_delta(c, p)}),
-            )
-        ]
-        for _ in range(b):
-            factors.append((monomial(1, ()), delta_jet_var(0)))
-        for i, e in enumerate(jets, start=1):
-            jj = [0] * i
-            jj[i - 1] = 1
-            for _ in range(e):
-                factors.append((monomial(0, tuple(jj)), delta_jet_var(i)))
+        factors = [(constant(c), constant(fermat_delta(c, p)))]
+        for i, e in enumerate(z):
+            factors += [(var(i), var(i + 1))] * e
         return delta_product(factors)
 
-    monos = list(f.terms)
-    if not monos:
-        return JetSeries.make(p, "q", {})
-    (b, jets), c = monos[0]
-    head = monomial(b, jets, c)
-    dhead = delta_monomial(b, jets, c)
-    if len(monos) == 1:
-        return dhead
-    tail = JetSeries.make(p, "q", dict(monos[1:]))
-    dtail = delta_axiomatic(tail)
-    cp = JetSeries.make(p, "q", {})
-    for (i, j), cc in cp_coefficients(p).items():
-        cp = cp + head**i * tail**j * cc
-    return dhead + dtail + cp
+    def delta_sum(items):
+        (m, c), rest = items[0], items[1:]
+        dhead = delta_monomial(m[0], c)
+        if not rest:
+            return dhead
+        head, tail = {m: c}, dict(rest)
+        cp = (
+            sparse.scale(tuple_product(tuple_power(head, i), tuple_power(tail, j)), cc)
+            for (i, j), cc in cp_coefficients(p).items()
+        )
+        return sparse.add(dhead, delta_sum(rest), *cp)
+
+    items = list(f._to_terms().items())
+    return JetSeries.make(p, "q", JetSeries._from_terms(delta_sum(items) if items else {}))
 
 
 def exp_series(x: Series1, order: int | None = None) -> Series1:
@@ -315,6 +303,23 @@ def tuple_terms_delta(t, p, keep, jmax):
     return {m: c / p for m, c in _kept(num, keep).items()}
 
 
+KEEP_ALL = (lambda m: True, lambda c: True)  # the keep pair of an exact product
+
+
+def tuple_product(*factors, keep=KEEP_ALL):
+    """The product of tuple terms, one factor at a time from the one; exact
+    unless ``keep`` (a ``digits_keep`` pair) cuts it."""
+    out = {((), ()): Fraction(1)}
+    for t in factors:
+        out = tuple_terms_mul(out, t, keep)
+    return out
+
+
+def tuple_power(t, n, keep=KEEP_ALL):
+    """t**n as n products by t, with no squaring (unlike ``sparse.power``)."""
+    return tuple_product(*[t] * n, keep=keep)
+
+
 # ---------------------------------------------------------------------------
 # The single-prime steps on Fraction terms: the lemma chain and fsharp's
 # power loop before they stayed packed from the first step to the output
@@ -399,28 +404,31 @@ def lemma_logder_check_fraction(p, n, a, M=None):
 
 
 def fsharp_expansion_fraction(an, a_p, p, M, window, check=True):
-    """``forms.fsharp_expansion`` by ``JetSeries`` products and Fraction sums."""
+    """``forms.fsharp_expansion`` by tuple-route products and Fraction sums:
+    the powers of phi(q) and phi(phi(q)) keep weight below ``window + 1`` and
+    valuation below ``M + 3``."""
     check_prime(p)
     if p < 5:
         raise DomainError("the modular layer requires p >= 5")
     if len(an) < window:
         raise DomainError(f"need a_n for n <= {window}")
-    phi1 = phi(JetSeries.make(p, "q", {(1, ()): 1}))
-    phi2 = phi(phi1)
-    pow1 = pow2 = JetSeries.make(p, "q", {(0, ()): 1}, M, digits=M + 3, N=window + 1)
+    keep = digits_keep(p, digits=M + 3, weight_below=window + 1)
+    phi1 = tuple_terms_phi({((1,), ()): Fraction(1)}, p, digits_keep(p), 0)
+    phi2 = tuple_terms_phi(phi1, p, digits_keep(p), 0)
+    pow1 = pow2 = {((), ()): Fraction(1)}
     total = {}
     for n in range(1, window + 1):
-        pow1, pow2 = pow1 * phi1, pow2 * phi2
+        pow1, pow2 = tuple_terms_mul(pow1, phi1, keep), tuple_terms_mul(pow2, phi2, keep)
         scal = Fraction(an[n - 1], n * p)
         if scal == 0:
             continue
         total = sparse.add(
             total,
-            {m: c * scal for m, c in pow2.terms},
-            {m: c * scal * -a_p for m, c in pow1.terms},
-            {(n, ()): scal * p},
+            sparse.scale(pow2, scal),
+            sparse.scale(pow1, scal * -a_p),
+            {((n,), ()): scal * p},
         )
-    out = JetSeries.make(p, "q", total, M=M, digits=M)
+    out = JetSeries.make(p, "q", JetSeries._from_terms(total), M=M, digits=M)
     if check:
         bad = [(m, c) for m, c in out.terms if valuation(c, p) < 0]
         if bad:

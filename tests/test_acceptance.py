@@ -90,10 +90,8 @@ def test_criterion_03_psi_identities():
     psi = psi_fourier(p, M=W + 2, window=W)
     univ = Series1.make("t", {jets[0]: c * p for (b, jets), c in psi.terms}, N=W + 1)
     expu = exp_series(univ, order=W + 1)
-    jet = JetSeries.make(
-        p, "q", {(-p * n, (n,)): c for n, c in expu.terms if n}, M=M
-    ) + Fraction(expu.coeff(0))
-    lhs = jet * JetSeries.make(p, "q", {(p, ()): 1}, M=M)
+    # t^n stands for (q'/q^p)^n, q^(-p n) q'^n; times q^p, each base exponent shifts by p
+    lhs = JetSeries.make(p, "q", {(p - p * n, (n,)): c for n, c in expu.terms}, M=M)
     rhs = JetSeries.make(p, "q", {(p, ()): 1, (0, (1,)): p}, M=M)
     assert lhs == rhs
     # the deformation-side form is the q -> 1 + t image of the Fourier form

@@ -182,13 +182,29 @@ class TestChecks:
 
     @pytest.mark.parametrize(
         "place, value",
-        [((0, 0), 4.5), ((3, 0), 1.0), ((3, 0), True), ((0, 2, 0), 1.0), ((1, 2, 0), 2.5), ((2, 2, 0), True)],
+        [
+            (("terms", 0, 0), 4.5),
+            (("terms", 3, 0), 1.0),
+            (("terms", 3, 0), True),
+            (("terms", 0, 2, 0), 1.0),
+            (("terms", 1, 2, 0), 2.5),
+            (("terms", 2, 2, 0), True),
+            (("N",), 7.5),
+            (("N",), -3),
+            (("N",), True),
+            (("M",), 4.5),
+            (("digits",), 2.5),
+            (("base_order",), 1.0),
+            (("p",), 5.0),
+        ],
     )
     def test_t_side_refuses_a_non_integer_number(self, capsys, tmp_path, place, value):
-        # the t power b of a t-side term [b, c, jets], and a jet exponent
+        # the t power b of a t-side term [b, c, jets], a jet exponent, and the
+        # header: int() would read "M": 4.5 as 4, and a fractional or negative
+        # N names no truncation; each is a usage error
         golden = os.path.join(os.path.dirname(__file__), "golden", "psi_serretate_p5_N20.json")
         obj = json.loads(open(golden, encoding="utf-8").read())
-        *path, last = ("terms", *place)
+        *path, last = place
         functools.reduce(operator.getitem, path, obj)[last] = value
         f = tmp_path / "f.json"
         f.write_text(json.dumps(obj))

@@ -22,8 +22,9 @@ from pjet.deltajet import (
     psi_serretate,
 )
 from pjet.errors import DomainError, PjetError, PrecisionExhausted
-from pjet.multiprime import MultiJetSeries
+from pjet.multiprime import MultiJetSeries, delta_pk, from_jet_series, phi_pk, to_jet_series
 from pjet.qseries import Series1
+from pjet.sparse import add, scale
 
 
 def jq(p, terms, **kw):
@@ -35,6 +36,12 @@ def jt(p, terms, **kw):
 
 
 Q = lambda p=5: jq(p, {(1, ()): 1})  # noqa: E731
+T = JetSeries._to_terms  # a q-side series as tuple-route terms
+
+
+def jq_terms(p, t):
+    """The exact q-side series of tuple-route terms ``t``."""
+    return JetSeries.make(p, "q", JetSeries._from_terms(t))
 
 
 def random_poly_jet(rng, p, order=2, nterms=3, hi=3):
@@ -73,16 +80,17 @@ class TestPhi:
         for _ in range(10):
             a = random_poly_jet(rng, 5)
             b = random_poly_jet(rng, 5)
-            assert phi(a * b) == phi(a) * phi(b)
-            assert phi(a + b) == phi(a) + phi(b)
+            ta, tb, pa, pb = T(a), T(b), T(phi(a)), T(phi(b))
+            assert phi(jq_terms(5, tuple_product(ta, tb))) == jq_terms(5, tuple_product(pa, pb))
+            assert phi(jq_terms(5, add(ta, tb))) == jq_terms(5, add(pa, pb))
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_frobenius_lift_mod_p(self, p):
         rng = random.Random(p)
         for _ in range(8):
             f = random_poly_jet(rng, p)
-            diff = phi(f) - f**p
-            assert all(c.numerator % p == 0 for _, c in diff.terms)
+            diff = add(T(phi(f)), scale(tuple_power(T(f), p), -1))
+            assert all(c.numerator % p == 0 for c in diff.values())
 
 
 class TestDelta:
@@ -122,10 +130,11 @@ class TestDelta:
             for _ in range(6):
                 a = random_poly_jet(rng, p)
                 b = random_poly_jet(rng, p)
-                cp = JetSeries.make(p, "q", {})
-                for k in range(1, p):
-                    cp = cp + a**k * b ** (p - k) * Fraction(-comb(p, k), p)
-                assert delta(a + b) == delta(a) + delta(b) + cp
+                cp = (
+                    scale(tuple_product(tuple_power(T(a), k), tuple_power(T(b), p - k)), Fraction(-comb(p, k), p))
+                    for k in range(1, p)
+                )
+                assert delta(jq_terms(p, add(T(a), T(b)))) == jq_terms(p, add(T(delta(a)), T(delta(b)), *cp))
 
     def test_product_axiom_exact(self):
         rng = random.Random(13)
@@ -133,8 +142,13 @@ class TestDelta:
             for _ in range(6):
                 a = random_poly_jet(rng, p)
                 b = random_poly_jet(rng, p)
-                da, db = delta(a), delta(b)
-                assert delta(a * b) == a**p * db + b**p * da + da * db * p
+                da, db = T(delta(a)), T(delta(b))
+                want = add(
+                    tuple_product(tuple_power(T(a), p), db),
+                    tuple_product(tuple_power(T(b), p), da),
+                    scale(tuple_product(da, db), p),
+                )
+                assert delta(jq_terms(p, tuple_product(T(a), T(b)))) == jq_terms(p, want)
 
     def test_delta_phi_commute(self):
         rng = random.Random(17)
@@ -153,6 +167,8 @@ from _helpers import (  # noqa: E402
     lemma_logder_check_fraction,
     lemma_xlaphi_check_fraction,
     phi_terms,
+    tuple_power,
+    tuple_product,
     tuple_terms_delta,
     tuple_terms_phi,
 )
@@ -310,8 +326,7 @@ def t_side_jets(draw):
     keys = st.tuples(st.integers(0, 12), st.sampled_from([(), (1,), (2,), (0, 1), (1, 1)]))
     coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, p]))
     terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=4))
-    M = draw(st.sampled_from([4, 6, 8, 10]))
-    return JetSeries.make(p, "t", terms, M=M, N=draw(st.integers(1, 60)))
+    return JetSeries.make(p, "t", terms, N=draw(st.integers(1, 60)))
 
 
 def _t_substitution(f: JetSeries, step, N: int) -> JetSeries:
@@ -320,28 +335,35 @@ def _t_substitution(f: JetSeries, step, N: int) -> JetSeries:
     weight below N."""
     p = f.p
     t = step(f._to_terms(), p, digits_keep(p, weight_below=N), 0)
-    return JetSeries.make(p, "t", JetSeries._from_terms(t), f.M, N=N)
+    return JetSeries.make(p, "t", JetSeries._from_terms(t), N=N)
 
 
 class TestTSideAgainstMultiprime:
-    """The t-side phi and delta run through the d=1 several-prime phi_pk and
-    delta_pk, in ghost coordinates; the reference substitutes in the jet
-    coordinates instead."""
+    """A t-side series lifts as the d=1 several-prime phi_pk and delta_pk,
+    in ghost coordinates, through the bridges; the reference substitutes in
+    the jet coordinates instead."""
 
     @given(f=t_side_jets())
     @settings(max_examples=100, deadline=None)
     def test_phi_matches_phi_pk(self, f):
-        assert phi(f).to_json() == _t_substitution(f, tuple_terms_phi, f.p * f.N).to_json()
+        got = to_jet_series(phi_pk(from_jet_series(f), 0))
+        assert got.to_json() == _t_substitution(f, tuple_terms_phi, f.p * f.N).to_json()
 
     @given(f=t_side_jets())
     @settings(max_examples=100, deadline=None)
     def test_delta_matches_delta_pk(self, f):
-        assert delta(f).to_json() == _t_substitution(f, tuple_terms_delta, f.N).to_json()
+        got = to_jet_series(delta_pk(from_jet_series(f), 0))
+        assert got.to_json() == _t_substitution(f, tuple_terms_delta, f.N).to_json()
 
     @pytest.mark.parametrize("op", [phi, delta])
+    def test_q_side_maps_refuse_a_t_side_series(self, op):
+        with pytest.raises(DomainError, match=f"{op.__name__} is the q-side map"):
+            op(jt(5, {(1, ()): 1}, N=10))
+
+    @pytest.mark.parametrize("op", [phi_pk, delta_pk], ids=["phi", "delta"])
     def test_unbounded_series_rejected(self, op):
-        with pytest.raises(DomainError):
-            op(jt(5, {(1, ()): 1}))
+        with pytest.raises(DomainError, match="a weighted truncation bound is required"):
+            op(from_jet_series(jt(5, {(1, ()): 1})), 0)
 
 
 @st.composite
@@ -396,18 +418,18 @@ class TestPackedKernel:
 
 
 class TestNegativePower:
-    """No series type inverts a unit: all three refuse n < 0 alike."""
+    """No series type with a power inverts a unit: both refuse n < 0 alike.
+    A t-side series takes its powers in the d=1 several-prime ring."""
 
     @pytest.mark.parametrize(
         "f",
         [
-            jq(5, {(0, ()): 1, (1, ()): 1}),
-            jq(5, {(2, ()): 3}),
-            jt(7, {(0, ()): 1, (1, (1,)): 2}, N=10),
+            from_jet_series(jt(7, {(0, ()): 1, (1, (1,)): 2}, N=10)),
             MultiJetSeries.make((5, 7), {(): 1, (((0, 0), 1),): 1}, 10),
             Series1.make("q", {0: Fraction(1), 1: Fraction(1)}, 6),
             Series1.make("q", {-1: Fraction(2, 3), 0: Fraction(1)}).to_padic(5, 6),
         ],
+        ids=["f2", "f3", "f4", "f5"],  # f0 and f1 were q-side JetSeries, which has no powers
     )
     def test_refused(self, f):
         with pytest.raises(DomainError, match="negative powers are not defined here"):
@@ -584,3 +606,18 @@ class TestJson:
         s = psi_serretate(5, N=10)
         back = JetSeries.from_json(s.to_json())
         assert back == s and back.N == 10
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("N", -3), ("N", 7.5), ("N", True), ("M", 4.5), ("digits", 2.5), ("base_order", 1.0), ("p", 5.0)],
+    )
+    def test_t_side_header_refused(self, key, value):
+        obj = {**psi_serretate(5, N=10).to_json(), key: value}
+        with pytest.raises(DomainError):
+            JetSeries.from_json(obj)
+
+    def test_t_side_header_reads_integer_strings_and_nulls(self):
+        obj = {**psi_serretate(5, N=10).to_json(), "N": "10", "M": "6", "digits": None, "base_order": None}
+        back = JetSeries.from_json(obj)
+        assert (back.N, back.M, back.digits, back.base_order) == (10, 6, None, None)
+        assert back == psi_serretate(5, N=10)

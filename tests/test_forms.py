@@ -12,14 +12,16 @@ from _helpers import (
     build_f2e_k_fraction,
     covariance_check_fraction,
     delta_axiomatic,
+    digits_keep,
     fsharp_expansion_fraction,
     invert_unit,
     one_plus_u_pow_sum_comb,
+    tuple_terms_phi,
 )
 from pjet import forms
 from pjet.arith import PadicTrunc, valuation
 from pjet.cli import _dump as dump
-from pjet.deltajet import JetSeries, phi, psi_fourier, psi_serretate
+from pjet.deltajet import JetSeries, psi_fourier, psi_serretate
 from pjet.errors import DomainError, IntegralityViolation
 from pjet.forms import (
     build_f2e0,
@@ -39,12 +41,15 @@ from pjet.modular import (
 from pjet.multiprime import (
     MultiJetSeries,
     build_fe0,
+    build_fe_k,
     continuation_check,
     delta_pk,
     from_jet_series,
     layout,
+    psi_multi,
     t_generator,
 )
+from pjet.sparse import add, scale
 
 AN40 = newform_coefficients(CURVE_11A1, 40, bad_values={11: 1})
 A5 = ap_point_count(CURVE_11A1, 5)
@@ -86,9 +91,11 @@ class TestFsharp:
         p, W = 5, 25
         an = [1] + [0] * (W - 1)
         got = fsharp_expansion(an, 7, p, M=20, window=W, check=False)
-        q = JetSeries.make(p, "q", {(1, ()): 1})
-        want = (phi(phi(q)) - phi(q) * 7 + q * p) * Fraction(1, p)
-        assert got == want
+        q = {((1,), ()): Fraction(1)}
+        phi1 = tuple_terms_phi(q, p, digits_keep(p), 0)
+        phi2 = tuple_terms_phi(phi1, p, digits_keep(p), 0)
+        want = scale(add(phi2, scale(phi1, -7), scale(q, p)), Fraction(1, p))
+        assert got == JetSeries.make(p, "q", JetSeries._from_terms(want))
 
     def test_eleven_a_one_is_13_integral(self):
         fs = fsharp_expansion(AN40[:30], A13, 13, M=6, window=30)
@@ -121,10 +128,20 @@ class TestFsharp:
         with pytest.raises(DomainError):
             fsharp_expansion([1, 2], A13, 13, M=6, window=10)
 
+    @pytest.mark.parametrize("M, window", [(0, 10), (6, 0), (-1, 10)])
+    def test_ranges_below_one_refused(self, M, window):
+        # as psi_fourier: at M = 0 no digit of the payload would be guaranteed
+        name, value = ("M", M) if M < 1 else ("window", window)
+        with pytest.raises(DomainError, match=f"{name} must be at least 1, got {value}"):
+            fsharp_expansion(AN40[:10], A5, 5, M=M, window=window)
+
+    def test_ranges_of_one_accepted(self):
+        assert fsharp_expansion(AN40[:1], A5, 5, M=1, window=1).to_json()["M"] == 1
+
 
 class TestFsharpCrossRoute:
     """fsharp's power loop and sum in packed integers against the route of
-    ``JetSeries`` products and Fraction sums (``tests/_helpers.py``)."""
+    tuple-monomial products and Fraction sums (``tests/_helpers.py``)."""
 
     @pytest.mark.parametrize("window, M", [(30, 6), (20, 4), (12, 8)])
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
@@ -255,11 +272,12 @@ GHOST_PRIMES = [(5,), (13,), (5, 13), (7, 11), (5, 7, 11)]
 @st.composite
 def f2e_case(draw):
     """A prime set of d = 1, 2 or 3, a_n for n <= n_max and a_p drawn apart
-    (a_p = 0 included), N from below 1 to past n_max."""
+    (a_p = 0 included), N from 0 (the zero ring) to past n_max; a negative N
+    is refused (``TestNegativeN``)."""
     P = draw(st.sampled_from(GHOST_PRIMES))
     an = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=45))
     ap = [draw(st.integers(-4, 4)) for _ in P]
-    return an, P, ap, draw(st.integers(-1, 45))
+    return an, P, ap, draw(st.integers(0, 45))
 
 
 def same_bytes(a: MultiJetSeries, b: MultiJetSeries) -> bool:
@@ -402,6 +420,32 @@ def q_series(draw):
         jets = tuple(draw(st.integers(0, 2)) for _ in range(draw(st.integers(0, 2))))
         terms[(b, jets)] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
     return JetSeries.make(p, "q", terms), draw(st.integers(1, 14))
+
+
+NEGATIVE_N_BUILDERS = [
+    pytest.param(lambda N: build_fe0((5, 7), N), id="build_fe0"),
+    pytest.param(lambda N: build_fe_k((5, 7), 1, N), id="build_fe_k"),
+    pytest.param(lambda N: psi_multi((5, 7), 1, N), id="psi_multi"),
+    pytest.param(lambda N: psi_serretate(5, N), id="psi_serretate"),
+    pytest.param(lambda N: build_f2e0(AN40[:12], (5, 13), (A5, A13), N), id="build_f2e0"),
+    pytest.param(lambda N: build_f2e_k(AN40[:12], (5, 13), 1, (A5, A13), N), id="build_f2e_k"),
+    pytest.param(lambda N: fourier_to_deformation(psi_fourier(5, M=8, window=6), N), id="fourier_to_deformation"),
+]
+
+
+class TestNegativeN:
+    """Every several-prime builder goes through ``multiprime.Layout``, which
+    refuses a negative N; N = 0 is the zero ring."""
+
+    @pytest.mark.parametrize("build", NEGATIVE_N_BUILDERS)
+    def test_refused(self, build):
+        with pytest.raises(DomainError, match="N must be at least 0, got -1"):
+            build(-1)
+
+    @pytest.mark.parametrize("build", NEGATIVE_N_BUILDERS)
+    def test_zero_is_the_zero_ring(self, build):
+        f = build(0)
+        assert f.N == 0 and f.terms == ()
 
 
 class TestTranscription:

@@ -589,8 +589,15 @@ class TestBuildFe0:
     @pytest.mark.parametrize("P", [(5,), (7,), P57, (5, 13), P5711])
     @pytest.mark.parametrize("N", [-1, 0, 1, 2, 6, 30, 50])
     def test_matches_fraction_route(self, P, N):
-        got, want = build_fe0(P, N), build_fe0_fraction(P, N)
-        assert dump(got.to_json()) == dump(want.to_json())
+        # the same bytes, or at N = -1 the same refusal from the layout
+        def outcome(build):
+            try:
+                return dump(build(P, N).to_json())
+            except DomainError as e:
+                return str(e)
+
+        assert outcome(build_fe0) == outcome(build_fe0_fraction)
+        assert (N < 0) == outcome(build_fe0).startswith("N must be at least 0")
 
     def test_d1_equals_one_prime_route(self):
         fe0 = build_fe0([5], 30)

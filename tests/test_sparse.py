@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import _helpers
 from pjet.arith import PadicTrunc
 from pjet.deltajet import JetSeries
-from pjet.multiprime import MultiJetSeries
+from pjet.multiprime import MultiJetSeries, from_jet_series, to_jet_series
 from pjet.qseries import Series1
 from pjet.sparse import add, mul, power, scale
 
@@ -155,15 +155,11 @@ class TestTrivialPowers:
         }
 
     def test_jet_series(self):
-        j = JetSeries.make(
-            5, "q", {(-2, ()): F(1), (7, (1,)): F(3), (3, ()): F(50)}, M=4, digits=2, base_order=8
-        )
-        meta = {"var": "q", "p": 5, "M": 4, "digits": 2, "N": None}
-        assert (j**0).to_json() == {**meta, "base_order": 8, "terms": [[0, "1", []]]}
-        assert (j**1).to_json() == {**meta, "base_order": 6, "terms": [[-2, "1", []]]}
+        # a t-side series takes its powers in the d=1 several-prime ring
         t = JetSeries.make(5, "t", {(1, ()): F(1), (0, (1,)): F(2), (9, ()): F(1)}, N=10)
-        assert (t**0).to_json() == {**t.to_json(), "terms": [[0, "1", []]]}
-        assert (t**1).to_json() == t.to_json()
+        m = from_jet_series(t)
+        assert to_jet_series(m**0).to_json() == {**t.to_json(), "terms": [[0, "1", []]]}
+        assert to_jet_series(m**1).to_json() == t.to_json()
 
     def test_multi_jet_series(self):
         m = MultiJetSeries.make(
