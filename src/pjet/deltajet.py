@@ -16,11 +16,13 @@ tails and are tracked by a guaranteed-digit counter.
 A monomial is a pair of exponent tuples: the ``z`` family (index 0 the
 base variable, index i >= 1 the i-th jet) and an auxiliary family a_0, a_1,
 ... for an adjoined symbolic coefficient and its delta-chain.  The kernel
-packs it into one int and scales the coefficients to integers over their lcm
-D (packed exponent vectors, after Monagan and Pearce).  Each ``phi`` and
-``delta`` step and each product builds its own ``Layout`` from its input, and
-a lemma's delta chain one for all its steps: one field per jet z_1..z_(r+1)
-and per a_0..a_(s+1) (one more of each per further step), all of one width,
+packs it into one int and scales the coefficients to integers over one
+denominator (packed exponent vectors, after Monagan and Pearce), and that
+packed form is the stored value of a ``JetSeries``.  ``make`` stores a series
+in a ``Layout`` with room for one step; ``delta_n`` moves it into one for all
+its steps, as a lemma's delta chain is, and a step whose input has no room
+left builds a new one.  A layout has one field per jet z_1..z_(r+1) and per
+a_0..a_(s+1) (one more of each per further step), all of one width,
 and the signed base exponent above them: the product is integer ``+``, and a
 base cut is the key limit ``cut << shift`` for ``sparse.mul``, which walks its
 second operand in key order and squares once.  The width holds
@@ -33,8 +35,11 @@ Truncation contracts:
 
 * q side: coefficients valid modulo p**digits (``digits=None`` means exact),
   base exponents known below ``base_order`` (None means no unknown tail).
+  A step cuts and reduces its integer numerators and passes them on in their
+  layout; only ``to_json`` writes the coefficients as text.
 * t side: weighted degree with wt(t)=1, wt(delta^i t)=p**i, all monomials of
-  weight >= N dropped; everything is exact rational.  A t-side series is the
+  weight >= N dropped; everything is exact rational, so ``digits`` and
+  ``base_order`` stay None.  A t-side series is the
   one-prime view of a d=1 ``multiprime`` series, which is where it is lifted
   and multiplied: ``from_jet_series`` and then ``phi_pk``, ``delta_pk`` or
   the ``MultiJetSeries`` ring operations.  ``psi_serretate`` computes there
@@ -45,8 +50,9 @@ Truncation contracts:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -115,13 +121,12 @@ class Layout:
     def pack(self, t: Terms, D: int) -> Packed:
         return {self.key(m): c.numerator * (D // c.denominator) for m, c in t.items()}
 
+    def mono(self, k: int) -> Monomial:
+        e = self.exps(k)
+        return _trim((k >> self.shift, *e[: self.nz])), _trim(tuple(e[self.nz :]))
+
     def unpack(self, t: Packed, den: int) -> Terms:
-        out = {}
-        for k, x in t.items():
-            e = self.exps(k)
-            z = _trim((k >> self.shift, *e[: self.nz]))
-            out[(z, _trim(tuple(e[self.nz :])))] = Fraction(x, den)
-        return out
+        return {self.mono(k): Fraction(x, den) for k, x in t.items()}
 
     def below(self, cut: int | None) -> int | None:
         """The key limit of base exponents below ``cut`` (None for no cut)."""
@@ -141,6 +146,13 @@ def terms_mul(t1: Packed, t2: Packed, limit: int | None, mod: int | None) -> Pac
 
 def _cut(t: Packed, limit: int | None, mod: int | None) -> Packed:
     return {m: x for m, x in t.items() if (limit is None or m < limit) and (x % mod if mod else x)}
+
+
+def _reduce(t: Packed, den: int) -> tuple[Packed, int]:
+    """t / den with no factor common to den and all of the numerators: the
+    numerators that packing the reduced ``Fraction``s over their lcm gives."""
+    g = math.gcd(den, *t.values())
+    return (t, den) if g == 1 else ({m: x // g for m, x in t.items()}, den // g)
 
 
 def terms_phi(t: Packed, L: Layout, limit, mod: int | None, jmax: int) -> Packed:
@@ -203,17 +215,25 @@ def _weight(z: tuple[int, ...], p: int) -> int:
 class JetSeries:
     """Truncated element of a single-prime jet ring.
 
-    ``terms`` maps (base exponent, jet exponents) to exact rational
-    coefficients.  See the module docstring for the truncation contract.
+    The stored value is the packed form: integer numerators ``num`` by key of
+    the layout ``L``, over the positive denominator ``den``, none of them
+    zero and no factor common to den and all of them.  ``L`` has the spare
+    fields and the width of ``room`` more phi or delta steps.  ``terms``,
+    which maps (base exponent, jet exponents) to rational coefficients, is a
+    view built on first use.  See the module docstring for the truncation
+    contract.
     """
 
     p: int
     base: str  # "q" or "t"
-    terms: tuple[tuple[tuple[int, tuple[int, ...]], Fraction], ...]
+    L: Layout
+    num: Packed
+    den: int
     M: int = 8
     digits: int | None = None  # q side: valid mod p**digits; None = exact
     base_order: int | None = None  # q side: base exponents >= this are unknown
     N: int | None = None  # t side: weighted degree bound (exclusive)
+    room: int = 0
 
     @staticmethod
     def make(
@@ -227,14 +247,16 @@ class JetSeries:
     ) -> "JetSeries":
         if base not in ("q", "t"):
             raise DomainError(f"unknown base tag {base!r}")
-        clean = {}
+        if base == "t" and (digits, base_order) != (None, None):
+            raise DomainError("digits and base_order are q-side fields; a t-side series is exact below N")
+        clean: Terms = {}
         for (b, jets), c in terms.items():
             jets = _trim(tuple(jets))
             if any(e < 0 for e in jets):
                 raise DomainError("jet exponents must be nonnegative")
             if base == "t" and b < 0:
                 raise DomainError("negative base exponents need the q side")
-            c = Fraction(c)
+            c = c if isinstance(c, Fraction) else Fraction(c)
             if c == 0:
                 continue
             if N is not None and _weight((b, *jets), p) >= N:
@@ -243,35 +265,67 @@ class JetSeries:
                 continue
             if digits is not None and _vp(c, p) >= digits:
                 continue
-            clean[(b, jets)] = c
-        return JetSeries(
-            p, base, tuple(sorted(clean.items())), M, digits, base_order, N
-        )
-
-    # -- representation plumbing --------------------------------------------
-
-    def _to_terms(self) -> Terms:
-        return {(_trim((b, *jets)), ()): c for (b, jets), c in self.terms}
+            clean[(_trim((b, *jets)), ())] = c
+        D = _den(clean)
+        num = {m: c.numerator * (D // c.denominator) for m, c in clean.items()}
+        return JetSeries._of(p, base, num, D, M, digits, base_order, N)
 
     @staticmethod
-    def _from_terms(t: Terms) -> dict[tuple[int, tuple[int, ...]], Fraction]:
-        out = {}
-        for (zexps, vexps), c in t.items():
-            if vexps != ():
-                raise DomainError("auxiliary variables cannot appear in a public series")
-            b = zexps[0] if zexps else 0
-            out[(b, _trim(zexps[1:]))] = c
-        return out
+    def _of(p: int, base: str, t: Mapping[Monomial, int], den: int, M=8, digits=None, base_order=None, N=None):
+        """The series of the numerators ``t`` by monomial over ``den``, with no
+        factor common to den and all of them, in a layout for one step."""
+        L = Layout(p, t, M if digits is None else digits)
+        return JetSeries(p, base, L, {L.key(m): x for m, x in t.items()}, den, M, digits, base_order, N, 1)
+
+    # -- views of the store ---------------------------------------------------
+
+    def _rows(self) -> list[tuple[int, list[int], int]]:
+        """(base exponent, jet exponents, numerator) of each stored term, the
+        jets read from the key's fields up to the last nonzero one."""
+        L = self.L
+        w, mask, zmask = L.width, L.mask, (1 << L.nz * L.width) - 1
+        rows = []
+        for k, x in self.num.items():
+            low, jets = k & zmask, []
+            while low:
+                jets.append(low & mask)
+                low >>= w
+            rows.append((k >> L.shift, jets, x))
+        return rows
+
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[tuple[int, tuple[int, ...]], Fraction], ...]:
+        """The terms in (base exponent, jets) order, built on first use."""
+        return tuple(((b, tuple(jets)), Fraction(x, self.den)) for b, jets, x in sorted(self._rows()))
+
+    def _in(self, L: Layout) -> Packed:
+        """The numerators keyed in the layout L."""
+        return {L.key(self.L.mono(k)): x for k, x in self.num.items()}
+
+    def _with_room(self, steps: int) -> "JetSeries":
+        """This series in a layout with room for ``steps`` more phi or delta
+        steps: its own if that has the room, else one built for them."""
+        if self.room >= steps:
+            return self
+        L = Layout(self.p, map(self.L.mono, self.num), self.eff_digits(), steps)
+        return replace(self, L=L, num=self._in(L), room=steps)
+
+    def _step(self, t: Packed, den: int, digits: int | None, border: int | None) -> "JetSeries":
+        """The q-side series one phi or delta step on from this one, of the
+        numerators ``t`` in its layout over ``den``: cut at the base_order
+        border and by the digit rule (see ``_mod``), then reduced."""
+        t, den = _reduce(_cut(t, self.L.below(border), _mod(self.p, digits, den)), den)
+        return JetSeries(self.p, "q", self.L, t, den, self.M, digits, border, None, self.room - 1)
 
     def r(self) -> int:
         """Jet order: highest jet index that occurs."""
-        return max((len(jets) for (_, jets), _ in self.terms), default=0)
+        return max((len(jets) for _, jets, _ in self._rows()), default=0)
 
     def eff_digits(self) -> int:
         return self.digits if self.digits is not None else self.M
 
     def base_valuation(self) -> int:
-        return min((b for (b, _), _ in self.terms), default=0)
+        return min(self.num, default=0) >> self.L.shift  # keys order by base exponent first
 
     # -- equality -------------------------------------------------------------
 
@@ -304,6 +358,12 @@ class JetSeries:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The payload, its terms in (base exponent, jets) order, each
+        coefficient written from its numerator over ``den``."""
+        den, terms = self.den, []
+        for b, jets, x in sorted(self._rows()):
+            g = math.gcd(x, den)
+            terms.append([b, str(x // g) if g == den else f"{x // g}/{den // g}", jets])
         return {
             "var": self.base,
             "p": self.p,
@@ -311,16 +371,15 @@ class JetSeries:
             "digits": self.digits,
             "base_order": self.base_order,
             "N": self.N,
-            "terms": [
-                [b, format_rational(c), list(jets)] for (b, jets), c in self.terms
-            ],
+            "terms": terms,
         }
 
     @staticmethod
     def from_json(obj: Mapping) -> "JetSeries":
         """The payload's series.  Every integer is an int or an integer
         string, never a float or a bool; ``digits``, ``base_order`` and ``N``
-        may be null, and N is not negative."""
+        may be null, N is not negative, and a t-side payload has no digits
+        or base_order."""
 
         def opt(key):
             return None if obj.get(key) is None else parse_int(obj[key])
@@ -357,10 +416,9 @@ def phi(f: JetSeries) -> JetSeries:
         border = p * (f.base_order - digits + 1)
     # phi(q^a * jets) has base exponents exactly p(a-j): the jet images add
     # none, so a monomial at or above the output border never comes back.
-    t = f._to_terms()
-    L, D = Layout(p, t, geff), _den(t)
-    out = terms_phi(L.pack(t, D), L, L.below(border), _mod(p, f.digits, D), geff)
-    return _q_result(f, L, out, D, digits, border)
+    f = f._with_room(1)
+    out = terms_phi(f.num, f.L, f.L.below(border), _mod(p, f.digits, f.den), geff)
+    return f._step(out, f.den, digits, border)
 
 
 def delta(f: JetSeries) -> JetSeries:
@@ -393,23 +451,19 @@ def delta(f: JetSeries) -> JetSeries:
         # are final; so a monomial at or above ``cut`` only feeds the terms
         # at or above ``border`` that the output drops anyway.
         cut = border - (p - 1) * v
-    t = f._to_terms()
-    L, D = Layout(p, t, geff), _den(t)
-    out, den = terms_delta(L.pack(t, D), D, L, L.below(cut), f.digits, geff)
-    return _q_result(f, L, out, den, digits, border)
-
-
-def _q_result(f: JetSeries, L: Layout, t: Packed, den: int, digits, border) -> JetSeries:
-    """The q-side series of numerators ``t`` over ``den``, with ``make``'s
-    cuts taken on the numerators: the digit rule (see ``_mod``) and the
-    base_order border.  ``unpack`` trims, so the terms need only sorting."""
-    t = JetSeries._from_terms(L.unpack(_cut(t, L.below(border), _mod(f.p, digits, den)), den))
-    return JetSeries(f.p, "q", tuple(sorted(t.items())), f.M, digits, border, None)
+    f = f._with_room(1)
+    out, den = terms_delta(f.num, f.den, f.L, f.L.below(cut), f.digits, geff)
+    return f._step(out, den, digits, border)
 
 
 def delta_n(f: JetSeries, n: int) -> JetSeries:
+    """delta applied n times, in one layout built for all n steps.  A
+    layout's width grows as (p+1)**steps, so it is sized for eff_digits
+    steps at most: a p-adic chain consumes a digit a step and runs no
+    further, and a longer exact chain builds a layout per further step."""
     if n < 0:
         raise DomainError("n must be nonnegative")
+    f = f._with_room(min(n, f.eff_digits()))
     for _ in range(n):
         f = delta(f)
     return f
@@ -476,15 +530,14 @@ class LemmaReport:
 
 def _lemma_delta_n(t: Terms, p: int, n: int, M: int) -> tuple[Layout, Packed, int]:
     """delta^n of ``t``, the steps valid mod p**M, p**(M-1), ..., in one layout
-    for all n steps: (layout, numerators, denominator).  Each step's numerators
-    and denominator are divided by their gcd, so the next step multiplies the
-    numerators that packing its Fraction input would give."""
+    for all n steps: (layout, numerators, denominator).  Each step is reduced
+    as a ``delta`` step is.  The chain stays apart from ``delta_n``: it
+    carries an auxiliary family, and it runs with M <= n, where ``delta``
+    has no digit left to consume."""
     L, D = Layout(p, t, M, n), _den(t)
     t = L.pack(t, D)
     for digits in range(M, M - n, -1):
-        t, den = terms_delta(t, D, L, None, digits, digits)
-        g = math.gcd(den, *t.values())
-        t, D = {k: x // g for k, x in t.items()}, den // g
+        t, D = _reduce(*terms_delta(t, D, L, None, digits, digits))
     return L, t, D
 
 

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence, Union
 
 from . import sparse
 from .arith import PadicTrunc, at_least, check_prime, valuation
-from .deltajet import JetSeries, Layout as JetLayout, _cut, _mod, delta_n, phi, terms_mul
+from .deltajet import JetSeries, Layout as JetLayout, _cut, _mod, _reduce, delta_n, phi, terms_mul
 from .errors import DomainError, IntegralityViolation
 from .modular import QExpansion
 from .multiprime import (
@@ -104,8 +104,8 @@ def fsharp_expansion(
     # below M + 3 and the weights <= window; the sum is over p * lcm(1..window)
     phi1 = phi(JetSeries.make(p, "q", {(1, ()): 1}))
     phi2 = phi(phi1)
-    L = JetLayout(p, phi2._to_terms(), window)
-    f1, f2 = (L.pack(f._to_terms(), 1) for f in (phi1, phi2))
+    L = JetLayout(p, map(phi2.L.mono, phi2.num), window)
+    f1, f2 = phi1._in(L), phi2._in(L)  # both over 1
     limit, mod, D = L.below(window + 1), _mod(p, M + 3, 1), p * math.lcm(*range(1, window + 1))
 
     def times(t: dict[int, int], f: dict[int, int]) -> dict[int, int]:
@@ -120,12 +120,10 @@ def fsharp_expansion(
         if s:
             total = sparse.add(total, sparse.scale(pow2, s), sparse.scale(pow1, -a_p * s), {n << L.shift: s * p})
     total = _cut(total, None, _mod(p, M, D))
-    bad = L.unpack({m: x for m, x in total.items() if x % p ** valuation(D, p)}, D) if check else {}
-    if bad:
-        m, c = min(JetSeries._from_terms(bad).items())
+    if check and (bad := {m: x for m, x in total.items() if x % p ** valuation(D, p)}):
+        m, c = JetSeries(p, "q", L, bad, D).terms[0]
         raise IntegralityViolation(f"coefficient {c} at {m} is not {p}-integral")
-    out = JetSeries._from_terms(L.unpack(total, D))
-    return JetSeries(p, "q", tuple(sorted(out.items())), M, M)
+    return JetSeries(p, "q", L, *_reduce(total, D), M, M)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +215,8 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
     builders and can serve as a cross-check between the two expansions.
 
     It runs in integers: each image is integral, since delta maps
-    Z[t, x_1, ...] into itself, and f is scaled over the lcm L of its
-    denominators.  Horner's rule in the jets, outermost first, combines the
+    Z[t, x_1, ...] into itself, and f is stored as integer numerators over
+    one denominator.  Horner's rule in the jets, outermost first, combines the
     groups of terms with equal jet exponents; a group's q-part sum_b c_b q^b
     is sum_{n < N} (sum_b c_b C(b, n)) t^n.  Every weight is >= 1, so the
     series below N form a quotient ring and each Horner step may truncate.
@@ -233,28 +231,26 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
         images.append(image._packed(L))
         if images[-1].den != 1:
             raise IntegralityViolation("a jet image of 1 + t is not integral")
-    den = math.lcm(*(c.denominator for _, c in f.terms))
 
-    def horner(terms: list, i: int) -> dict[int, int]:
-        """The terms with jets x_1..x_i still to substitute, in integers."""
+    def horner(rows: list, i: int) -> dict[int, int]:
+        """The rows (b, jets, numerator) with jets x_1..x_i still to substitute."""
         if i == 0:
             row = [0] * N
-            for (b, _), c in terms:
-                x = c.numerator * (den // c.denominator)
+            for b, _, x in rows:
                 for n in range(N):
                     row[n] += x
                     x = x * (b - n) // (n + 1)
             return {n * L.var[(0,)] if n else 0: x for n, x in enumerate(row) if x}
         groups: dict[int, list] = {}
-        for (b, jets), c in terms:
-            groups.setdefault(jets[i - 1] if len(jets) >= i else 0, []).append(((b, jets), c))
+        for b, jets, x in rows:
+            groups.setdefault(jets[i - 1] if len(jets) >= i else 0, []).append((b, jets, x))
         acc: dict[int, int] = {}
         for e in range(max(groups, default=0), -1, -1):
             acc = sparse.add(poly_mul(acc, images[i - 1], L.limit), horner(groups.get(e, []), i - 1))
         return acc
 
-    out = horner(list(f.terms), len(images))
-    return L.series(_canon(out, den), 0)
+    out = horner(f._rows(), len(images))
+    return L.series(_canon(out, f.den), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .arith import at_least, check_prime, is_prime, reduce_rational_mod
+from .arith import at_least, check_prime, is_prime, parse_int, reduce_rational_mod
 from .errors import DomainError, MissingPrimeValue
 from .qseries import Series1
 
@@ -77,7 +77,7 @@ class QExpansion:
 
     @staticmethod
     def from_json(obj) -> "QExpansion":
-        return QExpansion(int(obj.get("weight", 0)), int(obj.get("level", 1)), Series1.from_json(obj))
+        return QExpansion(parse_int(obj.get("weight", 0)), parse_int(obj.get("level", 1)), Series1.from_json(obj))
 
 
 def eisenstein(k: int, trunc: int) -> QExpansion:

@@ -980,26 +980,23 @@ def from_jet_series(f) -> MultiJetSeries:
     if f.N is None:
         raise DomainError("a weighted truncation bound is required")
     L = layout(_check_primes((f.p,)), f.N)
-    monos = [tuple(((i,), e) for i, e in enumerate((b, *jets)) if e) for (b, jets), _ in f.terms]
-    pairs = [(L.pack(m), c.as_integer_ratio()) for m, (_, c) in zip(monos, f.terms)]
-    return MultiJetSeries(L.P, _stored(pairs), f.N, 1)
+    # a kept term weighs below N, so each of its variables has a field
+    t = {sum(e * L.var[(i,)] for i, e in enumerate((b, *jets)) if e): x for b, jets, x in f._rows()}
+    return MultiJetSeries(L.P, _canon(t, f.den), f.N, 1)
 
 
 def to_jet_series(f: MultiJetSeries):
     """Flatten a d=1 series back into the one-prime jet representation."""
-    from .deltajet import JetSeries
+    from .deltajet import JetSeries, _trim
 
     if f.d() != 1:
         raise DomainError("only d=1 series can be flattened")
-    terms = {}
-    for m, c in f.terms:
-        b = 0
-        jets: dict[int, int] = {}
-        for (i,), e in m:
-            if i == 0:
-                b = e
-            else:
-                jets[i] = e
-        top = max(jets) if jets else 0
-        terms[(b, tuple(jets.get(i, 0) for i in range(1, top + 1)))] = Fraction(c)
-    return JetSeries.make(f.P[0], "t", terms, N=f.N)
+    L = layout(f.P, f.N)
+    store = f._packed(L)
+    t = {}
+    for m, x in store.items():
+        z = [0] * len(L.fields)
+        for (i,), e in L.unpack(m):
+            z[i] = e
+        t[(_trim(tuple(z)), ())] = x
+    return JetSeries._of(f.P[0], "t", t, store.den, N=f.N)

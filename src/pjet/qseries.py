@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 from . import sparse
-from .arith import PadicTrunc, decode_coeff, encode_coeff, min_order
+from .arith import PadicTrunc, at_least, decode_coeff, encode_coeff, min_order, parse_int
 from .errors import DomainError
 
 Coeff = Union[Fraction, PadicTrunc]
@@ -166,9 +166,13 @@ class Series1:
 
     @staticmethod
     def from_json(obj: Mapping) -> "Series1":
-        return Series1.make(
-            obj["var"], {int(e): decode_coeff(c) for e, c in obj["terms"]}, obj.get("N")
-        )
+        """The payload's series: N and every exponent read by ``parse_int``,
+        N null or not negative."""
+        N = obj.get("N")
+        if N is not None:
+            N = parse_int(N)
+            at_least(0, N=N)
+        return Series1.make(obj["var"], {parse_int(e): decode_coeff(c) for e, c in obj["terms"]}, N)
 
 
 # ---------------------------------------------------------------------------

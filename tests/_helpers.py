@@ -25,14 +25,18 @@ from pjet.modular import QExpansion
 from pjet.multiprime import (
     M_ONE,
     MultiJetSeries,
+    _canon,
     _check_primes,
     _generator,
     _norm_mono,
     assert_ring_integral,
+    delta_pk,
     ghost_shift,
     ghost_to_jet,
     layout,
+    poly_mul,
     substitute_gamma,
+    t_generator,
     var_weight,
 )
 from pjet.qseries import Series1
@@ -108,8 +112,8 @@ def delta_axiomatic(f: JetSeries) -> JetSeries:
         )
         return sparse.add(dhead, delta_sum(rest), *cp)
 
-    items = list(f._to_terms().items())
-    return JetSeries.make(p, "q", JetSeries._from_terms(delta_sum(items) if items else {}))
+    items = list(to_terms(f).items())
+    return JetSeries.make(p, "q", from_terms(delta_sum(items) if items else {}))
 
 
 def exp_series(x: Series1, order: int | None = None) -> Series1:
@@ -231,6 +235,21 @@ def _trim(t):
     while i > 0 and t[i - 1] == 0:
         i -= 1
     return t[:i]
+
+
+def to_terms(f):
+    """A jet series as tuple-route terms: ((b, jets...) trimmed, ()) -> c."""
+    return {(_trim((b, *jets)), ()): c for (b, jets), c in f.terms}
+
+
+def from_terms(t):
+    """Tuple-route terms as ``JetSeries.make`` takes them: (b, jets) -> c."""
+    out = {}
+    for (z, a), c in t.items():
+        if a != ():
+            raise DomainError("auxiliary variables cannot appear in a public series")
+        out[(z[0] if z else 0, _trim(z[1:]))] = c
+    return out
 
 
 def _padd(a, b):
@@ -428,7 +447,7 @@ def fsharp_expansion_fraction(an, a_p, p, M, window, check=True):
             sparse.scale(pow1, scal * -a_p),
             {((n,), ()): scal * p},
         )
-    out = JetSeries.make(p, "q", JetSeries._from_terms(total), M=M, digits=M)
+    out = JetSeries.make(p, "q", from_terms(total), M=M, digits=M)
     if check:
         bad = [(m, c) for m, c in out.terms if valuation(c, p) < 0]
         if bad:
@@ -650,3 +669,64 @@ def ap_point_count_legendre(E, p):
         lin = (E.a1 * x + E.a3) % p
         count += 1 + _legendre(lin * lin + 4 * rhs, p)
     return p + 1 - count
+
+
+# ---------------------------------------------------------------------------
+# The readers of a jet series fed from its ``terms`` view: the routes before
+# the packed form was the stored value of a ``JetSeries``
+# ---------------------------------------------------------------------------
+
+
+def fourier_to_deformation_terms(f, N):
+    """``forms.fourier_to_deformation`` reading ``f.terms``, over the lcm of
+    its denominators."""
+    if f.base != "q":
+        raise DomainError("expected a Fourier-side jet series")
+    P = (f.p,)
+    L = layout(P, N)
+    image, images = t_generator(P, N) + 1, []
+    for _ in range(max((len(jets) for (_, jets), _ in f.terms), default=0)):
+        image = delta_pk(image, 0)
+        images.append(image._packed(L))
+    den = math.lcm(*(c.denominator for _, c in f.terms))
+
+    def horner(terms, i):
+        if i == 0:
+            row = [0] * N
+            for (b, _), c in terms:
+                x = c.numerator * (den // c.denominator)
+                for n in range(N):
+                    row[n] += x
+                    x = x * (b - n) // (n + 1)
+            return {n * L.var[(0,)] if n else 0: x for n, x in enumerate(row) if x}
+        groups = {}
+        for (b, jets), c in terms:
+            groups.setdefault(jets[i - 1] if len(jets) >= i else 0, []).append(((b, jets), c))
+        acc = {}
+        for e in range(max(groups, default=0), -1, -1):
+            acc = sparse.add(poly_mul(acc, images[i - 1], L.limit), horner(groups.get(e, []), i - 1))
+        return acc
+
+    return L.series(_canon(horner(list(f.terms), len(images)), den), 0)
+
+
+def from_jet_series_terms(f):
+    """``multiprime.from_jet_series`` reading ``f.terms``."""
+    if not isinstance(f, JetSeries) or f.base != "t":
+        raise DomainError("expected a t-side jet series")
+    if f.N is None:
+        raise DomainError("a weighted truncation bound is required")
+    terms = {tuple(((i,), e) for i, e in enumerate((b, *jets)) if e): c for (b, jets), c in f.terms}
+    return MultiJetSeries.make((f.p,), terms, f.N, 1)
+
+
+def to_jet_series_terms(F):
+    """``multiprime.to_jet_series`` reading ``F.terms`` into ``JetSeries.make``."""
+    if F.d() != 1:
+        raise DomainError("only d=1 series can be flattened")
+    terms = {}
+    for m, c in F.terms:
+        z = {i: e for (i,), e in m}
+        top = max(z, default=0)
+        terms[(z.get(0, 0), tuple(z.get(i, 0) for i in range(1, top + 1)))] = c
+    return JetSeries.make(F.P[0], "t", terms, N=F.N)

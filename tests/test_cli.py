@@ -211,6 +211,46 @@ class TestChecks:
         code, js = run(capsys, "check-covariance", "--input", str(f), "--gamma", "2", "--nu", "1")
         assert code == 2 and js["error"]["code"] == "domain"
 
+    @pytest.mark.parametrize("key, value", [("digits", 1), ("base_order", 3), ("digits", "2")])
+    def test_t_side_refuses_q_side_fields(self, capsys, tmp_path, key, value):
+        # digits and base_order would cut the terms of a t-side series, and the
+        # covariance check would then fail on an exact payload
+        golden = os.path.join(os.path.dirname(__file__), "golden", "psi_serretate_p5_N20.json")
+        obj = {**json.loads(open(golden, encoding="utf-8").read()), key: value}
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(obj))
+        code, js = run(capsys, "check-covariance", "--input", str(f), "--gamma", "2", "--nu", "1")
+        assert code == 2 and js["error"]["code"] == "domain"
+        assert "digits and base_order are q-side fields" in js["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("N", 6.5), ("N", -2), ("N", True), ("N", 6.0), ("weight", 4.5), ("level", True), ("terms", [[1.0, "240"]])],
+    )
+    def test_q_expansion_refuses_a_bad_number(self, capsys, tmp_path, key, value):
+        # a fractional N crashed in the layout, weight 4.5 was read as 4, and
+        # N -2 or true gave base_order -20 or -5; each is a usage error
+        main(["eisenstein", "--k", "4", "--trunc", "6"])
+        obj = {**json.loads(capsys.readouterr().out), key: value}
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(obj))
+        code, js = run(capsys, "delta-expand", "--input", str(f), "--n", "1", "--p", "5", "--M", "4")
+        assert code == 2 and js["error"]["code"] == "domain"
+
+    def test_q_expansion_reads_integer_strings(self, capsys, tmp_path):
+        main(["eisenstein", "--k", "4", "--trunc", "6"])
+        text = capsys.readouterr().out
+        obj = json.loads(text)
+        obj.update(N="6", weight="4", level="1", terms=[[str(e), c] for e, c in obj["terms"]])
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(obj))
+        main(["delta-expand", "--input", str(f), "--n", "1", "--p", "5", "--M", "4"])
+        want = capsys.readouterr().out
+        (tmp_path / "g.json").write_text(text)
+        main(["delta-expand", "--input", str(tmp_path / "g.json"), "--n", "1", "--p", "5", "--M", "4"])
+        assert capsys.readouterr().out == want and '"base_order":6' in want
+
+
 
 GOLDEN_JOBS = [
     ("psi_serretate_p5_N20.json", ["psi", "--p", "5", "--side", "serretate", "--N", "20"]),

@@ -1,5 +1,7 @@
 """Single-prime jet rings: phi, delta, Psi builders, lemma checks."""
 
+import functools
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _helpers import from_terms, to_terms
 from pjet.arith import fermat_delta
 from pjet.cli import _dump as dump
 from pjet.deltajet import (
@@ -36,12 +39,12 @@ def jt(p, terms, **kw):
 
 
 Q = lambda p=5: jq(p, {(1, ()): 1})  # noqa: E731
-T = JetSeries._to_terms  # a q-side series as tuple-route terms
+T = to_terms  # a q-side series as tuple-route terms
 
 
 def jq_terms(p, t):
     """The exact q-side series of tuple-route terms ``t``."""
-    return JetSeries.make(p, "q", JetSeries._from_terms(t))
+    return JetSeries.make(p, "q", from_terms(t))
 
 
 def random_poly_jet(rng, p, order=2, nterms=3, hi=3):
@@ -187,22 +190,22 @@ def _phi_unpruned(f: JetSeries) -> JetSeries:
     """q-side phi on the tuple reference kernel, which forms every monomial
     and lets ``make`` cut the border."""
     p = f.p
-    t = tuple_terms_phi(f._to_terms(), p, digits_keep(p, digits=f.digits), f.eff_digits())
+    t = tuple_terms_phi(to_terms(f), p, digits_keep(p, digits=f.digits), f.eff_digits())
     digits = f.digits if f.base_valuation() >= 0 else f.eff_digits()
     border = None
     if f.base_order is not None:
         digits = min(digits, f.M) if digits is not None else f.M
         border = p * (f.base_order - digits + 1)
-    return JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, digits, border)
+    return JetSeries.make(p, "q", from_terms(t), f.M, digits, border)
 
 
-def _delta_unpruned(f: JetSeries) -> JetSeries:
+def _delta_unpruned(f: JetSeries, prune: bool = False) -> JetSeries:
     """q-side delta on the tuple reference kernel, which forms every monomial
-    and lets ``make`` cut the border."""
+    (with ``prune``, every one below the kernel cut of ``delta``) and lets
+    ``make`` cut the border."""
     p = f.p
     if f.digits is not None and f.digits <= 1:
         raise PrecisionExhausted("need at least two guaranteed digits for delta")
-    t = tuple_terms_delta(f._to_terms(), p, digits_keep(p, digits=f.digits), f.eff_digits())
     digits = f.digits
     if f.base_valuation() < 0 or f.base_order is not None:
         digits = min(digits, f.M) if digits is not None else f.M
@@ -210,11 +213,13 @@ def _delta_unpruned(f: JetSeries) -> JetSeries:
         digits -= 1
         if digits < 1:
             raise PrecisionExhausted("guaranteed digits exhausted")
-    border = None
+    border = cut = None
     if f.base_order is not None:
         v = min(f.base_valuation(), 0)
         border = min(p * (f.base_order - digits + 1), f.base_order + (p - 1) * v)
-    return JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, digits, border)
+        cut = border - (p - 1) * v if prune else None
+    t = tuple_terms_delta(to_terms(f), p, digits_keep(p, cut, f.digits), f.eff_digits())
+    return JetSeries.make(p, "q", from_terms(t), f.M, digits, border)
 
 
 @st.composite
@@ -261,6 +266,74 @@ class TestBorderCut:
 
 
 @st.composite
+def chain_series(draw):
+    """A q-side series and a delta chain of n = 1 or 2 steps: a negative base
+    exponent among its terms, digits and base_order each set or unset, p in
+    {5, 7, 11} for one step and {5, 7} for two.  The tuple route forms every
+    product pair, so a chain of two steps gets fewer terms and digits."""
+    n = draw(st.integers(1, 2))
+    p = draw(st.sampled_from([5, 7, 11][: 4 - n]))
+    coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, p]))
+    terms = {(draw(st.integers(-p - 1, -1)), draw(st.sampled_from([(), (1,)]))): draw(coeffs)}
+    keys = st.tuples(st.integers(-p - 1, 6), st.sampled_from([(), (1,), (0, 1)]))
+    terms.update(draw(st.dictionaries(keys, coeffs, max_size=3 - n)))
+    f = JetSeries.make(
+        p,
+        "q",
+        terms,
+        M=draw(st.integers(2, 5 - n)),
+        digits=draw(st.one_of(st.none(), st.integers(2, 5 - n))),
+        base_order=draw(st.one_of(st.none(), st.integers(-p, 3 * p))),
+    )
+    return f, n
+
+
+class TestDeltaChain:
+    """``delta_n`` runs its n steps in one layout built for all of them and
+    passes the packed store from step to step; the reference takes n single
+    steps on the tuple route, each through ``make``."""
+
+    @given(case=chain_series())
+    # three steps, and two at p = 11, in their explicit cases
+    @example(case=(jq(5, {(-6, (1,)): Fraction(3, 5), (0, (0, 1)): 2}, M=4, digits=4, base_order=12), 3))
+    @example(case=(jq(7, {(-1, (1,)): 2, (1, ()): 1}, M=4, base_order=5), 3))
+    @example(case=(jq(11, {(-1, ()): 1}, M=4), 3))
+    @example(case=(jq(11, {(-2, ()): 3}, M=5, digits=4), 3))
+    @example(case=(jq(11, {(-12, (1,)): Fraction(3, 11), (-1, ()): 1}, M=4), 2))
+    @example(case=(jq(11, {(-3, (1,)): 2, (5, (0, 1)): Fraction(1, 2)}, M=3, base_order=14), 2))
+    @example(case=(jq(7, {(-1, ()): 1, (1, (1,)): Fraction(1, 7)}, M=4, digits=3, base_order=9), 2))
+    @settings(max_examples=30, deadline=None)
+    def test_delta_n_matches_single_tuple_steps(self, case):
+        f, n = case
+        try:
+            g = delta_n(f, n)
+        except PjetError as e:
+            got = type(e)
+        else:
+            got = g.terms, g.digits, g.base_order
+            # the store each step passes on is reduced: no factor common to all
+            assert g.den > 0 and all(g.num.values()) and math.gcd(g.den, *g.num.values()) == 1
+        assert got == _iterate(functools.partial(_delta_unpruned, prune=True), f, n)
+
+    def test_one_delta_call_per_step_in_one_layout(self, monkeypatch):
+        from pjet import deltajet
+
+        seen, step = [], deltajet.delta
+        monkeypatch.setattr(deltajet, "delta", lambda g: seen.append(g.L) or step(g))
+        f = jq(5, {(-1, ()): 1, (1, ()): 2}, M=4)
+        got = deltajet.delta_n(f, 3)
+        assert len(seen) == 3 and seen[0] is seen[1] is seen[2] is got.L
+        assert got.terms and got == delta(delta(delta(f)))
+
+    @pytest.mark.parametrize("M", [1, 2, 8])
+    def test_exact_chain_longer_than_its_layout(self, M):
+        # the layout is sized for at most eff_digits = M steps; an exact chain
+        # runs on in a new layout per further step
+        got = delta_n(jq(5, {(1, ()): 1}, M=M), 4)
+        assert got.terms == (((0, (0, 0, 0, 1)), 1),) and got.digits is None
+
+
+@st.composite
 def q_side_series(draw):
     """A q-side series for one phi or delta step: p in {5, 7}, base exponents
     down to -p - 1, digits None or at least 2, base_order set or unset."""
@@ -299,11 +372,11 @@ class TestQSideOutputCut:
         got = step(f)
         p, border = f.p, got.base_order
         if step is phi:
-            t = phi_terms(f._to_terms(), p, border, f.digits, f.eff_digits())
+            t = phi_terms(to_terms(f), p, border, f.digits, f.eff_digits())
         else:
             cut = None if border is None else border - (p - 1) * min(f.base_valuation(), 0)
-            t = delta_terms(f._to_terms(), p, cut, f.digits, f.eff_digits())
-        want = JetSeries.make(p, "q", JetSeries._from_terms(t), f.M, got.digits, border)
+            t = delta_terms(to_terms(f), p, cut, f.digits, f.eff_digits())
+        want = JetSeries.make(p, "q", from_terms(t), f.M, got.digits, border)
         assert (got.terms, got.digits, got.base_order, got.M, got.N) == (
             want.terms,
             want.digits,
@@ -334,8 +407,8 @@ def _t_substitution(f: JetSeries, step, N: int) -> JetSeries:
     direct substitution x_i -> x_i**p + p*x_{i+1}, keeping the monomials of
     weight below N."""
     p = f.p
-    t = step(f._to_terms(), p, digits_keep(p, weight_below=N), 0)
-    return JetSeries.make(p, "t", JetSeries._from_terms(t), N=N)
+    t = step(to_terms(f), p, digits_keep(p, weight_below=N), 0)
+    return JetSeries.make(p, "t", from_terms(t), N=N)
 
 
 class TestTSideAgainstMultiprime:
@@ -615,6 +688,14 @@ class TestJson:
         obj = {**psi_serretate(5, N=10).to_json(), key: value}
         with pytest.raises(DomainError):
             JetSeries.from_json(obj)
+
+    @pytest.mark.parametrize("key, value", [("digits", 1), ("base_order", 3), ("digits", 0)])
+    def test_t_side_refuses_q_side_fields(self, key, value):
+        obj = {**psi_serretate(5, N=10).to_json(), key: value}
+        with pytest.raises(DomainError, match="digits and base_order are q-side fields"):
+            JetSeries.from_json(obj)
+        with pytest.raises(DomainError, match="digits and base_order are q-side fields"):
+            JetSeries.make(5, "t", {(1, ()): 1}, N=10, **{key: value})
 
     def test_t_side_header_reads_integer_strings_and_nulls(self):
         obj = {**psi_serretate(5, N=10).to_json(), "N": "10", "M": "6", "digits": None, "base_order": None}

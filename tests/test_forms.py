@@ -13,6 +13,7 @@ from _helpers import (
     covariance_check_fraction,
     delta_axiomatic,
     digits_keep,
+    from_terms,
     fsharp_expansion_fraction,
     invert_unit,
     one_plus_u_pow_sum_comb,
@@ -95,7 +96,7 @@ class TestFsharp:
         phi1 = tuple_terms_phi(q, p, digits_keep(p), 0)
         phi2 = tuple_terms_phi(phi1, p, digits_keep(p), 0)
         want = scale(add(phi2, scale(phi1, -7), scale(q, p)), Fraction(1, p))
-        assert got == JetSeries.make(p, "q", JetSeries._from_terms(want))
+        assert got == JetSeries.make(p, "q", from_terms(want))
 
     def test_eleven_a_one_is_13_integral(self):
         fs = fsharp_expansion(AN40[:30], A13, 13, M=6, window=30)

@@ -1,11 +1,12 @@
-"""The packed form as the stored value of ``MultiJetSeries``.
+"""The packed form as the stored value of ``MultiJetSeries`` and ``JetSeries``.
 
-An exact series stores integer numerators by packed key, in key order, over
-one positive denominator with no factor common to all of them.  These tests
-pit its JSON codec against the tuple route of ``_helpers`` (sorted ``Mono``
-tuples with ``Fraction`` coefficients), its layout moves against unpacking
-and packing again, and its value semantics against two spellings of one
-series.
+An exact series stores integer numerators by packed key over one positive
+denominator with no factor common to all of them.  These tests pit the JSON
+codecs against the tuple routes of ``_helpers`` (sorted ``Mono`` tuples or
+the ``terms`` view, with ``Fraction`` coefficients), the layout moves against
+unpacking and packing again, the value semantics against two spellings of
+one series, and the readers of a ``JetSeries`` store against the same
+readers fed from its ``terms`` view.
 """
 
 import json
@@ -16,18 +17,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import from_json_tuples, pack_terms, to_json_tuples
+from _helpers import (
+    fourier_to_deformation_terms,
+    from_json_tuples,
+    from_jet_series_terms,
+    pack_terms,
+    to_jet_series_terms,
+    to_json_tuples,
+)
 from pjet import multiprime
+from pjet.arith import format_rational
 from pjet.cli import _dump as dump
+from pjet.deltajet import JetSeries, psi_fourier, psi_serretate
 from pjet.errors import DomainError, IntegralityViolation
+from pjet.forms import fourier_to_deformation
 from pjet.multiprime import (
     MultiJetSeries,
     assert_ring_integral,
     build_fe0,
+    from_jet_series,
     layout,
     psi_multi,
     reduce_to_padic,
     t_generator,
+    to_jet_series,
 )
 
 P57 = (5, 7)
@@ -203,3 +216,99 @@ def test_ring_integral_reads_the_reduced_denominator():
     assert_ring_integral(MultiJetSeries.make(P57, {(): Fraction(1, 5)}, 20, ring=2))
     with pytest.raises(IntegralityViolation):
         assert_ring_integral(MultiJetSeries.make(P57, {(): Fraction(2, 35)}, 20, ring=1))
+
+
+# ---------------------------------------------------------------------------
+# JetSeries: the store, its payload and its readers
+# ---------------------------------------------------------------------------
+
+JETS = [(), (1,), (2,), (0, 1), (1, 1), (0, 0, 3)]  # trimmed, so no two spell one monomial
+
+
+@st.composite
+def jet_terms(draw):
+    """(p, base, terms) for ``JetSeries.make``: q-side base exponents -12..12,
+    t-side 0..12, rational coefficients with zeros among them."""
+    p, base = draw(st.sampled_from([5, 7])), draw(st.sampled_from(["q", "t"]))
+    keys = st.tuples(st.integers(-12 if base == "q" else 0, 12), st.sampled_from(JETS))
+    coeffs = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, p, 12]))
+    return p, base, draw(st.dictionaries(keys, coeffs, max_size=8))
+
+
+def payload_terms_via_view(f):
+    """The payload terms written by ``format_rational`` over the sorted
+    ``terms`` view."""
+    return [[b, format_rational(c), list(jets)] for (b, jets), c in sorted(f.terms)]
+
+
+@given(case=jet_terms())
+@example(case=(5, "q", {}))  # the zero series
+@example(case=(7, "q", {(0, ()): 2, (3, (1,)): -7, (-2, (0, 1)): 1}))  # integer coefficients
+@example(case=(7, "q", {(0, ()): 1, (1, ()): Fraction(1, 3)}))  # 3 divides the numerator 3, not 1
+@example(case=(5, "t", {(0, (0, 1)): 1, (0, (1,)): Fraction(1, 2), (1, ()): 3}))  # key order is not (b, jets)
+@settings(max_examples=150, deadline=None)
+def test_jet_series_payload_matches_the_terms_view(case):
+    p, base, terms = case
+    f = JetSeries.make(p, base, terms)
+    want = sorted((m, c) for m, c in terms.items() if c)
+    assert f.terms == tuple(want)
+    assert f.to_json()["terms"] == payload_terms_via_view(f)
+    assert f.to_json()["terms"] == [[b, format_rational(c), list(j)] for (b, j), c in want]
+    assert f.den > 0 and all(f.num.values()) and math.gcd(f.den, *f.num.values()) == 1
+    back = JetSeries.from_json(f.to_json())
+    assert back == f and hash(back) == hash(f) and dump(back.to_json()) == dump(f.to_json())
+
+
+@pytest.mark.parametrize("f", [lambda: psi_fourier(7, 8, 12), lambda: psi_serretate(5, 20), lambda: psi_serretate(7, 0)])
+def test_jet_series_builders_write_the_terms_view(f):
+    x = f()
+    assert x.to_json()["terms"] == payload_terms_via_view(x)
+
+
+@st.composite
+def fourier_series(draw):
+    """A q-side series with up to three jets, and a truncation N."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    keys = st.tuples(st.integers(-20, 10), st.sampled_from(JETS))
+    coeffs = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 30))
+    return JetSeries.make(p, "q", draw(st.dictionaries(keys, coeffs, max_size=5))), draw(st.integers(0, 24))
+
+
+@st.composite
+def d1_series(draw):
+    """A d=1 several-prime series with jets up to x_2, below weight N."""
+    p = draw(st.sampled_from([5, 7]))
+    mono = st.lists(st.tuples(st.sampled_from([(0,), (1,), (2,)]), st.integers(0, 4)), max_size=3).map(tuple)
+    coeffs = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 30))
+    N = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 60)))
+    return MultiJetSeries.make((p,), draw(st.dictionaries(mono, coeffs, max_size=6)), N, 1)
+
+
+class TestJetSeriesReaders:
+    """Each reader of a ``JetSeries`` reads its store; the reference feeds
+    the same call from the ``terms`` view."""
+
+    @given(case=fourier_series())
+    @settings(max_examples=40, deadline=None)
+    def test_fourier_to_deformation(self, case):
+        f, N = case
+        assert dump(fourier_to_deformation(f, N).to_json()) == dump(fourier_to_deformation_terms(f, N).to_json())
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_fourier_to_deformation_on_psi_fourier(self, p):
+        f = psi_fourier(p, 20, 20)
+        assert dump(fourier_to_deformation(f, 20).to_json()) == dump(fourier_to_deformation_terms(f, 20).to_json())
+
+    @given(F=d1_series())
+    @settings(max_examples=60, deadline=None)
+    def test_from_and_to_jet_series(self, F):
+        f, want = to_jet_series(F), to_jet_series_terms(F)
+        assert dump(f.to_json()) == dump(want.to_json()) and f == want
+        back, want = from_jet_series(f), from_jet_series_terms(want)
+        assert dump(back.to_json()) == dump(want.to_json()) and back == want == F
+
+    @pytest.mark.parametrize("p, N", [(5, 20), (7, 30), (11, 1), (5, 0)])
+    def test_from_and_to_jet_series_on_psi_serretate(self, p, N):
+        f = psi_serretate(p, N)
+        assert dump(f.to_json()) == dump(to_jet_series_terms(psi_multi((p,), 0, N)).to_json())
+        assert dump(from_jet_series(f).to_json()) == dump(from_jet_series_terms(f).to_json())
