@@ -70,6 +70,8 @@ def _decode(path: str, from_json):
     obj = _read(path, json.loads, "JSON from ")
     try:
         return from_json(obj)
+    except DomainError as e:
+        raise DomainError(f"{path}: {e}") from None
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DomainError(f"{path} is not a valid payload: {e!r}") from None
 

@@ -687,9 +687,8 @@ def build_fe0(P: Sequence[int], N: int) -> MultiJetSeries:
     result has coefficients integral at every prime of P, which is asserted.
     """
     Pt = _check_primes(sorted(set(int(p) for p in P)))
-    for p in Pt:
-        if p < 5:
-            raise DomainError("the modular layer requires primes >= 5")
+    if any(p < 5 for p in Pt):
+        raise DomainError("the modular layer requires primes >= 5")
     L = layout(Pt, N)
     den = math.lcm(*range(1, N))
     g: dict[int, int] = {}
@@ -853,21 +852,40 @@ def exact_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def _ghost_shifts(Pt: tuple[int, ...], rv: tuple[int, ...], L: Layout) -> dict[Idx, dict[int, int]]:
+    """The shifts phi_P^(s-e)(f^e_0), e <= s <= rv, by s, in ghost coordinates
+    below L.N, with the column of u_j^n scaled by n * prod P.
+
+    There f^e_0 is (1 / prod P) sum over the corners i of the unit cube of
+    c_i log(1 + u_i), c_i = prod_{i_k = 0} (-p_k) (see ``build_fe0``), and
+    phi_k is ``ghost_shift``, which keeps n: a scaled entry is (-1)^(n-1) c_i.
+    """
+    g: dict[int, int] = {}
+    for i in itertools.product((0, 1), repeat=len(Pt)):
+        c_i = math.prod(-p for p, e in zip(Pt, i) if not e)
+        for n in range(1, (L.N - 1) // var_weight(i, Pt) + 1):
+            g[n * L.var[i]] = (-1) ** (n - 1) * c_i
+    shifts = {(1,) * len(Pt): g}
+    for s in itertools.product(*(range(1, top + 1) for top in rv)):
+        if ks := [k for k in range(len(Pt)) if s[k] > 1]:
+            k = ks[-1]
+            shifts[s] = ghost_shift(shifts[s[:k] + (s[k] - 1,) + s[k + 1 :]], k, L)
+    return shifts
+
+
 def basis_independence_check(P: Sequence[int], r: Sequence[int], N: int) -> RankReport:
     """Rank of the shifted order-e expansions {phi_P^(s-e)(f^e_0), e <= s <= r}.
 
     The expected rank is r_1 * ... * r_d.  The deepest shift starts at weight
     p_1^(r_1 - 1) * ... * p_d^(r_d - 1) and truncates to zero below it, so a
-    smaller ``N`` decides nothing and raises ``DomainError``.  The shifts are
-    lifted packed in the layout of (P, N), each from the shift one lift
-    before it, since the lifts commute and each is exact below N.  A row
-    holds a shift's integer numerators, the shift times its nonzero
-    denominator, which keeps the rank.
+    smaller ``N`` decides nothing and raises ``DomainError``.  The rows are
+    ``_ghost_shifts``, with no basis exchange: ``jet_to_ghost`` is a linear
+    bijection below N that turns phi_k into ``ghost_shift``, both maps are
+    weight-homogeneous, and scaling a column keeps the rank.
     """
     Pt = tuple(sorted(set(int(p) for p in P)))
-    d = len(Pt)
     rv = tuple(int(x) for x in r)
-    if len(rv) != d or any(x < 1 for x in rv):
+    if len(rv) != len(Pt) or any(x < 1 for x in rv):
         raise DomainError("order vector must have a positive entry per prime")
     deepest = math.prod(p ** (x - 1) for p, x in zip(Pt, rv))
     if N <= deepest:
@@ -875,13 +893,9 @@ def basis_independence_check(P: Sequence[int], r: Sequence[int], N: int) -> Rank
             f"N={N} truncates the deepest shift, which starts at weight {deepest}; "
             f"use N >= {deepest + 1}"
         )
-    fe0 = build_fe0(Pt, N)
-    L = layout(Pt, N)
-    shifts = {(1,) * d: fe0._packed(L)}
-    for s in itertools.product(*(range(1, top + 1) for top in rv)):
-        if ks := [k for k in range(d) if s[k] > 1]:
-            k = ks[-1]
-            shifts[s] = _phi_below(shifts[s[:k] + (s[k] - 1,) + s[k + 1 :]], k, L)
+    if any(p < 5 for p in _check_primes(Pt)):
+        raise DomainError("the modular layer requires primes >= 5")
+    shifts = _ghost_shifts(Pt, rv, layout(Pt, N))
     cols = sorted({m for t in shifts.values() for m in t})
     rows = [[t.get(m, 0) for m in cols] for t in shifts.values()]
     rank = exact_rank(rows)

@@ -25,12 +25,16 @@ from pjet.modular import QExpansion
 from pjet.multiprime import (
     M_ONE,
     MultiJetSeries,
+    RankReport,
     _canon,
     _check_primes,
     _generator,
     _norm_mono,
+    _phi_below,
     assert_ring_integral,
+    build_fe0,
     delta_pk,
+    exact_rank,
     ghost_shift,
     ghost_to_jet,
     layout,
@@ -188,6 +192,35 @@ def exact_rank_fraction(rows: list[list[Fraction]]) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def basis_shifts_jet_route(P, r, N):
+    """The layout of (P, N) and the shifts phi_P^(s-e)(f^e_0), e <= s <= r,
+    by s, packed in it: f^e_0 from ``build_fe0``, and each shift lifted by
+    ``_phi_below`` from the one a lift before it, in the jet basis.
+
+    This was the route of ``multiprime.basis_independence_check`` before its
+    rows moved to ghost coordinates; it stays here as the reference for that
+    route.
+    """
+    Pt = tuple(sorted(P))
+    L = layout(Pt, N)
+    shifts = {(1,) * len(Pt): build_fe0(Pt, N)._packed(L)}
+    for s in itertools.product(*(range(1, top + 1) for top in r)):
+        if ks := [k for k in range(len(Pt)) if s[k] > 1]:
+            k = ks[-1]
+            shifts[s] = _phi_below(shifts[s[:k] + (s[k] - 1,) + s[k + 1 :]], k, L)
+    return L, shifts
+
+
+def basis_rank_jet_route(P, r, N) -> RankReport:
+    """The report of the jet route: a row holds a shift's integer numerators,
+    the shift times its nonzero denominator, which keeps the rank."""
+    L, shifts = basis_shifts_jet_route(P, r, N)
+    cols = sorted({m for t in shifts.values() for m in t})
+    rank = exact_rank([[t.get(m, 0) for m in cols] for t in shifts.values()])
+    expected = math.prod(r)
+    return RankReport(L.P, tuple(r), N, expected, rank, rank == expected)
 
 
 def bernoulli_numbers_recursion(n: int) -> list[Fraction]:

@@ -135,7 +135,15 @@ def test_criterion_06_rank_of_shifted_basis():
     assert rep.ok and rep.rank == 4
     rep1 = basis_independence_check([5], (2,), 30)
     assert rep1.ok and rep1.rank == 2
-    report(6, "rank 4 at P={5,7}, r=(2,2); rank 2 at d=1, p=5, r=2")
+    rep3 = basis_independence_check([5, 7, 11], (2, 2, 2), 386)
+    assert rep3.ok and rep3.rank == 8
+    rep4 = basis_independence_check([5, 7, 11, 13], (2, 2, 2, 2), 5006)
+    assert rep4.ok and rep4.rank == 16
+    report(
+        6,
+        "rank 4 at P={5,7}, r=(2,2); rank 2 at d=1, p=5, r=2; rank 8 at P={5,7,11}, r=(2,2,2); "
+        "rank 16 at P={5,7,11,13}, r=(2,2,2,2), N=5006",
+    )
 
 
 def test_criterion_07_order_two_integrality_and_agreement():

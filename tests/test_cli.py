@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import operator
 import os
 
@@ -237,6 +238,20 @@ class TestChecks:
         code, js = run(capsys, "delta-expand", "--input", str(f), "--n", "1", "--p", "5", "--M", "4")
         assert code == 2 and js["error"]["code"] == "domain"
 
+    def test_reader_error_names_the_file_without_a_repr(self, capsys, tmp_path):
+        # the reader's own DomainError was rewrapped as a repr:
+        # "F is not a valid payload: DomainError('N must be at least 0, got -2')"
+        main(["eisenstein", "--k", "4", "--trunc", "6"])
+        obj = {**json.loads(capsys.readouterr().out), "N": -2}
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(obj))
+        code, js = run(capsys, "delta-expand", "--input", str(f), "--n", "1", "--p", "5", "--M", "4")
+        assert code == 2 and js["error"] == {"code": "domain", "message": f"{f}: N must be at least 0, got -2"}
+        # a payload of the wrong shape keeps its message
+        f.write_text(json.dumps({"N": 5, "var": "q"}))
+        code, js = run(capsys, "delta-expand", "--input", str(f), "--n", "1", "--p", "5", "--M", "4")
+        assert code == 2 and js["error"]["message"] == f"{f} is not a valid payload: KeyError('terms')"
+
     def test_q_expansion_reads_integer_strings(self, capsys, tmp_path):
         main(["eisenstein", "--k", "4", "--trunc", "6"])
         text = capsys.readouterr().out
@@ -260,6 +275,8 @@ GOLDEN_JOBS = [
     ("fe_k_P5_7_11_k3_N30.json", ["fe-k", "--P", "5,7,11", "--k", "3", "--N", "30"]),
     ("commutator_6_2_3.json", ["check-commutator", "--p1", "2", "--p2", "3", "--value", "6"]),
     ("basis_P5_7_r22_N50.json", ["check-basis", "--P", "5,7", "--r", "2,2", "--N", "50"]),
+    ("basis_P5_7_r33_N1226.json", ["check-basis", "--P", "5,7", "--r", "3,3", "--N", "1226"]),
+    ("basis_P5_7_11_r222_N386.json", ["check-basis", "--P", "5,7,11", "--r", "2,2,2", "--N", "386"]),
     (
         "delta_expand_E4_t12_n2_p7_M6.json",
         ["delta-expand", "--form", "E4", "--trunc", "12", "--n", "2", "--p", "7", "--M", "6"],
@@ -491,6 +508,27 @@ class TestProtocol:
         assert f"N >= {usable}" in js["error"]["message"]
         code, js = run(capsys, "check-basis", "--P", P, "--r", r, "--N", str(usable))
         assert code == 0 and js["pass"] is True
+
+    @pytest.mark.parametrize(
+        "P, r, N, message",
+        [
+            # the order vector is checked first, then N, then each prime, then p >= 5
+            ("3,4", "1", "1", "order vector must have a positive entry per prime"),
+            ("3,4", "2,2", "5", "N=5 truncates the deepest shift, which starts at weight 12; use N >= 13"),
+            ("3,4", "1,1", "20", "4 is not a prime"),
+            ("3,7", "1,1", "20", "the modular layer requires primes >= 5"),
+            ("2,5", "1,2", "20", "the modular layer requires primes >= 5"),
+        ],
+    )
+    def test_check_basis_refusal_order(self, capsys, P, r, N, message):
+        code, js = run(capsys, "check-basis", "--P", P, "--r", r, "--N", N)
+        assert code == 2 and js["error"] == {"code": "domain", "message": message}
+
+    @pytest.mark.parametrize("fname", ["basis_P5_7_r33_N1226.json", "basis_P5_7_11_r222_N386.json"])
+    def test_check_basis_goldens_have_full_rank(self, fname):
+        with open(os.path.join(os.path.dirname(__file__), "golden", fname), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        assert obj["pass"] is True and obj["rank"] == obj["expected"] == math.prod(obj["r"])
 
     @pytest.mark.parametrize(
         "payload,argv",

@@ -7,10 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
+    basis_rank_jet_route,
+    basis_shifts_jet_route,
     build_fe0_fraction,
     exact_rank_fraction,
     generator_terms,
@@ -29,6 +31,7 @@ from pjet.multiprime import (
     Idx,
     MultiJetSeries,
     Mono,
+    _ghost_shifts,
     _norm_mono,
     _phi_pk_below,
     basis_independence_check,
@@ -831,6 +834,17 @@ def rational_matrices(draw):
     return draw(st.permutations(rows))
 
 
+@st.composite
+def basis_case(draw, d):
+    """P of d primes from 5..13, r <= 2 (<= 3 at d = 1), and N from just above
+    the deepest shift's starting weight to twice it, below 200."""
+    P = tuple(sorted(draw(st.sets(st.sampled_from((5, 7, 11, 13)), min_size=d, max_size=d))))
+    r = tuple(draw(st.lists(st.integers(1, 3 if d == 1 else 2), min_size=d, max_size=d)))
+    deepest = math.prod(p ** (x - 1) for p, x in zip(P, r))
+    assume(deepest < 199)
+    return P, r, draw(st.integers(deepest + 1, min(2 * deepest + 1, 199)))
+
+
 class TestBasisIndependence:
     def test_d1_rank_one(self):
         rep = basis_independence_check([5], [1], 30)
@@ -848,6 +862,39 @@ class TestBasisIndependence:
     def test_d3_full_rank(self, r, N):
         rep = basis_independence_check(P5711, r, N)
         assert rep.ok and rep.rank == rep.expected
+
+    def test_four_by_four_at_the_smallest_usable_N(self):
+        # 5^3 * 7^3 = 42,875 is where the deepest shift starts
+        rep = basis_independence_check(P57, (4, 4), 42876)
+        assert rep.ok and rep.rank == 16
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_report_matches_jet_route(self, d, data):
+        P, r, N = data.draw(basis_case(d))
+        assert basis_independence_check(P, r, N) == basis_rank_jet_route(P, r, N)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_ghost_rows_are_the_jet_shifts_in_ghost_coordinates(self, d, data):
+        # jet_to_ghost of each reference shift, times lcm(1..N-1) * prod P,
+        # is the ghost row with the column of u_j^n multiplied back by
+        # lcm(1..N-1) / n, term for term
+        P, r, N = data.draw(basis_case(d))
+        L, ref = basis_shifts_jet_route(P, r, N)
+        rows = _ghost_shifts(L.P, r, L)
+        assert list(rows) == list(ref)
+        lcm, prod_P = math.lcm(*range(1, N)), math.prod(P)
+        for s, t in ref.items():
+            g = jet_to_ghost(t, L, t.den)
+            want = {m: Fraction(x * lcm * prod_P, g.den) for m, x in g.items()}
+            got = {}
+            for m, x in rows[s].items():
+                ((_, n),) = L.unpack(m)  # every ghost term is a power of one u_j
+                got[m] = Fraction(x * lcm, n)
+            assert got == want, s
 
     def test_exact_rank_helper(self):
         rows = [[1, 2, 0], [2, 4, 0], [0, 1, 1]]
