@@ -33,19 +33,19 @@ the next.
 
 Truncation contracts:
 
-* q side: coefficients valid modulo p**digits (``digits=None`` means exact),
-  base exponents known below ``base_order`` (None means no unknown tail).
-  A step cuts and reduces its integer numerators and passes them on in their
-  layout; only ``to_json`` writes the coefficients as text.
-* t side: weighted degree with wt(t)=1, wt(delta^i t)=p**i, all monomials of
-  weight >= N dropped; everything is exact rational, so ``digits`` and
-  ``base_order`` stay None.  A t-side series is the
-  one-prime view of a d=1 ``multiprime`` series, which is where it is lifted
-  and multiplied: ``from_jet_series`` and then ``phi_pk``, ``delta_pk`` or
-  the ``MultiJetSeries`` ring operations.  ``psi_serretate`` computes there
-  (``psi_multi``) and flattens the result back, so this module builds no
-  t-side series itself.  ``JetSeries`` has no ring arithmetic on either
-  side; ``phi`` and ``delta`` below are the q-side maps.
+* q side (``JetSeries``): coefficients valid modulo p**digits
+  (``digits=None`` means exact), base exponents known below ``base_order``
+  (None means no unknown tail).  A step cuts and reduces its integer
+  numerators and passes them on in their layout; only ``to_json`` writes the
+  coefficients as text.  ``phi`` and ``delta`` below are the q-side maps.
+* t side (``TSeries``): weighted degree with wt(t)=1, wt(delta^i t)=p**i,
+  all monomials of weight >= N dropped, exact rational: the d=1
+  ``multiprime`` series in ring 1, where ``phi_pk``, ``delta_pk`` and the
+  ring operations act.
+
+One writer and one term reader serve the one-prime payload of both sides:
+``var`` ("q" or "t"), ``p``, ``M``, ``digits``, ``base_order``, ``N`` and
+the terms ``[b, c, jets]`` in (b, jets) order.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import sparse
-from .arith import at_least, binomial, check_prime, format_rational, min_order, parse_int, parse_rational, valuation
+from .arith import at_least, binomial, check_prime, format_rational, min_order, parse_int, parse_ratio, valuation
 from .errors import DomainError, PrecisionExhausted
+from .multiprime import MultiJetSeries, _check_primes, _stored, layout, psi_multi
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (z-family exps, aux exps)
 Terms = dict[Monomial, Fraction]
@@ -206,14 +207,46 @@ def terms_delta(t: Packed, D: int, L: Layout, limit, digits, jmax: int) -> tuple
 # ---------------------------------------------------------------------------
 
 
-def _weight(z: tuple[int, ...], p: int) -> int:
-    """Weight of the z-family exponents ``z``: wt(q) = 1, wt(q^(i)) = p**i."""
-    return sum(e * p**i for i, e in enumerate(z))
+def _jets(jets: Iterable[int]) -> tuple[int, ...]:
+    """The jet exponents, trimmed, none of them negative."""
+    jets = _trim(tuple(jets))
+    if any(e < 0 for e in jets):
+        raise DomainError("jet exponents must be nonnegative")
+    return jets
+
+
+def _payload(var: str, p: int, M: int, digits, base_order, N, rows, den: int) -> dict:
+    """The one-prime payload of the rows (base exponent, jets, numerator) over
+    ``den``: its terms in (base exponent, jets) order, each coefficient in
+    lowest terms."""
+    terms = []
+    for b, jets, x in sorted(rows):
+        g = math.gcd(x, den)
+        terms.append([b, str(x // g) if g == den else f"{x // g}/{den // g}", jets])
+    return {"var": var, "p": p, "M": M, "digits": digits, "base_order": base_order, "N": N, "terms": terms}
+
+
+def _header(obj: Mapping) -> tuple[int, int, int | None, int | None, int | None]:
+    """p, M (8 when absent), digits, base_order and N of a one-prime payload:
+    each an int or an integer string, never a float or a bool, and the last
+    three may be null."""
+
+    def opt(key):
+        return None if obj.get(key) is None else parse_int(obj[key])
+
+    return parse_int(obj["p"]), parse_int(obj.get("M", 8)), opt("digits"), opt("base_order"), opt("N")
+
+
+def _read_terms(obj: Mapping) -> Iterator[tuple[int, tuple[int, ...], tuple[int, int]]]:
+    """(base exponent, trimmed jets, coefficient as (numerator, denominator))
+    of each payload term."""
+    for b, c, jets in obj["terms"]:
+        yield parse_int(b), _jets(map(parse_int, jets)), parse_ratio(c)
 
 
 @dataclass(frozen=True)
 class JetSeries:
-    """Truncated element of a single-prime jet ring.
+    """Truncated element of the single-prime q-side jet ring.
 
     The stored value is the packed form: integer numerators ``num`` by key of
     the layout ``L``, over the positive denominator ``den``, none of them
@@ -225,57 +258,35 @@ class JetSeries:
     """
 
     p: int
-    base: str  # "q" or "t"
     L: Layout
     num: Packed
     den: int
     M: int = 8
-    digits: int | None = None  # q side: valid mod p**digits; None = exact
-    base_order: int | None = None  # q side: base exponents >= this are unknown
-    N: int | None = None  # t side: weighted degree bound (exclusive)
+    digits: int | None = None  # valid mod p**digits; None = exact
+    base_order: int | None = None  # base exponents >= this are unknown
     room: int = 0
 
     @staticmethod
     def make(
         p: int,
-        base: str,
         terms: Mapping[tuple[int, tuple[int, ...]], Fraction | int],
         M: int = 8,
         digits: int | None = None,
         base_order: int | None = None,
-        N: int | None = None,
     ) -> "JetSeries":
-        if base not in ("q", "t"):
-            raise DomainError(f"unknown base tag {base!r}")
-        if base == "t" and (digits, base_order) != (None, None):
-            raise DomainError("digits and base_order are q-side fields; a t-side series is exact below N")
         clean: Terms = {}
         for (b, jets), c in terms.items():
-            jets = _trim(tuple(jets))
-            if any(e < 0 for e in jets):
-                raise DomainError("jet exponents must be nonnegative")
-            if base == "t" and b < 0:
-                raise DomainError("negative base exponents need the q side")
+            jets = _jets(jets)
             c = c if isinstance(c, Fraction) else Fraction(c)
             if c == 0:
-                continue
-            if N is not None and _weight((b, *jets), p) >= N:
                 continue
             if base_order is not None and b >= base_order:
                 continue
             if digits is not None and _vp(c, p) >= digits:
                 continue
             clean[(_trim((b, *jets)), ())] = c
-        D = _den(clean)
-        num = {m: c.numerator * (D // c.denominator) for m, c in clean.items()}
-        return JetSeries._of(p, base, num, D, M, digits, base_order, N)
-
-    @staticmethod
-    def _of(p: int, base: str, t: Mapping[Monomial, int], den: int, M=8, digits=None, base_order=None, N=None):
-        """The series of the numerators ``t`` by monomial over ``den``, with no
-        factor common to den and all of them, in a layout for one step."""
-        L = Layout(p, t, M if digits is None else digits)
-        return JetSeries(p, base, L, {L.key(m): x for m, x in t.items()}, den, M, digits, base_order, N, 1)
+        D, L = _den(clean), Layout(p, clean, M if digits is None else digits)
+        return JetSeries(p, L, L.pack(clean, D), D, M, digits, base_order, 1)
 
     # -- views of the store ---------------------------------------------------
 
@@ -311,11 +322,11 @@ class JetSeries:
         return replace(self, L=L, num=self._in(L), room=steps)
 
     def _step(self, t: Packed, den: int, digits: int | None, border: int | None) -> "JetSeries":
-        """The q-side series one phi or delta step on from this one, of the
+        """The series one phi or delta step on from this one, of the
         numerators ``t`` in its layout over ``den``: cut at the base_order
         border and by the digit rule (see ``_mod``), then reduced."""
         t, den = _reduce(_cut(t, self.L.below(border), _mod(self.p, digits, den)), den)
-        return JetSeries(self.p, "q", self.L, t, den, self.M, digits, border, None, self.room - 1)
+        return JetSeries(self.p, self.L, t, den, self.M, digits, border, self.room - 1)
 
     def r(self) -> int:
         """Jet order: highest jet index that occurs."""
@@ -331,19 +342,15 @@ class JetSeries:
 
     def __eq__(self, other):
         if not isinstance(other, JetSeries):
-            other = JetSeries.make(self.p, self.base, {(0, ()): Fraction(other)})
-        if self.p != other.p or self.base != other.base:
+            other = JetSeries.make(self.p, {(0, ()): Fraction(other)})
+        if self.p != other.p:
             return False
         digits = min_order(self.digits, other.digits)
         border = min_order(self.base_order, other.base_order)
-        N = min_order(self.N, other.N)
         keys = {m for m, _ in self.terms} | {m for m, _ in other.terms}
         d1, d2 = dict(self.terms), dict(other.terms)
         for m in keys:
-            b, jets = m
-            if border is not None and b >= border:
-                continue
-            if N is not None and _weight((b, *jets), self.p) >= N:
+            if border is not None and m[0] >= border:
                 continue
             diff = d1.get(m, Fraction(0)) - d2.get(m, Fraction(0))
             if diff == 0:
@@ -353,45 +360,61 @@ class JetSeries:
         return True
 
     def __hash__(self):
-        return hash((self.p, self.base, self.terms))
+        return hash((self.p, self.terms))
 
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        """The payload, its terms in (base exponent, jets) order, each
-        coefficient written from its numerator over ``den``."""
-        den, terms = self.den, []
-        for b, jets, x in sorted(self._rows()):
-            g = math.gcd(x, den)
-            terms.append([b, str(x // g) if g == den else f"{x // g}/{den // g}", jets])
-        return {
-            "var": self.base,
-            "p": self.p,
-            "M": self.M,
-            "digits": self.digits,
-            "base_order": self.base_order,
-            "N": self.N,
-            "terms": terms,
-        }
+        return _payload("q", self.p, self.M, self.digits, self.base_order, None, self._rows(), self.den)
 
     @staticmethod
-    def from_json(obj: Mapping) -> "JetSeries":
-        """The payload's series.  Every integer is an int or an integer
-        string, never a float or a bool; ``digits``, ``base_order`` and ``N``
-        may be null, N is not negative, and a t-side payload has no digits
-        or base_order."""
+    def from_json(obj: Mapping) -> "JetSeries | TSeries":
+        """The payload's series: a ``TSeries`` for ``"var": "t"``.  A q-side
+        payload has a null N, and its digits and base_order may be null."""
+        if obj["var"] == "t":
+            return TSeries.from_json(obj)
+        p, M, digits, base_order, N = _header(obj)
+        if obj["var"] != "q":
+            raise DomainError(f"unknown base tag {obj['var']!r}")
+        if N is not None:
+            raise DomainError("N is a t-side field; a q-side series is cut by digits and base_order")
+        terms = {(b, jets): Fraction(*c) for b, jets, c in _read_terms(obj)}
+        return JetSeries.make(p, terms, M, digits, base_order)
 
-        def opt(key):
-            return None if obj.get(key) is None else parse_int(obj[key])
 
-        if (N := opt("N")) is not None:
-            at_least(0, N=N)
-        terms = {
-            (parse_int(b), tuple(map(parse_int, jets))): parse_rational(c)
-            for b, c, jets in obj["terms"]
-        }
-        p, M = parse_int(obj["p"]), parse_int(obj.get("M", 8))
-        return JetSeries.make(p, obj["var"], terms, M, opt("digits"), opt("base_order"), N)
+class TSeries(MultiJetSeries):
+    """A one-prime t-side series: the d=1 ``MultiJetSeries`` in ring 1, with
+    the one-prime payload ("var": "t") as its JSON codec."""
+
+    def to_json(self) -> dict:
+        """The payload, its terms in (b, jets) order with the jets trimmed,
+        b the power of t; M is 8, as in every t payload pjet writes."""
+        fields, rows = layout(self.P, self.N).fields, []
+        for k, x in self._store.items():
+            b, *jets = _trim(tuple(k >> off & mask for _, off, mask in fields)) or (0,)
+            rows.append((b, jets, x))
+        return _payload("t", self.P[0], 8, None, None, self.N, rows, self._store.den)
+
+    @staticmethod
+    def from_json(obj: Mapping) -> "TSeries":
+        """The payload's series, read straight into keys of the layout of
+        ((p,), N): exact below the required N, so with no digits or
+        base_order, and with no negative power of t.  M is checked, not kept."""
+        p, _, digits, base_order, N = _header(obj)
+        if (digits, base_order) != (None, None):
+            raise DomainError("digits and base_order are q-side fields; a t-side series is exact below N")
+        if N is None:
+            raise DomainError("a weighted truncation bound is required")
+        L, pairs = layout(_check_primes((p,)), N), []
+        for b, jets, c in _read_terms(obj):
+            if b < 0:
+                raise DomainError("negative base exponents need the q side")
+            try:
+                key = sum(e * L.var[(i,)] for i, e in enumerate((b, *jets)) if e)
+            except KeyError:  # a variable with no field weighs N or more
+                key = None
+            pairs.append((None if key is None or key >= L.limit else key, c))
+        return TSeries(L.P, _stored(pairs), N, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +424,7 @@ class JetSeries:
 
 def phi(f: JetSeries) -> JetSeries:
     """Frobenius lift: every variable v maps to v**p + p * (next jet)."""
-    if f.base != "q":
+    if not isinstance(f, JetSeries):
         raise DomainError("phi is the q-side map; a t-side series lifts as the d=1 phi_pk")
     p = f.p
     geff = f.eff_digits()
@@ -427,7 +450,7 @@ def delta(f: JetSeries) -> JetSeries:
     Exact in the rational regime with nonnegative base exponents; in the
     p-adic regime one guaranteed digit is consumed.
     """
-    if f.base != "q":
+    if not isinstance(f, JetSeries):
         raise DomainError("delta is the q-side map; a t-side series lifts as the d=1 delta_pk")
     p = f.p
     geff = f.eff_digits()
@@ -489,18 +512,17 @@ def psi_fourier(p: int, M: int, window: int) -> JetSeries:
     tail_digits = min(
         n - 1 - valuation(Fraction(n), p) for n in range(window + 1, 2 * window + 3)
     )
-    return JetSeries.make(p, "q", terms, M, digits=min(tail_digits, M))
+    return JetSeries.make(p, terms, M, digits=min(tail_digits, M))
 
 
-def psi_serretate(p: int, N: int) -> JetSeries:
+def psi_serretate(p: int, N: int) -> TSeries:
     """(1/p) (phi - p) log(1 + t) as an exact t-side jet series of weighted
     degree below N: the d=1 ``multiprime.psi_multi``, whose coefficients are
     asserted p-integral."""
     if p < 5:
         raise DomainError("the modular layer requires p >= 5")
-    from .multiprime import psi_multi, to_jet_series
-
-    return to_jet_series(psi_multi((p,), 0, N))
+    f = psi_multi((p,), 0, N)
+    return TSeries(f.P, f._store, f.N, f.ring)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .multiprime import (
     _check_primes,
     _gamma_in_ghost,
     delta_pk,
-    from_jet_series,
     ghost_shift,
     ghost_to_jet,
     layout,
@@ -62,13 +61,7 @@ def delta_fourier_expand(f: QExpansion, n: int, p: int, M: int) -> JetSeries:
     for e, c in f.series.terms:
         if Fraction(c).denominator % p == 0:
             raise DomainError(f"coefficient at q^{e} is not p-integral")
-    emb = JetSeries.make(
-        p,
-        "q",
-        {(e, ()): Fraction(c) for e, c in f.series.terms},
-        M=M,
-        base_order=f.trunc(),
-    )
+    emb = JetSeries.make(p, {(e, ()): Fraction(c) for e, c in f.series.terms}, M=M, base_order=f.trunc())
     return delta_n(emb, n)
 
 
@@ -102,7 +95,7 @@ def fsharp_expansion(
     # phi(q) and phi^2(q) are integral, so their powers stay integers in one
     # layout: pairs below base window + 1 (weights only add), then the digits
     # below M + 3 and the weights <= window; the sum is over p * lcm(1..window)
-    phi1 = phi(JetSeries.make(p, "q", {(1, ()): 1}))
+    phi1 = phi(JetSeries.make(p, {(1, ()): 1}))
     phi2 = phi(phi1)
     L = JetLayout(p, map(phi2.L.mono, phi2.num), window)
     f1, f2 = phi1._in(L), phi2._in(L)  # both over 1
@@ -121,9 +114,9 @@ def fsharp_expansion(
             total = sparse.add(total, sparse.scale(pow2, s), sparse.scale(pow1, -a_p * s), {n << L.shift: s * p})
     total = _cut(total, None, _mod(p, M, D))
     if check and (bad := {m: x for m, x in total.items() if x % p ** valuation(D, p)}):
-        m, c = JetSeries(p, "q", L, bad, D).terms[0]
+        m, c = JetSeries(p, L, bad, D).terms[0]
         raise IntegralityViolation(f"coefficient {c} at {m} is not {p}-integral")
-    return JetSeries(p, "q", L, *_reduce(total, D), M, M)
+    return JetSeries(p, L, *_reduce(total, D), M, M)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +214,7 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
     is sum_{n < N} (sum_b c_b C(b, n)) t^n.  Every weight is >= 1, so the
     series below N form a quotient ring and each Horner step may truncate.
     """
-    if f.base != "q":
+    if not isinstance(f, JetSeries):
         raise DomainError("expected a Fourier-side jet series")
     P = (f.p,)
     L = layout(P, N)
@@ -276,7 +269,7 @@ class CovarianceReport:
 
 
 def covariance_check(
-    F: Union[MultiJetSeries, JetSeries],
+    F: MultiJetSeries,
     gamma: Union[int, PadicTrunc],
     nu: int,
 ) -> CovarianceReport:
@@ -288,8 +281,8 @@ def covariance_check(
     binomial coefficients make the comparison valid to the representative's
     guaranteed digits, which is recorded by comparing modulo that power.
     """
-    if isinstance(F, JetSeries):
-        F = from_jet_series(F)
+    if not isinstance(F, MultiJetSeries):
+        raise DomainError("expected a t-side jet series")
     if isinstance(gamma, PadicTrunc):
         if F.d() != 1 or gamma.p != F.P[0]:
             raise DomainError("p-adic gamma checks run in the matching d=1 ring")

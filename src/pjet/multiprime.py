@@ -986,31 +986,9 @@ def ghost_gamma(t: Mapping[int, int], L: Layout, gamma: int, den: int = 1) -> tu
 
 
 def from_jet_series(f) -> MultiJetSeries:
-    """Embed a one-prime t-side jet series as a d=1 several-prime series."""
-    from .deltajet import JetSeries
+    """The d=1 several-prime series of a one-prime t-side series."""
+    from .deltajet import TSeries
 
-    if not isinstance(f, JetSeries) or f.base != "t":
+    if not isinstance(f, TSeries):
         raise DomainError("expected a t-side jet series")
-    if f.N is None:
-        raise DomainError("a weighted truncation bound is required")
-    L = layout(_check_primes((f.p,)), f.N)
-    # a kept term weighs below N, so each of its variables has a field
-    t = {sum(e * L.var[(i,)] for i, e in enumerate((b, *jets)) if e): x for b, jets, x in f._rows()}
-    return MultiJetSeries(L.P, _canon(t, f.den), f.N, 1)
-
-
-def to_jet_series(f: MultiJetSeries):
-    """Flatten a d=1 series back into the one-prime jet representation."""
-    from .deltajet import JetSeries, _trim
-
-    if f.d() != 1:
-        raise DomainError("only d=1 series can be flattened")
-    L = layout(f.P, f.N)
-    store = f._packed(L)
-    t = {}
-    for m, x in store.items():
-        z = [0] * len(L.fields)
-        for (i,), e in L.unpack(m):
-            z[i] = e
-        t[(_trim(tuple(z)), ())] = x
-    return JetSeries._of(f.P[0], "t", t, store.den, N=f.N)
+    return MultiJetSeries(f.P, f._store, f.N, f.ring)

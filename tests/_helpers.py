@@ -117,7 +117,7 @@ def delta_axiomatic(f: JetSeries) -> JetSeries:
         return sparse.add(dhead, delta_sum(rest), *cp)
 
     items = list(to_terms(f).items())
-    return JetSeries.make(p, "q", from_terms(delta_sum(items) if items else {}))
+    return JetSeries.make(p, from_terms(delta_sum(items) if items else {}))
 
 
 def exp_series(x: Series1, order: int | None = None) -> Series1:
@@ -480,7 +480,7 @@ def fsharp_expansion_fraction(an, a_p, p, M, window, check=True):
             sparse.scale(pow1, scal * -a_p),
             {((n,), ()): scal * p},
         )
-    out = JetSeries.make(p, "q", from_terms(total), M=M, digits=M)
+    out = JetSeries.make(p, from_terms(total), M=M, digits=M)
     if check:
         bad = [(m, c) for m, c in out.terms if valuation(c, p) < 0]
         if bad:
@@ -713,7 +713,7 @@ def ap_point_count_legendre(E, p):
 def fourier_to_deformation_terms(f, N):
     """``forms.fourier_to_deformation`` reading ``f.terms``, over the lcm of
     its denominators."""
-    if f.base != "q":
+    if not isinstance(f, JetSeries):
         raise DomainError("expected a Fourier-side jet series")
     P = (f.p,)
     L = layout(P, N)
@@ -743,23 +743,31 @@ def fourier_to_deformation_terms(f, N):
     return L.series(_canon(horner(list(f.terms), len(images)), den), 0)
 
 
-def from_jet_series_terms(f):
-    """``multiprime.from_jet_series`` reading ``f.terms``."""
-    if not isinstance(f, JetSeries) or f.base != "t":
-        raise DomainError("expected a t-side jet series")
-    if f.N is None:
+def t_series_via_make(obj):
+    """``deltajet.TSeries.from_json`` through ``MultiJetSeries.make``: the
+    t payload's terms as d=1 monomials, with the reader's checks."""
+    p, digits, base_order, N = (obj.get(k) for k in ("p", "digits", "base_order", "N"))
+    if (digits, base_order) != (None, None):
+        raise DomainError("digits and base_order are q-side fields; a t-side series is exact below N")
+    if N is None:
         raise DomainError("a weighted truncation bound is required")
-    terms = {tuple(((i,), e) for i, e in enumerate((b, *jets)) if e): c for (b, jets), c in f.terms}
-    return MultiJetSeries.make((f.p,), terms, f.N, 1)
-
-
-def to_jet_series_terms(F):
-    """``multiprime.to_jet_series`` reading ``F.terms`` into ``JetSeries.make``."""
-    if F.d() != 1:
-        raise DomainError("only d=1 series can be flattened")
     terms = {}
+    for b, c, jets in obj["terms"]:
+        if any(e < 0 for e in jets):
+            raise DomainError("jet exponents must be nonnegative")
+        if b < 0:
+            raise DomainError("negative base exponents need the q side")
+        terms[tuple(((i,), e) for i, e in enumerate((b, *jets)) if e)] = Fraction(c)
+    return MultiJetSeries.make((p,), terms, N, 1)
+
+
+def t_payload_terms(F):
+    """``deltajet.TSeries.to_json`` on the ``terms`` view of the d=1 series
+    ``F``: each monomial flattened to (b, jets), the jets trimmed, in that
+    order, and each coefficient by ``format_rational``."""
+    rows = []
     for m, c in F.terms:
         z = {i: e for (i,), e in m}
-        top = max(z, default=0)
-        terms[(z.get(0, 0), tuple(z.get(i, 0) for i in range(1, top + 1)))] = c
-    return JetSeries.make(F.P[0], "t", terms, N=F.N)
+        rows.append((z.get(0, 0), [z.get(i, 0) for i in range(1, max(z, default=0) + 1)], c))
+    terms = [[b, format_rational(c), jets] for b, jets, c in sorted(rows)]
+    return {"var": "t", "p": F.P[0], "M": 8, "digits": None, "base_order": None, "N": F.N, "terms": terms}

@@ -91,8 +91,8 @@ def test_criterion_03_psi_identities():
     univ = Series1.make("t", {jets[0]: c * p for (b, jets), c in psi.terms}, N=W + 1)
     expu = exp_series(univ, order=W + 1)
     # t^n stands for (q'/q^p)^n, q^(-p n) q'^n; times q^p, each base exponent shifts by p
-    lhs = JetSeries.make(p, "q", {(p - p * n, (n,)): c for n, c in expu.terms}, M=M)
-    rhs = JetSeries.make(p, "q", {(p, ()): 1, (0, (1,)): p}, M=M)
+    lhs = JetSeries.make(p, {(p - p * n, (n,)): c for n, c in expu.terms}, M=M)
+    rhs = JetSeries.make(p, {(p, ()): 1, (0, (1,)): p}, M=M)
     assert lhs == rhs
     # the deformation-side form is the q -> 1 + t image of the Fourier form
     for p in (5, 7):
@@ -108,7 +108,15 @@ def test_criterion_04_order_e_desk_check():
     assert build_fe_k([5, 7], 1, N) == fe0
     for _, c in fe0.terms:
         assert c.denominator % 5 != 0 and c.denominator % 7 != 0
-    report(4, "per-prime routes equal the common route at N=50; denominators coprime to 35")
+    for P, N in (((5, 7, 11), 50), ((5, 7, 11, 13), 40)):
+        fe0 = build_fe0(P, N)
+        assert all(build_fe_k(P, k, N) == fe0 for k in range(len(P)))
+        assert all(c.denominator % p for _, c in fe0.terms for p in P)
+    report(
+        4,
+        "per-prime routes equal the common route at P={5,7} and {5,7,11}, N=50, and P={5,7,11,13}, N=40; "
+        "denominators coprime to the primes",
+    )
 
 
 def test_criterion_05_isogeny_covariance():
@@ -116,18 +124,23 @@ def test_criterion_05_isogeny_covariance():
     for series in (psi_serretate(5, N), psi_serretate(7, N)):
         for gamma in (2, 3):
             assert covariance_check(series, gamma, 1).passed is True
-    fe0 = build_fe0([5, 7], N)
-    for gamma in (2, 3):
-        assert covariance_check(fe0, gamma, 1).passed is True
+    for P, NP in (((5, 7), N), ((5, 7, 11), N), ((5, 7, 11, 13), 40)):
+        fe0 = build_fe0(P, NP)
+        for gamma in (2, 3):
+            assert covariance_check(fe0, gamma, 1).passed is True
     rep = covariance_check(t_generator((5,), 10, ring=1), 2, 1)
     assert rep.passed is False and rep.witness is not None
     an = newform_coefficients(CURVE_11A1, 30, bad_values={11: 1})
-    ap = [ap_point_count(CURVE_11A1, 5), ap_point_count(CURVE_11A1, 13)]
-    f2e0 = build_f2e0(an, [5, 13], ap, N)
-    for gamma in (2, 3):
-        rep = covariance_check(f2e0, gamma, 1)
-        assert rep.passed is False and rep.witness is not None
-    report(5, "degree-1 law holds for the order-e forms, fails for t and the order-2e form")
+    for P in ([5, 13], [5, 7, 13]):  # 11 is a bad prime of 11a1
+        f2e0 = build_f2e0(an, P, [ap_point_count(CURVE_11A1, p) for p in P], N)
+        for gamma in (2, 3):
+            rep = covariance_check(f2e0, gamma, 1)
+            assert rep.passed is False and rep.witness is not None
+    report(
+        5,
+        "degree-1 law holds for the order-e forms at two, three and four primes, "
+        "fails for t and the order-2e forms over {5,13} and {5,7,13}",
+    )
 
 
 def test_criterion_06_rank_of_shifted_basis():
@@ -155,7 +168,11 @@ def test_criterion_07_order_two_integrality_and_agreement():
     f2e0 = build_f2e0(an, [5, 13], ap, 40)
     assert build_f2e_k(an, [5, 13], 0, ap, 40) == f2e0
     assert build_f2e_k(an, [5, 13], 1, ap, 40) == f2e0
-    report(7, "order-2 expansion 13-integral at window 30; order-2e routes agree at N=40")
+    P3 = [5, 7, 13]
+    ap3 = [ap_point_count(CURVE_11A1, p) for p in P3]
+    f2e0 = build_f2e0(an, P3, ap3, 40)
+    assert all(build_f2e_k(an, P3, k, ap3, 40) == f2e0 for k in range(3))
+    report(7, "order-2 expansion 13-integral at window 30; order-2e routes agree at N=40 over {5,13} and {5,7,13}")
 
 
 def test_criterion_08_lemma_suite():
@@ -186,28 +203,35 @@ def test_criterion_09_modular_data():
     report(9, "weight identity to order 40, Hasse reductions, point counts, Hasse bound")
 
 
-def test_criterion_10_continuation_roundtrip():
-    rng = random.Random(10)
-    P, N, M = (5, 7), 16, 8
-    for trial in range(100):
+def _round_trips(rng, P, trials, N=16, M=8):
+    """``trials`` random height-bounded series over P reduce to one p-adic
+    family per prime and reconstruct; every tenth has a fault placed in the
+    last family, which the check must name."""
+    dens = [d for d in range(1, 9_999) if all(d % p for p in P)]
+    for trial in range(trials):
         terms = {}
         for _ in range(rng.randint(1, 5)):
-            i1 = (rng.randint(0, 1), rng.randint(0, 1))
-            i2 = (rng.randint(0, 1), rng.randint(0, 1))
+            i1 = tuple(rng.randint(0, 1) for _ in P)
+            i2 = tuple(rng.randint(0, 1) for _ in P)
             mono = ((i1, rng.randint(1, 2)), (i2, rng.randint(1, 2)))
             num = rng.randint(-9_999, 9_999)
-            den = rng.choice([d for d in range(1, 9_999) if d % 5 and d % 7])
+            den = rng.choice(dens)
             if num:
                 terms[mono] = Fraction(num, den)
         f0 = MultiJetSeries.make(P, dict(terms), N)
-        fam = [reduce_to_padic(f0, 0, M), reduce_to_padic(f0, 1, M)]
+        fam = [reduce_to_padic(f0, k, M) for k in range(len(P))]
         res = continuation_check(fam, height=10_000)
         assert res.ok and res.f0 == f0
         if trial % 10 == 0 and f0.terms:
             m0, c0 = f0.terms[rng.randrange(len(f0.terms))]
-            bad = dict(fam[1].terms)
-            bad[m0] = PadicTrunc(7, M, bad.get(m0, PadicTrunc(7, M, 0, M)).residue + 1, M)
-            fam_bad = [fam[0], MultiJetSeries.make(P, bad, N, ring=2)]
+            bad = dict(fam[-1].terms)
+            bad[m0] = PadicTrunc(P[-1], M, bad.get(m0, PadicTrunc(P[-1], M, 0, M)).residue + 1, M)
+            fam_bad = [*fam[:-1], MultiJetSeries.make(P, bad, N, ring=len(P))]
             res_bad = continuation_check(fam_bad, height=10_000)
             assert not res_bad.ok and res_bad.witness == m0
-    report(10, "100 random height-bounded series reduce and reconstruct; faults localized")
+
+
+def test_criterion_10_continuation_roundtrip():
+    _round_trips(random.Random(10), (5, 7), 100)
+    _round_trips(random.Random(11), (5, 7, 11), 30)
+    report(10, "100 random height-bounded series over {5,7} and 30 over {5,7,11} reduce and reconstruct; faults localized")

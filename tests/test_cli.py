@@ -225,6 +225,30 @@ class TestChecks:
         assert "digits and base_order are q-side fields" in js["error"]["message"]
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"M": 4.5}, "expected an integer, got 4.5"),
+            ({"var": "x"}, "unknown base tag 'x'"),
+            ({"digits": 2}, "digits and base_order are q-side fields; a t-side series is exact below N"),
+            ({"N": None}, "a weighted truncation bound is required"),
+            ({"p": 4}, "4 is not a prime"),
+            ({"N": -3}, "N must be at least 0, got -3"),
+            ({"terms": [[0, "1", [1, -1]]]}, "jet exponents must be nonnegative"),
+            ({"terms": [[-1, "1", []]]}, "negative base exponents need the q side"),
+        ],
+        ids=["M", "var", "digits", "null-N", "p", "negative-N", "negative-jet", "negative-b"],
+    )
+    def test_t_payload_refused_at_read(self, capsys, tmp_path, change, message):
+        # each refusal of the t payload reader, named with the file; a null N
+        # and a non-prime p were refused only after the read
+        golden = os.path.join(os.path.dirname(__file__), "golden", "psi_serretate_p5_N20.json")
+        obj = {**json.loads(open(golden, encoding="utf-8").read()), **change}
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(obj))
+        code, js = run(capsys, "check-covariance", "--input", str(f), "--gamma", "2", "--nu", "1")
+        assert code == 2 and js["error"] == {"code": "domain", "message": f"{f}: {message}"}
+
+    @pytest.mark.parametrize(
         "key, value",
         [("N", 6.5), ("N", -2), ("N", True), ("N", 6.0), ("weight", 4.5), ("level", True), ("terms", [[1.0, "240"]])],
     )
@@ -273,6 +297,7 @@ GOLDEN_JOBS = [
     ("fe0_P5_7_N30.json", ["fe0", "--P", "5,7", "--N", "30"]),
     ("fe_k_P5_7_k1_N50.json", ["fe-k", "--P", "5,7", "--k", "1", "--N", "50"]),
     ("fe_k_P5_7_11_k3_N30.json", ["fe-k", "--P", "5,7,11", "--k", "3", "--N", "30"]),
+    ("fe_k_P5_7_11_k2_N40.json", ["fe-k", "--P", "5,7,11", "--k", "2", "--N", "40"]),
     ("commutator_6_2_3.json", ["check-commutator", "--p1", "2", "--p2", "3", "--value", "6"]),
     ("basis_P5_7_r22_N50.json", ["check-basis", "--P", "5,7", "--r", "2,2", "--N", "50"]),
     ("basis_P5_7_r33_N1226.json", ["check-basis", "--P", "5,7", "--r", "3,3", "--N", "1226"]),

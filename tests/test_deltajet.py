@@ -1,6 +1,7 @@
 """Single-prime jet rings: phi, delta, Psi builders, lemma checks."""
 
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import from_terms, to_terms
+from _helpers import from_terms, t_payload_terms, t_series_via_make, to_terms
 from pjet.arith import fermat_delta
 from pjet.cli import _dump as dump
 from pjet.deltajet import (
     JetSeries,
     Layout,
+    TSeries,
     delta,
     delta_n,
     lemma_logder_check,
@@ -25,17 +27,29 @@ from pjet.deltajet import (
     psi_serretate,
 )
 from pjet.errors import DomainError, PjetError, PrecisionExhausted
-from pjet.multiprime import MultiJetSeries, delta_pk, from_jet_series, phi_pk, to_jet_series
+from pjet.multiprime import MultiJetSeries, delta_pk, from_jet_series, phi_pk
 from pjet.qseries import Series1
 from pjet.sparse import add, scale
 
 
 def jq(p, terms, **kw):
-    return JetSeries.make(p, "q", {k: Fraction(v) for k, v in terms.items()}, **kw)
+    return JetSeries.make(p, {k: Fraction(v) for k, v in terms.items()}, **kw)
 
 
-def jt(p, terms, **kw):
-    return JetSeries.make(p, "t", {k: Fraction(v) for k, v in terms.items()}, **kw)
+def jt(p, terms, N):
+    """The t-side series of the (b, jets) -> c ``terms`` below weight N."""
+    monos = {tuple(((i,), e) for i, e in enumerate((b, *jets)) if e): c for (b, jets), c in terms.items()}
+    f = MultiJetSeries.make((p,), monos, N, ring=1)
+    return TSeries(f.P, f._store, f.N, f.ring)
+
+
+def t_terms(f):
+    """A d=1 series as tuple-route terms: ((b, jets...) trimmed, ()) -> c."""
+    out = {}
+    for m, c in f.terms:
+        z = {i: e for (i,), e in m}
+        out[(tuple(z.get(i, 0) for i in range(max(z, default=-1) + 1)), ())] = c
+    return out
 
 
 Q = lambda p=5: jq(p, {(1, ()): 1})  # noqa: E731
@@ -44,7 +58,7 @@ T = to_terms  # a q-side series as tuple-route terms
 
 def jq_terms(p, t):
     """The exact q-side series of tuple-route terms ``t``."""
-    return JetSeries.make(p, "q", from_terms(t))
+    return JetSeries.make(p, from_terms(t))
 
 
 def random_poly_jet(rng, p, order=2, nterms=3, hi=3):
@@ -55,7 +69,7 @@ def random_poly_jet(rng, p, order=2, nterms=3, hi=3):
         c = Fraction(rng.randint(-5, 5))
         if c:
             terms[(b, jets)] = terms.get((b, jets), 0) + c
-    return JetSeries.make(p, "q", terms)
+    return JetSeries.make(p, terms)
 
 
 class TestPhi:
@@ -196,7 +210,7 @@ def _phi_unpruned(f: JetSeries) -> JetSeries:
     if f.base_order is not None:
         digits = min(digits, f.M) if digits is not None else f.M
         border = p * (f.base_order - digits + 1)
-    return JetSeries.make(p, "q", from_terms(t), f.M, digits, border)
+    return JetSeries.make(p, from_terms(t), f.M, digits, border)
 
 
 def _delta_unpruned(f: JetSeries, prune: bool = False) -> JetSeries:
@@ -219,7 +233,7 @@ def _delta_unpruned(f: JetSeries, prune: bool = False) -> JetSeries:
         border = min(p * (f.base_order - digits + 1), f.base_order + (p - 1) * v)
         cut = border - (p - 1) * v if prune else None
     t = tuple_terms_delta(to_terms(f), p, digits_keep(p, cut, f.digits), f.eff_digits())
-    return JetSeries.make(p, "q", from_terms(t), f.M, digits, border)
+    return JetSeries.make(p, from_terms(t), f.M, digits, border)
 
 
 @st.composite
@@ -230,7 +244,6 @@ def laurent_jets(draw):
     terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=3))
     f = JetSeries.make(
         p,
-        "q",
         terms,
         M=draw(st.integers(2, 4)),
         digits=draw(st.one_of(st.none(), st.integers(2, 4))),
@@ -279,7 +292,6 @@ def chain_series(draw):
     terms.update(draw(st.dictionaries(keys, coeffs, max_size=3 - n)))
     f = JetSeries.make(
         p,
-        "q",
         terms,
         M=draw(st.integers(2, 5 - n)),
         digits=draw(st.one_of(st.none(), st.integers(2, 5 - n))),
@@ -342,7 +354,6 @@ def q_side_series(draw):
     coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, p]))
     return JetSeries.make(
         p,
-        "q",
         draw(st.dictionaries(keys, coeffs, min_size=1, max_size=3)),
         M=draw(st.integers(2, 4)),
         digits=draw(st.one_of(st.none(), st.integers(2, 4))),
@@ -376,14 +387,8 @@ class TestQSideOutputCut:
         else:
             cut = None if border is None else border - (p - 1) * min(f.base_valuation(), 0)
             t = delta_terms(to_terms(f), p, cut, f.digits, f.eff_digits())
-        want = JetSeries.make(p, "q", from_terms(t), f.M, got.digits, border)
-        assert (got.terms, got.digits, got.base_order, got.M, got.N) == (
-            want.terms,
-            want.digits,
-            want.base_order,
-            want.M,
-            want.N,
-        )
+        want = JetSeries.make(p, from_terms(t), f.M, got.digits, border)
+        assert (got.terms, got.digits, got.base_order, got.M) == (want.terms, want.digits, want.base_order, want.M)
         assert all(c for _, c in got.terms)
 
     def test_cancelled_constant_dropped(self):
@@ -399,34 +404,34 @@ def t_side_jets(draw):
     keys = st.tuples(st.integers(0, 12), st.sampled_from([(), (1,), (2,), (0, 1), (1, 1)]))
     coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, p]))
     terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=4))
-    return JetSeries.make(p, "t", terms, N=draw(st.integers(1, 60)))
+    return jt(p, terms, N=draw(st.integers(1, 60)))
 
 
-def _t_substitution(f: JetSeries, step, N: int) -> JetSeries:
+def _t_substitution(f: TSeries, step, N: int) -> TSeries:
     """t-side ``step`` (the reference tuple_terms_phi or tuple_terms_delta) by
     direct substitution x_i -> x_i**p + p*x_{i+1}, keeping the monomials of
     weight below N."""
-    p = f.p
-    t = step(to_terms(f), p, digits_keep(p, weight_below=N), 0)
-    return JetSeries.make(p, "t", from_terms(t), N=N)
+    p = f.P[0]
+    t = step(t_terms(f), p, digits_keep(p, weight_below=N), 0)
+    return jt(p, from_terms(t), N=N)
 
 
 class TestTSideAgainstMultiprime:
     """A t-side series lifts as the d=1 several-prime phi_pk and delta_pk,
-    in ghost coordinates, through the bridges; the reference substitutes in
+    in ghost coordinates, through the bridge; the reference substitutes in
     the jet coordinates instead."""
 
     @given(f=t_side_jets())
     @settings(max_examples=100, deadline=None)
     def test_phi_matches_phi_pk(self, f):
-        got = to_jet_series(phi_pk(from_jet_series(f), 0))
-        assert got.to_json() == _t_substitution(f, tuple_terms_phi, f.p * f.N).to_json()
+        got, want = phi_pk(from_jet_series(f), 0), _t_substitution(f, tuple_terms_phi, f.P[0] * f.N)
+        assert got.N == want.N and got == want
 
     @given(f=t_side_jets())
     @settings(max_examples=100, deadline=None)
     def test_delta_matches_delta_pk(self, f):
-        got = to_jet_series(delta_pk(from_jet_series(f), 0))
-        assert got.to_json() == _t_substitution(f, tuple_terms_delta, f.N).to_json()
+        got, want = delta_pk(from_jet_series(f), 0), _t_substitution(f, tuple_terms_delta, f.N)
+        assert got.N == want.N and got == want
 
     @pytest.mark.parametrize("op", [phi, delta])
     def test_q_side_maps_refuse_a_t_side_series(self, op):
@@ -435,8 +440,10 @@ class TestTSideAgainstMultiprime:
 
     @pytest.mark.parametrize("op", [phi_pk, delta_pk], ids=["phi", "delta"])
     def test_unbounded_series_rejected(self, op):
+        # a t-side series always has its bound: a payload without one is refused at read
+        obj = {**psi_serretate(5, N=10).to_json(), "N": None}
         with pytest.raises(DomainError, match="a weighted truncation bound is required"):
-            op(from_jet_series(jt(5, {(1, ()): 1})), 0)
+            op(from_jet_series(JetSeries.from_json(obj)), 0)
 
 
 @st.composite
@@ -575,7 +582,7 @@ class TestPsiSerreTate:
 
     def test_leading_jet_term(self):
         psi = psi_serretate(7, N=9)
-        assert dict(psi.terms)[(0, (1,))] == 1
+        assert psi.coeff((((1,), 1),)) == 1
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_denominators_coprime_to_p(self, p):
@@ -678,7 +685,29 @@ class TestJson:
     def test_t_side_roundtrip(self):
         s = psi_serretate(5, N=10)
         back = JetSeries.from_json(s.to_json())
-        assert back == s and back.N == 10
+        assert isinstance(back, TSeries) and back == s and back.N == 10
+
+    @given(p=st.sampled_from([5, 7, 11, 13, 17, 19, 23]), N=st.integers(0, 60))
+    @settings(max_examples=30, deadline=None)
+    def test_t_payload_round_trip(self, p, N):
+        s = psi_serretate(p, N)
+        obj = s.to_json()
+        assert obj == t_payload_terms(s)
+        back = JetSeries.from_json(json.loads(dump(obj)))
+        assert type(back) is TSeries and (back.P, back.N, back.ring) == ((p,), N, 1)
+        assert back._store == s._store and back._store.den == s._store.den
+        assert back == t_series_via_make(obj) and dump(back.to_json()) == dump(obj)
+
+    @pytest.mark.parametrize("var", ["x", "T", None])
+    def test_unknown_var_refused(self, var):
+        obj = {**psi_serretate(5, N=10).to_json(), "var": var}
+        with pytest.raises(DomainError, match=f"unknown base tag {var!r}"):
+            JetSeries.from_json(obj)
+
+    def test_q_side_payload_refuses_N(self):
+        obj = {**psi_fourier(5, M=8, window=5).to_json(), "N": 10}
+        with pytest.raises(DomainError, match="N is a t-side field"):
+            JetSeries.from_json(obj)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -694,11 +723,9 @@ class TestJson:
         obj = {**psi_serretate(5, N=10).to_json(), key: value}
         with pytest.raises(DomainError, match="digits and base_order are q-side fields"):
             JetSeries.from_json(obj)
-        with pytest.raises(DomainError, match="digits and base_order are q-side fields"):
-            JetSeries.make(5, "t", {(1, ()): 1}, N=10, **{key: value})
 
     def test_t_side_header_reads_integer_strings_and_nulls(self):
         obj = {**psi_serretate(5, N=10).to_json(), "N": "10", "M": "6", "digits": None, "base_order": None}
         back = JetSeries.from_json(obj)
-        assert (back.N, back.M, back.digits, back.base_order) == (10, 6, None, None)
+        assert back.N == 10 and back.to_json()["M"] == 8  # M is checked, not kept
         assert back == psi_serretate(5, N=10)

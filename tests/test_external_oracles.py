@@ -51,15 +51,16 @@ class TestSympyOracles:
         t, s = sympy.symbols("t s")
         expr = (sympy.log(1 + t**p + p * s) - p * sympy.log(1 + t)) / p
         ours = psi_serretate(p, N)
-        # weighted degree < 12 admits jet exponents 0 and 1 only (wt(s) = 5)
-        for (b, jets), c in ours.terms:
+        # weighted degree < 12 admits jet exponents 0 and 1 only (wt(s) = 5);
+        # the payload terms are [b, c, jets], b the power of t
+        for b, c, jets in ours.to_json()["terms"]:
             e1 = jets[0] if jets else 0
             poly = expr
             for _ in range(e1):
                 poly = sympy.diff(poly, s)
             poly = poly.subs(s, 0) / sympy.factorial(e1)
             want = sympy.series(poly, t, 0, b + 1).coeff(t, b)
-            assert c == Fraction(int(sympy.nsimplify(want).p), int(sympy.nsimplify(want).q))
+            assert Fraction(c) == Fraction(int(sympy.nsimplify(want).p), int(sympy.nsimplify(want).q))
 
     def test_jet_delta_against_rational_function(self):
         # the substitution-formula derivative of f = (z^p + p z1)/z equals the

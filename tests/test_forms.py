@@ -64,13 +64,13 @@ class TestDeltaFourierExpand:
         d = discriminant_delta(8)
         got = delta_fourier_expand(d, 0, 5, 6)
         assert got == JetSeries.make(
-            5, "q", {(e, ()): c for e, c in d.series.terms}, base_order=8
+            5, {(e, ()): c for e, c in d.series.terms}, base_order=8
         )
 
     def test_dual_path_on_eisenstein(self):
         e4 = eisenstein(4, 6)
         got = delta_fourier_expand(e4, 1, 5, 8)
-        emb = JetSeries.make(5, "q", {(e, ()): c for e, c in e4.series.terms})
+        emb = JetSeries.make(5, {(e, ()): c for e, c in e4.series.terms})
         assert got == delta_axiomatic(emb)
 
     def test_constant_reduces_to_fermat_chain(self):
@@ -78,7 +78,7 @@ class TestDeltaFourierExpand:
 
         f = QExpansion.make(0, {0: Fraction(2)}, 5)
         got = delta_fourier_expand(f, 2, 5, 8)
-        assert got == JetSeries.make(5, "q", {(0, ()): fermat_delta(fermat_delta(2, 5), 5)})
+        assert got == JetSeries.make(5, {(0, ()): fermat_delta(fermat_delta(2, 5), 5)})
 
     def test_non_integral_coefficients_rejected(self):
         f = QExpansion.make(0, {1: Fraction(1, 5)}, 4)
@@ -96,7 +96,7 @@ class TestFsharp:
         phi1 = tuple_terms_phi(q, p, digits_keep(p), 0)
         phi2 = tuple_terms_phi(phi1, p, digits_keep(p), 0)
         want = scale(add(phi2, scale(phi1, -7), scale(q, p)), Fraction(1, p))
-        assert got == JetSeries.make(p, "q", from_terms(want))
+        assert got == JetSeries.make(p, from_terms(want))
 
     def test_eleven_a_one_is_13_integral(self):
         fs = fsharp_expansion(AN40[:30], A13, 13, M=6, window=30)
@@ -420,7 +420,7 @@ def q_series(draw):
         b = draw(st.integers(-12, 4))
         jets = tuple(draw(st.integers(0, 2)) for _ in range(draw(st.integers(0, 2))))
         terms[(b, jets)] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
-    return JetSeries.make(p, "q", terms), draw(st.integers(1, 14))
+    return JetSeries.make(p, terms), draw(st.integers(1, 14))
 
 
 NEGATIVE_N_BUILDERS = [
@@ -449,6 +449,24 @@ class TestNegativeN:
         assert f.N == 0 and f.terms == ()
 
 
+class TestSideGuards:
+    """Each side's maps refuse a series of the other side by its type."""
+
+    @pytest.mark.parametrize("f", [lambda: psi_fourier(5, 8, 5), lambda: "t"], ids=["q-side", "str"])
+    def test_covariance_check_needs_a_t_side_series(self, f):
+        with pytest.raises(DomainError, match="expected a t-side jet series"):
+            covariance_check(f(), 2, 1)
+
+    @pytest.mark.parametrize("f", [lambda: psi_fourier(5, 8, 5), lambda: t_generator((5,), 10, ring=1)], ids=["q-side", "plain"])
+    def test_bridge_takes_only_a_t_series(self, f):
+        with pytest.raises(DomainError, match="expected a t-side jet series"):
+            from_jet_series(f())
+
+    def test_fourier_to_deformation_needs_a_q_side_series(self):
+        with pytest.raises(DomainError, match="expected a Fourier-side jet series"):
+            fourier_to_deformation(psi_serretate(5, 10), 10)
+
+
 class TestTranscription:
     @pytest.mark.parametrize("p", [5, 7])
     def test_matches_reference_on_psi_fourier(self, p):
@@ -468,7 +486,7 @@ class TestTranscription:
         assert got == from_jet_series(psi_serretate(5, 30))
 
     def test_base_only_series(self):
-        f = JetSeries.make(5, "q", {(2, ()): 1, (-1, ()): 3})
+        f = JetSeries.make(5, {(2, ()): 1, (-1, ()): 3})
         img = fourier_to_deformation(f, 8)
         t = t_generator((5,), 8)
         assert img == (t + 1) ** 2 + invert_unit(t + 1) * 3
@@ -483,7 +501,7 @@ def deep_q_series(draw):
         b = draw(st.integers(-30, 10))
         jets = tuple(draw(st.integers(0, 4)) for _ in range(draw(st.integers(0, 3))))
         terms[(b, jets)] = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 30)))
-    return JetSeries.make(p, "q", terms), draw(st.integers(0, 30))
+    return JetSeries.make(p, terms), draw(st.integers(0, 30))
 
 
 class TestHornerTranscription:
@@ -518,25 +536,25 @@ class TestHornerTranscription:
             return delta_pk(f, k) * Fraction(1, 2)
 
         monkeypatch.setattr(forms, "delta_pk", halved)
-        f = JetSeries.make(5, "q", {(1, (1,)): 1})
+        f = JetSeries.make(5, {(1, (1,)): 1})
         with pytest.raises(IntegralityViolation):
             fourier_to_deformation(f, 10)
 
     @pytest.mark.parametrize("N", [0, 1, 12])
     def test_empty_series(self, N):
-        got = fourier_to_deformation(JetSeries.make(7, "q", {}), N)
+        got = fourier_to_deformation(JetSeries.make(7, {}), N)
         assert got == MultiJetSeries.make((7,), {}, N) and got.terms == ()
         assert (got.P, got.N, got.ring) == ((7,), N, 0)
 
     def test_zero_truncation_is_empty(self):
-        f = JetSeries.make(7, "q", {(0, ()): 2, (-3, (1, 2)): Fraction(1, 3)})
+        f = JetSeries.make(7, {(0, ()): 2, (-3, (1, 2)): Fraction(1, 3)})
         got = fourier_to_deformation(f, 0)
         assert got.terms == () and (got.P, got.N, got.ring) == ((7,), 0, 0)
 
     @pytest.mark.parametrize("N", [1, 2, 9])
     def test_no_jets(self, N):
         # r = 0: the leaf alone, sum_b c_b (1 + t)^b
-        f = JetSeries.make(5, "q", {(0, ()): 2, (3, ()): Fraction(-1, 6), (-2, ()): 7})
+        f = JetSeries.make(5, {(0, ()): 2, (3, ()): Fraction(-1, 6), (-2, ()): 7})
         assert f.r() == 0
         t = t_generator((5,), N)
         want = (t + 1) ** 3 * Fraction(-1, 6) + invert_unit(t + 1) ** 2 * 7 + 2
@@ -545,6 +563,6 @@ class TestHornerTranscription:
 
     def test_gap_in_jet_exponents(self):
         # Horner steps through the missing exponents 1 and 2 of q'
-        f = JetSeries.make(5, "q", {(2, (3,)): Fraction(1, 3), (0, ()): 1})
+        f = JetSeries.make(5, {(2, (3,)): Fraction(1, 3), (0, ()): 1})
         got, want = fourier_to_deformation(f, 20), reference_transcription(f, 20)
         assert got.terms == want.terms

@@ -20,15 +20,15 @@ from hypothesis import strategies as st
 from _helpers import (
     fourier_to_deformation_terms,
     from_json_tuples,
-    from_jet_series_terms,
     pack_terms,
-    to_jet_series_terms,
+    t_payload_terms,
+    t_series_via_make,
     to_json_tuples,
 )
 from pjet import multiprime
 from pjet.arith import format_rational
 from pjet.cli import _dump as dump
-from pjet.deltajet import JetSeries, psi_fourier, psi_serretate
+from pjet.deltajet import JetSeries, TSeries, psi_fourier, psi_serretate
 from pjet.errors import DomainError, IntegralityViolation
 from pjet.forms import fourier_to_deformation
 from pjet.multiprime import (
@@ -40,7 +40,6 @@ from pjet.multiprime import (
     psi_multi,
     reduce_to_padic,
     t_generator,
-    to_jet_series,
 )
 
 P57 = (5, 7)
@@ -227,7 +226,7 @@ JETS = [(), (1,), (2,), (0, 1), (1, 1), (0, 0, 3)]  # trimmed, so no two spell o
 
 @st.composite
 def jet_terms(draw):
-    """(p, base, terms) for ``JetSeries.make``: q-side base exponents -12..12,
+    """(p, base, terms) for a q-side ``JetSeries`` or a ``TSeries``: q-side base exponents -12..12,
     t-side 0..12, rational coefficients with zeros among them."""
     p, base = draw(st.sampled_from([5, 7])), draw(st.sampled_from(["q", "t"]))
     keys = st.tuples(st.integers(-12 if base == "q" else 0, 12), st.sampled_from(JETS))
@@ -249,12 +248,16 @@ def payload_terms_via_view(f):
 @settings(max_examples=150, deadline=None)
 def test_jet_series_payload_matches_the_terms_view(case):
     p, base, terms = case
-    f = JetSeries.make(p, base, terms)
     want = sorted((m, c) for m, c in terms.items() if c)
-    assert f.terms == tuple(want)
-    assert f.to_json()["terms"] == payload_terms_via_view(f)
+    if base == "q":
+        f = JetSeries.make(p, terms)
+        assert f.terms == tuple(want) and f.to_json()["terms"] == payload_terms_via_view(f)
+        assert f.den > 0 and all(f.num.values()) and math.gcd(f.den, *f.num.values()) == 1
+    else:  # the d=1 series below a weight above every drawn term
+        monos = {tuple(((i,), e) for i, e in enumerate((b, *jets)) if e): c for (b, jets), c in terms.items()}
+        F = MultiJetSeries.make((p,), monos, 2000, ring=1)
+        f = TSeries(F.P, F._store, F.N, F.ring)
     assert f.to_json()["terms"] == [[b, format_rational(c), list(j)] for (b, j), c in want]
-    assert f.den > 0 and all(f.num.values()) and math.gcd(f.den, *f.num.values()) == 1
     back = JetSeries.from_json(f.to_json())
     assert back == f and hash(back) == hash(f) and dump(back.to_json()) == dump(f.to_json())
 
@@ -262,7 +265,7 @@ def test_jet_series_payload_matches_the_terms_view(case):
 @pytest.mark.parametrize("f", [lambda: psi_fourier(7, 8, 12), lambda: psi_serretate(5, 20), lambda: psi_serretate(7, 0)])
 def test_jet_series_builders_write_the_terms_view(f):
     x = f()
-    assert x.to_json()["terms"] == payload_terms_via_view(x)
+    assert x.to_json()["terms"] == (t_payload_terms(x)["terms"] if isinstance(x, TSeries) else payload_terms_via_view(x))
 
 
 @st.composite
@@ -271,7 +274,7 @@ def fourier_series(draw):
     p = draw(st.sampled_from([5, 7, 11]))
     keys = st.tuples(st.integers(-20, 10), st.sampled_from(JETS))
     coeffs = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 30))
-    return JetSeries.make(p, "q", draw(st.dictionaries(keys, coeffs, max_size=5))), draw(st.integers(0, 24))
+    return JetSeries.make(p, draw(st.dictionaries(keys, coeffs, max_size=5))), draw(st.integers(0, 24))
 
 
 @st.composite
@@ -302,13 +305,15 @@ class TestJetSeriesReaders:
     @given(F=d1_series())
     @settings(max_examples=60, deadline=None)
     def test_from_and_to_jet_series(self, F):
-        f, want = to_jet_series(F), to_jet_series_terms(F)
-        assert dump(f.to_json()) == dump(want.to_json()) and f == want
-        back, want = from_jet_series(f), from_jet_series_terms(want)
-        assert dump(back.to_json()) == dump(want.to_json()) and back == want == F
+        # the t payload of a d=1 series, written from its keys and read back into them
+        obj = TSeries(F.P, F._store, F.N, F.ring).to_json()
+        assert obj == t_payload_terms(F)
+        back = JetSeries.from_json(json.loads(dump(obj)))
+        assert back == t_series_via_make(obj) == F and hash(back) == hash(F)
+        assert dump(from_jet_series(back).to_json()) == dump(F.to_json())
 
     @pytest.mark.parametrize("p, N", [(5, 20), (7, 30), (11, 1), (5, 0)])
     def test_from_and_to_jet_series_on_psi_serretate(self, p, N):
-        f = psi_serretate(p, N)
-        assert dump(f.to_json()) == dump(to_jet_series_terms(psi_multi((p,), 0, N)).to_json())
-        assert dump(from_jet_series(f).to_json()) == dump(from_jet_series_terms(f).to_json())
+        f, F = psi_serretate(p, N), psi_multi((p,), 0, N)
+        assert dump(f.to_json()) == dump(t_payload_terms(F))
+        assert dump(from_jet_series(f).to_json()) == dump(F.to_json())

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import _helpers
 from pjet.arith import PadicTrunc
-from pjet.deltajet import JetSeries
-from pjet.multiprime import MultiJetSeries, from_jet_series, to_jet_series
+from pjet.deltajet import TSeries
+from pjet.multiprime import MultiJetSeries
 from pjet.qseries import Series1
 from pjet.sparse import add, mul, power, scale
 
@@ -156,10 +156,10 @@ class TestTrivialPowers:
 
     def test_jet_series(self):
         # a t-side series takes its powers in the d=1 several-prime ring
-        t = JetSeries.make(5, "t", {(1, ()): F(1), (0, (1,)): F(2), (9, ()): F(1)}, N=10)
-        m = from_jet_series(t)
-        assert to_jet_series(m**0).to_json() == {**t.to_json(), "terms": [[0, "1", []]]}
-        assert to_jet_series(m**1).to_json() == t.to_json()
+        m = MultiJetSeries.make((5,), {(((0,), 1),): F(1), (((1,), 1),): F(2), (((0,), 9),): F(1)}, 10, ring=1)
+        t = TSeries(m.P, m._store, m.N, m.ring)
+        assert (t**0).to_json() == {**m.to_json(), "r": [0], "terms": [[[], "1"]]}
+        assert (t**1).to_json() == m.to_json()
 
     def test_multi_jet_series(self):
         m = MultiJetSeries.make(
