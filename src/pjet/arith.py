@@ -2,32 +2,28 @@
 
 Coefficients are exact rationals (``Fraction``) or :class:`PadicTrunc`,
 truncated p-adic integers: a residue modulo ``p**M`` together with a count
-``digits`` of guaranteed base-p digits.  Each exact division by ``p``
-consumes one guaranteed digit.
+``digits`` of guaranteed base-p digits.  A ``PadicTrunc`` is a value that is
+built, compared and written, with no arithmetic of its own: code that
+computes with truncated p-adics, such as ``qseries.delta0``, works on the
+integer residues and spends one guaranteed digit on each division by ``p``.
 
-On both domains the Frobenius lift is the identity, so the p-derivation
+With the identity Frobenius lift, the p-derivation of a p-integral rational
 is the plain Fermat quotient ``delta(a) = (a - a**p) / p``.
 
 The module also hosts the twisted-addition polynomial ``C_p``, the two-prime
-commutator polynomial, p-adic binomial coefficients, and multi-modular
+commutator polynomial, integer binomial coefficients, and multi-modular
 rational reconstruction.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from . import sparse
-from .errors import (
-    DomainError,
-    IntegralityViolation,
-    PrecisionExhausted,
-    ReconstructionFailure,
-)
+from .errors import DomainError, IntegralityViolation, ReconstructionFailure
 
 Rat = Union[int, Fraction]
 
@@ -143,65 +139,18 @@ class PadicTrunc:
     def from_rational(x: Rat, p: int, M: int, digits: int | None = None) -> "PadicTrunc":
         return PadicTrunc(p, M, reduce_rational_mod(x, p, M), M if digits is None else digits)
 
-    def _coerce(self, other) -> "PadicTrunc":
-        if isinstance(other, PadicTrunc):
-            if other.p != self.p:
-                raise DomainError("mismatched primes")
-            return other
-        return PadicTrunc.from_rational(other, self.p, self.M)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        M = min(self.M, o.M)
-        return PadicTrunc(self.p, M, self.residue + o.residue, min(self.digits, o.digits, M))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PadicTrunc(self.p, self.M, -self.residue, self.digits)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        M = min(self.M, o.M)
-        return PadicTrunc(self.p, M, self.residue * o.residue, min(self.digits, o.digits, M))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.unit_inverse() ** (-n)
-        return sparse.power(self, n, PadicTrunc(self.p, self.M, 1, self.digits), operator.mul)
-
-    def unit_inverse(self) -> "PadicTrunc":
-        if self.residue % self.p == 0:
-            raise DomainError("not a unit")
-        inv = pow(self.residue, -1, self.p**self.M)
-        return PadicTrunc(self.p, self.M, inv, self.digits)
-
-    def divide_by_p(self) -> "PadicTrunc":
-        if self.digits <= 0:
-            raise PrecisionExhausted("no guaranteed digits left")
-        if self.residue % self.p != 0:
-            raise IntegralityViolation(f"residue {self.residue} not divisible by {self.p}")
-        # The top digit of the quotient is unconstrained by the stored residue.
-        return PadicTrunc(self.p, self.M, self.residue // self.p, self.digits - 1)
-
     def __eq__(self, other):
-        if isinstance(other, PadicTrunc):
-            if other.p != self.p:
-                return False
-            g = min(self.digits, other.digits)
-            return (self.residue - other.residue) % self.p**g == 0
-        try:
-            return self == self._coerce(other)
-        except DomainError:
+        """Agreement to the guaranteed digits both sides share; a rational is
+        read at this value's (p, M), and one that is not p-integral differs."""
+        if isinstance(other, numbers.Rational):
+            try:
+                other = PadicTrunc.from_rational(other, self.p, self.M)
+            except DomainError:
+                return NotImplemented
+        if not isinstance(other, PadicTrunc):
             return NotImplemented
+        g = min(self.digits, other.digits)
+        return other.p == self.p and (self.residue - other.residue) % self.p**g == 0
 
     def __hash__(self):
         return hash((self.p, self.residue % self.p**self.digits, self.digits))
@@ -211,7 +160,8 @@ class PadicTrunc:
 
     @staticmethod
     def from_json(obj: Mapping) -> "PadicTrunc":
-        return PadicTrunc(int(obj["p"]), int(obj["M"]), int(obj["residue"]), int(obj["digits"]))
+        """The payload's value, each field read by ``parse_int``."""
+        return PadicTrunc(*(parse_int(obj[k]) for k in ("p", "M", "residue", "digits")))
 
     def __str__(self) -> str:
         return f"{self.residue} + O({self.p}^{self.digits})"
@@ -231,17 +181,10 @@ def decode_coeff(c) -> Fraction | PadicTrunc:
 # ---------------------------------------------------------------------------
 
 
-def fermat_delta(a, p: int):
-    """Fermat quotient ``(a - a**p) / p`` with the identity Frobenius.
-
-    Accepts ints, Fractions and PadicTrunc; the result stays in the same
-    domain.  For PadicTrunc one guaranteed digit is spent.
-    """
+def fermat_delta(a: Rat, p: int) -> Rat:
+    """Fermat quotient ``(a - a**p) / p`` of a p-integral rational, with the
+    identity Frobenius; an int gives an int."""
     check_prime(p)
-    if isinstance(a, PadicTrunc):
-        if a.p != p:
-            raise DomainError(f"carrier prime {a.p} != {p}")
-        return (a - a**p).divide_by_p()
     x = Fraction(a)
     if x.denominator % p == 0:
         raise DomainError(f"{x} is not p-integral at p={p}")
@@ -322,28 +265,6 @@ def binomial(a: int, j: int) -> int:
     for i in range(j):
         num *= a - i
     return num // math.factorial(j)
-
-
-def padic_binomial(gamma: PadicTrunc, k: int) -> PadicTrunc:
-    """Binomial coefficient C(gamma, k) of a p-adic integer.
-
-    Integrality is classical; the computation spends v_p(k!) guaranteed
-    digits on the division by k!.
-    """
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    p = gamma.p
-    num = PadicTrunc(p, gamma.M, 1, gamma.digits)
-    for i in range(k):
-        num = num * (gamma - i)
-    fact = math.factorial(k)
-    v = 0
-    while fact % p == 0:
-        fact //= p
-        v += 1
-    for _ in range(v):
-        num = num.divide_by_p()
-    return num * PadicTrunc.from_rational(Fraction(1, fact), p, num.M)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -341,8 +342,10 @@ class JetSeries:
     # -- equality -------------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, JetSeries):
+        if isinstance(other, numbers.Rational):
             other = JetSeries.make(self.p, {(0, ()): Fraction(other)})
+        elif not isinstance(other, JetSeries):
+            return NotImplemented
         if self.p != other.p:
             return False
         digits = min_order(self.digits, other.digits)

@@ -77,7 +77,11 @@ class QExpansion:
 
     @staticmethod
     def from_json(obj) -> "QExpansion":
-        return QExpansion(parse_int(obj.get("weight", 0)), parse_int(obj.get("level", 1)), Series1.from_json(obj))
+        """The payload's form; unlike a bare ``Series1``, its N is not negative."""
+        weight, level = parse_int(obj.get("weight", 0)), parse_int(obj.get("level", 1))
+        if obj.get("N") is not None:
+            at_least(0, N=parse_int(obj["N"]))
+        return QExpansion(weight, level, Series1.from_json(obj))
 
 
 def eisenstein(k: int, trunc: int) -> QExpansion:

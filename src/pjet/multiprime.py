@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -450,8 +451,10 @@ class MultiJetSeries:
         return L.series(_canon(out, t.den**n), self.ring)
 
     def __eq__(self, other):
-        if not isinstance(other, MultiJetSeries):
-            other = MultiJetSeries.make(self.P, {M_ONE: Fraction(other)}, self.N, self.ring)
+        if isinstance(other, numbers.Rational):
+            other = MultiJetSeries.make(self.P, {M_ONE: other}, self.N, self.ring)
+        elif not isinstance(other, MultiJetSeries):
+            return NotImplemented
         if self.P != other.P:
             return False
         N = min(self.N, other.N)
@@ -509,7 +512,12 @@ class MultiJetSeries:
                 else:  # a negative exponent, an index with no field, or a malformed one
                     key = L.pack(_norm_mono((tuple(map(parse_int, i)), parse_int(e)) for i, e in mono))
                     break
-            c = PadicTrunc.from_json(c) if isinstance(c, dict) else parse_ratio(c)
+            if isinstance(c, dict):
+                c = PadicTrunc.from_json(c)
+                if not 0 < ring <= len(P) or c.p != P[ring - 1]:
+                    raise DomainError(f"ring {ring} holds no {c.p}-adic coefficient")
+            else:
+                c = parse_ratio(c)
             pairs.append((None if key is None or key >= L.limit else key, c))
         return MultiJetSeries(P, _stored(pairs), N, ring)
 

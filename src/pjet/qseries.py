@@ -1,9 +1,14 @@
-"""Truncated one-variable series over exact rationals or truncated p-adics.
+"""Truncated one-variable series, and the q-side operator ``delta0``.
 
 ``Series1`` models both Laurent series in ``q`` (negative exponents allowed)
 and power series in ``t`` (valuation >= 0 enforced).  The truncation order
-``N`` is exclusive: the coefficient of ``q**N`` and beyond is unknown.
-``N = None`` marks an exact polynomial with no unknown tail.
+``N`` is exclusive: the coefficient of ``q**N`` and beyond is unknown, and
+on a Laurent series N may be negative.  ``N = None`` marks an exact
+polynomial with no unknown tail.
+
+Coefficients are exact rationals, with ring arithmetic, or truncated p-adics,
+which a series only stores, compares and writes: ``delta0`` computes in the
+integer residues and gives its result as p-adic values.
 
 Only series with finitely many stored terms are representable; elements of
 a p-adically completed Laurent ring need not have such representatives in
@@ -16,11 +21,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 from . import sparse
-from .arith import PadicTrunc, at_least, decode_coeff, encode_coeff, min_order, parse_int
-from .errors import DomainError
+from .arith import PadicTrunc, check_prime, decode_coeff, encode_coeff, min_order, parse_int, reduce_rational_mod
+from .errors import DomainError, PrecisionExhausted
 
 Coeff = Union[Fraction, PadicTrunc]
 
@@ -72,15 +77,6 @@ class Series1:
         """Exponent of the lowest stored term; None for the zero series."""
         return self.terms[0][0] if self.terms else None
 
-    def map_coeffs(self, f: Callable[[Coeff], Coeff]) -> "Series1":
-        return Series1.make(self.var, {e: f(c) for e, c in self.terms}, self.N)
-
-    def to_padic(self, p: int, M: int) -> "Series1":
-        def conv(c):
-            return c if isinstance(c, PadicTrunc) else PadicTrunc.from_rational(c, p, M)
-
-        return self.map_coeffs(conv)
-
     # -- ring operations ----------------------------------------------------
 
     def _check_var(self, other: "Series1"):
@@ -109,7 +105,7 @@ class Series1:
 
     def __mul__(self, other):
         if not isinstance(other, Series1):  # scalar
-            return self.map_coeffs(lambda c: c * other)
+            return Series1.make(self.var, {e: c * other for e, c in self.terms}, self.N)
         self._check_var(other)
         bound = self._mul_order(other)
         t1 = dict(self.terms)  # a square multiplies one dict by itself
@@ -119,11 +115,16 @@ class Series1:
     __rmul__ = __mul__
 
     def _mul_order(self, other: "Series1") -> int | None:
-        v1 = self.valuation()
-        v2 = other.valuation()
-        n1 = None if self.N is None else self.N + (v2 if v2 is not None else 0)
-        n2 = None if other.N is None else other.N + (v1 if v1 is not None else 0)
+        n1 = None if self.N is None else self.N + other._low()
+        n2 = None if other.N is None else other.N + self._low()
         return min_order(n1, n2)
+
+    def _low(self) -> int:
+        """An exponent at or below every term, stored or unknown: the valuation,
+        or with no stored term min(N, 0), as one known below a negative N may
+        have a term at N."""
+        v = self.valuation()
+        return v if v is not None else min(self.N or 0, 0)
 
     def __pow__(self, n: int) -> "Series1":
         if n < 0:
@@ -143,12 +144,7 @@ class Series1:
         for e in exps:
             if bound is not None and e >= bound:
                 continue
-            c1, c2 = self.coeff(e), other.coeff(e)
-            if isinstance(c1, PadicTrunc) and not isinstance(c2, PadicTrunc):
-                c2 = PadicTrunc.from_rational(c2, c1.p, c1.M)
-            elif isinstance(c2, PadicTrunc) and not isinstance(c1, PadicTrunc):
-                c1 = PadicTrunc.from_rational(c1, c2.p, c2.M)
-            if c1 != c2:
+            if self.coeff(e) != other.coeff(e):
                 return False
         return True
 
@@ -166,12 +162,11 @@ class Series1:
 
     @staticmethod
     def from_json(obj: Mapping) -> "Series1":
-        """The payload's series: N and every exponent read by ``parse_int``,
-        N null or not negative."""
+        """The payload's series: N and every exponent read by ``parse_int``.
+        N may be negative: a Laurent series known below a negative power."""
         N = obj.get("N")
         if N is not None:
             N = parse_int(N)
-            at_least(0, N=N)
         return Series1.make(obj["var"], {parse_int(e): decode_coeff(c) for e, c in obj["terms"]}, N)
 
 
@@ -200,59 +195,42 @@ def log1p(x: Series1, order: int | None = None) -> Series1:
     return out
 
 
-def pow_weight(u: Series1, gamma: int | PadicTrunc, order: int | None = None) -> Series1:
-    """(1 + x)**gamma; exact for integer gamma >= 0, binomial series for p-adic.
-
-    A p-adic exponent requires leading coefficient 1, i.e. u = 1 + x with
-    val(x) >= 1; the binomial coefficients C(gamma, k) then drive the series.
-    """
-    if isinstance(gamma, int):
-        return (u.truncate(order) if order is not None else u) ** gamma
-    from .arith import padic_binomial
-
-    c0 = u.coeff(0)
-    one_ok = (
-        c0 == 1
-        if not isinstance(c0, PadicTrunc)
-        else c0 == PadicTrunc.from_rational(1, c0.p, c0.M)
-    )
-    if not one_ok or (u.valuation() is not None and u.valuation() < 0):
-        raise DomainError("p-adic exponent needs a series of the form 1 + x")
-    x = u - 1
-    N = min_order(u.N, order)
-    if N is None:
-        raise DomainError("p-adic power of an exact series needs an order bound")
-    x = x.truncate(N).to_padic(gamma.p, gamma.M)
-    out = Series1.monomial(u.var, 0, PadicTrunc.from_rational(1, gamma.p, gamma.M), N)
-    power = Series1.monomial(u.var, 0, PadicTrunc.from_rational(1, gamma.p, gamma.M), N)
-    v = x.valuation()
-    if v is None:
-        return out
-    for k in range(1, N // v + 1):
-        power = (power * x).truncate(N)
-        if not power.terms:
-            break
-        out = out + power * padic_binomial(gamma, k)
-    return out
-
-
-def frobenius_sub(a: Series1, p: int) -> Series1:
-    """Substitute q -> q**p (coefficients are fixed by design).
-
-    A tail unknown from exponent N on maps to exponents p*N and beyond, and
-    the gaps between multiples of p are known to vanish, so the result is
-    honest through p*N.
-    """
-    N = None if a.N is None else p * a.N
-    return Series1.make(a.var, {p * e: c for e, c in a.terms}, N)
+def pow_weight(u: Series1, gamma: int, order: int | None = None) -> Series1:
+    """u**gamma for an integer gamma >= 0, with u first cut at ``order``."""
+    return (u.truncate(order) if order is not None else u) ** gamma
 
 
 def delta0(a: Series1, p: int, M: int) -> Series1:
-    """Coefficientwise Fermat-quotient operator on q-expansions.
+    """Coefficientwise Fermat-quotient operator on q-expansions:
+    (a(q**p) - a(q)**p) / p, computed in integer residues mod p**m.
 
-    Computes (a(q**p) - a(q)**p) / p over truncated p-adics; the division
-    consumes one guaranteed digit.
+    A rational coefficient is read at (M, M), a p-adic one at its own
+    (M, digits); m is the least M and g the least digits, and every output
+    coefficient keeps g - 1 digits, as the division by p spends one.  Each
+    product keeps only its nonzero residues, which set its valuation and so
+    its truncation order.  Fermat makes every numerator divisible by p.
     """
-    ap = a.to_padic(p, M)
-    num = frobenius_sub(ap, p) - ap**p
-    return num.map_coeffs(lambda c: c.divide_by_p())
+    check_prime(p)
+    for _, c in a.terms:
+        if isinstance(c, PadicTrunc) and c.p != p:
+            raise DomainError(f"a {c.p}-adic coefficient has no delta0 at p={p}")
+    prec = [(c.M, c.digits) if isinstance(c, PadicTrunc) else (M, M) for _, c in a.terms]
+    m, g = min((x for x, _ in prec), default=M), min((y for _, y in prec), default=M)
+    mod = p**m
+    r = Series1.make(
+        a.var,
+        {e: c.residue % mod if isinstance(c, PadicTrunc) else reduce_rational_mod(c, p, m) for e, c in a.terms},
+        a.N,
+    )
+
+    def mul(x: Series1, y: Series1) -> Series1:
+        xy = x * y
+        return Series1.make(xy.var, {e: c % mod for e, c in xy.terms}, xy.N)
+
+    rp = sparse.power(r, p, Series1.make(a.var, {0: 1}, a.N), mul)
+    N = min_order(None if a.N is None else p * a.N, rp.N)
+    num = sparse.add({p * e: c for e, c in r.terms}, {e: -c for e, c in rp.terms})
+    out = Series1.make(a.var, {e: c % mod for e, c in num.items()}, N)
+    if out.terms and g < 1:
+        raise PrecisionExhausted("no guaranteed digits left")
+    return Series1(a.var, tuple((e, PadicTrunc(p, m, x // p, g - 1)) for e, x in out.terms), N)

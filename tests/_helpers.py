@@ -651,7 +651,8 @@ def payload_int(x):
 def from_json_tuples(obj):
     """``MultiJetSeries.from_json`` on tuples: the header's integers, then per
     term the raw monomial's integers and its normal form, a repeat moved to
-    the end, then ``make_tuples``."""
+    the end, and a p-adic coefficient only at the ring's own prime, then
+    ``make_tuples``."""
     P = _check_primes([payload_int(p) for p in obj["P"]])
     N, ring = payload_int(obj["N"]), payload_int(obj.get("ring", 0))
     if N < 0:
@@ -661,7 +662,9 @@ def from_json_tuples(obj):
         m = tuple((tuple(payload_int(x) for x in i), payload_int(e)) for i, e in mono)
         _norm_mono(m)  # a negative exponent is refused at its term
         terms.pop(m, None)
-        terms[m] = decode_coeff(c)
+        terms[m] = c = decode_coeff(c)
+        if isinstance(c, PadicTrunc) and not (0 < ring <= len(P) and c.p == P[ring - 1]):
+            raise DomainError(f"ring {ring} holds no {c.p}-adic coefficient")
     return make_tuples(P, terms, N, ring)
 
 

@@ -1,7 +1,7 @@
 """Coefficient-domain layer: Fermat quotients, commutators, reconstruction."""
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 
 from pjet.arith import (
     PadicTrunc,
+    binomial,
     cp_polynomial,
     crt_combine,
     cross_prime_commutator,
     fermat_delta,
     format_rational,
-    padic_binomial,
     parse_rational,
     rational_reconstruct,
     reduce_rational_mod,
     valuation,
 )
 from pjet.errors import DomainError, PrecisionExhausted, ReconstructionFailure
+from pjet.qseries import Series1, delta0
 
 PRIMES = [2, 3, 5, 7]
 
@@ -42,16 +43,19 @@ class TestFermatDelta:
         assert fermat_delta(2, 5) == -6
         assert fermat_delta(6, 3) == -70
 
+    # fermat_delta takes rationals; the Fermat quotient of a truncated p-adic
+    # is delta0 of a constant series, which spends one guaranteed digit
+
     def test_padic_digit_loss(self):
-        x = PadicTrunc.from_rational(2, 5, 6)
-        d = fermat_delta(x, 5)
+        x = Series1.make("q", {0: PadicTrunc.from_rational(2, 5, 6)})
+        d = delta0(x, 5, 6).coeff(0)
         assert d.digits == 5
         assert d == PadicTrunc.from_rational(-6, 5, 6, digits=5)
 
     def test_padic_precision_exhausted(self):
-        x = PadicTrunc(5, 3, 2, 0)
+        x = Series1.make("q", {0: PadicTrunc(5, 3, 2, 0)})
         with pytest.raises(PrecisionExhausted):
-            fermat_delta(x, 5)
+            delta0(x, 5, 6)
 
     @pytest.mark.parametrize("p", PRIMES)
     @given(data=st.data())
@@ -134,48 +138,67 @@ class TestPadicTrunc:
         assert a == b  # they agree mod 5**4
         assert PadicTrunc(5, 6, 2 + 5**3, 4) != b
 
-    def test_unit_inverse(self):
-        x = PadicTrunc.from_rational(3, 7, 5)
-        assert x * x.unit_inverse() == PadicTrunc.from_rational(1, 7, 5)
-
-    def test_divide_by_p_checks_divisibility(self):
-        from pjet.errors import IntegralityViolation
-
-        with pytest.raises(IntegralityViolation):
-            PadicTrunc.from_rational(3, 5, 4).divide_by_p()
-
     def test_json_roundtrip(self):
         x = PadicTrunc.from_rational(Fraction(-2, 3), 5, 8)
         assert PadicTrunc.from_json(x.to_json()) == x
+        # an integer string is read as everywhere else
+        text = {"p": "5", "M": "6", "residue": "7812", "digits": "3"}
+        assert PadicTrunc.from_json(text).to_json() == PadicTrunc(5, 6, 7812, 3).to_json()
+
+    @pytest.mark.parametrize("key", ["p", "M", "residue", "digits"])
+    @pytest.mark.parametrize("value", [2.5, 6.0, True])
+    def test_json_fields_are_integers(self, key, value):
+        # each field was read by int(), which took 2.5 as 2 and true as 1
+        obj = {**PadicTrunc(5, 6, 7812, 3).to_json(), key: value}
+        with pytest.raises(DomainError, match="expected an integer"):
+            PadicTrunc.from_json(obj)
+
+    def test_a_value_with_no_arithmetic(self):
+        x = PadicTrunc(5, 6, 7, 3)
+        for op in (lambda: x + 1, lambda: 1 - x, lambda: x * x, lambda: -x, lambda: x**2):
+            with pytest.raises(TypeError):
+                op()
+        assert not hasattr(x, "unit_inverse") and not hasattr(x, "divide_by_p")
+        with pytest.raises(TypeError):
+            fermat_delta(x, 5)
+
+    def test_comparison_with_a_rational_or_anything_else(self):
+        x = PadicTrunc.from_rational(Fraction(-2, 3), 5, 8)
+        assert x == Fraction(-2, 3) and Fraction(-2, 3) == x and x != Fraction(2, 3)
+        assert x != Fraction(1, 5)  # not 5-integral: no 5-adic value equals it
+        assert x != 2.5 and x != "7" and x != None  # noqa: E711
 
 
 class TestPadicBinomial:
+    """C(gamma, k) of a p-adic gamma, as the p-adic covariance check takes it:
+    ``binomial`` of an integer representative of gamma."""
+
     def test_minus_one_choose_three(self):
-        g = PadicTrunc.from_rational(-1, 5, 8)
-        assert padic_binomial(g, 3) == PadicTrunc.from_rational(-1, 5, 8)
+        assert binomial(-1, 3) == -1
 
     def test_integer_binomials(self):
-        g = PadicTrunc.from_rational(2, 7, 6)
-        assert padic_binomial(g, 2) == PadicTrunc.from_rational(1, 7, 6)
-        assert padic_binomial(g, 5) == 0
+        assert binomial(2, 2) == 1
+        assert binomial(2, 5) == 0
 
     @given(n=st.integers(-200, 200), k=st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
     def test_matches_integer_binomial(self, n, k):
-        from math import comb
-
-        g = PadicTrunc.from_rational(n, 5, 10)
         want = comb(n, k) if n >= 0 else (-1) ** k * comb(-n + k - 1, k)
-        got = padic_binomial(g, k)
-        assert got == PadicTrunc.from_rational(want, 5, 10, digits=got.digits)
+        assert binomial(n, k) == want
 
     @given(n=st.integers(-100, 100), k=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_pascal_rule(self, n, k):
-        g = PadicTrunc.from_rational(n, 5, 10)
-        lhs = padic_binomial(g, k)
-        rhs = padic_binomial(g - 1, k) + padic_binomial(g - 1, k - 1)
-        assert lhs == rhs
+        assert binomial(n, k) == binomial(n - 1, k) + binomial(n - 1, k - 1)
+
+    @given(r=st.integers(-100, 100), s=st.integers(-100, 100), g=st.integers(1, 6), k=st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_representatives_agree_to_the_digits_left(self, r, s, g, k):
+        # two representatives of one 5-adic value at g digits give binomials
+        # that agree mod 5**(g - v_5(k!)), the loss the covariance check records
+        left = g - valuation(Fraction(factorial(k)), 5)
+        if left > 0:
+            assert (binomial(r, k) - binomial(r + 5**g * s, k)) % 5**left == 0
 
 
 def brute_force_reconstruct(x, m, bound, primes):

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from pjet import cli, errors
+from pjet import cli, errors, multiprime
 from pjet.cli import main
 
 
@@ -72,6 +72,24 @@ class TestBuilders:
         assert code == 0
         coeffs = {e: c for e, c in js["terms"]}
         assert coeffs[1]["residue"] == str(5**5 - 1)  # -1 mod 5^6 at one digit down
+
+    def test_delta0_reads_what_it_writes(self, capsys, tmp_path):
+        # the first run printed "N":-15, and its own output was refused with
+        # "N must be at least 0, got -15"
+        src, out = tmp_path / "a.json", tmp_path / "b.json"
+        src.write_text(json.dumps({"var": "q", "N": 11, "terms": [[-2, "1"], [5, "-30"]]}))
+        code, js = run(capsys, "--out", str(out), "delta0", "--input", str(src), "--p", "13", "--M", "2")
+        assert code == 0 and js["N"] == -15
+        code, js = run(capsys, "delta0", "--input", str(out), "--p", "13", "--M", "2")
+        # 13 * b**12 * (tail) reaches q**-243 with a unit, so no order above it is known
+        assert code == 0 and js["N"] <= -243 and all(c["digits"] == 0 for _, c in js["terms"])
+
+    def test_delta0_refuses_a_coefficient_at_another_prime(self, capsys, tmp_path):
+        # the quotient was taken at the coefficient's prime, 7, not at --p 5
+        src = tmp_path / "a.json"
+        src.write_text(json.dumps({"var": "q", "N": 4, "terms": [[0, {"p": 7, "M": 4, "residue": "2", "digits": 4}]]}))
+        code, js = run(capsys, "delta0", "--input", str(src), "--p", "5", "--M", "4")
+        assert code == 2 and js["error"] == {"code": "domain", "message": "a 7-adic coefficient has no delta0 at p=5"}
 
     def test_ap(self, capsys):
         code, js = run(capsys, "ap", "--p", "5")
@@ -153,6 +171,53 @@ class TestChecks:
         code, js = run(capsys, "check-continuation", "--inputs", str(f1), str(f2))
         assert code == 2 and "error" in js
 
+
+    @staticmethod
+    def padic_family(tmp_path):
+        """The 5-adic and 7-adic members of fe0 (5,7) N 12 at M 6, as two files."""
+        f0 = multiprime.build_fe0((5, 7), 12)
+        files = [tmp_path / f"m{k}.json" for k in range(2)]
+        for k, f in enumerate(files):
+            f.write_text(json.dumps(multiprime.reduce_to_padic(f0, k, 6).to_json()))
+        return [str(f) for f in files]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("digits", 2.5, "expected an integer, got 2.5"),
+            ("digits", True, "expected an integer, got True"),
+            ("residue", 7812.9, "expected an integer, got 7812.9"),
+            ("M", 6.0, "expected an integer, got 6.0"),
+            ("p", 7, "ring 1 holds no 7-adic coefficient"),
+        ],
+    )
+    def test_padic_member_refused_at_read(self, capsys, tmp_path, key, value, message):
+        # each passed with "pass": true: int() read the fields, and the check
+        # never looked at a coefficient's prime
+        files = self.padic_family(tmp_path)
+        code, js = run(capsys, "check-continuation", "--inputs", *files)
+        assert code == 0 and js["pass"] is True
+        obj = json.loads(open(files[0], encoding="utf-8").read())
+        obj["terms"][0][1][key] = value
+        with open(files[0], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, js = run(capsys, "check-continuation", "--inputs", *files)
+        assert code == 2 and js["error"] == {"code": "domain", "message": f"{files[0]}: {message}"}
+
+    def test_padic_member_reads_integer_strings_and_no_common_ring(self, capsys, tmp_path):
+        files = self.padic_family(tmp_path)
+        obj = json.loads(open(files[0], encoding="utf-8").read())
+        obj["terms"][0][1]["digits"] = "3"
+        with open(files[0], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, js = run(capsys, "check-continuation", "--inputs", *files)
+        assert code == 0 and js["pass"] is True
+        # the common ring holds exact coefficients only
+        obj["ring"] = 0
+        with open(files[0], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, js = run(capsys, "check-continuation", "--inputs", *files)
+        assert code == 2 and js["error"]["message"] == f"{files[0]}: ring 0 holds no 5-adic coefficient"
 
     @pytest.mark.parametrize(
         "place, value",

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import from_terms, t_payload_terms, t_series_via_make, to_terms
-from pjet.arith import fermat_delta
+from pjet.arith import PadicTrunc, fermat_delta
 from pjet.cli import _dump as dump
 from pjet.deltajet import (
     JetSeries,
@@ -497,6 +497,22 @@ class TestPackedKernel:
         assert ours(t, p, None, None, E) == ref(t, p, digits_keep(p), E)
 
 
+class TestCrossSideEquality:
+    """A q-side ``JetSeries`` and a t-side series are never equal; comparing
+    them raised ``TypeError`` in both orders."""
+
+    def test_the_two_sides_differ(self):
+        t, q = psi_serretate(5, 10), psi_fourier(5, 8, 5)
+        assert not t == q and not q == t
+        assert t != q and q != t
+
+    def test_a_scalar_still_compares(self):
+        one = MultiJetSeries.make((5,), {(): 1}, 4, ring=1)
+        assert one == 1 and 1 == one and one != 2
+        assert jq(5, {(0, ()): 2}) == 2 and 2 == jq(5, {(0, ()): 2}) and jq(5, {(0, ()): 2}) != 3
+        assert one != "1" and jq(5, {(0, ()): 2}) != None  # noqa: E711
+
+
 class TestNegativePower:
     """No series type with a power inverts a unit: both refuse n < 0 alike.
     A t-side series takes its powers in the d=1 several-prime ring."""
@@ -507,7 +523,7 @@ class TestNegativePower:
             from_jet_series(jt(7, {(0, ()): 1, (1, (1,)): 2}, N=10)),
             MultiJetSeries.make((5, 7), {(): 1, (((0, 0), 1),): 1}, 10),
             Series1.make("q", {0: Fraction(1), 1: Fraction(1)}, 6),
-            Series1.make("q", {-1: Fraction(2, 3), 0: Fraction(1)}).to_padic(5, 6),
+            Series1.make("q", {-1: PadicTrunc.from_rational(Fraction(2, 3), 5, 6), 0: PadicTrunc(5, 6, 1, 6)}),
         ],
         ids=["f2", "f3", "f4", "f5"],  # f0 and f1 were q-side JetSeries, which has no powers
     )

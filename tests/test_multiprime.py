@@ -763,7 +763,7 @@ class TestContinuation:
         fam = [reduce_to_padic(f0, 0, 8), reduce_to_padic(f0, 1, 8)]
         m0, c0 = fam[1].terms[0]
         bad = dict(fam[1].terms)
-        bad[m0] = c0 + 1
+        bad[m0] = PadicTrunc(c0.p, c0.M, c0.residue + 1, c0.digits)
         fam[1] = MultiJetSeries.make(P57, bad, 14, ring=2)
         res = continuation_check(fam, height=10_000)
         assert not res.ok
@@ -1121,7 +1121,8 @@ class TestFromJson:
         ],
     )
     def test_matches_the_twice_normalising_route(self, terms):
-        for ring in (0, 1):
+        padic = any(isinstance(c, dict) for _, c in terms)
+        for ring in (1,) if padic else (0, 1):  # ring 0 holds no p-adic coefficient
             obj = {"P": [5, 7], "r": [0, 0], "N": 20, "ring": ring, "terms": terms}
             want = from_json_normalising_twice(obj)
             got = MultiJetSeries.from_json(obj)

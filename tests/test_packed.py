@@ -51,8 +51,10 @@ def payloads(draw):
     """A series payload over d = 1 to 4 primes and N <= 60, N 0 and 1 often:
     unsorted pairs, repeated indices, zero and negative exponents,
     string-typed numbers, monomials spelled twice (a later zero among them),
-    and rational, mixed or wholly p-adic coefficients.  Some payloads carry
-    a fault: a float or a bool for one of their integers, or a negative N."""
+    and rational, mixed or wholly p-adic coefficients, the p-adic ones at
+    the ring's prime (refused in ring 0).  Some payloads carry a fault: a
+    float or a bool for one of their integers, p-adic fields included, a
+    negative N, or a p-adic coefficient at another prime."""
     d = draw(st.integers(1, 4))
     P = draw(st.sampled_from(PRIMES[d]))
     text = st.booleans()
@@ -71,9 +73,10 @@ def payloads(draw):
         st.builds(lambda n, q: f"{n}/{q}", num, den),
         st.builds(lambda n, q: f" {n}/{q} ", num, den),
     )
+    ring = draw(st.integers(0, d))
     padic = st.builds(
-        lambda k, r, g: {"p": P[k], "M": 6, "residue": str(r), "digits": g},
-        st.integers(0, d - 1),
+        lambda p, r, g: {"p": p, "M": 6, "residue": str(r), "digits": g},
+        st.just(P[ring - 1]) if ring else st.sampled_from(P),
         st.integers(0, 10**6),
         st.integers(1, 6),
     )
@@ -83,10 +86,17 @@ def payloads(draw):
         m, _ = draw(st.sampled_from(terms))
         terms.append((m[::-1], draw(st.one_of(st.just("0"), st.just("0/7"), rational))))
     obj = {"P": list(P), "r": [0] * d, "N": draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 60)))}
-    obj.update(ring=draw(st.integers(0, d)), terms=terms)
+    obj.update(ring=ring, terms=terms)
     pairs = [p for m, _ in terms for p in m]
-    fault = draw(st.sampled_from(["P", "N", "ring", "negative N"] + ["exponent", "index"] * bool(pairs) + [None] * 14))
-    if fault == "negative N":
+    padics = [c for _, c in terms if isinstance(c, dict)]
+    faults = ["P", "N", "ring", "negative N"] + ["exponent", "index"] * bool(pairs) + ["p-adic"] * bool(padics)
+    fault = draw(st.sampled_from(faults + [None] * 14))
+    if fault == "p-adic":  # another prime, or a float or a bool for one field
+        where, k = draw(st.sampled_from(padics)), draw(st.sampled_from(["p", "M", "residue", "digits"]))
+        x = int(where[k])
+        other = [q for q in (2, 3, *P) if q != x]
+        where[k] = draw(st.sampled_from([float(x), x + 0.5, True] + other * (k == "p")))
+    elif fault == "negative N":
         obj["N"] = -draw(st.integers(1, 3))
     elif fault in ("P", "N", "ring"):
         where, k = (obj["P"], draw(st.integers(0, d - 1))) if fault == "P" else (obj, fault)
@@ -129,6 +139,12 @@ X0, X1, X2 = [0, 0], [1, 0], [0, 1]
 @example(obj={"P": [5, 7], "r": [0, 0], "N": 1e1, "ring": 0, "terms": []})
 @example(obj={"P": [5, 7.0], "r": [0, 0], "N": 10, "ring": 0, "terms": []})
 @example(obj={"P": [5, 7], "r": [0, 0], "N": -1, "ring": False, "terms": []})
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 9, "ring": 0, "terms": [[[], {"p": 5, "M": 6, "residue": "1", "digits": 6}]]})
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 9, "ring": 1, "terms": [[[], {"p": 7, "M": 6, "residue": "1", "digits": 6}]]})
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 9, "ring": 1, "terms": [[[], {"p": 5, "M": 6.0, "residue": "1", "digits": 6}]]})
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 9, "ring": 2, "terms": [[[], {"p": 7, "M": 6, "residue": 7812.9, "digits": 6}]]})
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 9, "ring": 2, "terms": [[[], {"p": 7, "M": 6, "residue": "1", "digits": True}]]})
+@example(obj={"P": [5, 7], "r": [0, 0], "N": 9, "ring": 2, "terms": [[[], {"p": "7", "M": "6", "residue": "1", "digits": "3"}]]})
 @settings(max_examples=400, deadline=None)
 def test_codec_matches_tuple_route(obj):
     # to_json of the packed store is byte-equal to the tuple route, and a
