@@ -213,6 +213,11 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
     groups of terms with equal jet exponents; a group's q-part sum_b c_b q^b
     is sum_{n < N} (sum_b c_b C(b, n)) t^n.  Every weight is >= 1, so the
     series below N form a quotient ring and each Horner step may truncate.
+
+    Each step cuts lower still (a short product): image i has lowest weight
+    v_i, so a step followed by e more products by it keeps only the weights
+    below cut - e * v_i, and passes that cut to the level beneath.  With no
+    image term (N <= 1) nothing is multiplied in, and v_i is taken as N.
     """
     if not isinstance(f, JetSeries):
         raise DomainError("expected a Fourier-side jet series")
@@ -225,24 +230,29 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
         if images[-1].den != 1:
             raise IntegralityViolation("a jet image of 1 + t is not integral")
 
-    def horner(rows: list, i: int) -> dict[int, int]:
-        """The rows (b, jets, numerator) with jets x_1..x_i still to substitute."""
+    def horner(rows: list, i: int, cut: int) -> dict[int, int]:
+        """The rows (b, jets, numerator) with jets x_1..x_i still to substitute,
+        below weight ``cut``."""
         if i == 0:
-            row = [0] * N
+            row = [0] * cut
             for b, _, x in rows:
-                for n in range(N):
+                for n in range(cut):
                     row[n] += x
                     x = x * (b - n) // (n + 1)
             return {n * L.var[(0,)] if n else 0: x for n, x in enumerate(row) if x}
         groups: dict[int, list] = {}
         for b, jets, x in rows:
             groups.setdefault(jets[i - 1] if len(jets) >= i else 0, []).append((b, jets, x))
+        image = images[i - 1]
+        v = min(image, default=L.limit) >> L.shift
         acc: dict[int, int] = {}
         for e in range(max(groups, default=0), -1, -1):
-            acc = sparse.add(poly_mul(acc, images[i - 1], L.limit), horner(groups.get(e, []), i - 1))
+            c = cut - e * v
+            if c > 0:
+                acc = sparse.add(poly_mul(acc, image, c << L.shift), horner(groups.get(e, []), i - 1, c))
         return acc
 
-    out = horner(f._rows(), len(images))
+    out = horner(f._rows(), len(images), N)
     return L.series(_canon(out, f.den), 0)
 
 

@@ -329,6 +329,14 @@ def ghost_to_jet(t: Mapping[int, Union[Fraction, int]], L: Layout, den: int = 1)
 Coeff = Union[Fraction, PadicTrunc]
 
 
+def _in_ring(c: PadicTrunc, P: tuple[int, ...], ring: int) -> PadicTrunc:
+    """``c``, if ring ``ring`` over P holds it: only the ring localized away
+    from p_k, k = ring, holds a p_k-adic coefficient."""
+    if not 0 < ring <= len(P) or c.p != P[ring - 1]:
+        raise DomainError(f"ring {ring} holds no {c.p}-adic coefficient")
+    return c
+
+
 @dataclass(frozen=True)
 class MultiJetSeries:
     """Truncated several-prime jet series in the jet basis.
@@ -359,11 +367,12 @@ class MultiJetSeries:
         ring: int = 0,
     ) -> "MultiJetSeries":
         """The series of ``terms`` below weight N, each monomial normalised; of two
-        keys that normalise to one monomial the later wins, a zero coefficient too."""
+        keys that normalise to one monomial the later wins, a zero coefficient too.
+        A p-adic coefficient is refused outside its own prime's ring."""
         Pt = _check_primes(P)
         L = layout(Pt, N)
         pairs = [
-            (L.pack(_norm_mono(m)), c if isinstance(c, PadicTrunc) else Fraction(c).as_integer_ratio())
+            (L.pack(_norm_mono(m)), _in_ring(c, Pt, ring) if isinstance(c, PadicTrunc) else Fraction(c).as_integer_ratio())
             for m, c in terms.items()
         ]
         return MultiJetSeries(Pt, _stored(pairs), N, ring)
@@ -513,9 +522,7 @@ class MultiJetSeries:
                     key = L.pack(_norm_mono((tuple(map(parse_int, i)), parse_int(e)) for i, e in mono))
                     break
             if isinstance(c, dict):
-                c = PadicTrunc.from_json(c)
-                if not 0 < ring <= len(P) or c.p != P[ring - 1]:
-                    raise DomainError(f"ring {ring} holds no {c.p}-adic coefficient")
+                c = _in_ring(PadicTrunc.from_json(c), P, ring)
             else:
                 c = parse_ratio(c)
             pairs.append((None if key is None or key >= L.limit else key, c))

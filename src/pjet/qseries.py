@@ -18,6 +18,7 @@ records exactly what is known.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,8 +136,10 @@ class Series1:
         return Series1.make(self.var, dict(self.terms), min_order(self.N, N))
 
     def __eq__(self, other):
-        if not isinstance(other, Series1):
+        if isinstance(other, (numbers.Rational, PadicTrunc)):
             other = Series1.monomial(self.var, 0, other)
+        elif not isinstance(other, Series1):
+            return NotImplemented
         if self.var != other.var:
             return False
         bound = min_order(self.N, other.N)

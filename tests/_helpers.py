@@ -713,37 +713,61 @@ def ap_point_count_legendre(E, p):
 # ---------------------------------------------------------------------------
 
 
-def fourier_to_deformation_terms(f, N):
-    """``forms.fourier_to_deformation`` reading ``f.terms``, over the lcm of
-    its denominators."""
-    if not isinstance(f, JetSeries):
-        raise DomainError("expected a Fourier-side jet series")
+def _jet_images(f, N):
+    """The layout of ``fourier_to_deformation`` and the packed jet images
+    delta^i(1 + t), i = 1..r, each checked integral."""
     P = (f.p,)
     L = layout(P, N)
     image, images = t_generator(P, N) + 1, []
-    for _ in range(max((len(jets) for (_, jets), _ in f.terms), default=0)):
+    for _ in range(f.r()):
         image = delta_pk(image, 0)
         images.append(image._packed(L))
-    den = math.lcm(*(c.denominator for _, c in f.terms))
+        if images[-1].den != 1:
+            raise IntegralityViolation("a jet image of 1 + t is not integral")
+    return L, images
 
-    def horner(terms, i):
+
+def horner_uncut(rows, images, L, N):
+    """Horner's rule in the jets over the rows (b, jets, numerator), every
+    product cut at N alone: ``forms.fourier_to_deformation`` before each
+    step cut at the weight its remaining products can still reach."""
+
+    def horner(rows, i):
         if i == 0:
             row = [0] * N
-            for (b, _), c in terms:
-                x = c.numerator * (den // c.denominator)
+            for b, _, x in rows:
                 for n in range(N):
                     row[n] += x
                     x = x * (b - n) // (n + 1)
             return {n * L.var[(0,)] if n else 0: x for n, x in enumerate(row) if x}
         groups = {}
-        for (b, jets), c in terms:
-            groups.setdefault(jets[i - 1] if len(jets) >= i else 0, []).append(((b, jets), c))
+        for b, jets, x in rows:
+            groups.setdefault(jets[i - 1] if len(jets) >= i else 0, []).append((b, jets, x))
         acc = {}
         for e in range(max(groups, default=0), -1, -1):
             acc = sparse.add(poly_mul(acc, images[i - 1], L.limit), horner(groups.get(e, []), i - 1))
         return acc
 
-    return L.series(_canon(horner(list(f.terms), len(images)), den), 0)
+    return horner(rows, len(images))
+
+
+def fourier_to_deformation_uncut(f, N):
+    """``forms.fourier_to_deformation`` with no lookahead cut."""
+    if not isinstance(f, JetSeries):
+        raise DomainError("expected a Fourier-side jet series")
+    L, images = _jet_images(f, N)
+    return L.series(_canon(horner_uncut(f._rows(), images, L, N), f.den), 0)
+
+
+def fourier_to_deformation_terms(f, N):
+    """``fourier_to_deformation_uncut`` reading ``f.terms``, over the lcm of
+    its denominators."""
+    if not isinstance(f, JetSeries):
+        raise DomainError("expected a Fourier-side jet series")
+    L, images = _jet_images(f, N)
+    den = math.lcm(*(c.denominator for _, c in f.terms))
+    rows = [(b, jets, c.numerator * (den // c.denominator)) for (b, jets), c in f.terms]
+    return L.series(_canon(horner_uncut(rows, images, L, N), den), 0)
 
 
 def t_series_via_make(obj):

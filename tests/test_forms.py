@@ -13,6 +13,7 @@ from _helpers import (
     covariance_check_fraction,
     delta_axiomatic,
     digits_keep,
+    fourier_to_deformation_uncut,
     from_terms,
     fsharp_expansion_fraction,
     invert_unit,
@@ -494,14 +495,21 @@ class TestTranscription:
 
 @st.composite
 def deep_q_series(draw):
-    """Up to three jets with exponents up to 4, base exponents -30..10."""
-    p = draw(st.sampled_from([5, 7, 11]))
+    """p 5..13, up to three jets with exponents up to 4, base exponents
+    -30..10, N 0..60."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
     terms = {}
     for _ in range(draw(st.integers(0, 5))):
         b = draw(st.integers(-30, 10))
         jets = tuple(draw(st.integers(0, 4)) for _ in range(draw(st.integers(0, 3))))
         terms[(b, jets)] = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 30)))
-    return JetSeries.make(p, terms), draw(st.integers(0, 30))
+    return JetSeries.make(p, terms), draw(st.integers(0, 60))
+
+
+def assert_bytes_match_uncut(f, N):
+    got = fourier_to_deformation(f, N)
+    assert dump(got.to_json()) == dump(fourier_to_deformation_uncut(f, N).to_json())
+    return got
 
 
 class TestHornerTranscription:
@@ -522,6 +530,32 @@ class TestHornerTranscription:
         f, N = case
         got, want = fourier_to_deformation(f, N), reference_transcription(f, N)
         assert got.terms == want.terms and (got.P, got.N, got.ring) == (want.P, want.N, want.ring)
+
+    @given(case=deep_q_series())
+    @settings(max_examples=80, deadline=None)
+    def test_lookahead_cut_keeps_the_bytes(self, case):
+        # each Horner step cut at the weight its remaining products reach
+        assert_bytes_match_uncut(*case)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize("N", [1, 2, 5, 13, 20, 40, 60])
+    def test_lookahead_cut_keeps_the_bytes_on_psi_fourier(self, p, N):
+        assert_bytes_match_uncut(psi_fourier(p, 20, 20), N)
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_jets_at_one_where_every_image_is_empty(self, p):
+        # below weight 1 each delta^i(1 + t) is 0: only the jet-free terms count
+        f = JetSeries.make(p, {(3, ()): Fraction(2, 3), (-2, (0, 1)): 5, (1, (2,)): 7, (0, (0, 0, 3)): 1})
+        assert f.r() == 3
+        got = assert_bytes_match_uncut(f, 1)
+        assert got.terms == (((), Fraction(2, 3)),)
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_jet_exponent_past_n(self, N):
+        # q'^6 and q''^5 start at weights 6 and 35, past N: only the jet-free term survives
+        f = JetSeries.make(7, {(2, (6,)): Fraction(1, 5), (-4, (0, 5)): 3, (1, ()): 2})
+        got = assert_bytes_match_uncut(f, N)
+        assert got == (t_generator((7,), N) + 1) * 2
 
     @pytest.mark.parametrize("p", [5, 7, 11])
     @pytest.mark.parametrize("N", [0, 1, 2, 13, 40])

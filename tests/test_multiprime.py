@@ -769,6 +769,16 @@ class TestContinuation:
         assert not res.ok
         assert res.witness == m0
 
+    @pytest.mark.parametrize("ring, p", [(1, 11), (1, 7), (2, 5), (0, 5)])
+    def test_make_refuses_a_coefficient_at_another_prime(self, ring, p):
+        # make shares from_json's check, so no such member reaches continuation_check
+        c, message = PadicTrunc(p, 8, 3, 8), f"ring {ring} holds no {p}-adic coefficient"
+        with pytest.raises(DomainError, match=message):
+            MultiJetSeries.make(P57, {(((0, 0), 1),): c}, 8, ring=ring)
+        obj = {"P": list(P57), "N": 8, "ring": ring, "terms": [[[[[0, 0], 1]], c.to_json()]]}
+        with pytest.raises(DomainError, match=message):
+            MultiJetSeries.from_json(obj)
+
     def test_exact_mismatch_witness(self):
         a = build_fe0(P57, 20)
         bad = dict(a.terms)

@@ -31,6 +31,18 @@ class TestRingOps:
         b = poly("q", {2: 1}, N=7)
         assert (a * b).N == 7  # min(5 + 2, 7 + 1)
 
+    @pytest.mark.parametrize("other", [None, "1", object(), (1,)], ids=["None", "str", "object", "tuple"])
+    def test_equality_with_a_non_number_is_false(self, other):
+        for s in (Series1.make("q", {}), poly("t", {0: 1})):
+            assert (s == other) is False and (s != other) is True
+            assert (other == s) is False
+
+    def test_equality_with_a_number_is_the_constant_series(self):
+        assert poly("q", {0: 3}) == 3 and poly("q", {0: 3}) == Fraction(3)
+        assert 3 == poly("q", {0: 3}) and poly("q", {0: 3, 1: 1}) != 3
+        c = PadicTrunc(5, 4, 7, 4)
+        assert Series1.monomial("q", 0, c) == c
+
 
 class TestLog1p:
     def test_mercator(self):
