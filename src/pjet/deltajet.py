@@ -17,15 +17,15 @@ A monomial is a pair of exponent tuples: the ``z`` family (index 0 the
 base variable, index i >= 1 the i-th jet) and an auxiliary family a_0, a_1,
 ... for an adjoined symbolic coefficient and its delta-chain.  The kernel
 packs it into one int and scales the coefficients to integers over one
-denominator (packed exponent vectors, after Monagan and Pearce), and that
-packed form is the stored value of a ``JetSeries``.  ``make`` stores a series
-in a ``Layout`` with room for one step; ``delta_n`` moves it into one for all
-its steps, as a lemma's delta chain is, and a step whose input has no room
-left builds a new one.  A layout has one field per jet z_1..z_(r+1) and per
-a_0..a_(s+1) (one more of each per further step), all of one width,
-and the signed base exponent above them: the product is integer ``+``, and a
-base cut is the key limit ``cut << shift`` for ``sparse.mul``, which walks its
-second operand in key order and squares once.  The width holds
+denominator, and that ``sparse.Packed`` is the stored value of a
+``JetSeries``.  ``make`` stores a series in a ``Layout`` with room for one
+step; ``delta_n`` moves it into one for all its steps, as a lemma's delta
+chain is, and a step whose input has no room left builds a new one.  A
+layout has one field per jet z_1..z_(r+1) and per a_0..a_(s+1) (one more of
+each per further step), all of one width, and the signed base exponent
+above them: the product is integer ``+``, and a base cut is the key limit
+``cut << shift`` for ``sparse.mul``, which walks its second operand in key
+order and squares once.  The width holds
 (p+1)**steps * max(E, jmax), E the largest input exponent: the phi image of
 field i is at most p*a_i + max(a_(i-1), jmax), a partial product of f**p at
 most p*E and a product of two series at most 2E, so no field carries into
@@ -35,9 +35,10 @@ Truncation contracts:
 
 * q side (``JetSeries``): coefficients valid modulo p**digits
   (``digits=None`` means exact), base exponents known below ``base_order``
-  (None means no unknown tail).  A step cuts and reduces its integer
-  numerators and passes them on in their layout; only ``to_json`` writes the
-  coefficients as text.  ``phi`` and ``delta`` below are the q-side maps.
+  (None means no unknown tail).  A step cuts its integer numerators, puts
+  them in ``sparse.canon`` form and passes them on in their layout; only
+  ``to_json`` writes the coefficients as text.  ``phi`` and ``delta`` below
+  are the q-side maps.
 * t side (``TSeries``): weighted degree with wt(t)=1, wt(delta^i t)=p**i,
   all monomials of weight >= N dropped, exact rational: the d=1
   ``multiprime`` series in ring 1, where ``phi_pk``, ``delta_pk`` and the
@@ -60,11 +61,10 @@ from typing import Iterable, Iterator, Mapping
 from . import sparse
 from .arith import at_least, binomial, check_prime, format_rational, min_order, parse_int, parse_ratio, valuation
 from .errors import DomainError, PrecisionExhausted
-from .multiprime import MultiJetSeries, _check_primes, _stored, layout, psi_multi
+from .multiprime import MultiJetSeries, Poly, _check_primes, _stored, layout, psi_multi
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (z-family exps, aux exps)
 Terms = dict[Monomial, Fraction]
-Packed = dict[int, int]  # packed monomial -> integer numerator, in one Layout
 
 
 def _trim(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -76,10 +76,6 @@ def _trim(t: tuple[int, ...]) -> tuple[int, ...]:
 
 def _vp(c: Fraction, p: int) -> float:
     return math.inf if c == 0 else valuation(c, p)
-
-
-def _den(t: Terms) -> int:
-    return math.lcm(*(c.denominator for c in t.values()))
 
 
 def _mod(p: int, digits: int | None, den: int) -> int | None:
@@ -120,14 +116,16 @@ class Layout:
         w, mask = self.width, self.mask
         return [k >> (f * w) & mask for f in range(self.nz + self.na)]
 
-    def pack(self, t: Terms, D: int) -> Packed:
-        return {self.key(m): c.numerator * (D // c.denominator) for m, c in t.items()}
+    def pack(self, t: Terms) -> sparse.Packed:
+        """The canonical store of t, over the lcm of its denominators."""
+        D = math.lcm(*(c.denominator for c in t.values()))
+        return sparse.canon({self.key(m): c.numerator * (D // c.denominator) for m, c in t.items()}, D)
 
     def mono(self, k: int) -> Monomial:
         e = self.exps(k)
         return _trim((k >> self.shift, *e[: self.nz])), _trim(tuple(e[self.nz :]))
 
-    def unpack(self, t: Packed, den: int) -> Terms:
+    def unpack(self, t: Poly, den: int) -> Terms:
         return {self.mono(k): Fraction(x, den) for k, x in t.items()}
 
     def below(self, cut: int | None) -> int | None:
@@ -139,25 +137,18 @@ class Layout:
         return (k >> self.shift) + sum(e * self.p ** f for f, e in enumerate(self.exps(k), 1))
 
 
-def terms_mul(t1: Packed, t2: Packed, limit: int | None, mod: int | None) -> Packed:
+def terms_mul(t1: Poly, t2: Poly, limit: int | None, mod: int | None) -> Poly:
     """The product of packed terms, forming only the pairs below the key
     ``limit``, then the digit rule ``mod`` (see ``_mod``) on the sums."""
     out = sparse.mul(t1, t2, limit)
     return out if mod is None else {m: x for m, x in out.items() if x % mod}
 
 
-def _cut(t: Packed, limit: int | None, mod: int | None) -> Packed:
+def _cut(t: Poly, limit: int | None, mod: int | None) -> Poly:
     return {m: x for m, x in t.items() if (limit is None or m < limit) and (x % mod if mod else x)}
 
 
-def _reduce(t: Packed, den: int) -> tuple[Packed, int]:
-    """t / den with no factor common to den and all of the numerators: the
-    numerators that packing the reduced ``Fraction``s over their lcm gives."""
-    g = math.gcd(den, *t.values())
-    return (t, den) if g == 1 else ({m: x // g for m, x in t.items()}, den // g)
-
-
-def terms_phi(t: Packed, L: Layout, limit, mod: int | None, jmax: int) -> Packed:
+def terms_phi(t: Poly, L: Layout, limit, mod: int | None, jmax: int) -> Poly:
     """Apply the Frobenius-lift substitution v -> v**p + p * (next jet).
 
     Each variable power v**a maps to sum_j C(a, j) p^j v^(p(a-j)) w^j, w the
@@ -165,9 +156,9 @@ def terms_phi(t: Packed, L: Layout, limit, mod: int | None, jmax: int) -> Packed
     convergent tail, cut at j = jmax since the j-th term carries p**j.
     """
     p, w = L.p, L.width
-    images: dict[tuple[int, int], Packed] = {}
+    images: dict[tuple[int, int], Poly] = {}
 
-    def image(u: int, nxt: int, a: int) -> Packed:
+    def image(u: int, nxt: int, a: int) -> Poly:
         """phi(v**a), for v of key ``u`` and its next jet of key ``nxt``."""
         if (u, a) not in images:
             top = a if a >= 0 else jmax
@@ -176,7 +167,7 @@ def terms_phi(t: Packed, L: Layout, limit, mod: int | None, jmax: int) -> Packed
             }
         return images[u, a]
 
-    def lift(k: int, x: int) -> Packed:
+    def lift(k: int, x: int) -> Poly:
         acc, b = {0: x}, k >> L.shift
         if b:
             acc = terms_mul(acc, image(1 << L.shift, 1, b), limit, mod)
@@ -188,12 +179,12 @@ def terms_phi(t: Packed, L: Layout, limit, mod: int | None, jmax: int) -> Packed
     return _cut(sparse.add(*(lift(k, x) for k, x in t.items())), limit, mod)
 
 
-def terms_delta(t: Packed, D: int, L: Layout, limit, digits, jmax: int) -> tuple[Packed, int]:
+def terms_delta(t: Poly, D: int, L: Layout, limit, digits, jmax: int) -> tuple[Poly, int]:
     """(phi(f) - f**p) / p for f = t / D, as numerators over the returned
     denominator: D**(p-1) phi(t) - t**p over D**p * p."""
     p = L.p
 
-    def mul(a: tuple[Packed, int], b: tuple[Packed, int]) -> tuple[Packed, int]:
+    def mul(a: tuple[Poly, int], b: tuple[Poly, int]) -> tuple[Poly, int]:
         den = a[1] * b[1]
         return terms_mul(a[0], b[0], limit, _mod(p, digits, den)), den
 
@@ -249,9 +240,8 @@ def _read_terms(obj: Mapping) -> Iterator[tuple[int, tuple[int, ...], tuple[int,
 class JetSeries:
     """Truncated element of the single-prime q-side jet ring.
 
-    The stored value is the packed form: integer numerators ``num`` by key of
-    the layout ``L``, over the positive denominator ``den``, none of them
-    zero and no factor common to den and all of them.  ``L`` has the spare
+    The stored value ``num`` is the packed form: a canonical ``sparse.Packed``
+    of integer numerators by key of the layout ``L``.  ``L`` has the spare
     fields and the width of ``room`` more phi or delta steps.  ``terms``,
     which maps (base exponent, jet exponents) to rational coefficients, is a
     view built on first use.  See the module docstring for the truncation
@@ -260,8 +250,7 @@ class JetSeries:
 
     p: int
     L: Layout
-    num: Packed
-    den: int
+    num: sparse.Packed
     M: int = 8
     digits: int | None = None  # valid mod p**digits; None = exact
     base_order: int | None = None  # base exponents >= this are unknown
@@ -286,8 +275,8 @@ class JetSeries:
             if digits is not None and _vp(c, p) >= digits:
                 continue
             clean[(_trim((b, *jets)), ())] = c
-        D, L = _den(clean), Layout(p, clean, M if digits is None else digits)
-        return JetSeries(p, L, L.pack(clean, D), D, M, digits, base_order, 1)
+        L = Layout(p, clean, M if digits is None else digits)
+        return JetSeries(p, L, L.pack(clean), M, digits, base_order, 1)
 
     # -- views of the store ---------------------------------------------------
 
@@ -308,11 +297,11 @@ class JetSeries:
     @functools.cached_property
     def terms(self) -> tuple[tuple[tuple[int, tuple[int, ...]], Fraction], ...]:
         """The terms in (base exponent, jets) order, built on first use."""
-        return tuple(((b, tuple(jets)), Fraction(x, self.den)) for b, jets, x in sorted(self._rows()))
+        return tuple(((b, tuple(jets)), Fraction(x, self.num.den)) for b, jets, x in sorted(self._rows()))
 
-    def _in(self, L: Layout) -> Packed:
-        """The numerators keyed in the layout L."""
-        return {L.key(self.L.mono(k)): x for k, x in self.num.items()}
+    def _in(self, L: Layout) -> sparse.Packed:
+        """The stored value keyed in the layout L."""
+        return sparse.canon({L.key(self.L.mono(k)): x for k, x in self.num.items()}, self.num.den)
 
     def _with_room(self, steps: int) -> "JetSeries":
         """This series in a layout with room for ``steps`` more phi or delta
@@ -322,12 +311,12 @@ class JetSeries:
         L = Layout(self.p, map(self.L.mono, self.num), self.eff_digits(), steps)
         return replace(self, L=L, num=self._in(L), room=steps)
 
-    def _step(self, t: Packed, den: int, digits: int | None, border: int | None) -> "JetSeries":
+    def _step(self, t: Poly, den: int, digits: int | None, border: int | None) -> "JetSeries":
         """The series one phi or delta step on from this one, of the
         numerators ``t`` in its layout over ``den``: cut at the base_order
-        border and by the digit rule (see ``_mod``), then reduced."""
-        t, den = _reduce(_cut(t, self.L.below(border), _mod(self.p, digits, den)), den)
-        return JetSeries(self.p, self.L, t, den, self.M, digits, border, self.room - 1)
+        border and by the digit rule (see ``_mod``), then canonical."""
+        t = sparse.canon(_cut(t, self.L.below(border), _mod(self.p, digits, den)), den)
+        return JetSeries(self.p, self.L, t, self.M, digits, border, self.room - 1)
 
     def r(self) -> int:
         """Jet order: highest jet index that occurs."""
@@ -368,7 +357,7 @@ class JetSeries:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        return _payload("q", self.p, self.M, self.digits, self.base_order, None, self._rows(), self.den)
+        return _payload("q", self.p, self.M, self.digits, self.base_order, None, self._rows(), self.num.den)
 
     @staticmethod
     def from_json(obj: Mapping) -> "JetSeries | TSeries":
@@ -443,8 +432,8 @@ def phi(f: JetSeries) -> JetSeries:
     # phi(q^a * jets) has base exponents exactly p(a-j): the jet images add
     # none, so a monomial at or above the output border never comes back.
     f = f._with_room(1)
-    out = terms_phi(f.num, f.L, f.L.below(border), _mod(p, f.digits, f.den), geff)
-    return f._step(out, f.den, digits, border)
+    out = terms_phi(f.num, f.L, f.L.below(border), _mod(p, f.digits, f.num.den), geff)
+    return f._step(out, f.num.den, digits, border)
 
 
 def delta(f: JetSeries) -> JetSeries:
@@ -478,7 +467,7 @@ def delta(f: JetSeries) -> JetSeries:
         # at or above ``border`` that the output drops anyway.
         cut = border - (p - 1) * v
     f = f._with_room(1)
-    out, den = terms_delta(f.num, f.den, f.L, f.L.below(cut), f.digits, geff)
+    out, den = terms_delta(f.num, f.num.den, f.L, f.L.below(cut), f.digits, geff)
     return f._step(out, den, digits, border)
 
 
@@ -553,17 +542,17 @@ class LemmaReport:
         }
 
 
-def _lemma_delta_n(t: Terms, p: int, n: int, M: int) -> tuple[Layout, Packed, int]:
+def _lemma_delta_n(t: Terms, p: int, n: int, M: int) -> tuple[Layout, sparse.Packed, int]:
     """delta^n of ``t``, the steps valid mod p**M, p**(M-1), ..., in one layout
-    for all n steps: (layout, numerators, denominator).  Each step is reduced
-    as a ``delta`` step is.  The chain stays apart from ``delta_n``: it
-    carries an auxiliary family, and it runs with M <= n, where ``delta``
-    has no digit left to consume."""
-    L, D = Layout(p, t, M, n), _den(t)
-    t = L.pack(t, D)
+    for all n steps: (layout, canonical store, its denominator), each step
+    canonical as a ``delta`` step is.  The chain stays apart from
+    ``delta_n``: it carries an auxiliary family, and it runs with M <= n,
+    where ``delta`` has no digit left to consume."""
+    L = Layout(p, t, M, n)
+    t = L.pack(t)
     for digits in range(M, M - n, -1):
-        t, D = _reduce(*terms_delta(t, D, L, None, digits, digits))
-    return L, t, D
+        t = sparse.canon(*terms_delta(t, t.den, L, None, digits, digits))
+    return L, t, t.den
 
 
 def lemma_xlaphi_check(p: int, n: int, varphi: Fraction | int | str = 0, M: int | None = None) -> LemmaReport:
@@ -609,7 +598,7 @@ def lemma_logder_check(p: int, n: int, a: int, M: int | None = None) -> LemmaRep
     return _classify_residual("logder", p, n, L, res, D, low_jet=-1, max_jet=n)
 
 
-def _classify_residual(name, p, n, L: Layout, res: Packed, D: int, low_jet: int, max_jet: int) -> LemmaReport:
+def _classify_residual(name, p, n, L: Layout, res: Poly, D: int, low_jet: int, max_jet: int) -> LemmaReport:
     """The report on the residual numerators ``res`` over ``D``.  A term of jet
     index above ``low_jet`` offends when the index exceeds ``max_jet`` or p does
     not divide its coefficient (x % p**(1 + v_p(D))); only the offenders are

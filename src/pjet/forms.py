@@ -30,7 +30,7 @@ from typing import Mapping, Sequence, Union
 
 from . import sparse
 from .arith import PadicTrunc, at_least, check_prime, valuation
-from .deltajet import JetSeries, Layout as JetLayout, _cut, _mod, _reduce, delta_n, phi, terms_mul
+from .deltajet import JetSeries, Layout as JetLayout, _cut, _mod, delta_n, phi, terms_mul
 from .errors import DomainError, IntegralityViolation
 from .modular import QExpansion
 from .multiprime import (
@@ -38,7 +38,6 @@ from .multiprime import (
     Layout,
     Mono,
     MultiJetSeries,
-    _canon,
     _check_primes,
     _gamma_in_ghost,
     delta_pk,
@@ -114,9 +113,9 @@ def fsharp_expansion(
             total = sparse.add(total, sparse.scale(pow2, s), sparse.scale(pow1, -a_p * s), {n << L.shift: s * p})
     total = _cut(total, None, _mod(p, M, D))
     if check and (bad := {m: x for m, x in total.items() if x % p ** valuation(D, p)}):
-        m, c = JetSeries(p, L, bad, D).terms[0]
+        m, c = JetSeries(p, L, sparse.canon(bad, D)).terms[0]
         raise IntegralityViolation(f"coefficient {c} at {m} is not {p}-integral")
-    return JetSeries(p, L, *_reduce(total, D), M, M)
+    return JetSeries(p, L, sparse.canon(total, D), M, M)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ def fourier_to_deformation(f: JetSeries, N: int) -> MultiJetSeries:
         return acc
 
     out = horner(f._rows(), len(images), N)
-    return L.series(_canon(out, f.den), 0)
+    return L.series(sparse.canon(out, f.num.den), 0)
 
 
 # ---------------------------------------------------------------------------

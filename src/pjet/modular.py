@@ -77,11 +77,15 @@ class QExpansion:
 
     @staticmethod
     def from_json(obj) -> "QExpansion":
-        """The payload's form; unlike a bare ``Series1``, its N is not negative."""
+        """The payload's form; unlike a bare ``Series1``, its N is not negative
+        and its coefficients are rationals, not truncated p-adics."""
         weight, level = parse_int(obj.get("weight", 0)), parse_int(obj.get("level", 1))
         if obj.get("N") is not None:
             at_least(0, N=parse_int(obj["N"]))
-        return QExpansion(weight, level, Series1.from_json(obj))
+        series = Series1.from_json(obj)
+        if not all(isinstance(c, Fraction) for _, c in series.terms):
+            raise DomainError("a q-expansion has rational coefficients; a p-adic one is read by delta0")
+        return QExpansion(weight, level, series)
 
 
 def eisenstein(k: int, trunc: int) -> QExpansion:

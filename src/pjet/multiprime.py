@@ -23,9 +23,8 @@ the largest exponent that stays below N, so adding two kept monomials never
 carries out of a field: the monomial product is integer ``+`` and the
 truncation is the key limit ``N << shift``: ``sparse.mul`` walks its second
 operand in key order, stops each row at the limit and squares once.  The packed form is the stored
-value: an exact ``MultiJetSeries`` holds integer numerators by key, in key
-order, over one positive denominator with no factor common to all of them
-(a canonical ``Packed``); ``terms`` and ``coeffs`` are views built on first
+value: an exact ``MultiJetSeries`` holds a ``sparse.Packed`` in the form
+``sparse.canon`` gives; ``terms`` and ``coeffs`` are views built on first
 use.  ``to_json`` orders the keys by an integer computed from each and
 writes every pair straight from a key's nonzero fields, with no ``Mono``
 tuple; ``from_json`` parses straight into keys.
@@ -41,7 +40,6 @@ import functools
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -69,22 +67,6 @@ Mono = tuple[tuple[Idx, int], ...]  # sorted ((multi-index), exponent) pairs
 Poly = dict[int, int]  # packed monomial -> coefficient, in one Layout
 
 M_ONE: Mono = ()
-
-
-class Packed(dict):
-    """Integer numerators by packed key, over the positive denominator ``den``."""
-
-    __slots__ = ("den",)
-
-
-def _canon(t: Mapping[int, int], den: int) -> Packed:
-    """t / den in canonical form: no zero term, keys in order, and a positive
-    denominator that shares no factor with all of the numerators."""
-    g = math.gcd(den, *t.values()) * (1 if den > 0 else -1)
-    items = sorted(filter(operator.itemgetter(1), t.items()))  # the nonzero terms
-    out = Packed(items if g == 1 else [(m, x // g) for m, x in items])
-    out.den = den // g
-    return out
 
 
 def _norm_mono(pairs: Iterable[tuple[Idx, int]]) -> Mono:
@@ -155,7 +137,7 @@ class Layout:
                 return key
         return None
 
-    def series(self, t: Packed, ring: int) -> "MultiJetSeries":
+    def series(self, t: sparse.Packed, ring: int) -> "MultiJetSeries":
         """The series stored as the canonical ``t`` of this layout."""
         return MultiJetSeries(self.P, t, self.N, ring)
 
@@ -191,9 +173,9 @@ def _relabel(t: Mapping[int, object], src: Layout, dst: Layout, k: int | None = 
     return out
 
 
-def _move(t: Packed, src: Layout, dst: Layout) -> Packed:
+def _move(t: sparse.Packed, src: Layout, dst: Layout) -> sparse.Packed:
     """The canonical t of layout src in the layout dst of the same primes."""
-    return t if src.N == dst.N else _canon(_relabel(t, src, dst), t.den)
+    return t if src.N == dst.N else sparse.canon(_relabel(t, src, dst), t.den)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +214,7 @@ def _cached(key: tuple, value):
     return value
 
 
-def _generator(P: tuple[int, ...], i: Idx, kind: str) -> Packed:
+def _generator(P: tuple[int, ...], i: Idx, kind: str) -> sparse.Packed:
     """x_i in ghost coordinates (kind "g") or u_i in the jet basis ("j").
 
     x_0 = u_0 and x_i = delta_{p_k}(x_{i - e_k}) for the first k with
@@ -249,29 +231,29 @@ def _generator(P: tuple[int, ...], i: Idx, kind: str) -> Packed:
     L = layout(P, w + 1)
     lead = L.var[i]
     if w == 1:
-        out = _canon({lead: 1}, 1)
+        out = sparse.canon({lead: 1}, 1)
     elif kind == "g":
         k = next(j for j, c in enumerate(i) if c)
         prev = _move(_generator(P, i[:k] + (i[k] - 1,) + i[k + 1 :], "g"), layout(P, w // P[k] + 1), L)
-        out = _canon(*ghost_delta(prev, k, L, prev.den))
+        out = sparse.canon(*ghost_delta(prev, k, L, prev.den))
     else:
         g = _generator(P, i, "g")
         if g.get(lead, 0) * w != g.den:
             raise IntegralityViolation("generator polynomial lost its leading term")
         rest = ghost_to_jet({m: x for m, x in g.items() if m != lead}, L, g.den)
         # the rest is in jet variables lighter than x_i
-        out = _canon({lead: w * rest.den, **{m: -w * x for m, x in rest.items()}}, rest.den)
+        out = sparse.canon({lead: w * rest.den, **{m: -w * x for m, x in rest.items()}}, rest.den)
     return _cached(key, out)
 
 
-def _gen_table(L: Layout, i: Idx, kind: str) -> Packed:
+def _gen_table(L: Layout, i: Idx, kind: str) -> sparse.Packed:
     """``_generator(L.P, i, kind)`` moved into L."""
     if (key := (L.P, L.N, i, kind)) in _GEN_CACHE:
         return _GEN_CACHE[key]
     return _cached(key, _move(_generator(L.P, i, kind), layout(L.P, var_weight(i, L.P) + 1), L))
 
 
-def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int = 1) -> Packed:
+def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int = 1) -> sparse.Packed:
     """Substitute the generator image of kind ``kind`` for each variable of
     ``t``, whose coefficients are rationals or integer numerators over ``den``.
 
@@ -311,14 +293,14 @@ def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int
         for m, x in acc.items():
             m += shift
             out[m] = out.get(m, 0) + x * f
-    return _canon(out, den * lcm)
+    return sparse.canon(out, den * lcm)
 
 
-def jet_to_ghost(t: Mapping[int, Union[Fraction, int]], L: Layout, den: int = 1) -> Packed:
+def jet_to_ghost(t: Mapping[int, Union[Fraction, int]], L: Layout, den: int = 1) -> sparse.Packed:
     return _subst(t, L, "g", den)
 
 
-def ghost_to_jet(t: Mapping[int, Union[Fraction, int]], L: Layout, den: int = 1) -> Packed:
+def ghost_to_jet(t: Mapping[int, Union[Fraction, int]], L: Layout, den: int = 1) -> sparse.Packed:
     return _subst(t, L, "j", den)
 
 
@@ -346,8 +328,8 @@ class MultiJetSeries:
     exact rationals except for reduced per-prime families, which carry
     truncated p-adics.
 
-    ``_store`` holds the coefficients by key of the layout of (P, N), in key
-    order: a canonical ``Packed``, or as they are for a p-adic family.
+    ``_store`` holds the coefficients by key of the layout of (P, N): a
+    canonical ``Packed``, or as they are for a p-adic family.
     """
 
     P: tuple[int, ...]
@@ -401,9 +383,9 @@ class MultiJetSeries:
         return self.coeffs.get(_norm_mono(m), Fraction(0))
 
     def is_padic(self) -> bool:
-        return not isinstance(self._store, Packed)
+        return not isinstance(self._store, sparse.Packed)
 
-    def _packed(self, L: Layout) -> Packed:
+    def _packed(self, L: Layout) -> sparse.Packed:
         """The stored value, moved into L if that is another layout."""
         if self.is_padic():
             raise DomainError("ring operations need exact rational coefficients")
@@ -443,11 +425,11 @@ class MultiJetSeries:
         L = layout(self.P, self.N)
         if not isinstance(other, MultiJetSeries):
             t, (n, d) = self._packed(L), Fraction(other).as_integer_ratio()
-            return L.series(_canon(sparse.scale(t, n), t.den * d), self.ring)
+            return L.series(sparse.canon(sparse.scale(t, n), t.den * d), self.ring)
         N, ring = self._meta(other)
         L = layout(self.P, N)
         a, b = self._packed(L), other._packed(L)
-        return L.series(_canon(poly_mul(a, b, L.limit), a.den * b.den), ring)
+        return L.series(sparse.canon(poly_mul(a, b, L.limit), a.den * b.den), ring)
 
     __rmul__ = __mul__
 
@@ -457,7 +439,7 @@ class MultiJetSeries:
         L = layout(self.P, self.N)
         t = self._packed(L)
         out = sparse.power(t, n, {0: 1} if self.N > 0 else {}, lambda a, b: poly_mul(a, b, L.limit))
-        return L.series(_canon(out, t.den**n), self.ring)
+        return L.series(sparse.canon(out, t.den**n), self.ring)
 
     def __eq__(self, other):
         if isinstance(other, numbers.Rational):
@@ -472,9 +454,9 @@ class MultiJetSeries:
             return all(a.coeff(m) == b.coeff(m) for m in a.coeffs.keys() | b.coeffs.keys())
         return (a._store, a._store.den) == (b._store, b._store.den)
 
-    def __hash__(self):
+    def __hash__(self):  # ``==`` ignores the ring, so the hash does too
         t = self._store
-        return hash((self.P, self.N, self.ring, getattr(t, "den", None), tuple(t.items())))
+        return hash((self.P, self.N, getattr(t, "den", None), frozenset(t.items())))
 
     # -- serialization ------------------------------------------------------
 
@@ -563,16 +545,16 @@ def _stored(pairs: Iterable[tuple[int | None, Union[tuple[int, int], PadicTrunc]
             else:
                 t.pop(key, None)
     if padic and any(isinstance(c, PadicTrunc) for c in t.values()):  # a later rational may win
-        return {m: c if isinstance(c, PadicTrunc) else Fraction(*c) for m, c in sorted(t.items())}
+        return {m: c if isinstance(c, PadicTrunc) else Fraction(*c) for m, c in t.items()}
     D = math.lcm(*(d for _, d in t.values()))
-    return _canon({m: n * (D // d) for m, (n, d) in t.items()}, D)
+    return sparse.canon({m: n * (D // d) for m, (n, d) in t.items()}, D)
 
 
-def _axpy(a: Packed, b: Packed, c: Union[Fraction, int]) -> Packed:
+def _axpy(a: sparse.Packed, b: sparse.Packed, c: Union[Fraction, int]) -> sparse.Packed:
     """a + c * b in canonical form."""
     n, d = Fraction(c).as_integer_ratio()
     D = math.lcm(a.den, b.den * d)
-    return _canon(sparse.add(sparse.scale(a, D // a.den), sparse.scale(b, D // (b.den * d) * n)), D)
+    return sparse.canon(sparse.add(sparse.scale(a, D // a.den), sparse.scale(b, D // (b.den * d) * n)), D)
 
 
 def _join_ring(r1: int, r2: int) -> int:
@@ -627,7 +609,7 @@ def _phi_pk_below(f: MultiJetSeries, k: int, N: int) -> MultiJetSeries:
     return L.series(_phi_below(f._packed(L), k, L), f.ring)
 
 
-def _phi_below(t: Packed, k: int, L: Layout) -> Packed:
+def _phi_below(t: sparse.Packed, k: int, L: Layout) -> sparse.Packed:
     """phi_k(t) below L.N, computed in L itself.
 
     By the weighted homogeneity of phi_k (see ``phi_pk``), a term of weight
@@ -687,7 +669,7 @@ def psi_multi(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
         for j in range(n + 1):
             m = p * (n - j) * L.var[zero] + j * L.var[e_k]
             t[m] = t.get(m, 0) + (-1) ** (n - 1) * math.comb(n, j) * p**j * (den // n)
-    out = L.series(_canon(t, den * p), k + 1)
+    out = L.series(sparse.canon(t, den * p), k + 1)
     assert_ring_integral(out)
     return out
 
@@ -729,7 +711,7 @@ def build_fe_k(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
     for l in range(d):
         if l != k:
             out = _axpy(out, _phi_below(out, l, L), Fraction(-1, Pt[l]))
-    return L.series(_canon(sparse.scale(out, (-1) ** (d - 1)), out.den), k + 1)
+    return L.series(sparse.canon(sparse.scale(out, (-1) ** (d - 1)), out.den), k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +916,7 @@ def substitute_gamma(f: MultiJetSeries, gamma: int) -> MultiJetSeries:
     return L.series(ghost_to_jet(num, L, den), f.ring)
 
 
-def _gamma_in_ghost(f: MultiJetSeries, gamma: int) -> tuple[Layout, Packed, dict[int, int], int]:
+def _gamma_in_ghost(f: MultiJetSeries, gamma: int) -> tuple[Layout, sparse.Packed, dict[int, int], int]:
     """The layout of f, G = jet_to_ghost(f) in it, and ghost_gamma(G) as
     numerators over a denominator: the step ``substitute_gamma`` and
     ``forms.covariance_check`` share."""

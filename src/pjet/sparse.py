@@ -9,13 +9,35 @@ second operand in key order, each row stops at its first product at or past
 the limit, and a square (``t1 is t2``) forms each unordered pair once.
 Conditions that depend on a summed coefficient, such as a p-adic digit
 bound, belong to the caller, after the product.
+
+Every series ring stores the same value: a ``Packed``, integer numerators by
+key over one denominator, in the form ``canon`` gives (after Monagan and
+Pearce's packed exponent vectors).  Nothing reads the order of its keys.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Callable, Mapping, TypeVar
 
 X = TypeVar("X")
+
+
+class Packed(dict):
+    """Integer numerators by packed key, over the positive denominator ``den``."""
+
+    __slots__ = ("den",)
+
+
+def canon(t: Mapping[int, int], den: int) -> Packed:
+    """t / den in canonical form: no zero term, and a positive denominator
+    that shares no factor with all of the numerators."""
+    g = math.gcd(den, *t.values()) * (1 if den > 0 else -1)
+    nonzero = filter(operator.itemgetter(1), t.items())
+    out = Packed(nonzero if g == 1 else ((m, x // g) for m, x in nonzero))
+    out.den = den // g
+    return out
 
 
 def add(*ts: Mapping) -> dict:

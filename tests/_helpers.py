@@ -18,7 +18,7 @@ from pjet.arith import (
     min_order,
     valuation,
 )
-from pjet.deltajet import JetSeries, Layout, LemmaReport, _den, _mod, terms_delta, terms_phi
+from pjet.deltajet import JetSeries, Layout, LemmaReport, _mod, terms_delta, terms_phi
 from pjet.errors import DomainError, IntegralityViolation
 from pjet.forms import CovarianceReport
 from pjet.modular import QExpansion
@@ -26,7 +26,6 @@ from pjet.multiprime import (
     M_ONE,
     MultiJetSeries,
     RankReport,
-    _canon,
     _check_primes,
     _generator,
     _norm_mono,
@@ -382,14 +381,16 @@ def phi_terms(t, p, cut, digits, jmax):
     """One packed phi step on Fraction terms: drops every monomial of base
     exponent >= ``cut`` and every coefficient of valuation >= ``digits``,
     before it multiplies on."""
-    L, D = Layout(p, t, jmax), _den(t)
-    return L.unpack(terms_phi(L.pack(t, D), L, L.below(cut), _mod(p, digits, D), jmax), D)
+    L = Layout(p, t, jmax)
+    t = L.pack(t)
+    return L.unpack(terms_phi(t, L, L.below(cut), _mod(p, digits, t.den), jmax), t.den)
 
 
 def delta_terms(t, p, cut, digits, jmax):
     """One packed delta step on Fraction terms, with the cuts of ``phi_terms``."""
-    L, D = Layout(p, t, jmax), _den(t)
-    return L.unpack(*terms_delta(L.pack(t, D), D, L, L.below(cut), digits, jmax))
+    L = Layout(p, t, jmax)
+    t = L.pack(t)
+    return L.unpack(*terms_delta(t, t.den, L, L.below(cut), digits, jmax))
 
 
 def _jet_index(m):
@@ -756,7 +757,7 @@ def fourier_to_deformation_uncut(f, N):
     if not isinstance(f, JetSeries):
         raise DomainError("expected a Fourier-side jet series")
     L, images = _jet_images(f, N)
-    return L.series(_canon(horner_uncut(f._rows(), images, L, N), f.den), 0)
+    return L.series(sparse.canon(horner_uncut(f._rows(), images, L, N), f.num.den), 0)
 
 
 def fourier_to_deformation_terms(f, N):
@@ -767,7 +768,7 @@ def fourier_to_deformation_terms(f, N):
     L, images = _jet_images(f, N)
     den = math.lcm(*(c.denominator for _, c in f.terms))
     rows = [(b, jets, c.numerator * (den // c.denominator)) for (b, jets), c in f.terms]
-    return L.series(_canon(horner_uncut(rows, images, L, N), den), 0)
+    return L.series(sparse.canon(horner_uncut(rows, images, L, N), den), 0)
 
 
 def t_series_via_make(obj):

@@ -341,6 +341,18 @@ class TestChecks:
         code, js = run(capsys, "delta-expand", "--input", str(f), "--n", "1", "--p", "5", "--M", "4")
         assert code == 2 and js["error"]["message"] == f"{f} is not a valid payload: KeyError('terms')"
 
+    def test_q_expansion_refuses_a_padic_coefficient(self, capsys, tmp_path):
+        # Fraction(c) in delta_fourier_expand raised TypeError on the p-adic
+        # coefficient: a traceback and exit 1; delta0 still reads the file
+        obj = {"var": "q", "N": 5, "weight": 4, "level": 1, "terms": [[0, "1"], [1, {"p": 5, "M": 4, "residue": "3", "digits": 4}]]}
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(obj))
+        code, js = run(capsys, "delta-expand", "--input", str(f), "--n", "1", "--p", "5", "--M", "4")
+        message = f"{f}: a q-expansion has rational coefficients; a p-adic one is read by delta0"
+        assert code == 2 and js["error"] == {"code": "domain", "message": message}
+        code, js = run(capsys, "delta0", "--input", str(f), "--p", "5", "--M", "4")
+        assert code == 0 and js["terms"][1][1]["p"] == 5
+
     def test_q_expansion_reads_integer_strings(self, capsys, tmp_path):
         main(["eisenstein", "--k", "4", "--trunc", "6"])
         text = capsys.readouterr().out
@@ -390,6 +402,17 @@ GOLDEN_JOBS = [
         "delta0_E4_t12_p5_M4.json",
         ["delta0", "--input", "tests/golden/eisenstein_k4_t12.json", "--p", "5", "--M", "4"],
     ),
+    (
+        "continuation_padic_P5_7_11_N30_M6.json",
+        ["check-continuation", "--inputs", *(f"tests/golden/padic_fe0_P5_7_11_N30_M6_k{k}.json" for k in (1, 2, 3))],
+    ),
+    (
+        "continuation_padic_P5_7_11_N30_M6_fault.json",
+        [
+            "check-continuation", "--inputs", "tests/golden/padic_fe0_P5_7_11_N30_M6_k1.json",
+            "tests/golden/padic_fe0_P5_7_11_N30_M6_k2_fault.json", "tests/golden/padic_fe0_P5_7_11_N30_M6_k3.json",
+        ],
+    ),
 ]
 
 
@@ -410,6 +433,22 @@ class TestGoldenFiles:
             assert capsys.readouterr().out == golden, fname
             # a pinned failing verdict exits 1, every other job 0
             assert code == (1 if json.loads(golden).get("pass") is False else 0), fname
+
+    def test_padic_family_members_match_stored_bytes(self):
+        # the inputs of the two continuation goldens: the members of fe0
+        # (5,7,11) N 30 at M 6, and the 7-adic one with one residue raised by 1
+        f0 = multiprime.build_fe0((5, 7, 11), 30)
+        for k in range(3):
+            with open(os.path.join(self.GOLDEN_DIR, f"padic_fe0_P5_7_11_N30_M6_k{k + 1}.json"), encoding="utf-8") as fh:
+                assert cli._dump(multiprime.reduce_to_padic(f0, k, 6).to_json()) == fh.read()
+        with open(os.path.join(self.GOLDEN_DIR, "padic_fe0_P5_7_11_N30_M6_k2.json"), encoding="utf-8") as fh:
+            good = json.load(fh)
+        with open(os.path.join(self.GOLDEN_DIR, "padic_fe0_P5_7_11_N30_M6_k2_fault.json"), encoding="utf-8") as fh:
+            bad = json.load(fh)
+        diff = [(a, b) for a, b in zip(good["terms"], bad["terms"]) if a != b]
+        assert {**good, "terms": len(good["terms"])} == {**bad, "terms": len(bad["terms"])} and len(diff) == 1
+        (mono, c), (mono_bad, c_bad) = diff[0]
+        assert mono == mono_bad and int(c_bad["residue"]) == int(c["residue"]) + 1
 
 
 class TestProtocol:

@@ -324,7 +324,7 @@ class TestDeltaChain:
         else:
             got = g.terms, g.digits, g.base_order
             # the store each step passes on is reduced: no factor common to all
-            assert g.den > 0 and all(g.num.values()) and math.gcd(g.den, *g.num.values()) == 1
+            assert g.num.den > 0 and all(g.num.values()) and math.gcd(g.num.den, *g.num.values()) == 1
         assert got == _iterate(functools.partial(_delta_unpruned, prune=True), f, n)
 
     def test_one_delta_call_per_step_in_one_layout(self, monkeypatch):

@@ -58,6 +58,7 @@ from pjet.multiprime import (
 
 P57 = (5, 7)
 P5711 = (5, 7, 11)
+PRIMES_5_23 = (5, 7, 11, 13, 17, 19, 23)
 
 TuplePoly = dict[Mono, Fraction]
 
@@ -284,7 +285,7 @@ class TestIntegerExchange:
         want = ghost_to_jet({m: Fraction(x, g * h) for m, x in T.items()}, L)
         got = ghost_to_jet(T, L, g * h)
         assert (got, got.den) == (want, want.den)
-        assert all(type(c) is int and c for c in want.values()) and list(want) == sorted(want)
+        assert type(want) is sparse.Packed and all(type(c) is int and c for c in want.values())
         assert want.den > 0 and math.gcd(want.den, *want.values()) == 1
 
     @given(d=st.integers(1, 3), data=st.data())
@@ -740,8 +741,49 @@ class TestBuildFeK:
         got = build_fe_k(P5711, k, N)
         assert (got.P, got.terms, got.N, got.ring) == (out.P, out.terms, out.N, out.ring)
 
+    @pytest.mark.parametrize("P, N", [(P57, 20), (P5711, 30)])
+    def test_equal_across_rings_hash_alike(self, P, N):
+        # == ignores the ring tag; the hash kept it, so a set of these d + 1
+        # equal series had d + 1 elements
+        family = [build_fe0(P, N)] + [build_fe_k(P, k, N) for k in range(len(P))]
+        assert all(f == family[0] for f in family) and len({f.ring for f in family}) == len(P) + 1
+        assert len({hash(f) for f in family}) == 1 and len(set(family)) == 1
+
+    @given(P=st.sets(st.sampled_from(PRIMES_5_23), min_size=3, max_size=3), N=st.integers(0, 36), data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_d3_drawn_agrees_with_fe0(self, P, N, data):
+        P, k = tuple(sorted(P)), data.draw(st.integers(0, 2), label="k")
+        got, want = build_fe_k(P, k, N), build_fe0(P, N)
+        assert (got.terms, got.N, got.ring) == (want.terms, want.N, k + 1)
+        assert got == want and hash(got) == hash(want)
+
 
 class TestContinuation:
+    @given(P=st.sets(st.sampled_from(PRIMES_5_23), min_size=3, max_size=3), N=st.integers(1, 30), data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_d3_padic_roundtrip_and_a_drawn_fault(self, P, N, data):
+        # the members of fe0 reduced at M digits glue back to fe0 when every
+        # coefficient fits the height; a residue raised by 1 at a drawn member
+        # and key either has no reconstruction there, the witness, or glues
+        # to a series that differs from fe0 at that key alone
+        P, M = tuple(sorted(P)), data.draw(st.integers(4, 8), label="M")
+        f0 = build_fe0(P, N)
+        height = max((max(abs(c.numerator), c.denominator) for _, c in f0.terms), default=1)
+        assume(height <= math.isqrt(math.prod(P) ** M // 2))
+        fam = [reduce_to_padic(f0, k, M) for k in range(3)]
+        res = continuation_check(fam, height=height)
+        assert res.ok and res.f0 == f0 and res.f0.terms == f0.terms
+        assume(f0.terms)
+        j = data.draw(st.integers(0, 2), label="member")
+        m, c = data.draw(st.sampled_from(fam[j].terms), label="term")
+        bad = {**dict(fam[j].terms), m: PadicTrunc(c.p, c.M, c.residue + 1, c.digits)}
+        fam[j] = MultiJetSeries.make(P, bad, N, ring=j + 1)
+        res = continuation_check(fam, height=height)
+        if res.ok:
+            assert [m2 for m2, c2 in f0.coeffs.items() if res.f0.coeff(m2) != c2] == [m]
+        else:
+            assert res.witness == m and res.f0 is None
+
     def test_exact_roundtrip(self):
         fe01 = build_fe_k(P57, 0, 30)
         fe02 = build_fe_k(P57, 1, 30)

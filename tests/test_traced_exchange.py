@@ -68,7 +68,7 @@ def test_every_exchange_is_traced_with_its_term_count(job, fe0_payload, monkeypa
     for kind, name in names.items():
         outs = [out for k, out in seen if k == kind]
         assert len(outs) == calls.get(name, 0)
-        assert all(type(out) is multiprime.Packed and all(type(c) is int and c for c in out.values()) for out in outs)
+        assert all(type(out) is sparse.Packed and all(type(c) is int and c for c in out.values()) for out in outs)
         assert tracer.counts.get(name + ".terms_out", 0) == sum(len(out) for out in outs)
     assert calls["multiprime.ghost_to_jet"] > 0
 
