@@ -542,20 +542,14 @@ class LemmaReport:
         }
 
 
-def _lemma_delta_n(t: Terms, p: int, n: int, M: int) -> tuple[Layout, sparse.Packed, int]:
-    """delta^n of ``t``, the steps valid mod p**M, p**(M-1), ..., in one layout
-    for all n steps: (layout, canonical store, its denominator), each step
-    canonical as a ``delta`` step is.  The chain stays apart from
-    ``delta_n``: it carries an auxiliary family, and it runs with M <= n,
-    where ``delta`` has no digit left to consume."""
-    L = Layout(p, t, M, n)
-    t = L.pack(t)
-    for digits in range(M, M - n, -1):
-        t = sparse.canon(*terms_delta(t, t.den, L, None, digits, digits))
-    return L, t, t.den
+def _lemma_delta_n(t: Terms, p: int, n: int) -> JetSeries:
+    """delta_n of ``t``, auxiliary family included, valid mod p**(n + 3): the
+    series in one layout with room for all n steps."""
+    L = Layout(p, t, n + 3, n)
+    return delta_n(JetSeries(p, L, L.pack(t), n + 3, n + 3, None, n), n)
 
 
-def lemma_xlaphi_check(p: int, n: int, varphi: Fraction | int | str = 0, M: int | None = None) -> LemmaReport:
+def lemma_xlaphi_check(p: int, n: int, varphi: Fraction | int | str = 0) -> LemmaReport:
     """Check delta^n(phi(z)/z - c) against its two leading jet terms.
 
     The residual after removing z^(-p^n) (z^(n))^p - z^(p^(n+1) - 2 p^n) z^(n)
@@ -567,8 +561,6 @@ def lemma_xlaphi_check(p: int, n: int, varphi: Fraction | int | str = 0, M: int 
     check_prime(p)
     if n < 1:
         raise DomainError("the xlaphi lemma needs n >= 1")
-    if M is None:
-        M = n + 3
     symbolic = varphi == "symbolic"
     f: Terms = {((p - 1,), ()): Fraction(1), ((-1, 1), ()): Fraction(p)}
     if symbolic:
@@ -577,23 +569,21 @@ def lemma_xlaphi_check(p: int, n: int, varphi: Fraction | int | str = 0, M: int 
         c = Fraction(varphi)
         if c:
             f[((), ())] = -c
-    L, res, D = _lemma_delta_n(f, p, n, M)
+    L, res, D = (d := _lemma_delta_n(f, p, n)).L, d.num, d.num.den
     lead1 = L.key(((-(p**n),) + (0,) * (n - 1) + (p,), ()))  # coefficient 1
     lead2 = L.key(((p ** (n + 1) - 2 * p**n,) + (0,) * (n - 1) + (1,), ()))  # coefficient -1
     res = sparse.add(res, {lead1: -D}, {lead2: D})
     return _classify_residual("xlaphi", p, n, L, res, D, low_jet=n - 1, max_jet=n + 1)
 
 
-def lemma_logder_check(p: int, n: int, a: int, M: int | None = None) -> LemmaReport:
+def lemma_logder_check(p: int, n: int, a: int) -> LemmaReport:
     """Check delta^n((1 + p^n a) z) = z^(n) + a z^(p^n) + p * O(n)."""
     check_prime(p)
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if M is None:
-        M = n + 3
     lam = Fraction(1 + p**n * a)
     f: Terms = {((1,), ()): lam}
-    L, res, D = _lemma_delta_n(f, p, n, M)
+    L, res, D = (d := _lemma_delta_n(f, p, n)).L, d.num, d.num.den
     res = sparse.add(res, {L.key(((0,) * n + (1,), ())): -D}, {L.key(((p**n,), ())): -a * D})
     return _classify_residual("logder", p, n, L, res, D, low_jet=-1, max_jet=n)
 

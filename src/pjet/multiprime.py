@@ -49,12 +49,10 @@ from .arith import (
     PadicTrunc,
     at_least,
     check_prime,
-    encode_coeff,
     format_rational,
     parse_int,
     parse_ratio,
     rational_reconstruct,
-    reduce_rational_mod,
 )
 from .errors import (
     DomainError,
@@ -326,10 +324,10 @@ class MultiJetSeries:
     ``ring`` is 0 for the common ring (denominators coprime to all of P) and
     k in 1..d for the ring localized away from p_k only.  Coefficients are
     exact rationals except for reduced per-prime families, which carry
-    truncated p-adics.
+    truncated p-adics; a series never holds both.
 
     ``_store`` holds the coefficients by key of the layout of (P, N): a
-    canonical ``Packed``, or as they are for a p-adic family.
+    canonical ``Packed``, or the ``PadicTrunc`` values of a p-adic family.
     """
 
     P: tuple[int, ...]
@@ -350,7 +348,7 @@ class MultiJetSeries:
     ) -> "MultiJetSeries":
         """The series of ``terms`` below weight N, each monomial normalised; of two
         keys that normalise to one monomial the later wins, a zero coefficient too.
-        A p-adic coefficient is refused outside its own prime's ring."""
+        A p-adic coefficient is refused outside its own prime's ring or beside a rational one."""
         Pt = _check_primes(P)
         L = layout(Pt, N)
         pairs = [
@@ -476,7 +474,7 @@ class MultiJetSeries:
                 bits ^= e << off
                 mono.append([list(i), e])
             if den is None:
-                c = encode_coeff(c)
+                c = c.to_json()
             else:
                 g = math.gcd(c, den)
                 c = str(c // g) if g == den else f"{c // g}/{den // g}"
@@ -533,8 +531,8 @@ def _in_order(keys: Iterable[int], L: Layout) -> list[int]:
 
 def _stored(pairs: Iterable[tuple[int | None, Union[tuple[int, int], PadicTrunc]]]) -> dict:
     """The store of (key, coefficient) pairs, each coefficient p-adic or a
-    (numerator, denominator) pair.  A pair with no key lies past the cut; of
-    two pairs with one key the later wins, a zero coefficient too."""
+    (numerator, denominator) pair, never both kinds.  A pair with no key lies
+    past the cut; of two pairs with one key the later wins, a zero coefficient too."""
     t, padic = {}, False
     for key, c in pairs:
         if key is not None:
@@ -545,7 +543,9 @@ def _stored(pairs: Iterable[tuple[int | None, Union[tuple[int, int], PadicTrunc]
             else:
                 t.pop(key, None)
     if padic and any(isinstance(c, PadicTrunc) for c in t.values()):  # a later rational may win
-        return {m: c if isinstance(c, PadicTrunc) else Fraction(*c) for m, c in t.items()}
+        if not all(isinstance(c, PadicTrunc) for c in t.values()):
+            raise DomainError("a series holds rational or p-adic coefficients, not both")
+        return t
     D = math.lcm(*(d for _, d in t.values()))
     return sparse.canon({m: n * (D // d) for m, (n, d) in t.items()}, D)
 
@@ -572,11 +572,9 @@ def assert_ring_integral(f: MultiJetSeries) -> None:
     """Denominator check for the series' declared coefficient ring.  A prime
     divides a canonical den exactly when it divides some coefficient's."""
     primes = f.P if f.ring == 0 else (f.P[f.ring - 1],)
-    if not f.is_padic() and all(f._store.den % p for p in primes):
+    if all(f._packed(layout(f.P, f.N)).den % p for p in primes):
         return
     for m, c in f.terms:
-        if isinstance(c, PadicTrunc):
-            continue
         for p in primes:
             if c.denominator % p == 0:
                 raise IntegralityViolation(
@@ -600,12 +598,7 @@ def phi_pk(f: MultiJetSeries, k: int) -> MultiJetSeries:
     bound depend only on the terms of ``f`` below that bound over p_k
     (see ``_phi_below``).
     """
-    return _phi_pk_below(f, k, f.N * f.P[k])
-
-
-def _phi_pk_below(f: MultiJetSeries, k: int, N: int) -> MultiJetSeries:
-    """``phi_pk(f, k).truncate(N)``, lifted in the layout of the result."""
-    L = layout(f.P, min(N, f.N * f.P[k]))
+    L = layout(f.P, f.N * f.P[k])
     return L.series(_phi_below(f._packed(L), k, L), f.ring)
 
 
@@ -736,12 +729,15 @@ class ContinuationResult:
 
 
 def reduce_to_padic(f: MultiJetSeries, k: int, M: int) -> MultiJetSeries:
-    """Reduce an exact series into the p_k-adic per-prime ring."""
-    p = f.P[k]
-    terms = {
-        m: PadicTrunc(p, M, reduce_rational_mod(c, p, M), M) for m, c in f.terms
-    }
-    return MultiJetSeries.make(f.P, terms, f.N, ring=k + 1)
+    """Reduce an exact series into the p_k-adic per-prime ring: each numerator
+    times den**-1 mod p_k**M."""
+    t, p = f._packed(layout(f.P, f.N)), f.P[k]
+    if t.den % p == 0:  # p divides a canonical den exactly when it divides some coefficient's
+        c = next(c for _, c in f.terms if c.denominator % p == 0)
+        raise DomainError(f"{c} is not p-integral at p={p}")
+    inv = pow(t.den, -1, p**M)
+    pairs = ((m, _in_ring(PadicTrunc(p, M, x * inv, M), f.P, k + 1)) for m, x in t.items())
+    return MultiJetSeries(f.P, _stored(pairs), f.N, k + 1)
 
 
 def continuation_check(
@@ -785,10 +781,8 @@ def continuation_check(
     for m in keys:
         residues = []
         for k, f in enumerate(family):
-            c = f._store.get(m, Fraction(0))
-            if not isinstance(c, PadicTrunc):
-                c = PadicTrunc.from_rational(c, P[k], 8)
-            residues.append((P[k], c.digits, c.residue % P[k] ** c.digits))
+            c = f._store.get(m)  # a missing key reads as 0 known to 8 digits
+            residues.append((P[k], 8, 0) if c is None else (P[k], c.digits, c.residue % P[k] ** c.digits))
         try:
             out.append((m, rational_reconstruct(residues, height=height).as_integer_ratio()))
         except ReconstructionFailure:

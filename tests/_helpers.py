@@ -167,6 +167,12 @@ def invert_unit(f: MultiJetSeries) -> MultiJetSeries:
     return acc * (1 / c0)
 
 
+def phi_pk_below(f, k, N):
+    """``phi_pk(f, k).truncate(N)``, lifted in the layout of the result."""
+    L = layout(f.P, min(N, f.N * f.P[k]))
+    return L.series(_phi_below(f._packed(L), k, L), f.ring)
+
+
 def exact_rank_fraction(rows: list[list[Fraction]]) -> int:
     """Gaussian elimination over the rationals in ``Fraction`` arithmetic.
 
@@ -423,31 +429,27 @@ def classify_residual_fraction(name, p, n, res, low_jet, max_jet):
     return LemmaReport(name, p, n, offending is None, len(res), offending)
 
 
-def lemma_xlaphi_check_fraction(p, n, varphi=0, M=None):
+def lemma_xlaphi_check_fraction(p, n, varphi=0):
     """``deltajet.lemma_xlaphi_check`` with its chain and residual on Fractions."""
     check_prime(p)
     if n < 1:
         raise DomainError("the xlaphi lemma needs n >= 1")
-    if M is None:
-        M = n + 3
     f = {((p - 1,), ()): Fraction(1), ((-1, 1), ()): Fraction(p)}
     if varphi == "symbolic":
         f[((), (1,))] = Fraction(-1)
     elif Fraction(varphi):
         f[((), ())] = -Fraction(varphi)
-    res = lemma_delta_n_fraction(f, p, n, M)
+    res = lemma_delta_n_fraction(f, p, n, n + 3)
     lead1 = _trim((-(p**n),) + (0,) * (n - 1) + (p,))
     lead2 = _trim((p ** (n + 1) - 2 * p**n,) + (0,) * (n - 1) + (1,))
     res = sparse.add(res, {(lead1, ()): Fraction(-1)}, {(lead2, ()): Fraction(1)})
     return classify_residual_fraction("xlaphi", p, n, res, low_jet=n - 1, max_jet=n + 1)
 
 
-def lemma_logder_check_fraction(p, n, a, M=None):
+def lemma_logder_check_fraction(p, n, a):
     """``deltajet.lemma_logder_check`` with its chain and residual on Fractions."""
     check_prime(p)
-    if M is None:
-        M = n + 3
-    res = lemma_delta_n_fraction({((1,), ()): Fraction(1 + p**n * a)}, p, n, M)
+    res = lemma_delta_n_fraction({((1,), ()): Fraction(1 + p**n * a)}, p, n, n + 3)
     res = sparse.add(
         res,
         {(_trim((0,) * n + (1,)), ()): Fraction(-1)},
@@ -624,7 +626,8 @@ def generator_terms(P, i, kind):
 
 def make_tuples(P, terms, N, ring=0):
     """``MultiJetSeries.make`` on tuples: the terms below weight N, each
-    monomial normalised, the later of two spellings winning, sorted."""
+    monomial normalised, the later of two spellings winning, sorted; a mix of
+    rational and p-adic coefficients is refused."""
     Pt = _check_primes(P)
     if not (0 <= ring <= len(Pt)):
         raise DomainError("ring tag out of range")
@@ -638,6 +641,8 @@ def make_tuples(P, terms, N, ring=0):
                 clean[m] = c
             else:
                 clean.pop(m, None)
+    if len({isinstance(c, PadicTrunc) for c in clean.values()}) > 1:
+        raise DomainError("a series holds rational or p-adic coefficients, not both")
     return Pt, tuple(sorted(clean.items())), N, ring
 
 

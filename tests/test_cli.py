@@ -204,6 +204,17 @@ class TestChecks:
         code, js = run(capsys, "check-continuation", "--inputs", *files)
         assert code == 2 and js["error"] == {"code": "domain", "message": f"{files[0]}: {message}"}
 
+    def test_padic_member_with_a_rational_coefficient_refused(self, capsys, tmp_path):
+        # continuation_check read such a coefficient as known to 8 digits
+        files = self.padic_family(tmp_path)
+        obj = json.loads(open(files[1], encoding="utf-8").read())
+        obj["terms"][2][1] = "1/3"
+        with open(files[1], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, js = run(capsys, "check-continuation", "--inputs", *files)
+        message = f"{files[1]}: a series holds rational or p-adic coefficients, not both"
+        assert code == 2 and js["error"] == {"code": "domain", "message": message}
+
     def test_padic_member_reads_integer_strings_and_no_common_ring(self, capsys, tmp_path):
         files = self.padic_family(tmp_path)
         obj = json.loads(open(files[0], encoding="utf-8").read())

@@ -20,9 +20,10 @@ from _helpers import (
     mono_weight,
     mul,
     pack_terms,
+    phi_pk_below,
 )
 from pjet import multiprime, sparse
-from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, decode_coeff, fermat_delta
+from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, decode_coeff, fermat_delta, reduce_rational_mod
 from pjet.cli import _dump as dump
 from pjet.deltajet import psi_serretate
 from pjet.errors import DomainError
@@ -33,7 +34,6 @@ from pjet.multiprime import (
     Mono,
     _ghost_shifts,
     _norm_mono,
-    _phi_pk_below,
     basis_independence_check,
     build_fe0,
     build_fe_k,
@@ -229,6 +229,30 @@ class TestIntegerExchange:
     def test_ghost_to_jet_matches_fraction_route(self, case):
         P, t, N, keep = case
         assert packed(ghost_to_jet, t, P, N) == _ghost_to_jet_fraction(t, P, keep)
+
+    @given(P=st.sets(st.sampled_from(PRIMES_5_23), min_size=3, max_size=3), N=st.integers(1, 40), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_d3_drawn_exchange_matches_fraction_route_and_round_trips(self, P, N, data):
+        # ghost against jet over a drawn three-prime set: each exchange against
+        # the Fraction route, and ghost_to_jet undoes jet_to_ghost
+        P = tuple(sorted(P))
+        L = layout(P, N)
+        # the variables below N; at N = 1 there is none, and t is drawn only to be skipped
+        light = st.sampled_from([i for i, _, _ in L.fields] or [(0, 0, 0)])
+        dens = st.sampled_from([1, 2, 9, P[0], P[1] * P[2]])
+        t = {}
+        for _ in range(data.draw(st.integers(1, 5))):
+            m, w = [], 0  # each factor drawn within the weight left below N
+            for _ in range(data.draw(st.integers(1, 3))):
+                i = data.draw(light)
+                if (top := (N - 1 - w) // var_weight(i, P)) > 0:
+                    m.append((i, e := data.draw(st.integers(1, min(top, 3)))))
+                    w += e * var_weight(i, P)
+            t[_norm_mono(m)] = Fraction(data.draw(st.integers(-9, 9).filter(bool)), data.draw(dens))
+        assert packed(jet_to_ghost, t, P, N) == _jet_to_ghost_fraction(t, P, keep_all)
+        assert packed(ghost_to_jet, t, P, N) == _ghost_to_jet_fraction(t, P, keep_all)
+        g = jet_to_ghost(pack_terms(L, t.items()), L)
+        assert L.series(ghost_to_jet(g, L, g.den), 0) == MultiJetSeries.make(P, t, N)
 
     @given(
         P=st.sampled_from([(5,), P57, P5711, (5, 7, 11, 13)]),
@@ -484,7 +508,7 @@ class TestTruncatedLift:
     @settings(max_examples=40, deadline=None)
     def test_truncate_then_lift_matches_lift_then_truncate(self, case):
         f, k, bound = case
-        got = _phi_pk_below(f, k, bound)
+        got = phi_pk_below(f, k, bound)
         want = _phi_fraction(f, k, bound)
         assert got.terms == want.terms and got.N == want.N == bound
         # truncate filters the sorted terms; make re-normalises and re-sorts
@@ -503,7 +527,7 @@ class TestTruncatedLift:
         # examples carry a term at the top weight f.N - 1, the last one lifted
         f, k, _ = case
         want = _phi_fraction(f, k, f.N * f.P[k])
-        got = _phi_pk_below(f, k, f.N * f.P[k] + past)
+        got = phi_pk_below(f, k, f.N * f.P[k] + past)
         assert (got.terms, got.N, got.ring) == (want.terms, want.N, want.ring)
 
 
@@ -752,37 +776,56 @@ class TestBuildFeK:
     @given(P=st.sets(st.sampled_from(PRIMES_5_23), min_size=3, max_size=3), N=st.integers(0, 36), data=st.data())
     @settings(max_examples=12, deadline=None)
     def test_d3_drawn_agrees_with_fe0(self, P, N, data):
-        P, k = tuple(sorted(P)), data.draw(st.integers(0, 2), label="k")
-        got, want = build_fe_k(P, k, N), build_fe0(P, N)
-        assert (got.terms, got.N, got.ring) == (want.terms, want.N, k + 1)
-        assert got == want and hash(got) == hash(want)
+        check_fe_k_agrees_with_fe0(P, N, data)
+
+    @given(P=st.sets(st.sampled_from(PRIMES_5_23), min_size=4, max_size=4), N=st.integers(0, 60), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_d4_drawn_agrees_with_fe0(self, P, N, data):
+        check_fe_k_agrees_with_fe0(P, N, data)
+
+
+def check_fe_k_agrees_with_fe0(P, N, data):
+    """build_fe_k at a drawn k against build_fe0, over the drawn prime set P."""
+    P, k = tuple(sorted(P)), data.draw(st.integers(0, len(P) - 1), label="k")
+    got, want = build_fe_k(P, k, N), build_fe0(P, N)
+    assert (got.terms, got.N, got.ring) == (want.terms, want.N, k + 1)
+    assert got == want and hash(got) == hash(want)
+
+
+def check_padic_roundtrip_and_a_drawn_fault(P, N, data):
+    """The members of fe0 reduced at M digits glue back to fe0 when every
+    coefficient fits the height; a residue raised by 1 at a drawn member and
+    key either has no reconstruction there, the witness, or glues to a series
+    that differs from fe0 at that key alone."""
+    P, M = tuple(sorted(P)), data.draw(st.integers(4, 8), label="M")
+    f0 = build_fe0(P, N)
+    height = max((max(abs(c.numerator), c.denominator) for _, c in f0.terms), default=1)
+    assume(height <= math.isqrt(math.prod(P) ** M // 2))
+    fam = [reduce_to_padic(f0, k, M) for k in range(len(P))]
+    res = continuation_check(fam, height=height)
+    assert res.ok and res.f0 == f0 and res.f0.terms == f0.terms
+    assume(f0.terms)
+    j = data.draw(st.integers(0, len(P) - 1), label="member")
+    m, c = data.draw(st.sampled_from(fam[j].terms), label="term")
+    bad = {**dict(fam[j].terms), m: PadicTrunc(c.p, c.M, c.residue + 1, c.digits)}
+    fam[j] = MultiJetSeries.make(P, bad, N, ring=j + 1)
+    res = continuation_check(fam, height=height)
+    if res.ok:
+        assert [m2 for m2, c2 in f0.coeffs.items() if res.f0.coeff(m2) != c2] == [m]
+    else:
+        assert res.witness == m and res.f0 is None
 
 
 class TestContinuation:
     @given(P=st.sets(st.sampled_from(PRIMES_5_23), min_size=3, max_size=3), N=st.integers(1, 30), data=st.data())
     @settings(max_examples=12, deadline=None)
     def test_d3_padic_roundtrip_and_a_drawn_fault(self, P, N, data):
-        # the members of fe0 reduced at M digits glue back to fe0 when every
-        # coefficient fits the height; a residue raised by 1 at a drawn member
-        # and key either has no reconstruction there, the witness, or glues
-        # to a series that differs from fe0 at that key alone
-        P, M = tuple(sorted(P)), data.draw(st.integers(4, 8), label="M")
-        f0 = build_fe0(P, N)
-        height = max((max(abs(c.numerator), c.denominator) for _, c in f0.terms), default=1)
-        assume(height <= math.isqrt(math.prod(P) ** M // 2))
-        fam = [reduce_to_padic(f0, k, M) for k in range(3)]
-        res = continuation_check(fam, height=height)
-        assert res.ok and res.f0 == f0 and res.f0.terms == f0.terms
-        assume(f0.terms)
-        j = data.draw(st.integers(0, 2), label="member")
-        m, c = data.draw(st.sampled_from(fam[j].terms), label="term")
-        bad = {**dict(fam[j].terms), m: PadicTrunc(c.p, c.M, c.residue + 1, c.digits)}
-        fam[j] = MultiJetSeries.make(P, bad, N, ring=j + 1)
-        res = continuation_check(fam, height=height)
-        if res.ok:
-            assert [m2 for m2, c2 in f0.coeffs.items() if res.f0.coeff(m2) != c2] == [m]
-        else:
-            assert res.witness == m and res.f0 is None
+        check_padic_roundtrip_and_a_drawn_fault(P, N, data)
+
+    @given(P=st.sets(st.sampled_from(PRIMES_5_23), min_size=4, max_size=4), N=st.integers(1, 60), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_d4_padic_roundtrip_and_a_drawn_fault(self, P, N, data):
+        check_padic_roundtrip_and_a_drawn_fault(P, N, data)
 
     def test_exact_roundtrip(self):
         fe01 = build_fe_k(P57, 0, 30)
@@ -820,6 +863,59 @@ class TestContinuation:
         obj = {"P": list(P57), "N": 8, "ring": ring, "terms": [[[[[0, 0], 1]], c.to_json()]]}
         with pytest.raises(DomainError, match=message):
             MultiJetSeries.from_json(obj)
+
+    def test_make_refuses_a_store_of_both_kinds(self):
+        # continuation_check read a rational in a p-adic member as known to 8 digits
+        x, t, c = (((1, 0), 1),), (((0, 0), 1),), PadicTrunc(5, 8, 3, 8)
+        with pytest.raises(DomainError, match="^a series holds rational or p-adic coefficients, not both$"):
+            MultiJetSeries.make(P57, {t: c, x: Fraction(1, 3)}, 8, ring=1)
+        # a later rational that replaces the one p-adic coefficient leaves an exact series
+        f = MultiJetSeries.make(P57, {t: c, x: Fraction(1, 3), ((t[0][0], 1),): 2}, 8, ring=1)
+        assert not f.is_padic() and dict(f.terms) == {x: Fraction(1, 3), t: Fraction(2)}
+
+    def test_a_missing_key_reads_as_zero_known_to_eight_digits(self):
+        t, x = (((0, 0), 1),), (((1, 0), 1),)
+        second = MultiJetSeries.make(P57, {x: PadicTrunc(7, 8, 2, 8)}, 8, ring=2)
+        full = [MultiJetSeries.make(P57, {t: PadicTrunc(5, 8, 0, 8), x: PadicTrunc(5, 8, 2, 8)}, 8, ring=1), second]
+        missing = [MultiJetSeries.make(P57, {x: PadicTrunc(5, 8, 2, 8)}, 8, ring=1), second]
+        for height in (None, 3):
+            want = continuation_check(full, height=height)
+            assert continuation_check(missing, height=height) == want and want.ok
+            assert want.f0.terms == ((x, Fraction(2)),)
+
+    def test_reduce_to_padic_refuses_a_coefficient_that_is_not_pk_integral(self):
+        # numerators over a den of 25 * 7: t^2's 35 is not a multiple of 25 although 5
+        # divides it; of two offenders the first in monomial order is named
+        t, x = (((0, 0), 1),), (((1, 0), 1),)
+        f = MultiJetSeries.make(P57, {t: Fraction(3, 7), ((t[0][0], 2),): Fraction(1, 5), x: Fraction(1, 25)}, 8)
+        with pytest.raises(DomainError, match="^1/5 is not p-integral at p=5$"):
+            reduce_to_padic(f, 0, 6)
+        with pytest.raises(DomainError, match="^3/7 is not p-integral at p=7$"):
+            reduce_to_padic(f, 1, 6)
+        g = MultiJetSeries.make(P57, {t: Fraction(3, 2), x: Fraction(-10, 3), ((t[0][0], 2),): Fraction(7, 11)}, 8)
+        for k, p in enumerate(P57):
+            got = reduce_to_padic(g, k, 6)
+            assert got.ring == k + 1 and got.is_padic()
+            assert {m: (c.p, c.M, c.residue, c.digits) for m, c in got.terms} == {
+                m: (p, 6, reduce_rational_mod(c, p, 6), 6) for m, c in g.terms
+            }
+
+    def test_a_pass_with_no_height_certifies_only_a_gluing(self):
+        # fe0 (5,7,11) N 30 reduced at M 6, the 11-adic residue at x_(1,0,0)^5
+        # raised by 1: with no height, a rational of height under sqrt(m/2), m
+        # the combined modulus, glues the three residues, so the check passes
+        # with a wrong f0; at 343, the height of fe0's coefficients, the key is
+        # the witness
+        P, m = (5, 7, 11), (((1, 0, 0), 5),)
+        f0 = build_fe0(P, 30)
+        fam = [reduce_to_padic(f0, k, 6) for k in range(3)]
+        c = fam[2].coeff(m)
+        fam[2] = MultiJetSeries.make(P, {**dict(fam[2].terms), m: PadicTrunc(11, 6, c.residue + 1, 6)}, 30, ring=3)
+        res = continuation_check(fam)
+        assert res.ok and f0.coeff(m) == 125 and res.f0.coeff(m) == Fraction(10132000, 14787181)
+        assert [m2 for m2, c2 in f0.coeffs.items() if res.f0.coeff(m2) != c2] == [m]
+        res = continuation_check(fam, height=343)
+        assert not res.ok and res.witness == m and res.f0 is None
 
     def test_exact_mismatch_witness(self):
         a = build_fe0(P57, 20)
@@ -1074,8 +1170,8 @@ class TestSubstituteGamma:
         f, k, gamma = case
         bound = data.draw(st.integers(1, f.N))
         assert same(
-            substitute_gamma(_phi_pk_below(f, k, bound), gamma),
-            _phi_pk_below(substitute_gamma(f, gamma), k, bound),
+            substitute_gamma(phi_pk_below(f, k, bound), gamma),
+            phi_pk_below(substitute_gamma(f, gamma), k, bound),
         )
 
     @given(P=st.sampled_from([(5,), P57, P5711]), N=st.integers(1, 30), data=st.data())
@@ -1169,7 +1265,12 @@ class TestFromJson:
             # unsorted pairs, zero exponents, a repeated index and a weight past N
             [[[[X2, 1], [X0, 3]], "1/2"], [[[X1, 0]], "7"], [[[X0, 0], [X2, 0]], "-3"]],
             [[[[X1, 1], [X0, 1], [X1, 2]], "9"], [[[X0, 2], [X0, -1]], "11/13"], [[[X2, 3]], "1"]],
-            [[[[["1", "0"], "2"]], "3"], [[[X0, 1]], {"p": 5, "M": 4, "residue": "7", "digits": 3}]],
+            [
+                [[[["1", "0"], "2"]], {"p": 5, "M": 4, "residue": "3", "digits": 4}],
+                [[[X0, 1]], {"p": 5, "M": 4, "residue": "7", "digits": 3}],
+            ],
+            # a p-adic coefficient that a later rational replaces leaves an exact store
+            [[[[X0, 1]], {"p": 5, "M": 4, "residue": "7", "digits": 3}], [[[X0, 1]], "2/3"], [[[X1, 1]], "3"]],
         ],
     )
     def test_matches_the_twice_normalising_route(self, terms):
@@ -1180,6 +1281,19 @@ class TestFromJson:
             got = MultiJetSeries.from_json(obj)
             assert dump(got.to_json()) == dump(want.to_json())
             assert got.terms == want.terms
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [[[[["1", "0"], "2"]], "3"], [[[X0, 1]], {"p": 5, "M": 4, "residue": "7", "digits": 3}]],
+            [[[[X0, 1]], {"p": 5, "M": 4, "residue": "7", "digits": 3}], [[[X1, 1]], "0"], [[[X2, 1]], "-1/2"]],
+        ],
+    )
+    def test_a_store_of_both_kinds_is_refused(self, terms):
+        obj = {"P": [5, 7], "r": [0, 0], "N": 20, "ring": 1, "terms": terms}
+        for route in (MultiJetSeries.from_json, from_json_normalising_twice):
+            with pytest.raises(DomainError, match="^a series holds rational or p-adic coefficients, not both$"):
+                route(obj)
 
     def test_errors_are_kept(self):
         base = {"P": [5, 7], "N": 20, "ring": 0}
