@@ -29,7 +29,11 @@ FLAG_MINIMUMS = {"N": 0, "trunc": 0, "n": 0, "M": 1, "window": 1, "nmax": 1, "he
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    """The payload's text: a dict through ``json.dumps``, anything else (a
+    series or a report that holds one) by its own ``to_text`` writer."""
+    if isinstance(payload, dict):
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    return payload.to_text() + "\n"
 
 
 def _ints(text: str, flag: str) -> list[int]:
@@ -104,22 +108,22 @@ def _q_expansion(args) -> modular.QExpansion:
     raise DomainError("supply --input FILE or --form E4|E6|delta")
 
 
-# -- subcommand handlers; each returns (payload, passed) --------------------
+# -- subcommand handlers; each returns (payload, passed) for ``_dump`` --------
 
 
 def cmd_psi(args):
     if args.side == "fourier":
-        return deltajet.psi_fourier(args.p, args.M, args.window).to_json(), True
-    return deltajet.psi_serretate(args.p, args.N).to_json(), True
+        return deltajet.psi_fourier(args.p, args.M, args.window), True
+    return deltajet.psi_serretate(args.p, args.N), True
 
 
 def cmd_fe0(args):
-    return multiprime.build_fe0(_primes(args.P), args.N).to_json(), True
+    return multiprime.build_fe0(_primes(args.P), args.N), True
 
 
 def cmd_fe_k(args):
     P = _primes(args.P)
-    return multiprime.build_fe_k(P, args.k - 1, args.N).to_json(), True
+    return multiprime.build_fe_k(P, args.k - 1, args.N), True
 
 
 def _an_and_ap(args, P):
@@ -132,19 +136,19 @@ def _an_and_ap(args, P):
 def cmd_f2e0(args):
     P = _primes(args.P)
     an, ap = _an_and_ap(args, P)
-    return forms.build_f2e0(an, P, ap, args.N).to_json(), True
+    return forms.build_f2e0(an, P, ap, args.N), True
 
 
 def cmd_f2e_k(args):
     P = _primes(args.P)
     an, ap = _an_and_ap(args, P)
-    return forms.build_f2e_k(an, P, args.k - 1, ap, args.N).to_json(), True
+    return forms.build_f2e_k(an, P, args.k - 1, ap, args.N), True
 
 
 def cmd_fsharp(args):
     _, an = _curve_and_an(args, max(args.window, args.p))
     out = forms.fsharp_expansion(an[: args.window], an[args.p - 1], args.p, args.M, args.window)
-    return out.to_json(), True
+    return out, True
 
 
 def cmd_eisenstein(args):
@@ -153,7 +157,7 @@ def cmd_eisenstein(args):
 
 def cmd_delta_expand(args):
     f = _q_expansion(args)
-    return forms.delta_fourier_expand(f, args.n, args.p, args.M).to_json(), True
+    return forms.delta_fourier_expand(f, args.n, args.p, args.M), True
 
 
 def cmd_delta0(args):
@@ -172,7 +176,7 @@ def cmd_check_covariance(args):
 def cmd_check_continuation(args):
     family = [_decode(p, multiprime.MultiJetSeries.from_json) for p in args.inputs]
     res = multiprime.continuation_check(family, height=args.height)
-    return res.to_json(), res.ok
+    return res, res.ok
 
 
 def cmd_check_commutator(args):
@@ -228,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--out", help="write the JSON payload to this file")
     top.add_argument("--golden", help="compare the payload against this file")
     sub = top.add_subparsers(dest="command", required=True)
+    top.commands = sub.choices  # the subcommand parsers by name, for ``_parse``
 
     # Handlers are stored by the subcommand's ``cmd_*`` name and looked up
     # when ``main`` runs, so the cached parser follows any later rebinding of
@@ -337,9 +342,27 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the full parser parses it, but with the work of the
+    subcommand's own parser only: the leading ``--out``/``--golden`` pairs are
+    read here and the rest goes to the subcommand's parser.  Anything else (no
+    subcommand, help, ``--out=PATH``, an abbreviated option, ``--``, or
+    arguments left over) goes to the full parser, for its messages and exit codes."""
+    top, i, glob = _parser(), 0, {"out": None, "golden": None}
+    while i + 1 < len(argv) and argv[i] in ("--out", "--golden") and not argv[i + 1].startswith("-"):
+        glob[argv[i][2:]] = argv[i + 1]
+        i += 2
+    sub = top.commands.get(argv[i]) if i < len(argv) and "--" not in argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[i + 1 :], argparse.Namespace(**glob, command=argv[i]))
+        if not rest:
+            return args
+    return top.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return 2 if e.code else 0
     try:

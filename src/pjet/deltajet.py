@@ -37,14 +37,15 @@ Truncation contracts:
   (``digits=None`` means exact), base exponents known below ``base_order``
   (None means no unknown tail).  A step cuts its integer numerators, puts
   them in ``sparse.canon`` form and passes them on in their layout; only
-  ``to_json`` writes the coefficients as text.  ``phi`` and ``delta`` below
+  ``to_text`` writes the coefficients as text.  ``phi`` and ``delta`` below
   are the q-side maps.
 * t side (``TSeries``): weighted degree with wt(t)=1, wt(delta^i t)=p**i,
   all monomials of weight >= N dropped, exact rational: the d=1
   ``multiprime`` series in ring 1, where ``phi_pk``, ``delta_pk`` and the
   ring operations act.
 
-One writer and one term reader serve the one-prime payload of both sides:
+One text writer (``to_json`` reads its text back) and one term reader
+serve the one-prime payload of both sides:
 ``var`` ("q" or "t"), ``p``, ``M``, ``digits``, ``base_order``, ``N`` and
 the terms ``[b, c, jets]`` in (b, jets) order.
 """
@@ -52,6 +53,7 @@ the terms ``[b, c, jets]`` in (b, jets) order.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -181,7 +183,8 @@ def terms_phi(t: Poly, L: Layout, limit, mod: int | None, jmax: int) -> Poly:
 
 def terms_delta(t: Poly, D: int, L: Layout, limit, digits, jmax: int) -> tuple[Poly, int]:
     """(phi(f) - f**p) / p for f = t / D, as numerators over the returned
-    denominator: D**(p-1) phi(t) - t**p over D**p * p."""
+    denominator: D**(p-1) phi(t) - t**p over D**p * p, not cut: ``delta``'s
+    step cuts it at a key limit and a digit rule at least as tight as these."""
     p = L.p
 
     def mul(a: tuple[Poly, int], b: tuple[Poly, int]) -> tuple[Poly, int]:
@@ -190,8 +193,7 @@ def terms_delta(t: Poly, D: int, L: Layout, limit, digits, jmax: int) -> tuple[P
 
     ph = terms_phi(t, L, limit, _mod(p, digits, D), jmax)
     fp, den = sparse.power((t, D), p, ({0: 1}, 1), mul)
-    num = sparse.add(sparse.scale(ph, D ** (p - 1)), sparse.scale(fp, -1))
-    return _cut(num, limit, _mod(p, digits, den)), den * p
+    return sparse.add(sparse.scale(ph, D ** (p - 1)), sparse.scale(fp, -1)), den * p
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +209,17 @@ def _jets(jets: Iterable[int]) -> tuple[int, ...]:
     return jets
 
 
-def _payload(var: str, p: int, M: int, digits, base_order, N, rows, den: int) -> dict:
-    """The one-prime payload of the rows (base exponent, jets, numerator) over
-    ``den``: its terms in (base exponent, jets) order, each coefficient in
-    lowest terms."""
+def _payload(var: str, p: int, M: int, digits, base_order, N, rows, den: int) -> str:
+    """The one-prime payload text of the rows (base exponent, jets, numerator)
+    over ``den``, as the CLI writes it: sorted keys, no spaces, its terms in
+    (base exponent, jets) order, each coefficient in lowest terms."""
     terms = []
     for b, jets, x in sorted(rows):
         g = math.gcd(x, den)
-        terms.append([b, str(x // g) if g == den else f"{x // g}/{den // g}", jets])
-    return {"var": var, "p": p, "M": M, "digits": digits, "base_order": base_order, "N": N, "terms": terms}
+        c = x // g if g == den else f"{x // g}/{den // g}"
+        terms.append(f'[{b},"{c}",[{",".join(map(str, jets))}]]')
+    N, base_order, digits = ("null" if v is None else v for v in (N, base_order, digits))
+    return f'{{"M":{M},"N":{N},"base_order":{base_order},"digits":{digits},"p":{p},"terms":[{",".join(terms)}],"var":"{var}"}}'
 
 
 def _header(obj: Mapping) -> tuple[int, int, int | None, int | None, int | None]:
@@ -356,8 +360,11 @@ class JetSeries:
 
     # -- serialization --------------------------------------------------------
 
-    def to_json(self) -> dict:
+    def to_text(self) -> str:
         return _payload("q", self.p, self.M, self.digits, self.base_order, None, self._rows(), self.num.den)
+
+    def to_json(self) -> dict:
+        return json.loads(self.to_text())
 
     @staticmethod
     def from_json(obj: Mapping) -> "JetSeries | TSeries":
@@ -378,8 +385,8 @@ class TSeries(MultiJetSeries):
     """A one-prime t-side series: the d=1 ``MultiJetSeries`` in ring 1, with
     the one-prime payload ("var": "t") as its JSON codec."""
 
-    def to_json(self) -> dict:
-        """The payload, its terms in (b, jets) order with the jets trimmed,
+    def to_text(self) -> str:
+        """The payload text, its terms in (b, jets) order with the jets trimmed,
         b the power of t; M is 8, as in every t payload pjet writes."""
         fields, rows = layout(self.P, self.N).fields, []
         for k, x in self._store.items():

@@ -25,9 +25,10 @@ truncation is the key limit ``N << shift``: ``sparse.mul`` walks its second
 operand in key order, stops each row at the limit and squares once.  The packed form is the stored
 value: an exact ``MultiJetSeries`` holds a ``sparse.Packed`` in the form
 ``sparse.canon`` gives; ``terms`` and ``coeffs`` are views built on first
-use.  ``to_json`` orders the keys by an integer computed from each and
+use.  ``to_text`` orders the keys by an integer computed from each and
 writes every pair straight from a key's nonzero fields, with no ``Mono``
-tuple; ``from_json`` parses straight into keys.
+tuple; ``to_json`` reads that text back, and ``from_json`` parses straight
+into keys.
 
 Per-prime rings (ring tag k >= 1) share the representation but only promise
 denominators coprime to p_k; the common ring (tag 0) promises denominators
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -458,28 +460,34 @@ class MultiJetSeries:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> dict:
-        """The payload, its terms in the public monomial order.  Each pair
-        ``[[i...], e]`` is built straight from the key, visiting only its
-        nonzero fields, by highest set bit."""
+    def to_text(self) -> str:
+        """The payload as the CLI writes it: sorted keys, no spaces, terms in
+        the public monomial order.  Each pair ``[[i...],e]`` is written
+        straight from the key, visiting only its nonzero fields, by highest
+        set bit, and each coefficient in lowest terms."""
         L, store = layout(self.P, self.N), self._store
         den, low = getattr(store, "den", None), (1 << L.shift) - 1
-        fields = [(i, off) for i, off, mask in reversed(L.fields) for _ in range(mask.bit_length())]  # by bit
-        terms = []  # built in order, so that dumping it walks memory in order
+        # by bit: the text of the index whose field holds it, and the field's offset
+        fields = [(f"[[{','.join(map(str, i))}],", off) for i, off, mask in reversed(L.fields) for _ in range(mask.bit_length())]
+        terms = []
         for m in _in_order(store, L):
             bits, mono, c = m & low, [], store[m]
             while bits:
                 i, off = fields[bits.bit_length() - 1]
                 e = bits >> off
                 bits ^= e << off
-                mono.append([list(i), e])
+                mono.append(f"{i}{e}]")
             if den is None:
-                c = c.to_json()
+                c = f'{{"M":{c.M},"digits":{c.digits},"p":{c.p},"residue":"{c.residue}"}}'
             else:
                 g = math.gcd(c, den)
-                c = str(c // g) if g == den else f"{c // g}/{den // g}"
-            terms.append([mono, c])
-        return {"P": list(self.P), "r": list(self.order_vector()), "N": self.N, "ring": self.ring, "terms": terms}
+                c = f'"{c // g}"' if g == den else f'"{c // g}/{den // g}"'
+            terms.append(f"[[{','.join(mono)}],{c}]")
+        P, r = (",".join(map(str, v)) for v in (self.P, self.order_vector()))
+        return f'{{"N":{self.N},"P":[{P}],"r":[{r}],"ring":{self.ring},"terms":[{",".join(terms)}]}}'
+
+    def to_json(self) -> dict:
+        return json.loads(self.to_text())
 
     @staticmethod
     def from_json(obj: Mapping) -> "MultiJetSeries":
@@ -719,18 +727,22 @@ class ContinuationResult:
     witness: Mono | None
     details: tuple[str, ...] = ()
 
+    def to_text(self) -> str:
+        """The report as the CLI writes it, f0 by its own writer."""
+        f0 = "null" if self.f0 is None else self.f0.to_text()
+        witness = None if self.witness is None else [[list(i), e] for i, e in self.witness]
+        details, ok, witness = (json.dumps(x, separators=(",", ":")) for x in (list(self.details), self.ok, witness))
+        return f'{{"details":{details},"f0":{f0},"pass":{ok},"witness":{witness}}}'
+
     def to_json(self) -> dict:
-        return {
-            "pass": self.ok,
-            "f0": self.f0.to_json() if self.f0 is not None else None,
-            "witness": [[list(i), e] for i, e in self.witness] if self.witness is not None else None,
-            "details": list(self.details),
-        }
+        return json.loads(self.to_text())
 
 
 def reduce_to_padic(f: MultiJetSeries, k: int, M: int) -> MultiJetSeries:
     """Reduce an exact series into the p_k-adic per-prime ring: each numerator
     times den**-1 mod p_k**M."""
+    if not 0 <= k < len(f.P):
+        raise DomainError("prime index out of range")
     t, p = f._packed(layout(f.P, f.N)), f.P[k]
     if t.den % p == 0:  # p divides a canonical den exactly when it divides some coefficient's
         c = next(c for _, c in f.terms if c.denominator % p == 0)

@@ -18,7 +18,7 @@ from pjet.arith import (
     min_order,
     valuation,
 )
-from pjet.deltajet import JetSeries, Layout, LemmaReport, _mod, terms_delta, terms_phi
+from pjet.deltajet import JetSeries, Layout, LemmaReport, TSeries, _cut, _mod, _trim, terms_delta, terms_phi
 from pjet.errors import DomainError, IntegralityViolation
 from pjet.forms import CovarianceReport
 from pjet.modular import QExpansion
@@ -27,6 +27,7 @@ from pjet.multiprime import (
     MultiJetSeries,
     RankReport,
     _check_primes,
+    _in_order,
     _generator,
     _norm_mono,
     _phi_below,
@@ -393,10 +394,12 @@ def phi_terms(t, p, cut, digits, jmax):
 
 
 def delta_terms(t, p, cut, digits, jmax):
-    """One packed delta step on Fraction terms, with the cuts of ``phi_terms``."""
+    """One packed delta step on Fraction terms, with the cuts of ``phi_terms``:
+    ``terms_delta`` leaves its output to the caller's cut, made here."""
     L = Layout(p, t, jmax)
     t = L.pack(t)
-    return L.unpack(*terms_delta(t, t.den, L, L.below(cut), digits, jmax))
+    num, den = terms_delta(t, t.den, L, L.below(cut), digits, jmax)
+    return L.unpack(_cut(num, L.below(cut), _mod(p, digits, den // p)), den)
 
 
 def _jet_index(m):
@@ -804,3 +807,62 @@ def t_payload_terms(F):
         rows.append((z.get(0, 0), [z.get(i, 0) for i in range(1, max(z, default=0) + 1)], c))
     terms = [[b, format_rational(c), jets] for b, jets, c in sorted(rows)]
     return {"var": "t", "p": F.P[0], "M": 8, "digits": None, "base_order": None, "N": F.N, "terms": terms}
+
+
+# ---------------------------------------------------------------------------
+# The payload dicts the text writers replaced: the reference for ``to_text``
+# ---------------------------------------------------------------------------
+
+
+def multi_payload(f: MultiJetSeries) -> dict:
+    """The several-prime payload of ``f`` as a dict, built from the store:
+    each pair ``[[i...], e]`` straight from the key's nonzero fields, in the
+    public monomial order, each coefficient in lowest terms."""
+    L, store = layout(f.P, f.N), f._store
+    den, low = getattr(store, "den", None), (1 << L.shift) - 1
+    fields = [(i, off) for i, off, mask in reversed(L.fields) for _ in range(mask.bit_length())]
+    terms = []
+    for m in _in_order(store, L):
+        bits, mono, c = m & low, [], store[m]
+        while bits:
+            i, off = fields[bits.bit_length() - 1]
+            e = bits >> off
+            bits ^= e << off
+            mono.append([list(i), e])
+        if den is None:
+            c = c.to_json()
+        else:
+            g = math.gcd(c, den)
+            c = str(c // g) if g == den else f"{c // g}/{den // g}"
+        terms.append([mono, c])
+    return {"P": list(f.P), "r": list(f.order_vector()), "N": f.N, "ring": f.ring, "terms": terms}
+
+
+def one_prime_payload(f) -> dict:
+    """The one-prime payload of a q-side ``JetSeries`` or a ``TSeries`` as a
+    dict: the terms in (base exponent, jets) order, the jets trimmed, each
+    coefficient in lowest terms."""
+    if isinstance(f, TSeries):
+        fields, rows = layout(f.P, f.N).fields, []
+        for k, x in f._store.items():
+            b, *jets = _trim(tuple(k >> off & mask for _, off, mask in fields)) or (0,)
+            rows.append((b, jets, x))
+        head, den = ("t", f.P[0], 8, None, None, f.N), f._store.den
+    else:
+        rows, den = f._rows(), f.num.den
+        head = ("q", f.p, f.M, f.digits, f.base_order, None)
+    terms = []
+    for b, jets, x in sorted(rows):
+        g = math.gcd(x, den)
+        terms.append([b, str(x // g) if g == den else f"{x // g}/{den // g}", jets])
+    return dict(zip(("var", "p", "M", "digits", "base_order", "N"), head), terms=terms)
+
+
+def continuation_payload(res) -> dict:
+    """A ``ContinuationResult`` as a dict, f0 by ``multi_payload``."""
+    return {
+        "pass": res.ok,
+        "f0": multi_payload(res.f0) if res.f0 is not None else None,
+        "witness": [[list(i), e] for i, e in res.witness] if res.witness is not None else None,
+        "details": list(res.details),
+    }

@@ -770,3 +770,91 @@ class TestProtocol:
             "4",
         )
         assert code in (0, 1)  # integrality depends on the curve at p
+
+
+def _build_expansions_jobs():
+    """``JOBS`` of ``scripts/build_expansions.py``, with the ``--out`` it puts before each."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "build_expansions.py")
+    spec = importlib.util.spec_from_file_location("build_expansions", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [["--out", os.path.join("out", fname), *argv] for fname, argv in module.JOBS]
+
+
+class TestDispatch:
+    """``main`` hands argv after the global options to the subcommand's own
+    parser; every outcome must be the full parser's, byte for byte."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            result = ("parsed", vars(parse(list(argv))))
+        except SystemExit as e:
+            result = ("exit", e.code)
+        out, err = capsys.readouterr()
+        return result, out, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["fe0", "-h"],
+            ["frobnicate", "--P", "5,7"],
+            ["--out=PATH", "fe0", "--P", "5,7"],
+            ["--o", "PATH", "fe0", "--P", "5,7"],
+            ["--gold", "PATH", "fe0", "--P", "5,7"],
+            ["fe0", "--P", "5,7", "--out", "PATH"],
+            ["--out", "PATH"],
+            ["--out", "-x", "fe0", "--P", "5,7"],
+            ["--golden", "A", "--out", "B", "--out", "C", "fe0", "--P", "5,7"],
+            ["psi", "--p", "5", "--side", "fourier", "--win", "30"],
+            ["fe0", "--P", "5,7", "--N=30"],
+            ["fe0", "--P"],
+            ["fe0", "--P", "5,7", "--bogus", "1"],
+            ["fe0", "--P", "5,7", "extra"],
+            ["fe0", "--P", "5,7", "--N", "x"],
+            ["psi", "--p", "5", "--side", "sideways"],
+            ["check-lemma", "--name", "logder", "--p", "5", "--", "--n", "2"],
+            ["check-continuation", "--inputs", "a.json", "b.json", "--height", "3"],
+            ["check-continuation", "--inputs"],
+            ["psi", "--side", "fourier"],
+        ],
+    )
+    def test_outcome_is_the_full_parsers(self, capsys, argv):
+        want = self.outcome(cli._parser().parse_args, argv, capsys)
+        assert self.outcome(cli._parse, argv, capsys) == want
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ([], 2),
+            (["-h"], 0),
+            (["fe0", "-h"], 0),
+            (["fe0", "--P", "5,7", "--bogus", "1"], 2),
+            (["fe0", "--P", "5,7", "--N", "x"], 2),
+            (["--out=x", "fe0"], 2),
+        ],
+    )
+    def test_refusals_keep_their_exit_code_and_streams(self, capsys, argv, code):
+        (_, status), out, err = self.outcome(cli._parser().parse_args, argv, capsys)
+        assert status == code and (main(argv), *capsys.readouterr()) == (code, out, err)
+
+    def test_jobs_take_the_subcommand_parser_alone(self, capsys, monkeypatch):
+        # every golden and build_expansions job parses to the full parser's
+        # Namespace without a call to the full parser
+        jobs = [argv for _, argv in GOLDEN_JOBS] + _build_expansions_jobs()
+        jobs += [["--golden", "g.json", *argv] for argv in jobs[:3]]
+        want = [cli._parser().parse_args(argv) for argv in jobs]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the full parser was consulted")
+
+        monkeypatch.setattr(cli._parser(), "parse_args", refused)
+        assert [cli._parse(argv) for argv in jobs] == want
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["pjet", "check-commutator", "--p1", "2", "--p2", "3", "--value", "6"])
+        assert main() == 0 and json.loads(capsys.readouterr().out)["pass"] is True

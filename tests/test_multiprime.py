@@ -883,6 +883,14 @@ class TestContinuation:
             assert continuation_check(missing, height=height) == want and want.ok
             assert want.f0.terms == ((x, Fraction(2)),)
 
+    @pytest.mark.parametrize("k", [2, -1, -3])
+    def test_reduce_to_padic_refuses_a_prime_index_out_of_range(self, k):
+        # len(P), -1 and -len(P) - 1: an IndexError, a reduction at the last
+        # prime into ring 0, and an IndexError before the check
+        f = multiprime.build_fe0(P57, 10)
+        with pytest.raises(DomainError, match="^prime index out of range$"):
+            reduce_to_padic(f, k, 6)
+
     def test_reduce_to_padic_refuses_a_coefficient_that_is_not_pk_integral(self):
         # numerators over a den of 25 * 7: t^2's 35 is not a multiple of 25 although 5
         # divides it; of two offenders the first in monomial order is named
