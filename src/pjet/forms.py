@@ -286,9 +286,8 @@ def covariance_check(
 
     Integer gamma (not 0 or +-1, and not 0 or 1 modulo any active prime)
     keeps the whole check in exact arithmetic.  A truncated p-adic gamma is
-    handled through an integer representative; the congruence classes of the
-    binomial coefficients make the comparison valid to the representative's
-    guaranteed digits, which is recorded by comparing modulo that power.
+    handled through an integer representative, and the comparison runs
+    modulo the power of p that every lift of it shares (see ``_compare``).
     """
     if not isinstance(F, MultiJetSeries):
         raise DomainError("expected a t-side jet series")
@@ -298,12 +297,7 @@ def covariance_check(
         r = gamma.residue % gamma.p**gamma.digits
         if r % gamma.p in (0, 1):
             raise DomainError("gamma must avoid 0 and 1 modulo p")
-        # binomial-coefficient congruence loses v_p(k!) digits at jet power k
-        loss = max(
-            (valuation(Fraction(math.factorial(e)), gamma.p) for m, _ in F.terms for _, e in m),
-            default=0,
-        )
-        return _compare(F, gamma, r, nu, gamma.digits - loss)
+        return _compare(F, gamma, r, nu, gamma.digits)
     for p in F.P:
         if gamma % p in (0, 1):
             raise DomainError(f"gamma must avoid 0 and 1 modulo {p}")
@@ -311,12 +305,25 @@ def covariance_check(
 
 
 def _compare(F: MultiJetSeries, gamma, g: int, nu: int, digits: int | None) -> CovarianceReport:
-    """Compare F(t -> (1+t)^g - 1) with g^nu * F for the integer ``g``,
-    exactly (``digits=None``) or modulo p**digits in the d=1 ring.  The
-    witness is the first bad monomial in (weight, monomial) order.  The
-    difference is ghost_to_jet(ghost_gamma(G) - g^nu * G), G = jet_to_ghost(F).
+    """Compare F(t -> (1+t)^g - 1) with g^nu * F for the integer ``g``:
+    exactly (``digits=None``), or in the d=1 ring modulo the power of p that
+    every lift of g mod p**digits shares.  The witness is the first bad
+    monomial in (weight, monomial) order.  The difference is
+    ghost_to_jet(ghost_gamma(G) - g^nu * G), G = jet_to_ghost(F).
+
+    A lift g + delta, v_p(delta) >= digits, moves C(g, n), n < N, by
+    sum_{k>=1} C(delta, k) C(g, n - k), and v_p(C(delta, k)) >= digits - v_p(k);
+    G has valuation >= -v_p(G.den), and each u_i is integral in the jet basis.
+    So the difference is fixed mod p**(digits - lam - v_p(G.den)), lam the
+    largest v_p(k) for 0 < k < N; with no digit left nothing is decided.
     """
     L, G, num, den = _gamma_in_ghost(F, g)  # G and num are both over den
+    if digits is not None:
+        p = F.P[0]
+        lam = max((valuation(k, p) for k in range(1, F.N)), default=0)
+        digits -= lam + valuation(G.den, p)
+        if digits <= 0:
+            return CovarianceReport(gamma, nu, None, None)
     A, B = (Fraction(g) ** nu).as_integer_ratio()
     diff = sparse.add(sparse.scale(num, B), sparse.scale(G, -A))
     out = ghost_to_jet(diff, L, den * B)

@@ -198,8 +198,8 @@ def ghost_delta(T: Mapping[int, int], k: int, L: Layout, D: int = 1) -> tuple[di
     return num, D**p * p
 
 
-# generator tables by (P, i, "g" or "j"), layouts by (P, N), and generator
-# tables moved into a layout by (P, N, i, "g" or "j"); at most _GEN_CACHE_MAX
+# layouts by (P, N) and the generator tables built in them by (P, N, i, "g"
+# or "j"); at most _GEN_CACHE_MAX entries
 _GEN_CACHE: dict[tuple, object] = {}
 _GEN_CACHE_MAX = 1024
 
@@ -214,43 +214,34 @@ def _cached(key: tuple, value):
     return value
 
 
-def _generator(P: tuple[int, ...], i: Idx, kind: str) -> sparse.Packed:
-    """x_i in ghost coordinates (kind "g") or u_i in the jet basis ("j").
+def _generator(L: Layout, i: Idx, kind: str) -> sparse.Packed:
+    """x_i in ghost coordinates (kind "g") or u_i in the jet basis ("j"), in L.
 
     x_0 = u_0 and x_i = delta_{p_k}(x_{i - e_k}) for the first k with
     i_k > 0, matching the canonical ordering of mixed jet applications.  That
     is (1/P^i) u_i plus products of strictly lighter ghost variables, so
     u_i = P^i * (x_i - rest) with the rest rewritten recursively (a
-    triangular solve).  Both tables are homogeneous of weight wt(x_i), so
-    they are computed and kept in the layout of (P, wt(x_i) + 1).
+    triangular solve).  Both tables are homogeneous of weight wt(x_i), which
+    is below L.N since x_i has a field in L: every product they form stays
+    below L's limit, so a table's value does not depend on the layout.
     """
-    key = (P, i, kind)
-    if key in _GEN_CACHE:
+    if (key := (L.P, L.N, i, kind)) in _GEN_CACHE:
         return _GEN_CACHE[key]
-    w = var_weight(i, P)
-    L = layout(P, w + 1)
-    lead = L.var[i]
+    w, lead = var_weight(i, L.P), L.var[i]
     if w == 1:
         out = sparse.canon({lead: 1}, 1)
     elif kind == "g":
         k = next(j for j, c in enumerate(i) if c)
-        prev = _move(_generator(P, i[:k] + (i[k] - 1,) + i[k + 1 :], "g"), layout(P, w // P[k] + 1), L)
+        prev = _generator(L, i[:k] + (i[k] - 1,) + i[k + 1 :], "g")
         out = sparse.canon(*ghost_delta(prev, k, L, prev.den))
     else:
-        g = _generator(P, i, "g")
+        g = _generator(L, i, "g")
         if g.get(lead, 0) * w != g.den:
             raise IntegralityViolation("generator polynomial lost its leading term")
         rest = ghost_to_jet({m: x for m, x in g.items() if m != lead}, L, g.den)
         # the rest is in jet variables lighter than x_i
         out = sparse.canon({lead: w * rest.den, **{m: -w * x for m, x in rest.items()}}, rest.den)
     return _cached(key, out)
-
-
-def _gen_table(L: Layout, i: Idx, kind: str) -> sparse.Packed:
-    """``_generator(L.P, i, kind)`` moved into L."""
-    if (key := (L.P, L.N, i, kind)) in _GEN_CACHE:
-        return _GEN_CACHE[key]
-    return _cached(key, _move(_generator(L.P, i, kind), layout(L.P, var_weight(i, L.P) + 1), L))
 
 
 def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int = 1) -> sparse.Packed:
@@ -278,7 +269,7 @@ def _subst(t: Mapping[int, Union[Fraction, int]], L: Layout, kind: str, den: int
             if not (e := m >> off & mask):
                 continue
             if i not in ladders:
-                img = _gen_table(L, i, kind)
+                img = _generator(L, i, kind)
                 ladders[i] = [one, img], img.den
             ladder, D = ladders[i]
             while len(ladder) <= e:

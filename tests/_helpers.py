@@ -24,19 +24,23 @@ from pjet.forms import CovarianceReport
 from pjet.modular import QExpansion
 from pjet.multiprime import (
     M_ONE,
+    Layout as MultiLayout,
     MultiJetSeries,
     RankReport,
     _check_primes,
-    _in_order,
     _generator,
+    _in_order,
+    _move,
     _norm_mono,
     _phi_below,
     assert_ring_integral,
     build_fe0,
     delta_pk,
     exact_rank,
+    ghost_delta,
     ghost_shift,
     ghost_to_jet,
+    jet_to_ghost,
     layout,
     poly_mul,
     substitute_gamma,
@@ -587,7 +591,18 @@ def build_f2e_k_fraction(an, P, k, ap, N):
 
 def compare_series_difference(F, gamma, g, nu, digits):
     """``forms._compare`` by the series difference substitute_gamma(F, g) -
-    F * g^nu, sorted in (weight, monomial) order."""
+    F * g^nu, sorted in (weight, monomial) order.  For a p-adic gamma the
+    comparison runs mod p^(digits - lam - max(0, -v)), lam the largest v_p(k)
+    for 0 < k < N and v the least valuation of a ghost coefficient of F, here
+    read from its Fraction values; with no digit left it decides nothing."""
+    if digits is not None:
+        p = F.P[0]
+        L = layout(F.P, F.N)
+        ghost = jet_to_ghost(pack_terms(L, F.terms), L)
+        digits -= max((valuation(k, p) for k in range(1, F.N)), default=0)
+        digits -= max([0, *(-valuation(Fraction(x, ghost.den), p) for x in ghost.values())])
+        if digits <= 0:
+            return CovarianceReport(gamma, nu, None, None)
     diff = substitute_gamma(F, g) - F * Fraction(g) ** nu
     for m, c in sorted(diff.terms, key=lambda mc: (mono_weight(mc[0], F.P), mc[0])):
         if c != 0 and (digits is None or valuation(Fraction(c), F.P[0]) < digits):
@@ -620,10 +635,56 @@ def pack_terms(L, terms):
     return {key: c for m, c in terms if (key := L.pack(m)) is not None}
 
 
-def generator_terms(P, i, kind):
-    """``multiprime._generator(P, i, kind)`` as {Mono: Fraction}."""
-    t = _generator(P, i, kind)
-    L = layout(P, var_weight(i, P) + 1)
+def generator_terms(L, i, kind):
+    """``multiprime._generator(L, i, kind)`` as {Mono: Fraction}."""
+    t = _generator(L, i, kind)
+    return {L.unpack(m): Fraction(x, t.den) for m, x in t.items()}
+
+
+_REFERENCE_TABLES = {}
+
+
+def reference_generator(P, i, kind):
+    """The generator table of x_i (kind "g") or u_i ("j") by the per-weight
+    route, with the layout it is keyed in.
+
+    Before each table was built in the layout that asks for it, a table was
+    built in the layout of (P, wt(x_i) + 1) and moved field by field into
+    the asking one.  The ghost table of x_i is ``ghost_delta`` of the moved
+    ghost table of x_(i - e_k); the jet table of u_i substitutes the moved jet
+    tables of the lighter variables into the rest, one factor at a time.
+    """
+    if (P, i, kind) not in _REFERENCE_TABLES:
+        w = var_weight(i, P)
+        L = MultiLayout(P, w + 1)
+        lead = L.var[i]
+        if w == 1:
+            out = sparse.canon({lead: 1}, 1)
+        elif kind == "g":
+            k = next(j for j, c in enumerate(i) if c)
+            prev = _move(*reference_generator(P, i[:k] + (i[k] - 1,) + i[k + 1 :], "g"), L)
+            out = sparse.canon(*ghost_delta(prev, k, L, prev.den))
+        else:
+            g, _ = reference_generator(P, i, "g")
+            rest = {}
+            for m, x in g.items():
+                if m != lead:
+                    acc = {0: Fraction(x, g.den)}
+                    for j, e in L.unpack(m):
+                        table = _move(*reference_generator(P, j, "j"), L)
+                        for _ in range(e):
+                            acc = poly_mul(acc, {n: Fraction(y, table.den) for n, y in table.items()}, L.limit)
+                    rest = sparse.add(rest, acc)
+            jet = {lead: Fraction(w), **{m: -w * c for m, c in rest.items()}}
+            den = math.lcm(*(c.denominator for c in jet.values()))
+            out = sparse.canon({m: c.numerator * (den // c.denominator) for m, c in jet.items()}, den)
+        _REFERENCE_TABLES[P, i, kind] = out, L
+    return _REFERENCE_TABLES[P, i, kind]
+
+
+def reference_generator_terms(P, i, kind):
+    """``reference_generator(P, i, kind)`` as {Mono: Fraction}."""
+    t, L = reference_generator(P, i, kind)
     return {L.unpack(m): Fraction(x, t.den) for m, x in t.items()}
 
 

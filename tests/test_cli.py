@@ -445,6 +445,21 @@ class TestGoldenFiles:
             # a pinned failing verdict exits 1, every other job 0
             assert code == (1 if json.loads(golden).get("pass") is False else 0), fname
 
+    def test_build_expansions_output_matches_its_manifest(self, tmp_path, capsys):
+        # the sha256 of every file the script writes is pinned in the manifest,
+        # and its closing covariance check prints its payload and exits 0
+        import hashlib
+
+        assert _build_expansions().run(str(tmp_path)) == 0
+        out = capsys.readouterr().out
+        with open(os.path.join(self.GOLDEN_DIR, "build_expansions.sha256"), encoding="utf-8") as fh:
+            manifest = {name: digest for digest, name in map(str.split, fh)}
+        assert sorted(os.listdir(tmp_path)) == sorted(manifest)
+        for fname, digest in manifest.items():
+            assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+        closing = '{"gamma":2,"nu":1,"pass":true,"witness":null}\n[0] covariance of the order-e form\n'
+        assert out.endswith("\n" + closing)
+
     def test_padic_family_members_match_stored_bytes(self):
         # the inputs of the two continuation goldens: the members of fe0
         # (5,7,11) N 30 at M 6, and the 7-adic one with one residue raised by 1
@@ -772,15 +787,20 @@ class TestProtocol:
         assert code in (0, 1)  # integrality depends on the curve at p
 
 
-def _build_expansions_jobs():
-    """``JOBS`` of ``scripts/build_expansions.py``, with the ``--out`` it puts before each."""
+def _build_expansions():
+    """The module ``scripts/build_expansions.py``."""
     import importlib.util
 
     path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "build_expansions.py")
     spec = importlib.util.spec_from_file_location("build_expansions", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [["--out", os.path.join("out", fname), *argv] for fname, argv in module.JOBS]
+    return module
+
+
+def _build_expansions_jobs():
+    """``JOBS`` of ``scripts/build_expansions.py``, with the ``--out`` it puts before each."""
+    return [["--out", os.path.join("out", fname), *argv] for fname, argv in _build_expansions().JOBS]
 
 
 class TestDispatch:

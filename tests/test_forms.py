@@ -4,7 +4,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
@@ -268,6 +268,20 @@ class TestCovariance:
         assert js == {"gamma": 2, "nu": 1, "pass": True, "witness": None}
 
 
+@st.composite
+def padic_covariance_case(draw):
+    """A d=1 series, a p-adic gamma avoiding 0 and 1 mod p, nu, and the k of
+    a lift r + k p^digits of gamma's representative r."""
+    p = draw(st.sampled_from((5, 7, 11)))
+    var = st.tuples(st.integers(0, 2).map(lambda a: (a,)), st.integers(1, 3))
+    coeff = st.builds(Fraction, st.integers(-50, 50), st.sampled_from((1, 2, p, p * p, 3 * p)))
+    terms = draw(st.dictionaries(st.lists(var, max_size=2).map(tuple), coeff, max_size=4))
+    F = MultiJetSeries.make((p,), terms, draw(st.integers(1, 30)), 1)
+    digits = draw(st.integers(1, 6))
+    r = draw(st.integers(0, p**digits - 1).filter(lambda r: r % p > 1))
+    return F, PadicTrunc(p, 6, r, digits), draw(st.integers(0, 3)), draw(st.integers(1, p * p))
+
+
 GHOST_PRIMES = [(5,), (13,), (5, 13), (7, 11), (5, 7, 11)]
 
 
@@ -356,12 +370,38 @@ class TestIntegerGhostRoutes:
 
     @pytest.mark.parametrize("nu", [-2, 0, 1, 2])
     def test_padic_gamma_with_digit_loss(self, nu):
-        # jets to the 5th power lose v_5(5!) = 1 digit: the comparison runs mod 5^5
+        # at N 30 the binomials C(gamma, n), n < 30, lose v_5(25) = 2 digits
+        # and Psi's ghost coefficients 1/(5n) two more: gamma known to 6
+        # digits compares mod 5^2, and one known to 4 digits decides nothing
         F = from_jet_series(psi_serretate(5, 30))
-        assert max(e for m, _ in F.terms for _, e in m) >= 5
-        for gamma in (PadicTrunc.from_rational(2, 5, 6), PadicTrunc.from_rational(Fraction(-1, 3), 5, 4)):
+        for gamma, decided in ((PadicTrunc.from_rational(2, 5, 6), True), (PadicTrunc.from_rational(Fraction(-1, 3), 5, 4), False)):
             got, want = covariance_check(F, gamma, nu), covariance_check_fraction(F, gamma, nu)
             assert got == want and dump(got.to_json()) == dump(want.to_json())
+            assert got.passed is ((nu == 1) if decided else None)
+
+    def test_padic_gamma_claims_no_digit_it_lacks(self):
+        # Psi has weight 1: with gamma 7 known to 6 digits, nu 3 fails at t
+        psi = from_jet_series(psi_serretate(5, 30))
+        rep = covariance_check(psi, PadicTrunc(5, 6, 7, 6), 3)
+        assert rep.passed is False and rep.witness == (((0,), 1),)
+        # 4 x_1 at p 7, N 8: lam = 1 and its ghost image (4/7)(u_1 - u_0^7)
+        # costs one more, so gamma known to 1 digit decides nothing
+        F = MultiJetSeries.make((7,), {(((1,), 1),): 4}, 8, 1)
+        rep = covariance_check(F, PadicTrunc(7, 6, 6, 1), 0)
+        assert rep.to_json()["pass"] is None and rep.witness is None
+
+    @given(case=padic_covariance_case())
+    @example(case=(MultiJetSeries.make((7,), {(((1,), 1),): 4}, 8, 1), PadicTrunc(7, 6, 6, 1), 0, 6))
+    @example(case=(from_jet_series(psi_serretate(5, 30)), PadicTrunc(5, 6, 7, 6), 3, 1))
+    @settings(max_examples=150, deadline=None)
+    def test_every_lift_of_gamma_gives_the_same_verdict(self, case):
+        # the check compares mod the power of p that every lift shares, so a
+        # lift r + k p^digits of the representative r decides the same way
+        F, gamma, nu, k = case
+        rep = covariance_check(F, gamma, nu)
+        lift = gamma.residue % gamma.p**gamma.digits + k * gamma.p**gamma.digits
+        other = forms._compare(F, lift, lift, nu, gamma.digits)
+        assert (rep.passed, rep.witness) == (other.passed, other.witness)
 
     def test_failing_reports_name_the_same_witness(self):
         f2e0 = build_f2e0(AN40[:30], [5, 13], [A5, A13], 30)

@@ -5,6 +5,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,10 +22,11 @@ from _helpers import (
     mul,
     pack_terms,
     phi_pk_below,
+    reference_generator_terms,
 )
 from pjet import multiprime, sparse
 from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, decode_coeff, fermat_delta, reduce_rational_mod
-from pjet.cli import _dump as dump
+from pjet.cli import _dump as dump, main
 from pjet.deltajet import psi_serretate
 from pjet.errors import DomainError
 from pjet.multiprime import (
@@ -90,7 +92,7 @@ class TestBasisExchange:
 
     def test_first_generator(self):
         # delta_5 t in ghost coordinates is (u_(1,0) - u_(0,0)^5) / 5
-        g = generator_terms(P57, (1, 0), "g")
+        g = generator_terms(layout(P57, 30), (1, 0), "g")
         assert g[(((1, 0), 1),)] == Fraction(1, 5)
         assert g[(((0, 0), 5),)] == Fraction(-1, 5)
 
@@ -163,11 +165,11 @@ def _subst_fraction(t: TuplePoly, P: tuple[int, ...], images, keep) -> TuplePoly
 
 
 def _jet_to_ghost_fraction(t, P, keep):
-    return _subst_fraction(t, P, lambda i: generator_terms(P, i, "g"), keep)
+    return _subst_fraction(t, P, lambda i: reference_generator_terms(P, i, "g"), keep)
 
 
 def _ghost_to_jet_fraction(t, P, keep):
-    return _subst_fraction(t, P, lambda i: generator_terms(P, i, "j"), keep)
+    return _subst_fraction(t, P, lambda i: reference_generator_terms(P, i, "j"), keep)
 
 
 def _phi_fraction(f, k, bound):
@@ -273,14 +275,14 @@ class TestIntegerExchange:
             m = _norm_mono([(zero, data.draw(st.integers(0, 31))), *data.draw(st.lists(factor, max_size=2))])
             t[m] = Fraction(data.draw(st.integers(-9, 9).filter(bool)), data.draw(st.sampled_from([1, 2, 5, 77])))
         fn, images = (jet_to_ghost, "g") if kind == "g" else (ghost_to_jet, "j")
-        want = _subst_fraction(t, P, lambda i: generator_terms(P, i, images), weight_cut(P, N))
+        want = _subst_fraction(t, P, lambda i: reference_generator_terms(P, i, images), weight_cut(P, N))
         assert packed(fn, t, P, N) == want
 
     @pytest.mark.parametrize("P, i", [((5,), (2,)), (P57, (1, 1)), (P57, (2, 0)), (P5711, (0, 1, 1))])
     def test_jet_table_maps_back_to_its_ghost_variable(self, P, i):
         # the jet table is filled through the integer route; the Fraction route
         # must take it back to the single ghost variable u_i
-        assert _jet_to_ghost_fraction(generator_terms(P, i, "j"), P, keep_all) == {((i, 1),): Fraction(1)}
+        assert _jet_to_ghost_fraction(generator_terms(layout(P, 2 * var_weight(i, P)), i, "j"), P, keep_all) == {((i, 1),): Fraction(1)}
 
     def test_monomial_past_the_cut_forms_no_pair(self, monkeypatch):
         # u_(1,1,1)^2 has weight 2*385 >= 30, so its whole jet image lies past
@@ -666,7 +668,7 @@ class TestGenCacheBound:
     entries; every entry is a pure function of its key, so the bytes stay."""
 
     def test_bounded_loop_matches_unbounded(self, monkeypatch):
-        Ns = range(20, 211, 10)  # each N keeps its own layout and packed tables
+        Ns = range(20, 211, 10)  # each N builds its own layout and the tables in it
         monkeypatch.setattr(multiprime, "_GEN_CACHE", {})
         monkeypatch.setattr(multiprime, "_GEN_CACHE_MAX", math.inf)
         want = [dump(build_fe0(P57, N).to_json()) for N in Ns]
@@ -683,6 +685,32 @@ class TestGenCacheBound:
         got = [dump(build_fe0(P57, N).to_json()) for N in Ns]
         assert got == want
         assert unbounded > 16 and len(sizes) >= unbounded and max(sizes) <= 16
+
+
+class TestGeneratorTables:
+    """Each generator table is built in the layout that asks for it.  Both
+    tables are homogeneous of weight wt(x_i) < N, so their values are those
+    of the per-weight route, which built them in (P, wt(x_i) + 1) and moved them."""
+
+    @given(
+        P=st.lists(st.sampled_from((5, 7, 11, 13)), min_size=1, max_size=3, unique=True).map(lambda P: tuple(sorted(P))),
+        N=st.integers(0, 60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tables_match_the_per_weight_route(self, P, N):
+        with mock.patch.object(multiprime, "_GEN_CACHE", {}):
+            L = layout(P, N)
+            for i, _, _ in L.fields:
+                for kind in "gj":
+                    assert generator_terms(L, i, kind) == reference_generator_terms(P, i, kind)
+
+    def test_one_job_keeps_one_layout_and_its_tables(self, monkeypatch):
+        monkeypatch.setattr(multiprime, "_GEN_CACHE", {})
+        assert main(["fe-k", "--P", "5,7,11", "--k", "2", "--N", "30"]) == 0
+        keys = list(multiprime._GEN_CACHE)
+        assert (P5711, 30) in keys and len(keys) > 1
+        for key in keys:
+            assert key == (P5711, 30) or (key[:2] == (P5711, 30) and len(key) == 4 and key[3] in "gj"), key
 
 
 def _psi_ghost_route(P, k, N):
