@@ -22,11 +22,10 @@ Isogeny covariance of degree nu means F(t -> (1+t)^gamma - 1) = gamma^nu F.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from . import sparse
 from .arith import PadicTrunc, at_least, check_prime, valuation
@@ -34,11 +33,10 @@ from .deltajet import JetSeries, Layout as JetLayout, _cut, _mod, delta_n, phi, 
 from .errors import DomainError, IntegralityViolation
 from .modular import QExpansion
 from .multiprime import (
-    Idx,
-    Layout,
     Mono,
     MultiJetSeries,
     _check_primes,
+    _corners,
     _gamma_in_ghost,
     delta_pk,
     ghost_shift,
@@ -46,7 +44,6 @@ from .multiprime import (
     layout,
     poly_mul,
     t_generator,
-    var_weight,
 )
 
 
@@ -123,28 +120,22 @@ def fsharp_expansion(
 # ---------------------------------------------------------------------------
 
 
-def _one_plus_u_pow_sum(
-    an: Sequence[int], scalars: Mapping[Idx, int], L: Layout, n_max: int
-) -> tuple[dict[int, int], int]:
-    """sum_n (a_n/n) * sum_j c_j (1 + u_j)^n in ghost coordinates, packed in L,
-    as integer numerators over lcm(1..n_max), for integer scalars c_j.
+def _one_plus_u_pow_sum(an: Sequence[int], N: int) -> tuple[list[int], int]:
+    """The coefficients of sum_n (a_n/n) (1 + u)^n, n <= len(an), below degree
+    N, as integer numerators over lcm(1..len(an)).
 
-    The coefficient of u^m, sum_n (a_n/n) C(n, m), depends on neither j nor
-    the top degree (N - 1) // wt(u_j), so the sum is formed once, up to the
-    largest top, by Horner's rule in (1 + u), and each u_j takes a prefix.
+    The coefficient of u^m, sum_n (a_n/n) C(n, m), does not depend on the
+    variable, so the list is formed once, by Horner's rule in (1 + u), and
+    ``_corners`` places a prefix of it on each ghost variable.
     """
+    n_max = len(an)
     den = math.lcm(*range(1, n_max + 1))
-    acc = [0] * (min(n_max, max(L.N - 1, 0)) + 1)  # no top exceeds N - 1
+    acc = [0] * (min(n_max, max(N - 1, 0)) + 1)  # no top exceeds N - 1
     for n in range(n_max, 0, -1):
         acc[0] += an[n - 1] * (den // n)
         for m in range(len(acc) - 1, 0, -1):
             acc[m] += acc[m - 1]
-    rows = []
-    for j, c in scalars.items():
-        top = (L.N - 1) // var_weight(j, L.P)
-        # u_j has no field only when top < 1, where no power of it is kept
-        rows.append({m * L.var[j] if m else 0: c * x for m, x in enumerate(acc[: max(top + 1, 0)])})
-    return sparse.add(*rows), den
+    return acc, den
 
 
 def build_f2e0(
@@ -153,19 +144,15 @@ def build_f2e0(
     """Common-ring route: (1/prod p_k) prod_k (phi_k^2 - a_{p_k} phi_k + p_k)
     applied to sum_{n <= n_max} (a_n/n) (1+t)^n, with n_max = len(an).
 
-    The two Frobenius exponents at prime k turn into ghost-variable shifts by
-    0, 1 or 2 in the k-th slot, in integers over lcm(1..n_max) * prod p_k.
+    The Hecke polynomials expand over the corners of the box {0, 1, 2}^d
+    (``_corners``), in integers over lcm(1..n_max) * prod p_k.
     """
     Pt = _check_primes(sorted(set(int(p) for p in P)))
-    d = len(Pt)
-    if len(ap) != d:
+    if len(ap) != len(Pt):
         raise DomainError("one a_p per prime required")
     L = layout(Pt, N)
-    scalars = {
-        j: math.prod((Pt[k], -ap[k], 1)[j[k]] for k in range(d))
-        for j in itertools.product((0, 1, 2), repeat=d)
-    }
-    g, den = _one_plus_u_pow_sum(an, scalars, L, len(an))
+    acc, den = _one_plus_u_pow_sum(an, N)
+    g = _corners(L, [(p, -a, 1) for p, a in zip(Pt, ap)], acc)
     return L.series(ghost_to_jet(g, L, den * math.prod(Pt)), 0)
 
 
@@ -174,8 +161,9 @@ def build_f2e_k(
 ) -> MultiJetSeries:
     """Per-prime route: the Hecke factors away from p_k, divided by their
     primes, applied to the order-2 expansion at p_k written on the
-    deformation-parameter side.  In integers, each factor away from p_k maps
-    the numerators g to p_l g - a_l shift(g) + shift^2(g) over the prime p_l.
+    deformation-parameter side.  In integers, the factor at p_k expands over
+    its corners (``_corners``), and each factor away from p_k maps the
+    numerators g to p_l g - a_l shift(g) + shift^2(g) over the prime p_l.
     """
     Pt = _check_primes(sorted(set(int(p) for p in P)))
     d = len(Pt)
@@ -183,10 +171,9 @@ def build_f2e_k(
         raise DomainError("prime index out of range")
     if len(ap) != d:
         raise DomainError("one a_p per prime required")
-    e_k = tuple(int(j == k) for j in range(d))
-    scalars = {tuple(2 * e for e in e_k): 1, e_k: -ap[k], (0,) * d: Pt[k]}
     L = layout(Pt, N)
-    g, den = _one_plus_u_pow_sum(an, scalars, L, len(an))
+    acc, den = _one_plus_u_pow_sum(an, N)
+    g = _corners(L, [(Pt[k], -ap[k], 1) if l == k else (1,) for l in range(d)], acc)
     for l in range(d):
         if l != k:
             s = ghost_shift(g, l, L)
@@ -285,15 +272,18 @@ def covariance_check(
     """Compare F(t -> (1+t)^gamma - 1) with gamma^nu * F monomialwise.
 
     Integer gamma (not 0 or +-1, and not 0 or 1 modulo any active prime)
-    keeps the whole check in exact arithmetic.  A truncated p-adic gamma is
-    handled through an integer representative, and the comparison runs
-    modulo the power of p that every lift of it shares (see ``_compare``).
+    keeps the whole check in exact arithmetic.  A truncated p-adic gamma,
+    known to at least one digit, is handled through an integer representative,
+    and the comparison runs modulo the power of p that every lift of it
+    shares (see ``_compare``).
     """
     if not isinstance(F, MultiJetSeries):
         raise DomainError("expected a t-side jet series")
     if isinstance(gamma, PadicTrunc):
         if F.d() != 1 or gamma.p != F.P[0]:
             raise DomainError("p-adic gamma checks run in the matching d=1 ring")
+        if gamma.digits == 0:
+            raise DomainError("gamma has no guaranteed digit")
         r = gamma.residue % gamma.p**gamma.digits
         if r % gamma.p in (0, 1):
             raise DomainError("gamma must avoid 0 and 1 modulo p")
@@ -327,11 +317,9 @@ def _compare(F: MultiJetSeries, gamma, g: int, nu: int, digits: int | None) -> C
     A, B = (Fraction(g) ** nu).as_integer_ratio()
     diff = sparse.add(sparse.scale(num, B), sparse.scale(G, -A))
     out = ghost_to_jet(diff, L, den * B)
-    bad = [
-        (m >> L.shift, L.unpack(m))
-        for m, x in out.items()
-        if digits is None or valuation(Fraction(x, out.den), F.P[0]) < digits
-    ]
+    mod = _mod(F.P[0], digits, out.den)  # v_p(x / out.den) < digits exactly when x % mod
+    bad = [m for m, x in out.items() if mod is None or x % mod]
     if bad:
-        return CovarianceReport(gamma, nu, False, min(bad)[1])
+        least = min(m >> L.shift for m in bad)
+        return CovarianceReport(gamma, nu, False, min(L.unpack(m) for m in bad if m >> L.shift == least))
     return CovarianceReport(gamma, nu, True if G else None, None)

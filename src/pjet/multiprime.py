@@ -638,6 +638,30 @@ def t_generator(P: Sequence[int], N: int, ring: int = 0) -> MultiJetSeries:
 # ---------------------------------------------------------------------------
 
 
+def _corners(L: Layout, polys: Sequence[Sequence[int]], f: Sequence[int]) -> dict[int, int]:
+    """prod_k polys[k](phi_k) applied to sum_n f[n] t^n, in ghost coordinates
+    below L.N, in integers; polys[k][e] is the coefficient of phi_k^e.
+
+    phi_k shifts u_j to u_(j+e_k), so corner j of the box adds c_j = prod_k
+    polys[k][j_k] times sum_(n <= top) f[n] u_j^n, top = (N - 1) // wt(u_j).
+    Key 0 adds up c_j f[0]; every other key belongs to one corner and is
+    written once.  A zero c_j skips its corner; a zero f[n] leaves a zero.
+    """
+    out, const = {}, 0
+    for corner in itertools.product(*map(enumerate, polys)):
+        j, cs = zip(*corner)
+        c, top = math.prod(cs), (L.N - 1) // var_weight(j, L.P)
+        if c and top >= 0:
+            const += c * f[0]
+            if top:  # u_j has a field
+                v = L.var[j]
+                for m, x in zip(range(v, (top + 1) * v, v), f[1 : top + 1]):
+                    out[m] = c * x
+    if const:
+        out[0] = const
+    return out
+
+
 def psi_multi(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
     """The one-prime order-1 expansion at p_k inside the several-prime ring:
     (1/p_k) (phi_k - p_k) log(1 + t), in closed form.
@@ -671,20 +695,16 @@ def build_fe0(P: Sequence[int], N: int) -> MultiJetSeries:
     (1 / p_1...p_d) (phi_1 - p_1) ... (phi_d - p_d) log(1 + t).
 
     In ghost coordinates the operator product expands over the corners of the
-    unit cube, so the series is a combination of univariate logarithms
-    c_i log(1 + u_i), assembled in integers over lcm(1..N-1) * prod P; the
-    result has coefficients integral at every prime of P, which is asserted.
+    unit cube (``_corners``) into univariate logarithms c_i log(1 + u_i), in
+    integers over lcm(1..N-1) * prod P; the result has coefficients integral
+    at every prime of P, which is asserted.
     """
     Pt = _check_primes(sorted(set(int(p) for p in P)))
     if any(p < 5 for p in Pt):
         raise DomainError("the modular layer requires primes >= 5")
     L = layout(Pt, N)
     den = math.lcm(*range(1, N))
-    g: dict[int, int] = {}
-    for i in itertools.product((0, 1), repeat=len(Pt)):
-        c = math.prod(-p for p, e in zip(Pt, i) if e == 0)
-        for n in range(1, (N - 1) // var_weight(i, Pt) + 1):
-            g[n * L.var[i]] = (-1) ** (n - 1) * c * (den // n)
+    g = _corners(L, [(-p, 1) for p in Pt], [0] + [(-1) ** (n - 1) * (den // n) for n in range(1, N)])
     out = L.series(ghost_to_jet(g, L, den * math.prod(Pt)), 0)
     assert_ring_integral(out)
     return out
@@ -850,16 +870,11 @@ def _ghost_shifts(Pt: tuple[int, ...], rv: tuple[int, ...], L: Layout) -> dict[I
     """The shifts phi_P^(s-e)(f^e_0), e <= s <= rv, by s, in ghost coordinates
     below L.N, with the column of u_j^n scaled by n * prod P.
 
-    There f^e_0 is (1 / prod P) sum over the corners i of the unit cube of
-    c_i log(1 + u_i), c_i = prod_{i_k = 0} (-p_k) (see ``build_fe0``), and
-    phi_k is ``ghost_shift``, which keeps n: a scaled entry is (-1)^(n-1) c_i.
+    There f^e_0 is (1 / prod P) prod_k (phi_k - p_k) log(1 + t) (see
+    ``build_fe0``), and phi_k is ``ghost_shift``, which keeps n: scaled, the
+    base row is ``_corners`` of the same polynomials on (-1)^(n-1).
     """
-    g: dict[int, int] = {}
-    for i in itertools.product((0, 1), repeat=len(Pt)):
-        c_i = math.prod(-p for p, e in zip(Pt, i) if not e)
-        for n in range(1, (L.N - 1) // var_weight(i, Pt) + 1):
-            g[n * L.var[i]] = (-1) ** (n - 1) * c_i
-    shifts = {(1,) * len(Pt): g}
+    shifts = {(1,) * len(Pt): _corners(L, [(-p, 1) for p in Pt], [0] + [1, -1] * (L.N // 2))}
     for s in itertools.product(*(range(1, top + 1) for top in rv)):
         if ks := [k for k in range(len(Pt)) if s[k] > 1]:
             k = ks[-1]
@@ -929,46 +944,39 @@ def ghost_gamma(t: Mapping[int, int], L: Layout, gamma: int, den: int = 1) -> tu
     """u_i -> (1 + u_i)**gamma - 1 on ghost coordinates, below weight L.N, for
     t = T / den with integer numerators T: the image's numerators over den.
 
-    The image of u_i**e is the univariate integer series
-    ((1 + u)**gamma - 1)**e in u_i, held as a dense list truncated at degree
-    (N - 1) // wt(u_i).  The factors of a monomial are in distinct variables,
-    so its image's monomials are the keys n * var[i] added up, and no term of
-    weight N or more is ever formed.
+    The image of u_i**e is ((1 + u_i)**gamma - 1)**e, and one table serves
+    every variable: rows[e] holds that integer series below degree N, built
+    on first use.  The factors of a monomial are in distinct variables, so
+    its image's monomials are the keys n * var[i] added up; a variable of
+    weight w takes the degrees n <= (N - 1 - wt) // w, wt the weight of the
+    image term built so far, and no term of weight N or more is formed.
     """
     N = L.N
     binom = [1]
     for n in range(1, N):
         binom.append(binom[-1] * (gamma - n + 1) // n)
-    powers: dict[int, list[list[int]]] = {}  # top degree -> table of e-th powers
-
-    def power(top: int, e: int) -> list[int]:
-        rows = powers.setdefault(top, [[1] + [0] * top])
-        while len(rows) <= e:
-            prev = rows[-1]
-            row = [0] * (top + 1)
-            for a, x in enumerate(prev):
-                if x:
-                    for b in range(1, top - a + 1):
-                        row[a + b] += x * binom[b]
-            rows.append(row)
-        return rows[e]
-
+    rows = [[1] + [0] * (N - 1)]
     out: dict[int, int] = {}
     for m, c in t.items():
         images = [(0, c, 0)]
-        for i, e in L.unpack(m):
-            v = L.var[i]
+        for i, off, mask in L.fields:
+            if not (e := m >> off & mask):
+                continue
+            while len(rows) <= e:
+                row = [0] * N
+                for a, x in enumerate(rows[-1]):
+                    if x:
+                        for b in range(1, N - a):
+                            row[a + b] += x * binom[b]
+                rows.append(row)
+            row, v = rows[e], L.var[i]
             w = v >> L.shift
-            row = power((N - 1) // w, e)
-            grown = []
-            for key, x, wt in images:
-                for n in range(e, len(row)):
-                    wn = wt + n * w
-                    if wn >= N:
-                        break
-                    if row[n]:
-                        grown.append((key + n * v, x * row[n], wn))
-            images = grown
+            images = [
+                (key + n * v, x * row[n], wt + n * w)
+                for key, x, wt in images
+                for n in range(e, (N - 1 - wt) // w + 1)
+                if row[n]
+            ]
         for key, x, _ in images:
             out[key] = out.get(key, 0) + x
     return {m: x for m, x in out.items() if x}, den

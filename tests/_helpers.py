@@ -927,3 +927,93 @@ def continuation_payload(res) -> dict:
         "witness": [[list(i), e] for i, e in res.witness] if res.witness is not None else None,
         "details": list(res.details),
     }
+
+
+# ---------------------------------------------------------------------------
+# The hand-written corner loops that ``multiprime._corners`` replaced, and
+# ``ghost_gamma`` with one power table per top degree
+# ---------------------------------------------------------------------------
+
+
+def fe0_ghost_loop(Pt, N, L):
+    """The numerators of ``build_fe0``'s ghost series over lcm(1..N-1) *
+    prod P: one logarithm per corner i of the unit cube, scaled by
+    c_i = prod_{i_k = 0} (-p_k)."""
+    den = math.lcm(*range(1, N))
+    g = {}
+    for i in itertools.product((0, 1), repeat=len(Pt)):
+        c = math.prod(-p for p, e in zip(Pt, i) if e == 0)
+        for n in range(1, (N - 1) // var_weight(i, Pt) + 1):
+            g[n * L.var[i]] = (-1) ** (n - 1) * c * (den // n)
+    return g
+
+
+def rank_base_loop(Pt, L):
+    """The base row of ``multiprime._ghost_shifts``: f^e_0 with the column
+    of u_i^n scaled by n * prod P, an entry (-1)^(n-1) c_i."""
+    g = {}
+    for i in itertools.product((0, 1), repeat=len(Pt)):
+        c_i = math.prod(-p for p, e in zip(Pt, i) if not e)
+        for n in range(1, (L.N - 1) // var_weight(i, Pt) + 1):
+            g[n * L.var[i]] = (-1) ** (n - 1) * c_i
+    return g
+
+
+def scalar_rows(scalars, acc, L):
+    """sum_j c_j sum_m acc[m] u_j^m over a dict of corner scalars c_j, each
+    u_j taking the prefix up to its top degree (N - 1) // wt(u_j), summed
+    with ``sparse.add``: a zero sum drops its key."""
+    rows = []
+    for j, c in scalars.items():
+        top = (L.N - 1) // var_weight(j, L.P)
+        # u_j has no field only when top < 1, where no power of it is kept
+        rows.append({m * L.var[j] if m else 0: c * x for m, x in enumerate(acc[: max(top + 1, 0)])})
+    return sparse.add(*rows)
+
+
+def corner_scalars(polys):
+    """The scalar prod_k polys[k][j_k] of every corner j of the box."""
+    return {j: math.prod(cs) for j, cs in (zip(*c) for c in itertools.product(*map(enumerate, polys)))}
+
+
+def ghost_gamma_per_top(t, L, gamma, den=1):
+    """``multiprime.ghost_gamma`` with one table of powers per top degree
+    (N - 1) // wt(u_i), each row cut at that degree, and the image terms cut
+    by weight as they grow."""
+    N = L.N
+    binom = [1]
+    for n in range(1, N):
+        binom.append(binom[-1] * (gamma - n + 1) // n)
+    powers = {}
+
+    def power(top, e):
+        rows = powers.setdefault(top, [[1] + [0] * top])
+        while len(rows) <= e:
+            prev = rows[-1]
+            row = [0] * (top + 1)
+            for a, x in enumerate(prev):
+                if x:
+                    for b in range(1, top - a + 1):
+                        row[a + b] += x * binom[b]
+            rows.append(row)
+        return rows[e]
+
+    out = {}
+    for m, c in t.items():
+        images = [(0, c, 0)]
+        for i, e in L.unpack(m):
+            v = L.var[i]
+            w = v >> L.shift
+            row = power((N - 1) // w, e)
+            grown = []
+            for key, x, wt in images:
+                for n in range(e, len(row)):
+                    wn = wt + n * w
+                    if wn >= N:
+                        break
+                    if row[n]:
+                        grown.append((key + n * v, x * row[n], wn))
+            images = grown
+        for key, x, _ in images:
+            out[key] = out.get(key, 0) + x
+    return {m: x for m, x in out.items() if x}, den

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _helpers import (
     build_f2e0_fraction,
     build_f2e_k_fraction,
+    corner_scalars,
     covariance_check_fraction,
     delta_axiomatic,
     digits_keep,
@@ -42,6 +43,7 @@ from pjet.modular import (
 )
 from pjet.multiprime import (
     MultiJetSeries,
+    _corners,
     build_fe0,
     build_fe_k,
     continuation_check,
@@ -337,14 +339,16 @@ class TestIntegerGhostRoutes:
     @given(case=f2e_case())
     @settings(max_examples=40, deadline=None)
     def test_horner_sum_matches_comb_sum(self, case):
-        an, P, _, N = case
+        # the Horner list, placed on each corner by ``_corners``, against the
+        # coefficients summed with ``math.comb`` once per top degree
+        an, P, ap, N = case
         L = layout(P, N)
-        # indices up to 2 in every slot: u_(2, ..) outweighs N for every N here
-        scalars = {j: (-1) ** sum(j) * (1 + sum(j)) for j in [(0,) * len(P), (1,) * len(P), (2,) * len(P)]}
-        num, den = forms._one_plus_u_pow_sum(an, scalars, L, len(an))
-        want = one_plus_u_pow_sum_comb(an, {j: Fraction(c) for j, c in scalars.items()}, L, len(an))
-        assert all(type(x) is int for x in num.values())
-        assert {m: Fraction(x, den) for m, x in num.items()} == want
+        polys = [(p, -a, 1) for p, a in zip(P, ap)]
+        acc, den = forms._one_plus_u_pow_sum(an, N)
+        assert all(type(x) is int for x in acc) and len(acc) == min(len(an), max(N - 1, 0)) + 1
+        num = _corners(L, polys, acc)
+        want = one_plus_u_pow_sum_comb(an, {j: Fraction(c) for j, c in corner_scalars(polys).items() if c}, L, len(an))
+        assert {m: Fraction(x, den) for m, x in num.items() if x} == want
 
     COVARIANCE_INPUTS = [
         pytest.param(lambda: build_fe0([5], 30), id="fe0-d1"),
@@ -367,6 +371,24 @@ class TestIntegerGhostRoutes:
                 continue
             got, want = covariance_check(F, gamma, nu), covariance_check_fraction(F, gamma, nu)
             assert got == want and dump(got.to_json()) == dump(want.to_json())
+
+    @pytest.mark.parametrize("nu", [0, 1, 2])
+    def test_padic_digits_count_over_the_denominator(self, nu):
+        # t + x_1/5 at p 5: the jet difference has 5 in its denominator, so a
+        # term that misses the digits by less than v_5(den) is still bad, and
+        # at nu = 1 the witness is t^2, not the x_1 term's t^5
+        F = MultiJetSeries.make((5,), {(((0,), 1),): 1, (((1,), 1),): Fraction(1, 5)}, 6)
+        gamma = PadicTrunc(5, 6, 2, 4)
+        got = covariance_check(F, gamma, nu)
+        assert got == covariance_check_fraction(F, gamma, nu) and got.passed is False
+        assert got.witness == ((((0,), 1),), (((0,), 2),), (((0,), 1),))[nu]
+
+    @pytest.mark.parametrize("residue", [7, 1, 5])
+    def test_padic_gamma_with_no_guaranteed_digit_refused(self, residue):
+        # refused before its residue is read: 0 digits leave no class mod p
+        F = from_jet_series(psi_serretate(5, 20))
+        with pytest.raises(DomainError, match="gamma has no guaranteed digit"):
+            covariance_check(F, PadicTrunc(5, 6, residue, 0), 1)
 
     @pytest.mark.parametrize("nu", [-2, 0, 1, 2])
     def test_padic_gamma_with_digit_loss(self, nu):

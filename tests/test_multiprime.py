@@ -15,14 +15,19 @@ from _helpers import (
     basis_rank_jet_route,
     basis_shifts_jet_route,
     build_fe0_fraction,
+    corner_scalars,
     exact_rank_fraction,
+    fe0_ghost_loop,
     generator_terms,
+    ghost_gamma_per_top,
     ghost_log1p_var,
     mono_weight,
     mul,
     pack_terms,
     phi_pk_below,
+    rank_base_loop,
     reference_generator_terms,
+    scalar_rows,
 )
 from pjet import multiprime, sparse
 from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, decode_coeff, fermat_delta, reduce_rational_mod
@@ -34,6 +39,7 @@ from pjet.multiprime import (
     Idx,
     MultiJetSeries,
     Mono,
+    _corners,
     _ghost_shifts,
     _norm_mono,
     basis_independence_check,
@@ -1247,6 +1253,86 @@ class TestSubstituteGamma:
     def test_roots_of_unity_rejected(self):
         with pytest.raises(DomainError):
             substitute_gamma(t_generator(P57, 10), 1)
+
+
+@st.composite
+def primes_5_23(draw):
+    """P of d = 1, 2 or 3 primes from 5..23, sorted."""
+    return tuple(sorted(draw(st.sets(st.sampled_from(PRIMES_5_23), min_size=1, max_size=3))))
+
+
+@st.composite
+def corner_case(draw):
+    """P, N from 0 to 60, a polynomial per prime of degree 0 to 2 with zero
+    coefficients likely, and f of any length with zero entries likely."""
+    P = draw(primes_5_23())
+    polys = [draw(st.lists(st.sampled_from((0, 1, -1, 3, -7)), min_size=1, max_size=3)) for _ in P]
+    f = draw(st.lists(st.sampled_from((0, 1, -2, 5, 10**20)), min_size=1, max_size=62))
+    return P, draw(st.integers(0, 60)), polys, f
+
+
+class TestCorners:
+    """``_corners`` against the corner loops it replaced (``tests/_helpers.py``)."""
+
+    @given(case=corner_case())
+    @example(case=((5, 7), 0, [(1, 2), (3, 0)], [4, 1]))  # the zero ring: no key, not even 0
+    @example(case=((5, 7), 1, [(1, 2), (3, 0)], [4, 1]))  # only key 0, added over the corners
+    @example(case=((5, 7, 11), 60, [(2, 0, 1), (0, -1), (1, 1, 1)], [3, 0, 1, 0, 2] * 12))
+    @example(case=((5, 13), 40, [(13, -14, 1), (1, 1)], [-1, 1]))  # the constants cancel at key 0
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_rows(self, case):
+        P, N, polys, f = case
+        L = layout(P, N)
+        got = _corners(L, polys, f)
+        assert all(0 <= m < L.limit for m in got) and got.get(0) != 0
+        assert {m: x for m, x in got.items() if x} == scalar_rows(corner_scalars(polys), f, L)
+
+    @given(P=primes_5_23(), N=st.integers(0, 60))
+    @example(P=(5,), N=0)
+    @example(P=(5, 7, 11), N=1)
+    @settings(max_examples=40, deadline=None)
+    def test_fe0_and_the_rank_base_row_match_their_loops(self, P, N):
+        L = layout(P, N)
+        want = L.series(ghost_to_jet(fe0_ghost_loop(P, N, L), L, math.lcm(*range(1, N)) * math.prod(P)), 0)
+        assert dump(build_fe0(P, N).to_json()) == dump(want.to_json())
+        base = (1,) * len(P)
+        assert _ghost_shifts(P, base, L) == {base: rank_base_loop(P, L)}
+
+
+@st.composite
+def ghost_gamma_case(draw):
+    """P and N from 0 to 60, up to six ghost monomials of up to three
+    variables each below weight N, as ((index, exponent), ...) with a
+    coefficient, and gamma 2 or 3 (C(gamma, n) vanishes past gamma),
+    negative, or p^6 +- s for a prime p of P."""
+    P, N = draw(primes_5_23()), draw(st.integers(0, 60))
+    index = [i for i, _, _ in layout(P, N).fields]
+    terms = []
+    for _ in range(draw(st.integers(0, 6)) if index else 0):
+        mono = tuple(
+            (i, draw(st.integers(1, max(1, (N - 1) // var_weight(i, P)))))
+            for i in draw(st.lists(st.sampled_from(index), min_size=1, max_size=3, unique=True))
+        )
+        terms.append((mono, draw(st.integers(-(10**6), 10**6).filter(bool))))
+    p = draw(st.sampled_from(P))
+    gamma = draw(st.one_of(st.sampled_from((2, 3)), st.integers(-40, -2), st.integers(-3, 3).map(lambda s: p**6 + s)))
+    return P, N, terms, gamma, draw(st.integers(1, 50))
+
+
+class TestGhostGammaTable:
+    @given(case=ghost_gamma_case())
+    @example(case=((5,), 0, [], 2, 1))
+    @example(case=((5,), 1, [((), 3)], 3, 2))
+    @example(case=((5,), 40, [((((0,), 39),), 1), ((((0,), 13),), 2)], 3, 1))  # rows up to degree N - 1
+    @settings(max_examples=80, deadline=None)
+    def test_one_table_matches_the_per_top_tables(self, case):
+        P, N, terms, gamma, den = case
+        L = layout(P, N)
+        t = {}
+        for mono, c in terms:
+            if (key := sum(e * L.var[i] for i, e in mono)) < L.limit:
+                t[key] = c
+        assert ghost_gamma(t, L, gamma, den) == ghost_gamma_per_top(t, L, gamma, den)
 
 
 class TestBridges:

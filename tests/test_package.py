@@ -1,8 +1,15 @@
-"""The package namespace: ``pjet.__all__`` names only what ``pjet`` holds."""
+"""The package namespace: ``pjet.__all__`` names only what ``pjet`` holds,
+and no module of ``src/pjet`` keeps an import it does not use."""
+
+import ast
+import os
 
 import pytest
 
 import pjet
+
+PACKAGE = os.path.dirname(pjet.__file__)
+MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
 
 
 @pytest.mark.parametrize("name", pjet.__all__)
@@ -12,3 +19,44 @@ def test_exported_name_resolves(name):
 
 def test_no_name_exported_twice():
     assert len(set(pjet.__all__)) == len(pjet.__all__)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads: not as a name, not as the
+    base of an attribute, not in a quoted annotation and not in ``__all__``.
+    ``from __future__`` imports are directives, not names."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    roots = [tree]
+    for node in ast.walk(tree):
+        notes = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            notes = [node.returns, *(x.annotation for x in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if x)]
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        for note in filter(None, notes):
+            quoted = (c.value for c in ast.walk(note) if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            roots += [ast.parse(q, mode="eval") for q in quoted]
+    used = {n.id for root in roots for n in ast.walk(root) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda x: x[1]) if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_import(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []
+
+
+def test_an_unused_import_is_found():
+    source = "from __future__ import annotations\nimport math, os.path\nfrom typing import Mapping\nx: 'Mapping[int, int]' = {}\n"
+    assert unused_imports(source) == ["line 2: math", "line 2: os"]
+    assert unused_imports("import math as m\n__all__ = ['m']\n") == []
