@@ -76,10 +76,6 @@ def _trim(t: tuple[int, ...]) -> tuple[int, ...]:
     return t[:i]
 
 
-def _vp(c: Fraction, p: int) -> float:
-    return math.inf if c == 0 else valuation(c, p)
-
-
 def _mod(p: int, digits: int | None, den: int) -> int | None:
     """The digit rule for numerators over ``den``: x / den has valuation
     below ``digits`` exactly when x % p**(digits + v_p(den)) is nonzero; a
@@ -133,10 +129,6 @@ class Layout:
     def below(self, cut: int | None) -> int | None:
         """The key limit of base exponents below ``cut`` (None for no cut)."""
         return None if cut is None else cut << self.shift
-
-    def weight(self, k: int) -> int:
-        """wt(q) = 1, wt(q^(i)) = p**i, of a key with no auxiliary exponent."""
-        return (k >> self.shift) + sum(e * self.p ** f for f, e in enumerate(self.exps(k), 1))
 
 
 def terms_mul(t1: Poly, t2: Poly, limit: int | None, mod: int | None) -> Poly:
@@ -268,19 +260,16 @@ class JetSeries:
         digits: int | None = None,
         base_order: int | None = None,
     ) -> "JetSeries":
-        clean: Terms = {}
-        for (b, jets), c in terms.items():
-            jets = _jets(jets)
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            if c == 0:
-                continue
-            if base_order is not None and b >= base_order:
-                continue
-            if digits is not None and _vp(c, p) >= digits:
-                continue
-            clean[(_trim((b, *jets)), ())] = c
-        L = Layout(p, clean, M if digits is None else digits)
-        return JetSeries(p, L, L.pack(clean), M, digits, base_order, 1)
+        """The series of ``terms``, (base exponent, jets) -> coefficient, cut
+        as a step cuts (see ``_step``): numerators over the lcm of the
+        denominators, base exponents below ``base_order`` and the digit rule.
+        Of two keys that trim to one monomial the later wins, kept or cut."""
+        trimmed = {_trim((b, *_jets(jets))): c for (b, jets), c in terms.items()}
+        L = Layout(p, ((z, ()) for z in trimmed), M if digits is None else digits)
+        D = math.lcm(*(c.denominator for c in trimmed.values()))
+        num = {L.key((z, ())): c.numerator * (D // c.denominator) for z, c in trimmed.items()}
+        num = sparse.canon(_cut(num, L.below(base_order), _mod(p, digits, D)), D)
+        return JetSeries(p, L, num, M, digits, base_order, 1)
 
     # -- views of the store ---------------------------------------------------
 
@@ -335,25 +324,19 @@ class JetSeries:
     # -- equality -------------------------------------------------------------
 
     def __eq__(self, other):
+        """Equal modulo the smaller digits and below the smaller base_order:
+        the difference, over one denominator in one layout, cuts to nothing."""
         if isinstance(other, numbers.Rational):
-            other = JetSeries.make(self.p, {(0, ()): Fraction(other)})
+            other = JetSeries.make(self.p, {(0, ()): other})
         elif not isinstance(other, JetSeries):
             return NotImplemented
         if self.p != other.p:
             return False
-        digits = min_order(self.digits, other.digits)
-        border = min_order(self.base_order, other.base_order)
-        keys = {m for m, _ in self.terms} | {m for m, _ in other.terms}
-        d1, d2 = dict(self.terms), dict(other.terms)
-        for m in keys:
-            if border is not None and m[0] >= border:
-                continue
-            diff = d1.get(m, Fraction(0)) - d2.get(m, Fraction(0))
-            if diff == 0:
-                continue
-            if digits is None or _vp(diff, self.p) < digits:
-                return False
-        return True
+        L = Layout(self.p, [*map(self.L.mono, self.num), *map(other.L.mono, other.num)])
+        a, b = self._in(L), other._in(L)
+        diff = sparse.add(sparse.scale(a, b.den), sparse.scale(b, -a.den))
+        border, digits = min_order(self.base_order, other.base_order), min_order(self.digits, other.digits)
+        return not _cut(diff, L.below(border), _mod(self.p, digits, a.den * b.den))
 
     def __hash__(self):
         return hash((self.p, self.terms))
@@ -598,9 +581,10 @@ def lemma_logder_check(p: int, n: int, a: int) -> LemmaReport:
 def _classify_residual(name, p, n, L: Layout, res: Poly, D: int, low_jet: int, max_jet: int) -> LemmaReport:
     """The report on the residual numerators ``res`` over ``D``.  A term of jet
     index above ``low_jet`` offends when the index exceeds ``max_jet`` or p does
-    not divide its coefficient (x % p**(1 + v_p(D))); only the offenders are
-    unpacked, and the first of them in ``Monomial`` order is reported."""
-    zmask, mod = (1 << L.nz * L.width) - 1, p ** (1 + valuation(D, p))
+    not divide its coefficient (the digit rule ``_mod`` at one digit); only the
+    offenders are unpacked, and the first of them in ``Monomial`` order is
+    reported."""
+    zmask, mod = (1 << L.nz * L.width) - 1, _mod(p, 1, D)
 
     def jet(k: int) -> int:  # the highest jet index whose z field is nonzero
         return ((k & zmask).bit_length() + L.width - 1) // L.width

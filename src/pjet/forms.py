@@ -35,9 +35,9 @@ from .modular import QExpansion
 from .multiprime import (
     Mono,
     MultiJetSeries,
-    _check_primes,
     _corners,
     _gamma_in_ghost,
+    _modular_primes,
     delta_pk,
     ghost_shift,
     ghost_to_jet,
@@ -89,27 +89,25 @@ def fsharp_expansion(
     if len(an) < window:
         raise DomainError(f"need a_n for n <= {window}")
     # phi(q) and phi^2(q) are integral, so their powers stay integers in one
-    # layout: pairs below base window + 1 (weights only add), then the digits
-    # below M + 3 and the weights <= window; the sum is over p * lcm(1..window)
+    # layout, cut to the digits below M + 3.  phi(q)**n is homogeneous of
+    # weight n p and phi^2(q)**n of weight n p^2, so a power is kept whole
+    # while its weight is at most window and is empty after; the sum is over
+    # p * lcm(1..window)
     phi1 = phi(JetSeries.make(p, {(1, ()): 1}))
     phi2 = phi(phi1)
     L = JetLayout(p, map(phi2.L.mono, phi2.num), window)
     f1, f2 = phi1._in(L), phi2._in(L)  # both over 1
-    limit, mod, D = L.below(window + 1), _mod(p, M + 3, 1), p * math.lcm(*range(1, window + 1))
-
-    def times(t: dict[int, int], f: dict[int, int]) -> dict[int, int]:
-        out = terms_mul(t, f, limit, mod) if t else {}
-        return {m: x for m, x in out.items() if L.weight(m) <= window}
-
-    pow1 = pow2 = _cut({0: 1}, None, mod)
+    mod, D = _mod(p, M + 3, 1), p * math.lcm(*range(1, window + 1))
+    pow1 = pow2 = {0: 1}
     total: dict = {}
     for n in range(1, window + 1):
-        pow1, pow2 = times(pow1, f1), times(pow2, f2)
+        pow1 = terms_mul(pow1, f1, None, mod) if n * p <= window else {}
+        pow2 = terms_mul(pow2, f2, None, mod) if n * p * p <= window else {}
         s = an[n - 1] * (D // (n * p))
         if s:
             total = sparse.add(total, sparse.scale(pow2, s), sparse.scale(pow1, -a_p * s), {n << L.shift: s * p})
     total = _cut(total, None, _mod(p, M, D))
-    if check and (bad := {m: x for m, x in total.items() if x % p ** valuation(D, p)}):
+    if check and (bad := {m: x for m, x in total.items() if x % _mod(p, 0, D)}):
         m, c = JetSeries(p, L, sparse.canon(bad, D)).terms[0]
         raise IntegralityViolation(f"coefficient {c} at {m} is not {p}-integral")
     return JetSeries(p, L, sparse.canon(total, D), M, M)
@@ -147,7 +145,7 @@ def build_f2e0(
     The Hecke polynomials expand over the corners of the box {0, 1, 2}^d
     (``_corners``), in integers over lcm(1..n_max) * prod p_k.
     """
-    Pt = _check_primes(sorted(set(int(p) for p in P)))
+    Pt = _modular_primes(P)
     if len(ap) != len(Pt):
         raise DomainError("one a_p per prime required")
     L = layout(Pt, N)
@@ -165,7 +163,7 @@ def build_f2e_k(
     its corners (``_corners``), and each factor away from p_k maps the
     numerators g to p_l g - a_l shift(g) + shift^2(g) over the prime p_l.
     """
-    Pt = _check_primes(sorted(set(int(p) for p in P)))
+    Pt = _modular_primes(P)
     d = len(Pt)
     if not (0 <= k < d):
         raise DomainError("prime index out of range")

@@ -88,6 +88,14 @@ def _check_primes(P: Sequence[int]) -> tuple[int, ...]:
     return Pt
 
 
+def _modular_primes(P: Sequence[int]) -> tuple[int, ...]:
+    """The primes of P sorted and deduplicated, each checked prime and >= 5."""
+    Pt = _check_primes(sorted(set(int(p) for p in P)))
+    if any(p < 5 for p in Pt):
+        raise DomainError("the modular layer requires primes >= 5")
+    return Pt
+
+
 def var_weight(i: Idx, P: Sequence[int]) -> int:
     w = 1
     for k, p in enumerate(P):
@@ -699,9 +707,7 @@ def build_fe0(P: Sequence[int], N: int) -> MultiJetSeries:
     integers over lcm(1..N-1) * prod P; the result has coefficients integral
     at every prime of P, which is asserted.
     """
-    Pt = _check_primes(sorted(set(int(p) for p in P)))
-    if any(p < 5 for p in Pt):
-        raise DomainError("the modular layer requires primes >= 5")
+    Pt = _modular_primes(P)
     L = layout(Pt, N)
     den = math.lcm(*range(1, N))
     g = _corners(L, [(-p, 1) for p in Pt], [0] + [(-1) ** (n - 1) * (den // n) for n in range(1, N)])
@@ -715,9 +721,9 @@ def build_fe_k(P: Sequence[int], k: int, N: int) -> MultiJetSeries:
     (-1)^(d-1) * prod_{l != k} (1 - phi_l / p_l) applied to the order-1
     expansion at p_k.  Must agree with build_fe0 coefficientwise.
     """
-    Pt = tuple(sorted(set(int(p) for p in P)))
+    Pt = _modular_primes(P)
     d = len(Pt)
-    psi = psi_multi(Pt, k, N)  # checks the primes and k before a layout is built
+    psi = psi_multi(Pt, k, N)  # checks k before a layout is built
     L = layout(Pt, N)
     out = psi._packed(L)
     for l in range(d):
@@ -902,8 +908,7 @@ def basis_independence_check(P: Sequence[int], r: Sequence[int], N: int) -> Rank
             f"N={N} truncates the deepest shift, which starts at weight {deepest}; "
             f"use N >= {deepest + 1}"
         )
-    if any(p < 5 for p in _check_primes(Pt)):
-        raise DomainError("the modular layer requires primes >= 5")
+    _modular_primes(Pt)
     shifts = _ghost_shifts(Pt, rv, layout(Pt, N))
     cols = sorted({m for t in shifts.values() for m in t})
     rows = [[t.get(m, 0) for m in cols] for t in shifts.values()]

@@ -18,7 +18,19 @@ from pjet.arith import (
     min_order,
     valuation,
 )
-from pjet.deltajet import JetSeries, Layout, LemmaReport, TSeries, _cut, _mod, _trim, terms_delta, terms_phi
+from pjet.deltajet import (
+    JetSeries,
+    Layout,
+    LemmaReport,
+    TSeries,
+    _cut,
+    _mod,
+    _trim,
+    phi,
+    terms_delta,
+    terms_mul,
+    terms_phi,
+)
 from pjet.errors import DomainError, IntegralityViolation
 from pjet.forms import CovarianceReport
 from pjet.modular import QExpansion
@@ -497,6 +509,88 @@ def fsharp_expansion_fraction(an, a_p, p, M, window, check=True):
             (bm, bc) = bad[0]
             raise IntegralityViolation(f"coefficient {bc} at {bm} is not {p}-integral")
     return out
+
+
+# ---------------------------------------------------------------------------
+# The q side before ``make``, ``==`` and fsharp took the step's digit rule on
+# packed numerators: a Fraction valuation per coefficient, and fsharp's
+# weight filter per product term
+# ---------------------------------------------------------------------------
+
+
+def _vp(c, p):
+    return math.inf if c == 0 else valuation(c, p)
+
+
+def make_fraction(p, terms, M=8, digits=None, base_order=None):
+    """``JetSeries.make`` as a loop over Fraction coefficients, each cut by
+    its own valuation.  Of two keys that trim to one monomial, a later one
+    that is zero or cut is skipped and the earlier stays."""
+    clean = {}
+    for (b, jets), c in terms.items():
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        if c == 0:
+            continue
+        if base_order is not None and b >= base_order:
+            continue
+        if digits is not None and _vp(c, p) >= digits:
+            continue
+        clean[(_trim((b, *_trim(tuple(jets)))), ())] = c
+    L = Layout(p, clean, M if digits is None else digits)
+    return JetSeries(p, L, L.pack(clean), M, digits, base_order, 1)
+
+
+def jet_eq_fraction(f, g):
+    """``JetSeries.__eq__`` monomial by monomial in Fractions: a difference
+    counts below the smaller base_order and modulo the smaller digits."""
+    if f.p != g.p:
+        return False
+    digits = min_order(f.digits, g.digits)
+    border = min_order(f.base_order, g.base_order)
+    d1, d2 = dict(f.terms), dict(g.terms)
+    for m in d1.keys() | d2.keys():
+        if border is not None and m[0] >= border:
+            continue
+        diff = d1.get(m, Fraction(0)) - d2.get(m, Fraction(0))
+        if diff and (digits is None or _vp(diff, f.p) < digits):
+            return False
+    return True
+
+
+def fsharp_expansion_weight_filter(an, a_p, p, M, window, check=True):
+    """``forms.fsharp_expansion`` with its powers of phi(q) and phi^2(q) cut
+    per product term: pairs below base exponent window + 1, then the digits
+    below M + 3, then every term of weight above ``window`` dropped."""
+    check_prime(p)
+    if p < 5:
+        raise DomainError("the modular layer requires p >= 5")
+    if len(an) < window:
+        raise DomainError(f"need a_n for n <= {window}")
+    phi1 = phi(JetSeries.make(p, {(1, ()): 1}))
+    phi2 = phi(phi1)
+    L = Layout(p, map(phi2.L.mono, phi2.num), window)
+    f1, f2 = phi1._in(L), phi2._in(L)
+    limit, mod, D = L.below(window + 1), _mod(p, M + 3, 1), p * math.lcm(*range(1, window + 1))
+
+    def weight(k):  # wt(q) = 1, wt(q^(i)) = p**i
+        return (k >> L.shift) + sum(e * p**f for f, e in enumerate(L.exps(k), 1))
+
+    def times(t, f):
+        out = terms_mul(t, f, limit, mod) if t else {}
+        return {m: x for m, x in out.items() if weight(m) <= window}
+
+    pow1 = pow2 = {0: 1}
+    total = {}
+    for n in range(1, window + 1):
+        pow1, pow2 = times(pow1, f1), times(pow2, f2)
+        s = an[n - 1] * (D // (n * p))
+        if s:
+            total = sparse.add(total, sparse.scale(pow2, s), sparse.scale(pow1, -a_p * s), {n << L.shift: s * p})
+    total = _cut(total, None, _mod(p, M, D))
+    if check and (bad := {m: x for m, x in total.items() if x % p ** valuation(D, p)}):
+        m, c = JetSeries(p, L, sparse.canon(bad, D)).terms[0]
+        raise IntegralityViolation(f"coefficient {c} at {m} is not {p}-integral")
+    return JetSeries(p, L, sparse.canon(total, D), M, M)
 
 
 # ---------------------------------------------------------------------------

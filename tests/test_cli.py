@@ -679,6 +679,20 @@ class TestProtocol:
         code, js = run(capsys, "check-basis", "--P", P, "--r", r, "--N", N)
         assert code == 2 and js["error"] == {"code": "domain", "message": message}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fe0", "--P", "3,5", "--N", "10"],
+            ["fe-k", "--P", "3,5", "--k", "1", "--N", "10"],
+            ["f2e0", "--P", "3,5", "--N", "10"],
+            ["f2e-k", "--P", "3,5", "--k", "2", "--N", "10"],
+            ["f2e-k", "--P", "5,2", "--k", "1", "--N", "10"],
+        ],
+    )
+    def test_multiprime_builders_refuse_primes_below_five(self, capsys, argv):
+        code, js = run(capsys, *argv)
+        assert code == 2 and js["error"] == {"code": "domain", "message": "the modular layer requires primes >= 5"}
+
     @pytest.mark.parametrize("fname", ["basis_P5_7_r33_N1226.json", "basis_P5_7_11_r222_N386.json"])
     def test_check_basis_goldens_have_full_rank(self, fname):
         with open(os.path.join(os.path.dirname(__file__), "golden", fname), encoding="utf-8") as fh:

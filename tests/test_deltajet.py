@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import from_terms, t_payload_terms, t_series_via_make, to_terms
+from _helpers import from_terms, jet_eq_fraction, make_fraction, t_payload_terms, t_series_via_make, to_terms
 from pjet.arith import PadicTrunc, fermat_delta
 from pjet.cli import _dump as dump
 from pjet.deltajet import (
@@ -396,6 +396,88 @@ class TestQSideOutputCut:
         assert got.digits is None and got.base_order is None
         assert (0, ()) not in dict(got.terms)
         assert delta(jq(5, {(0, ()): 1})).terms == ()
+
+
+@st.composite
+def make_args(draw, p):
+    """Arguments of ``JetSeries.make`` at p: base exponents down to -2p,
+    trimmed jets (no two keys spell one monomial), int, Fraction and zero
+    coefficients with p in the denominator or the numerator, and digits
+    and base_order each None or set."""
+    keys = st.tuples(st.integers(-2 * p, 3 * p), st.sampled_from([(), (1,), (2,), (0, 1), (1, 1), (0, 0, 3)]))
+    ints = st.integers(-30, 30).map(lambda x: x * p ** (abs(x) % 3))
+    coeffs = st.one_of(ints, st.builds(Fraction, ints, st.sampled_from([1, 2, 3, p, p * p, 6 * p])))
+    return (
+        draw(st.dictionaries(keys, coeffs, max_size=6)),
+        draw(st.integers(1, 5)),
+        draw(st.one_of(st.none(), st.integers(-1, 5))),
+        draw(st.one_of(st.none(), st.integers(-p, 3 * p))),
+    )
+
+
+@st.composite
+def series_pairs(draw):
+    """Two q-side series at one p that agree on a common part: the second
+    adds terms of high valuation or high base exponent, in its own layout."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    terms, M, digits, base_order = draw(make_args(p))
+    extra, M2, digits2, base_order2 = draw(make_args(p))
+    extra = {k: c * p ** draw(st.integers(0, 4)) for k, c in extra.items()}
+    if draw(st.booleans()):
+        extra = {(b + 2 * p, jets): c for (b, jets), c in extra.items()}
+    return make_fraction(p, terms, M, digits, base_order), make_fraction(p, {**terms, **extra}, M2, digits2, base_order2)
+
+
+class TestMakeAndEqualityDigitRule:
+    """``make`` and ``==`` cut packed numerators by the step's digit rule;
+    the references cut each Fraction coefficient by its own valuation."""
+
+    @given(p=st.sampled_from([5, 7, 11]), data=st.data())
+    @example(p=5, data=None)
+    @settings(max_examples=200, deadline=None)
+    def test_make_matches_fraction_loop(self, p, data):
+        if data is None:  # every term cut: p**2 at two digits, q^3 at base_order 3
+            args = ({(0, ()): 25, (3, (1,)): 1, (1, ()): Fraction(50, 3)}, 4, 2, 3)
+        else:
+            args = data.draw(make_args(p))
+        got, want = JetSeries.make(p, *args), make_fraction(p, *args)
+        assert got.to_text() == want.to_text()
+        assert (got.terms, got.num.den) == (want.terms, want.num.den)
+
+    @given(pair=series_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_equality_matches_fraction_loop(self, pair):
+        f, g = pair
+        assert (f == g) == (g == f) == jet_eq_fraction(f, g)
+
+    @given(p=st.sampled_from([5, 7]), data=st.data(), r=st.fractions(max_denominator=30) | st.integers(-50, 50))
+    @settings(max_examples=150, deadline=None)
+    def test_equality_with_a_rational_matches_fraction_loop(self, p, data, r):
+        f = make_fraction(p, *data.draw(make_args(p)))
+        assert (f == r) == (r == f) == jet_eq_fraction(f, make_fraction(p, {(0, ()): r}))
+
+    def test_make_cuts_digits(self):
+        f = jq(5, {(0, ()): 1, (1, ()): 25, (2, ()): Fraction(3, 5)}, digits=2)
+        assert f.terms == (((0, ()), 1), ((2, ()), Fraction(3, 5)))
+        assert jq(5, {(1, ()): 25}, digits=2).terms == ()
+
+    def test_equality_reads_the_smaller_base_order(self):
+        f, g = jq(5, {(0, ()): 1}, base_order=3), jq(5, {(0, ()): 1, (4, ()): 1}, base_order=6)
+        assert f == g and g == f
+        assert jq(5, {(0, ()): 1}, base_order=5) != g
+
+    def test_equality_reads_the_smaller_digits(self):
+        f, g = jq(7, {(0, ()): 1}, digits=2), jq(7, {(0, ()): 1, (1, (1,)): 49}, digits=5)
+        assert f == g and g == f and jq(7, {(0, ()): 1}, digits=3) != g
+
+    def test_of_two_spellings_of_one_monomial_the_later_wins(self):
+        # (1, (1, 0)) and (1, (1,)) trim to one monomial: the later key wins
+        # even when its coefficient is zero or cut, as in MultiJetSeries.make
+        a, b = (1, (1, 0)), (1, (1,))
+        assert JetSeries.make(5, {a: 3, b: 0}).terms == ()
+        assert JetSeries.make(5, {a: 3, b: 25}, digits=2).terms == ()
+        assert JetSeries.make(5, {b: 25, a: 3}, digits=2).terms == (((1, (1,)), 3),)
+        assert JetSeries.make(5, {a: 0, b: Fraction(2, 5)}).terms == (((1, (1,)), Fraction(2, 5)),)
 
 
 @st.composite

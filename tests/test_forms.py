@@ -17,6 +17,7 @@ from _helpers import (
     fourier_to_deformation_uncut,
     from_terms,
     fsharp_expansion_fraction,
+    fsharp_expansion_weight_filter,
     invert_unit,
     one_plus_u_pow_sum_comb,
     tuple_terms_phi,
@@ -161,6 +162,34 @@ class TestFsharpCrossRoute:
         with pytest.raises(IntegralityViolation) as got:
             fsharp_expansion(an, 1, 5, M=6, window=20)
         assert str(got.value) == str(want.value) == "coefficient -1/5 at (5, ()) is not 5-integral"
+
+
+class TestFsharpHomogeneity:
+    """fsharp keeps phi(q)**n while n p <= window and phi^2(q)**n while
+    n p^2 <= window, whole; the reference filters every product term by
+    weight (``tests/_helpers.py``)."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_windows_at_a_power_border(self, p, shift):
+        # n p or n p^2 lands on window - 1, window or window + 1
+        for window in (p + shift, 2 * p + shift, 3 * p + shift, p * p + shift):
+            an = AN40[:window] + [1] * (window - 40)
+            args = (an, 3, p, 20, window)
+            got = fsharp_expansion(*args, check=False).to_text()
+            assert got == fsharp_expansion_weight_filter(*args, check=False).to_text()
+
+    @given(
+        p=st.sampled_from([5, 7, 11, 13]),
+        window=st.integers(1, 60),
+        M=st.integers(1, 40),
+        a_p=st.integers(-9, 9),
+        an=st.lists(st.integers(-20, 20), min_size=60, max_size=60),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_bytes_as_weight_filter(self, p, window, M, a_p, an):
+        got = fsharp_expansion(an[:window], a_p, p, M, window, check=False).to_text()
+        assert got == fsharp_expansion_weight_filter(an[:window], a_p, p, M, window, check=False).to_text()
 
 
 class TestF2e:

@@ -34,6 +34,7 @@ from pjet.arith import PadicTrunc, binomial, cross_prime_commutator, decode_coef
 from pjet.cli import _dump as dump, main
 from pjet.deltajet import psi_serretate
 from pjet.errors import DomainError
+from pjet.forms import build_f2e0, build_f2e_k
 from pjet.multiprime import (
     M_ONE,
     Idx,
@@ -1360,6 +1361,25 @@ def from_json_normalising_twice(obj):
     for mono, c in obj["terms"]:
         terms[_norm_mono([(tuple(int(x) for x in i), int(e)) for i, e in mono])] = decode_coeff(c)
     return MultiJetSeries.make([int(p) for p in obj["P"]], terms, int(obj["N"]), int(obj.get("ring", 0)))
+
+
+@pytest.mark.parametrize("P", [(3, 5), (5, 2), (3,), (7, 3, 5)])
+def test_builders_refuse_primes_below_five(P):
+    for build in (
+        lambda: build_fe0(P, 10),
+        lambda: build_fe_k(P, 0, 10),
+        lambda: build_f2e0([1] * 10, P, [1] * len(P), 10),
+        lambda: build_f2e_k([1] * 10, P, 0, [1] * len(P), 10),
+    ):
+        with pytest.raises(DomainError, match="the modular layer requires primes >= 5"):
+            build()
+
+
+def test_builders_sort_and_deduplicate_the_primes():
+    assert build_fe0([7, 5, 7], 20) == build_fe0([5, 7], 20)
+    assert build_fe_k([7, 5, 5], 1, 20) == build_fe_k([5, 7], 1, 20)
+    with pytest.raises(DomainError, match="4 is not a prime"):
+        build_fe_k([5, 4], 0, 10)
 
 
 def test_make_keeps_the_last_of_two_spellings_of_one_monomial():

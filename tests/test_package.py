@@ -60,3 +60,41 @@ def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport math, os.path\nfrom typing import Mapping\nx: 'Mapping[int, int]' = {}\n"
     assert unused_imports(source) == ["line 2: math", "line 2: os"]
     assert unused_imports("import math as m\n__all__ = ['m']\n") == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level functions and classes, and the private
+    methods, that the modules define and no module reads: not as a name,
+    not as an attribute and not in an import."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scopes = [tree.body] + [c.body for c in tree.body if isinstance(c, ast.ClassDef)]
+        for body in scopes:
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if node.name.startswith("_") and not node.name.startswith("__"):
+                        defined.setdefault(node.name, (module, node.lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unread = sorted((where, name) for name, where in defined.items() if name not in read)
+    return [f"{module}:{line}: {name}" for (module, line), name in unread]
+
+
+def test_every_private_name_is_read():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_found():
+    a = "def _used():\n    pass\n\n\ndef _left():\n    pass\n\n\nclass K:\n    def _m(self):\n        pass\n\n    def __eq__(self, o):\n        return True\n"
+    b = "from a import _used\n_used()\n"
+    assert unread_private_names({"a.py": a, "b.py": b}) == ["a.py:5: _left", "a.py:10: _m"]
