@@ -56,8 +56,10 @@ def check_prime(p: int) -> int:
 
 
 def valuation(x: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational; raises on zero."""
-    x = Fraction(x)
+    """p-adic valuation of a nonzero rational; raises on zero.  An int is
+    read as it is, with no ``Fraction``."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x == 0:
         raise DomainError("valuation of zero is undefined")
     v = 0
@@ -260,11 +262,9 @@ def cross_prime_commutator(x0, x1, x2, p1: int, p2: int):
 
 
 def binomial(a: int, j: int) -> int:
-    """C(a, j) = a (a-1) ... (a-j+1) / j! for any integer a and j >= 0."""
-    num = 1
-    for i in range(j):
-        num *= a - i
-    return num // math.factorial(j)
+    """C(a, j) = a (a-1) ... (a-j+1) / j! for any integer a and j >= 0; for
+    a < 0 that is (-1)**j C(j - a - 1, j)."""
+    return math.comb(a, j) if a >= 0 else (-1) ** j * math.comb(j - a - 1, j)
 
 
 # ---------------------------------------------------------------------------

@@ -148,44 +148,58 @@ def terms_phi(t: Poly, L: Layout, limit, mod: int | None, jmax: int) -> Poly:
     Each variable power v**a maps to sum_j C(a, j) p^j v^(p(a-j)) w^j, w the
     next jet; for a < 0 (base variable only) that is the p-adically
     convergent tail, cut at j = jmax since the j-th term carries p**j.
+
+    A term's image is formed whole, one product per choice of the j's, and
+    the digit rule ``mod`` is tested once per product, before the sum.  That
+    keeps what a test after every factor keeps: each choice sets its own
+    field pattern (the layout has no carries), so no two products of a term
+    meet, and every factor is an integer, so no valuation falls on the way.
+    Only the base factor moves the base exponent, so the key ``limit`` is
+    applied there; ``_cut`` applies both rules to the sums.
     """
     p, w = L.p, L.width
-    images: dict[tuple[int, int], Poly] = {}
+    images: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def image(u: int, nxt: int, a: int) -> Poly:
+    def image(u: int, nxt: int, a: int) -> list[tuple[int, int]]:
         """phi(v**a), for v of key ``u`` and its next jet of key ``nxt``."""
         if (u, a) not in images:
             top = a if a >= 0 else jmax
-            images[u, a] = {
-                p * (a - j) * u + j * nxt: binomial(a, j) * p**j for j in range(top + 1)
-            }
+            images[u, a] = [(p * (a - j) * u + j * nxt, binomial(a, j) * p**j) for j in range(top + 1)]
         return images[u, a]
 
-    def lift(k: int, x: int) -> Poly:
-        acc, b = {0: x}, k >> L.shift
-        if b:
-            acc = terms_mul(acc, image(1 << L.shift, 1, b), limit, mod)
+    out: dict = {}
+    get = out.get
+    for k, x in t.items():
+        b = k >> L.shift
+        base = image(1 << L.shift, 1, b) if b else [(0, 1)]
+        acc = [(m, x * c) for m, c in base if limit is None or m < limit]
         for f, e in enumerate(L.exps(k)):
             if e:
-                acc = terms_mul(acc, image(1 << (f * w), 1 << ((f + 1) * w), e), limit, mod)
-        return acc
-
-    return _cut(sparse.add(*(lift(k, x) for k, x in t.items())), limit, mod)
+                img = image(1 << (f * w), 1 << ((f + 1) * w), e)
+                acc = [(m1 + m2, c1 * c2) for m1, c1 in acc for m2, c2 in img]
+        for m, c in acc:
+            if mod is None or c % mod:
+                out[m] = get(m, 0) + c
+    return _cut(out, limit, mod)
 
 
 def terms_delta(t: Poly, D: int, L: Layout, limit, digits, jmax: int) -> tuple[Poly, int]:
     """(phi(f) - f**p) / p for f = t / D, as numerators over the returned
-    denominator: D**(p-1) phi(t) - t**p over D**p * p, not cut: ``delta``'s
-    step cuts it at a key limit and a digit rule at least as tight as these."""
+    denominator: D**(p-1) phi(t) - t**p over D**p * p, in one dict, not cut
+    (a sum that cancels stays as 0): ``delta``'s step cuts it at a key limit
+    and a digit rule at least as tight as these."""
     p = L.p
 
     def mul(a: tuple[Poly, int], b: tuple[Poly, int]) -> tuple[Poly, int]:
         den = a[1] * b[1]
         return terms_mul(a[0], b[0], limit, _mod(p, digits, den)), den
 
-    ph = terms_phi(t, L, limit, _mod(p, digits, D), jmax)
     fp, den = sparse.power((t, D), p, ({0: 1}, 1), mul)
-    return sparse.add(sparse.scale(ph, D ** (p - 1)), sparse.scale(fp, -1)), den * p
+    s = D ** (p - 1)
+    out = {m: s * x for m, x in terms_phi(t, L, limit, _mod(p, digits, D), jmax).items()}
+    for m, x in fp.items():
+        out[m] = out.get(m, 0) - x
+    return out, den * p
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +462,10 @@ def delta(f: JetSeries) -> JetSeries:
             raise PrecisionExhausted("guaranteed digits exhausted")
     border = cut = None
     if f.base_order is not None:
-        border = min_order(
-            p * (f.base_order - digits + 1), f.base_order + (p - 1) * v
-        )
+        # After the division by p, an unknown tail term q^a (a >= base_order)
+        # leaves p^(j-1) q^(p(a-j)) (next jet)^j, below the digits only for
+        # j <= digits: so its junk starts at p * (base_order - digits).
+        border = min_order(p * (f.base_order - digits), f.base_order + (p - 1) * v)
         # A partial product of f**p takes at most p-1 further factors, each
         # lowering the base exponent by at most |v|, and phi's base exponents
         # are final; so a monomial at or above ``cut`` only feeds the terms
@@ -491,9 +506,7 @@ def psi_fourier(p: int, M: int, window: int) -> JetSeries:
     terms = {}
     for n in range(1, window + 1):
         terms[(-p * n, (n,))] = Fraction((-1) ** (n - 1) * p ** (n - 1), n)
-    tail_digits = min(
-        n - 1 - valuation(Fraction(n), p) for n in range(window + 1, 2 * window + 3)
-    )
+    tail_digits = min(n - 1 - valuation(n, p) for n in range(window + 1, 2 * window + 3))
     return JetSeries.make(p, terms, M, digits=min(tail_digits, M))
 
 

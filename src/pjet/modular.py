@@ -20,6 +20,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
+from . import sparse
 from .arith import at_least, check_prime, is_prime, parse_int, reduce_rational_mod
 from .errors import DomainError, MissingPrimeValue
 from .qseries import Series1
@@ -113,16 +114,15 @@ def eisenstein_mod_p(p: int, trunc: int) -> list[int]:
 def discriminant_delta(trunc: int) -> QExpansion:
     """The weight-12 cusp form as the eta product q * prod (1 - q^n)^24.
 
-    The product runs in integers on one dense list of the coefficients of
-    q^0 .. q^(trunc - 2), multiplied by (1 - q^n) in place 24 times per n.
+    The product runs on integer coefficients of q^0 .. q^(trunc - 2): Jacobi's
+    identity gives prod (1 - q^n)^3 = sum_k (-1)^k (2k + 1) q^(k(k+1)/2), and
+    three squarings in the sparse kernel raise it to the 24th.
     """
     at_least(0, trunc=trunc)
-    c = [1] + [0] * (trunc - 2)
-    for n in range(1, len(c)):
-        for _ in range(24):
-            for e in range(len(c) - 1, n - 1, -1):
-                c[e] -= c[e - n]
-    return QExpansion.make(12, {e + 1: Fraction(x) for e, x in enumerate(c) if x}, trunc)
+    c = {k * (k + 1) // 2: (-1) ** k * (2 * k + 1) for k in range(trunc) if k * (k + 1) < 2 * (trunc - 1)}
+    for _ in range(3):
+        c = sparse.mul(c, c, trunc - 1)
+    return QExpansion.make(12, {e + 1: Fraction(x) for e, x in c.items()}, trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ for ``Series1``, packed exponent vectors for ``multiprime`` and
 takes it as ``limit`` and forms only the products below it: it walks the
 second operand in key order, each row stops at its first product at or past
 the limit, and a square (``t1 is t2``) forms each unordered pair once.
-Conditions that depend on a summed coefficient, such as a p-adic digit
-bound, belong to the caller, after the product.
+Each pair probes the output dict once, and a sum that cancels to 0 is
+popped.  Conditions that depend on a summed coefficient, such as a p-adic
+digit bound, belong to the caller, after the product.
 
 Every series ring stores the same value: a ``Packed``, integer numerators by
 key over one denominator, in the form ``canon`` gives (after Monagan and
@@ -63,33 +64,31 @@ def mul(t1: Mapping, t2: Mapping, limit: int | None = None) -> dict:
 
     No pair at or past the limit forms its coefficient product; with no
     limit, nothing is sorted.  A square forms c_i * c_j once for i <= j and
-    doubles it off the diagonal.  Both loops spell out the accumulation,
-    since a call per pair costs more.
+    doubles it off the diagonal.  Each pair adds its product with one
+    ``out.get`` and pops a key whose sum is 0, so no zero term is kept; both
+    loops spell this out, since a call per pair costs more.
     """
     out: dict = {}
+    get, pop = out.get, out.pop
     if t1 is t2:
         terms = list(t1.items()) if limit is None else sorted(t1.items())
         for i, (m1, c1) in enumerate(terms):
             m = m1 + m1
             if limit is not None and m >= limit:
                 break
-            c = c1 * c1
-            s = out[m] + c if m in out else c
-            if s:
+            if s := get(m, 0) + c1 * c1:
                 out[m] = s
-            elif m in out:
-                del out[m]
+            else:
+                pop(m, None)
             d1 = c1 + c1
             for m2, c2 in terms[i + 1 :]:
                 m = m1 + m2
                 if limit is not None and m >= limit:
                     break
-                c = d1 * c2
-                s = out[m] + c if m in out else c
-                if s:
+                if s := get(m, 0) + d1 * c2:
                     out[m] = s
-                elif m in out:
-                    del out[m]
+                else:
+                    pop(m, None)
     else:
         terms = t2.items() if limit is None or len(t2) < 2 else sorted(t2.items())
         for m1, c1 in t1.items():
@@ -97,12 +96,10 @@ def mul(t1: Mapping, t2: Mapping, limit: int | None = None) -> dict:
                 m = m1 + m2
                 if limit is not None and m >= limit:
                     break
-                c = c1 * c2
-                s = out[m] + c if m in out else c
-                if s:
+                if s := get(m, 0) + c1 * c2:
                     out[m] = s
-                elif m in out:
-                    del out[m]
+                else:
+                    pop(m, None)
     return out
 
 

@@ -395,6 +395,47 @@ def tuple_power(t, n, keep=KEEP_ALL):
 
 
 # ---------------------------------------------------------------------------
+# The packed phi and delta steps before each term's image was formed whole
+# ---------------------------------------------------------------------------
+
+
+def staged_terms_phi(t, L, limit, mod, jmax):
+    """``terms_phi`` one variable at a time: a ``terms_mul`` per factor, with
+    the key limit and the digit rule after each, then the lifts added up and
+    cut."""
+    p, w = L.p, L.width
+
+    def image(u, nxt, a):
+        top = a if a >= 0 else jmax
+        return {p * (a - j) * u + j * nxt: binomial(a, j) * p**j for j in range(top + 1)}
+
+    def lift(k, x):
+        acc, b = {0: x}, k >> L.shift
+        if b:
+            acc = terms_mul(acc, image(1 << L.shift, 1, b), limit, mod)
+        for f, e in enumerate(L.exps(k)):
+            if e:
+                acc = terms_mul(acc, image(1 << (f * w), 1 << ((f + 1) * w), e), limit, mod)
+        return acc
+
+    return _cut(sparse.add(*(lift(k, x) for k, x in t.items())), limit, mod)
+
+
+def staged_terms_delta(t, D, L, limit, digits, jmax):
+    """``terms_delta`` on ``staged_terms_phi``, combined as two ``sparse.scale``
+    copies and a ``sparse.add``: D**(p-1) phi(t) - t**p, zeros dropped."""
+    p = L.p
+
+    def mul(a, b):
+        den = a[1] * b[1]
+        return terms_mul(a[0], b[0], limit, _mod(p, digits, den)), den
+
+    ph = staged_terms_phi(t, L, limit, _mod(p, digits, D), jmax)
+    fp, den = sparse.power((t, D), p, ({0: 1}, 1), mul)
+    return sparse.add(sparse.scale(ph, D ** (p - 1)), sparse.scale(fp, -1)), den * p
+
+
+# ---------------------------------------------------------------------------
 # The single-prime steps on Fraction terms: the lemma chain and fsharp's
 # power loop before they stayed packed from the first step to the output
 # ---------------------------------------------------------------------------

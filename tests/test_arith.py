@@ -186,6 +186,15 @@ class TestPadicBinomial:
         want = comb(n, k) if n >= 0 else (-1) ** k * comb(-n + k - 1, k)
         assert binomial(n, k) == want
 
+    def test_matches_product_formula(self):
+        # C(a, j) = a (a-1) ... (a-j+1) / j!, for a of either sign
+        for a in range(-60, 60):
+            for j in range(40):
+                num = 1
+                for i in range(j):
+                    num *= a - i
+                assert binomial(a, j) == num // factorial(j), (a, j)
+
     @given(n=st.integers(-100, 100), k=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_pascal_rule(self, n, k):
@@ -262,3 +271,11 @@ class TestSerialization:
     def test_valuation(self):
         assert valuation(Fraction(50, 3), 5) == 2
         assert valuation(Fraction(3, 25), 5) == -2
+
+    @pytest.mark.parametrize("x", [1, -1, 50, -375, 7**9 * 2, 3**40])
+    def test_int_valuation_matches_its_fraction(self, x):
+        # an int takes the integer path; its valuation is its Fraction's
+        for p in (2, 3, 5, 7):
+            assert valuation(x, p) == valuation(Fraction(x), p)
+        with pytest.raises(DomainError):
+            valuation(0, 5)

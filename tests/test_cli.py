@@ -406,6 +406,15 @@ GOLDEN_JOBS = [
         "lemma_xlaphi_p5_n2_symbolic.json",
         ["check-lemma", "--name", "xlaphi", "--p", "5", "--n", "2", "--varphi", "symbolic"],
     ),
+    (
+        "delta_expand_delta_t12_n2_p5_M6.json",
+        ["delta-expand", "--form", "delta", "--trunc", "12", "--n", "2", "--p", "5", "--M", "6"],
+    ),
+    ("lemma_logder_p7_n2_a3.json", ["check-lemma", "--name", "logder", "--p", "7", "--n", "2", "--a", "3"]),
+    (
+        "lemma_xlaphi_p7_n1_varphi_m3.json",
+        ["check-lemma", "--name", "xlaphi", "--p", "7", "--n", "1", "--varphi", "-3"],
+    ),
     ("eisenstein_k4_t12.json", ["eisenstein", "--k", "4", "--trunc", "12"]),
     ("f2e0_P5_7_11_N40.json", ["f2e0", "--P", "5,7,11", "--N", "40"]),
     ("f2e_k_P17_19_k2_N40.json", ["f2e-k", "--P", "17,19", "--k", "2", "--N", "40"]),

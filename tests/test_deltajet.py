@@ -184,11 +184,14 @@ from _helpers import (  # noqa: E402
     lemma_logder_check_fraction,
     lemma_xlaphi_check_fraction,
     phi_terms,
+    staged_terms_delta,
+    staged_terms_phi,
     tuple_power,
     tuple_product,
     tuple_terms_delta,
     tuple_terms_phi,
 )
+from pjet.deltajet import _cut, _mod, terms_delta, terms_phi  # noqa: E402
 
 
 class TestDualPathDelta:
@@ -230,7 +233,7 @@ def _delta_unpruned(f: JetSeries, prune: bool = False) -> JetSeries:
     border = cut = None
     if f.base_order is not None:
         v = min(f.base_valuation(), 0)
-        border = min(p * (f.base_order - digits + 1), f.base_order + (p - 1) * v)
+        border = min(p * (f.base_order - digits), f.base_order + (p - 1) * v)
         cut = border - (p - 1) * v if prune else None
     t = tuple_terms_delta(to_terms(f), p, digits_keep(p, cut, f.digits), f.eff_digits())
     return JetSeries.make(p, from_terms(t), f.M, digits, border)
@@ -276,6 +279,18 @@ class TestBorderCut:
     def test_phi_matches_unpruned_route(self, case):
         f, n = case
         assert _iterate(phi, f, n) == _iterate(_phi_unpruned, f, n)
+
+    def test_delta_border_leaves_the_unknown_tail_out(self):
+        # E6 = 1 - 504 sum sigma_5(n) q^n, known below q^6 and valid mod 5^6.
+        # Its unknown term c_6 q^6 (c_6 = -504 * 8052, a 5-adic unit) gives
+        # delta the term C(6, 5) 5^5 c_6 / 5 q^5 q'^5: base 5, valuation 4,
+        # below the 5 digits delta keeps.  So the border is 5 * (6 - 5) = 5
+        c = [1] + [-504 * sum(d**5 for d in range(1, n + 1) if n % d == 0) for n in range(1, 7)]
+        low = delta(JetSeries.make(5, {(e, ()): c[e] for e in range(6)}, M=6, base_order=6))
+        assert (low.digits, low.base_order) == (5, 5)
+        high = delta(JetSeries.make(5, {(e, ()): c[e] for e in range(7)}, M=6, base_order=7))
+        assert (high.digits, high.base_order) == (5, 7)
+        assert dict(high.terms)[(5, (5,))] == 6 * 5**4 * c[6]
 
 
 @st.composite
@@ -577,6 +592,69 @@ class TestPackedKernel:
         routes = {"phi": (phi_terms, tuple_terms_phi), "delta": (delta_terms, tuple_terms_delta)}
         ours, ref = routes[step]
         assert ours(t, p, None, None, E) == ref(t, p, digits_keep(p), E)
+
+
+@st.composite
+def one_pass_steps(draw):
+    """Tuple-monomial terms at p from 5 to 13, base exponents down to -2p,
+    up to two jets and two auxiliary exponents, and the cuts of one step."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    exps = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+    z = st.builds(lambda b, jets: _trim((b, *jets)), st.integers(-2 * p, 4), exps)
+    keys = st.tuples(z, exps.map(_trim))
+    coeffs = st.builds(
+        Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, p, p * p])
+    )
+    t = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=3 if p < 11 else 2))
+    cut = draw(st.one_of(st.none(), st.integers(-3 * p, 4 * p)))
+    digits = draw(st.one_of(st.none(), st.integers(2, 6)))
+    return t, p, cut, digits, draw(st.integers(0, 6))
+
+
+# the lemma's input at p 5: z^4 + 5 z^-1 z' - a_0, a_0 the symbolic coefficient
+LEMMA_INPUT = {((4,), ()): Fraction(1), ((-1, 1), ()): Fraction(5), ((), (1,)): Fraction(-1)}
+
+
+class TestOnePassStep:
+    """``terms_phi`` forms each term's image whole and tests the digit rule
+    once per product; ``terms_delta`` subtracts f**p in one dict.  Both give
+    the numerators of the staged step they replaced (a ``terms_mul`` per
+    factor; two scales and an add) and of the tuple-monomial reference."""
+
+    @given(case=one_pass_steps())
+    @example(case=({((0, 1), ()): Fraction(1)}, 5, 0, None, 2))  # base 0 at a cut of 0
+    # a base-0 term with a jet and an auxiliary at a negative cut, and q^-10's tail
+    @example(case=({((0, 2), (1,)): Fraction(3), ((-10,), ()): Fraction(1, 5)}, 5, -4, 3, 6))
+    # q^-1 (j = 5 of its tail, -5^5) and q^-6 z' (j = 0) meet at q^-30 z'^5:
+    # the first is below the digits and must not reach the sum
+    @example(case=({((-1,), ()): Fraction(1), ((-6, 1), ()): Fraction(1)}, 5, None, 2, 5))
+    @example(case=(LEMMA_INPUT, 5, None, 5, 5))
+    @example(case=(LEMMA_INPUT, 5, -10, 4, 4))
+    @settings(max_examples=120, deadline=None)
+    def test_phi_matches_the_staged_and_tuple_routes(self, case):
+        t, p, cut, digits, jmax = case
+        L = Layout(p, t, jmax)
+        packed = L.pack(t)
+        args = (packed, L, L.below(cut), _mod(p, digits, packed.den), jmax)
+        got = terms_phi(*args)
+        assert got == staged_terms_phi(*args)
+        assert L.unpack(got, packed.den) == tuple_terms_phi(t, p, digits_keep(p, cut, digits), jmax)
+
+    @given(case=one_pass_steps())
+    @example(case=({((0, 1), ()): Fraction(1)}, 5, 0, None, 2))
+    @example(case=({((-1,), ()): Fraction(1), ((-6, 1), ()): Fraction(1)}, 5, None, 2, 5))
+    @example(case=(LEMMA_INPUT, 5, None, 5, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_delta_matches_the_staged_and_tuple_routes(self, case):
+        t, p, cut, digits, jmax = case
+        L = Layout(p, t, jmax)
+        packed = L.pack(t)
+        args = (packed, packed.den, L, L.below(cut), digits, jmax)
+        (got, den), (want, want_den) = terms_delta(*args), staged_terms_delta(*args)
+        # a sum that cancels stays as 0 until the step's cut drops it
+        assert den == want_den and {m: x for m, x in got.items() if x} == want
+        kept = _cut(got, L.below(cut), _mod(p, digits, den // p))
+        assert L.unpack(kept, den) == tuple_terms_delta(t, p, digits_keep(p, cut, digits), jmax)
 
 
 class TestCrossSideEquality:

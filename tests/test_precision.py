@@ -1,0 +1,153 @@
+"""A metamorphic precision oracle for the q side.
+
+Each job (``delta-expand``; ``delta_n`` and ``phi`` on one fixed series;
+``psi --side fourier``; ``fsharp``) runs at (M, trunc) and again at
+(M + k, trunc + k'), and the two payloads must agree modulo p**digits below
+the border: the smaller of the two runs' digits and base_order, or for
+fsharp the smaller weighted window.  The run with more precision must claim
+at least the digits of the other.  The checker reads the payload text as
+term dicts of ``Fraction`` and takes its own valuations; it calls nothing of
+pjet but the jobs themselves.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pjet.cli import main
+from pjet.deltajet import JetSeries, delta_n, phi
+
+
+def run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+def terms(text: str) -> tuple[dict, dict]:
+    obj = json.loads(text)
+    return obj, {(b, tuple(jets)): Fraction(c) for b, c, jets in obj["terms"]}
+
+
+def vp(x: Fraction, p: int) -> int:
+    n, d, v = x.numerator, x.denominator, 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def smaller(a, b):
+    """The smaller of two bounds, None being no bound."""
+    return b if a is None else a if b is None else min(a, b)
+
+
+def assert_agree(lo: str, hi: str, p: int, kept=lambda key: True) -> int:
+    """The two payloads agree mod p**digits below the border, and the
+    second claims no fewer digits; returns the number of keys compared."""
+    (olo, tlo), (ohi, thi) = terms(lo), terms(hi)
+    if olo["digits"] is not None:
+        assert ohi["digits"] is None or ohi["digits"] >= olo["digits"]
+    digits = smaller(olo["digits"], ohi["digits"])
+    border = smaller(olo["base_order"], ohi["base_order"])
+    compared = 0
+    for key in tlo.keys() | thi.keys():
+        if (border is not None and key[0] >= border) or not kept(key):
+            continue
+        compared += 1
+        diff = thi.get(key, 0) - tlo.get(key, 0)
+        assert not diff or (digits is not None and vp(diff, p) >= digits), (key, tlo.get(key), thi.get(key))
+    return compared
+
+
+@given(
+    form=st.sampled_from(["E4", "E6", "delta"]),
+    p=st.sampled_from([5, 7]),
+    n=st.integers(1, 2),
+    M=st.integers(3, 6),
+    trunc=st.integers(6, 12),
+    k=st.integers(0, 2),
+    k2=st.integers(0, 6),
+)
+@example(form="E6", p=5, n=1, M=6, trunc=6, k=0, k2=1)  # the unknown q^6 reaches q^5 q'^5
+@settings(max_examples=25, deadline=None)
+def test_delta_expand(form, p, n, M, trunc, k, k2):
+    def job(M, trunc):
+        return run(["delta-expand", "--form", form, "--trunc", str(trunc), "--n", str(n), "--p", str(p), "--M", str(M)])
+
+    assert_agree(job(M, trunc), job(M + k, trunc + k2), p)
+
+
+def fixed_series(p: int, seed: list[int]) -> dict:
+    """One p-integral series with a pole and a jet: term i is q^(i-1), times
+    q' for odd i, with coefficient seed[i] / (i + p + 1), or seed[i] where p
+    divides i + p + 1."""
+    series = {}
+    for i, c in enumerate(seed):
+        den = i + p + 1
+        series[(i - 1, (1,) if i % 2 else ())] = Fraction(c, den if den % p else 1)
+    return series
+
+
+@given(
+    p=st.sampled_from([5, 7]),
+    seed=st.lists(st.integers(-6, 6), min_size=12, max_size=12),
+    n=st.integers(0, 2),
+    M=st.integers(3, 5),
+    trunc=st.integers(2, 8),
+    k=st.integers(0, 2),
+    k2=st.integers(0, 4),
+)
+@settings(max_examples=25, deadline=None)
+def test_delta_n(p, seed, n, M, trunc, k, k2):
+    # the run at trunc T knows the terms below T; n = 0 runs phi instead
+    series = fixed_series(p, seed)
+
+    def job(M, trunc):
+        f = JetSeries.make(p, {key: c for key, c in series.items() if key[0] < trunc}, M, base_order=trunc)
+        return (delta_n(f, n) if n else phi(f)).to_text()
+
+    assert_agree(job(M, trunc), job(M + k, trunc + k2), p)
+
+
+@given(
+    p=st.sampled_from([5, 7, 11]),
+    M=st.integers(2, 8),
+    window=st.integers(1, 16),
+    k=st.integers(0, 3),
+    k2=st.integers(0, 8),
+)
+@settings(max_examples=25, deadline=None)
+def test_psi_fourier(p, M, window, k, k2):
+    def job(M, window):
+        return run(["psi", "--p", str(p), "--side", "fourier", "--M", str(M), "--window", str(window)])
+
+    assert_agree(job(M, window), job(M + k, window + k2), p)
+
+
+@given(
+    p=st.sampled_from([5, 7, 11, 13]),
+    M=st.integers(2, 6),
+    window=st.integers(13, 26),
+    k=st.integers(0, 2),
+    k2=st.integers(0, 8),
+)
+@settings(max_examples=20, deadline=None)
+def test_fsharp(p, M, window, k, k2):
+    # the window is a weighted degree: wt(q) = 1, wt(q') = p, wt(q'') = p^2
+    def job(M, window):
+        return run(["fsharp", "--p", str(p), "--window", str(window), "--M", str(M)])
+
+    def weight(key):
+        b, jets = key
+        return b + sum(e * p ** (i + 1) for i, e in enumerate(jets))
+
+    lo, hi = job(M, window), job(M + k, window + k2)
+    assert all(weight(key) <= window for key in terms(lo)[1])
+    assert assert_agree(lo, hi, p, lambda key: weight(key) <= window) >= 1

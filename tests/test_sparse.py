@@ -82,6 +82,27 @@ class TestKernel:
         assert mul(t, t) == {0: F(1), 1: F(4), 3: F(-8), 4: F(4)}
         assert mul(t, t, 3) == {0: F(1), 1: F(4)}
 
+    def test_mul_pops_a_cancelled_key_and_forms_it_again(self):
+        # (1 + x + x^2)(1 - x + x^2) = 1 + x^2 + x^4: the row of x cancels x
+        # and x^2, the row of x^2 forms x^2 again and cancels x^3
+        a, b = {0: 1, 1: 1, 2: 1}, {0: 1, 1: -1, 2: 1}
+        for limit in (None, 5, 4, 3, 2):
+            want = {m: c for m, c in {0: 1, 2: 1, 4: 1}.items() if limit is None or m < limit}
+            assert mul(a, b, limit) == want == reference(a, b, limit)
+
+    def test_square_pops_a_cancelled_key_and_its_diagonal_cancels(self):
+        # x^4 of (1 + x + x^2 - x^3 + x^4)^2: rows 0 and 1 give 2 - 2, and
+        # the diagonal x^2 * x^2 forms it again
+        t = {0: 1, 1: 1, 2: 1, 3: -1, 4: 1}
+        for limit in (None, 6, 5):
+            assert mul(t, t, limit) == reference(t, dict(t), limit) and mul(t, t, limit)[4] == 1
+        # x^4 of (1 + x + 2x^2 + x^3 - 3x^4)^2: rows 0 and 1 give -6 + 2, and
+        # the diagonal 4 cancels them
+        s = {0: 1, 1: 1, 2: 2, 3: 1, 4: -3}
+        for limit in (None, 6, 5):
+            out = mul(s, s, limit)
+            assert out == reference(s, dict(s), limit) and 4 not in out and all(out.values())
+
     @given(
         t1=st.dictionaries(st.integers(-12, 12), COEFFS, max_size=7),
         t2=st.dictionaries(st.integers(-12, 12), COEFFS, max_size=7),
