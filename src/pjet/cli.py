@@ -3,6 +3,10 @@
 All payloads are UTF-8 JSON with sorted keys and no timestamps, so identical
 invocations produce identical bytes.  Exit codes: 0 success or passing
 check, 1 mathematical check failure, 2 usage error.
+
+Every subcommand's flags live in one table, COMMANDS.  A job typed as
+--flag value pairs is read straight from it; help, errors and any other
+argv shape go to the argparse parser built from the same table.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -227,137 +232,160 @@ def cmd_ap(args):
     return payload, True
 
 
+# Each subcommand's handler name and flags, in the order ``--help`` lists
+# them, with the ``add_argument`` spec of each.  Handlers are stored by their
+# ``cmd_*`` name and looked up when ``main`` runs, so a parsed job follows any
+# later rebinding of a handler, a wrapper with a name of its own included.
+COMMANDS = {
+    name: ("cmd_" + name.replace("-", "_"), flags)
+    for name, flags in {
+        "psi": {
+            "p": {"type": int, "required": True},
+            "side": {"choices": ["fourier", "serretate"], "default": "serretate"},
+            "N": {"type": int, "default": 30},
+            "M": {"type": int, "default": 8},
+            "window": {"type": int, "default": 30},
+        },
+        "fe0": {"P": {"required": True}, "N": {"type": int, "default": 30}},
+        "fe-k": {
+            "P": {"required": True},
+            "k": {"type": int, "required": True, "help": "prime index, 1-based"},
+            "N": {"type": int, "default": 30},
+        },
+        "f2e0": {
+            "P": {"required": True},
+            "N": {"type": int, "default": 40},
+            "nmax": {"type": int},
+            "curve": {"default": None},
+        },
+        "f2e-k": {
+            "P": {"required": True},
+            "k": {"type": int, "required": True},
+            "N": {"type": int, "default": 40},
+            "nmax": {"type": int},
+            "curve": {"default": None},
+        },
+        "fsharp": {
+            "curve": {"default": None},
+            "p": {"type": int, "required": True},
+            "window": {"type": int, "default": 30},
+            "M": {"type": int, "default": 6},
+        },
+        "eisenstein": {"k": {"type": int, "required": True}, "trunc": {"type": int, "default": 20}},
+        "delta-expand": {
+            "input": {"default": None},
+            "form": {"default": None},
+            "trunc": {"type": int, "default": 20},
+            "n": {"type": int, "default": 1},
+            "p": {"type": int, "required": True},
+            "M": {"type": int, "default": 8},
+        },
+        "delta0": {
+            "input": {"required": True},
+            "p": {"type": int, "required": True},
+            "M": {"type": int, "default": 8},
+        },
+        "check-covariance": {
+            "input": {"required": True},
+            "gamma": {"type": int, "required": True},
+            "nu": {"type": int, "required": True},
+        },
+        "check-continuation": {"inputs": {"nargs": "+", "required": True}, "height": {"type": int, "default": None}},
+        "check-commutator": {
+            "p1": {"type": int, "required": True},
+            "p2": {"type": int, "required": True},
+            "value": {"type": int, "required": True},
+        },
+        "check-lemma": {
+            "name": {"choices": ["xlaphi", "logder"], "required": True},
+            "p": {"type": int, "required": True},
+            "n": {"type": int, "default": 1},
+            "varphi": {"default": "0"},
+            "a": {"type": int, "default": 1},
+        },
+        "check-basis": {"P": {"required": True}, "r": {"required": True}, "N": {"type": int, "default": 50}},
+        "ap": {"curve": {"default": None}, "p": {"type": int, "required": True}},
+    }.items()
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser of ``COMMANDS``, for help, usage errors and any argv
+    the table reader in ``_parse`` does not take."""
     top = argparse.ArgumentParser(prog="pjet", description=__doc__)
     top.add_argument("--out", help="write the JSON payload to this file")
     top.add_argument("--golden", help="compare the payload against this file")
     sub = top.add_subparsers(dest="command", required=True)
-    top.commands = sub.choices  # the subcommand parsers by name, for ``_parse``
-
-    # Handlers are stored by the subcommand's ``cmd_*`` name and looked up
-    # when ``main`` runs, so the cached parser follows any later rebinding of
-    # a handler, a wrapper with a name of its own included.
-    def add(name, /, **flags):
+    for name, (handler, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
         for flag, spec in flags.items():
             sp.add_argument(f"--{flag}", **spec)
-        sp.set_defaults(handler="cmd_" + name.replace("-", "_"))
-
-    add(
-        "psi",
-        p={"type": int, "required": True},
-        side={"choices": ["fourier", "serretate"], "default": "serretate"},
-        N={"type": int, "default": 30},
-        M={"type": int, "default": 8},
-        window={"type": int, "default": 30},
-    )
-    add("fe0", P={"required": True}, N={"type": int, "default": 30})
-    add(
-        "fe-k",
-        P={"required": True},
-        k={"type": int, "required": True, "help": "prime index, 1-based"},
-        N={"type": int, "default": 30},
-    )
-    add(
-        "f2e0",
-        P={"required": True},
-        N={"type": int, "default": 40},
-        nmax={"type": int},
-        curve={"default": None},
-    )
-    add(
-        "f2e-k",
-        P={"required": True},
-        k={"type": int, "required": True},
-        N={"type": int, "default": 40},
-        nmax={"type": int},
-        curve={"default": None},
-    )
-    add(
-        "fsharp",
-        curve={"default": None},
-        p={"type": int, "required": True},
-        window={"type": int, "default": 30},
-        M={"type": int, "default": 6},
-    )
-    add(
-        "eisenstein",
-        k={"type": int, "required": True},
-        trunc={"type": int, "default": 20},
-    )
-    add(
-        "delta-expand",
-        input={"default": None},
-        form={"default": None},
-        trunc={"type": int, "default": 20},
-        n={"type": int, "default": 1},
-        p={"type": int, "required": True},
-        M={"type": int, "default": 8},
-    )
-    add(
-        "delta0",
-        input={"required": True},
-        p={"type": int, "required": True},
-        M={"type": int, "default": 8},
-    )
-    add(
-        "check-covariance",
-        input={"required": True},
-        gamma={"type": int, "required": True},
-        nu={"type": int, "required": True},
-    )
-    add(
-        "check-continuation",
-        inputs={"nargs": "+", "required": True},
-        height={"type": int, "default": None},
-    )
-    add(
-        "check-commutator",
-        p1={"type": int, "required": True},
-        p2={"type": int, "required": True},
-        value={"type": int, "required": True},
-    )
-    add(
-        "check-lemma",
-        name={"choices": ["xlaphi", "logder"], "required": True},
-        p={"type": int, "required": True},
-        n={"type": int, "default": 1},
-        varphi={"default": "0"},
-        a={"type": int, "default": 1},
-    )
-    add(
-        "check-basis",
-        P={"required": True},
-        r={"required": True},
-        N={"type": int, "default": 50},
-    )
-    add(
-        "ap",
-        curve={"default": None},
-        p={"type": int, "required": True},
-    )
+        sp.set_defaults(handler=handler)
     return top
 
 
 _parser = functools.cache(build_parser)
+_NEGATIVE = re.compile(r"-[0-9]+")  # a negative integer, the one value token that starts with "-"
+
+
+def _from_table(name: str, tokens: list[str], glob: dict) -> argparse.Namespace | None:
+    """The Namespace the full parser makes of subcommand ``name`` with
+    ``tokens`` after it, read straight from ``COMMANDS``, or None when the
+    tokens are not ``--flag value`` runs of its exact flag names.
+
+    A value token does not start with "-", or is a negative integer, which
+    argparse also reads as a value since pjet has no option that looks like
+    one.  A flag takes one value, ``nargs="+"`` one or more; each goes
+    through ``type`` and then ``choices``, and the last of a repeated flag
+    stands.  A missing required flag is refused, an unset one takes its
+    default (a ``str`` default through ``type``, as argparse does)."""
+    handler, flags = COMMANDS[name]
+    seen, j, end = {}, 0, len(tokens)
+    while j < end:
+        flag = tokens[j][2:] if tokens[j].startswith("--") else None
+        spec = flags.get(flag)
+        if spec is None:
+            return None
+        k = j + 1
+        while k < end and (not tokens[k].startswith("-") or _NEGATIVE.fullmatch(tokens[k])):
+            k += 1
+        many = spec.get("nargs") == "+"
+        if k == j + 1 or k > j + 2 and not many:
+            return None
+        convert, choices = spec.get("type"), spec.get("choices")
+        try:
+            values = [convert(t) for t in tokens[j + 1 : k]] if convert else tokens[j + 1 : k]
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and any(v not in choices for v in values):
+            return None
+        seen[flag] = values if many else values[0]
+        j = k
+    for flag, spec in flags.items():
+        if flag not in seen:
+            if spec.get("required"):
+                return None
+            default = spec.get("default")
+            seen[flag] = spec["type"](default) if isinstance(default, str) and "type" in spec else default
+    return argparse.Namespace(**glob, command=name, **seen, handler=handler)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed as the full parser parses it, but with the work of the
-    subcommand's own parser only: the leading ``--out``/``--golden`` pairs are
-    read here and the rest goes to the subcommand's parser.  Anything else (no
-    subcommand, help, ``--out=PATH``, an abbreviated option, ``--``, or
-    arguments left over) goes to the full parser, for its messages and exit codes."""
-    top, i, glob = _parser(), 0, {"out": None, "golden": None}
+    """``argv`` parsed as the full parser parses it.  The leading
+    ``--out``/``--golden`` pairs are read here and the rest, when argv names
+    a subcommand exactly, by ``_from_table``.  Anything it does not take (no
+    subcommand, help, ``--out=PATH``, ``--``, an abbreviated or unknown flag,
+    ``--flag=value``, a value such as ``-1.5``, a bad or missing value) goes
+    to the full parser, for its messages and exit codes."""
+    i, glob = 0, {"out": None, "golden": None}
     while i + 1 < len(argv) and argv[i] in ("--out", "--golden") and not argv[i + 1].startswith("-"):
         glob[argv[i][2:]] = argv[i + 1]
         i += 2
-    sub = top.commands.get(argv[i]) if i < len(argv) and "--" not in argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[i + 1 :], argparse.Namespace(**glob, command=argv[i]))
-        if not rest:
+    if i < len(argv) and argv[i] in COMMANDS:
+        args = _from_table(argv[i], argv[i + 1 :], glob)
+        if args is not None:
             return args
-    return top.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

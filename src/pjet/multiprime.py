@@ -945,21 +945,33 @@ def _gamma_in_ghost(f: MultiJetSeries, gamma: int) -> tuple[Layout, sparse.Packe
     return (L, G, *ghost_gamma(G, L, gamma, G.den))
 
 
+def _gamma_row(prev: list[int], e: int, gamma: int, N: int) -> list[int]:
+    """Row e of ``ghost_gamma``'s table, r_e(n) = [u^n] h^e for n < N with
+    h = (1 + u)**gamma - 1, from row e - 1 in ``prev``.  (1 + u) h' =
+    gamma (1 + h) gives r_e(e) = gamma**e and (n + 1) r_e(n + 1) =
+    e gamma (r_{e-1}(n) + r_e(n)) - n r_e(n), an exact division; a row
+    with e >= N is all zero."""
+    row = [0] * N
+    if e < N:
+        row[e] = x = gamma**e
+        for n in range(e, N - 1):
+            row[n + 1] = x = (e * gamma * (prev[n] + x) - n * x) // (n + 1)
+    return row
+
+
 def ghost_gamma(t: Mapping[int, int], L: Layout, gamma: int, den: int = 1) -> tuple[dict[int, int], int]:
     """u_i -> (1 + u_i)**gamma - 1 on ghost coordinates, below weight L.N, for
     t = T / den with integer numerators T: the image's numerators over den.
 
     The image of u_i**e is ((1 + u_i)**gamma - 1)**e, and one table serves
     every variable: rows[e] holds that integer series below degree N, built
-    on first use.  The factors of a monomial are in distinct variables, so
-    its image's monomials are the keys n * var[i] added up; a variable of
-    weight w takes the degrees n <= (N - 1 - wt) // w, wt the weight of the
-    image term built so far, and no term of weight N or more is formed.
+    on first use by ``_gamma_row``.  The factors of a monomial are in
+    distinct variables, so its image's monomials are the keys n * var[i]
+    added up; a variable of weight w takes the degrees n <= (N - 1 - wt) // w,
+    wt the weight of the image term built so far, and no term of weight N or
+    more is formed.
     """
     N = L.N
-    binom = [1]
-    for n in range(1, N):
-        binom.append(binom[-1] * (gamma - n + 1) // n)
     rows = [[1] + [0] * (N - 1)]
     out: dict[int, int] = {}
     for m, c in t.items():
@@ -968,12 +980,7 @@ def ghost_gamma(t: Mapping[int, int], L: Layout, gamma: int, den: int = 1) -> tu
             if not (e := m >> off & mask):
                 continue
             while len(rows) <= e:
-                row = [0] * N
-                for a, x in enumerate(rows[-1]):
-                    if x:
-                        for b in range(1, N - a):
-                            row[a + b] += x * binom[b]
-                rows.append(row)
+                rows.append(_gamma_row(rows[-1], len(rows), gamma, N))
             row, v = rows[e], L.var[i]
             w = v >> L.shift
             images = [

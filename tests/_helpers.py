@@ -1066,7 +1066,7 @@ def continuation_payload(res) -> dict:
 
 # ---------------------------------------------------------------------------
 # The hand-written corner loops that ``multiprime._corners`` replaced, and
-# ``ghost_gamma`` with one power table per top degree
+# ``ghost_gamma`` with one power table per top degree and convolved rows
 # ---------------------------------------------------------------------------
 
 
@@ -1109,6 +1109,24 @@ def scalar_rows(scalars, acc, L):
 def corner_scalars(polys):
     """The scalar prod_k polys[k][j_k] of every corner j of the box."""
     return {j: math.prod(cs) for j, cs in (zip(*c) for c in itertools.product(*map(enumerate, polys)))}
+
+
+def gamma_rows_convolved(gamma, N, count):
+    """Rows 0 to count - 1 of ``multiprime.ghost_gamma``'s table, [u^n]
+    ((1 + u)**gamma - 1)**e for n < N, as it built them before
+    ``_gamma_row``: each row the one before times sum_{b>=1} C(gamma, b) u^b."""
+    binom = [1]
+    for n in range(1, N):
+        binom.append(binom[-1] * (gamma - n + 1) // n)
+    rows = [[1] + [0] * (N - 1)]
+    while len(rows) < count:
+        row = [0] * N
+        for a, x in enumerate(rows[-1][:N]):
+            if x:
+                for b in range(1, N - a):
+                    row[a + b] += x * binom[b]
+        rows.append(row)
+    return rows
 
 
 def ghost_gamma_per_top(t, L, gamma, den=1):

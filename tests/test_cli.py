@@ -1,12 +1,16 @@
 """CLI surface: every subcommand, exit codes, determinism, golden files."""
 
+import contextlib
 import functools
+import io
 import json
 import math
 import operator
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pjet import cli, errors, multiprime
 from pjet.cli import main
@@ -826,9 +830,56 @@ def _build_expansions_jobs():
     return [["--out", os.path.join("out", fname), *argv] for fname, argv in _build_expansions().JOBS]
 
 
+# The odd value tokens: negative numbers, which argparse reads as values
+# (-3, -1.5) or as an option (-1/3), the empty string, a lone dash, the
+# separator, options where a value belongs, a bad choice.
+ODD_VALUES = ["-3", "-1.5", "-1/3", "", "-", "--", "x", "-x", "-h", "5,7", "sideways"]
+
+
+def flag_values(spec, odd):
+    """A value of the flag's own kind, or with ``odd`` sometimes an odd one."""
+    if spec.get("type") is int:
+        good = st.integers(-3, 40).map(str)
+    elif "choices" in spec:
+        good = st.sampled_from(spec["choices"])
+    else:
+        good = st.sampled_from(["5,7", "a.json", "symbolic", "-3"])
+    return st.one_of(good, good, good, st.sampled_from(ODD_VALUES)) if odd else good
+
+
+@st.composite
+def dispatch_argv(draw):
+    """Global option pairs, a known or unknown subcommand, then its flags in
+    a drawn order, some left out and some repeated.  A clean argv types each
+    as ``--flag value`` (nargs "+" one to three values); a noisy one also
+    cuts a flag short, writes --flag=value, puts an unknown flag, -h or a
+    global option in its place, and gives zero to three values, odd ones
+    among them."""
+    argv = []
+    for _ in range(draw(st.integers(0, 2))):
+        argv += [draw(st.sampled_from(["--out", "--golden"])), draw(st.sampled_from(["o.json", "-x"]))]
+    name = draw(st.sampled_from([*cli.COMMANDS, "frobnicate"]))
+    flags = cli.COMMANDS.get(name, cli.COMMANDS["fe0"])[1]
+    noisy = draw(st.booleans())
+    order = [f for f in draw(st.permutations(sorted(flags))) if draw(st.integers(0, 5))]
+    argv.append(name)
+    for flag in order + draw(st.lists(st.sampled_from(sorted(flags)), max_size=2)):
+        many = flags[flag].get("nargs") == "+"
+        count = draw(st.sampled_from([1] * 6 + [0, 2, 3]) if noisy else st.integers(1, 3 if many else 1))
+        values = [draw(flag_values(flags[flag], noisy)) for _ in range(count)]
+        shape = draw(st.sampled_from(["pair"] * 6 + ["abbreviated", "equals", "unknown", "help", "global"])) if noisy else "pair"
+        if shape == "equals":
+            argv.append(f"--{flag}={values[0] if values else ''}")
+            continue
+        head = {"pair": f"--{flag}", "abbreviated": f"--{flag[:-1]}", "unknown": "--bogus", "help": "-h"}
+        argv += [head.get(shape, "--out"), *values]
+    return argv
+
+
 class TestDispatch:
-    """``main`` hands argv after the global options to the subcommand's own
-    parser; every outcome must be the full parser's, byte for byte."""
+    """``main`` reads a job's ``--flag value`` pairs straight from
+    ``cli.COMMANDS`` and hands every other argv to the full parser; every
+    outcome must be the full parser's, byte for byte."""
 
     @staticmethod
     def outcome(parse, argv, capsys):
@@ -838,6 +889,16 @@ class TestDispatch:
             result = ("exit", e.code)
         out, err = capsys.readouterr()
         return result, out, err
+
+    @staticmethod
+    def captured(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = ("parsed", vars(parse(list(argv))))
+            except SystemExit as e:
+                result = ("exit", e.code)
+        return result, out.getvalue(), err.getvalue()
 
     @pytest.mark.parametrize(
         "argv",
@@ -864,11 +925,30 @@ class TestDispatch:
             ["check-continuation", "--inputs", "a.json", "b.json", "--height", "3"],
             ["check-continuation", "--inputs"],
             ["psi", "--side", "fourier"],
+            ["fe0", "--P", "-x"],
+            ["fe0", "--P", "-"],
+            ["fe0", "--P", ""],
+            ["fe0", "--P", "5,7", "--N", "-1"],
+            ["fe0", "--P", "5,7", "--P", "7,11", "--N", "20", "--N", "30"],
+            ["fe0", "--P", "5,7", "--N", "30", "40"],
+            ["check-lemma", "--name", "xlaphi", "--p", "7", "--varphi", "-3"],
+            ["check-lemma", "--name", "xlaphi", "--p", "7", "--varphi", "-1.5"],
+            ["check-lemma", "--name", "xlaphi", "--p", "7", "--varphi", "-1/3"],
+            ["check-lemma", "--name", "bogus", "--p", "7"],
+            ["check-lemma", "--p", "7", "--n", "2"],
+            ["check-continuation", "--inputs", "a", "b", "c", "--inputs", "d"],
+            ["psi", "--p", "5", "--side", "fourier", "--side", "serretate"],
         ],
     )
     def test_outcome_is_the_full_parsers(self, capsys, argv):
         want = self.outcome(cli._parser().parse_args, argv, capsys)
         assert self.outcome(cli._parse, argv, capsys) == want
+
+    @given(argv=dispatch_argv())
+    @example(argv=["check-continuation", "--inputs", "a", "-3", "--height", "2"])
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_argv_gives_the_full_parsers_outcome(self, argv):
+        assert self.captured(cli._parse, argv) == self.captured(cli._parser().parse_args, argv)
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -885,17 +965,21 @@ class TestDispatch:
         (_, status), out, err = self.outcome(cli._parser().parse_args, argv, capsys)
         assert status == code and (main(argv), *capsys.readouterr()) == (code, out, err)
 
-    def test_jobs_take_the_subcommand_parser_alone(self, capsys, monkeypatch):
-        # every golden and build_expansions job parses to the full parser's
-        # Namespace without a call to the full parser
+    def test_jobs_take_the_table_reader_alone(self, monkeypatch):
+        # every golden and build_expansions job, a negative value and three
+        # inputs parse to the full parser's Namespace, with no parser built
         jobs = [argv for _, argv in GOLDEN_JOBS] + _build_expansions_jobs()
         jobs += [["--golden", "g.json", *argv] for argv in jobs[:3]]
+        jobs += [
+            ["check-lemma", "--name", "xlaphi", "--p", "7", "--n", "1", "--varphi", "-3"],
+            ["check-continuation", "--inputs", "a.json", "b.json", "c.json"],
+        ]
         want = [cli._parser().parse_args(argv) for argv in jobs]
 
-        def refused(*args, **kwargs):
-            raise AssertionError("the full parser was consulted")
+        def refused():
+            raise AssertionError("the full parser was built")
 
-        monkeypatch.setattr(cli._parser(), "parse_args", refused)
+        monkeypatch.setattr(cli, "_parser", refused)
         assert [cli._parse(argv) for argv in jobs] == want
 
     def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):

@@ -18,6 +18,7 @@ from _helpers import (
     corner_scalars,
     exact_rank_fraction,
     fe0_ghost_loop,
+    gamma_rows_convolved,
     generator_terms,
     ghost_gamma_per_top,
     ghost_log1p_var,
@@ -41,6 +42,7 @@ from pjet.multiprime import (
     MultiJetSeries,
     Mono,
     _corners,
+    _gamma_row,
     _ghost_shifts,
     _norm_mono,
     basis_independence_check,
@@ -1334,6 +1336,24 @@ class TestGhostGammaTable:
             if (key := sum(e * L.var[i] for i, e in mono)) < L.limit:
                 t[key] = c
         assert ghost_gamma(t, L, gamma, den) == ghost_gamma_per_top(t, L, gamma, den)
+
+    @given(
+        gamma=st.one_of(st.integers(-60, 60), st.integers(1000, 10**12), st.integers(-(10**12), -1000)),
+        N=st.integers(0, 40),
+        extra=st.integers(0, 4),
+    )
+    @example(gamma=-5, N=0, extra=3)
+    @example(gamma=1000, N=1, extra=3)
+    @example(gamma=-1527148, N=2, extra=3)
+    @example(gamma=43971214, N=30, extra=0)
+    @settings(max_examples=60, deadline=None)
+    def test_recurrence_rows_match_the_convolved_rows(self, gamma, N, extra):
+        # rows e >= N, all zero, included
+        want = gamma_rows_convolved(gamma, N, N + extra + 1)
+        rows = want[:1]
+        while len(rows) < len(want):
+            rows.append(_gamma_row(rows[-1], len(rows), gamma, N))
+        assert rows == want
 
 
 class TestBridges:

@@ -8,6 +8,10 @@ fsharp the smaller weighted window.  The run with more precision must claim
 at least the digits of the other.  The checker reads the payload text as
 term dicts of ``Fraction`` and takes its own valuations; it calls nothing of
 pjet but the jobs themselves.
+
+The p-adic covariance verdict gets the same treatment: one residue of gamma
+checked at ``digits`` d and at d + k compares mod a larger power of p, so
+it can only add bad terms (``test_covariance_verdict_under_more_digits``).
 """
 
 import contextlib
@@ -18,8 +22,11 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pjet.arith import PadicTrunc
 from pjet.cli import main
-from pjet.deltajet import JetSeries, delta_n, phi
+from pjet.deltajet import JetSeries, delta_n, phi, psi_serretate
+from pjet.forms import covariance_check
+from pjet.multiprime import MultiJetSeries, build_fe0, from_jet_series
 
 
 def run(argv: list[str]) -> str:
@@ -151,3 +158,38 @@ def test_fsharp(p, M, window, k, k2):
     lo, hi = job(M, window), job(M + k, window + k2)
     assert all(weight(key) <= window for key in terms(lo)[1])
     assert assert_agree(lo, hi, p, lambda key: weight(key) <= window) >= 1
+
+
+@st.composite
+def covariance_series(draw):
+    """Psi, fe0 or a drawn d = 1 series at p in 5..13 and N <= 30."""
+    p, N = draw(st.sampled_from([5, 7, 11, 13])), draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["psi", "fe0", "drawn"]))
+    if kind == "psi":
+        return from_jet_series(psi_serretate(p, N))
+    if kind == "fe0":
+        return build_fe0([p], N)
+    var = st.tuples(st.integers(0, 2).map(lambda a: (a,)), st.integers(1, 3))
+    coeff = st.builds(Fraction, st.integers(-50, 50), st.sampled_from([1, 2, p, p * p, 3 * p]))
+    return MultiJetSeries.make((p,), draw(st.dictionaries(st.lists(var, max_size=2).map(tuple), coeff, max_size=4)), N, 1)
+
+
+@given(F=covariance_series(), d=st.integers(1, 6), k=st.integers(1, 3), nu=st.integers(-1, 3), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_covariance_verdict_under_more_digits(F, d, k, nu, data):
+    # a verdict is the same for every lift of gamma mod p**d, and at d + k the
+    # difference is compared mod a larger power of p: bad terms only add up
+    p = F.P[0]
+    r = data.draw(st.integers(0, p ** (d + k) - 1).filter(lambda r: r % p > 1))
+    lo = covariance_check(F, PadicTrunc(p, d + k, r, d), nu)
+    hi = covariance_check(F, PadicTrunc(p, d + k, r, d + k), nu)
+
+    def order(mono):
+        return sum(e * p ** i[0] for i, e in mono), mono
+
+    if lo.passed is False:
+        assert hi.passed is False and order(hi.witness) <= order(lo.witness)
+    if hi.passed is True:
+        assert lo.passed in (True, None)
+    if hi.passed is None:
+        assert lo.passed is None
