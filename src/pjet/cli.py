@@ -94,9 +94,9 @@ def _load_series(path: str):
     return _decode(path, from_json)
 
 
-def _curve_and_an(args, n_max: int):
+def _newform_an(args, n_max: int) -> list[int]:
     curve, bad = modular.load_curve_fixture(getattr(args, "curve", None))
-    return curve, modular.newform_coefficients(curve, n_max, bad)
+    return modular.newform_coefficients(curve, n_max, bad)
 
 
 def _q_expansion(args) -> modular.QExpansion:
@@ -134,7 +134,7 @@ def cmd_fe_k(args):
 def _an_and_ap(args, P):
     # a_p is read even when the inner sum stops below the largest prime
     n_max = args.N if args.nmax is None else args.nmax
-    _, an = _curve_and_an(args, max([n_max, *P]))
+    an = _newform_an(args, max([n_max, *P]))
     return an[:n_max], [an[p - 1] for p in P]
 
 
@@ -151,7 +151,7 @@ def cmd_f2e_k(args):
 
 
 def cmd_fsharp(args):
-    _, an = _curve_and_an(args, max(args.window, args.p))
+    an = _newform_an(args, max(args.window, args.p))
     out = forms.fsharp_expansion(an[: args.window], an[args.p - 1], args.p, args.M, args.window)
     return out, True
 

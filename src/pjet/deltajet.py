@@ -150,12 +150,13 @@ def terms_phi(t: Poly, L: Layout, limit, mod: int | None, jmax: int) -> Poly:
     convergent tail, cut at j = jmax since the j-th term carries p**j.
 
     A term's image is formed whole, one product per choice of the j's, and
-    the digit rule ``mod`` is tested once per product, before the sum.  That
-    keeps what a test after every factor keeps: each choice sets its own
-    field pattern (the layout has no carries), so no two products of a term
-    meet, and every factor is an integer, so no valuation falls on the way.
-    Only the base factor moves the base exponent, so the key ``limit`` is
-    applied there; ``_cut`` applies both rules to the sums.
+    the digit rule ``mod`` is tested on each partial product as its factor
+    joins.  That keeps what one test of the whole product keeps: each choice
+    sets its own field pattern (the layout has no carries), so no two
+    products of a term meet, and every factor is an integer, so a partial
+    product that the rule drops stays divisible by ``mod``.  Only the base
+    factor moves the base exponent, so the key ``limit`` is applied there;
+    ``_cut`` applies both rules to the sums.
     """
     p, w = L.p, L.width
     images: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -172,14 +173,13 @@ def terms_phi(t: Poly, L: Layout, limit, mod: int | None, jmax: int) -> Poly:
     for k, x in t.items():
         b = k >> L.shift
         base = image(1 << L.shift, 1, b) if b else [(0, 1)]
-        acc = [(m, x * c) for m, c in base if limit is None or m < limit]
+        acc = [(m, c) for m, c0 in base if (limit is None or m < limit) and (c := x * c0) and (mod is None or c % mod)]
         for f, e in enumerate(L.exps(k)):
             if e:
                 img = image(1 << (f * w), 1 << ((f + 1) * w), e)
-                acc = [(m1 + m2, c1 * c2) for m1, c1 in acc for m2, c2 in img]
+                acc = [(m1 + m2, c) for m1, c1 in acc for m2, c2 in img if (c := c1 * c2) and (mod is None or c % mod)]
         for m, c in acc:
-            if mod is None or c % mod:
-                out[m] = get(m, 0) + c
+            out[m] = get(m, 0) + c
     return _cut(out, limit, mod)
 
 

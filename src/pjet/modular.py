@@ -21,7 +21,7 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 from . import sparse
-from .arith import at_least, check_prime, is_prime, parse_int, reduce_rational_mod
+from .arith import at_least, check_prime, parse_int, reduce_rational_mod
 from .errors import DomainError, MissingPrimeValue
 from .qseries import Series1
 
@@ -224,6 +224,18 @@ def ap_point_count(E: EllipticCurveQ, p: int) -> int:
     return ap
 
 
+def _least_prime_factors(n_max: int) -> list[int]:
+    """spf[n] is the least prime factor of n for 2 <= n <= n_max, by the sieve
+    of Eratosthenes; so n is prime exactly when spf[n] == n."""
+    spf = list(range(n_max + 1))
+    for f in range(2, math.isqrt(max(n_max, 0)) + 1):
+        if spf[f] == f:
+            for m in range(f * f, n_max + 1, f):
+                if spf[m] == m:
+                    spf[m] = f
+    return spf
+
+
 def an_multiplicative(
     ap_values: Mapping[int, int], n_max: int, bad_primes: Sequence[int] = ()
 ) -> list[int]:
@@ -234,26 +246,18 @@ def an_multiplicative(
     a_{l^r} = a_l^r.  Prime values up to n_max must all be present.
     """
     bad = set(bad_primes)
+    spf = _least_prime_factors(n_max)
     a = {1: 1}
     for n in range(2, n_max + 1):
-        l = _least_prime_factor(n)
-        lr = 1
-        m = n
-        while m % l == 0:
-            m //= l
-            lr *= l
+        l = spf[n]
         if l not in ap_values:
             raise MissingPrimeValue(f"a_{l} required for n <= {n_max}")
-        if m > 1:
-            a[n] = a[m] * a[lr]
-            continue
-        # n = l^r
-        r = 0
-        t = n
-        while t > 1:
-            t //= l
-            r += 1
-        if r == 1:
+        lr = l  # the power of l that divides n exactly
+        while n % (lr * l) == 0:
+            lr *= l
+        if lr < n:
+            a[n] = a[n // lr] * a[lr]
+        elif n == l:
             a[n] = ap_values[l]
         elif l in bad:
             a[n] = ap_values[l] * a[n // l]
@@ -262,30 +266,12 @@ def an_multiplicative(
     return [a[n] for n in range(1, n_max + 1)]
 
 
-def _least_prime_factor(n: int) -> int:
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 1
-    return n
-
-
 def newform_coefficients(
     E: EllipticCurveQ, n_max: int, bad_values: Mapping[int, int]
 ) -> list[int]:
     """a_1..a_n for the curve: good primes by counting, bad ones supplied."""
     ap: dict[int, int] = dict(bad_values)
-    p = 2
-    while p <= n_max:
-        if p not in ap:
+    for p, l in enumerate(_least_prime_factors(n_max)):
+        if p == l > 1 and p not in ap:
             ap[p] = ap_point_count(E, p)
-        p = _next_prime(p)
     return an_multiplicative(ap, n_max, bad_primes=tuple(bad_values))
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while not is_prime(q):
-        q += 1
-    return q

@@ -130,7 +130,7 @@ class Series1:
     def __pow__(self, n: int) -> "Series1":
         if n < 0:
             raise DomainError("negative powers are not defined here")
-        return sparse.power(self, n, Series1.monomial(self.var, 0, 1, self.N), operator.mul)
+        return sparse.power(self, n, Series1.monomial(self.var, 0, 1), operator.mul)
 
     def truncate(self, N: int) -> "Series1":
         return Series1.make(self.var, dict(self.terms), min_order(self.N, N))
@@ -230,7 +230,7 @@ def delta0(a: Series1, p: int, M: int) -> Series1:
         xy = x * y
         return Series1.make(xy.var, {e: c % mod for e, c in xy.terms}, xy.N)
 
-    rp = sparse.power(r, p, Series1.make(a.var, {0: 1}, a.N), mul)
+    rp = sparse.power(r, p, Series1.make(a.var, {0: 1}), mul)
     N = min_order(None if a.N is None else p * a.N, rp.N)
     num = sparse.add({p * e: c for e, c in r.terms}, {e: -c for e, c in rp.terms})
     out = Series1.make(a.var, {e: c % mod for e, c in num.items()}, N)

@@ -15,6 +15,7 @@ from pjet.arith import (
     encode_coeff,
     fermat_delta,
     format_rational,
+    is_prime,
     min_order,
     valuation,
 )
@@ -31,9 +32,9 @@ from pjet.deltajet import (
     terms_mul,
     terms_phi,
 )
-from pjet.errors import DomainError, IntegralityViolation
+from pjet.errors import DomainError, IntegralityViolation, MissingPrimeValue
 from pjet.forms import CovarianceReport
-from pjet.modular import QExpansion
+from pjet.modular import QExpansion, ap_point_count
 from pjet.multiprime import (
     M_ONE,
     Layout as MultiLayout,
@@ -910,6 +911,66 @@ def ap_point_count_legendre(E, p):
         lin = (E.a1 * x + E.a3) % p
         count += 1 + _legendre(lin * lin + 4 * rhs, p)
     return p + 1 - count
+
+
+# ---------------------------------------------------------------------------
+# The Hecke walk by trial division: the reference for the least-prime-factor
+# table of ``modular.an_multiplicative`` and ``modular.newform_coefficients``
+# ---------------------------------------------------------------------------
+
+
+def _least_prime_factor_trial(n):
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 1
+    return n
+
+
+def an_multiplicative_trial(ap_values, n_max, bad_primes=()):
+    """The library's a_1..a_n before the sieve: each n factored by trial
+    division, and the exponent of a prime power counted a second time."""
+    bad = set(bad_primes)
+    a = {1: 1}
+    for n in range(2, n_max + 1):
+        l = _least_prime_factor_trial(n)
+        lr = 1
+        m = n
+        while m % l == 0:
+            m //= l
+            lr *= l
+        if l not in ap_values:
+            raise MissingPrimeValue(f"a_{l} required for n <= {n_max}")
+        if m > 1:
+            a[n] = a[m] * a[lr]
+            continue
+        r = 0
+        t = n
+        while t > 1:
+            t //= l
+            r += 1
+        if r == 1:
+            a[n] = ap_values[l]
+        elif l in bad:
+            a[n] = ap_values[l] * a[n // l]
+        else:
+            a[n] = ap_values[l] * a[n // l] - l * a[n // (l * l)]
+    return [a[n] for n in range(1, n_max + 1)]
+
+
+def newform_coefficients_trial(E, n_max, bad_values):
+    """The library's a_1..a_n for a curve before the sieve: the primes found
+    one after another by trial division."""
+    ap = dict(bad_values)
+    p = 2
+    while p <= n_max:
+        if p not in ap:
+            ap[p] = ap_point_count(E, p)
+        p += 1
+        while not is_prime(p):
+            p += 1
+    return an_multiplicative_trial(ap, n_max, bad_primes=tuple(bad_values))
 
 
 # ---------------------------------------------------------------------------

@@ -79,14 +79,17 @@ class TestBuilders:
 
     def test_delta0_reads_what_it_writes(self, capsys, tmp_path):
         # the first run printed "N":-15, and its own output was refused with
-        # "N must be at least 0, got -15"
+        # "N must be at least 0, got -15"; 13 * (1/q**2)**12 * (q**11) reaches
+        # q**-13 with a unit, so the order is -13
         src, out = tmp_path / "a.json", tmp_path / "b.json"
         src.write_text(json.dumps({"var": "q", "N": 11, "terms": [[-2, "1"], [5, "-30"]]}))
         code, js = run(capsys, "--out", str(out), "delta0", "--input", str(src), "--p", "13", "--M", "2")
-        assert code == 0 and js["N"] == -15
+        assert code == 0 and js["N"] == -13
+        assert js["terms"][0][0] == -19
         code, js = run(capsys, "delta0", "--input", str(out), "--p", "13", "--M", "2")
-        # 13 * b**12 * (tail) reaches q**-243 with a unit, so no order above it is known
-        assert code == 0 and js["N"] <= -243 and all(c["digits"] == 0 for _, c in js["terms"])
+        # 13 * b**12 * (tail) reaches q**(12 * -19 - 13) = q**-241 with a unit,
+        # so no order above it is known (q**-243 while b was known below -15)
+        assert code == 0 and js["N"] <= -241 and all(c["digits"] == 0 for _, c in js["terms"])
 
     def test_delta0_refuses_a_coefficient_at_another_prime(self, capsys, tmp_path):
         # the quotient was taken at the coefficient's prime, 7, not at --p 5
@@ -415,6 +418,8 @@ GOLDEN_JOBS = [
         ["delta-expand", "--form", "delta", "--trunc", "12", "--n", "2", "--p", "5", "--M", "6"],
     ),
     ("lemma_logder_p7_n2_a3.json", ["check-lemma", "--name", "logder", "--p", "7", "--n", "2", "--a", "3"]),
+    # a deep chain: each phi step's images carry p^j far past the digits
+    ("lemma_logder_p5_n5_a3.json", ["check-lemma", "--name", "logder", "--p", "5", "--n", "5", "--a", "3"]),
     (
         "lemma_xlaphi_p7_n1_varphi_m3.json",
         ["check-lemma", "--name", "xlaphi", "--p", "7", "--n", "1", "--varphi", "-3"],

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -617,9 +618,28 @@ LEMMA_INPUT = {((4,), ()): Fraction(1), ((-1, 1), ()): Fraction(5), ((), (1,)): 
 
 class TestOnePassStep:
     """``terms_phi`` forms each term's image whole and tests the digit rule
-    once per product; ``terms_delta`` subtracts f**p in one dict.  Both give
-    the numerators of the staged step they replaced (a ``terms_mul`` per
+    on each partial product; ``terms_delta`` subtracts f**p in one dict.  Both
+    give the numerators of the staged step they replaced (a ``terms_mul`` per
     factor; two scales and an add) and of the tuple-monomial reference."""
+
+    @pytest.mark.parametrize(
+        "check, args", [(lemma_logder_check, (5, 5, 3)), (lemma_xlaphi_check, (7, 2, "symbolic"))]
+    )
+    def test_deep_lemma_chains_match_the_staged_route(self, check, args):
+        # every phi step of a deep chain, where the images carry p^j far past
+        # the digits, gives the staged step's numerators
+        steps = []
+
+        def checked(*a):
+            got = terms_phi(*a)
+            assert got == staged_terms_phi(*a)
+            steps.append(len(got))
+            return got
+
+        want = check(*args)
+        with mock.patch("pjet.deltajet.terms_phi", checked):
+            assert check(*args) == want
+        assert len(steps) == args[1]
 
     @given(case=one_pass_steps())
     @example(case=({((0, 1), ()): Fraction(1)}, 5, 0, None, 2))  # base 0 at a cut of 0

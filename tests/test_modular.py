@@ -4,12 +4,21 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import ap_point_count_legendre, bernoulli_numbers_recursion, discriminant_delta_series1
+from _helpers import (
+    an_multiplicative_trial,
+    ap_point_count_legendre,
+    bernoulli_numbers_recursion,
+    discriminant_delta_series1,
+    newform_coefficients_trial,
+)
 from pjet.errors import DomainError, MissingPrimeValue
 from pjet.modular import (
     CURVE_11A1,
     EllipticCurveQ,
+    _least_prime_factors,
     an_multiplicative,
     ap_point_count,
     bernoulli,
@@ -210,3 +219,53 @@ class TestHeckeCoefficients:
         assert bad == {11: 1}
         a = newform_coefficients(curve, 12, bad)
         assert a[:5] == [1, -2, -1, 2, 1]
+
+
+def _outcome(fn, *args):
+    """The list a function returns, or the message of its MissingPrimeValue."""
+    try:
+        return fn(*args)
+    except MissingPrimeValue as e:
+        return ("MissingPrimeValue", str(e))
+
+
+class TestLeastPrimeFactorTable:
+    def test_small_tables(self):
+        assert _least_prime_factors(-2) == []
+        assert _least_prime_factors(1) == [0, 1]
+        assert _least_prime_factors(2) == [0, 1, 2]
+        assert _least_prime_factors(12) == [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2, 11, 2]
+
+    def test_against_trial_division(self):
+        spf = _least_prime_factors(400)
+        for n in range(2, 401):
+            assert spf[n] == min(f for f in range(2, n + 1) if n % f == 0)
+
+    def test_11a1_matches_the_trial_division_walk(self):
+        bad = {11: 1}
+        for n_max in range(-2, 201):
+            assert newform_coefficients(CURVE_11A1, n_max, bad) == newform_coefficients_trial(
+                CURVE_11A1, n_max, bad
+            ), n_max
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_prime_tables_match_the_trial_division_walk(self, data):
+        # a table of a_p over some primes below 60, some of them bad; a prime
+        # left out must raise the same MissingPrimeValue at the same n
+        primes = [p for p in range(2, 60) if all(p % f for f in range(2, isqrt(p) + 1))]
+        chosen = data.draw(st.lists(st.sampled_from(primes), unique=True))
+        if data.draw(st.booleans()):
+            chosen = sorted(set(chosen) | set(primes[: data.draw(st.integers(0, len(primes)))]))
+        ap = {p: data.draw(st.integers(-2 * isqrt(p) - 1, 2 * isqrt(p) + 1)) for p in chosen}
+        bad = data.draw(st.lists(st.sampled_from(chosen), unique=True)) if chosen else []
+        n_max = data.draw(st.integers(-2, 70))
+        assert _outcome(an_multiplicative, ap, n_max, bad) == _outcome(
+            an_multiplicative_trial, ap, n_max, bad
+        )
+
+    def test_missing_prime_message(self):
+        # 7 is the first prime absent, so the walk stops at n = 7
+        with pytest.raises(MissingPrimeValue) as e:
+            an_multiplicative({2: -2, 3: -1, 5: 1, 11: 1}, 30)
+        assert e.value.args == ("a_7 required for n <= 30",)

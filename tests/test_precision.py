@@ -12,6 +12,11 @@ pjet but the jobs themselves.
 The p-adic covariance verdict gets the same treatment: one residue of gamma
 checked at ``digits`` d and at d + k compares mod a larger power of p, so
 it can only add bad terms (``test_covariance_verdict_under_more_digits``).
+
+The t side is exact below its weight bound N, so its oracle is stricter: a
+build or a structure map run at N + k and truncated to N must give the bytes
+of the run at N (``test_t_side_*``); ``phi_pk``, which multiplies weights by
+p_k, is compared at N * p_k.
 """
 
 import contextlib
@@ -24,9 +29,18 @@ from hypothesis import strategies as st
 
 from pjet.arith import PadicTrunc
 from pjet.cli import main
-from pjet.deltajet import JetSeries, delta_n, phi, psi_serretate
-from pjet.forms import covariance_check
-from pjet.multiprime import MultiJetSeries, build_fe0, from_jet_series
+from pjet.deltajet import JetSeries, delta_n, phi, psi_fourier, psi_serretate
+from pjet.forms import build_f2e0, build_f2e_k, covariance_check, fourier_to_deformation
+from pjet.modular import CURVE_11A1, newform_coefficients
+from pjet.multiprime import (
+    MultiJetSeries,
+    build_fe0,
+    build_fe_k,
+    delta_pk,
+    from_jet_series,
+    phi_pk,
+    substitute_gamma,
+)
 
 
 def run(argv: list[str]) -> str:
@@ -193,3 +207,62 @@ def test_covariance_verdict_under_more_digits(F, d, k, nu, data):
         assert lo.passed in (True, None)
     if hi.passed is None:
         assert lo.passed is None
+
+
+# ---------------------------------------------------------------------------
+# The t side: a run at N + k, truncated to N, is the run at N
+# ---------------------------------------------------------------------------
+
+AN = newform_coefficients(CURVE_11A1, 17, {11: 1})
+
+
+def assert_truncates(build, N: int, k: int, cut=lambda N: N):
+    """``build(N + k)`` cut to ``cut(N)`` has the bytes of ``build(N)``."""
+    assert build(N + k).truncate(cut(N)).to_text() == build(N).to_text()
+
+
+@st.composite
+def primes(draw):
+    return tuple(sorted(draw(st.lists(st.sampled_from([5, 7, 11, 13, 17]), min_size=1, max_size=3, unique=True))))
+
+
+@st.composite
+def t_series(draw, P, N):
+    """A drawn series over P below N: t and the first jets x_(e_k), each to
+    an exponent up to 3, with integer coefficients, so every map applies."""
+    d = len(P)
+    var = st.tuples(st.sampled_from([(0,) * d] + [tuple(int(i == k) for i in range(d)) for k in range(d)]), st.integers(1, 3))
+    monos = st.lists(var, max_size=3).map(lambda vs: tuple(dict(vs).items()))
+    return MultiJetSeries.make(P, draw(st.dictionaries(monos, st.integers(-9, 9), max_size=4)), N, 0)
+
+
+@given(P=primes(), N=st.integers(0, 30), k=st.integers(0, 12), data=st.data())
+@example(P=(5, 7, 11), N=30, k=12, data=None)
+@settings(max_examples=60, deadline=None)
+def test_t_side_builders(P, N, k, data):
+    idx = 0 if data is None else data.draw(st.integers(0, len(P) - 1))
+    assert_truncates(lambda n: build_fe0(P, n), N, k)
+    assert_truncates(lambda n: build_fe_k(P, idx, n), N, k)
+    assert_truncates(lambda n: from_jet_series(psi_serretate(P[idx], n)), N, k)
+    ap = [AN[p - 1] for p in P]
+    assert_truncates(lambda n: build_f2e0(AN[:12], P, ap, n), N, k)
+    assert_truncates(lambda n: build_f2e_k(AN[:12], P, idx, ap, n), N, k)
+
+
+@given(P=primes(), N=st.integers(0, 30), k=st.integers(0, 12), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_t_side_maps(P, N, k, data):
+    # each map of the drawn series, cut to n before the map
+    f = data.draw(t_series(P, N + k))
+    idx = data.draw(st.integers(0, len(P) - 1))
+    gamma = data.draw(st.sampled_from([2, 3, 24, -2]))
+    assert_truncates(lambda n: delta_pk(f.truncate(n), idx), N, k)
+    assert_truncates(lambda n: substitute_gamma(f.truncate(n), gamma), N, k)
+    assert_truncates(lambda n: phi_pk(f.truncate(n), idx), N, k, lambda N: N * P[idx])
+
+
+@given(p=st.sampled_from([5, 7]), M=st.integers(2, 8), window=st.integers(1, 8), N=st.integers(0, 30), k=st.integers(0, 12))
+@settings(max_examples=30, deadline=None)
+def test_t_side_fourier_to_deformation(p, M, window, N, k):
+    f = psi_fourier(p, M, window)
+    assert_truncates(lambda n: fourier_to_deformation(f, n), N, k)

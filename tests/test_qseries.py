@@ -90,6 +90,28 @@ class TestPowWeight:
         assert lhs == rhs
 
 
+class TestPowerOrder:
+    """x**e of a series known below N with valuation v is known below
+    N + (e - 1) v for e >= 1, and x**0 is the exact 1: the power starts from
+    an exact one, not from a one known below N."""
+
+    def test_a_negative_valuation_loses_no_order_to_the_one(self):
+        # the order was -7, one known below -1 times the square
+        x = Series1.make("q", {-3: Fraction(1)}, -1)
+        assert (x**2).to_json() == {"var": "q", "N": -4, "terms": [[-6, "1"]]}
+        assert (x**0).to_json() == {"var": "q", "N": None, "terms": [[0, "1"]]}
+
+    @pytest.mark.parametrize("terms, N", [({-2: 1, 1: 3, 5: 2}, 6), ({-3: 2}, -1), ({0: 1, 2: -1}, 5), ({1: 1, 3: 4}, 7)])
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
+    def test_order_of_a_power(self, terms, N, e):
+        x = Series1.make("q", {k: Fraction(c) for k, c in terms.items()}, N)
+        assert (x**e).N == N + (e - 1) * x.valuation()
+
+    def test_square_of_a_zero_series_below_a_negative_order(self):
+        # a term at -3 is unknown, so its square may reach -6
+        assert (Series1.make("q", {}, -3) ** 2).N == -6
+
+
 def residues(s, p, m):
     """{exponent: residue mod p**m} of a series of p-adic values."""
     return {e: c.residue % p**m for e, c in s.terms}
@@ -178,12 +200,17 @@ class TestDelta0:
     def test_zero_powers_below_a_negative_order(self):
         # a = 5/q**8 + O(q**-6): 10 * (5/q**8)**2 * (tail)**3 reaches q**-34
         # mod 5**4, so nothing from -34 on is known; the order was -30, with a
-        # lone term at -40, when a series of zero residues counted as valuation 0
+        # lone term at -40, when a series of zero residues counted as valuation 0,
+        # and -44 while the power started from a one known only below -6
         got = delta0(Series1.make("q", {-8: Fraction(5)}, -6), 5, 4)
-        assert got.N <= -34 and got.to_json() == {"var": "q", "N": -44, "terms": []}
+        # below -38 only a(q**5) - (5/q**8)**5 reaches: (5 - 5**5) / 5 at q**-40
+        term = {"p": 5, "M": 4, "residue": "1", "digits": 3}
+        assert got.N <= -34 and got.to_json() == {"var": "q", "N": -38, "terms": [[-40, term]]}
 
     @given(case=delta0_inputs())
     @example(case=(Series1.make("q", {-8: Fraction(5)}, -6), 5, 4, {-8: Fraction(5), -6: Fraction(1), -5: Fraction(0), -4: Fraction(0)}))
+    # valuation -2 and N 4: 5 (1/q**2)**4 (q**4) reaches q**-4 with a unit
+    @example(case=(Series1.make("q", {-2: Fraction(1), 1: Fraction(3)}, 4), 5, 3, {-2: Fraction(1), 1: Fraction(3), 4: Fraction(1)}))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_fraction_oracle(self, case):
         # below the output's N every coefficient is that of the exact

@@ -138,20 +138,24 @@ class TestKernel:
 
 
 class TestTrivialPowers:
-    """x**0 is the ring's one under x's truncation; x**1 is one * x, so the
-    product's truncation rule applies to x's own terms."""
+    """x**1 is one * x, so the product's truncation rule applies to x's own
+    terms.  A jet series' x**0 is the ring's one under x's truncation; a
+    ``Series1``'s is the exact 1, so a power of negative valuation loses no
+    order to its one."""
 
     def test_series1(self):
         s = Series1.make("q", {-2: F(1), 1: F(3), 5: F(2)}, 6)
-        assert (s**0).to_json() == {"var": "q", "N": 6, "terms": [[0, "1"]]}
-        # valuation -2 lowers the honest bound of a product from 6 to 4
-        assert (s**1).to_json() == {"var": "q", "N": 4, "terms": [[-2, "1"], [1, "3"]]}
+        assert (s**0).to_json() == {"var": "q", "N": None, "terms": [[0, "1"]]}
+        # the exact one keeps the known 2 q**5 that a one known below 6 cut
+        assert s**1 == s and (s**1).to_json() == s.to_json()
+        # valuation -2 lowers the honest bound of a square from 6 to 4
+        assert (s**2).N == 4
         # the same with the integer residues that delta0 multiplies; a series
         # of p-adic values has no products, but still has its one
         si = Series1.make("q", {-2: 1, 1: 3, 5: 2}, 6)
-        assert (si**1).terms == ((-2, 1), (1, 3)) and (si**1).N == 4
+        assert (si**1).terms == ((-2, 1), (1, 3), (5, 2)) and (si**1).N == 6
         sp = Series1.make("q", {e: PadicTrunc(5, 4, int(c), 4) for e, c in s.terms}, 6)
-        assert (sp**0).to_json() == {"var": "q", "N": 6, "terms": [[0, "1"]]}
+        assert (sp**0).to_json() == {"var": "q", "N": None, "terms": [[0, "1"]]}
 
     def test_jet_series(self):
         # a t-side series takes its powers in the d=1 several-prime ring
