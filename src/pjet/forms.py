@@ -305,7 +305,7 @@ def _compare(F: MultiJetSeries, gamma, g: int, nu: int, digits: int | None) -> C
     So the difference is fixed mod p**(digits - lam - v_p(G.den)), lam the
     largest v_p(k) for 0 < k < N; with no digit left nothing is decided.
     """
-    L, G, num, den = _gamma_in_ghost(F, g)  # G and num are both over den
+    L, G, num = _gamma_in_ghost(F, g)  # G and num are both over G.den
     if digits is not None:
         p = F.P[0]
         lam = max((valuation(k, p) for k in range(1, F.N)), default=0)
@@ -314,7 +314,7 @@ def _compare(F: MultiJetSeries, gamma, g: int, nu: int, digits: int | None) -> C
             return CovarianceReport(gamma, nu, None, None)
     A, B = (Fraction(g) ** nu).as_integer_ratio()
     diff = sparse.add(sparse.scale(num, B), sparse.scale(G, -A))
-    out = ghost_to_jet(diff, L, den * B)
+    out = ghost_to_jet(diff, L, G.den * B)
     mod = _mod(F.P[0], digits, out.den)  # v_p(x / out.den) < digits exactly when x % mod
     bad = [m for m, x in out.items() if mod is None or x % mod]
     if bad:

@@ -399,8 +399,9 @@ class MultiJetSeries:
     def _meta(self, other: "MultiJetSeries") -> tuple[int, int]:
         if self.P != other.P:
             raise DomainError("mismatched prime sets")
-        ring = self.ring if self.ring == other.ring else _join_ring(self.ring, other.ring)
-        return min(self.N, other.N), ring
+        if self.ring and other.ring and self.ring != other.ring:
+            raise DomainError("cannot mix two different per-prime rings")
+        return min(self.N, other.N), self.ring or other.ring  # the common ring with ring k lands in ring k
 
     def __add__(self, other):
         if not isinstance(other, MultiJetSeries):
@@ -562,17 +563,6 @@ def _axpy(a: sparse.Packed, b: sparse.Packed, c: Union[Fraction, int]) -> sparse
     n, d = Fraction(c).as_integer_ratio()
     D = math.lcm(a.den, b.den * d)
     return sparse.canon(sparse.add(sparse.scale(a, D // a.den), sparse.scale(b, D // (b.den * d) * n)), D)
-
-
-def _join_ring(r1: int, r2: int) -> int:
-    # combining the common ring with ring k lands in ring k
-    if r1 == 0:
-        return r2
-    if r2 == 0:
-        return r1
-    if r1 != r2:
-        raise DomainError("cannot mix two different per-prime rings")
-    return r1
 
 
 def assert_ring_integral(f: MultiJetSeries) -> None:
@@ -792,35 +782,33 @@ def continuation_check(
     if any(padic) and not all(padic):
         raise DomainError("cannot mix exact and p-adic family members")
 
-    L = layout(P, N)
-    keys = sorted({m for f in family for m in f._store}, key=lambda m: (m >> L.shift, L.unpack(m)))
-    if not any(padic):
-        for m in keys:
+    if not padic[0]:
+        def decide(m: int) -> tuple[tuple[int, int] | None, Iterable[str]]:
             vals = [Fraction(f._store.get(m, 0), f._store.den) for f in family]
-            if any(v != vals[0] for v in vals[1:]) or any(vals[0].denominator % p == 0 for p in P):
-                return ContinuationResult(False, None, L.unpack(m), tuple(map(format_rational, vals)))
-        return ContinuationResult(True, MultiJetSeries(P, family[0]._store, N, 0), None)
+            ok = all(v == vals[0] for v in vals) and all(vals[0].denominator % p for p in P)
+            return (vals[0].as_integer_ratio() if ok else None), map(format_rational, vals)
 
-    if len(family) != len(P):
-        raise DomainError("p-adic continuation needs one member per prime")
-    for k, f in enumerate(family):
-        if f.ring != k + 1:
+    else:
+        if len(family) != len(P):
+            raise DomainError("p-adic continuation needs one member per prime")
+        if any(f.ring != k + 1 for k, f in enumerate(family)):
             raise DomainError("p-adic family members must be ordered by prime")
-    out = []
-    for m in keys:
-        residues = []
-        for k, f in enumerate(family):
-            c = f._store.get(m)  # a missing key reads as 0 known to 8 digits
-            residues.append((P[k], 8, 0) if c is None else (P[k], c.digits, c.residue % P[k] ** c.digits))
-        try:
-            out.append((m, rational_reconstruct(residues, height=height).as_integer_ratio()))
-        except ReconstructionFailure:
-            return ContinuationResult(
-                False,
-                None,
-                L.unpack(m),
-                tuple(f"{r} mod {p}^{Mk}" for p, Mk, r in residues),
-            )
+        zero = [PadicTrunc(p, 8, 0, 8) for p in P]  # a missing key reads as 0 known to 8 digits
+
+        def decide(m: int) -> tuple[tuple[int, int] | None, Iterable[str]]:
+            cs = [f._store.get(m, z) for f, z in zip(family, zero)]
+            residues = [(c.p, c.digits, c.residue % c.p**c.digits) for c in cs]
+            try:
+                return rational_reconstruct(residues, height=height).as_integer_ratio(), ()
+            except ReconstructionFailure:
+                return None, (f"{r} mod {p}^{Mk}" for p, Mk, r in residues)
+
+    L, out = layout(P, N), []
+    for m in sorted({m for f in family for m in f._store}, key=lambda m: (m >> L.shift, L.unpack(m))):
+        c, details = decide(m)
+        if c is None:
+            return ContinuationResult(False, None, L.unpack(m), tuple(details))
+        out.append((m, c))
     return ContinuationResult(True, MultiJetSeries(P, _stored(out), N, 0), None)
 
 
@@ -929,20 +917,20 @@ def substitute_gamma(f: MultiJetSeries, gamma: int) -> MultiJetSeries:
     coordinate transforms independently: u_i -> (1 + u_i)**gamma - 1 (see
     ``ghost_gamma``).
     """
-    L, _, num, den = _gamma_in_ghost(f, gamma)
-    return L.series(ghost_to_jet(num, L, den), f.ring)
+    L, G, num = _gamma_in_ghost(f, gamma)
+    return L.series(ghost_to_jet(num, L, G.den), f.ring)
 
 
-def _gamma_in_ghost(f: MultiJetSeries, gamma: int) -> tuple[Layout, sparse.Packed, dict[int, int], int]:
-    """The layout of f, G = jet_to_ghost(f) in it, and ghost_gamma(G) as
-    numerators over a denominator: the step ``substitute_gamma`` and
+def _gamma_in_ghost(f: MultiJetSeries, gamma: int) -> tuple[Layout, sparse.Packed, dict[int, int]]:
+    """The layout of f, G = jet_to_ghost(f) in it, and the numerators of
+    ghost_gamma(G) over G.den: the step ``substitute_gamma`` and
     ``forms.covariance_check`` share."""
     if gamma in (-1, 0, 1):
         raise DomainError("gamma must not be 0 or a root of unity")
     L = layout(f.P, f.N)
     t = f._packed(L)
     G = jet_to_ghost(t, L, t.den)
-    return (L, G, *ghost_gamma(G, L, gamma, G.den))
+    return L, G, ghost_gamma(G, L, gamma)
 
 
 def _gamma_row(prev: list[int], e: int, gamma: int, N: int) -> list[int]:
@@ -959,9 +947,9 @@ def _gamma_row(prev: list[int], e: int, gamma: int, N: int) -> list[int]:
     return row
 
 
-def ghost_gamma(t: Mapping[int, int], L: Layout, gamma: int, den: int = 1) -> tuple[dict[int, int], int]:
-    """u_i -> (1 + u_i)**gamma - 1 on ghost coordinates, below weight L.N, for
-    t = T / den with integer numerators T: the image's numerators over den.
+def ghost_gamma(t: Mapping[int, int], L: Layout, gamma: int) -> dict[int, int]:
+    """u_i -> (1 + u_i)**gamma - 1 on ghost coordinates, below weight L.N, on
+    integer numerators: the image's numerators over t's own denominator.
 
     The image of u_i**e is ((1 + u_i)**gamma - 1)**e, and one table serves
     every variable: rows[e] holds that integer series below degree N, built
@@ -991,7 +979,7 @@ def ghost_gamma(t: Mapping[int, int], L: Layout, gamma: int, den: int = 1) -> tu
             ]
         for key, x, _ in images:
             out[key] = out.get(key, 0) + x
-    return {m: x for m, x in out.items() if x}, den
+    return {m: x for m, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ records exactly what is known.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import operator
 from dataclasses import dataclass
@@ -68,11 +69,12 @@ class Series1:
     def zero(var: str, N: int | None = None) -> "Series1":
         return Series1.make(var, {}, N)
 
+    @functools.cached_property
+    def _coeffs(self) -> dict[int, Coeff]:
+        return dict(self.terms)
+
     def coeff(self, e: int) -> Coeff:
-        for k, c in self.terms:
-            if k == e:
-                return c
-        return Fraction(0)
+        return self._coeffs.get(e, Fraction(0))
 
     def valuation(self) -> int | None:
         """Exponent of the lowest stored term; None for the zero series."""
@@ -88,7 +90,7 @@ class Series1:
         if not isinstance(other, Series1):
             other = Series1.monomial(self.var, 0, other)
         self._check_var(other)
-        out = sparse.add(dict(self.terms), dict(other.terms))
+        out = sparse.add(self._coeffs, other._coeffs)
         return Series1.make(self.var, out, min_order(self.N, other.N))
 
     __radd__ = __add__
@@ -97,8 +99,6 @@ class Series1:
         return Series1(self.var, tuple((e, -c) for e, c in self.terms), self.N)
 
     def __sub__(self, other):
-        if not isinstance(other, Series1):
-            other = Series1.monomial(self.var, 0, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -109,8 +109,7 @@ class Series1:
             return Series1.make(self.var, {e: c * other for e, c in self.terms}, self.N)
         self._check_var(other)
         bound = self._mul_order(other)
-        t1 = dict(self.terms)  # a square multiplies one dict by itself
-        out = sparse.mul(t1, t1 if other is self else dict(other.terms), bound)
+        out = sparse.mul(self._coeffs, other._coeffs, bound)  # a square multiplies one dict by itself
         return Series1.make(self.var, out, bound)
 
     __rmul__ = __mul__
@@ -122,10 +121,10 @@ class Series1:
 
     def _low(self) -> int:
         """An exponent at or below every term, stored or unknown: the valuation,
-        or with no stored term min(N, 0), as one known below a negative N may
-        have a term at N."""
+        or with no stored term N, the first exponent that can hold one (0 for
+        the exact zero)."""
         v = self.valuation()
-        return v if v is not None else min(self.N or 0, 0)
+        return v if v is not None else self.N or 0
 
     def __pow__(self, n: int) -> "Series1":
         if n < 0:
@@ -133,7 +132,7 @@ class Series1:
         return sparse.power(self, n, Series1.monomial(self.var, 0, 1), operator.mul)
 
     def truncate(self, N: int) -> "Series1":
-        return Series1.make(self.var, dict(self.terms), min_order(self.N, N))
+        return Series1.make(self.var, self._coeffs, min_order(self.N, N))
 
     def __eq__(self, other):
         if isinstance(other, (numbers.Rational, PadicTrunc)):
@@ -143,13 +142,8 @@ class Series1:
         if self.var != other.var:
             return False
         bound = min_order(self.N, other.N)
-        exps = {e for e, _ in self.terms} | {e for e, _ in other.terms}
-        for e in exps:
-            if bound is not None and e >= bound:
-                continue
-            if self.coeff(e) != other.coeff(e):
-                return False
-        return True
+        keys = self._coeffs.keys() | other._coeffs.keys()
+        return all(self.coeff(e) == other.coeff(e) for e in keys if bound is None or e < bound)
 
     def __hash__(self):
         return hash((self.var, self.terms))

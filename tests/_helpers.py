@@ -17,6 +17,7 @@ from pjet.arith import (
     format_rational,
     is_prime,
     min_order,
+    rational_reconstruct,
     valuation,
 )
 from pjet.deltajet import (
@@ -32,11 +33,12 @@ from pjet.deltajet import (
     terms_mul,
     terms_phi,
 )
-from pjet.errors import DomainError, IntegralityViolation, MissingPrimeValue
+from pjet.errors import DomainError, IntegralityViolation, MissingPrimeValue, ReconstructionFailure
 from pjet.forms import CovarianceReport
 from pjet.modular import QExpansion, ap_point_count
 from pjet.multiprime import (
     M_ONE,
+    ContinuationResult,
     Layout as MultiLayout,
     MultiJetSeries,
     RankReport,
@@ -46,6 +48,7 @@ from pjet.multiprime import (
     _move,
     _norm_mono,
     _phi_below,
+    _stored,
     assert_ring_integral,
     build_fe0,
     delta_pk,
@@ -1190,7 +1193,7 @@ def gamma_rows_convolved(gamma, N, count):
     return rows
 
 
-def ghost_gamma_per_top(t, L, gamma, den=1):
+def ghost_gamma_per_top(t, L, gamma):
     """``multiprime.ghost_gamma`` with one table of powers per top degree
     (N - 1) // wt(u_i), each row cut at that degree, and the image terms cut
     by weight as they grow."""
@@ -1230,4 +1233,56 @@ def ghost_gamma_per_top(t, L, gamma, den=1):
             images = grown
         for key, x, _ in images:
             out[key] = out.get(key, 0) + x
-    return {m: x for m, x in out.items() if x}, den
+    return {m: x for m, x in out.items() if x}
+
+
+# ---------------------------------------------------------------------------
+# ``continuation_check`` with one loop per kind of family
+# ---------------------------------------------------------------------------
+
+
+def continuation_check_two_loops(family, height=None):
+    """``multiprime.continuation_check`` as it was written before one walk
+    served both kinds: an exact loop that returns family[0]'s store as f0, and
+    a p-adic loop that reconstructs each key, each with its own failure."""
+    if not family:
+        raise DomainError("empty family")
+    P = family[0].P
+    N = family[0].N
+    for f in family:
+        if f.P != P or f.N != N:
+            raise DomainError("family members must share P and N")
+    padic = [f.is_padic() for f in family]
+    if any(padic) and not all(padic):
+        raise DomainError("cannot mix exact and p-adic family members")
+
+    L = layout(P, N)
+    keys = sorted({m for f in family for m in f._store}, key=lambda m: (m >> L.shift, L.unpack(m)))
+    if not any(padic):
+        for m in keys:
+            vals = [Fraction(f._store.get(m, 0), f._store.den) for f in family]
+            if any(v != vals[0] for v in vals[1:]) or any(vals[0].denominator % p == 0 for p in P):
+                return ContinuationResult(False, None, L.unpack(m), tuple(map(format_rational, vals)))
+        return ContinuationResult(True, MultiJetSeries(P, family[0]._store, N, 0), None)
+
+    if len(family) != len(P):
+        raise DomainError("p-adic continuation needs one member per prime")
+    for k, f in enumerate(family):
+        if f.ring != k + 1:
+            raise DomainError("p-adic family members must be ordered by prime")
+    out = []
+    for m in keys:
+        residues = []
+        for k, f in enumerate(family):
+            c = f._store.get(m)  # a missing key reads as 0 known to 8 digits
+            residues.append((P[k], 8, 0) if c is None else (P[k], c.digits, c.residue % P[k] ** c.digits))
+        try:
+            out.append((m, rational_reconstruct(residues, height=height).as_integer_ratio()))
+        except ReconstructionFailure:
+            return ContinuationResult(
+                False,
+                None,
+                L.unpack(m),
+                tuple(f"{r} mod {p}^{Mk}" for p, Mk, r in residues),
+            )
+    return ContinuationResult(True, MultiJetSeries(P, _stored(out), N, 0), None)

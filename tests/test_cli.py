@@ -442,6 +442,14 @@ GOLDEN_JOBS = [
             "tests/golden/padic_fe0_P5_7_11_N30_M6_k2_fault.json", "tests/golden/padic_fe0_P5_7_11_N30_M6_k3.json",
         ],
     ),
+    (
+        "continuation_exact_P5_7_N30.json",
+        ["check-continuation", "--inputs", "tests/golden/fe0_P5_7_N30.json", "tests/golden/fe0_P5_7_N30.json"],
+    ),
+    (
+        "continuation_exact_P5_7_N30_fault.json",
+        ["check-continuation", "--inputs", "tests/golden/fe0_P5_7_N30.json", "tests/golden/fe0_P5_7_N30_fault.json"],
+    ),
 ]
 
 
@@ -493,6 +501,19 @@ class TestGoldenFiles:
         assert {**good, "terms": len(good["terms"])} == {**bad, "terms": len(bad["terms"])} and len(diff) == 1
         (mono, c), (mono_bad, c_bad) = diff[0]
         assert mono == mono_bad and int(c_bad["residue"]) == int(c["residue"]) + 1
+
+    def test_exact_fault_member_differs_in_one_coefficient(self):
+        # the second input of the exact continuation fault: fe0 (5,7) N 30
+        # with the coefficient 49 of the monomial [[0,0],7] [[0,1],3] raised by 1
+        with open(os.path.join(self.GOLDEN_DIR, "fe0_P5_7_N30.json"), encoding="utf-8") as fh:
+            good = json.load(fh)
+        with open(os.path.join(self.GOLDEN_DIR, "fe0_P5_7_N30_fault.json"), encoding="utf-8") as fh:
+            text = fh.read()
+        bad = json.loads(text)
+        assert cli._dump(bad) == text
+        diff = [(a, b) for a, b in zip(good["terms"], bad["terms"]) if a != b]
+        assert {**good, "terms": len(good["terms"])} == {**bad, "terms": len(bad["terms"])}
+        assert diff == [([[[[0, 0], 7], [[0, 1], 3]], "49"], [[[[0, 0], 7], [[0, 1], 3]], "50"])]
 
 
 class TestProtocol:

@@ -111,6 +111,11 @@ class TestPowerOrder:
         # a term at -3 is unknown, so its square may reach -6
         assert (Series1.make("q", {}, -3) ** 2).N == -6
 
+    def test_powers_of_a_zero_series_below_a_positive_order(self):
+        # the first exponent that can hold a term is 4, so x**e is known below 4e
+        x = Series1.make("q", {}, 4)
+        assert [(x**e).N for e in (1, 2, 3)] == [4, 8, 12]
+
 
 def residues(s, p, m):
     """{exponent: residue mod p**m} of a series of p-adic values."""
@@ -206,6 +211,12 @@ class TestDelta0:
         # below -38 only a(q**5) - (5/q**8)**5 reaches: (5 - 5**5) / 5 at q**-40
         term = {"p": 5, "M": 4, "residue": "1", "digits": 3}
         assert got.N <= -34 and got.to_json() == {"var": "q", "N": -38, "terms": [[-40, term]]}
+
+    def test_zero_residues_keep_the_order_of_their_tail(self):
+        # 25q + O(q**3) is 0 + O(q**3) mod 25: every term of a**5 other than
+        # the unknown tail's fifth power carries 25, so the order is 5 * 3
+        got = delta0(Series1.make("q", {1: Fraction(25)}, 3), 5, 2)
+        assert got.to_json() == {"var": "q", "N": 15, "terms": []}
 
     @given(case=delta0_inputs())
     @example(case=(Series1.make("q", {-8: Fraction(5)}, -6), 5, 4, {-8: Fraction(5), -6: Fraction(1), -5: Fraction(0), -4: Fraction(0)}))
